@@ -35,8 +35,8 @@ from .encoders import (
     AttentivePoolParams,
     BiGruParams,
     DocEncoderParams,
-    attentive_pool,
-    bigru_encode,
+    attentive_pool_steps,
+    bigru_scan,
     encode_documents,
 )
 from .ndtensor import DomainError, SgdConfig, StateError, Tape, Tensor
@@ -47,7 +47,7 @@ PAD_ID = 0
 UNK_ID = 1
 
 # Randomly initialized embedding tables mimic the spread of pretrained vectors;
-# recurrent and projection weights keep the conservative 0.08 range.
+# recurrent and projection weights take nd.parameter's Glorot-uniform limit.
 EMB_INIT_SCALE = 0.5
 
 
@@ -337,15 +337,17 @@ def encode_articles(article_ids: list, model: ChargeModel, d_f: Tensor) -> Tenso
 
 def aggregate_articles(a_mat: Tensor, model: ChargeModel,
                        d_f: Tensor) -> tuple[Tensor, Tensor]:
-    """Bi-GRU over the article sequence, pooled with the fact-driven context."""
+    """Bi-GRU over the article sequence, pooled with the fact-driven context.
+
+    The columns of ``a_mat`` are the sequence: one step per article, batch 1.
+    """
     p = model.params
     n = a_mat.shape[1]
     if n < 1:
         raise DomainError("aggregate_articles needs at least one article")
-    seq = [nd.narrow(a_mat, 1, j, 1) for j in range(n)]
-    states = bigru_encode(seq, p.agg_gru)
+    states = bigru_scan(a_mat, n, p.agg_gru)
     u_ad = dynamic_context(d_f, p.w_d, p.b_d)
-    return attentive_pool(states, p.agg_pool.w, u_ad)
+    return attentive_pool_steps(states, n, p.agg_pool.w, u_ad)
 
 
 def forward(case: CaseRecord, model: ChargeModel, bank: ExtractorBank | None = None,
@@ -366,8 +368,7 @@ def forward(case: CaseRecord, model: ChargeModel, bank: ExtractorBank | None = N
         elif topk is not None:
             slots = list(topk)
         else:
-            if bank is None:
-                raise StateError(f"variant {cfg.variant.value} needs a trained extractor bank")
+            _check_bank(cfg, bank)
             ranked = extract_top_k(case.tokens(), bank, k=cfg.k)
             slots = [aid for aid, _ in ranked]
             scores = [s for _, s in ranked]
@@ -400,16 +401,18 @@ def forward(case: CaseRecord, model: ChargeModel, bank: ExtractorBank | None = N
 
 
 def joint_loss(o: Tensor, y: np.ndarray, alpha: Tensor | None,
-               t: np.ndarray | None, beta: float) -> Tensor:
+               t: np.ndarray | None, beta: float) -> tuple[Tensor, Tensor, Tensor | None]:
     """Charge cross entropy plus beta-weighted attention cross entropy.
 
-    With beta = 0 or no attention target the result is exactly the charge
-    term, the same tape node.
+    Returns the total with its two terms; the attention term is None, and
+    the total exactly the charge term (the same tape node), with beta = 0 or
+    no attention target.
     """
     charge_term = nd.cross_entropy(y, o)
     if beta == 0.0 or t is None or alpha is None:
-        return charge_term
-    return charge_term + beta * nd.cross_entropy(t, alpha)
+        return charge_term, charge_term, None
+    attn_term = nd.cross_entropy(t, alpha)
+    return charge_term + beta * attn_term, charge_term, attn_term
 
 
 def predict(o: np.ndarray, tau: float) -> set[int]:
@@ -446,15 +449,9 @@ def _case_loss(case: CaseRecord, model: ChargeModel, y: np.ndarray,
     t = None
     if cfg.variant == Variant.FACT_SUPV_ART and cfg.beta > 0:
         t = attention_target(trace.topk, case.gold_articles, cfg.k)
-    charge_term = nd.cross_entropy(y, trace.o_tensor)
-    if t is None or cfg.beta == 0.0 or trace.alpha_tensor is None:
-        attn_value = 0.0
-        total = charge_term
-    else:
-        attn_term = nd.cross_entropy(t, trace.alpha_tensor)
-        attn_value = attn_term.item()
-        total = charge_term + cfg.beta * attn_term
-    return total, charge_term.item(), attn_value
+    total, charge_term, attn_term = joint_loss(trace.o_tensor, y, trace.alpha_tensor, t,
+                                               cfg.beta)
+    return total, charge_term.item(), 0.0 if attn_term is None else attn_term.item()
 
 
 def _evaluate(model: ChargeModel, cases: list[CaseRecord], topks: list,
@@ -471,6 +468,14 @@ def _evaluate(model: ChargeModel, cases: list[CaseRecord], topks: list,
     return f1, probs
 
 
+def _check_bank(cfg: ModelConfig, bank: ExtractorBank | None) -> None:
+    """The extractor bank must exist and fill all k article slots."""
+    if bank is None:
+        raise StateError(f"variant {cfg.variant.value} needs a trained extractor bank")
+    if cfg.k > len(bank.scorers):
+        raise DomainError(f"k={cfg.k} exceeds the bank's {len(bank.scorers)} scorers")
+
+
 def _precompute_topk(cases: list[CaseRecord], cfg: ModelConfig,
                      bank: ExtractorBank | None) -> list:
     """Fixed article slots per case; the extractor is deterministic, so this
@@ -479,10 +484,7 @@ def _precompute_topk(cases: list[CaseRecord], cfg: ModelConfig,
         return [None] * len(cases)
     if cfg.variant == Variant.FACT_GOLD_ART:
         return [sorted(c.gold_articles, key=article_sort_key)[:cfg.k] for c in cases]
-    if bank is None:
-        raise StateError(f"variant {cfg.variant.value} needs a trained extractor bank")
-    if cfg.k > len(bank.scorers):
-        raise DomainError(f"k={cfg.k} exceeds the bank's {len(bank.scorers)} scorers")
+    _check_bank(cfg, bank)
     return [[aid for aid, _ in extract_top_k(c.tokens(), bank, k=cfg.k)] for c in cases]
 
 

@@ -1,10 +1,24 @@
 """Recurrent sequence encoders: GRU cell, bidirectional GRU, attentive pooling,
 and the two-level (word -> sentence) document encoder.
 
-Sequences are lists of column tensors. Every function accepts either single
-vectors (1-D) or batches stacked as columns (dim, B); batched calls carry an
-optional 0/1 mask so right-padded sequences encode exactly like their
-unpadded counterparts (masked steps pass the previous state through).
+A sequence of T steps over a batch of B columns is held stacked: one
+(dim, T*B) tensor whose columns are step-major (step t owns columns
+t*B .. t*B+B-1). Two fused ops work on that layout, each recording a single
+backward closure per call:
+
+* ``bigru_scan`` hoists the input projections of all three gates of a
+  direction into one (3H, D) x (D, T*B) product, runs the recurrence in plain
+  numpy (one ``[U_z; U_r] @ h`` and one ``U_h @ (r * h)`` per step), and
+  back-propagates through time by hand, the weight and input gradients again
+  as single products over the T*B columns.
+* ``attentive_pool_steps`` scores every state, takes the masked softmax over
+  the steps of each column and the weighted sum in one pass.
+
+An optional (T, B) 0/1 mask makes right-padded sequences encode exactly like
+their unpadded counterparts: masked steps pass the previous state through and
+get no attention. ``gru_step`` is the composite single-step reference;
+``bigru_encode`` and ``attentive_pool`` take per-position lists of 1-D
+vectors or (dim, B) columns and run the fused ops underneath.
 """
 
 from __future__ import annotations
@@ -160,32 +174,207 @@ def gru_step(x: Tensor, h_prev: Tensor, p: GruParams) -> Tensor:
     return nd.reshape(h, (p.hidden_dim,)) if squeeze else h
 
 
-def _gru_scan(xs: list[Tensor], p: GruParams, masks: list[np.ndarray] | None,
-              reverse: bool) -> list[Tensor]:
-    """Run the recurrence over padded timesteps; masked steps keep the prior state."""
-    batch = xs[0].shape[1]
-    h = Tensor(np.zeros((p.hidden_dim, batch)))
-    states: list[Tensor | None] = [None] * len(xs)
-    order = range(len(xs) - 1, -1, -1) if reverse else range(len(xs))
-    for t in order:
-        h_new = gru_step(xs[t], h, p)
-        if masks is not None:
-            m = masks[t]
+def _step_batch(x: Tensor, steps: int, mask: np.ndarray | None) -> int:
+    """Columns per step of a step-major stacked tensor; checks the mask shape."""
+    if steps < 1:
+        raise DomainError("a sequence needs at least one step")
+    if x.data.ndim != 2 or x.shape[1] % steps:
+        raise ShapeError(f"{x.shape} is not {steps} steps of stacked columns")
+    batch = x.shape[1] // steps
+    if mask is not None and mask.shape != (steps, batch):
+        raise ShapeError(f"mask {mask.shape} does not match ({steps}, {batch})")
+    return batch
+
+
+def _gru_forward(xd: np.ndarray, steps: int, g: GruParams, mask: np.ndarray | None,
+                 reverse: bool, out: np.ndarray, keep: bool) -> np.ndarray | None:
+    """One direction's recurrence, writing the states into ``out`` (H, T*B).
+
+    Returns the gate activations [z; r; candidate] as (3H, T*B) when ``keep``
+    is set (backward needs them), else None.
+    """
+    hid = g.hidden_dim
+    batch = xd.shape[1] // steps
+    acts = np.empty((3 * hid, xd.shape[1]))
+    for k, (w, b) in enumerate([(g.w_z, g.b_z), (g.w_r, g.b_r), (g.w_h, g.b_h)]):
+        rows = acts[k * hid:(k + 1) * hid]
+        np.matmul(w.data, xd, out=rows)
+        rows += b.data
+    u_zr = np.concatenate([g.u_z.data, g.u_r.data])
+    u_h = g.u_h.data
+    h = np.zeros((hid, batch))
+    for t in (range(steps - 1, -1, -1) if reverse else range(steps)):
+        cols = slice(t * batch, (t + 1) * batch)
+        a = acts[:, cols]
+        zr = u_zr @ h
+        zr += a[:2 * hid]
+        nd.logistic(zr, out=zr)
+        z, r = zr[:hid], zr[hid:]
+        cand = u_h @ (r * h)
+        cand += a[2 * hid:]
+        np.tanh(cand, out=cand)
+        h_new = (1.0 - z) * h
+        h_new += z * cand
+        if mask is not None:
+            m = mask[t]
             h_new = h_new * m + h * (1.0 - m)
-        states[t] = h_new
+        out[:, cols] = h_new
+        if keep:
+            a[:2 * hid] = zr
+            a[2 * hid:] = cand
         h = h_new
-    return states  # type: ignore[return-value]
+    return acts if keep else None
+
+
+def _gru_backward(xd: np.ndarray, steps: int, g: GruParams, mask: np.ndarray | None,
+                  reverse: bool, states: np.ndarray, acts: np.ndarray,
+                  d_states: np.ndarray) -> np.ndarray:
+    """Hand-written BPTT for one direction; accumulates the weight gradients
+    and returns the gradient of the stacked input (D, T*B)."""
+    hid = g.hidden_dim
+    batch = xd.shape[1] // steps
+    # The state each step started from: the neighbouring step's output, zeros at the edge.
+    h_prev = np.zeros_like(states)
+    if reverse:
+        h_prev[:, :-batch] = states[:, batch:]
+    else:
+        h_prev[:, batch:] = states[:, :-batch]
+    u_zr = np.concatenate([g.u_z.data, g.u_r.data])
+    u_h = g.u_h.data
+    d_pre = np.empty_like(acts)
+    dh = np.zeros((hid, batch))
+    for t in (range(steps) if reverse else range(steps - 1, -1, -1)):
+        cols = slice(t * batch, (t + 1) * batch)
+        a = acts[:, cols]
+        z, r, cand = a[:hid], a[hid:2 * hid], a[2 * hid:]
+        hp = h_prev[:, cols]
+        d_out = d_states[:, cols] + dh
+        if mask is not None:
+            m = mask[t]
+            d_new = d_out * m
+            dh = d_out * (1.0 - m) + d_new * (1.0 - z)
+        else:
+            d_new = d_out
+            dh = d_new * (1.0 - z)
+        d_cand = d_new * z * (1.0 - cand * cand)
+        d_rh = u_h.T @ d_cand
+        dh += d_rh * r
+        d = d_pre[:, cols]
+        d[:hid] = d_new * (cand - hp) * z * (1.0 - z)
+        d[hid:2 * hid] = d_rh * hp * r * (1.0 - r)
+        d[2 * hid:] = d_cand
+        dh += u_zr.T @ d[:2 * hid]
+    d_w = d_pre @ xd.T
+    d_u_zr = d_pre[:2 * hid] @ h_prev.T
+    d_u_h = d_pre[2 * hid:] @ (acts[hid:2 * hid] * h_prev).T
+    d_b = d_pre.sum(axis=1, keepdims=True)
+    for k, (w, u, b) in enumerate([(g.w_z, g.u_z, g.b_z), (g.w_r, g.u_r, g.b_r),
+                                   (g.w_h, g.u_h, g.b_h)]):
+        rows = slice(k * hid, (k + 1) * hid)
+        nd.accumulate(w, d_w[rows])
+        nd.accumulate(u, d_u_h if k == 2 else d_u_zr[rows])
+        nd.accumulate(b, d_b[rows])
+    w = np.concatenate([g.w_z.data, g.w_r.data, g.w_h.data])
+    return w.T @ d_pre
+
+
+def bigru_scan(x: Tensor, steps: int, p: BiGruParams,
+               mask: np.ndarray | None = None) -> Tensor:
+    """Fused bidirectional GRU over ``steps`` positions stacked step-major as
+    the columns of ``x`` (D, steps*B).
+
+    Returns the (2H, steps*B) states, forward half on top, in the same column
+    layout. ``mask`` is a (steps, B) 0/1 array; masked steps keep the prior
+    state. One tape step covers both directions.
+    """
+    batch = _step_batch(x, steps, mask)
+    if x.shape[0] != p.forward.input_dim:
+        raise ShapeError(f"bigru_scan got {x.shape[0]}-dim inputs, "
+                         f"expected {p.forward.input_dim}")
+    hid = p.forward.hidden_dim
+    keep = nd.recording()
+    data = np.empty((2 * hid, steps * batch))
+    halves = [(p.forward, False, data[:hid]), (p.backward, True, data[hid:])]
+    acts = [_gru_forward(x.data, steps, g, mask, rev, out, keep) for g, rev, out in halves]
+    out = Tensor(data)
+
+    def back():
+        if out.grad is None:
+            return
+        for (g, rev, states), a, d_states in zip(halves, acts,
+                                                 (out.grad[:hid], out.grad[hid:])):
+            nd.accumulate(x, _gru_backward(x.data, steps, g, mask, rev, states, a, d_states))
+
+    if keep:
+        nd.record(back)
+    return out
+
+
+def attentive_pool_steps(states: Tensor, steps: int, w: Tensor, u: Tensor,
+                         mask: np.ndarray | None = None) -> tuple[Tensor, Tensor]:
+    """Vectorised attentive pooling of step-major stacked states (s, steps*B).
+
+    Scores tanh(W h)^T u, takes the softmax over the steps of each column
+    (masked steps get exactly 0) and returns the (s, B) weighted sums with
+    the (steps, B) attention. One tape step.
+    """
+    batch = _step_batch(states, steps, mask)
+    dim = states.shape[0]
+    if w.shape != (dim, dim) or u.size != dim:
+        raise ShapeError(f"attention weights {w.shape}, {u.shape} do not fit "
+                         f"{dim}-dim states")
+    u_col = u.data.reshape(dim, 1)
+    keys = w.data @ states.data
+    np.tanh(keys, out=keys)
+    scores = (u_col.T @ keys).reshape(steps, batch)
+    if mask is None:
+        e = np.exp(scores - scores.max(axis=0))
+    else:
+        if (mask.sum(axis=0) == 0).any():
+            raise DomainError("attentive_pool over a fully masked sequence")
+        top = np.where(mask > 0, scores, -np.inf).max(axis=0)
+        e = np.exp(np.where(mask > 0, scores - top, 0.0)) * mask
+    alpha = Tensor(e / e.sum(axis=0))
+    cube = states.data.reshape(dim, steps, batch)
+    pooled = Tensor((cube * alpha.data).sum(axis=1))
+
+    def back():
+        if pooled.grad is None and alpha.grad is None:
+            return
+        a = alpha.data
+        d_alpha = np.zeros_like(a) if alpha.grad is None else alpha.grad.copy()
+        d_states = np.zeros_like(cube)
+        if pooled.grad is not None:
+            g = pooled.grad[:, None, :]
+            d_alpha += (cube * g).sum(axis=0)
+            d_states += g * a
+        d_scores = (a * (d_alpha - (a * d_alpha).sum(axis=0))).reshape(1, -1)
+        d_pre = u_col * d_scores * (1.0 - keys * keys)
+        nd.accumulate(w, d_pre @ states.data.T)
+        nd.accumulate(u, (keys @ d_scores.T).reshape(u.shape))
+        d_flat = d_states.reshape(dim, -1)
+        d_flat += w.data.T @ d_pre
+        nd.accumulate(states, d_flat)
+
+    nd.record(back)
+    return pooled, alpha
+
+
+def _stack(seq: Sequence[Tensor]) -> tuple[Tensor, bool]:
+    """Step-major stacking of per-position columns (or 1-D vectors)."""
+    squeeze = seq[0].data.ndim == 1
+    cols = [_as_column(x)[0] for x in seq]
+    return (cols[0] if len(cols) == 1 else nd.concat(cols, axis=1)), squeeze
 
 
 def bigru_encode(seq: Sequence[Tensor], p: BiGruParams) -> list[Tensor]:
     """Concatenation of forward and backward GRU states at every position."""
     if not seq:
         raise DomainError("bigru_encode of empty sequence")
-    cols = [_as_column(x)[0] for x in seq]
-    squeeze = seq[0].data.ndim == 1
-    fwd = _gru_scan(cols, p.forward, None, reverse=False)
-    bwd = _gru_scan(cols, p.backward, None, reverse=True)
-    out = [nd.concat([f, b], axis=0) for f, b in zip(fwd, bwd)]
+    x, squeeze = _stack(seq)
+    batch = x.shape[1] // len(seq)
+    states = bigru_scan(x, len(seq), p)
+    out = [nd.narrow(states, 1, t * batch, batch) for t in range(len(seq))]
     if squeeze:
         out = [nd.reshape(h, (p.state_dim,)) for h in out]
     return out
@@ -200,41 +389,31 @@ def attentive_pool(states: Sequence[Tensor], w: Tensor, u: Tensor,
     """
     if not states:
         raise DomainError("attentive_pool of empty state sequence")
-    cols = [_as_column(h)[0] for h in states]
-    squeeze = states[0].data.ndim == 1
-    u_col, _ = _as_column(u)
-    rows = [nd.tsum(nd.tanh(w @ h) * u_col, axis=0, keepdims=True) for h in cols]
-    alpha = nd.softmax(nd.concat(rows, axis=0), axis=0, mask=mask)
-    pooled = None
-    for t, h in enumerate(cols):
-        term = h * nd.narrow(alpha, 0, t, 1)
-        pooled = term if pooled is None else pooled + term
+    x, squeeze = _stack(states)
+    if mask is not None:
+        mask = np.asarray(mask, dtype=np.float64).reshape(len(states), -1)
+    pooled, alpha = attentive_pool_steps(x, len(states), w, u, mask)
     if squeeze:
-        pooled = nd.reshape(pooled, (cols[0].shape[0],))
-        alpha = nd.reshape(alpha, (len(cols),))
+        pooled = nd.reshape(pooled, (x.shape[0],))
+        alpha = nd.reshape(alpha, (len(states),))
     return pooled, alpha
 
 
-def _flat_mask(lengths: list[int], max_len: int) -> list[np.ndarray]:
-    return [np.array([[1.0 if t < n else 0.0 for n in lengths]]) for t in range(max_len)]
+def _step_mask(lengths: list[int], steps: int) -> np.ndarray | None:
+    """(steps, B) 0/1 mask of right-padded sequences; None when nothing is padded."""
+    if min(lengths) == steps:
+        return None
+    return (np.arange(steps)[:, None] < np.asarray(lengths)[None, :]).astype(np.float64)
 
 
-def _pool_mask(lengths: list[int], max_len: int) -> np.ndarray:
-    return np.array([[1.0 if t < n else 0.0 for n in lengths] for t in range(max_len)])
-
-
-def _encode_level(xs: list[Tensor], lengths: list[int], gru: BiGruParams,
+def _encode_level(x: Tensor, steps: int, lengths: list[int], gru: BiGruParams,
                   pool: AttentivePoolParams, u: Tensor | None) -> tuple[Tensor, Tensor]:
-    """One Bi-GRU + attentive pool over a padded batch of sequences."""
-    max_len = len(xs)
-    masks = _flat_mask(lengths, max_len)
-    fwd = _gru_scan(xs, gru.forward, masks, reverse=False)
-    bwd = _gru_scan(xs, gru.backward, masks, reverse=True)
-    states = [nd.concat([f, b], axis=0) for f, b in zip(fwd, bwd)]
+    """One Bi-GRU + attentive pool over a padded, step-major stacked batch."""
     context = u if u is not None else pool.u
     if context is None:
         raise DomainError("no context vector: pool has no global u and none was supplied")
-    return attentive_pool(states, pool.w, context, mask=_pool_mask(lengths, max_len))
+    mask = _step_mask(lengths, steps)
+    return attentive_pool_steps(bigru_scan(x, steps, gru, mask), steps, pool.w, context, mask)
 
 
 def encode_documents(docs: Sequence[Sequence[tuple[np.ndarray, np.ndarray]]],
@@ -246,10 +425,11 @@ def encode_documents(docs: Sequence[Sequence[tuple[np.ndarray, np.ndarray]]],
     """Encode several documents in one padded batch.
 
     Each document is a list of sentences; each sentence a pair of id arrays
-    (word ids, pos ids). ``embed_tokens`` turns one timestep's id slice into
-    input columns. Returns the document embeddings as columns of a single
-    (state_dim, n_docs) tensor plus per-sentence word attention and per-document
-    sentence attention as plain arrays.
+    (word ids, pos ids). ``embed_tokens`` turns id arrays into input columns;
+    it is called once, with the ids of every word position of every sentence
+    laid out step-major and padded with id 0. Returns the document embeddings
+    as columns of a single (state_dim, n_docs) tensor plus per-sentence word
+    attention and per-document sentence attention as plain arrays.
     """
     if not docs:
         raise DomainError("encode_documents of empty document list")
@@ -260,26 +440,28 @@ def encode_documents(docs: Sequence[Sequence[tuple[np.ndarray, np.ndarray]]],
             if len(wids) == 0:
                 raise DomainError("sentence with no tokens")
 
-    flat = [(d, s) for d, doc in enumerate(docs) for s in range(len(doc))]
-    sent_of = {pair: i for i, pair in enumerate(flat)}
-    word_lens = [len(docs[d][s][0]) for d, s in flat]
+    sents = [sent for doc in docs for sent in doc]
+    word_lens = [len(wids) for wids, _ in sents]
     max_words = max(word_lens)
-
-    xs = []
-    for t in range(max_words):
-        wid = np.array([docs[d][s][0][t] if t < len(docs[d][s][0]) else 0 for d, s in flat])
-        pid = np.array([docs[d][s][1][t] if t < len(docs[d][s][1]) else 0 for d, s in flat])
-        xs.append(embed_tokens(wid, pid))
-    sent_emb, word_alpha = _encode_level(xs, word_lens, p.word_gru, p.word_pool, u_word)
+    wid = np.zeros((max_words, len(sents)), dtype=np.intp)
+    pid = np.zeros((max_words, len(sents)), dtype=np.intp)
+    for j, (wids, pids) in enumerate(sents):
+        wid[:len(wids), j] = wids
+        pid[:len(pids), j] = pids
+    x = embed_tokens(wid.reshape(-1), pid.reshape(-1))
+    sent_emb, word_alpha = _encode_level(x, max_words, word_lens, p.word_gru, p.word_pool,
+                                         u_word)
 
     sent_lens = [len(doc) for doc in docs]
     max_sents = max(sent_lens)
-    sent_xs = [nd.take_cols(sent_emb,
-                            [sent_of[(d, min(t, len(docs[d]) - 1))] for d in range(len(docs))])
-               for t in range(max_sents)]
-    d_emb, sent_alpha = _encode_level(sent_xs, sent_lens, p.sent_gru, p.sent_pool, u_sent)
+    first = np.cumsum([0] + sent_lens[:-1])
+    # Padded sentence slots repeat a document's last sentence; the mask hides them.
+    idx = first[None, :] + np.minimum(np.arange(max_sents)[:, None],
+                                      np.asarray(sent_lens)[None, :] - 1)
+    d_emb, sent_alpha = _encode_level(nd.take_cols(sent_emb, idx.reshape(-1)), max_sents,
+                                      sent_lens, p.sent_gru, p.sent_pool, u_sent)
 
-    word_attn = [[word_alpha.data[:word_lens[sent_of[(d, s)]], sent_of[(d, s)]]
+    word_attn = [[word_alpha.data[:word_lens[first[d] + s], first[d] + s]
                   for s in range(len(doc))] for d, doc in enumerate(docs)]
     sent_attn = [sent_alpha.data[:sent_lens[d], d] for d in range(len(docs))]
     return d_emb, word_attn, sent_attn
@@ -303,13 +485,11 @@ def encode_document(doc: Sequence[Sequence[Tensor]], p: DocEncoderParams,
     lens = [len(sent) for sent in doc]
     max_words = max(lens)
     pad = Tensor(np.zeros((in_dim, 1)))
-    xs = [nd.concat([_as_column(doc[s][t])[0] if t < lens[s] else pad
-                     for s in range(len(doc))], axis=1)
-          for t in range(max_words)]
-    sent_emb, word_alpha = _encode_level(xs, lens, p.word_gru, p.word_pool, u_word)
-
-    sent_xs = [nd.narrow(sent_emb, 1, s, 1) for s in range(len(doc))]
-    d_emb, sent_alpha = _encode_level(sent_xs, [len(doc)], p.sent_gru, p.sent_pool, u_sent)
+    x = nd.concat([_as_column(doc[s][t])[0] if t < lens[s] else pad
+                   for t in range(max_words) for s in range(len(doc))], axis=1)
+    sent_emb, word_alpha = _encode_level(x, max_words, lens, p.word_gru, p.word_pool, u_word)
+    d_emb, sent_alpha = _encode_level(sent_emb, len(doc), [len(doc)], p.sent_gru,
+                                      p.sent_pool, u_sent)
     return (nd.reshape(d_emb, (p.out_dim,)),
             [word_alpha.data[:lens[s], s] for s in range(len(doc))],
             sent_alpha.data.reshape(-1))

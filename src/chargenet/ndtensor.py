@@ -7,6 +7,9 @@ gradient checking, and a binary checkpoint format.
 
 Ops record their backward closures on the innermost active ``Tape``;
 with no tape active they run forward-only, which is the inference path.
+Fused ops defined elsewhere use the same hooks: ``recording`` says whether
+to keep what backward needs, ``record`` appends the closure, and
+``accumulate`` adds into an input's gradient.
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ __all__ = [
     "take_cols", "embed", "reshape", "tsum", "softmax", "cross_entropy",
     "sgd_step", "grad_check", "GradCheckReport", "parameter", "zeros",
     "save_checkpoint", "load_checkpoint", "CHECKPOINT_VERSION",
+    "record", "accumulate", "recording", "logistic",
 ]
 
 
@@ -147,13 +151,24 @@ class Tape:
                 p.grad = np.zeros_like(p.data)
 
 
-def _record(step: Callable[[], None]) -> None:
+def recording() -> bool:
+    """True while a tape is active, i.e. when ops must keep what backward needs."""
+    return _tape() is not None
+
+
+def record(step: Callable[[], None]) -> None:
+    """Append ``step`` to the innermost active tape; a no-op with no tape.
+
+    Custom ops call this once per forward with a closure that reads their
+    outputs' ``grad`` and feeds their inputs through ``accumulate``.
+    """
     t = _tape()
     if t is not None:
         t.record(step)
 
 
-def _accum(t: Tensor, delta: np.ndarray) -> None:
+def accumulate(t: Tensor, delta: np.ndarray) -> None:
+    """Add ``delta`` into ``t.grad``, allocating the buffer on first use."""
     if t.grad is None:
         t.grad = np.zeros_like(t.data)
     t.grad += delta
@@ -179,10 +194,10 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         g = out.grad
         if g is None:
             return
-        _accum(a, g @ b.data.T)
-        _accum(b, a.data.T @ g)
+        accumulate(a, g @ b.data.T)
+        accumulate(b, a.data.T @ g)
 
-    _record(back)
+    record(back)
     return out
 
 
@@ -202,12 +217,12 @@ def _binary(a, b, fwd, back_a, back_b) -> Tensor:
         if g is None:
             return
         if a_t is not None:
-            _accum(a_t, _unbroadcast(back_a(g, ad, bd), ad.shape))
+            accumulate(a_t, _unbroadcast(back_a(g, ad, bd), ad.shape))
         if b_t is not None:
-            _accum(b_t, _unbroadcast(back_b(g, ad, bd), bd.shape))
+            accumulate(b_t, _unbroadcast(back_b(g, ad, bd), bd.shape))
 
     if a_t is not None or b_t is not None:
-        _record(back)
+        record(back)
     return out
 
 
@@ -231,26 +246,35 @@ def tanh(a: Tensor) -> Tensor:
 
     def back():
         if out.grad is not None:
-            _accum(a, (1.0 - out.data * out.data) * out.grad)
+            accumulate(a, (1.0 - out.data * out.data) * out.grad)
 
-    _record(back)
+    record(back)
     return out
 
 
-def sigmoid(a: Tensor) -> Tensor:
-    x = a.data
-    val = np.empty_like(x)
+def logistic(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Overflow-free 1 / (1 + exp(-x)) of a plain array; ``out`` may be ``x``.
+
+    Both branches use e = exp(-|x|): 1 / (1 + e) for x >= 0, e / (1 + e) below.
+    """
     pos = x >= 0
-    val[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    val[~pos] = ex / (1.0 + ex)
-    out = Tensor(val)
+    e = np.abs(x, out=out)
+    np.negative(e, out=e)
+    np.exp(e, out=e)
+    den = e + 1.0
+    np.copyto(e, 1.0, where=pos)
+    e /= den
+    return e
+
+
+def sigmoid(a: Tensor) -> Tensor:
+    out = Tensor(logistic(a.data))
 
     def back():
         if out.grad is not None:
-            _accum(a, out.data * (1.0 - out.data) * out.grad)
+            accumulate(a, out.data * (1.0 - out.data) * out.grad)
 
-    _record(back)
+    record(back)
     return out
 
 
@@ -273,10 +297,10 @@ def concat(parts: Sequence[Tensor], axis: int = 0) -> Tensor:
         for p, n in zip(parts, sizes):
             idx = [slice(None)] * g.ndim
             idx[axis] = slice(offset, offset + n)
-            _accum(p, g[tuple(idx)])
+            accumulate(p, g[tuple(idx)])
             offset += n
 
-    _record(back)
+    record(back)
     return out
 
 
@@ -296,7 +320,7 @@ def narrow(a: Tensor, axis: int, start: int, length: int) -> Tensor:
             a.grad = np.zeros_like(a.data)
         a.grad[idx] += out.grad
 
-    _record(back)
+    record(back)
     return out
 
 
@@ -312,7 +336,7 @@ def take_cols(a: Tensor, cols) -> Tensor:
             a.grad = np.zeros_like(a.data)
         np.add.at(a.grad.T, cols, out.grad.T)
 
-    _record(back)
+    record(back)
     return out
 
 
@@ -328,7 +352,7 @@ def embed(table: Tensor, ids) -> Tensor:
             table.grad = np.zeros_like(table.data)
         np.add.at(table.grad, ids, out.grad.T)
 
-    _record(back)
+    record(back)
     return out
 
 
@@ -337,9 +361,9 @@ def reshape(a: Tensor, shape) -> Tensor:
 
     def back():
         if out.grad is not None:
-            _accum(a, out.grad.reshape(a.shape))
+            accumulate(a, out.grad.reshape(a.shape))
 
-    _record(back)
+    record(back)
     return out
 
 
@@ -352,9 +376,9 @@ def tsum(a: Tensor, axis: int | None = None, keepdims: bool = False) -> Tensor:
             return
         if axis is not None and not keepdims:
             g = np.expand_dims(g, axis)
-        _accum(a, np.broadcast_to(g, a.shape))
+        accumulate(a, np.broadcast_to(g, a.shape))
 
-    _record(back)
+    record(back)
     return out
 
 
@@ -384,9 +408,9 @@ def softmax(logits: Tensor, axis: int = 0, mask: np.ndarray | None = None) -> Te
             return
         p = out.data
         inner = (p * g).sum(axis=axis, keepdims=True)
-        _accum(logits, p * (g - inner))
+        accumulate(logits, p * (g - inner))
 
-    _record(back)
+    record(back)
     return out
 
 
@@ -408,9 +432,9 @@ def cross_entropy(target, predicted: Tensor) -> Tensor:
         if out.grad is None:
             return
         live = predicted.data >= LOG_EPS  # below the clamp the loss is locally flat
-        _accum(predicted, np.where(live, -t / clamped, 0.0) * out.grad)
+        accumulate(predicted, np.where(live, -t / clamped, 0.0) * out.grad)
 
-    _record(back)
+    record(back)
     return out
 
 
@@ -543,29 +567,43 @@ def save_checkpoint(path, named_params: Iterable[tuple[str, Tensor]]) -> None:
 
 
 def load_checkpoint(path) -> dict[str, np.ndarray]:
-    """Read a checkpoint back into a name -> array mapping (see save_checkpoint)."""
+    """Read a checkpoint back into a name -> array mapping (see save_checkpoint).
+
+    A truncated file, trailing bytes, an undecodable name or an unknown
+    version raise ``StateError`` naming the byte offset where reading stopped.
+    """
     with open(path, "rb") as fh:
         blob = fh.read()
     off = 0
 
-    def take(fmt):
+    def take(nbytes: int, what: str) -> bytes:
         nonlocal off
-        vals = struct.unpack_from(fmt, blob, off)
-        off += struct.calcsize(fmt)
-        return vals
+        if off + nbytes > len(blob):
+            raise StateError(f"checkpoint {path} truncated at byte {off}: needed {nbytes} "
+                             f"bytes of {what}, {len(blob) - off} left")
+        chunk = blob[off:off + nbytes]
+        off += nbytes
+        return chunk
 
-    version, count = take("<II")
+    def unpack(fmt: str, what: str) -> tuple:
+        return struct.unpack(fmt, take(struct.calcsize(fmt), what))
+
+    version, count = unpack("<II", "header")
     if version != CHECKPOINT_VERSION:
         raise StateError(f"unsupported checkpoint version {version}")
     out: dict[str, np.ndarray] = {}
     for _ in range(count):
-        (nlen,) = take("<H")
-        name = blob[off:off + nlen].decode("utf-8")
-        off += nlen
-        (rank,) = take("<B")
-        dims = take(f"<{rank}I") if rank else ()
+        (nlen,) = unpack("<H", "name length")
+        at = off
+        try:
+            name = take(nlen, "name").decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise StateError(f"checkpoint {path} has an undecodable name at byte {at}") from exc
+        (rank,) = unpack("<B", f"rank of {name!r}")
+        dims = unpack(f"<{rank}I", f"dims of {name!r}") if rank else ()
         n = int(np.prod(dims)) if rank else 1
-        arr = np.frombuffer(blob, dtype="<f8", count=n, offset=off).reshape(dims)
-        off += 8 * n
-        out[name] = arr.astype(np.float64)
+        raw = take(8 * n, f"data of {name!r}")
+        out[name] = np.frombuffer(raw, dtype="<f8").reshape(dims).astype(np.float64)
+    if off != len(blob):
+        raise StateError(f"checkpoint {path} has {len(blob) - off} trailing bytes at byte {off}")
     return out

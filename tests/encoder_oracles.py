@@ -1,0 +1,59 @@
+"""Composite reference implementations of the fused encoder ops.
+
+Each recurrence step is one ``enc.gru_step`` and each pooled position a
+handful of elementwise tape ops, so every gradient comes from the generic
+per-op backward rules. The fused ``bigru_scan`` and ``attentive_pool_steps``
+must agree with these on values and gradients.
+"""
+
+import numpy as np
+
+from chargenet import encoders as enc
+from chargenet import ndtensor as nd
+from chargenet.ndtensor import Tensor
+
+
+def gru_scan(xs, p, masks, reverse):
+    """Per-step GRU over a list of (D, B) columns; masked steps keep the prior state."""
+    h = Tensor(np.zeros((p.hidden_dim, xs[0].shape[1])))
+    states = [None] * len(xs)
+    order = range(len(xs) - 1, -1, -1) if reverse else range(len(xs))
+    for t in order:
+        h_new = enc.gru_step(xs[t], h, p)
+        if masks is not None:
+            m = masks[t]
+            h_new = h_new * m + h * (1.0 - m)
+        states[t] = h_new
+        h = h_new
+    return states
+
+
+def split_steps(x, steps):
+    batch = x.shape[1] // steps
+    return [nd.narrow(x, 1, t * batch, batch) for t in range(steps)]
+
+
+def bigru_scan(x, steps, p, mask=None):
+    """Same contract as ``enc.bigru_scan``, built from ``gru_step``."""
+    xs = split_steps(x, steps)
+    masks = None if mask is None else [mask[t][None, :] for t in range(steps)]
+    fwd = gru_scan(xs, p.forward, masks, reverse=False)
+    bwd = gru_scan(xs, p.backward, masks, reverse=True)
+    return nd.concat([nd.concat([f, b], axis=0) for f, b in zip(fwd, bwd)], axis=1)
+
+
+def attentive_pool(states, w, u, mask=None):
+    """Per-position scores, a masked softmax over positions, a running weighted sum."""
+    u_col = nd.reshape(u, (u.size, 1))
+    rows = [nd.tsum(nd.tanh(w @ h) * u_col, axis=0, keepdims=True) for h in states]
+    alpha = nd.softmax(nd.concat(rows, axis=0), axis=0, mask=mask)
+    pooled = None
+    for t, h in enumerate(states):
+        term = h * nd.narrow(alpha, 0, t, 1)
+        pooled = term if pooled is None else pooled + term
+    return pooled, alpha
+
+
+def attentive_pool_steps(states, steps, w, u, mask=None):
+    """Same contract as ``enc.attentive_pool_steps``."""
+    return attentive_pool(split_steps(states, steps), w, u, mask)

@@ -6,6 +6,7 @@ from chargenet import encoders as enc
 from chargenet import ndtensor as nd
 from chargenet.ndtensor import DomainError, ShapeError, Tape, Tensor
 
+import encoder_oracles as oracle
 from test_ndtensor import assert_matches_fd
 
 
@@ -306,3 +307,151 @@ class TestBatchedEncoding:
             return nd.tsum(nd.tanh(d))
 
         assert_matches_fd(loss, tensors)
+
+
+def padded_batch(rng, steps, batch):
+    """Random right-padded lengths in [1, steps], at least one column full."""
+    lengths = rng.integers(1, steps + 1, batch)
+    lengths[rng.integers(batch)] = steps
+    return lengths, (np.arange(steps)[:, None] < lengths[None, :]).astype(float)
+
+
+def taped_grads(fn, tensors):
+    """Gradients of fn() (a list of output tensors) under fixed random cotangents."""
+    for t in tensors:
+        t.grad = None
+    with Tape() as tape:
+        outs = fn()
+        rng = np.random.default_rng(99)
+        loss = None
+        for o in outs:
+            term = nd.tsum(o * rng.uniform(-1, 1, o.shape))
+            loss = term if loss is None else loss + term
+        tape.backward(loss, tensors)
+    grads = [t.grad.copy() for t in tensors]
+    for t in tensors:
+        t.grad = None
+    return [o.data.copy() for o in outs], grads
+
+
+class TestFusedScan:
+    """bigru_scan against the per-step gru_step composite."""
+
+    def setup(self, seed, steps, batch, in_dim=4, hidden=3, masked=True):
+        rng = np.random.default_rng(seed)
+        p = enc.BiGruParams.create(in_dim, hidden, np.random.default_rng(seed + 1))
+        for _, t in p.named():  # non-zero biases exercise their gradients too
+            t.data += rng.uniform(-0.5, 0.5, t.shape)
+        x = Tensor(rng.uniform(-2, 2, (in_dim, steps * batch)))
+        lengths, mask = padded_batch(rng, steps, batch)
+        return p, x, lengths, (mask if masked else None)
+
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("masked", [True, False])
+    def test_matches_oracle_values_and_gradients(self, seed, masked):
+        rng = np.random.default_rng(seed)
+        steps, batch = int(rng.integers(1, 7)), int(rng.integers(1, 5))
+        p, x, _, mask = self.setup(seed, steps, batch, masked=masked)
+        tensors = [x] + [t for _, t in p.named()]
+        got, got_g = taped_grads(lambda: [enc.bigru_scan(x, steps, p, mask)], tensors)
+        want, want_g = taped_grads(lambda: [oracle.bigru_scan(x, steps, p, mask)], tensors)
+        npt.assert_allclose(got[0], want[0], rtol=0, atol=1e-10)
+        for (name, _), g, w in zip([("x", x)] + list(p.named()), got_g, want_g):
+            npt.assert_allclose(g, w, rtol=0, atol=1e-10, err_msg=name)
+
+    def test_each_direction_matches_its_oracle_scan(self):
+        p, x, _, mask = self.setup(40, 5, 3)
+        hid = p.forward.hidden_dim
+        states = enc.bigru_scan(x, 5, p, mask).data
+        xs = oracle.split_steps(x, 5)
+        masks = [mask[t][None, :] for t in range(5)]
+        fwd = oracle.gru_scan(xs, p.forward, masks, reverse=False)
+        bwd = oracle.gru_scan(xs, p.backward, masks, reverse=True)
+        for t in range(5):
+            npt.assert_allclose(states[:hid, 3 * t:3 * t + 3], fwd[t].data, atol=1e-12)
+            npt.assert_allclose(states[hid:, 3 * t:3 * t + 3], bwd[t].data, atol=1e-12)
+
+    def test_padded_columns_equal_unpadded_runs(self):
+        p, x, lengths, mask = self.setup(41, 6, 4)
+        states = enc.bigru_scan(x, 6, p, mask).data
+        for j, n in enumerate(lengths):
+            alone = enc.bigru_scan(Tensor(x.data[:, j::4][:, :n]), int(n), p).data
+            npt.assert_allclose(states[:, j::4][:, :n], alone, atol=1e-12)
+
+    def test_grad_check(self):
+        p, x, _, mask = self.setup(42, 4, 3, in_dim=3, hidden=2)
+        weights = Tensor(np.random.default_rng(43).uniform(-1, 1, (4, 12)))
+        named = [("x", x)] + list(p.named())
+        report = nd.grad_check(
+            lambda: nd.tsum(nd.tanh(enc.bigru_scan(x, 4, p, mask)) * weights), named)
+        assert report.ok, report.failures()
+
+    def test_no_tape_records_nothing_and_matches_taped_values(self):
+        p, x, _, mask = self.setup(44, 5, 2)
+        free = enc.bigru_scan(x, 5, p, mask).data
+        with Tape() as tape:
+            taped = enc.bigru_scan(x, 5, p, mask).data
+            assert len(tape) == 1
+        npt.assert_array_equal(free, taped)
+
+    def test_shape_errors(self):
+        p, x, _, mask = self.setup(45, 4, 3)
+        with pytest.raises(ShapeError):
+            enc.bigru_scan(x, 5, p)  # 12 columns are not 5 steps
+        with pytest.raises(ShapeError):
+            enc.bigru_scan(x, 4, p, mask[:, :2])
+        with pytest.raises(ShapeError):
+            enc.bigru_scan(Tensor(np.zeros((3, 12))), 4, p)
+        with pytest.raises(DomainError):
+            enc.bigru_scan(x, 0, p)
+
+
+class TestFusedPool:
+    """attentive_pool_steps against the per-position composite pool."""
+
+    def setup(self, seed, steps, batch, dim=4):
+        rng = np.random.default_rng(seed)
+        states = Tensor(rng.uniform(-2, 2, (dim, steps * batch)))
+        w = Tensor(rng.uniform(-1, 1, (dim, dim)))
+        u = Tensor(rng.uniform(-1, 1, (dim, 1)))
+        _, mask = padded_batch(rng, steps, batch)
+        return states, w, u, mask
+
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("masked", [True, False])
+    def test_matches_oracle_values_and_gradients(self, seed, masked):
+        rng = np.random.default_rng(100 + seed)
+        steps, batch = int(rng.integers(1, 7)), int(rng.integers(1, 5))
+        states, w, u, mask = self.setup(seed, steps, batch)
+        mask = mask if masked else None
+        tensors = [states, w, u]
+        got, got_g = taped_grads(
+            lambda: list(enc.attentive_pool_steps(states, steps, w, u, mask)), tensors)
+        want, want_g = taped_grads(
+            lambda: list(oracle.attentive_pool_steps(states, steps, w, u, mask)), tensors)
+        for g, wv in zip(got + got_g, want + want_g):
+            npt.assert_allclose(g, wv, rtol=0, atol=1e-10)
+        if masked:
+            npt.assert_array_equal(got[1][mask == 0], 0.0)
+
+    def test_grad_check(self):
+        states, w, u, mask = self.setup(50, 4, 3, dim=3)
+        weights = Tensor(np.random.default_rng(51).uniform(-1, 1, (3, 3)))
+
+        def loss():
+            pooled, alpha = enc.attentive_pool_steps(states, 4, w, u, mask)
+            return nd.tsum(pooled * weights) + nd.tsum(alpha * alpha)
+
+        report = nd.grad_check(loss, [("states", states), ("w", w), ("u", u)])
+        assert report.ok, report.failures()
+
+    def test_fully_masked_column_rejected(self):
+        states, w, u, mask = self.setup(52, 3, 2)
+        mask[:, 1] = 0.0
+        with pytest.raises(DomainError):
+            enc.attentive_pool_steps(states, 3, w, u, mask)
+
+    def test_context_size_checked(self):
+        states, w, _, _ = self.setup(53, 3, 2)
+        with pytest.raises(ShapeError):
+            enc.attentive_pool_steps(states, 3, w, Tensor(np.zeros(5)))

@@ -258,6 +258,20 @@ class TestBackward:
         out = nd.tanh(x)
         assert out.grad is None and x.grad is None
 
+    def test_recording_follows_the_innermost_tape(self):
+        assert not nd.recording()
+        with Tape():
+            assert nd.recording()
+        assert not nd.recording()
+
+    def test_custom_op_through_public_hooks(self):
+        x = Tensor(np.array([1.0, -2.0]))
+        with Tape() as tape:
+            out = Tensor(3.0 * x.data)
+            nd.record(lambda: nd.accumulate(x, 3.0 * out.grad))
+            tape.backward(nd.tsum(out), [x])
+        npt.assert_array_equal(x.grad, [3.0, 3.0])
+
     def test_grad_accumulates_across_reuse(self):
         x = Tensor(np.array([2.0]))
         with Tape() as tape:
@@ -327,7 +341,7 @@ class TestGradCheck:
                     a.grad = (a.grad if a.grad is not None else 0) + \
                         1.05 * (1.0 - out.data ** 2) * out.grad
 
-            nd._record(back)
+            nd.record(back)
             return out
 
         report = nd.grad_check(lambda: nd.tsum(bad_tanh(nd.matmul(w, x))), [("w", w)])
@@ -383,6 +397,37 @@ class TestCheckpoint:
         for name, t in params:
             assert loaded[name].shape == t.shape
             npt.assert_array_equal(loaded[name], t.data)
+
+    def write_sample(self, tmp_path):
+        rng = np.random.default_rng(7)
+        path = tmp_path / "model.ckpt"
+        nd.save_checkpoint(path, [("a.w", Tensor(rng.uniform(-1, 1, (2, 3)))),
+                                  ("b", Tensor(rng.uniform(-1, 1, 4)))])
+        return path
+
+    @pytest.mark.parametrize("cut", [0, 3, 6, 8, 10, 12, 13, 20, 30, 60, -1])
+    def test_truncated_file_raises_state_error(self, tmp_path, cut):
+        path = self.write_sample(tmp_path)
+        blob = path.read_bytes()
+        path.write_bytes(blob[:cut])
+        with pytest.raises(StateError, match="truncated at byte"):
+            nd.load_checkpoint(path)
+
+    def test_trailing_bytes_raise_state_error(self, tmp_path):
+        path = self.write_sample(tmp_path)
+        size = path.stat().st_size
+        with open(path, "ab") as fh:
+            fh.write(b"\x00\x01")
+        with pytest.raises(StateError, match=f"2 trailing bytes at byte {size}"):
+            nd.load_checkpoint(path)
+
+    def test_undecodable_name_raises_state_error(self, tmp_path):
+        path = self.write_sample(tmp_path)
+        blob = bytearray(path.read_bytes())
+        blob[10] = 0xFF  # first byte of the first name, right after its length
+        path.write_bytes(bytes(blob))
+        with pytest.raises(StateError, match="byte 10"):
+            nd.load_checkpoint(path)
 
     def test_version_guard(self, tmp_path):
         path = tmp_path / "bad.ckpt"
