@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .ndtensor import DomainError, ShapeError, StateError
+from .ndtensor import DomainError, ShapeError, StateError, atomic_write
 
 log = logging.getLogger(__name__)
 
@@ -271,7 +271,8 @@ def _id_from_json(value):
 
 
 def save_bank(path, bank: ExtractorBank) -> None:
-    """Versioned JSON layout; floats survive the round trip exactly."""
+    """Versioned JSON layout, replaced atomically; floats survive the round
+    trip exactly."""
     vocab_in_order = [None] * bank.tfidf.n_features
     for tok, i in bank.tfidf.vocabulary.items():
         vocab_in_order[i] = tok
@@ -293,7 +294,7 @@ def save_bank(path, bank: ExtractorBank) -> None:
             for s in bank.scorers
         ],
     }
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, ensure_ascii=False)
 
 

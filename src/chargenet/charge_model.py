@@ -15,14 +15,26 @@ fact_supv_art      fact + articles            extractor top-k, attention
                                               supervised toward gold
 fact_gold_art      fact + articles            gold articles (upper bound)
 =================  =========================  ==========================
+
+The word-level Bi-GRU states of an article do not depend on the fact; only
+the attention contexts (``dynamic_context`` of d_f) do. So the word level of
+an article is scanned once and shared, and everything after it (word and
+sentence pooling, the sentence level, aggregation) runs per case:
+
+* a training minibatch scans the union of its cases' slots once, under the
+  tape, so one backward closure collects the gradients of all its cases;
+* a forward with no tape reads ``ChargeModel.article_words``, the states of
+  every article in the database. They are rebuilt whenever the word or POS
+  embeddings or the article word-level Bi-GRU differ, by content, from the
+  copies taken at the last build;
+* a forward under a tape with no shared states scans its own slots.
 """
 
 from __future__ import annotations
 
-import copy
 import json
 import logging
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from enum import Enum
 
 import numpy as np
@@ -38,6 +50,9 @@ from .encoders import (
     attentive_pool_steps,
     bigru_scan,
     encode_documents,
+    encode_sentence_level,
+    pool_words,
+    scan_words,
 )
 from .ndtensor import DomainError, SgdConfig, StateError, Tape, Tensor
 
@@ -202,18 +217,23 @@ class ForwardTrace:
     """Per-case intermediates kept for losses, reports, and the user-facing
     article ranking."""
 
-    d_f: np.ndarray
     o: np.ndarray
     o_tensor: Tensor
-    d_prime: np.ndarray
     word_attn: list[np.ndarray]
     sent_attn: np.ndarray
     topk: list | None = None
     extractor_scores: list[float] | None = None
-    article_embeddings: np.ndarray | None = None
     alpha: np.ndarray | None = None
     alpha_tensor: Tensor | None = None
-    d_a: np.ndarray | None = None
+
+
+@dataclass
+class ArticleWords:
+    """Word-level Bi-GRU states of a set of articles, scanned as one batch."""
+
+    states: Tensor     # (state_dim, steps * n_sentences), step-major
+    lens: np.ndarray   # words per sentence
+    cols: dict         # article id -> indices of its sentences, in order
 
 
 @dataclass
@@ -228,6 +248,9 @@ class ChargeModel:
     article_docs: dict  # article id -> list of (word_ids, pos_ids) per sentence
     tau: float
     epochs_completed: int = 0
+    # Copies of the inputs of the cached article states, and the states.
+    _article_cache: tuple[list[np.ndarray], ArticleWords] | None = field(
+        default=None, init=False, repr=False, compare=False)
 
     def charge_index(self) -> dict[str, int]:
         return {c: i for i, c in enumerate(self.charge_vocab)}
@@ -242,6 +265,25 @@ class ChargeModel:
             u_word=self.params.fact_enc.word_pool.u,
             u_sent=self.params.fact_enc.sent_pool.u)
         return d, word_attn[0], sent_attn[0]
+
+    def article_words(self) -> ArticleWords:
+        """Word-level states of every article in the database, for forwards
+        with no tape.
+
+        They are recomputed whenever the word or POS embeddings or the
+        article word-level Bi-GRU differ from the copies taken at the last
+        build. Parameters are written in place (SGD, restores, finite
+        differences), so the check compares contents, not identities.
+        """
+        p = self.params
+        inputs = [p.word_emb.data, p.pos_emb.data]
+        inputs += [t.data for _, t in p.art_enc.word_gru.named()]
+        cache = self._article_cache
+        if cache is None or not all(np.array_equal(kept, now)
+                                    for kept, now in zip(cache[0], inputs)):
+            words = encode_article_words(self, sorted(self.article_docs, key=article_sort_key))
+            cache = self._article_cache = ([a.copy() for a in inputs], words)
+        return cache[1]
 
 
 def build_vocab(cases: list[CaseRecord]) -> tuple[dict[str, int], dict[str, int]]:
@@ -320,18 +362,44 @@ def attention_target(topk_ids: list, gold_ids: set, k: int) -> np.ndarray | None
     return t
 
 
-def encode_articles(article_ids: list, model: ChargeModel, d_f: Tensor) -> Tensor:
-    """Embed each candidate article with word/sentence contexts generated from d_f."""
-    p = model.params
-    docs = []
+def encode_article_words(model: ChargeModel, article_ids: list) -> ArticleWords:
+    """One embedding lookup and one word-level Bi-GRU scan over every sentence
+    of the given articles; they do not depend on the fact."""
+    sents: list = []
+    cols = {}
     for aid in article_ids:
         if aid not in model.article_docs:
             raise DomainError(f"article {aid!r} missing from the article database")
-        docs.append(model.article_docs[aid])
+        doc = model.article_docs[aid]
+        cols[aid] = np.arange(len(sents), len(sents) + len(doc))
+        sents.extend(doc)
+    states, lens = scan_words(sents, model.params.art_enc.word_gru, model.embed_tokens)
+    return ArticleWords(states, lens, cols)
+
+
+def encode_articles(article_ids: list, model: ChargeModel, d_f: Tensor,
+                    words: ArticleWords | None = None) -> Tensor:
+    """Embed each candidate article with word/sentence contexts generated from d_f.
+
+    The word-level states come from ``words`` when given (a training
+    minibatch shares one scan); otherwise, with no tape recording, from
+    ``model.article_words()``, and under a tape from a scan of these
+    articles alone.
+    """
+    p = model.params
+    if words is None:
+        words = (encode_article_words(model, article_ids) if nd.recording()
+                 else model.article_words())
+    for aid in article_ids:
+        if aid not in words.cols:
+            raise DomainError(f"article {aid!r} is not among the {len(words.cols)} "
+                              "encoded articles")
     u_aw = dynamic_context(d_f, p.w_w, p.b_w)
     u_as = dynamic_context(d_f, p.w_s, p.b_s)
-    a_mat, _, _ = encode_documents(docs, p.art_enc, model.embed_tokens,
-                                   u_word=u_aw, u_sent=u_as)
+    sel = np.concatenate([words.cols[aid] for aid in article_ids])
+    sent_emb = pool_words(words.states, words.lens, sel, p.art_enc.word_pool, u_aw)
+    a_mat, _ = encode_sentence_level(sent_emb, [len(words.cols[aid]) for aid in article_ids],
+                                     p.art_enc, u_as)
     return a_mat
 
 
@@ -351,8 +419,12 @@ def aggregate_articles(a_mat: Tensor, model: ChargeModel,
 
 
 def forward(case: CaseRecord, model: ChargeModel, bank: ExtractorBank | None = None,
-            topk: list | None = None) -> ForwardTrace:
-    """Run one case through the variant's graph; record on any ambient tape."""
+            topk: list | None = None, words: ArticleWords | None = None) -> ForwardTrace:
+    """Run one case through the variant's graph; record on any ambient tape.
+
+    ``words`` holds the word-level states of (at least) the case's article
+    slots; see ``encode_articles`` for where they come from otherwise.
+    """
     cfg = model.config
     p = model.params
     fact_ids = case_to_ids(case.fact, model.word_vocab, model.pos_vocab)
@@ -361,7 +433,7 @@ def forward(case: CaseRecord, model: ChargeModel, bank: ExtractorBank | None = N
     slots = None
     scores = None
     d_in = d_f
-    a_mat = d_a = alpha = None
+    alpha = None
     if cfg.uses_articles():
         if cfg.variant == Variant.FACT_GOLD_ART:
             slots = sorted(case.gold_articles, key=article_sort_key)[:cfg.k]
@@ -372,7 +444,7 @@ def forward(case: CaseRecord, model: ChargeModel, bank: ExtractorBank | None = N
             ranked = extract_top_k(case.tokens(), bank, k=cfg.k)
             slots = [aid for aid, _ in ranked]
             scores = [s for _, s in ranked]
-        a_mat = encode_articles(slots, model, d_f)
+        a_mat = encode_articles(slots, model, d_f, words)
         d_a, alpha = aggregate_articles(a_mat, model, d_f)
         if cfg.variant == Variant.ART_ONLY:
             d_in = d_a
@@ -385,18 +457,14 @@ def forward(case: CaseRecord, model: ChargeModel, bank: ExtractorBank | None = N
     o = nd.reshape(nd.softmax(logits, axis=0), (logits.shape[0],))
 
     return ForwardTrace(
-        d_f=d_f.data.reshape(-1).copy(),
         o=o.data.copy(),
         o_tensor=o,
-        d_prime=h2.data.reshape(-1).copy(),
         word_attn=word_attn,
         sent_attn=sent_attn,
         topk=slots,
         extractor_scores=scores,
-        article_embeddings=None if a_mat is None else a_mat.data.copy(),
         alpha=None if alpha is None else alpha.data.reshape(-1).copy(),
         alpha_tensor=None if alpha is None else nd.reshape(alpha, (alpha.shape[0],)),
-        d_a=None if d_a is None else d_a.data.reshape(-1).copy(),
     )
 
 
@@ -442,10 +510,11 @@ def tune_threshold(probs: list[np.ndarray], gold_indices: list[set[int]]) -> flo
 
 
 def _case_loss(case: CaseRecord, model: ChargeModel, y: np.ndarray,
-               topk: list | None) -> tuple[Tensor, float, float]:
+               topk: list | None, words: ArticleWords | None = None,
+               ) -> tuple[Tensor, float, float]:
     """Total loss tensor plus the two component values for logging."""
     cfg = model.config
-    trace = forward(case, model, topk=topk)
+    trace = forward(case, model, topk=topk, words=words)
     t = None
     if cfg.variant == Variant.FACT_SUPV_ART and cfg.beta > 0:
         t = attention_target(trace.topk, case.gold_articles, cfg.k)
@@ -542,10 +611,14 @@ def train(train_set: list[CaseRecord], valid_set: list[CaseRecord],
         for lo in range(0, len(order), config.batch):
             idx = order[lo:lo + config.batch]
             with Tape() as tape:
+                words = None
+                if config.uses_articles():
+                    union = {aid for i in idx for aid in train_topk[i]}
+                    words = encode_article_words(model, sorted(union, key=article_sort_key))
                 total = None
                 for i in idx:
                     loss_i, charge_v, attn_v = _case_loss(
-                        train_set[i], model, targets[i], train_topk[i])
+                        train_set[i], model, targets[i], train_topk[i], words)
                     epoch_charge += charge_v
                     epoch_attn += attn_v
                     total = loss_i if total is None else total + loss_i
@@ -593,7 +666,8 @@ META_SUFFIX = ".meta.json"
 
 
 def save_model(path, model: ChargeModel) -> None:
-    """Binary checkpoint plus a JSON sidecar with config, vocabularies, and tau."""
+    """Binary checkpoint plus a JSON sidecar with config, vocabularies, and tau;
+    each file is replaced atomically."""
     nd.save_checkpoint(path, model.params.named())
     word_in_order = [None] * len(model.word_vocab)
     for tok, i in model.word_vocab.items():
@@ -611,7 +685,7 @@ def save_model(path, model: ChargeModel) -> None:
         "tau": model.tau,
         "epochs_completed": model.epochs_completed,
     }
-    with open(str(path) + META_SUFFIX, "w", encoding="utf-8") as fh:
+    with nd.atomic_write(str(path) + META_SUFFIX, "w", encoding="utf-8") as fh:
         json.dump(meta, fh, ensure_ascii=False)
 
 
@@ -645,12 +719,6 @@ def load_model(path, article_db: dict | None = None) -> ChargeModel:
     return ChargeModel(config, params, word_vocab, pos_vocab, meta["charge_vocab"],
                        article_docs, tau=meta["tau"],
                        epochs_completed=meta.get("epochs_completed", 0))
-
-
-def clone_model(model: ChargeModel) -> ChargeModel:
-    """Deep copy for experiments that mutate parameters."""
-    out = copy.deepcopy(model)
-    return out
 
 
 def prediction_record(trace: ForwardTrace, model: ChargeModel,

@@ -16,9 +16,12 @@ backward closure per call:
 
 An optional (T, B) 0/1 mask makes right-padded sequences encode exactly like
 their unpadded counterparts: masked steps pass the previous state through and
-get no attention. ``gru_step`` is the composite single-step reference;
-``bigru_encode`` and ``attentive_pool`` take per-position lists of 1-D
-vectors or (dim, B) columns and run the fused ops underneath.
+get no attention. ``encode_documents`` runs the two-level document encoder;
+``scan_words`` and ``pool_words`` split its word level so that documents
+pooled under different contexts can share one scan. ``gru_step`` is the
+composite single-step reference; ``bigru_encode`` and ``attentive_pool``
+take per-position lists of 1-D vectors or (dim, B) columns and run the fused
+ops underneath.
 """
 
 from __future__ import annotations
@@ -406,14 +409,87 @@ def _step_mask(lengths: list[int], steps: int) -> np.ndarray | None:
     return (np.arange(steps)[:, None] < np.asarray(lengths)[None, :]).astype(np.float64)
 
 
-def _encode_level(x: Tensor, steps: int, lengths: list[int], gru: BiGruParams,
-                  pool: AttentivePoolParams, u: Tensor | None) -> tuple[Tensor, Tensor]:
-    """One Bi-GRU + attentive pool over a padded, step-major stacked batch."""
+def _context(pool: AttentivePoolParams, u: Tensor | None) -> Tensor:
     context = u if u is not None else pool.u
     if context is None:
         raise DomainError("no context vector: pool has no global u and none was supplied")
+    return context
+
+
+def _encode_level(x: Tensor, steps: int, lengths: list[int], gru: BiGruParams,
+                  pool: AttentivePoolParams, u: Tensor | None) -> tuple[Tensor, Tensor]:
+    """One Bi-GRU + attentive pool over a padded, step-major stacked batch."""
+    context = _context(pool, u)
     mask = _step_mask(lengths, steps)
     return attentive_pool_steps(bigru_scan(x, steps, gru, mask), steps, pool.w, context, mask)
+
+
+def embed_words(sents: Sequence[tuple[np.ndarray, np.ndarray]],
+                embed_tokens: Callable[[np.ndarray, np.ndarray], Tensor],
+                ) -> tuple[Tensor, list[int]]:
+    """Input columns of sentences as one right-padded, step-major batch.
+
+    Each sentence is a pair of id arrays (word ids, pos ids). ``embed_tokens``
+    turns id arrays into input columns; it is called once, with the ids of
+    every word position laid out step-major and padded with id 0. Returns the
+    (input_dim, max_len * n_sentences) columns and the sentence lengths.
+    """
+    if not sents:
+        raise DomainError("no sentences to encode")
+    lens = [len(wids) for wids, _ in sents]
+    if min(lens) == 0:
+        raise DomainError("sentence with no tokens")
+    steps = max(lens)
+    wid = np.zeros((steps, len(sents)), dtype=np.intp)
+    pid = np.zeros((steps, len(sents)), dtype=np.intp)
+    for j, (wids, pids) in enumerate(sents):
+        wid[:len(wids), j] = wids
+        pid[:len(pids), j] = pids
+    return embed_tokens(wid.reshape(-1), pid.reshape(-1)), lens
+
+
+def scan_words(sents: Sequence[tuple[np.ndarray, np.ndarray]], gru: BiGruParams,
+               embed_tokens: Callable[[np.ndarray, np.ndarray], Tensor],
+               ) -> tuple[Tensor, np.ndarray]:
+    """Word-level Bi-GRU states of sentences (embedded by ``embed_words``),
+    to be pooled later by ``pool_words``: the step-major
+    (2H, max_len * n_sentences) states and the sentence lengths."""
+    x, lens = embed_words(sents, embed_tokens)
+    steps = max(lens)
+    return bigru_scan(x, steps, gru, _step_mask(lens, steps)), np.asarray(lens)
+
+
+def pool_words(states: Tensor, lens: np.ndarray, sel: np.ndarray,
+               pool: AttentivePoolParams, u: Tensor | None) -> Tensor:
+    """Attentive pool of the sentences ``sel`` (indices, in order) out of
+    ``scan_words`` states into one (2H,) column each.
+
+    The steps are cut to the longest picked sentence.
+    """
+    context = _context(pool, u)
+    picked = lens[sel]
+    steps = int(picked.max())
+    cols = np.arange(steps)[:, None] * len(lens) + sel
+    pooled, _ = attentive_pool_steps(nd.take_cols(states, cols.reshape(-1)), steps, pool.w,
+                                     context, _step_mask(picked, steps))
+    return pooled
+
+
+def encode_sentence_level(sent_emb: Tensor, sent_lens: list[int], p: DocEncoderParams,
+                          u_sent: Tensor | None) -> tuple[Tensor, Tensor]:
+    """Sentence-level Bi-GRU and pool of documents whose sentences own
+    consecutive columns of ``sent_emb``, ``sent_lens[d]`` for document d.
+
+    Returns the (state_dim, n_docs) document embeddings and the
+    (max sentences, n_docs) sentence attention.
+    """
+    max_sents = max(sent_lens)
+    first = np.cumsum([0] + sent_lens[:-1])
+    # Padded sentence slots repeat a document's last sentence; the mask hides them.
+    idx = first[None, :] + np.minimum(np.arange(max_sents)[:, None],
+                                      np.asarray(sent_lens)[None, :] - 1)
+    return _encode_level(nd.take_cols(sent_emb, idx.reshape(-1)), max_sents, sent_lens,
+                         p.sent_gru, p.sent_pool, u_sent)
 
 
 def encode_documents(docs: Sequence[Sequence[tuple[np.ndarray, np.ndarray]]],
@@ -425,45 +501,27 @@ def encode_documents(docs: Sequence[Sequence[tuple[np.ndarray, np.ndarray]]],
     """Encode several documents in one padded batch.
 
     Each document is a list of sentences; each sentence a pair of id arrays
-    (word ids, pos ids). ``embed_tokens`` turns id arrays into input columns;
-    it is called once, with the ids of every word position of every sentence
-    laid out step-major and padded with id 0. Returns the document embeddings
-    as columns of a single (state_dim, n_docs) tensor plus per-sentence word
-    attention and per-document sentence attention as plain arrays.
+    (word ids, pos ids), embedded as ``embed_words`` describes. Returns the
+    document embeddings as columns of a single (state_dim, n_docs) tensor
+    plus per-sentence word attention and per-document sentence attention as
+    plain arrays.
     """
     if not docs:
         raise DomainError("encode_documents of empty document list")
-    for doc in docs:
-        if not doc:
-            raise DomainError("document with no sentences")
-        for wids, _ in doc:
-            if len(wids) == 0:
-                raise DomainError("sentence with no tokens")
+    if any(not doc for doc in docs):
+        raise DomainError("document with no sentences")
 
-    sents = [sent for doc in docs for sent in doc]
-    word_lens = [len(wids) for wids, _ in sents]
-    max_words = max(word_lens)
-    wid = np.zeros((max_words, len(sents)), dtype=np.intp)
-    pid = np.zeros((max_words, len(sents)), dtype=np.intp)
-    for j, (wids, pids) in enumerate(sents):
-        wid[:len(wids), j] = wids
-        pid[:len(pids), j] = pids
-    x = embed_tokens(wid.reshape(-1), pid.reshape(-1))
-    sent_emb, word_alpha = _encode_level(x, max_words, word_lens, p.word_gru, p.word_pool,
-                                         u_word)
-
+    x, word_lens = embed_words([sent for doc in docs for sent in doc], embed_tokens)
+    sent_emb, word_alpha = _encode_level(x, max(word_lens), word_lens, p.word_gru,
+                                         p.word_pool, u_word)
     sent_lens = [len(doc) for doc in docs]
-    max_sents = max(sent_lens)
-    first = np.cumsum([0] + sent_lens[:-1])
-    # Padded sentence slots repeat a document's last sentence; the mask hides them.
-    idx = first[None, :] + np.minimum(np.arange(max_sents)[:, None],
-                                      np.asarray(sent_lens)[None, :] - 1)
-    d_emb, sent_alpha = _encode_level(nd.take_cols(sent_emb, idx.reshape(-1)), max_sents,
-                                      sent_lens, p.sent_gru, p.sent_pool, u_sent)
+    d_emb, sent_alpha = encode_sentence_level(sent_emb, sent_lens, p, u_sent)
 
-    word_attn = [[word_alpha.data[:word_lens[first[d] + s], first[d] + s]
-                  for s in range(len(doc))] for d, doc in enumerate(docs)]
-    sent_attn = [sent_alpha.data[:sent_lens[d], d] for d in range(len(docs))]
+    word_attn, sent_attn, j = [], [], 0
+    for d, n in enumerate(sent_lens):
+        word_attn.append([word_alpha.data[:word_lens[j + s], j + s] for s in range(n)])
+        sent_attn.append(sent_alpha.data[:n, d])
+        j += n
     return d_emb, word_attn, sent_attn
 
 

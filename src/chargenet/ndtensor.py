@@ -14,8 +14,11 @@ to keep what backward needs, ``record`` appends the closure, and
 
 from __future__ import annotations
 
+import os
 import struct
 import threading
+import uuid
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
 
@@ -29,7 +32,7 @@ __all__ = [
     "take_cols", "embed", "reshape", "tsum", "softmax", "cross_entropy",
     "sgd_step", "grad_check", "GradCheckReport", "parameter", "zeros",
     "save_checkpoint", "load_checkpoint", "CHECKPOINT_VERSION",
-    "record", "accumulate", "recording", "logistic",
+    "record", "accumulate", "recording", "logistic", "atomic_write",
 ]
 
 
@@ -545,6 +548,30 @@ def grad_check(model_fn: Callable[[], Tensor], params, tolerance: float = 1e-4,
 CHECKPOINT_VERSION = 1
 
 
+@contextmanager
+def atomic_write(path, mode: str = "wb", **open_kwargs):
+    """Write ``path`` all at once: the block writes a new file beside it,
+    which replaces ``path`` only when the block finishes. ``mode`` is "wb"
+    or "w".
+
+    If the block raises, the new file is removed and ``path`` keeps its old
+    content (or stays absent).
+    """
+    path = os.fspath(path)
+    head, tail = os.path.split(path)
+    tmp = os.path.join(head, f".{tail}.{uuid.uuid4().hex}.tmp")
+    try:
+        with open(tmp, mode.replace("w", "x"), **open_kwargs) as fh:
+            yield fh
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
+
+
 def save_checkpoint(path, named_params: Iterable[tuple[str, Tensor]]) -> None:
     """Write parameters to ``path`` in the versioned binary layout.
 
@@ -552,9 +579,10 @@ def save_checkpoint(path, named_params: Iterable[tuple[str, Tensor]]) -> None:
     parameter count, then per parameter: uint16 name length, UTF-8 name,
     uint8 rank, rank * uint32 dims, raw little-endian float64 data in
     row-major order. ``load_checkpoint(save_checkpoint(p)) == p`` bit-exact.
+    The file is replaced atomically (``atomic_write``).
     """
     items = list(named_params)
-    with open(path, "wb") as fh:
+    with atomic_write(path) as fh:
         fh.write(struct.pack("<II", CHECKPOINT_VERSION, len(items)))
         for name, tensor in items:
             raw = name.encode("utf-8")

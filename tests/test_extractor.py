@@ -285,6 +285,18 @@ class TestBankSerialization:
             assert [s.score(ax.transform(doc, loaded.tfidf)) for s in loaded.scorers] == \
                    [s.score(ax.transform(doc, bank.tfidf)) for s in bank.scorers]
 
+    def test_failed_write_keeps_the_previous_file(self, tmp_path):
+        docs, golds = two_article_corpus()
+        bank = ax.build_bank(docs, golds, k=2, article_ids=[10, 20, (133, 1)])
+        path = tmp_path / "bank.json"
+        ax.save_bank(path, bank)
+        before = path.read_bytes()
+        bank.scorers[-1].bias = object()  # not JSON: the dump stops partway
+        with pytest.raises(TypeError):
+            ax.save_bank(path, bank)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == [path.name]
+
     def test_version_guard(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"version": 99}))

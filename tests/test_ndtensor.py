@@ -429,6 +429,16 @@ class TestCheckpoint:
         with pytest.raises(StateError, match="byte 10"):
             nd.load_checkpoint(path)
 
+    def test_failed_write_keeps_the_previous_file(self, tmp_path):
+        path = self.write_sample(tmp_path)
+        before = path.read_bytes()
+        t = Tensor(np.ones(3))
+        # The second name cannot be encoded, so the write stops after the first parameter.
+        with pytest.raises(UnicodeEncodeError):
+            nd.save_checkpoint(path, [("a.w", t), ("\ud800", t)])
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == [path.name]
+
     def test_version_guard(self, tmp_path):
         path = tmp_path / "bad.ckpt"
         path.write_bytes(struct_pack_bad())
