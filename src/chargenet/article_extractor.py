@@ -1,8 +1,12 @@
 """Fast statute-article shortlisting: one linear binary scorer per article over
 chi-square-selected TF-IDF features, producing the top-k candidates per case.
 
-Article ids are plain integers, or (number, sub_number) pairs for sub-clause
-provisions; ``article_sort_key`` orders the two forms consistently.
+The scorers form one matrix. ``ExtractorBank.weights`` holds a row per
+article and a column per TF-IDF feature, zero outside the features selected
+for that article, so ``weights @ x + bias`` scores every article at once.
+Rows are kept in ``article_sort_key`` order, which makes a stable sort of the
+scores break ties toward the smaller article id. An article with no positive
+training case has a zero row and bias -inf, so it ranks last.
 """
 
 from __future__ import annotations
@@ -10,23 +14,16 @@ from __future__ import annotations
 import json
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
+from .corpus import article_id_from_json, article_id_to_json, article_sort_key
 from .ndtensor import DomainError, ShapeError, StateError, atomic_write
 
 log = logging.getLogger(__name__)
 
-ArticleId = "int | tuple[int, int]"
-
 BANK_FORMAT_VERSION = 1
-
-
-def article_sort_key(article_id) -> tuple[int, int]:
-    if isinstance(article_id, tuple):
-        return article_id
-    return (article_id, 0)
 
 
 @dataclass
@@ -58,100 +55,78 @@ def fit_tfidf(corpus: list[list[str]]) -> TfidfModel:
     return TfidfModel(vocab, idf, n)
 
 
-def transform(doc: list[str], m: TfidfModel) -> dict[int, float]:
-    """Sparse raw-count TF-IDF vector, L2-normalized; unknown tokens dropped."""
+def transform(doc: list[str], m: TfidfModel) -> np.ndarray:
+    """Dense (n_features,) raw-count TF-IDF vector, L2-normalized; unknown
+    tokens dropped. The norm sums the squares in first-occurrence order."""
     counts: dict[int, int] = {}
     for tok in doc:
         col = m.vocabulary.get(tok)
         if col is not None:
             counts[col] = counts.get(col, 0) + 1
-    vec = {col: c * m.idf[col] for col, c in counts.items() if m.idf[col] != 0.0}
-    norm = math.sqrt(sum(v * v for v in vec.values()))
+    vec = np.zeros(m.n_features)
+    for col, c in counts.items():
+        vec[col] = c * m.idf[col]
+    norm = math.sqrt(sum(vec[col] * vec[col] for col in counts))
     if norm > 0:
-        vec = {col: v / norm for col, v in vec.items()}
+        vec /= norm
     return vec
 
 
-def chi_square_scores(features: list[dict[int, float]], labels: list[bool],
-                      n_features: int) -> np.ndarray:
-    """Per-feature chi-square from the 2x2 presence/label table, observed vs expected."""
-    n = len(features)
-    pos_total = sum(labels)
+def chi_square_scores(x: np.ndarray, labels: list[bool]) -> np.ndarray:
+    """Per-feature chi-square of the 2x2 presence/label table, observed vs
+    expected, for every column of the (cases, features) matrix ``x``."""
+    y = np.asarray(labels, dtype=bool)
+    n = len(y)
+    pos_total = int(y.sum())
     neg_total = n - pos_total
     if pos_total == 0 or neg_total == 0:
         raise DomainError("chi-square needs both a positive and a negative class")
-    present = np.zeros(n_features)
-    present_pos = np.zeros(n_features)
-    for feats, label in zip(features, labels):
-        for col in feats:
-            present[col] += 1
-            if label:
-                present_pos[col] += 1
-    scores = np.zeros(n_features)
-    for col in range(n_features):
-        observed = np.array([
-            [present_pos[col], present[col] - present_pos[col]],
-            [pos_total - present_pos[col], neg_total - (present[col] - present_pos[col])],
-        ])
-        rows = observed.sum(axis=1, keepdims=True)
-        cols = observed.sum(axis=0, keepdims=True)
-        expected = rows * cols / n
-        with np.errstate(invalid="ignore", divide="ignore"):
-            terms = np.where(expected > 0, (observed - expected) ** 2 / expected, 0.0)
-        scores[col] = terms.sum()
+    present = np.count_nonzero(x, axis=0).astype(np.float64)
+    present_pos = np.count_nonzero(x[y], axis=0).astype(np.float64)
+    present_neg = present - present_pos
+    # Cells in row-major order: (present, pos), (present, neg), (absent, pos), (absent, neg).
+    observed = [present_pos, present_neg, pos_total - present_pos, neg_total - present_neg]
+    rows = [present, present, n - present, n - present]
+    cols = [pos_total, neg_total, pos_total, neg_total]
+    scores = np.zeros(x.shape[1])
+    with np.errstate(invalid="ignore", divide="ignore"):
+        for obs, row, col in zip(observed, rows, cols):
+            expected = row * col / n
+            scores += np.where(expected > 0, (obs - expected) ** 2 / expected, 0.0)
     return scores
 
 
-def chi_square_select(features: list[dict[int, float]], labels: list[bool],
-                      top_m: int, n_features: int | None = None) -> list[int]:
-    """Indices of the top_m highest-scoring features; ties go to the lower index."""
-    if n_features is None:
-        n_features = 1 + max((c for f in features for c in f), default=-1)
-    scores = chi_square_scores(features, labels, n_features)
-    order = sorted(range(n_features), key=lambda c: (-scores[c], c))
-    return order[:top_m]
-
-
-@dataclass
-class LinearScorer:
-    """Hinge-loss linear decision function for one article over selected features."""
-
-    article_id: object
-    selected_features: list[int]
-    weights: np.ndarray | None  # None: no positive training data, scores -inf
-    bias: float = 0.0
-    _slot: dict[int, int] = field(default_factory=dict, repr=False)
-
-    def __post_init__(self):
-        if self.weights is not None and len(self.weights) != len(self.selected_features):
-            raise ShapeError("weight vector length must match selected feature count")
-        self._slot = {col: i for i, col in enumerate(self.selected_features)}
-
-    def score(self, vec: dict[int, float]) -> float:
-        if self.weights is None:
-            return -math.inf
-        total = self.bias
-        for col, val in vec.items():
-            slot = self._slot.get(col)
-            if slot is not None:
-                total += self.weights[slot] * val
-        return total
+def chi_square_select(x: np.ndarray, labels: list[bool], top_m: int) -> np.ndarray:
+    """Column indices of the top_m highest-scoring features; ties go to the
+    lower index."""
+    return np.argsort(-chi_square_scores(x, labels), kind="stable")[:top_m]
 
 
 @dataclass
 class ExtractorBank:
-    """Immutable-after-training set of per-article scorers plus the shared TF-IDF."""
+    """The shared TF-IDF and every article's linear scorer: row i of the
+    (n_articles, n_features) ``weights`` and ``bias[i]`` score
+    ``article_ids[i]``. The rows are put in ``article_sort_key`` order."""
 
     tfidf: TfidfModel
-    scorers: list[LinearScorer]
+    article_ids: list
+    weights: np.ndarray
+    bias: np.ndarray
     k: int
 
     def __post_init__(self):
-        ids = [s.article_id for s in self.scorers]
-        if len(set(ids)) != len(ids):
+        n = len(self.article_ids)
+        if len(set(self.article_ids)) != n:
             raise DomainError("duplicate article ids in scorer bank")
-        if self.k < 1 or self.k > len(self.scorers):
-            raise DomainError(f"k={self.k} outside [1, {len(self.scorers)}]")
+        if self.weights.shape != (n, self.tfidf.n_features) or self.bias.shape != (n,):
+            raise ShapeError(f"weights {self.weights.shape} and bias {self.bias.shape} "
+                             f"do not fit {n} articles x {self.tfidf.n_features} features")
+        if self.k < 1 or self.k > n:
+            raise DomainError(f"k={self.k} outside [1, {n}]")
+        order = sorted(range(n), key=lambda i: article_sort_key(self.article_ids[i]))
+        self.article_ids = [self.article_ids[i] for i in order]
+        self.weights = self.weights[order]
+        self.bias = self.bias[order]
 
 
 def _train_linear(x: np.ndarray, y: np.ndarray, epochs: int, lr0: float,
@@ -171,79 +146,68 @@ def _train_linear(x: np.ndarray, y: np.ndarray, epochs: int, lr0: float,
     return w, b
 
 
-def train_scorer(article_id, features: list[dict[int, float]], labels: list[bool],
-                 n_features: int, top_m: int = 2000, epochs: int = 100,
-                 lr0: float = 0.1, l2: float = 1e-4) -> LinearScorer:
-    """Chi-square selection then hinge-loss training for one article."""
+def train_scorer(article_id, x: np.ndarray, labels: list[bool], top_m: int = 2000,
+                 epochs: int = 100, lr0: float = 0.1,
+                 l2: float = 1e-4) -> tuple[np.ndarray, float]:
+    """Chi-square selection then hinge-loss training for one article on the
+    (cases, features) matrix ``x``: its weight row (zero off the selected
+    features) and bias."""
+    row = np.zeros(x.shape[1])
     if not any(labels):
         log.warning("article %r has no positive examples; scorer disabled", article_id)
-        return LinearScorer(article_id, [], None)
-    selected = chi_square_select(features, labels, top_m, n_features)
-    x = np.zeros((len(features), len(selected)))
-    slot = {col: i for i, col in enumerate(selected)}
-    for row, feats in enumerate(features):
-        for col, val in feats.items():
-            if col in slot:
-                x[row, slot[col]] = val
-    y = np.where(np.array(labels), 1.0, -1.0)
-    w, b = _train_linear(x, y, epochs, lr0, l2)
-    return LinearScorer(article_id, selected, w, b)
-
-
-def train_scorers(cases: list[tuple[dict[int, float], set]], tfidf: TfidfModel,
-                  k: int = 20, article_ids: list | None = None, top_m: int = 2000,
-                  epochs: int = 100, lr0: float = 0.1, l2: float = 1e-4) -> ExtractorBank:
-    """One binary scorer per article (one-vs-rest) over pre-transformed cases."""
-    if not cases:
-        raise DomainError("train_scorers needs at least one case")
-    features = [f for f, _ in cases]
-    if article_ids is None:
-        article_ids = sorted({a for _, gold in cases for a in gold}, key=article_sort_key)
-    scorers = [
-        train_scorer(aid, features, [aid in gold for _, gold in cases],
-                     tfidf.n_features, top_m, epochs, lr0, l2)
-        for aid in article_ids
-    ]
-    return ExtractorBank(tfidf, scorers, k)
+        return row, -math.inf
+    selected = chi_square_select(x, labels, top_m)
+    y = np.where(np.asarray(labels), 1.0, -1.0)
+    # take() keeps the selected columns C-contiguous for the products in training.
+    row[selected], bias = _train_linear(x.take(selected, axis=1), y, epochs, lr0, l2)
+    return row, bias
 
 
 def build_bank(docs_tokens: list[list[str]], gold_sets: list[set], k: int = 20,
                article_ids: list | None = None, top_m: int = 2000,
                epochs: int = 100, lr0: float = 0.1, l2: float = 1e-4) -> ExtractorBank:
-    """Fit TF-IDF on the corpus and train the full scorer bank."""
+    """Fit TF-IDF on the corpus and train one binary scorer per article
+    (one-vs-rest; by default every gold article)."""
     if len(docs_tokens) != len(gold_sets):
         raise ShapeError(f"{len(docs_tokens)} documents vs {len(gold_sets)} gold sets")
     tfidf = fit_tfidf(docs_tokens)
-    cases = [(transform(doc, tfidf), gold) for doc, gold in zip(docs_tokens, gold_sets)]
-    return train_scorers(cases, tfidf, k, article_ids, top_m, epochs, lr0, l2)
+    x = np.stack([transform(doc, tfidf) for doc in docs_tokens])
+    if article_ids is None:
+        article_ids = sorted({a for gold in gold_sets for a in gold}, key=article_sort_key)
+    weights = np.zeros((len(article_ids), tfidf.n_features))
+    bias = np.zeros(len(article_ids))
+    for i, aid in enumerate(article_ids):
+        weights[i], bias[i] = train_scorer(aid, x, [aid in gold for gold in gold_sets],
+                                           top_m, epochs, lr0, l2)
+    return ExtractorBank(tfidf, article_ids, weights, bias, k)
 
 
-def extend_bank(bank: ExtractorBank, article_id,
-                cases: list[tuple[dict[int, float], set]], top_m: int = 2000,
-                epochs: int = 100, lr0: float = 0.1, l2: float = 1e-4) -> ExtractorBank:
-    """Add one more article's scorer; existing scorers are reused untouched."""
-    if any(s.article_id == article_id for s in bank.scorers):
+def extend_bank(bank: ExtractorBank, article_id, docs_tokens: list[list[str]],
+                gold_sets: list[set], top_m: int = 2000, epochs: int = 100,
+                lr0: float = 0.1, l2: float = 1e-4) -> ExtractorBank:
+    """Add one more article's scorer, trained on the given cases under the
+    bank's TF-IDF; the existing rows are reused untouched."""
+    if article_id in bank.article_ids:
         raise DomainError(f"bank already scores article {article_id!r}")
-    features = [f for f, _ in cases]
-    labels = [article_id in gold for _, gold in cases]
-    scorer = train_scorer(article_id, features, labels, bank.tfidf.n_features,
-                          top_m, epochs, lr0, l2)
-    return ExtractorBank(bank.tfidf, bank.scorers + [scorer], bank.k)
+    x = np.stack([transform(doc, bank.tfidf) for doc in docs_tokens])
+    row, bias = train_scorer(article_id, x, [article_id in gold for gold in gold_sets],
+                             top_m, epochs, lr0, l2)
+    return ExtractorBank(bank.tfidf, bank.article_ids + [article_id],
+                         np.vstack([bank.weights, row]), np.append(bank.bias, bias), bank.k)
 
 
 def extract_top_k(fact_tokens: list[str], bank: ExtractorBank,
                   k: int | None = None) -> list[tuple[object, float]]:
-    """Every scorer evaluated, articles ranked by decision score, top k returned.
+    """Every article scored, ranked by decision score, top k returned.
 
     Equal scores resolve to the smaller article id, so the ranking is
     deterministic.
     """
     if k is None:
         k = bank.k
-    vec = transform(fact_tokens, bank.tfidf)
-    ranked = sorted(((s.article_id, s.score(vec)) for s in bank.scorers),
-                    key=lambda pair: (-pair[1], article_sort_key(pair[0])))
-    return ranked[:k]
+    scores = bank.weights @ transform(fact_tokens, bank.tfidf) + bank.bias
+    return [(bank.article_ids[i], float(scores[i]))
+            for i in np.argsort(-scores, kind="stable")[:k]]
 
 
 def recall_at_k(extractions: list[list], gold_sets: list[set],
@@ -262,17 +226,10 @@ def recall_at_k(extractions: list[list], gold_sets: list[set],
     return out
 
 
-def _id_to_json(article_id):
-    return list(article_id) if isinstance(article_id, tuple) else article_id
-
-
-def _id_from_json(value):
-    return tuple(value) if isinstance(value, list) else value
-
-
 def save_bank(path, bank: ExtractorBank) -> None:
     """Versioned JSON layout, replaced atomically; floats survive the round
-    trip exactly."""
+    trip exactly. Each article's row is written as its nonzero columns
+    (``selected``) and their ``weights``; a disabled article as weights null."""
     vocab_in_order = [None] * bank.tfidf.n_features
     for tok, i in bank.tfidf.vocabulary.items():
         vocab_in_order[i] = tok
@@ -286,32 +243,70 @@ def save_bank(path, bank: ExtractorBank) -> None:
         },
         "scorers": [
             {
-                "article_id": _id_to_json(s.article_id),
-                "selected": s.selected_features,
-                "weights": None if s.weights is None else s.weights.tolist(),
-                "bias": s.bias,
+                "article_id": article_id_to_json(aid),
+                "selected": np.flatnonzero(row).tolist(),
+                "weights": None if bias == -math.inf else row[row != 0].tolist(),
+                "bias": 0.0 if bias == -math.inf else bias,
             }
-            for s in bank.scorers
+            for aid, row, bias in zip(bank.article_ids, bank.weights, bank.bias)
         ],
     }
     with atomic_write(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, ensure_ascii=False)
 
 
+def _field(record, key: str, kind, where: str):
+    """``record[key]``, which must exist and be of type ``kind``."""
+    if not isinstance(record, dict) or key not in record:
+        raise StateError(f"bank {where} has no {key!r}")
+    value = record[key]
+    if not isinstance(value, kind):
+        raise StateError(f"bank {where} field {key!r} has type {type(value).__name__}")
+    return value
+
+
+def _numbers(values: list, where: str) -> list:
+    if not all(isinstance(v, (int, float)) for v in values):
+        raise StateError(f"bank {where} holds a non-numeric value")
+    return values
+
+
 def load_bank(path) -> ExtractorBank:
+    """Read a ``save_bank`` file. A malformed file raises StateError naming
+    the problem."""
     with open(path, encoding="utf-8") as fh:
-        payload = json.load(fh)
-    if payload.get("version") != BANK_FORMAT_VERSION:
-        raise StateError(f"unsupported bank version {payload.get('version')!r}")
-    tfidf = TfidfModel(
-        {tok: i for i, tok in enumerate(payload["tfidf"]["vocabulary"])},
-        np.array(payload["tfidf"]["idf"]),
-        payload["tfidf"]["doc_count"],
-    )
-    scorers = [
-        LinearScorer(_id_from_json(s["article_id"]), s["selected"],
-                     None if s["weights"] is None else np.array(s["weights"]),
-                     s["bias"])
-        for s in payload["scorers"]
-    ]
-    return ExtractorBank(tfidf, scorers, payload["k"])
+        try:
+            payload = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise StateError(f"bank {path} is not JSON: {exc}") from exc
+    version = payload.get("version") if isinstance(payload, dict) else None
+    if version != BANK_FORMAT_VERSION:
+        raise StateError(f"unsupported bank version {version!r}")
+    tf = _field(payload, "tfidf", dict, "file")
+    vocabulary = _field(tf, "vocabulary", list, "tfidf")
+    idf = _numbers(_field(tf, "idf", list, "tfidf"), "tfidf idf")
+    if len(idf) != len(vocabulary):
+        raise StateError(f"bank tfidf has {len(vocabulary)} words but {len(idf)} idf values")
+    tfidf = TfidfModel({tok: i for i, tok in enumerate(vocabulary)},
+                       np.array(idf, dtype=np.float64), _field(tf, "doc_count", int, "tfidf"))
+    records = _field(payload, "scorers", list, "file")
+    weights = np.zeros((len(records), tfidf.n_features))
+    bias = np.zeros(len(records))
+    article_ids = []
+    for i, rec in enumerate(records):
+        where = f"scorer {i}"
+        article_ids.append(article_id_from_json(_field(rec, "article_id", (int, list), where)))
+        row = _field(rec, "weights", (list, type(None)), where)
+        if row is None:
+            bias[i] = -math.inf
+            continue
+        selected = _field(rec, "selected", list, where)
+        if len(row) != len(selected):
+            raise StateError(f"bank {where} has {len(selected)} selected columns "
+                             f"but {len(row)} weights")
+        if not all(isinstance(c, int) and 0 <= c < tfidf.n_features for c in selected):
+            raise StateError(f"bank {where} selects a column outside "
+                             f"[0, {tfidf.n_features})")
+        weights[i, selected] = _numbers(row, f"{where} weights")
+        bias[i] = _field(rec, "bias", (int, float), where)
+    return ExtractorBank(tfidf, article_ids, weights, bias, _field(payload, "k", int, "file"))

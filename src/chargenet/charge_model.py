@@ -41,8 +41,9 @@ import numpy as np
 
 from . import metrics as mx
 from . import ndtensor as nd
-from .article_extractor import ExtractorBank, article_sort_key, extract_top_k
-from .corpus import CaseRecord, ParseError, simple_tokenize
+from .article_extractor import ExtractorBank, extract_top_k
+from .corpus import (CaseRecord, ParseError, article_id_from_json, article_id_to_json,
+                     article_sort_key, simple_tokenize)
 from .encoders import (
     AttentivePoolParams,
     BiGruParams,
@@ -541,8 +542,8 @@ def _check_bank(cfg: ModelConfig, bank: ExtractorBank | None) -> None:
     """The extractor bank must exist and fill all k article slots."""
     if bank is None:
         raise StateError(f"variant {cfg.variant.value} needs a trained extractor bank")
-    if cfg.k > len(bank.scorers):
-        raise DomainError(f"k={cfg.k} exceeds the bank's {len(bank.scorers)} scorers")
+    if cfg.k > len(bank.article_ids):
+        raise DomainError(f"k={cfg.k} exceeds the bank's {len(bank.article_ids)} articles")
 
 
 def _precompute_topk(cases: list[CaseRecord], cfg: ModelConfig,
@@ -678,7 +679,7 @@ def save_model(path, model: ChargeModel) -> None:
     meta = {
         "config": model.config.to_dict(),
         "charge_vocab": model.charge_vocab,
-        "article_ids": [list(a) if isinstance(a, tuple) else a
+        "article_ids": [article_id_to_json(a)
                         for a in sorted(model.article_docs, key=article_sort_key)],
         "word_vocab": word_in_order,
         "pos_vocab": pos_in_order,
@@ -712,7 +713,7 @@ def load_model(path, article_db: dict | None = None) -> ChargeModel:
         if article_db is None:
             raise StateError("article variants need an article database to load")
         article_docs = tokenize_article_db(article_db, word_vocab, pos_vocab)
-        want = {tuple(a) if isinstance(a, list) else a for a in meta["article_ids"]}
+        want = {article_id_from_json(a) for a in meta["article_ids"]}
         have = set(article_docs)
         if not want <= have:
             raise StateError(f"article database is missing ids {sorted(want - have)}")
@@ -736,7 +737,7 @@ def prediction_record(trace: ForwardTrace, model: ChargeModel,
     if trace.topk is not None and trace.alpha is not None:
         ranked = sorted(zip(trace.topk, trace.alpha), key=lambda p: -p[1])
         record["articles"] = [
-            {"id": list(aid) if isinstance(aid, tuple) else aid, "attention": float(w)}
+            {"id": article_id_to_json(aid), "attention": float(w)}
             for aid, w in ranked
         ]
     return record

@@ -175,6 +175,21 @@ def int_to_chinese_numeral(n: int) -> str:
     return "".join(out)
 
 
+def article_sort_key(article_id) -> tuple[int, int]:
+    """Orders plain article numbers and (number, sub_number) ids together:
+    133 before (133, 1) before 134."""
+    return article_id if isinstance(article_id, tuple) else (article_id, 0)
+
+
+def article_id_to_json(article_id):
+    """An int stays an int; a (number, sub_number) pair becomes a list."""
+    return list(article_id) if isinstance(article_id, tuple) else article_id
+
+
+def article_id_from_json(value):
+    return tuple(value) if isinstance(value, list) else value
+
+
 def format_article_ref(article_id) -> str:
     """Render an article id the way judgement documents cite it."""
     if isinstance(article_id, tuple):
@@ -393,7 +408,7 @@ def render_judgement(case: CaseRecord, rules: RuleSet, source_id: str = "",
     if inject_charges:
         fact_sents = [f"{sorted(case.gold_charges)[0]} " + fact_sents[0]] + fact_sents[1:]
     refs = "、".join(format_article_ref(a)
-                    for a in sorted(case.gold_articles, key=_article_key))
+                    for a in sorted(case.gold_articles, key=article_sort_key))
     verdicts = "、".join(f"犯{name}罪" for name in sorted(case.gold_charges))
     text = (
         "某某人民法院刑事判决书。被告人AA,男。"
@@ -403,10 +418,6 @@ def render_judgement(case: CaseRecord, rules: RuleSet, source_id: str = "",
         + rules.decision_indicators[0] + ":被告人AA" + verdicts + ",判处有期徒刑。"
     )
     return JudgementDoc(text, source_id)
-
-
-def _article_key(article_id):
-    return article_id if isinstance(article_id, tuple) else (article_id, 0)
 
 
 def assemble_case(doc: JudgementDoc, rules: RuleSet) -> CaseRecord:
@@ -445,14 +456,6 @@ def assemble_dataset(records: list[CaseRecord], min_charge_count: int = 80,
     return labeled, negatives, sorted(kept)
 
 
-def _id_to_json(article_id):
-    return list(article_id) if isinstance(article_id, tuple) else article_id
-
-
-def _id_from_json(value):
-    return tuple(value) if isinstance(value, list) else value
-
-
 def save_dataset(path, cases: list[CaseRecord]) -> None:
     """One JSON record per line: fact sentences of [token, pos] pairs, charges, articles."""
     with open(path, "w", encoding="utf-8") as fh:
@@ -460,8 +463,8 @@ def save_dataset(path, cases: list[CaseRecord]) -> None:
             record = {
                 "fact": [[[tok, pos] for tok, pos in sent] for sent in case.fact],
                 "charges": sorted(case.gold_charges),
-                "articles": [_id_to_json(a) for a in sorted(case.gold_articles,
-                                                            key=_article_key)],
+                "articles": [article_id_to_json(a)
+                             for a in sorted(case.gold_articles, key=article_sort_key)],
             }
             fh.write(json.dumps(record, ensure_ascii=False) + "\n")
 
@@ -477,7 +480,7 @@ def load_dataset(path) -> list[CaseRecord]:
                 cases.append(CaseRecord(
                     [[(tok, pos) for tok, pos in sent] for sent in rec["fact"]],
                     set(rec["charges"]),
-                    {_id_from_json(a) for a in rec["articles"]},
+                    {article_id_from_json(a) for a in rec["articles"]},
                 ))
             except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
                 raise ParseError(f"{path}: bad record on line {lineno}: {exc}") from exc
@@ -488,8 +491,8 @@ def load_dataset(path) -> list[CaseRecord]:
 
 def save_article_db(path, article_db: dict) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        for aid in sorted(article_db, key=_article_key):
-            fh.write(json.dumps({"id": _id_to_json(aid), "text": article_db[aid]},
+        for aid in sorted(article_db, key=article_sort_key):
+            fh.write(json.dumps({"id": article_id_to_json(aid), "text": article_db[aid]},
                                 ensure_ascii=False) + "\n")
 
 
@@ -501,7 +504,7 @@ def load_article_db(path) -> dict:
                 continue
             try:
                 rec = json.loads(line)
-                db[_id_from_json(rec["id"])] = rec["text"]
+                db[article_id_from_json(rec["id"])] = rec["text"]
             except (json.JSONDecodeError, KeyError, TypeError) as exc:
                 raise ParseError(f"{path}: bad record on line {lineno}: {exc}") from exc
     return db

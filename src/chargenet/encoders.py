@@ -132,10 +132,6 @@ class DocEncoderParams:
         if self.sent_gru.forward.input_dim != self.word_gru.state_dim:
             raise ShapeError("sentence-level input dim must equal word-level state dim")
 
-    @property
-    def out_dim(self) -> int:
-        return self.sent_gru.state_dim
-
     @classmethod
     def create(cls, input_dim: int, hidden_dim: int, rng: np.random.Generator,
                prefix: str = "doc", global_context: bool = True) -> "DocEncoderParams":
@@ -523,31 +519,3 @@ def encode_documents(docs: Sequence[Sequence[tuple[np.ndarray, np.ndarray]]],
         sent_attn.append(sent_alpha.data[:n, d])
         j += n
     return d_emb, word_attn, sent_attn
-
-
-def encode_document(doc: Sequence[Sequence[Tensor]], p: DocEncoderParams,
-                    u_word: Tensor | None = None, u_sent: Tensor | None = None,
-                    ) -> tuple[Tensor, list[np.ndarray], np.ndarray]:
-    """Two-level encoding of one document given per-token input embeddings.
-
-    Words pool into sentence embeddings, sentences pool into the document
-    embedding ``d``. Returns ``d`` (1-D) with the word attention per sentence
-    and the sentence attention.
-    """
-    if not doc:
-        raise DomainError("encode_document of empty document")
-    if any(len(sent) == 0 for sent in doc):
-        raise DomainError("document contains an empty sentence")
-
-    in_dim = doc[0][0].shape[0]
-    lens = [len(sent) for sent in doc]
-    max_words = max(lens)
-    pad = Tensor(np.zeros((in_dim, 1)))
-    x = nd.concat([_as_column(doc[s][t])[0] if t < lens[s] else pad
-                   for t in range(max_words) for s in range(len(doc))], axis=1)
-    sent_emb, word_alpha = _encode_level(x, max_words, lens, p.word_gru, p.word_pool, u_word)
-    d_emb, sent_alpha = _encode_level(sent_emb, len(doc), [len(doc)], p.sent_gru,
-                                      p.sent_pool, u_sent)
-    return (nd.reshape(d_emb, (p.out_dim,)),
-            [word_alpha.data[:lens[s], s] for s in range(len(doc))],
-            sent_alpha.data.reshape(-1))

@@ -69,30 +69,23 @@ def macro_prf(batch: PredictionBatch, charge_vocab: list | None = None,
         raise DomainError("empty prediction batch")
     if f1_mode not in ("harmonic", "mean_f1"):
         raise DomainError(f"unknown f1_mode {f1_mode!r}")
-    charges = {c for g in batch.gold for c in g}
+    per_charge = per_charge_prf(batch)
     if charge_vocab is not None:
-        charges &= set(charge_vocab)
-    per_charge = {}
-    for charge in charges:
-        tp = sum(charge in p and charge in g for p, g in zip(batch.predicted, batch.gold))
-        fp = sum(charge in p and charge not in g for p, g in zip(batch.predicted, batch.gold))
-        fn = sum(charge not in p and charge in g for p, g in zip(batch.predicted, batch.gold))
-        p = tp / (tp + fp) if tp + fp else 0.0
-        r = tp / (tp + fn) if tp + fn else 0.0
-        per_charge[charge] = (p, r)
+        vocab = set(charge_vocab)
+        per_charge = {c: prf for c, prf in per_charge.items() if c in vocab}
     if not per_charge:
         return 0.0, 0.0, 0.0
-    macro_p = sum(p for p, _ in per_charge.values()) / len(per_charge)
-    macro_r = sum(r for _, r in per_charge.values()) / len(per_charge)
+    macro_p = sum(p for p, _, _ in per_charge.values()) / len(per_charge)
+    macro_r = sum(r for _, r, _ in per_charge.values()) / len(per_charge)
     if f1_mode == "harmonic":
         f1 = _f1(macro_p, macro_r)
     else:
-        f1 = sum(_f1(p, r) for p, r in per_charge.values()) / len(per_charge)
+        f1 = sum(f for _, _, f in per_charge.values()) / len(per_charge)
     return macro_p, macro_r, f1
 
 
 def per_charge_prf(batch: PredictionBatch) -> dict:
-    """Precision/recall/F1 per gold charge, for drill-down reports."""
+    """Precision/recall/F1 per gold charge; ``macro_prf`` averages these."""
     out = {}
     for charge in {c for g in batch.gold for c in g}:
         tp = sum(charge in p and charge in g for p, g in zip(batch.predicted, batch.gold))

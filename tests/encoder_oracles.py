@@ -57,3 +57,23 @@ def attentive_pool(states, w, u, mask=None):
 def attentive_pool_steps(states, steps, w, u, mask=None):
     """Same contract as ``enc.attentive_pool_steps``."""
     return attentive_pool(split_steps(states, steps), w, u, mask)
+
+
+def encode_document(tokens, p, u_word=None, u_sent=None):
+    """Two-level encoding of one document given per-token (D, 1) input
+    columns, one unpadded sentence at a time through the composite ops.
+
+    Returns the (state_dim, 1) document embedding, the word attention of
+    each sentence and the sentence attention.
+    """
+    u_word = p.word_pool.u if u_word is None else u_word
+    u_sent = p.sent_pool.u if u_sent is None else u_sent
+    sents, word_attn = [], []
+    for sent in tokens:
+        states = bigru_scan(nd.concat(sent, axis=1), len(sent), p.word_gru)
+        pooled, alpha = attentive_pool_steps(states, len(sent), p.word_pool.w, u_word)
+        sents.append(pooled)
+        word_attn.append(alpha.data.reshape(-1))
+    states = bigru_scan(nd.concat(sents, axis=1), len(sents), p.sent_gru)
+    d, alpha = attentive_pool_steps(states, len(sents), p.sent_pool.w, u_sent)
+    return d, word_attn, alpha.data.reshape(-1)

@@ -189,37 +189,46 @@ def embed_with(word_table, pos_table):
     return embed_tokens
 
 
+def one_document(doc):
+    """A document given as lists of token ids, in ``encode_documents`` form
+    (every token's POS id is 0)."""
+    return [(np.asarray(sent), np.zeros(len(sent), dtype=np.intp)) for sent in doc]
+
+
 class TestEncodeDocument:
+    """``encode_documents`` on one document, its tokens looked up in a table."""
+
     def make_params(self, in_dim=5, hidden=3, seed=18, global_context=True):
         return enc.DocEncoderParams.create(in_dim, hidden, np.random.default_rng(seed),
                                            global_context=global_context)
 
+    def encode(self, table, doc, p, u_word=None, u_sent=None):
+        d, word_attn, sent_attn = enc.encode_documents(
+            [one_document(doc)], p, lambda wids, pids: nd.embed(table, wids), u_word, u_sent)
+        return d, word_attn[0], sent_attn[0]
+
     def test_one_sentence_one_token(self):
         p = self.make_params()
-        tok = Tensor(np.random.default_rng(19).uniform(-1, 1, 5))
-        d, word_attn, sent_attn = enc.encode_document(
-            [[tok]], p, p.word_pool.u, p.sent_pool.u)
-        [g_w] = enc.bigru_encode([tok], p.word_gru)
+        table = Tensor(np.random.default_rng(19).uniform(-1, 1, (2, 5)))
+        d, word_attn, sent_attn = self.encode(table, [[1]], p, p.word_pool.u, p.sent_pool.u)
+        [g_w] = enc.bigru_encode([Tensor(table.data[1])], p.word_gru)
         [state] = enc.bigru_encode([Tensor(g_w.data)], p.sent_gru)
-        npt.assert_allclose(d.data, state.data, atol=1e-12)
+        npt.assert_allclose(d.data[:, 0], state.data, atol=1e-12)
         npt.assert_array_equal(word_attn[0], [1.0])
         npt.assert_array_equal(sent_attn, [1.0])
 
     def test_paper_dims_give_150(self):
         p = enc.DocEncoderParams.create(150, 75, np.random.default_rng(20))
-        rng = np.random.default_rng(21)
-        doc = [[Tensor(rng.uniform(-1, 1, 150)) for _ in range(3)] for _ in range(2)]
-        d, _, _ = enc.encode_document(doc, p)
-        assert d.shape == (150,)
+        table = Tensor(np.random.default_rng(21).uniform(-1, 1, (7, 150)))
+        d, _, _ = self.encode(table, [[1, 2, 3], [4, 5, 6]], p)
+        assert d.shape == (150, 1)
 
     def test_identical_sentences_zero_sentence_gru(self):
         p = self.make_params(seed=22)
         for _, t in p.sent_gru.named():
             t.data[:] = 0.0
-        rng = np.random.default_rng(23)
-        sent = [Tensor(rng.uniform(-1, 1, 5)) for _ in range(3)]
-        clone = [Tensor(tok.data.copy()) for tok in sent]
-        _, _, sent_attn = enc.encode_document([sent, clone], p)
+        table = Tensor(np.random.default_rng(23).uniform(-1, 1, (4, 5)))
+        _, _, sent_attn = self.encode(table, [[1, 2, 3], [1, 2, 3]], p)
         npt.assert_allclose(sent_attn, [0.5, 0.5], atol=1e-12)
 
     def test_permutation_with_zero_sentence_gru(self):
@@ -227,39 +236,38 @@ class TestEncodeDocument:
         for _, t in p.sent_gru.named():
             t.data[:] = 0.0
         rng = np.random.default_rng(25)
-        doc = [[Tensor(rng.uniform(-1, 1, 5)) for _ in range(rng.integers(1, 4))]
-               for _ in range(4)]
-        _, _, attn = enc.encode_document(doc, p)
+        table = Tensor(rng.uniform(-1, 1, (10, 5)))
+        doc = [list(rng.integers(0, 10, rng.integers(1, 4))) for _ in range(4)]
+        _, _, attn = self.encode(table, doc, p)
         perm = [2, 0, 3, 1]
-        _, _, attn_p = enc.encode_document([doc[i] for i in perm], p)
+        _, _, attn_p = self.encode(table, [doc[i] for i in perm], p)
         npt.assert_allclose(attn_p, attn[perm], atol=1e-12)
 
     def test_empty_document_rejected(self):
         p = self.make_params()
+        table = Tensor(np.zeros((2, 5)))
         with pytest.raises(DomainError):
-            enc.encode_document([], p)
+            self.encode(table, [], p)
         with pytest.raises(DomainError):
-            enc.encode_document([[]], p)
+            self.encode(table, [[]], p)
 
     def test_attention_sums(self):
         p = self.make_params(seed=26)
         rng = np.random.default_rng(27)
-        doc = [[Tensor(rng.uniform(-1, 1, 5)) for _ in range(rng.integers(1, 5))]
-               for _ in range(3)]
-        _, word_attn, sent_attn = enc.encode_document(doc, p)
+        table = Tensor(rng.uniform(-1, 1, (10, 5)))
+        doc = [list(rng.integers(0, 10, rng.integers(1, 5))) for _ in range(3)]
+        _, word_attn, sent_attn = self.encode(table, doc, p)
         for a in word_attn:
             assert abs(a.sum() - 1.0) < 1e-9
         assert abs(sent_attn.sum() - 1.0) < 1e-9
 
     def test_gradients(self):
         p = self.make_params(in_dim=3, hidden=2, seed=28)
-        rng = np.random.default_rng(29)
-        doc = [[Tensor(rng.uniform(-1, 1, 3)) for _ in range(2)],
-               [Tensor(rng.uniform(-1, 1, 3))]]
-        tensors = [t for _, t in p.named()] + [tok for sent in doc for tok in sent]
+        table = Tensor(np.random.default_rng(29).uniform(-1, 1, (4, 3)))
+        tensors = [t for _, t in p.named()] + [table]
 
         def loss():
-            d, _, _ = enc.encode_document(doc, p)
+            d, _, _ = self.encode(table, [[1, 2], [3]], p)
             return nd.tsum(d)
 
         assert_matches_fd(loss, tensors)
@@ -281,17 +289,19 @@ class TestBatchedEncoding:
                 doc.append((rng.integers(0, 9, n), rng.integers(0, 4, n)))
             docs.append(doc)
 
-        d_all, word_attn, sent_attn = enc.encode_documents(
-            docs, p, embed_with(word_table, pos_table))
+        embed_tokens = embed_with(word_table, pos_table)
+        d_all, word_attn, sent_attn = enc.encode_documents(docs, p, embed_tokens)
 
         for j, doc in enumerate(docs):
-            as_tensors = [[Tensor(np.concatenate([word_table.data[w], pos_table.data[g]]))
-                           for w, g in zip(wids, pids)] for wids, pids in doc]
-            d_one, wa_one, sa_one = enc.encode_document(as_tensors, p)
-            npt.assert_allclose(d_all.data[:, j], d_one.data, atol=1e-12)
-            npt.assert_allclose(sent_attn[j], sa_one, atol=1e-12)
-            for s in range(len(doc)):
-                npt.assert_allclose(word_attn[j][s], wa_one[s], atol=1e-12)
+            d_one, [wa_one], [sa_one] = enc.encode_documents([doc], p, embed_tokens)
+            tokens = [[Tensor(np.concatenate([word_table.data[w], pos_table.data[g]])[:, None])
+                       for w, g in zip(wids, pids)] for wids, pids in doc]
+            d_ref, wa_ref, sa_ref = oracle.encode_document(tokens, p)
+            for d, wa, sa in ((d_one, wa_one, sa_one), (d_ref, wa_ref, sa_ref)):
+                npt.assert_allclose(d_all.data[:, j], d.data[:, 0], atol=1e-12)
+                npt.assert_allclose(sent_attn[j], sa, atol=1e-12)
+                for s in range(len(doc)):
+                    npt.assert_allclose(word_attn[j][s], wa[s], atol=1e-12)
 
     def test_batched_gradients(self):
         rng = np.random.default_rng(32)

@@ -6,7 +6,8 @@ import numpy.testing as npt
 import pytest
 
 from chargenet import article_extractor as ax
-from chargenet.ndtensor import DomainError, ShapeError
+from chargenet import corpus as cp
+from chargenet.ndtensor import DomainError, ShapeError, StateError
 
 
 def toy_corpus():
@@ -47,34 +48,44 @@ class TestTfidf:
             norm = math.sqrt(sum(v * v for v in dense.values()))
             expected = {c: v / norm for c, v in dense.items()} if norm else {}
             got = ax.transform(doc, m)
-            assert set(got) == set(expected)
-            for c in got:
+            assert got.shape == (m.n_features,)
+            assert set(np.flatnonzero(got)) == set(expected)
+            for c in expected:
                 assert got[c] == pytest.approx(expected[c], abs=1e-12)
 
     def test_transform_empty_doc(self):
         m = ax.fit_tfidf(toy_corpus())
-        assert ax.transform([], m) == {}
+        npt.assert_array_equal(ax.transform([], m), np.zeros(m.n_features))
 
     def test_transform_single_word_is_unit(self):
         m = ax.fit_tfidf(toy_corpus())
         vec = ax.transform(["fraud"], m)
-        assert list(vec) == [m.vocabulary["fraud"]]
+        assert np.flatnonzero(vec).tolist() == [m.vocabulary["fraud"]]
         assert vec[m.vocabulary["fraud"]] == pytest.approx(1.0, abs=1e-15)
 
     def test_oov_dropped(self):
         m = ax.fit_tfidf(toy_corpus())
-        assert ax.transform(["unseen", "tokens"], m) == {}
+        assert not ax.transform(["unseen", "tokens"], m).any()
+
+
+def dense(features, n_features):
+    """(cases, features) matrix of sparse {column: value} rows."""
+    x = np.zeros((len(features), n_features))
+    for row, feats in zip(x, features):
+        for col, val in feats.items():
+            row[col] = val
+    return x
 
 
 class TestChiSquare:
     def test_independent_feature_scores_zero_and_ranks_last(self):
         # feature 0 present in half of each class, feature 1 only in positives
-        features = [{0: 1.0, 1: 1.0}, {1: 1.0}, {0: 1.0}, {}]
+        x = dense([{0: 1.0, 1: 1.0}, {1: 1.0}, {0: 1.0}, {}], 2)
         labels = [True, True, False, False]
-        scores = ax.chi_square_scores(features, labels, 2)
+        scores = ax.chi_square_scores(x, labels)
         assert scores[0] == 0.0
-        order = ax.chi_square_select(features, labels, 2)
-        assert order == [1, 0]
+        order = ax.chi_square_select(x, labels, 2)
+        assert order.tolist() == [1, 0]
 
     def test_perfect_predictor_scores_n(self):
         rng = np.random.default_rng(0)
@@ -85,7 +96,7 @@ class TestChiSquare:
             for i, e in enumerate(extra):
                 if e:
                     features[i][1] = 1.0
-            scores = ax.chi_square_scores(features, labels, 2)
+            scores = ax.chi_square_scores(dense(features, 2), labels)
             assert scores[0] == pytest.approx(n_pos + n_neg, abs=1e-9)
 
     def test_matches_observed_expected_oracle(self):
@@ -99,7 +110,7 @@ class TestChiSquare:
                 labels[-1] = False
             features = [{c: 1.0 for c in rng.choice(6, rng.integers(0, 5), replace=False)}
                         for _ in range(n)]
-            scores = ax.chi_square_scores(features, labels, 6)
+            scores = ax.chi_square_scores(dense(features, 6), labels)
             for col in range(6):
                 a = sum(1 for f, l in zip(features, labels) if col in f and l)
                 b = sum(1 for f, l in zip(features, labels) if col in f and not l)
@@ -113,9 +124,15 @@ class TestChiSquare:
                         expected += (obs - e) ** 2 / e
                 assert scores[col] == pytest.approx(expected, abs=1e-9)
 
+    def test_ties_go_to_the_lower_index(self):
+        x = np.ones((4, 100))
+        x[:2, 40] = 0.0  # the one informative column
+        order = ax.chi_square_select(x, [True, True, False, False], 100)
+        assert order.tolist() == [40] + [c for c in range(100) if c != 40]
+
     def test_single_class_rejected(self):
         with pytest.raises(DomainError):
-            ax.chi_square_select([{0: 1.0}, {1: 1.0}], [True, True], 1)
+            ax.chi_square_select(dense([{0: 1.0}, {1: 1.0}], 2), [True, True], 1)
 
     def test_duplicating_corpus_keeps_ranking(self):
         rng = np.random.default_rng(2)
@@ -123,11 +140,12 @@ class TestChiSquare:
                     for _ in range(12)]
         labels = [bool(rng.integers(0, 2)) for _ in range(12)]
         labels[0], labels[1] = True, False
-        base = ax.chi_square_select(features, labels, 8, n_features=8)
-        doubled = ax.chi_square_select(features * 2, labels * 2, 8, n_features=8)
-        assert base == doubled
-        s1 = ax.chi_square_scores(features, labels, 8)
-        s2 = ax.chi_square_scores(features * 2, labels * 2, 8)
+        x = dense(features, 8)
+        base = ax.chi_square_select(x, labels, 8)
+        doubled = ax.chi_square_select(np.vstack([x, x]), labels * 2, 8)
+        npt.assert_array_equal(base, doubled)
+        s1 = ax.chi_square_scores(x, labels)
+        s2 = ax.chi_square_scores(np.vstack([x, x]), labels * 2)
         npt.assert_allclose(s2, 2 * s1, atol=1e-9)
 
 
@@ -145,43 +163,49 @@ def two_article_corpus():
     return docs, golds
 
 
+def scores_of(bank, doc):
+    """Decision score of every article (in row order) for one document."""
+    return bank.weights @ ax.transform(doc, bank.tfidf) + bank.bias
+
+
 class TestScorers:
     def test_disjoint_articles_separate(self):
         docs, golds = two_article_corpus()
         bank = ax.build_bank(docs, golds, k=2)
-        vecs = [ax.transform(d, bank.tfidf) for d in docs]
-        for scorer in bank.scorers:
-            pos = [scorer.score(v) for v, g in zip(vecs, golds) if scorer.article_id in g]
-            neg = [scorer.score(v) for v, g in zip(vecs, golds) if scorer.article_id not in g]
-            assert min(pos) > max(neg)
+        scores = np.array([scores_of(bank, d) for d in docs])
+        for i, aid in enumerate(bank.article_ids):
+            gold = np.array([aid in g for g in golds])
+            assert scores[gold, i].min() > scores[~gold, i].max()
 
     def test_training_accuracy_on_separable_data(self):
         docs, golds = two_article_corpus()
         bank = ax.build_bank(docs, golds, k=2)
-        vecs = [ax.transform(d, bank.tfidf) for d in docs]
-        correct = 0
-        total = 0
-        for scorer in bank.scorers:
-            for v, g in zip(vecs, golds):
-                predicted = scorer.score(v) > 0
-                correct += predicted == (scorer.article_id in g)
-                total += 1
-        assert correct / total >= 0.95
+        predicted = np.array([scores_of(bank, d) for d in docs]) > 0
+        gold = np.array([[aid in g for aid in bank.article_ids] for g in golds])
+        assert (predicted == gold).mean() >= 0.95
 
     def test_single_example_per_class(self):
         bank = ax.build_bank([["stab", "knife"], ["steal", "purse"]], [{1}, {2}], k=1)
-        v1 = ax.transform(["stab", "knife"], bank.tfidf)
-        v2 = ax.transform(["steal", "purse"], bank.tfidf)
-        s1 = next(s for s in bank.scorers if s.article_id == 1)
-        assert s1.score(v1) > s1.score(v2)
+        row = bank.article_ids.index(1)
+        assert scores_of(bank, ["stab", "knife"])[row] > scores_of(bank, ["steal", "purse"])[row]
 
     def test_article_without_positives_warns_and_scores_minus_inf(self, caplog):
         docs, golds = two_article_corpus()
         with caplog.at_level("WARNING"):
             bank = ax.build_bank(docs, golds, k=2, article_ids=[10, 20, 99])
         assert any("99" in r.message for r in caplog.records)
+        row = bank.article_ids.index(99)
+        assert not bank.weights[row].any() and bank.bias[row] == -math.inf
         ranked = ax.extract_top_k(docs[0], bank, k=3)
         assert ranked[-1] == (99, -math.inf)
+
+    def test_rows_follow_article_sort_key(self):
+        docs, golds = two_article_corpus()
+        bank = ax.build_bank(docs, golds, k=2, article_ids=[(133, 1), 20, 134, 10, 133])
+        assert bank.article_ids == [10, 20, 133, (133, 1), 134]
+        again = ax.build_bank(docs, golds, k=2, article_ids=[10, 20, 133, (133, 1), 134])
+        npt.assert_array_equal(bank.weights, again.weights)
+        npt.assert_array_equal(bank.bias, again.bias)
 
 
 class TestExtractTopK:
@@ -200,31 +224,84 @@ class TestExtractTopK:
 
     def test_ties_break_by_smaller_article_id(self):
         tfidf = ax.fit_tfidf([["x"], ["y"]])
-        s7 = ax.LinearScorer(7, [], np.zeros(0), bias=0.5)
-        s3 = ax.LinearScorer(3, [], np.zeros(0), bias=0.5)
-        s133 = ax.LinearScorer((133, 1), [], np.zeros(0), bias=0.5)
-        bank = ax.ExtractorBank(tfidf, [s7, s3, s133], k=3)
+        bank = ax.ExtractorBank(tfidf, [7, 3, (133, 1)], np.zeros((3, 2)), np.full(3, 0.5),
+                                k=3)
         ranked = ax.extract_top_k(["x"], bank)
         assert [a for a, _ in ranked] == [3, 7, (133, 1)]
+        ids = [int(a) for a in np.random.default_rng(6).permutation(100)]
+        bank = ax.ExtractorBank(tfidf, ids, np.zeros((100, 2)), np.full(100, 0.5), k=100)
+        assert [a for a, _ in ax.extract_top_k(["x"], bank)] == list(range(100))
 
     def test_extension_leaves_existing_scores_bitwise_unchanged(self):
         docs, golds = two_article_corpus()
         bank = ax.build_bank(docs, golds, k=2)
-        before = [[s.score(ax.transform(d, bank.tfidf)) for s in bank.scorers] for d in docs]
-        cases = [(ax.transform(d, bank.tfidf), g | ({30} if i % 4 == 0 else set()))
-                 for i, (d, g) in enumerate(zip(docs, golds))]
-        extended = ax.extend_bank(bank, 30, cases)
-        assert [s.article_id for s in extended.scorers[:2]] == [10, 20]
-        after = [[s.score(ax.transform(d, extended.tfidf))
-                  for s in extended.scorers[:2]] for d in docs]
-        for row_b, row_a in zip(before, after):
-            assert row_b == row_a  # bitwise: floats compared exactly
+        before = [scores_of(bank, d) for d in docs]
+        extended = ax.extend_bank(bank, 15, docs,
+                                  [g | ({15} if i % 4 == 0 else set())
+                                   for i, g in enumerate(golds)])
+        assert extended.article_ids == [10, 15, 20]
+        kept = [0, 2]
+        npt.assert_array_equal(extended.weights[kept], bank.weights)
+        npt.assert_array_equal(extended.bias[kept], bank.bias)
+        for doc, row_b in zip(docs, before):
+            npt.assert_array_equal(scores_of(extended, doc)[kept], row_b)
 
     def test_extension_rejects_duplicate(self):
         docs, golds = two_article_corpus()
         bank = ax.build_bank(docs, golds, k=2)
         with pytest.raises(DomainError):
-            ax.extend_bank(bank, 10, [])
+            ax.extend_bank(bank, 10, [], [])
+
+
+def sparse_transform(doc, m):
+    """The {column: value} TF-IDF of a document, normalised token by token."""
+    counts = {}
+    for tok in doc:
+        if tok in m.vocabulary:
+            counts[m.vocabulary[tok]] = counts.get(m.vocabulary[tok], 0) + 1
+    vec = {col: c * m.idf[col] for col, c in counts.items() if m.idf[col] != 0.0}
+    norm = math.sqrt(sum(v * v for v in vec.values()))
+    return {col: v / norm for col, v in vec.items()} if norm > 0 else vec
+
+
+def brute_force_top_k(doc, bank, k):
+    """One scorer at a time: the bias plus a loop over the document's features
+    that the article selected (its nonzero weight columns), -inf for an
+    article without positives; sorted by score, then by article id."""
+    vec = sparse_transform(doc, bank.tfidf)
+    scored = []
+    for aid, row, bias in zip(bank.article_ids, bank.weights, bank.bias):
+        if bias == -math.inf:
+            scored.append((aid, -math.inf))
+            continue
+        weights = {col: row[col] for col in np.flatnonzero(row)}
+        total = bias
+        for col, val in vec.items():
+            if col in weights:
+                total += weights[col] * val
+        scored.append((aid, total))
+    return sorted(scored, key=lambda pair: (-pair[1], cp.article_sort_key(pair[0])))[:k]
+
+
+def test_extract_top_k_matches_brute_force_scorers():
+    spec = cp.SyntheticSpec(n_charges=4, n_articles=8, train_size=60, valid_size=10,
+                            test_size=10, n_noise_tokens=12, core_keywords_per_charge=3,
+                            seed=13)
+    data = cp.generate_synthetic(spec)
+    relabel = {102: (101, 1)}  # a sub-clause id among the trained articles
+    golds = [{relabel.get(a, a) for a in c.gold_articles} for c in data.train]
+    ids = sorted({a for g in golds for a in g}, key=cp.article_sort_key) + [999]
+    bank = ax.build_bank([c.tokens() for c in data.train], golds, k=5, article_ids=ids)
+    assert bank.article_ids[:2] == [101, (101, 1)] and bank.bias[-1] == -math.inf
+    for case in data.train[:10] + data.valid + data.test:
+        for doc in (case.tokens(), case.tokens()[:3]):
+            got = ax.extract_top_k(doc, bank, k=len(ids))
+            want = brute_force_top_k(doc, bank, len(ids))
+            assert [a for a, _ in got] == [a for a, _ in want]
+            for (_, g), (_, w) in zip(got, want):
+                assert g == w or abs(g - w) < 1e-12
+            vec = ax.transform(doc, bank.tfidf)
+            assert {c: vec[c] for c in np.flatnonzero(vec)} == sparse_transform(doc, bank.tfidf)
 
 
 class TestRecallAtK:
@@ -273,17 +350,11 @@ class TestBankSerialization:
         assert loaded.k == bank.k
         assert loaded.tfidf.vocabulary == bank.tfidf.vocabulary
         npt.assert_array_equal(loaded.tfidf.idf, bank.tfidf.idf)
-        for a, b in zip(bank.scorers, loaded.scorers):
-            assert a.article_id == b.article_id
-            assert a.selected_features == b.selected_features
-            assert a.bias == b.bias
-            if a.weights is None:
-                assert b.weights is None
-            else:
-                npt.assert_array_equal(a.weights, b.weights)
+        assert loaded.article_ids == bank.article_ids
+        npt.assert_array_equal(loaded.weights, bank.weights)
+        npt.assert_array_equal(loaded.bias, bank.bias)
         for doc in docs:
-            assert [s.score(ax.transform(doc, loaded.tfidf)) for s in loaded.scorers] == \
-                   [s.score(ax.transform(doc, bank.tfidf)) for s in bank.scorers]
+            assert ax.extract_top_k(doc, loaded, k=3) == ax.extract_top_k(doc, bank, k=3)
 
     def test_failed_write_keeps_the_previous_file(self, tmp_path):
         docs, golds = two_article_corpus()
@@ -291,14 +362,59 @@ class TestBankSerialization:
         path = tmp_path / "bank.json"
         ax.save_bank(path, bank)
         before = path.read_bytes()
-        bank.scorers[-1].bias = object()  # not JSON: the dump stops partway
+        bank.bias = bank.bias.astype(object)
+        bank.bias[-1] = object()  # not JSON: the dump stops partway
         with pytest.raises(TypeError):
             ax.save_bank(path, bank)
         assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == [path.name]
 
+    def test_loads_a_v1_file_written_scorer_by_scorer(self, tmp_path):
+        # Selected columns in chi-square order, and a disabled scorer with bias 0.
+        path = tmp_path / "bank.json"
+        path.write_text(json.dumps({
+            "version": 1, "k": 2,
+            "tfidf": {"vocabulary": ["a", "b", "c"], "idf": [0.5, 1.0, 2.0], "doc_count": 4},
+            "scorers": [
+                {"article_id": [133, 1], "selected": [], "weights": None, "bias": 0.0},
+                {"article_id": 7, "selected": [2, 0], "weights": [0.25, -1.5], "bias": 0.125},
+            ]}))
+        bank = ax.load_bank(path)
+        assert bank.article_ids == [7, (133, 1)]
+        npt.assert_array_equal(bank.weights, [[-1.5, 0.0, 0.25], [0.0, 0.0, 0.0]])
+        npt.assert_array_equal(bank.bias, [0.125, -math.inf])
+
     def test_version_guard(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"version": 99}))
-        with pytest.raises(Exception):
+        with pytest.raises(StateError):
+            ax.load_bank(path)
+
+    @pytest.mark.parametrize("damage, message", [
+        (lambda p: p.pop("k"), "no 'k'"),
+        (lambda p: p["tfidf"].pop("idf"), "no 'idf'"),
+        (lambda p: p["scorers"][0].pop("bias"), "no 'bias'"),
+        (lambda p: p["scorers"][0]["weights"].pop(), "selected columns but"),
+        (lambda p: p["scorers"][0]["selected"].__setitem__(0, 10 ** 6), "outside"),
+        (lambda p: p["scorers"][0]["selected"].__setitem__(0, -1), "outside"),
+        (lambda p: p["scorers"][0].__setitem__("selected", 3), "'selected' has type int"),
+        (lambda p: p.__setitem__("scorers", {}), "'scorers' has type dict"),
+        (lambda p: p["scorers"][0]["weights"].__setitem__(0, "x"), "non-numeric"),
+    ])
+    def test_malformed_bank_raises_state_error(self, tmp_path, damage, message):
+        docs, golds = two_article_corpus()
+        path = tmp_path / "bank.json"
+        ax.save_bank(path, ax.build_bank(docs, golds, k=2))
+        payload = json.loads(path.read_text())
+        damage(payload)
+        path.write_text(json.dumps(payload))
+        with pytest.raises(StateError, match=message):
+            ax.load_bank(path)
+
+    def test_truncated_bank_raises_state_error(self, tmp_path):
+        docs, golds = two_article_corpus()
+        path = tmp_path / "bank.json"
+        ax.save_bank(path, ax.build_bank(docs, golds, k=2))
+        path.write_text(path.read_text()[:100])
+        with pytest.raises(StateError, match="not JSON"):
             ax.load_bank(path)

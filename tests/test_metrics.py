@@ -1,4 +1,5 @@
 import numpy as np
+import numpy.testing as npt
 import pytest
 
 from chargenet import metrics as mx
@@ -81,6 +82,27 @@ class TestMacro:
             p, r, _ = mx.macro_prf(b)
             assert p == pytest.approx(np.mean(ps), abs=1e-12)
             assert r == pytest.approx(np.mean(rs), abs=1e-12)
+
+    @pytest.mark.parametrize("f1_mode", ["harmonic", "mean_f1"])
+    @pytest.mark.parametrize("charge_vocab", [None, ["a", "c", "zzz"]])
+    def test_is_the_mean_of_per_charge_prf(self, f1_mode, charge_vocab):
+        rng = np.random.default_rng(3)
+        labels = list("abcd")
+        for _ in range(20):
+            n = rng.integers(2, 10)
+            pred = [set(rng.choice(labels, rng.integers(0, 3), replace=False)) for _ in range(n)]
+            gold = [set(rng.choice(labels, rng.integers(1, 3), replace=False)) for _ in range(n)]
+            b = PredictionBatch(pred, gold)
+            rows = [prf for c, prf in mx.per_charge_prf(b).items()
+                    if charge_vocab is None or c in charge_vocab]
+            got = mx.macro_prf(b, charge_vocab=charge_vocab, f1_mode=f1_mode)
+            if not rows:
+                assert got == (0.0, 0.0, 0.0)
+                continue
+            p, r, f1 = np.mean(rows, axis=0)
+            if f1_mode == "harmonic":
+                f1 = 2 * p * r / (p + r) if p + r else 0.0
+            npt.assert_allclose(got, (p, r, f1), rtol=0, atol=1e-12)
 
     def test_gold_absent_charges_excluded(self):
         b = batch([["a", "zzz"], ["a"]], [["a"], ["a"]])

@@ -1,4 +1,5 @@
 import dataclasses
+import json
 
 import numpy as np
 import numpy.testing as npt
@@ -120,7 +121,7 @@ def test_forward_rejects_a_bank_shorter_than_k(data):
     short = ax.build_bank([c.tokens() for c in data.train],
                           [c.gold_articles for c in data.train], k=1,
                           article_ids=sorted(data.article_db, key=ax.article_sort_key)[:2])
-    assert len(short.scorers) < model.config.k
+    assert len(short.article_ids) < model.config.k
     with pytest.raises(DomainError, match="exceeds"):
         cm.forward(data.test[0], model, bank=short)
     with pytest.raises(DomainError, match="exceeds"):
@@ -301,3 +302,44 @@ def test_minibatch_records_one_article_word_scan(data, bank, monkeypatch):
     # One shared scan, n forwards without their own, n cross entropies,
     # n - 1 sums and the 1/n scaling.
     assert lengths == [scan + n * (per_case_own_scan - scan) + n + (n - 1) + 1] * 2
+
+
+def test_article_ids_round_trip_through_every_file(data, tmp_path):
+    """Int and (number, sub_number) ids survive the dataset, the article DB,
+    the extractor bank and the model meta sidecar."""
+    relabel = {a: (a, 1) for a in sorted(data.article_db)[::2]}
+    cases = [cp.CaseRecord(c.fact, c.gold_charges, {relabel.get(a, a) for a in c.gold_articles})
+             for c in data.train]
+    article_db = {relabel.get(a, a): text for a, text in data.article_db.items()}
+    ids = sorted(article_db, key=cp.article_sort_key)
+    assert any(isinstance(a, int) for a in ids) and any(isinstance(a, tuple) for a in ids)
+
+    cp.save_dataset(tmp_path / "train.jsonl", cases)
+    cases = cp.load_dataset(tmp_path / "train.jsonl")
+    assert [c.gold_articles for c in cases] == [{relabel.get(a, a) for a in c.gold_articles}
+                                                for c in data.train]
+    cp.save_article_db(tmp_path / "articles.jsonl", article_db)
+    assert cp.load_article_db(tmp_path / "articles.jsonl") == article_db
+
+    bank = ax.build_bank([c.tokens() for c in cases], [c.gold_articles for c in cases],
+                         k=TINY_DIMS["k"], article_ids=ids)
+    ax.save_bank(tmp_path / "bank.json", bank)
+    assert ax.load_bank(tmp_path / "bank.json").article_ids == bank.article_ids == ids
+
+    config = cm.ModelConfig(variant=cm.Variant.FACT_SUPV_ART, **TINY_DIMS)
+    word_vocab, pos_vocab = cm.build_vocab(cases)
+    charges = sorted({c for case in cases for c in case.gold_charges})
+    params = cm.ModelParams.create(config, len(word_vocab), len(pos_vocab), len(charges),
+                                   np.random.default_rng(0))
+    model = cm.ChargeModel(config, params, word_vocab, pos_vocab, charges,
+                           cm.tokenize_article_db(article_db, word_vocab, pos_vocab), tau=0.4)
+    cm.save_model(tmp_path / "m.ckpt", model)
+    loaded = cm.load_model(tmp_path / "m.ckpt", article_db=article_db)
+    assert sorted(loaded.article_docs, key=cp.article_sort_key) == ids
+    with pytest.raises(nd.StateError, match="missing ids"):
+        cm.load_model(tmp_path / "m.ckpt", article_db={a: t for a, t in article_db.items()
+                                                       if a != ids[1]})
+
+    trace = cm.forward(cases[0], loaded, bank=bank)
+    record = json.loads(json.dumps(cm.prediction_record(trace, loaded)))
+    assert {cp.article_id_from_json(a["id"]) for a in record["articles"]} == set(trace.topk)
