@@ -128,7 +128,7 @@ class ModelConfig:
 
 
 @dataclass
-class ModelParams:
+class ModelParams(nd.ParamGroup):
     """Every trainable tensor; article-side fields are None for fact_only."""
 
     word_emb: Tensor
@@ -190,28 +190,6 @@ class ModelParams:
             nd.zeros((n_charges, 1), name="out.b"),
         )
 
-    def named(self) -> list[tuple[str, Tensor]]:
-        out: list[tuple[str, Tensor]] = [("emb.word", self.word_emb), ("emb.pos", self.pos_emb)]
-        out.extend(self.fact_enc.named())
-        if self.art_enc is not None and self.art_enc is not self.fact_enc:
-            out.extend(self.art_enc.named())
-        for name, t in [("ctx.word.w", self.w_w), ("ctx.word.b", self.b_w),
-                        ("ctx.sent.w", self.w_s), ("ctx.sent.b", self.b_s),
-                        ("ctx.agg.w", self.w_d), ("ctx.agg.b", self.b_d)]:
-            if t is not None:
-                out.append((name, t))
-        if self.agg_gru is not None:
-            out.extend(self.agg_gru.named())
-        if self.agg_pool is not None:
-            out.extend(self.agg_pool.named())
-        out.extend([("fc1.w", self.fc1_w), ("fc1.b", self.fc1_b),
-                    ("fc2.w", self.fc2_w), ("fc2.b", self.fc2_b),
-                    ("out.w", self.out_w), ("out.b", self.out_b)])
-        return out
-
-    def tensors(self) -> list[Tensor]:
-        return [t for _, t in self.named()]
-
 
 @dataclass
 class ForwardTrace:
@@ -252,9 +230,6 @@ class ChargeModel:
     # Copies of the inputs of the cached article states, and the states.
     _article_cache: tuple[list[np.ndarray], ArticleWords] | None = field(
         default=None, init=False, repr=False, compare=False)
-
-    def charge_index(self) -> dict[str, int]:
-        return {c: i for i, c in enumerate(self.charge_vocab)}
 
     def embed_tokens(self, word_ids: np.ndarray, pos_ids: np.ndarray) -> Tensor:
         return nd.concat([nd.embed(self.params.word_emb, word_ids),
@@ -497,13 +472,17 @@ def predict_names(o: np.ndarray, tau: float, charge_vocab: list[str]) -> set[str
 THRESHOLD_GRID = [round(0.05 * i, 2) for i in range(1, 20)]
 
 
-def tune_threshold(probs: list[np.ndarray], gold_indices: list[set[int]]) -> float:
-    """Grid-search tau maximizing micro-F1; ties resolve to the smaller tau."""
+def tune_threshold(probs: list[np.ndarray], gold_charges: list[set[str]],
+                   charge_vocab: list[str]) -> float:
+    """Grid-search tau maximizing the micro-F1 that ``_evaluate`` reports: over
+    charge names, so a gold charge outside the vocabulary counts as missed.
+    Ties resolve to the smaller tau."""
     if not probs:
         raise DomainError("tune_threshold needs validation predictions")
     best_tau, best_f1 = THRESHOLD_GRID[0], -1.0
     for tau in THRESHOLD_GRID:
-        batch = mx.PredictionBatch([predict(o, tau) for o in probs], gold_indices)
+        batch = mx.PredictionBatch([predict_names(o, tau, charge_vocab) for o in probs],
+                                   gold_charges)
         _, _, f1 = mx.micro_prf(batch)
         if f1 > best_f1:
             best_tau, best_f1 = tau, f1
@@ -656,19 +635,27 @@ def train(train_set: list[CaseRecord], valid_set: list[CaseRecord],
     model.epochs_completed = history[-1]["epoch"] + 1 if history else start_epoch
 
     _, probs = _evaluate(model, valid_set, valid_topk, config.tau)
-    index = model.charge_index()
-    gold_idx = [{index[c] for c in case.gold_charges if c in index} or {-1}
-                for case in valid_set]
-    model.tau = tune_threshold(probs, gold_idx)
+    model.tau = tune_threshold(probs, [case.gold_charges for case in valid_set],
+                               model.charge_vocab)
     return model, history
 
 
 META_SUFFIX = ".meta.json"
 
 
+def _sha256(path) -> str:
+    # Imported here: hashlib loads OpenSSL, about 3.6 MB of resident memory
+    # that only saving and loading need.
+    import hashlib
+
+    with open(path, "rb") as fh:
+        return hashlib.sha256(fh.read()).hexdigest()
+
+
 def save_model(path, model: ChargeModel) -> None:
-    """Binary checkpoint plus a JSON sidecar with config, vocabularies, and tau;
-    each file is replaced atomically."""
+    """Binary checkpoint plus a JSON sidecar with config, vocabularies, tau
+    and the SHA-256 of the checkpoint bytes; each file is replaced
+    atomically."""
     nd.save_checkpoint(path, model.params.named())
     word_in_order = [None] * len(model.word_vocab)
     for tok, i in model.word_vocab.items():
@@ -685,14 +672,23 @@ def save_model(path, model: ChargeModel) -> None:
         "pos_vocab": pos_in_order,
         "tau": model.tau,
         "epochs_completed": model.epochs_completed,
+        "checkpoint_sha256": _sha256(path),
     }
     with nd.atomic_write(str(path) + META_SUFFIX, "w", encoding="utf-8") as fh:
         json.dump(meta, fh, ensure_ascii=False)
 
 
 def load_model(path, article_db: dict | None = None) -> ChargeModel:
-    with open(str(path) + META_SUFFIX, encoding="utf-8") as fh:
+    """Inverse of ``save_model``; a checkpoint that is not the one its sidecar
+    was written with, or that does not fit the configured model, raises
+    ``StateError``."""
+    meta_path = str(path) + META_SUFFIX
+    with open(meta_path, encoding="utf-8") as fh:
         meta = json.load(fh)
+    digest = _sha256(path)
+    if digest != meta.get("checkpoint_sha256"):
+        raise StateError(f"checkpoint {path} (SHA-256 {digest}) is not the one its sidecar "
+                         f"{meta_path} records ({meta.get('checkpoint_sha256')})")
     config = ModelConfig(**meta["config"])
     word_vocab = {tok: i for i, tok in enumerate(meta["word_vocab"])}
     pos_vocab = {tok: i for i, tok in enumerate(meta["pos_vocab"])}

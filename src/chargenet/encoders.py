@@ -1,16 +1,21 @@
 """Recurrent sequence encoders: GRU cell, bidirectional GRU, attentive pooling,
 and the two-level (word -> sentence) document encoder.
 
-A sequence of T steps over a batch of B columns is held stacked: one
+Each GRU direction (``GruParams``) holds its three gates stacked by rows in
+the order update (z), reset (r), candidate (h): W (3H, D), U (3H, H) and
+b (3H, 1).
+
+A sequence of T steps over a batch of B columns is held stacked too: one
 (dim, T*B) tensor whose columns are step-major (step t owns columns
 t*B .. t*B+B-1). Two fused ops work on that layout, each recording a single
 backward closure per call:
 
 * ``bigru_scan`` hoists the input projections of all three gates of a
-  direction into one (3H, D) x (D, T*B) product, runs the recurrence in plain
-  numpy (one ``[U_z; U_r] @ h`` and one ``U_h @ (r * h)`` per step), and
-  back-propagates through time by hand, the weight and input gradients again
-  as single products over the T*B columns.
+  direction into one W (3H, D) x (D, T*B) product, runs the recurrence in
+  plain numpy (per step, the top 2H rows of U times h for z and r, and the
+  candidate rows of U times r * h), and back-propagates through time by hand,
+  the weight and input gradients again as single products over the T*B
+  columns.
 * ``attentive_pool_steps`` scores every state, takes the masked softmax over
   the steps of each column and the weighted sum in one pass.
 
@@ -19,9 +24,9 @@ their unpadded counterparts: masked steps pass the previous state through and
 get no attention. ``encode_documents`` runs the two-level document encoder;
 ``scan_words`` and ``pool_words`` split its word level so that documents
 pooled under different contexts can share one scan. ``gru_step`` is the
-composite single-step reference; ``bigru_encode`` and ``attentive_pool``
-take per-position lists of 1-D vectors or (dim, B) columns and run the fused
-ops underneath.
+composite single-step reference, reading each gate as a row slice;
+``bigru_encode`` and ``attentive_pool`` take per-position lists of 1-D
+vectors or (dim, B) columns and run the fused ops underneath.
 """
 
 from __future__ import annotations
@@ -36,45 +41,38 @@ from .ndtensor import DomainError, ShapeError, Tensor
 
 
 @dataclass
-class GruParams:
-    """Gate weights for one GRU direction."""
+class GruParams(nd.ParamGroup):
+    """Weights of one GRU direction with the three gates stacked by rows, in
+    the order update (z), reset (r), candidate (h): ``w`` (3H, D) acts on the
+    input, ``u`` (3H, H) on the previous state, ``b`` is (3H, 1)."""
 
-    input_dim: int
-    hidden_dim: int
-    w_z: Tensor
-    u_z: Tensor
-    b_z: Tensor
-    w_r: Tensor
-    u_r: Tensor
-    b_r: Tensor
-    w_h: Tensor
-    u_h: Tensor
-    b_h: Tensor
+    w: Tensor
+    u: Tensor
+    b: Tensor
+
+    @property
+    def input_dim(self) -> int:
+        return self.w.shape[1]
+
+    @property
+    def hidden_dim(self) -> int:
+        return self.u.shape[1]
 
     @classmethod
     def create(cls, input_dim: int, hidden_dim: int, rng: np.random.Generator,
                prefix: str = "gru") -> "GruParams":
-        def w(tag):
-            return nd.parameter((hidden_dim, input_dim), rng, name=f"{prefix}.{tag}")
-
-        def u(tag):
-            return nd.parameter((hidden_dim, hidden_dim), rng, name=f"{prefix}.{tag}")
-
-        def b(tag):
-            return nd.zeros((hidden_dim, 1), name=f"{prefix}.{tag}")
-
-        return cls(input_dim, hidden_dim,
-                   w("w_z"), u("u_z"), b("b_z"),
-                   w("w_r"), u("u_r"), b("b_r"),
-                   w("w_h"), u("u_h"), b("b_h"))
-
-    def named(self):
-        for tag in ("w_z", "u_z", "b_z", "w_r", "u_r", "b_r", "w_h", "u_h", "b_h"):
-            yield getattr(self, tag).name or tag, getattr(self, tag)
+        # Each gate block takes the Glorot limit of its own (H, D) or (H, H)
+        # shape, drawn in the order w_z, u_z, w_r, u_r, w_h, u_h.
+        blocks = [(nd.parameter((hidden_dim, input_dim), rng).data,
+                   nd.parameter((hidden_dim, hidden_dim), rng).data) for _ in range(3)]
+        w, u = zip(*blocks)
+        return cls(Tensor(np.vstack(w), name=f"{prefix}.w"),
+                   Tensor(np.vstack(u), name=f"{prefix}.u"),
+                   nd.zeros((3 * hidden_dim, 1), name=f"{prefix}.b"))
 
 
 @dataclass
-class BiGruParams:
+class BiGruParams(nd.ParamGroup):
     """Independent forward and backward GRUs of equal hidden size."""
 
     forward: GruParams
@@ -94,13 +92,9 @@ class BiGruParams:
         return cls(GruParams.create(input_dim, hidden_dim, rng, f"{prefix}.fwd"),
                    GruParams.create(input_dim, hidden_dim, rng, f"{prefix}.bwd"))
 
-    def named(self):
-        yield from self.forward.named()
-        yield from self.backward.named()
-
 
 @dataclass
-class AttentivePoolParams:
+class AttentivePoolParams(nd.ParamGroup):
     """Score projection plus, for globally-contexted pools, the trained context vector."""
 
     w: Tensor
@@ -113,14 +107,9 @@ class AttentivePoolParams:
         u = nd.parameter((state_dim, 1), rng, name=f"{prefix}.u") if global_context else None
         return cls(w, u)
 
-    def named(self):
-        yield self.w.name or "w", self.w
-        if self.u is not None:
-            yield self.u.name or "u", self.u
-
 
 @dataclass
-class DocEncoderParams:
+class DocEncoderParams(nd.ParamGroup):
     """Word-level and sentence-level encoder/pool pairs."""
 
     word_gru: BiGruParams
@@ -143,12 +132,6 @@ class DocEncoderParams:
                                                global_context)
         return cls(word_gru, word_pool, sent_gru, sent_pool)
 
-    def named(self):
-        yield from self.word_gru.named()
-        yield from self.word_pool.named()
-        yield from self.sent_gru.named()
-        yield from self.sent_pool.named()
-
 
 def _as_column(x: Tensor) -> tuple[Tensor, bool]:
     if x.data.ndim == 1:
@@ -166,9 +149,15 @@ def gru_step(x: Tensor, h_prev: Tensor, p: GruParams) -> Tensor:
             f"expected ({p.input_dim}, B), ({p.hidden_dim}, B)")
     if x.shape[1] != h_prev.shape[1]:
         raise ShapeError(f"batch sizes differ: x {x.shape} vs h {h_prev.shape}")
-    z = nd.sigmoid(p.w_z @ x + p.u_z @ h_prev + p.b_z)
-    r = nd.sigmoid(p.w_r @ x + p.u_r @ h_prev + p.b_r)
-    cand = nd.tanh(p.w_h @ x + p.u_h @ (r * h_prev) + p.b_h)
+    hid = p.hidden_dim
+
+    def gates(t):
+        return [nd.narrow(t, 0, k * hid, hid) for k in range(3)]
+
+    (w_z, w_r, w_h), (u_z, u_r, u_h), (b_z, b_r, b_h) = gates(p.w), gates(p.u), gates(p.b)
+    z = nd.sigmoid(w_z @ x + u_z @ h_prev + b_z)
+    r = nd.sigmoid(w_r @ x + u_r @ h_prev + b_r)
+    cand = nd.tanh(w_h @ x + u_h @ (r * h_prev) + b_h)
     h = (1.0 - z) * h_prev + z * cand
     return nd.reshape(h, (p.hidden_dim,)) if squeeze else h
 
@@ -194,13 +183,9 @@ def _gru_forward(xd: np.ndarray, steps: int, g: GruParams, mask: np.ndarray | No
     """
     hid = g.hidden_dim
     batch = xd.shape[1] // steps
-    acts = np.empty((3 * hid, xd.shape[1]))
-    for k, (w, b) in enumerate([(g.w_z, g.b_z), (g.w_r, g.b_r), (g.w_h, g.b_h)]):
-        rows = acts[k * hid:(k + 1) * hid]
-        np.matmul(w.data, xd, out=rows)
-        rows += b.data
-    u_zr = np.concatenate([g.u_z.data, g.u_r.data])
-    u_h = g.u_h.data
+    acts = g.w.data @ xd
+    acts += g.b.data
+    u_zr, u_h = g.u.data[:2 * hid], g.u.data[2 * hid:]
     h = np.zeros((hid, batch))
     for t in (range(steps - 1, -1, -1) if reverse else range(steps)):
         cols = slice(t * batch, (t + 1) * batch)
@@ -238,8 +223,7 @@ def _gru_backward(xd: np.ndarray, steps: int, g: GruParams, mask: np.ndarray | N
         h_prev[:, :-batch] = states[:, batch:]
     else:
         h_prev[:, batch:] = states[:, :-batch]
-    u_zr = np.concatenate([g.u_z.data, g.u_r.data])
-    u_h = g.u_h.data
+    u_zr, u_h = g.u.data[:2 * hid], g.u.data[2 * hid:]
     d_pre = np.empty_like(acts)
     dh = np.zeros((hid, batch))
     for t in (range(steps) if reverse else range(steps - 1, -1, -1)):
@@ -263,18 +247,11 @@ def _gru_backward(xd: np.ndarray, steps: int, g: GruParams, mask: np.ndarray | N
         d[hid:2 * hid] = d_rh * hp * r * (1.0 - r)
         d[2 * hid:] = d_cand
         dh += u_zr.T @ d[:2 * hid]
-    d_w = d_pre @ xd.T
-    d_u_zr = d_pre[:2 * hid] @ h_prev.T
-    d_u_h = d_pre[2 * hid:] @ (acts[hid:2 * hid] * h_prev).T
-    d_b = d_pre.sum(axis=1, keepdims=True)
-    for k, (w, u, b) in enumerate([(g.w_z, g.u_z, g.b_z), (g.w_r, g.u_r, g.b_r),
-                                   (g.w_h, g.u_h, g.b_h)]):
-        rows = slice(k * hid, (k + 1) * hid)
-        nd.accumulate(w, d_w[rows])
-        nd.accumulate(u, d_u_h if k == 2 else d_u_zr[rows])
-        nd.accumulate(b, d_b[rows])
-    w = np.concatenate([g.w_z.data, g.w_r.data, g.w_h.data])
-    return w.T @ d_pre
+    nd.accumulate(g.w, d_pre @ xd.T)
+    nd.accumulate(g.u, np.vstack([d_pre[:2 * hid] @ h_prev.T,
+                                  d_pre[2 * hid:] @ (acts[hid:2 * hid] * h_prev).T]))
+    nd.accumulate(g.b, d_pre.sum(axis=1, keepdims=True))
+    return g.w.data.T @ d_pre
 
 
 def bigru_scan(x: Tensor, steps: int, p: BiGruParams,

@@ -15,13 +15,14 @@ def sig(x):
 
 
 def gru_oracle(x, h, p):
-    """Plain numpy recomputation of one GRU update."""
-    z = sig(p.w_z.data @ x + p.u_z.data @ h + p.b_z.data.reshape(-1, 1) if x.ndim == 2
-             else p.w_z.data @ x + p.u_z.data @ h + p.b_z.data.reshape(-1))
-    r = sig(p.w_r.data @ x + p.u_r.data @ h + (p.b_r.data.reshape(-1, 1) if x.ndim == 2
-                                               else p.b_r.data.reshape(-1)))
-    cand = np.tanh(p.w_h.data @ x + p.u_h.data @ (r * h)
-                   + (p.b_h.data.reshape(-1, 1) if x.ndim == 2 else p.b_h.data.reshape(-1)))
+    """Plain numpy recomputation of one GRU update from the z, r, h row blocks."""
+    w_z, w_r, w_h = np.split(p.w.data, 3)
+    u_z, u_r, u_h = np.split(p.u.data, 3)
+    b_z, b_r, b_h = (b.reshape(-1, 1) if x.ndim == 2 else b.reshape(-1)
+                     for b in np.split(p.b.data, 3))
+    z = sig(w_z @ x + u_z @ h + b_z)
+    r = sig(w_r @ x + u_r @ h + b_r)
+    cand = np.tanh(w_h @ x + u_h @ (r * h) + b_h)
     return (1.0 - z) * h + z * cand
 
 
@@ -32,17 +33,29 @@ def make_gru(input_dim, hidden_dim, seed=0):
 class TestGruStep:
     def test_all_zero_inputs_give_zero_state(self):
         p = make_gru(3, 2)
-        for t in ("w_z", "u_z", "b_z", "w_r", "u_r", "b_r", "w_h", "u_h", "b_h"):
-            getattr(p, t).data[:] = 0.0
+        for t in p.tensors():
+            t.data[:] = 0.0
         h = enc.gru_step(Tensor(np.zeros(3)), Tensor(np.zeros(2)), p)
         npt.assert_array_equal(h.data, np.zeros(2))
 
     def test_shut_update_gate_keeps_state(self):
         p = make_gru(3, 2, seed=1)
-        p.b_z.data[:] = -1e6
+        p.b.data[:p.hidden_dim] = -1e6  # the z rows
         h_prev = np.array([0.3, -0.7])
         h = enc.gru_step(Tensor(np.ones(3)), Tensor(h_prev.copy()), p)
         npt.assert_allclose(h.data, h_prev, atol=1e-12)
+
+    def test_create_stacks_the_per_gate_draws(self):
+        """Gate blocks keep their own Glorot limits and the draw order
+        w_z, u_z, w_r, u_r, w_h, u_h, so seeded initialisations do not move."""
+        rng = np.random.default_rng(7)
+        blocks = [nd.parameter(shape, rng).data for _ in range(3) for shape in [(4, 3), (4, 4)]]
+        p = make_gru(3, 4, seed=7)
+        npt.assert_array_equal(p.w.data, np.vstack(blocks[0::2]))
+        npt.assert_array_equal(p.u.data, np.vstack(blocks[1::2]))
+        npt.assert_array_equal(p.b.data, np.zeros((12, 1)))
+        assert (p.input_dim, p.hidden_dim) == (3, 4)
+        assert [n for n, _ in p.named()] == ["gru.w", "gru.u", "gru.b"]
 
     def test_matches_step_by_step_oracle(self):
         rng = np.random.default_rng(2)

@@ -9,8 +9,9 @@ from chargenet import article_extractor as ax
 from chargenet import charge_model as cm
 from chargenet import corpus as cp
 from chargenet import encoders as enc
+from chargenet import metrics as mx
 from chargenet import ndtensor as nd
-from chargenet.ndtensor import DomainError, Tape
+from chargenet.ndtensor import DomainError, StateError, Tape
 
 import encoder_oracles as oracle
 
@@ -74,24 +75,36 @@ def test_case_loss_gradients(data, bank, variant, tie):
     assert report.ok, (report.failures(), report.max_rel_err)
 
 
-@pytest.mark.parametrize("variant", [cm.Variant.FACT_ONLY, cm.Variant.FACT_SUPV_ART])
+@pytest.mark.parametrize("variant", list(cm.Variant))
 def test_training_history_matches_composite_encoders(data, bank, variant, monkeypatch):
-    config = cm.ModelConfig(variant=variant, max_epochs=2, patience=5, **TINY_DIMS)
+    """A seeded 2-epoch run through the fused encoders against the same run
+    through per-step ``gru_step``, which reads each gate as a row slice of
+    the stacked weights: history, parameters, tau and test outputs, with the
+    article encoder untied and tied."""
+    for tie in (False, True):
+        config = cm.ModelConfig(variant=variant, tie_article_encoder=tie, max_epochs=2,
+                                patience=5, **TINY_DIMS)
 
-    def run():
-        _, history = cm.train(data.train, data.valid, config, seed=4, bank=bank,
-                              article_db=data.article_db)
-        return history
+        def run():
+            model, history = cm.train(data.train, data.valid, config, seed=4, bank=bank,
+                                      article_db=data.article_db)
+            return model, history, [cm.forward(case, model, bank=bank) for case in data.test]
 
-    fused = run()
-    use_oracle_encoders(monkeypatch)
-    composite = run()
-    assert len(fused) == len(composite) == 2
-    for f, c in zip(fused, composite):
-        for key in ("train_loss", "charge_loss", "attention_loss"):
-            assert abs(f[key] - c[key]) < 1e-9, (key, f, c)
-    if variant == cm.Variant.FACT_SUPV_ART:
-        assert fused[0]["attention_loss"] > 0
+        with monkeypatch.context() as m:
+            fused_model, fused, fused_traces = run()
+            use_oracle_encoders(m)
+            composite_model, composite, composite_traces = run()
+        assert len(fused) == len(composite) == 2
+        for f, c in zip(fused, composite):
+            for key in ("train_loss", "charge_loss", "attention_loss"):
+                assert abs(f[key] - c[key]) < 1e-10, (key, tie, f, c)
+        if variant == cm.Variant.FACT_SUPV_ART:
+            assert fused[0]["attention_loss"] > 0
+        for (name, f), (_, c) in zip(fused_model.params.named(),
+                                     composite_model.params.named()):
+            npt.assert_allclose(f.data, c.data, rtol=0, atol=1e-10, err_msg=f"{name} tie={tie}")
+        assert fused_model.tau == composite_model.tau
+        assert_forwards_close(fused_traces, composite_traces)
 
 
 def test_case_loss_terms_come_from_joint_loss(data, bank):
@@ -114,6 +127,46 @@ def test_joint_loss_without_attention_is_the_charge_node():
     total, charge, attn = cm.joint_loss(o, np.array([0.0, 1.0]), alpha,
                                         np.array([1.0, 0.0]), beta=0.0)
     assert total is charge and attn is None
+
+
+def test_predict_falls_back_to_the_argmax_on_an_empty_cut():
+    o = np.array([0.2, 0.5, 0.3])
+    assert cm.predict(o, 0.9) == {1}
+    assert cm.predict(o, 0.25) == {1, 2}
+
+
+def test_tune_threshold_maximises_the_reported_f1():
+    """Gold charge x is outside the vocabulary: the F1 that ``_evaluate``
+    reports counts it as missed, while an F1 over charge indices, which
+    drops it, peaks at another tau."""
+    vocab = ["a", "b", "c", "d"]
+    probs = [np.array(p) for p in [[0.45, 0.05, 0.48, 0.02], [0.49, 0.06, 0.33, 0.12],
+                                   [0.03, 0.49, 0.06, 0.42], [0.32, 0.27, 0.17, 0.24]]]
+    gold = [{"a", "x"}, {"d"}, {"a"}, {"a"}]
+    index = {c: i for i, c in enumerate(vocab)}
+    gold_idx = [{index[c] for c in g if c in index} for g in gold]
+
+    def f1(predict_at, gold_sets):
+        return {tau: mx.micro_prf(mx.PredictionBatch([predict_at(o, tau) for o in probs],
+                                                     gold_sets))[2]
+                for tau in cm.THRESHOLD_GRID}
+
+    by_names = f1(lambda o, tau: cm.predict_names(o, tau, vocab), gold)
+    by_index = f1(cm.predict, gold_idx)
+    tau = cm.tune_threshold(probs, gold, vocab)
+    assert tau == 0.1 and by_names[tau] == max(by_names.values())
+    assert max(by_index, key=by_index.get) == 0.35 and by_index[tau] < by_index[0.35]
+
+
+def test_tune_threshold_ties_go_to_the_smallest_tau():
+    # Every tau from 0.4 up keeps only "a" (above 0.6 through the argmax fallback).
+    probs = [np.array([0.62, 0.38])]
+    assert cm.tune_threshold(probs, [{"a"}], ["a", "b"]) == 0.4
+
+
+def test_tune_threshold_without_predictions_raises():
+    with pytest.raises(DomainError, match="validation predictions"):
+        cm.tune_threshold([], [], ["a"])
 
 
 def test_forward_rejects_a_bank_shorter_than_k(data):
@@ -184,6 +237,70 @@ def test_failed_meta_write_keeps_the_previous_sidecar(data, tmp_path):
     assert sorted(p.name for p in tmp_path.iterdir()) == sorted([path.name, meta.name])
 
 
+@pytest.mark.parametrize("tie", [False, True])
+@pytest.mark.parametrize("variant", list(cm.Variant))
+def test_named_parameters_are_unique_and_round_trip(data, variant, tie, tmp_path):
+    model = untrained_model(data, variant, tie)
+    named = model.params.named()
+    names = [n for n, _ in named]
+    assert len(set(names)) == len(names)
+    assert len({id(t) for _, t in named}) == len(named)
+    has_art = any(n.startswith("art.") for n in names)
+    assert has_art == (model.config.uses_articles() and not tie)
+    nd.save_checkpoint(tmp_path / "p.ckpt", named)
+    arrays = nd.load_checkpoint(tmp_path / "p.ckpt")
+    assert list(arrays) == names
+    for name, t in named:
+        npt.assert_array_equal(arrays[name], t.data)
+
+
+@pytest.mark.parametrize("tie,count", [(False, 51), (True, 37)])
+def test_paper_dims_tensor_counts(tie, count):
+    config = cm.ModelConfig(tie_article_encoder=tie)
+    params = cm.ModelParams.create(config, 10, 4, 3, np.random.default_rng(0))
+    assert len(params.tensors()) == count
+    gru = params.fact_enc.sent_gru.backward
+    assert (gru.w.shape, gru.u.shape, gru.b.shape) == ((225, 150), (225, 75), (225, 1))
+
+
+def test_swapped_checkpoint_is_rejected(data, tmp_path):
+    for seed, name in [(1, "a"), (2, "b")]:
+        cm.save_model(tmp_path / f"{name}.ckpt", untrained_model(data, cm.Variant.FACT_ONLY,
+                                                               seed=seed))
+    (tmp_path / "a.ckpt").write_bytes((tmp_path / "b.ckpt").read_bytes())
+    cm.load_model(tmp_path / "b.ckpt")
+    with pytest.raises(StateError) as err:
+        cm.load_model(tmp_path / "a.ckpt")
+    assert str(tmp_path / "a.ckpt") in str(err.value)
+    assert str(tmp_path / "a.ckpt") + cm.META_SUFFIX in str(err.value)
+
+
+def test_nine_gate_checkpoint_is_rejected(data, tmp_path):
+    """A checkpoint in the nine-gate layout, one tensor per gate (``.w_z``,
+    ...), fails the name check even with a sidecar that records its digest."""
+    model = untrained_model(data, cm.Variant.FACT_ART)
+    path = tmp_path / "m.ckpt"
+    cm.save_model(path, model)
+    old = []
+    for name, t in model.params.named():
+        head, tag = name.rsplit(".", 1)
+        if head.endswith((".fwd", ".bwd")):
+            old += [(f"{head}.{tag}_{g}", nd.Tensor(rows))
+                    for g, rows in zip("zrh", np.split(t.data, 3))]
+        else:
+            old.append((name, t))
+    assert len(old) == 111  # ten GRU directions of nine tensors each
+    nd.save_checkpoint(path, old)
+    with pytest.raises(StateError, match="is not the one its sidecar"):
+        cm.load_model(path, article_db=data.article_db)
+    meta_path = tmp_path / ("m.ckpt" + cm.META_SUFFIX)
+    meta = json.loads(meta_path.read_text(encoding="utf-8"))
+    meta["checkpoint_sha256"] = cm._sha256(path)
+    meta_path.write_text(json.dumps(meta), encoding="utf-8")
+    with pytest.raises(StateError, match="does not match the configured model"):
+        cm.load_model(path, article_db=data.article_db)
+
+
 def encode_articles_per_case(article_ids, model, d_f, words=None):
     """The article encoder before sharing: one two-level encode_documents call
     over the case's own slots, ignoring any shared word-level states."""
@@ -241,7 +358,7 @@ def test_article_cache_follows_parameter_changes(data, bank, change, monkeypatch
     elif change == "emb.word":
         model.params.word_emb.data[...] *= 1.5
     else:
-        model.params.art_enc.word_gru.backward.u_h.data[...] += 0.3
+        model.params.art_enc.word_gru.backward.u.data[-model.config.gru_hidden:] += 0.3
     new = [cm.forward(case, model, topk=topk) for case, topk in zip(data.test, topks)]
     assert not np.array_equal(model._article_cache[1].states.data, states)
     assert not np.array_equal(new[0].o, old[0].o)

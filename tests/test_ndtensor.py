@@ -208,6 +208,22 @@ class TestCrossEntropy:
         with pytest.raises(DomainError):
             nd.cross_entropy(np.array([0.9, 0.4]), Tensor(np.array([0.5, 0.5])))
 
+    @pytest.mark.parametrize("side", ["target", "predicted"])
+    @pytest.mark.parametrize("drift,ok", [(1e-9, True), (-1e-9, True),
+                                          (1e-5, False), (-1e-5, False)])
+    def test_sum_to_one_tolerance(self, side, drift, ok):
+        """Rounding drift (about n * eps) passes the fixed 1e-6 guard; a
+        distribution off by 1e-5 does not."""
+        exact = np.full(4, 0.25)
+        off = exact.copy()
+        off[0] += drift
+        t, p = (off, exact) if side == "target" else (exact, off)
+        if ok:
+            assert np.isfinite(nd.cross_entropy(t, Tensor(p)).item())
+        else:
+            with pytest.raises(DomainError, match="sum to 1"):
+                nd.cross_entropy(t, Tensor(p))
+
     def test_gradient_through_softmax(self):
         rng = np.random.default_rng(13)
         logits = Tensor(rng.uniform(-2, 2, 6))
