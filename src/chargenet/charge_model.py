@@ -540,13 +540,10 @@ def _precompute_topk(cases: list[CaseRecord], cfg: ModelConfig,
 def train(train_set: list[CaseRecord], valid_set: list[CaseRecord],
           config: ModelConfig, seed: int, bank: ExtractorBank | None = None,
           article_db: dict | None = None, word_emb_path=None,
-          init: ChargeModel | None = None, start_epoch: int = 0,
-          ) -> tuple[ChargeModel, list[dict]]:
-    """Mini-batch SGD with per-epoch seeded shuffles and early stopping on
-    validation micro-F1; returns the best-validation model with tuned tau.
-
-    Per-epoch shuffles are seeded by (seed, epoch), so resuming from epoch N
-    replays the exact trajectory a straight run would have taken.
+          init: ChargeModel | None = None) -> tuple[ChargeModel, list[dict]]:
+    """Mini-batch SGD with per-epoch shuffles seeded by (seed, epoch) and early
+    stopping on validation micro-F1; returns the best-validation model with
+    tuned tau. ``init`` continues training an existing model from epoch 0.
     """
     if not train_set:
         raise DomainError("empty training set")
@@ -585,7 +582,7 @@ def train(train_set: list[CaseRecord], valid_set: list[CaseRecord],
     stale = 0
     history: list[dict] = []
 
-    for epoch in range(start_epoch, config.max_epochs):
+    for epoch in range(config.max_epochs):
         order = np.random.default_rng((seed, epoch)).permutation(len(train_set))
         epoch_loss = epoch_charge = epoch_attn = 0.0
         for lo in range(0, len(order), config.batch):
@@ -632,7 +629,7 @@ def train(train_set: list[CaseRecord], valid_set: list[CaseRecord],
     if best_state is not None:
         for t, data in zip(params, best_state):
             t.data = data
-    model.epochs_completed = history[-1]["epoch"] + 1 if history else start_epoch
+    model.epochs_completed = history[-1]["epoch"] + 1
 
     _, probs = _evaluate(model, valid_set, valid_topk, config.tau)
     model.tau = tune_threshold(probs, [case.gold_charges for case in valid_set],
@@ -721,7 +718,9 @@ def load_model(path, article_db: dict | None = None) -> ChargeModel:
 def prediction_record(trace: ForwardTrace, model: ChargeModel,
                       tau: float | None = None) -> dict:
     """Machine-readable prediction: charges with probabilities and the
-    attention-ranked articles shown as legal basis."""
+    attention-ranked articles shown as legal basis, each with the
+    shortlister's score when the extractor chose the slots (a disabled
+    article's -inf is written as null, so the record is strict JSON)."""
     tau = model.tau if tau is None else tau
     chosen = sorted(predict(trace.o, tau))
     record = {
@@ -731,9 +730,11 @@ def prediction_record(trace: ForwardTrace, model: ChargeModel,
         "tau": tau,
     }
     if trace.topk is not None and trace.alpha is not None:
-        ranked = sorted(zip(trace.topk, trace.alpha), key=lambda p: -p[1])
-        record["articles"] = [
-            {"id": article_id_to_json(aid), "attention": float(w)}
-            for aid, w in ranked
-        ]
+        record["articles"] = []
+        for i in sorted(range(len(trace.topk)), key=lambda i: -trace.alpha[i]):
+            entry = {"id": article_id_to_json(trace.topk[i]), "attention": float(trace.alpha[i])}
+            if trace.extractor_scores is not None:
+                score = trace.extractor_scores[i]
+                entry["extractor_score"] = None if score == -np.inf else float(score)
+            record["articles"].append(entry)
     return record

@@ -4,10 +4,15 @@ import math
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from chargenet import article_extractor as ax
 from chargenet import corpus as cp
 from chargenet.ndtensor import DomainError, ShapeError, StateError
+
+import extractor_oracles as oracle
 
 
 def toy_corpus():
@@ -77,15 +82,36 @@ def dense(features, n_features):
     return x
 
 
+def hand_chi_square(present, labels):
+    """Chi-square of one feature's 2x2 presence/label table, summed by hand."""
+    n = len(labels)
+    a = sum(1 for p, l in zip(present, labels) if p and l)
+    b = sum(1 for p, l in zip(present, labels) if p and not l)
+    c = sum(1 for p, l in zip(present, labels) if not p and l)
+    d = sum(1 for p, l in zip(present, labels) if not p and not l)
+    total = 0.0
+    for obs, row, colm in [(a, a + b, a + c), (b, a + b, b + d),
+                           (c, c + d, a + c), (d, c + d, b + d)]:
+        e = row * colm / n
+        if e > 0:
+            total += (obs - e) ** 2 / e
+    return total
+
+
+def column(labels):
+    """One article's labels as a (cases, 1) labels matrix."""
+    return np.array(labels, dtype=bool)[:, None]
+
+
 class TestChiSquare:
     def test_independent_feature_scores_zero_and_ranks_last(self):
         # feature 0 present in half of each class, feature 1 only in positives
         x = dense([{0: 1.0, 1: 1.0}, {1: 1.0}, {0: 1.0}, {}], 2)
-        labels = [True, True, False, False]
+        labels = column([True, True, False, False])
         scores = ax.chi_square_scores(x, labels)
-        assert scores[0] == 0.0
+        assert scores.shape == (1, 2) and scores[0, 0] == 0.0
         order = ax.chi_square_select(x, labels, 2)
-        assert order.tolist() == [1, 0]
+        assert order.tolist() == [[1, 0]]
 
     def test_perfect_predictor_scores_n(self):
         rng = np.random.default_rng(0)
@@ -96,7 +122,7 @@ class TestChiSquare:
             for i, e in enumerate(extra):
                 if e:
                     features[i][1] = 1.0
-            scores = ax.chi_square_scores(dense(features, 2), labels)
+            scores = ax.chi_square_scores(dense(features, 2), column(labels))[0]
             assert scores[0] == pytest.approx(n_pos + n_neg, abs=1e-9)
 
     def test_matches_observed_expected_oracle(self):
@@ -110,29 +136,49 @@ class TestChiSquare:
                 labels[-1] = False
             features = [{c: 1.0 for c in rng.choice(6, rng.integers(0, 5), replace=False)}
                         for _ in range(n)]
-            scores = ax.chi_square_scores(dense(features, 6), labels)
+            scores = ax.chi_square_scores(dense(features, 6), column(labels))[0]
             for col in range(6):
-                a = sum(1 for f, l in zip(features, labels) if col in f and l)
-                b = sum(1 for f, l in zip(features, labels) if col in f and not l)
-                c = sum(1 for f, l in zip(features, labels) if col not in f and l)
-                d = sum(1 for f, l in zip(features, labels) if col not in f and not l)
-                expected = 0.0
-                for obs, row, colm in [(a, a + b, a + c), (b, a + b, b + d),
-                                       (c, c + d, a + c), (d, c + d, b + d)]:
-                    e = row * colm / n
-                    if e > 0:
-                        expected += (obs - e) ** 2 / e
+                expected = hand_chi_square([col in f for f in features], labels)
                 assert scores[col] == pytest.approx(expected, abs=1e-9)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_every_row_matches_the_hand_oracle(self, data):
+        n = data.draw(st.integers(2, 12), label="cases")
+        n_features = data.draw(st.integers(1, 6), label="features")
+        n_articles = data.draw(st.integers(1, 5), label="articles")
+        x = data.draw(hnp.arrays(np.float64, (n, n_features),
+                                 elements=st.sampled_from([0.0, 1.0])), label="x")
+        labels = data.draw(hnp.arrays(np.bool_, (n, n_articles)), label="labels")
+        labels[0], labels[1] = True, False  # both classes in every column
+        scores = ax.chi_square_scores(x, labels)
+        assert scores.shape == (n_articles, n_features)
+        for i in range(n_articles):
+            for col in range(n_features):
+                expected = hand_chi_square(list(x[:, col] != 0), list(labels[:, i]))
+                assert scores[i, col] == pytest.approx(expected, abs=1e-9)
+
+    def test_any_single_class_column_is_rejected(self):
+        x = dense([{0: 1.0}, {1: 1.0}, {}], 2)
+        with pytest.raises(DomainError):
+            ax.chi_square_scores(x, np.array([[True, True], [False, True], [True, True]]))
+
+    def test_labels_must_be_a_cases_by_articles_matrix(self):
+        x = dense([{0: 1.0}, {1: 1.0}], 2)
+        with pytest.raises(ShapeError):
+            ax.chi_square_scores(x, [True, False])
+        with pytest.raises(ShapeError):
+            ax.chi_square_scores(x, column([True, False, True]))
 
     def test_ties_go_to_the_lower_index(self):
         x = np.ones((4, 100))
         x[:2, 40] = 0.0  # the one informative column
-        order = ax.chi_square_select(x, [True, True, False, False], 100)
-        assert order.tolist() == [40] + [c for c in range(100) if c != 40]
+        order = ax.chi_square_select(x, column([True, True, False, False]), 100)
+        assert order.tolist() == [[40] + [c for c in range(100) if c != 40]]
 
     def test_single_class_rejected(self):
         with pytest.raises(DomainError):
-            ax.chi_square_select(dense([{0: 1.0}, {1: 1.0}], 2), [True, True], 1)
+            ax.chi_square_select(dense([{0: 1.0}, {1: 1.0}], 2), column([True, True]), 1)
 
     def test_duplicating_corpus_keeps_ranking(self):
         rng = np.random.default_rng(2)
@@ -141,11 +187,11 @@ class TestChiSquare:
         labels = [bool(rng.integers(0, 2)) for _ in range(12)]
         labels[0], labels[1] = True, False
         x = dense(features, 8)
-        base = ax.chi_square_select(x, labels, 8)
-        doubled = ax.chi_square_select(np.vstack([x, x]), labels * 2, 8)
+        base = ax.chi_square_select(x, column(labels), 8)
+        doubled = ax.chi_square_select(np.vstack([x, x]), column(labels * 2), 8)
         npt.assert_array_equal(base, doubled)
-        s1 = ax.chi_square_scores(x, labels)
-        s2 = ax.chi_square_scores(np.vstack([x, x]), labels * 2)
+        s1 = ax.chi_square_scores(x, column(labels))
+        s2 = ax.chi_square_scores(np.vstack([x, x]), column(labels * 2))
         npt.assert_allclose(s2, 2 * s1, atol=1e-9)
 
 
@@ -164,8 +210,10 @@ def two_article_corpus():
 
 
 def scores_of(bank, doc):
-    """Decision score of every article (in row order) for one document."""
-    return bank.weights @ ax.transform(doc, bank.tfidf) + bank.bias
+    """Decision score of every article (in row order) for one document, as
+    ``extract_top_k`` computes it."""
+    scored = dict(ax.extract_top_k(doc, bank, k=len(bank.article_ids)))
+    return np.array([scored[aid] for aid in bank.article_ids])
 
 
 class TestScorers:
@@ -302,6 +350,77 @@ def test_extract_top_k_matches_brute_force_scorers():
                 assert g == w or abs(g - w) < 1e-12
             vec = ax.transform(doc, bank.tfidf)
             assert {c: vec[c] for c in np.flatnonzero(vec)} == sparse_transform(doc, bank.tfidf)
+
+
+def tiny_training_set(seed):
+    """A seeded small synthetic corpus: train documents, gold sets, the trained
+    article ids plus one without positives, and every case's tokens."""
+    spec = cp.SyntheticSpec(n_charges=4, n_articles=8, train_size=60, valid_size=10,
+                            test_size=10, n_noise_tokens=12, core_keywords_per_charge=3,
+                            seed=seed)
+    data = cp.generate_synthetic(spec)
+    golds = [c.gold_articles for c in data.train]
+    ids = sorted({a for g in golds for a in g}, key=cp.article_sort_key) + [999]
+    docs = [c.tokens() for c in data.train + data.valid + data.test]
+    return [c.tokens() for c in data.train], golds, ids, docs
+
+
+class TestBatchedTraining:
+    """``build_bank`` trains every scorer at once; the per-article trainer in
+    ``extractor_oracles`` is what it must reproduce."""
+
+    @pytest.mark.parametrize("seed, top_m", [(13, 2000), (13, 5), (29, 2000), (29, 9)])
+    def test_matches_the_per_article_trainer(self, seed, top_m):
+        train_docs, golds, ids, docs = tiny_training_set(seed)
+        bank = ax.build_bank(train_docs, golds, k=len(ids), article_ids=ids, top_m=top_m)
+        x = np.stack([ax.transform(d, bank.tfidf) for d in train_docs])
+        labels = np.array([[a in g for a in bank.article_ids] for g in golds])
+        weights, bias = oracle.train_scorers(x, labels, top_m=top_m)
+        npt.assert_allclose(bank.weights, weights, rtol=0, atol=1e-12)
+        npt.assert_array_equal(bank.bias, bias)
+        assert bank.bias[-1] == -math.inf and not bank.weights[-1].any()
+        if top_m < bank.tfidf.n_features:
+            # The mask keeps each row to exactly its chi-square selection.
+            for row, col in zip(bank.weights[:-1], labels.T[:-1]):
+                selected = oracle.chi_square_select(x, list(col), top_m)
+                assert set(np.flatnonzero(row)) == set(selected.tolist())
+        old = ax.ExtractorBank(bank.tfidf, list(bank.article_ids), weights, bias, bank.k)
+        for doc in docs:
+            assert ([a for a, _ in ax.extract_top_k(doc, bank)]
+                    == [a for a, _ in ax.extract_top_k(doc, old)])
+
+    def test_chi_square_rows_equal_the_per_column_scores(self):
+        train_docs, golds, ids, _ = tiny_training_set(13)
+        tfidf = ax.fit_tfidf(train_docs)
+        x = np.stack([ax.transform(d, tfidf) for d in train_docs])
+        labels = np.array([[a in g for a in ids[:-1]] for g in golds])
+        scores = ax.chi_square_scores(x, labels)
+        for row, col in zip(scores, labels.T):
+            npt.assert_array_equal(row, oracle.chi_square_scores(x, list(col)))
+
+    def test_one_training_call_per_bank(self, monkeypatch):
+        calls = {"train_scorer": 0, "chi_square_select": 0}
+        for name in calls:
+            def counted(*args, _fn=getattr(ax, name), _name=name, **kwargs):
+                calls[_name] += 1
+                return _fn(*args, **kwargs)
+            monkeypatch.setattr(ax, name, counted)
+        train_docs, golds, ids, _ = tiny_training_set(13)
+        ax.build_bank(train_docs, golds, k=2, article_ids=ids)
+        assert calls == {"train_scorer": 1, "chi_square_select": 1}
+
+    def test_no_positive_case_anywhere_trains_nothing(self):
+        docs, _ = two_article_corpus()
+        tfidf = ax.fit_tfidf(docs)
+        x = np.stack([ax.transform(d, tfidf) for d in docs])
+        weights, bias = ax.train_scorer(x, np.zeros((len(docs), 2), dtype=bool))
+        assert weights.shape == (2, tfidf.n_features)
+        assert not weights.any() and (bias == -math.inf).all()
+
+    def test_all_positive_article_is_rejected(self):
+        docs, golds = two_article_corpus()
+        with pytest.raises(DomainError):
+            ax.build_bank(docs, [g | {7} for g in golds], k=2)
 
 
 class TestRecallAtK:

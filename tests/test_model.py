@@ -1,5 +1,7 @@
 import dataclasses
 import json
+import math
+import re
 
 import numpy as np
 import numpy.testing as npt
@@ -301,6 +303,48 @@ def test_nine_gate_checkpoint_is_rejected(data, tmp_path):
         cm.load_model(path, article_db=data.article_db)
 
 
+def rewrite_sidecar_config(path, **changes):
+    """Edit the config in a model's sidecar; the checkpoint, and so the
+    SHA-256 the sidecar records, stay as saved."""
+    meta_path = path.with_name(path.name + cm.META_SUFFIX)
+    meta = json.loads(meta_path.read_text(encoding="utf-8"))
+    meta["config"].update(changes)
+    meta_path.write_text(json.dumps(meta), encoding="utf-8")
+
+
+def test_sidecar_with_other_dims_is_rejected(data, tmp_path):
+    model = untrained_model(data, cm.Variant.FACT_SUPV_ART)
+    path = tmp_path / "m.ckpt"
+    cm.save_model(path, model)
+    wider = dataclasses.replace(model.config, gru_hidden=model.config.gru_hidden + 1)
+    rewrite_sidecar_config(path, gru_hidden=wider.gru_hidden)
+    with pytest.raises(StateError) as err:
+        cm.load_model(path, article_db=data.article_db)
+    match = re.fullmatch(r"parameter (\S+) has shape (\(.*\)), expected (\(.*\))",
+                         str(err.value))
+    assert match, str(err.value)
+    saved = dict(model.params.named())
+    expected = dict(cm.ModelParams.create(wider, len(model.word_vocab), len(model.pos_vocab),
+                                          len(model.charge_vocab),
+                                          np.random.default_rng(0)).named())
+    name = match.group(1)
+    assert match.group(2) == str(saved[name].shape)
+    assert match.group(3) == str(expected[name].shape) != match.group(2)
+
+
+def test_sidecar_with_other_variant_is_rejected(data, tmp_path):
+    model = untrained_model(data, cm.Variant.FACT_SUPV_ART)
+    path = tmp_path / "m.ckpt"
+    cm.save_model(path, model)
+    rewrite_sidecar_config(path, variant="fact_only")
+    with pytest.raises(StateError, match="does not match the configured model") as err:
+        cm.load_model(path)
+    article_side = [n for n, _ in model.params.named() if n.startswith(("art.", "agg"))]
+    assert len(article_side) == 21
+    for name in article_side:
+        assert repr(name) in str(err.value)
+
+
 def encode_articles_per_case(article_ids, model, d_f, words=None):
     """The article encoder before sharing: one two-level encode_documents call
     over the case's own slots, ignoring any shared word-level states."""
@@ -460,3 +504,28 @@ def test_article_ids_round_trip_through_every_file(data, tmp_path):
     trace = cm.forward(cases[0], loaded, bank=bank)
     record = json.loads(json.dumps(cm.prediction_record(trace, loaded)))
     assert {cp.article_id_from_json(a["id"]) for a in record["articles"]} == set(trace.topk)
+
+
+def test_prediction_record_shows_extractor_scores(data):
+    """Each article in the record carries the shortlister's score, a disabled
+    article's -inf as null; slots given by the caller carry none."""
+    ids = sorted(data.article_db, key=cp.article_sort_key)
+    disabled = ids[0]
+    golds = [c.gold_articles - {disabled} for c in data.train]
+    bank = ax.build_bank([c.tokens() for c in data.train], golds, k=len(ids), article_ids=ids)
+    assert bank.bias[0] == -math.inf
+    model = untrained_model(data, cm.Variant.FACT_SUPV_ART)
+    model.config = dataclasses.replace(model.config, k=len(ids))
+    case = data.test[0]
+    trace = cm.forward(case, model, bank=bank)
+    record = json.loads(json.dumps(cm.prediction_record(trace, model), allow_nan=False))
+    by_id = {cp.article_id_from_json(a["id"]): a["extractor_score"] for a in record["articles"]}
+    assert by_id == {aid: (None if score == -math.inf else score)
+                     for aid, score in ax.extract_top_k(case.tokens(), bank)}
+    assert by_id[disabled] is None
+    attention = [a["attention"] for a in record["articles"]]
+    assert attention == sorted(attention, reverse=True)
+
+    given = cm.forward(case, model, topk=trace.topk)
+    record = cm.prediction_record(given, model)
+    assert all(set(a) == {"id", "attention"} for a in record["articles"])
