@@ -11,6 +11,9 @@ rows together. Rows are kept in ``article_sort_key`` order, which makes a
 stable sort of the scores break ties toward the smaller article id. An
 article with no positive training case has a zero row and bias -inf, so it
 ranks last.
+
+A bank is trained once, over every article, on the fixed schedule of the
+``SCORER_*`` constants; no article is added to it afterwards.
 """
 
 from __future__ import annotations
@@ -28,6 +31,12 @@ from .ndtensor import DomainError, ShapeError, StateError, atomic_write
 log = logging.getLogger(__name__)
 
 BANK_FORMAT_VERSION = 1
+
+# The scorers' full-batch subgradient schedule: the step at epoch t is
+# SCORER_LR0 / sqrt(t), and SCORER_L2 weights the L2 penalty.
+SCORER_EPOCHS = 100
+SCORER_LR0 = 0.1
+SCORER_L2 = 1e-4
 
 
 @dataclass
@@ -143,18 +152,17 @@ class ExtractorBank:
         self.bias = self.bias[order]
 
 
-def train_scorer(x: np.ndarray, labels: np.ndarray, top_m: int = 2000,
-                 epochs: int = 100, lr0: float = 0.1,
-                 l2: float = 1e-4) -> tuple[np.ndarray, np.ndarray]:
+def train_scorer(x: np.ndarray, labels: np.ndarray,
+                 top_m: int = 2000) -> tuple[np.ndarray, np.ndarray]:
     """Every article's scorer on the (cases, features) matrix ``x`` and the
     (cases, articles) bool ``labels``, trained together: the (articles,
     features) weights and the (articles,) bias.
 
     Each article keeps the top_m features by chi-square. One full-batch
-    subgradient loop on the L2-regularized mean hinge loss then updates all
-    rows at once, the weight gradient masked to each row's selected columns,
-    so the other weights stay exactly zero. An article without a positive
-    case gets a zero row and bias -inf.
+    subgradient loop of ``SCORER_EPOCHS`` epochs on the L2-regularized mean
+    hinge loss then updates all rows at once, the weight gradient masked to
+    each row's selected columns, so the other weights stay exactly zero. An
+    article without a positive case gets a zero row and bias -inf.
     """
     labels = _label_matrix(x, labels)
     weights = np.zeros((labels.shape[1], x.shape[1]))
@@ -173,15 +181,15 @@ def train_scorer(x: np.ndarray, labels: np.ndarray, top_m: int = 2000,
     margins = np.empty(y.shape)
     viol = np.empty(y.shape, dtype=bool)
     y_viol = np.empty(y.shape)
-    for t in range(1, epochs + 1):
+    for t in range(1, SCORER_EPOCHS + 1):
         np.matmul(x, w.T, out=margins)
         margins += b
         margins *= y
         np.less(margins, 1.0, out=viol)
         np.multiply(y, viol, out=y_viol)
-        grad_w = (l2 * w - (y_viol.T @ x) / n) * mask
+        grad_w = (SCORER_L2 * w - (y_viol.T @ x) / n) * mask
         grad_b = -y_viol.sum(axis=0) / n
-        lr = lr0 / math.sqrt(t)
+        lr = SCORER_LR0 / math.sqrt(t)
         w -= lr * grad_w
         b -= lr * grad_b
     weights[active] = w
@@ -201,8 +209,7 @@ def _gold_labels(article_ids: list, gold_sets: list[set]) -> np.ndarray:
 
 
 def build_bank(docs_tokens: list[list[str]], gold_sets: list[set], k: int = 20,
-               article_ids: list | None = None, top_m: int = 2000,
-               epochs: int = 100, lr0: float = 0.1, l2: float = 1e-4) -> ExtractorBank:
+               article_ids: list | None = None, top_m: int = 2000) -> ExtractorBank:
     """Fit TF-IDF on the corpus and train one binary scorer per article
     (one-vs-rest; by default every gold article), all in one
     ``train_scorer`` call over the full labels matrix."""
@@ -212,21 +219,8 @@ def build_bank(docs_tokens: list[list[str]], gold_sets: list[set], k: int = 20,
     x = np.stack([transform(doc, tfidf) for doc in docs_tokens])
     if article_ids is None:
         article_ids = sorted({a for gold in gold_sets for a in gold}, key=article_sort_key)
-    weights, bias = train_scorer(x, _gold_labels(article_ids, gold_sets), top_m, epochs, lr0, l2)
+    weights, bias = train_scorer(x, _gold_labels(article_ids, gold_sets), top_m)
     return ExtractorBank(tfidf, article_ids, weights, bias, k)
-
-
-def extend_bank(bank: ExtractorBank, article_id, docs_tokens: list[list[str]],
-                gold_sets: list[set], top_m: int = 2000, epochs: int = 100,
-                lr0: float = 0.1, l2: float = 1e-4) -> ExtractorBank:
-    """Add one more article's scorer, trained on the given cases under the
-    bank's TF-IDF; the existing rows are reused untouched."""
-    if article_id in bank.article_ids:
-        raise DomainError(f"bank already scores article {article_id!r}")
-    x = np.stack([transform(doc, bank.tfidf) for doc in docs_tokens])
-    row, bias = train_scorer(x, _gold_labels([article_id], gold_sets), top_m, epochs, lr0, l2)
-    return ExtractorBank(bank.tfidf, bank.article_ids + [article_id],
-                         np.vstack([bank.weights, row]), np.append(bank.bias, bias), bank.k)
 
 
 def extract_top_k(fact_tokens: list[str], bank: ExtractorBank,
@@ -239,8 +233,10 @@ def extract_top_k(fact_tokens: list[str], bank: ExtractorBank,
     if k is None:
         k = bank.k
     # One dot product per row, through matmul over the stacked (1, F) rows:
-    # a (A, F) @ (F,) gemv rounds each row differently depending on how many
-    # rows there are, so adding an article could move the others' scores.
+    # a (A, F) @ (F,) gemv rounds a row differently depending on where it
+    # sits and on the BLAS thread count, so two articles with equal rows
+    # (the same training positives) could score a last bit apart and lose
+    # the tie-break by id.
     vec = transform(fact_tokens, bank.tfidf)
     scores = (bank.weights[:, None, :] @ vec)[:, 0] + bank.bias
     return [(bank.article_ids[i], float(scores[i]))

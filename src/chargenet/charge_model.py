@@ -77,7 +77,6 @@ class Variant(str, Enum):
 
 ARTICLE_VARIANTS = {Variant.ART_ONLY, Variant.FACT_ART, Variant.FACT_SUPV_ART,
                     Variant.FACT_GOLD_ART}
-EXTRACTOR_VARIANTS = {Variant.ART_ONLY, Variant.FACT_ART, Variant.FACT_SUPV_ART}
 
 
 @dataclass
@@ -93,7 +92,6 @@ class ModelConfig:
     lr: float = 0.1
     batch: int = 8
     variant: Variant = Variant.FACT_SUPV_ART
-    tie_article_encoder: bool = False
     max_epochs: int = 50
     patience: int = 5
 
@@ -162,11 +160,8 @@ class ModelParams(nd.ParamGroup):
                                            "fact", global_context=True)
         art_enc = w_w = b_w = w_s = b_s = agg_gru = agg_pool = w_d = b_d = None
         if config.uses_articles():
-            if config.tie_article_encoder:
-                art_enc = fact_enc
-            else:
-                art_enc = DocEncoderParams.create(config.input_dim, config.gru_hidden,
-                                                  rng, "art", global_context=False)
+            art_enc = DocEncoderParams.create(config.input_dim, config.gru_hidden,
+                                              rng, "art", global_context=False)
             w_w = nd.parameter((s, s), rng, name="ctx.word.w")
             b_w = nd.zeros((s, 1), name="ctx.word.b")
             w_s = nd.parameter((s, s), rng, name="ctx.sent.w")
@@ -291,9 +286,11 @@ def tokenize_article_db(article_db: dict, word_vocab, pos_vocab) -> dict:
 
 def apply_pretrained_embeddings(params: ModelParams, word_vocab: dict[str, int],
                                 path) -> int:
-    """Overwrite embedding rows from a text file of ``token v1 .. vd`` lines."""
+    """Overwrite embedding rows from a text file of ``token v1 .. vd`` lines,
+    skipping blank lines and unknown tokens; returns the rows written. A line
+    without d finite numbers raises ParseError before any row is written."""
     dim = params.word_emb.shape[1]
-    loaded = 0
+    rows = {}
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             parts = line.split()
@@ -302,11 +299,18 @@ def apply_pretrained_embeddings(params: ModelParams, word_vocab: dict[str, int],
             if len(parts) != dim + 1:
                 raise ParseError(
                     f"{path}: line {lineno} has {len(parts) - 1} values, expected {dim}")
+            try:
+                row = np.array([float(v) for v in parts[1:]])
+            except ValueError as exc:
+                raise ParseError(f"{path}: line {lineno}: {exc}") from None
+            if not np.isfinite(row).all():
+                raise ParseError(f"{path}: line {lineno} holds a value that is not finite")
             idx = word_vocab.get(parts[0])
             if idx is not None:
-                params.word_emb.data[idx] = [float(v) for v in parts[1:]]
-                loaded += 1
-    return loaded
+                rows[idx] = row
+    for idx, row in rows.items():
+        params.word_emb.data[idx] = row
+    return len(rows)
 
 
 def dynamic_context(d_f: Tensor, w: Tensor, b: Tensor) -> Tensor:
@@ -398,8 +402,9 @@ def forward(case: CaseRecord, model: ChargeModel, bank: ExtractorBank | None = N
             topk: list | None = None, words: ArticleWords | None = None) -> ForwardTrace:
     """Run one case through the variant's graph; record on any ambient tape.
 
-    ``words`` holds the word-level states of (at least) the case's article
-    slots; see ``encode_articles`` for where they come from otherwise.
+    The article slots are ``topk`` when given, else ``_slots`` of the case.
+    ``words`` holds the word-level states of (at least) those slots; see
+    ``encode_articles`` for where they come from otherwise.
     """
     cfg = model.config
     p = model.params
@@ -411,15 +416,7 @@ def forward(case: CaseRecord, model: ChargeModel, bank: ExtractorBank | None = N
     d_in = d_f
     alpha = None
     if cfg.uses_articles():
-        if cfg.variant == Variant.FACT_GOLD_ART:
-            slots = sorted(case.gold_articles, key=article_sort_key)[:cfg.k]
-        elif topk is not None:
-            slots = list(topk)
-        else:
-            _check_bank(cfg, bank)
-            ranked = extract_top_k(case.tokens(), bank, k=cfg.k)
-            slots = [aid for aid, _ in ranked]
-            scores = [s for _, s in ranked]
+        slots, scores = _slots(case, cfg, bank) if topk is None else (list(topk), None)
         a_mat = encode_articles(slots, model, d_f, words)
         d_a, alpha = aggregate_articles(a_mat, model, d_f)
         if cfg.variant == Variant.ART_ONLY:
@@ -517,12 +514,19 @@ def _evaluate(model: ChargeModel, cases: list[CaseRecord], topks: list,
     return f1, probs
 
 
-def _check_bank(cfg: ModelConfig, bank: ExtractorBank | None) -> None:
-    """The extractor bank must exist and fill all k article slots."""
+def _slots(case: CaseRecord, cfg: ModelConfig,
+           bank: ExtractorBank | None) -> tuple[list, list[float] | None]:
+    """A case's article slots: for fact_gold_art its gold articles and no
+    scores, otherwise the extractor's top k and their scores. The bank must
+    exist and fill all k slots."""
+    if cfg.variant == Variant.FACT_GOLD_ART:
+        return sorted(case.gold_articles, key=article_sort_key)[:cfg.k], None
     if bank is None:
         raise StateError(f"variant {cfg.variant.value} needs a trained extractor bank")
     if cfg.k > len(bank.article_ids):
         raise DomainError(f"k={cfg.k} exceeds the bank's {len(bank.article_ids)} articles")
+    ranked = extract_top_k(case.tokens(), bank, k=cfg.k)
+    return [aid for aid, _ in ranked], [score for _, score in ranked]
 
 
 def _precompute_topk(cases: list[CaseRecord], cfg: ModelConfig,
@@ -531,44 +535,38 @@ def _precompute_topk(cases: list[CaseRecord], cfg: ModelConfig,
     is a pure cache."""
     if not cfg.uses_articles():
         return [None] * len(cases)
-    if cfg.variant == Variant.FACT_GOLD_ART:
-        return [sorted(c.gold_articles, key=article_sort_key)[:cfg.k] for c in cases]
-    _check_bank(cfg, bank)
-    return [[aid for aid, _ in extract_top_k(c.tokens(), bank, k=cfg.k)] for c in cases]
+    return [_slots(case, cfg, bank)[0] for case in cases]
 
 
 def train(train_set: list[CaseRecord], valid_set: list[CaseRecord],
           config: ModelConfig, seed: int, bank: ExtractorBank | None = None,
-          article_db: dict | None = None, word_emb_path=None,
-          init: ChargeModel | None = None) -> tuple[ChargeModel, list[dict]]:
-    """Mini-batch SGD with per-epoch shuffles seeded by (seed, epoch) and early
-    stopping on validation micro-F1; returns the best-validation model with
-    tuned tau. ``init`` continues training an existing model from epoch 0.
+          article_db: dict | None = None,
+          word_emb_path=None) -> tuple[ChargeModel, list[dict]]:
+    """A new model trained from scratch: mini-batch SGD with per-epoch
+    shuffles seeded by (seed, epoch) and early stopping on validation
+    micro-F1. Returns the best-validation model, its tau tuned on that
+    epoch's validation outputs.
     """
     if not train_set:
         raise DomainError("empty training set")
     if not valid_set:
         raise DomainError("empty validation set")
 
-    if init is None:
-        word_vocab, pos_vocab = build_vocab(train_set)
-        charge_vocab = sorted({c for case in train_set for c in case.gold_charges})
-        rng = np.random.default_rng(seed)
-        params = ModelParams.create(config, len(word_vocab), len(pos_vocab),
-                                    len(charge_vocab), rng)
-        if word_emb_path is not None:
-            n = apply_pretrained_embeddings(params, word_vocab, word_emb_path)
-            log.info("loaded %d pretrained embedding rows", n)
-        article_docs = {}
-        if config.uses_articles():
-            if article_db is None:
-                raise StateError("article variants need an article database")
-            article_docs = tokenize_article_db(article_db, word_vocab, pos_vocab)
-        model = ChargeModel(config, params, word_vocab, pos_vocab, charge_vocab,
-                            article_docs, tau=config.tau)
-    else:
-        model = init
-        config = model.config
+    word_vocab, pos_vocab = build_vocab(train_set)
+    charge_vocab = sorted({c for case in train_set for c in case.gold_charges})
+    rng = np.random.default_rng(seed)
+    params = ModelParams.create(config, len(word_vocab), len(pos_vocab),
+                                len(charge_vocab), rng)
+    if word_emb_path is not None:
+        n = apply_pretrained_embeddings(params, word_vocab, word_emb_path)
+        log.info("loaded %d pretrained embedding rows", n)
+    article_docs = {}
+    if config.uses_articles():
+        if article_db is None:
+            raise StateError("article variants need an article database")
+        article_docs = tokenize_article_db(article_db, word_vocab, pos_vocab)
+    model = ChargeModel(config, params, word_vocab, pos_vocab, charge_vocab,
+                        article_docs, tau=config.tau)
 
     train_topk = _precompute_topk(train_set, config, bank)
     valid_topk = _precompute_topk(valid_set, config, bank)
@@ -577,7 +575,8 @@ def train(train_set: list[CaseRecord], valid_set: list[CaseRecord],
     params = model.params.tensors()
     sgd = SgdConfig(learning_rate=config.lr, batch_size=config.batch)
     best_f1 = -1.0
-    best_state: list[np.ndarray] | None = None
+    best_state: list[np.ndarray] = []
+    best_probs: list[np.ndarray] = []
     best_epoch = -1
     stale = 0
     history: list[dict] = []
@@ -604,7 +603,7 @@ def train(train_set: list[CaseRecord], valid_set: list[CaseRecord],
             epoch_loss += batch_loss.item() * len(idx)
             nd.sgd_step(params, sgd)
 
-        valid_f1, _ = _evaluate(model, valid_set, valid_topk, config.tau)
+        valid_f1, probs = _evaluate(model, valid_set, valid_topk, config.tau)
         n = len(train_set)
         entry = {"epoch": epoch, "train_loss": epoch_loss / n,
                  "charge_loss": epoch_charge / n, "attention_loss": epoch_attn / n,
@@ -617,6 +616,7 @@ def train(train_set: list[CaseRecord], valid_set: list[CaseRecord],
         if valid_f1 > best_f1:
             best_f1 = valid_f1
             best_state = [t.data.copy() for t in params]
+            best_probs = probs
             best_epoch = epoch
             stale = 0
         else:
@@ -626,13 +626,10 @@ def train(train_set: list[CaseRecord], valid_set: list[CaseRecord],
                          epoch, best_f1, best_epoch)
                 break
 
-    if best_state is not None:
-        for t, data in zip(params, best_state):
-            t.data = data
+    for t, data in zip(params, best_state):
+        t.data = data
     model.epochs_completed = history[-1]["epoch"] + 1
-
-    _, probs = _evaluate(model, valid_set, valid_topk, config.tau)
-    model.tau = tune_threshold(probs, [case.gold_charges for case in valid_set],
+    model.tau = tune_threshold(best_probs, [case.gold_charges for case in valid_set],
                                model.charge_vocab)
     return model, history
 
@@ -686,6 +683,10 @@ def load_model(path, article_db: dict | None = None) -> ChargeModel:
     if digest != meta.get("checkpoint_sha256"):
         raise StateError(f"checkpoint {path} (SHA-256 {digest}) is not the one its sidecar "
                          f"{meta_path} records ({meta.get('checkpoint_sha256')})")
+    unknown = sorted(set(meta["config"]) - {f.name for f in fields(ModelConfig)})
+    if unknown:
+        raise StateError(f"sidecar {meta_path} has config fields this version does not "
+                         f"know: {unknown}")
     config = ModelConfig(**meta["config"])
     word_vocab = {tok: i for i, tok in enumerate(meta["word_vocab"])}
     pos_vocab = {tok: i for i, tok in enumerate(meta["pos_vocab"])}
@@ -715,19 +716,17 @@ def load_model(path, article_db: dict | None = None) -> ChargeModel:
                        epochs_completed=meta.get("epochs_completed", 0))
 
 
-def prediction_record(trace: ForwardTrace, model: ChargeModel,
-                      tau: float | None = None) -> dict:
+def prediction_record(trace: ForwardTrace, model: ChargeModel) -> dict:
     """Machine-readable prediction: charges with probabilities and the
     attention-ranked articles shown as legal basis, each with the
     shortlister's score when the extractor chose the slots (a disabled
     article's -inf is written as null, so the record is strict JSON)."""
-    tau = model.tau if tau is None else tau
-    chosen = sorted(predict(trace.o, tau))
+    chosen = sorted(predict(trace.o, model.tau))
     record = {
         "charges": [model.charge_vocab[i] for i in chosen],
         "probabilities": {model.charge_vocab[i]: float(trace.o[i])
                           for i in range(len(model.charge_vocab))},
-        "tau": tau,
+        "tau": model.tau,
     }
     if trace.topk is not None and trace.alpha is not None:
         record["articles"] = []

@@ -489,21 +489,20 @@ class ParamGroup:
     """Base of the dataclasses that hold parameters.
 
     ``named`` walks the fields in declaration order, descends into nested
-    groups, skips fields that are None and lists each tensor once, by
-    identity, under its ``Tensor.name``: a group shared by two fields (a tied
-    encoder) is listed where it first appears.
+    groups, skips fields that are None and lists each tensor under its
+    ``Tensor.name``. No group or tensor is shared between fields, so each
+    appears once.
     """
 
     def named(self) -> list[tuple[str, Tensor]]:
-        found: dict[int, tuple[str, Tensor]] = {}
+        found: list[tuple[str, Tensor]] = []
         for f in fields(self):
             value = getattr(self, f.name)
             if isinstance(value, ParamGroup):
-                for name, t in value.named():
-                    found.setdefault(id(t), (name, t))
+                found += value.named()
             elif isinstance(value, Tensor):
-                found.setdefault(id(value), (value.name, value))
-        return list(found.values())
+                found.append((value.name, value))
+        return found
 
     def tensors(self) -> list[Tensor]:
         return [t for _, t in self.named()]

@@ -280,25 +280,26 @@ class TestExtractTopK:
         bank = ax.ExtractorBank(tfidf, ids, np.zeros((100, 2)), np.full(100, 0.5), k=100)
         assert [a for a, _ in ax.extract_top_k(["x"], bank)] == list(range(100))
 
-    def test_extension_leaves_existing_scores_bitwise_unchanged(self):
-        docs, golds = two_article_corpus()
-        bank = ax.build_bank(docs, golds, k=2)
-        before = [scores_of(bank, d) for d in docs]
-        extended = ax.extend_bank(bank, 15, docs,
-                                  [g | ({15} if i % 4 == 0 else set())
-                                   for i, g in enumerate(golds)])
-        assert extended.article_ids == [10, 15, 20]
-        kept = [0, 2]
-        npt.assert_array_equal(extended.weights[kept], bank.weights)
-        npt.assert_array_equal(extended.bias[kept], bank.bias)
-        for doc, row_b in zip(docs, before):
-            npt.assert_array_equal(scores_of(extended, doc)[kept], row_b)
-
-    def test_extension_rejects_duplicate(self):
-        docs, golds = two_article_corpus()
-        bank = ax.build_bank(docs, golds, k=2)
-        with pytest.raises(DomainError):
-            ax.extend_bank(bank, 10, [], [])
+    def test_equal_rows_tie_wherever_they_sit(self):
+        """Articles with equal rows (the same training positives) score the
+        same bits and so rank by id; a (A, F) @ (F,) gemv over this many
+        features rounds a row differently depending on where it sits, with
+        one BLAS thread or more."""
+        rng = np.random.default_rng(2)
+        n_features = 20000
+        tfidf = ax.TfidfModel({f"t{i}": i for i in range(n_features)}, np.ones(n_features),
+                              n_features)
+        weights = rng.normal(size=(30, n_features))
+        equal = [1, 6, 15, 28]
+        weights[equal] = weights[1]
+        bank = ax.ExtractorBank(tfidf, list(range(30, 0, -1)), weights, np.zeros(30), k=30)
+        doc = [f"t{i}" for i in rng.integers(0, n_features, size=8000)]
+        scores = scores_of(bank, doc)
+        rows = [i for i, row in enumerate(bank.weights) if np.array_equal(row, weights[1])]
+        assert len(rows) == len(equal) and len({scores[i] for i in rows}) == 1
+        ranked = [aid for aid, _ in ax.extract_top_k(doc, bank)]
+        tied = [bank.article_ids[i] for i in rows]
+        assert [aid for aid in ranked if aid in tied] == sorted(tied)
 
 
 def sparse_transform(doc, m):

@@ -36,8 +36,8 @@ def bank(data):
                          [c.gold_articles for c in data.train], k=TINY_DIMS["k"])
 
 
-def untrained_model(data, variant, tie=False, seed=0):
-    config = cm.ModelConfig(variant=variant, tie_article_encoder=tie, **TINY_DIMS)
+def untrained_model(data, variant, seed=0):
+    config = cm.ModelConfig(variant=variant, **TINY_DIMS)
     word_vocab, pos_vocab = cm.build_vocab(data.train)
     charges = sorted({c for case in data.train for c in case.gold_charges})
     params = cm.ModelParams.create(config, len(word_vocab), len(pos_vocab), len(charges),
@@ -66,10 +66,9 @@ def use_oracle_encoders(monkeypatch):
                 monkeypatch.setattr(module, name, getattr(oracle, name))
 
 
-@pytest.mark.parametrize("tie", [False, True])
 @pytest.mark.parametrize("variant", list(cm.Variant))
-def test_case_loss_gradients(data, bank, variant, tie):
-    model = untrained_model(data, variant, tie)
+def test_case_loss_gradients(data, bank, variant):
+    model = untrained_model(data, variant)
     case, topk = supervised_case(data, bank, model.config)
     y = cm.charge_target(case.gold_charges, model.charge_vocab)
     report = nd.grad_check(lambda: cm._case_loss(case, model, y, topk)[0],
@@ -81,32 +80,27 @@ def test_case_loss_gradients(data, bank, variant, tie):
 def test_training_history_matches_composite_encoders(data, bank, variant, monkeypatch):
     """A seeded 2-epoch run through the fused encoders against the same run
     through per-step ``gru_step``, which reads each gate as a row slice of
-    the stacked weights: history, parameters, tau and test outputs, with the
-    article encoder untied and tied."""
-    for tie in (False, True):
-        config = cm.ModelConfig(variant=variant, tie_article_encoder=tie, max_epochs=2,
-                                patience=5, **TINY_DIMS)
+    the stacked weights: history, parameters, tau and test outputs."""
+    config = cm.ModelConfig(variant=variant, max_epochs=2, patience=5, **TINY_DIMS)
 
-        def run():
-            model, history = cm.train(data.train, data.valid, config, seed=4, bank=bank,
-                                      article_db=data.article_db)
-            return model, history, [cm.forward(case, model, bank=bank) for case in data.test]
+    def run():
+        model, history = cm.train(data.train, data.valid, config, seed=4, bank=bank,
+                                  article_db=data.article_db)
+        return model, history, [cm.forward(case, model, bank=bank) for case in data.test]
 
-        with monkeypatch.context() as m:
-            fused_model, fused, fused_traces = run()
-            use_oracle_encoders(m)
-            composite_model, composite, composite_traces = run()
-        assert len(fused) == len(composite) == 2
-        for f, c in zip(fused, composite):
-            for key in ("train_loss", "charge_loss", "attention_loss"):
-                assert abs(f[key] - c[key]) < 1e-10, (key, tie, f, c)
-        if variant == cm.Variant.FACT_SUPV_ART:
-            assert fused[0]["attention_loss"] > 0
-        for (name, f), (_, c) in zip(fused_model.params.named(),
-                                     composite_model.params.named()):
-            npt.assert_allclose(f.data, c.data, rtol=0, atol=1e-10, err_msg=f"{name} tie={tie}")
-        assert fused_model.tau == composite_model.tau
-        assert_forwards_close(fused_traces, composite_traces)
+    fused_model, fused, fused_traces = run()
+    use_oracle_encoders(monkeypatch)
+    composite_model, composite, composite_traces = run()
+    assert len(fused) == len(composite) == 2
+    for f, c in zip(fused, composite):
+        for key in ("train_loss", "charge_loss", "attention_loss"):
+            assert abs(f[key] - c[key]) < 1e-10, (key, f, c)
+    if variant == cm.Variant.FACT_SUPV_ART:
+        assert fused[0]["attention_loss"] > 0
+    for (name, f), (_, c) in zip(fused_model.params.named(), composite_model.params.named()):
+        npt.assert_allclose(f.data, c.data, rtol=0, atol=1e-10, err_msg=name)
+    assert fused_model.tau == composite_model.tau
+    assert_forwards_close(fused_traces, composite_traces)
 
 
 def test_case_loss_terms_come_from_joint_loss(data, bank):
@@ -208,22 +202,21 @@ def test_no_tape_forward_matches_taped_forward(data, bank):
 
 def test_checkpoint_round_trip_keeps_predictions(data, bank, tmp_path):
     for variant in cm.Variant:
-        for tie in (False, True):
-            model = untrained_model(data, variant, tie, seed=3)
-            path = tmp_path / f"{variant.value}-{tie}.ckpt"
-            before = [cm.forward(case, model, bank=bank) for case in data.test]
-            cm.save_model(path, model)
-            loaded = cm.load_model(path, article_db=data.article_db)
-            assert loaded._article_cache is None
-            assert [n for n, _ in loaded.params.named()] == [n for n, _ in model.params.named()]
-            for case, want in zip(data.test, before):
-                got = cm.forward(case, loaded, bank=bank)
-                npt.assert_array_equal(got.o, want.o, err_msg=f"{variant} tie={tie}")
-                if model.config.uses_articles():
-                    npt.assert_array_equal(got.alpha, want.alpha)
+        model = untrained_model(data, variant, seed=3)
+        path = tmp_path / f"{variant.value}.ckpt"
+        before = [cm.forward(case, model, bank=bank) for case in data.test]
+        cm.save_model(path, model)
+        loaded = cm.load_model(path, article_db=data.article_db)
+        assert loaded._article_cache is None
+        assert [n for n, _ in loaded.params.named()] == [n for n, _ in model.params.named()]
+        for case, want in zip(data.test, before):
+            got = cm.forward(case, loaded, bank=bank)
+            npt.assert_array_equal(got.o, want.o, err_msg=str(variant))
             if model.config.uses_articles():
-                assert loaded._article_cache[1] is not model._article_cache[1]
-            assert dataclasses.asdict(loaded.config) == dataclasses.asdict(model.config)
+                npt.assert_array_equal(got.alpha, want.alpha)
+        if model.config.uses_articles():
+            assert loaded._article_cache[1] is not model._article_cache[1]
+        assert dataclasses.asdict(loaded.config) == dataclasses.asdict(model.config)
 
 
 def test_failed_meta_write_keeps_the_previous_sidecar(data, tmp_path):
@@ -239,16 +232,15 @@ def test_failed_meta_write_keeps_the_previous_sidecar(data, tmp_path):
     assert sorted(p.name for p in tmp_path.iterdir()) == sorted([path.name, meta.name])
 
 
-@pytest.mark.parametrize("tie", [False, True])
 @pytest.mark.parametrize("variant", list(cm.Variant))
-def test_named_parameters_are_unique_and_round_trip(data, variant, tie, tmp_path):
-    model = untrained_model(data, variant, tie)
+def test_named_parameters_are_unique_and_round_trip(data, variant, tmp_path):
+    model = untrained_model(data, variant)
     named = model.params.named()
     names = [n for n, _ in named]
     assert len(set(names)) == len(names)
     assert len({id(t) for _, t in named}) == len(named)
     has_art = any(n.startswith("art.") for n in names)
-    assert has_art == (model.config.uses_articles() and not tie)
+    assert has_art == model.config.uses_articles()
     nd.save_checkpoint(tmp_path / "p.ckpt", named)
     arrays = nd.load_checkpoint(tmp_path / "p.ckpt")
     assert list(arrays) == names
@@ -256,11 +248,9 @@ def test_named_parameters_are_unique_and_round_trip(data, variant, tie, tmp_path
         npt.assert_array_equal(arrays[name], t.data)
 
 
-@pytest.mark.parametrize("tie,count", [(False, 51), (True, 37)])
-def test_paper_dims_tensor_counts(tie, count):
-    config = cm.ModelConfig(tie_article_encoder=tie)
-    params = cm.ModelParams.create(config, 10, 4, 3, np.random.default_rng(0))
-    assert len(params.tensors()) == count
+def test_paper_dims_tensor_counts():
+    params = cm.ModelParams.create(cm.ModelConfig(), 10, 4, 3, np.random.default_rng(0))
+    assert len(params.tensors()) == 51
     gru = params.fact_enc.sent_gru.backward
     assert (gru.w.shape, gru.u.shape, gru.b.shape) == ((225, 150), (225, 75), (225, 1))
 
@@ -370,11 +360,9 @@ def assert_forwards_close(got, want):
             npt.assert_allclose(g.alpha, w.alpha, rtol=0, atol=1e-10)
 
 
-@pytest.mark.parametrize("tie", [False, True])
 @pytest.mark.parametrize("variant", list(cm.Variant))
-def test_cached_article_states_match_per_case_encoding(data, bank, variant, tie,
-                                                       monkeypatch):
-    model = untrained_model(data, variant, tie, seed=5)
+def test_cached_article_states_match_per_case_encoding(data, bank, variant, monkeypatch):
+    model = untrained_model(data, variant, seed=5)
     topks = cm._precompute_topk(data.test, model.config, bank)
     cached = [cm.forward(case, model, topk=topk) for case, topk in zip(data.test, topks)]
     assert (model._article_cache is not None) == model.config.uses_articles()
@@ -440,16 +428,6 @@ def test_training_history_matches_per_case_article_encoding(data, bank, monkeypa
 def test_minibatch_records_one_article_word_scan(data, bank, monkeypatch):
     config = cm.ModelConfig(variant=cm.Variant.FACT_ART, max_epochs=1, patience=1,
                             **dict(TINY_DIMS, batch=4))
-    model = untrained_model(data, config.variant)
-    model.config = config
-    case, topk = supervised_case(data, bank, config)
-    with Tape() as tape:
-        cm.forward(case, model, topk=topk)
-    per_case_own_scan = len(tape)
-    with Tape() as tape:
-        cm.encode_article_words(model, topk)
-    scan = len(tape)
-
     lengths = []
 
     class CountingTape(Tape):
@@ -457,8 +435,17 @@ def test_minibatch_records_one_article_word_scan(data, bank, monkeypatch):
             lengths.append(len(self))
             super().backward(loss, params)
 
-    monkeypatch.setattr(cm, "Tape", CountingTape)
-    cm.train(data.train[:8], data.valid, config, seed=1, bank=bank, init=model)
+    with monkeypatch.context() as m:
+        m.setattr(cm, "Tape", CountingTape)
+        model, _ = cm.train(data.train[:8], data.valid, config, seed=1, bank=bank,
+                            article_db=data.article_db)
+    case, topk = supervised_case(data, bank, config)
+    with Tape() as tape:
+        cm.forward(case, model, topk=topk)
+    per_case_own_scan = len(tape)
+    with Tape() as tape:
+        cm.encode_article_words(model, topk)
+    scan = len(tape)
     n = config.batch
     # One shared scan, n forwards without their own, n cross entropies,
     # n - 1 sums and the 1/n scaling.
@@ -529,3 +516,93 @@ def test_prediction_record_shows_extractor_scores(data):
     given = cm.forward(case, model, topk=trace.topk)
     record = cm.prediction_record(given, model)
     assert all(set(a) == {"id", "attention"} for a in record["articles"])
+
+
+def test_tau_is_tuned_on_the_kept_epochs_validation_outputs(data, bank, monkeypatch):
+    """The best epoch is not the last, and tau comes from the validation
+    outputs that epoch saved: the same bits a fresh pass over the restored
+    model gives."""
+    config = cm.ModelConfig(variant=cm.Variant.FACT_SUPV_ART, max_epochs=4, patience=5,
+                            **TINY_DIMS)
+    tuned_on = []
+    tune = cm.tune_threshold
+
+    def recording_tune(probs, gold, vocab):
+        tuned_on.append(probs)
+        return tune(probs, gold, vocab)
+
+    monkeypatch.setattr(cm, "tune_threshold", recording_tune)
+    model, history = cm.train(data.train, data.valid, config, seed=9, bank=bank,
+                              article_db=data.article_db)
+    f1s = [h["valid_micro_f1"] for h in history]
+    assert f1s.index(max(f1s)) != len(f1s) - 1
+    f1, probs = cm._evaluate(model, data.valid, cm._precompute_topk(data.valid, config, bank),
+                             config.tau)
+    assert f1 == max(f1s)
+    [kept] = tuned_on
+    for got, want in zip(kept, probs, strict=True):
+        npt.assert_array_equal(got, want)
+    assert model.tau == tune(probs, [c.gold_charges for c in data.valid], model.charge_vocab)
+
+
+def test_sidecar_with_an_unknown_config_field_is_rejected(data, tmp_path):
+    model = untrained_model(data, cm.Variant.FACT_ONLY)
+    path = tmp_path / "m.ckpt"
+    cm.save_model(path, model)
+    rewrite_sidecar_config(path, tie_article_encoder=False, dropout=0.5)
+    with pytest.raises(StateError, match=r"\['dropout', 'tie_article_encoder'\]"):
+        cm.load_model(path)
+
+
+def write_embeddings(path, lines):
+    path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+    return path
+
+
+class TestPretrainedEmbeddings:
+    def test_known_rows_are_overwritten_and_counted(self, data, tmp_path):
+        model = untrained_model(data, cm.Variant.FACT_ONLY)
+        before = model.params.word_emb.data.copy()
+        known = sorted(model.word_vocab)[2:4]
+        path = write_embeddings(tmp_path / "emb.txt", [
+            f"{known[0]} 0.5 -1.25", "", "no-such-token 9 9", "   ", f"{known[1]} 3 4e-3"])
+        assert cm.apply_pretrained_embeddings(model.params, model.word_vocab, path) == 2
+        after = model.params.word_emb.data
+        rows = [model.word_vocab[t] for t in known]
+        npt.assert_array_equal(after[rows], [[0.5, -1.25], [3.0, 4e-3]])
+        others = np.setdiff1d(np.arange(len(after)), rows)
+        npt.assert_array_equal(after[others], before[others])
+
+    @pytest.mark.parametrize("line,problem", [
+        ("{tok} 0.5", "line 2 has 1 values, expected 2"),
+        ("{tok} 0.5 1 2", "line 2 has 3 values, expected 2"),
+        ("{tok} 0.5 x1", "line 2: could not convert"),
+        ("{tok} nan 1", "line 2 holds a value that is not finite"),
+        ("{tok} 1 -inf", "line 2 holds a value that is not finite"),
+    ], ids=["too-few", "too-many", "not-a-number", "nan", "inf"])
+    def test_bad_line_raises_before_any_write(self, data, tmp_path, line, problem):
+        model = untrained_model(data, cm.Variant.FACT_ONLY)
+        before = model.params.word_emb.data.copy()
+        tok = sorted(model.word_vocab)[2]
+        path = write_embeddings(tmp_path / "emb.txt", [f"{tok} 1 2", line.format(tok=tok)])
+        with pytest.raises(cp.ParseError) as err:
+            cm.apply_pretrained_embeddings(model.params, model.word_vocab, path)
+        assert str(err.value).startswith(f"{path}: ")
+        assert problem in str(err.value)
+        npt.assert_array_equal(model.params.word_emb.data, before)
+
+    def test_article_cache_follows_the_write(self, data, bank, tmp_path, monkeypatch):
+        model = untrained_model(data, cm.Variant.FACT_ART, seed=6)
+        topks = cm._precompute_topk(data.test, model.config, bank)
+        old = [cm.forward(case, model, topk=topk) for case, topk in zip(data.test, topks)]
+        states = model._article_cache[1].states.data.copy()
+        in_articles = {int(i) for doc in model.article_docs.values() for ids, _ in doc
+                       for i in ids} - {cm.PAD_ID, cm.UNK_ID}
+        tokens = [t for t, i in model.word_vocab.items() if i in in_articles]
+        path = write_embeddings(tmp_path / "emb.txt", [f"{t} 0.75 -0.5" for t in tokens])
+        assert cm.apply_pretrained_embeddings(model.params, model.word_vocab,
+                                              path) == len(tokens) > 0
+        new = [cm.forward(case, model, topk=topk) for case, topk in zip(data.test, topks)]
+        assert not np.array_equal(model._article_cache[1].states.data, states)
+        assert not np.array_equal(new[0].o, old[0].o)
+        assert_forwards_close(new, per_case_forwards(data, model, topks, monkeypatch))
