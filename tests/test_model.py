@@ -248,9 +248,14 @@ def test_named_parameters_are_unique_and_round_trip(data, variant, tmp_path):
         npt.assert_array_equal(arrays[name], t.data)
 
 
-def test_paper_dims_tensor_counts():
-    params = cm.ModelParams.create(cm.ModelConfig(), 10, 4, 3, np.random.default_rng(0))
-    assert len(params.tensors()) == 51
+@pytest.mark.parametrize("fact_only,count", [(False, 51), (True, 24)])
+def test_paper_dims_tensor_counts(fact_only, count):
+    """The joint model holds 51 tensors; the fact-only model drops the 27 of
+    the article encoder, the ``ctx.*`` context layers and the aggregator."""
+    variant = cm.Variant.FACT_ONLY if fact_only else cm.Variant.FACT_SUPV_ART
+    config = cm.ModelConfig(variant=variant)
+    params = cm.ModelParams.create(config, 10, 4, 3, np.random.default_rng(0))
+    assert len(params.tensors()) == count
     gru = params.fact_enc.sent_gru.backward
     assert (gru.w.shape, gru.u.shape, gru.b.shape) == ((225, 150), (225, 75), (225, 1))
 
