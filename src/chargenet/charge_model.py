@@ -16,18 +16,35 @@ fact_supv_art      fact + articles            extractor top-k, attention
 fact_gold_art      fact + articles            gold articles (upper bound)
 =================  =========================  ==========================
 
-The word-level Bi-GRU states of an article do not depend on the fact; only
-the attention contexts (``dynamic_context`` of d_f) do. So the word level of
-an article is scanned once and shared, and everything after it (word and
-sentence pooling, the sentence level, aggregation) runs per case:
+Two entry points run the same layers. ``forward(case)`` serves one case,
+through ``ChargeModel.encode_fact``, ``encode_articles`` and
+``aggregate_articles``. ``forward_batch(cases)`` runs B cases as the columns
+of one graph; ``train()`` records one per minibatch, under one loss and one
+backward, and validation runs in chunks of ``config.batch`` cases. Both go
+through the same private layers, and the three public names are their
+one-case forms:
 
-* a training minibatch scans the union of its cases' slots once, under the
-  tape, so one backward closure collects the gradients of all its cases;
-* a forward with no tape reads ``ChargeModel.article_words``, the states of
+* all facts go through one two-level ``encode_documents`` call;
+* the dynamic contexts (``dynamic_context`` of d_f) are (state_dim, B), one
+  column per case;
+* each case pools its articles' word states under its own context, in its
+  own ``pool_words`` call; the sentence level then runs over the slots of
+  every case at once, each slot pooled under its case's context;
+* the aggregator runs max-slots steps over B columns, padded and masked,
+  since cases may hold different numbers of slots (fact_gold_art uses a
+  case's gold articles, at most k);
+* the classifier and the softmax run once on (·, B).
+
+The word-level Bi-GRU states of an article do not depend on the fact, so
+they are scanned once and shared:
+
+* under a tape, a forward given no shared states scans the union of its
+  cases' slots once, so a training minibatch's one scan collects the
+  gradients of all its cases in one backward closure;
+* with no tape, a forward reads ``ChargeModel.article_words``, the states of
   every article in the database. They are rebuilt whenever the word or POS
   embeddings or the article word-level Bi-GRU differ, by content, from the
-  copies taken at the last build;
-* a forward under a tape with no shared states scans its own slots.
+  copies taken at the last build; a batch checks that once.
 """
 
 from __future__ import annotations
@@ -48,10 +65,8 @@ from .encoders import (
     AttentivePoolParams,
     BiGruParams,
     DocEncoderParams,
-    attentive_pool_steps,
-    bigru_scan,
     encode_documents,
-    encode_sentence_level,
+    encode_groups,
     pool_words,
     scan_words,
 )
@@ -202,6 +217,18 @@ class ForwardTrace:
 
 
 @dataclass
+class BatchTrace:
+    """The outputs of B cases run as the columns of one graph; column j, and
+    entry j of each list, belongs to the j-th case."""
+
+    o: Tensor                          # (n_charges, B) charge distributions
+    word_attn: list[list[np.ndarray]]
+    sent_attn: list[np.ndarray]
+    topks: list                        # article slots per case; None for fact_only
+    alpha: Tensor | None = None        # (max slots, B), 0 past a case's own slots
+
+
+@dataclass
 class ArticleWords:
     """Word-level Bi-GRU states of a set of articles, scanned as one batch."""
 
@@ -231,10 +258,7 @@ class ChargeModel:
                           nd.embed(self.params.pos_emb, pos_ids)], axis=0)
 
     def encode_fact(self, fact_ids) -> tuple[Tensor, list[np.ndarray], np.ndarray]:
-        d, word_attn, sent_attn = encode_documents(
-            [fact_ids], self.params.fact_enc, self.embed_tokens,
-            u_word=self.params.fact_enc.word_pool.u,
-            u_sent=self.params.fact_enc.sent_pool.u)
+        d, word_attn, sent_attn = _encode_facts(self, [fact_ids])
         return d, word_attn[0], sent_attn[0]
 
     def article_words(self) -> ArticleWords:
@@ -357,45 +381,102 @@ def encode_article_words(model: ChargeModel, article_ids: list) -> ArticleWords:
     return ArticleWords(states, lens, cols)
 
 
-def encode_articles(article_ids: list, model: ChargeModel, d_f: Tensor,
-                    words: ArticleWords | None = None) -> Tensor:
-    """Embed each candidate article with word/sentence contexts generated from d_f.
+def _encode_facts(model: ChargeModel, facts: list) -> tuple[Tensor, list, list]:
+    """Fact embeddings (state_dim, B) of id-encoded facts, with their word and
+    sentence attention, in one two-level encoder call."""
+    enc = model.params.fact_enc
+    return encode_documents(facts, enc, model.embed_tokens, u_word=enc.word_pool.u,
+                            u_sent=enc.sent_pool.u)
 
-    The word-level states come from ``words`` when given (a training
-    minibatch shares one scan); otherwise, with no tape recording, from
-    ``model.article_words()``, and under a tape from a scan of these
-    articles alone.
+
+def _encode_slots(model: ChargeModel, topks: list[list], d_f: Tensor,
+                  words: ArticleWords | None) -> Tensor:
+    """Embeddings of every case's article slots, pooled with contexts generated
+    from that case's column of d_f: (state_dim, total slots), the slots of
+    case j after those of case j - 1.
+
+    Each case pools its sentences' word states in its own ``pool_words``
+    call, which gathers only that case's columns; all cases' slots then run
+    the sentence level as one batch. The word states come from ``words`` when
+    given; otherwise, with no tape recording, from ``model.article_words()``,
+    and under a tape from one scan of the cases' slots.
     """
     p = model.params
     if words is None:
-        words = (encode_article_words(model, article_ids) if nd.recording()
-                 else model.article_words())
-    for aid in article_ids:
-        if aid not in words.cols:
-            raise DomainError(f"article {aid!r} is not among the {len(words.cols)} "
-                              "encoded articles")
+        words = (encode_article_words(model, sorted({aid for ids in topks for aid in ids},
+                                                    key=article_sort_key))
+                 if nd.recording() else model.article_words())
+    for ids in topks:
+        for aid in ids:
+            if aid not in words.cols:
+                raise DomainError(f"article {aid!r} is not among the {len(words.cols)} "
+                                  "encoded articles")
     u_aw = dynamic_context(d_f, p.w_w, p.b_w)
     u_as = dynamic_context(d_f, p.w_s, p.b_s)
-    sel = np.concatenate([words.cols[aid] for aid in article_ids])
-    sent_emb = pool_words(words.states, words.lens, sel, p.art_enc.word_pool, u_aw)
-    a_mat, _ = encode_sentence_level(sent_emb, [len(words.cols[aid]) for aid in article_ids],
-                                     p.art_enc, u_as)
+    # One case keeps its (s, 1) contexts shared by all its sequences, the
+    # pooling path a one-case forward has always taken, bit for bit.
+    batch = len(topks)
+    pooled, sent_lens = [], []
+    for j, ids in enumerate(topks):
+        sel = np.concatenate([words.cols[aid] for aid in ids])
+        u = u_aw if batch == 1 else nd.narrow(u_aw, 1, j, 1)
+        pooled.append(pool_words(words.states, words.lens, sel, p.art_enc.word_pool, u))
+        sent_lens += [len(words.cols[aid]) for aid in ids]
+    if batch > 1:
+        u_as = nd.take_cols(u_as, np.repeat(np.arange(batch), [len(ids) for ids in topks]))
+    a_mat, _ = encode_groups(pooled[0] if batch == 1 else nd.concat(pooled, axis=1),
+                             sent_lens, p.art_enc.sent_gru, p.art_enc.sent_pool, u_as)
     return a_mat
+
+
+def _aggregate(model: ChargeModel, a_mat: Tensor, n_slots: list[int],
+               d_f: Tensor) -> tuple[Tensor, Tensor]:
+    """Bi-GRU over each case's article sequence (``n_slots[j]`` consecutive
+    columns of ``a_mat`` for case j), pooled with the context generated from
+    column j of d_f: the (state_dim, B) embeddings and the (max slots, B)
+    attention."""
+    if min(n_slots) < 1:
+        raise DomainError("aggregate_articles needs at least one article")
+    p = model.params
+    return encode_groups(a_mat, n_slots, p.agg_gru, p.agg_pool,
+                         dynamic_context(d_f, p.w_d, p.b_d))
+
+
+def _charge_distribution(model: ChargeModel, d_f: Tensor, d_a: Tensor | None) -> Tensor:
+    """The variant's classifier input through two tanh layers and the softmax
+    over charges: (n_charges, B)."""
+    p = model.params
+    if d_a is None:
+        d_in = d_f
+    elif model.config.variant == Variant.ART_ONLY:
+        d_in = d_a
+    else:
+        d_in = nd.concat([d_f, d_a], axis=0)
+    h1 = nd.tanh(p.fc1_w @ d_in + p.fc1_b)
+    h2 = nd.tanh(p.fc2_w @ h1 + p.fc2_b)
+    return nd.softmax(p.out_w @ h2 + p.out_b, axis=0)
+
+
+def encode_articles(article_ids: list, model: ChargeModel, d_f: Tensor,
+                    words: ArticleWords | None = None) -> Tensor:
+    """Embed each candidate article of one case with word/sentence contexts
+    generated from d_f: (state_dim, len(article_ids)).
+
+    The word-level states come from ``words`` when given; otherwise, with no
+    tape recording, from ``model.article_words()``, and under a tape from a
+    scan of these articles alone.
+    """
+    return _encode_slots(model, [article_ids], d_f, words)
 
 
 def aggregate_articles(a_mat: Tensor, model: ChargeModel,
                        d_f: Tensor) -> tuple[Tensor, Tensor]:
-    """Bi-GRU over the article sequence, pooled with the fact-driven context.
+    """Bi-GRU over one case's article sequence, pooled with the fact-driven
+    context.
 
     The columns of ``a_mat`` are the sequence: one step per article, batch 1.
     """
-    p = model.params
-    n = a_mat.shape[1]
-    if n < 1:
-        raise DomainError("aggregate_articles needs at least one article")
-    states = bigru_scan(a_mat, n, p.agg_gru)
-    u_ad = dynamic_context(d_f, p.w_d, p.b_d)
-    return attentive_pool_steps(states, n, p.agg_pool.w, u_ad)
+    return _aggregate(model, a_mat, [a_mat.shape[1]], d_f)
 
 
 def forward(case: CaseRecord, model: ChargeModel, bank: ExtractorBank | None = None,
@@ -407,27 +488,19 @@ def forward(case: CaseRecord, model: ChargeModel, bank: ExtractorBank | None = N
     ``encode_articles`` for where they come from otherwise.
     """
     cfg = model.config
-    p = model.params
     fact_ids = case_to_ids(case.fact, model.word_vocab, model.pos_vocab)
     d_f, word_attn, sent_attn = model.encode_fact(fact_ids)
 
     slots = None
     scores = None
-    d_in = d_f
+    d_a = None
     alpha = None
     if cfg.uses_articles():
         slots, scores = _slots(case, cfg, bank) if topk is None else (list(topk), None)
         a_mat = encode_articles(slots, model, d_f, words)
         d_a, alpha = aggregate_articles(a_mat, model, d_f)
-        if cfg.variant == Variant.ART_ONLY:
-            d_in = d_a
-        else:
-            d_in = nd.concat([d_f, d_a], axis=0)
-
-    h1 = nd.tanh(p.fc1_w @ d_in + p.fc1_b)
-    h2 = nd.tanh(p.fc2_w @ h1 + p.fc2_b)
-    logits = p.out_w @ h2 + p.out_b
-    o = nd.reshape(nd.softmax(logits, axis=0), (logits.shape[0],))
+    probs = _charge_distribution(model, d_f, d_a)
+    o = nd.reshape(probs, (probs.shape[0],))
 
     return ForwardTrace(
         o=o.data.copy(),
@@ -441,18 +514,42 @@ def forward(case: CaseRecord, model: ChargeModel, bank: ExtractorBank | None = N
     )
 
 
+def forward_batch(cases: list[CaseRecord], model: ChargeModel, topks: list,
+                  words: ArticleWords | None = None) -> BatchTrace:
+    """Run several cases as the columns of one graph; record on any ambient tape.
+
+    ``topks[j]`` are the article slots of ``cases[j]`` (ignored by
+    fact_only); cases may hold different numbers of slots. Column j of every
+    output equals ``forward(cases[j], model, topk=topks[j])`` up to rounding.
+    ``words`` is as in ``encode_articles``; under a tape without it, the
+    union of the slots is scanned once.
+    """
+    if not cases or len(topks) != len(cases):
+        raise DomainError(f"forward_batch got {len(cases)} cases and {len(topks)} slot lists")
+    facts = [case_to_ids(case.fact, model.word_vocab, model.pos_vocab) for case in cases]
+    d_f, word_attn, sent_attn = _encode_facts(model, facts)
+    d_a = alpha = None
+    if model.config.uses_articles():
+        topks = [list(ids) for ids in topks]
+        a_mat = _encode_slots(model, topks, d_f, words)
+        d_a, alpha = _aggregate(model, a_mat, [len(ids) for ids in topks], d_f)
+    return BatchTrace(_charge_distribution(model, d_f, d_a), word_attn, sent_attn,
+                      topks, alpha)
+
+
 def joint_loss(o: Tensor, y: np.ndarray, alpha: Tensor | None,
                t: np.ndarray | None, beta: float) -> tuple[Tensor, Tensor, Tensor | None]:
     """Charge cross entropy plus beta-weighted attention cross entropy.
 
     Returns the total with its two terms; the attention term is None, and
     the total exactly the charge term (the same tape node), with beta = 0 or
-    no attention target.
+    no attention target. With 2-D arguments each column is one case and each
+    term is the sum over the cases.
     """
-    charge_term = nd.cross_entropy(y, o)
+    charge_term = nd.cross_entropy(y, o, axis=0)
     if beta == 0.0 or t is None or alpha is None:
         return charge_term, charge_term, None
-    attn_term = nd.cross_entropy(t, alpha)
+    attn_term = nd.cross_entropy(t, alpha, axis=0)
     return charge_term + beta * attn_term, charge_term, attn_term
 
 
@@ -486,31 +583,36 @@ def tune_threshold(probs: list[np.ndarray], gold_charges: list[set[str]],
     return best_tau
 
 
-def _case_loss(case: CaseRecord, model: ChargeModel, y: np.ndarray,
-               topk: list | None, words: ArticleWords | None = None,
-               ) -> tuple[Tensor, float, float]:
-    """Total loss tensor plus the two component values for logging."""
+def _batch_loss(batch: BatchTrace, cases: list[CaseRecord], y: np.ndarray,
+                model: ChargeModel) -> tuple[Tensor, float, float]:
+    """The mean joint loss of a batch's cases, whose charge targets are the
+    columns of ``y``, plus the summed charge and attention terms for logging.
+    A case with no gold article among its slots has no attention term."""
     cfg = model.config
-    trace = forward(case, model, topk=topk, words=words)
-    t = None
+    alpha = t = None
     if cfg.variant == Variant.FACT_SUPV_ART and cfg.beta > 0:
-        t = attention_target(trace.topk, case.gold_articles, cfg.k)
-    total, charge_term, attn_term = joint_loss(trace.o_tensor, y, trace.alpha_tensor, t,
-                                               cfg.beta)
-    return total, charge_term.item(), 0.0 if attn_term is None else attn_term.item()
+        targets = [attention_target(topk, case.gold_articles, cfg.k)
+                   for case, topk in zip(cases, batch.topks)]
+        live = [j for j, target in enumerate(targets) if target is not None]
+        if live:
+            alpha = nd.take_cols(batch.alpha, live)
+            t = np.stack([targets[j] for j in live], axis=1)
+    total, charge_term, attn_term = joint_loss(batch.o, y, alpha, t, cfg.beta)
+    return (total * (1.0 / len(cases)), charge_term.item(),
+            0.0 if attn_term is None else attn_term.item())
 
 
 def _evaluate(model: ChargeModel, cases: list[CaseRecord], topks: list,
               tau: float) -> tuple[float, list[np.ndarray]]:
+    """Validation micro-F1 and the charge distributions, run in batches of
+    ``config.batch`` cases."""
     probs = []
-    predicted = []
-    gold = []
-    for case, topk in zip(cases, topks):
-        trace = forward(case, model, topk=topk)
-        probs.append(trace.o)
-        predicted.append(predict_names(trace.o, tau, model.charge_vocab))
-        gold.append(case.gold_charges)
-    _, _, f1 = mx.micro_prf(mx.PredictionBatch(predicted, gold))
+    step = model.config.batch
+    for lo in range(0, len(cases), step):
+        o = forward_batch(cases[lo:lo + step], model, topks[lo:lo + step]).o.data
+        probs += [o[:, j].copy() for j in range(o.shape[1])]
+    predicted = [predict_names(o, tau, model.charge_vocab) for o in probs]
+    _, _, f1 = mx.micro_prf(mx.PredictionBatch(predicted, [c.gold_charges for c in cases]))
     return f1, probs
 
 
@@ -546,6 +648,10 @@ def train(train_set: list[CaseRecord], valid_set: list[CaseRecord],
     shuffles seeded by (seed, epoch) and early stopping on validation
     micro-F1. Returns the best-validation model, its tau tuned on that
     epoch's validation outputs.
+
+    Each minibatch is one ``forward_batch`` graph. Each history entry holds
+    the epoch's mean losses, the validation micro-F1 and
+    ``tape_nodes_per_case``, the tape nodes recorded per training case.
     """
     if not train_set:
         raise DomainError("empty training set")
@@ -584,30 +690,26 @@ def train(train_set: list[CaseRecord], valid_set: list[CaseRecord],
     for epoch in range(config.max_epochs):
         order = np.random.default_rng((seed, epoch)).permutation(len(train_set))
         epoch_loss = epoch_charge = epoch_attn = 0.0
+        tape_nodes = 0
         for lo in range(0, len(order), config.batch):
             idx = order[lo:lo + config.batch]
+            cases = [train_set[i] for i in idx]
             with Tape() as tape:
-                words = None
-                if config.uses_articles():
-                    union = {aid for i in idx for aid in train_topk[i]}
-                    words = encode_article_words(model, sorted(union, key=article_sort_key))
-                total = None
-                for i in idx:
-                    loss_i, charge_v, attn_v = _case_loss(
-                        train_set[i], model, targets[i], train_topk[i], words)
-                    epoch_charge += charge_v
-                    epoch_attn += attn_v
-                    total = loss_i if total is None else total + loss_i
-                batch_loss = total * (1.0 / len(idx))
+                batch = forward_batch(cases, model, [train_topk[i] for i in idx])
+                batch_loss, charge_v, attn_v = _batch_loss(
+                    batch, cases, np.stack([targets[i] for i in idx], axis=1), model)
                 tape.backward(batch_loss, params)
+            tape_nodes += len(tape)
             epoch_loss += batch_loss.item() * len(idx)
+            epoch_charge += charge_v
+            epoch_attn += attn_v
             nd.sgd_step(params, sgd)
 
         valid_f1, probs = _evaluate(model, valid_set, valid_topk, config.tau)
         n = len(train_set)
         entry = {"epoch": epoch, "train_loss": epoch_loss / n,
                  "charge_loss": epoch_charge / n, "attention_loss": epoch_attn / n,
-                 "valid_micro_f1": valid_f1}
+                 "valid_micro_f1": valid_f1, "tape_nodes_per_case": tape_nodes / n}
         history.append(entry)
         log.info("epoch %d: loss %.4f (charge %.4f, attention %.4f) valid micro-F1 %.4f",
                  epoch, entry["train_loss"], entry["charge_loss"],

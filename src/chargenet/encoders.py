@@ -17,16 +17,21 @@ backward closure per call:
   the weight and input gradients again as single products over the T*B
   columns.
 * ``attentive_pool_steps`` scores every state, takes the masked softmax over
-  the steps of each column and the weighted sum in one pass.
+  the steps of each column and the weighted sum in one pass. Its context is
+  either one (s,) vector shared by all B sequences (a trained global context,
+  or one case's fact-driven context) or an (s, B) matrix whose column j is
+  the context of sequence j, so that sequences of different cases pool in
+  one call.
 
 An optional (T, B) 0/1 mask makes right-padded sequences encode exactly like
 their unpadded counterparts: masked steps pass the previous state through and
 get no attention. ``encode_documents`` runs the two-level document encoder;
 ``scan_words`` and ``pool_words`` split its word level so that documents
-pooled under different contexts can share one scan. ``gru_step`` is the
-composite single-step reference, reading each gate as a row slice;
-``bigru_encode`` and ``attentive_pool`` take per-position lists of 1-D
-vectors or (dim, B) columns and run the fused ops underneath.
+pooled under different contexts can share one scan, and ``encode_groups``
+runs a level over variable-length sequences laid out one after another.
+``gru_step`` is the composite single-step reference, reading each gate as a
+row slice; ``bigru_encode`` and ``attentive_pool`` take per-position lists of
+1-D vectors or (dim, B) columns and run the fused ops underneath.
 """
 
 from __future__ import annotations
@@ -292,17 +297,24 @@ def attentive_pool_steps(states: Tensor, steps: int, w: Tensor, u: Tensor,
 
     Scores tanh(W h)^T u, takes the softmax over the steps of each column
     (masked steps get exactly 0) and returns the (s, B) weighted sums with
-    the (steps, B) attention. One tape step.
+    the (steps, B) attention. The context ``u`` holds s values shared by all
+    B sequences, or is (s, B): column j is the context of sequence j. One
+    tape step.
     """
     batch = _step_batch(states, steps, mask)
     dim = states.shape[0]
-    if w.shape != (dim, dim) or u.size != dim:
-        raise ShapeError(f"attention weights {w.shape}, {u.shape} do not fit "
-                         f"{dim}-dim states")
-    u_col = u.data.reshape(dim, 1)
+    shared = u.size == dim
+    if w.shape != (dim, dim) or not (shared or u.shape == (dim, batch)):
+        raise ShapeError(f"attention weights {w.shape}, context {u.shape} do not fit "
+                         f"{batch} sequences of {dim}-dim states")
+    u_cols = u.data.reshape(dim, 1, -1)
     keys = w.data @ states.data
     np.tanh(keys, out=keys)
-    scores = (u_col.T @ keys).reshape(steps, batch)
+    keys3 = keys.reshape(dim, steps, batch)
+    if shared:
+        scores = (u_cols[:, 0].T @ keys).reshape(steps, batch)
+    else:
+        scores = np.einsum("dtb,db->tb", keys3, u.data)
     if mask is None:
         e = np.exp(scores - scores.max(axis=0))
     else:
@@ -324,10 +336,13 @@ def attentive_pool_steps(states: Tensor, steps: int, w: Tensor, u: Tensor,
             g = pooled.grad[:, None, :]
             d_alpha += (cube * g).sum(axis=0)
             d_states += g * a
-        d_scores = (a * (d_alpha - (a * d_alpha).sum(axis=0))).reshape(1, -1)
-        d_pre = u_col * d_scores * (1.0 - keys * keys)
+        d_scores = a * (d_alpha - (a * d_alpha).sum(axis=0))
+        d_pre = (u_cols * d_scores * (1.0 - keys3 * keys3)).reshape(dim, -1)
         nd.accumulate(w, d_pre @ states.data.T)
-        nd.accumulate(u, (keys @ d_scores.T).reshape(u.shape))
+        if shared:
+            nd.accumulate(u, (keys @ d_scores.reshape(-1, 1)).reshape(u.shape))
+        else:
+            nd.accumulate(u, np.einsum("dtb,tb->db", keys3, d_scores))
         d_flat = d_states.reshape(dim, -1)
         d_flat += w.data.T @ d_pre
         nd.accumulate(states, d_flat)
@@ -448,21 +463,24 @@ def pool_words(states: Tensor, lens: np.ndarray, sel: np.ndarray,
     return pooled
 
 
-def encode_sentence_level(sent_emb: Tensor, sent_lens: list[int], p: DocEncoderParams,
-                          u_sent: Tensor | None) -> tuple[Tensor, Tensor]:
-    """Sentence-level Bi-GRU and pool of documents whose sentences own
-    consecutive columns of ``sent_emb``, ``sent_lens[d]`` for document d.
+def encode_groups(x: Tensor, lens: Sequence[int], gru: BiGruParams,
+                  pool: AttentivePoolParams, u: Tensor | None) -> tuple[Tensor, Tensor]:
+    """Bi-GRU and attentive pool of sequences whose steps own consecutive
+    columns of ``x``, ``lens[d]`` for sequence d.
 
-    Returns the (state_dim, n_docs) document embeddings and the
-    (max sentences, n_docs) sentence attention.
+    Returns the (state_dim, n_sequences) pooled columns and the
+    (max len, n_sequences) attention, 0 past each sequence's end. ``u`` is a
+    context as ``attentive_pool_steps`` takes it, one column per sequence or
+    shared.
     """
-    max_sents = max(sent_lens)
-    first = np.cumsum([0] + sent_lens[:-1])
-    # Padded sentence slots repeat a document's last sentence; the mask hides them.
-    idx = first[None, :] + np.minimum(np.arange(max_sents)[:, None],
-                                      np.asarray(sent_lens)[None, :] - 1)
-    return _encode_level(nd.take_cols(sent_emb, idx.reshape(-1)), max_sents, sent_lens,
-                         p.sent_gru, p.sent_pool, u_sent)
+    steps = max(lens)
+    if len(lens) > 1:
+        # Padded steps repeat a sequence's last column; the mask hides them.
+        first = np.cumsum([0, *lens[:-1]])
+        idx = first[None, :] + np.minimum(np.arange(steps)[:, None],
+                                          np.asarray(lens)[None, :] - 1)
+        x = nd.take_cols(x, idx.reshape(-1))
+    return _encode_level(x, steps, list(lens), gru, pool, u)
 
 
 def encode_documents(docs: Sequence[Sequence[tuple[np.ndarray, np.ndarray]]],
@@ -488,7 +506,7 @@ def encode_documents(docs: Sequence[Sequence[tuple[np.ndarray, np.ndarray]]],
     sent_emb, word_alpha = _encode_level(x, max(word_lens), word_lens, p.word_gru,
                                          p.word_pool, u_word)
     sent_lens = [len(doc) for doc in docs]
-    d_emb, sent_alpha = encode_sentence_level(sent_emb, sent_lens, p, u_sent)
+    d_emb, sent_alpha = encode_groups(sent_emb, sent_lens, p.sent_gru, p.sent_pool, u_sent)
 
     word_attn, sent_attn, j = [], [], 0
     for d, n in enumerate(sent_lens):

@@ -327,17 +327,32 @@ def narrow(a: Tensor, axis: int, start: int, length: int) -> Tensor:
     return out
 
 
+def _scatter_add(t: Tensor, flat: np.ndarray, values: np.ndarray) -> None:
+    """Add ``values`` into ``t.grad`` at the flat indices ``flat`` (same shape),
+    repeated indices summing in order.
+
+    One ``bincount`` over the flattened buffer replaces ``np.add.at``: it
+    sums the same values in the same order from 0, so into a fresh buffer
+    the result is bit-identical, and into an existing one the scattered
+    block is added whole.
+    """
+    block = np.bincount(flat.reshape(-1), weights=values.reshape(-1),
+                        minlength=t.size).reshape(t.shape)
+    if t.grad is None:
+        t.grad = block
+    else:
+        t.grad += block
+
+
 def take_cols(a: Tensor, cols) -> Tensor:
     """Gather columns of a 2-D tensor by index (repeats allowed)."""
     cols = np.asarray(cols, dtype=np.intp)
     out = Tensor(a.data[:, cols])
 
     def back():
-        if out.grad is None:
-            return
-        if a.grad is None:
-            a.grad = np.zeros_like(a.data)
-        np.add.at(a.grad.T, cols, out.grad.T)
+        if out.grad is not None:
+            flat = np.arange(a.shape[0])[:, None] * a.shape[1] + cols
+            _scatter_add(a, flat, out.grad)
 
     record(back)
     return out
@@ -349,11 +364,9 @@ def embed(table: Tensor, ids) -> Tensor:
     out = Tensor(table.data[ids].T)
 
     def back():
-        if out.grad is None:
-            return
-        if table.grad is None:
-            table.grad = np.zeros_like(table.data)
-        np.add.at(table.grad, ids, out.grad.T)
+        if out.grad is not None:
+            flat = ids[:, None] * table.shape[1] + np.arange(table.shape[1])
+            _scatter_add(table, flat, out.grad.T)
 
     record(back)
     return out
@@ -417,19 +430,23 @@ def softmax(logits: Tensor, axis: int = 0, mask: np.ndarray | None = None) -> Te
     return out
 
 
-def cross_entropy(target, predicted: Tensor) -> Tensor:
+def cross_entropy(target, predicted: Tensor, axis: int | None = None) -> Tensor:
     """-sum(target * log(predicted)) with probabilities clamped to [1e-12, 1].
 
     ``target`` is a constant distribution (Tensor or array); no gradient
-    flows to it. Both arguments must sum to 1 within 1e-6. The tolerance is
-    fixed, not scaled with size: a float64 sum of n probabilities drifts
-    from 1 by about n * eps (2.2e-16), under 1e-12 even for n in the
-    thousands, while an input that is not a distribution misses by far more.
+    flows to it. With ``axis`` None each argument is one distribution; with
+    an axis every slice along it is one, and the result is the sum of the
+    slices' cross entropies. Every distribution must sum to 1 within 1e-6.
+    The tolerance is fixed, not scaled with size: a float64 sum of n
+    probabilities drifts from 1 by about n * eps (2.2e-16), under 1e-12 even
+    for n in the thousands, while an input that is not a distribution misses
+    by far more.
     """
     t = target.data if isinstance(target, Tensor) else np.asarray(target, dtype=np.float64)
     if t.shape != predicted.shape:
         raise ShapeError(f"cross_entropy shapes differ: {t.shape} vs {predicted.shape}")
-    if abs(t.sum() - 1.0) > 1e-6 or abs(predicted.data.sum() - 1.0) > 1e-6:
+    if (np.abs(t.sum(axis=axis) - 1.0) > 1e-6).any() \
+            or (np.abs(predicted.data.sum(axis=axis) - 1.0) > 1e-6).any():
         raise DomainError("cross_entropy arguments must each sum to 1")
     clamped = np.clip(predicted.data, LOG_EPS, 1.0)
     out = Tensor(-(t * np.log(clamped)).sum())

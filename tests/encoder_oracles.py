@@ -43,8 +43,12 @@ def bigru_scan(x, steps, p, mask=None):
 
 
 def attentive_pool(states, w, u, mask=None):
-    """Per-position scores, a masked softmax over positions, a running weighted sum."""
-    u_col = nd.reshape(u, (u.size, 1))
+    """Per-position scores, a masked softmax over positions, a running weighted sum.
+
+    ``u`` is one context shared by every column of the (s, B) states, or an
+    (s, B) matrix holding each column's own context.
+    """
+    u_col = u if u.data.ndim == 2 else nd.reshape(u, (u.size, 1))
     rows = [nd.tsum(nd.tanh(w @ h) * u_col, axis=0, keepdims=True) for h in states]
     alpha = nd.softmax(nd.concat(rows, axis=0), axis=0, mask=mask)
     pooled = None

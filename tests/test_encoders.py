@@ -468,6 +468,43 @@ class TestFusedPool:
         report = nd.grad_check(loss, [("states", states), ("w", w), ("u", u)])
         assert report.ok, report.failures()
 
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("masked", [True, False])
+    def test_per_column_contexts_match_oracle(self, seed, masked):
+        """An (s, B) context pools column j of the states under context j."""
+        rng = np.random.default_rng(110 + seed)
+        steps, batch = int(rng.integers(1, 7)), int(rng.integers(2, 5))
+        states, w, _, mask = self.setup(seed, steps, batch)
+        u = Tensor(rng.uniform(-1, 1, (4, batch)))
+        mask = mask if masked else None
+        tensors = [states, w, u]
+        got, got_g = taped_grads(
+            lambda: list(enc.attentive_pool_steps(states, steps, w, u, mask)), tensors)
+        want, want_g = taped_grads(
+            lambda: list(oracle.attentive_pool_steps(states, steps, w, u, mask)), tensors)
+        for g, wv in zip(got + got_g, want + want_g):
+            npt.assert_allclose(g, wv, rtol=0, atol=1e-10)
+        for j in range(batch):
+            pooled, alpha = enc.attentive_pool_steps(
+                Tensor(states.data[:, j::batch]), steps, w, Tensor(u.data[:, j:j + 1]),
+                None if mask is None else mask[:, j:j + 1])
+            npt.assert_allclose(got[0][:, j], pooled.data[:, 0], rtol=0, atol=1e-12)
+            npt.assert_allclose(got[1][:, j], alpha.data[:, 0], rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("masked", [True, False])
+    def test_per_column_contexts_grad_check(self, masked):
+        states, w, _, mask = self.setup(54, 4, 3, dim=3)
+        u = Tensor(np.random.default_rng(55).uniform(-1, 1, (3, 3)))
+        weights = Tensor(np.random.default_rng(56).uniform(-1, 1, (3, 3)))
+        mask = mask if masked else None
+
+        def loss():
+            pooled, alpha = enc.attentive_pool_steps(states, 4, w, u, mask)
+            return nd.tsum(pooled * weights) + nd.tsum(alpha * alpha)
+
+        report = nd.grad_check(loss, [("states", states), ("w", w), ("u", u)])
+        assert report.ok, report.failures()
+
     def test_fully_masked_column_rejected(self):
         states, w, u, mask = self.setup(52, 3, 2)
         mask[:, 1] = 0.0
@@ -478,3 +515,10 @@ class TestFusedPool:
         states, w, _, _ = self.setup(53, 3, 2)
         with pytest.raises(ShapeError):
             enc.attentive_pool_steps(states, 3, w, Tensor(np.zeros(5)))
+
+    def test_context_columns_must_be_one_or_the_batch(self):
+        states, w, _, _ = self.setup(57, 3, 4)
+        enc.attentive_pool_steps(states, 3, w, Tensor(np.zeros((4, 4))))
+        for cols in (2, 3, 5):
+            with pytest.raises(ShapeError, match="4 sequences"):
+                enc.attentive_pool_steps(states, 3, w, Tensor(np.zeros((4, cols))))

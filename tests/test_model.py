@@ -6,6 +6,8 @@ import re
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chargenet import article_extractor as ax
 from chargenet import charge_model as cm
@@ -16,6 +18,7 @@ from chargenet import ndtensor as nd
 from chargenet.ndtensor import DomainError, StateError, Tape
 
 import encoder_oracles as oracle
+import model_oracles
 
 TINY_DIMS = dict(word_emb_dim=2, pos_emb_dim=1, gru_hidden=2, fc1_dim=3, fc2_dim=3,
                  k=3, batch=4)
@@ -71,7 +74,7 @@ def test_case_loss_gradients(data, bank, variant):
     model = untrained_model(data, variant)
     case, topk = supervised_case(data, bank, model.config)
     y = cm.charge_target(case.gold_charges, model.charge_vocab)
-    report = nd.grad_check(lambda: cm._case_loss(case, model, y, topk)[0],
+    report = nd.grad_check(lambda: model_oracles.case_loss(case, model, y, topk)[0],
                            model.params.named())
     assert report.ok, (report.failures(), report.max_rel_err)
 
@@ -107,12 +110,114 @@ def test_case_loss_terms_come_from_joint_loss(data, bank):
     model = untrained_model(data, cm.Variant.FACT_SUPV_ART)
     case, topk = supervised_case(data, bank, model.config)
     y = cm.charge_target(case.gold_charges, model.charge_vocab)
-    total, charge_v, attn_v = cm._case_loss(case, model, y, topk)
+    total, charge_v, attn_v = model_oracles.case_loss(case, model, y, topk)
     trace = cm.forward(case, model, topk=topk)
     t = cm.attention_target(topk, case.gold_articles, model.config.k)
     assert charge_v == nd.cross_entropy(y, trace.o_tensor).item()
     assert attn_v == nd.cross_entropy(t, trace.alpha_tensor).item()
     assert total.item() == pytest.approx(charge_v + model.config.beta * attn_v, abs=1e-15)
+
+
+def mixed_batch(data, bank, model):
+    """Three training cases whose slot lists differ in kind: fact_gold_art
+    gives one case fewer than k slots; for the extractor variants the second
+    case's slots hold no gold article, so it has no attention target."""
+    config = model.config
+    cases = data.train[:3]
+    topks = cm._precompute_topk(cases, config, bank)
+    if config.variant == cm.Variant.FACT_GOLD_ART:
+        assert min(len(t) for t in topks) < config.k
+    elif config.uses_articles():
+        topks[1] = [aid for aid in sorted(data.article_db, key=cp.article_sort_key)
+                    if aid not in cases[1].gold_articles][:config.k]
+        targets = [cm.attention_target(t, c.gold_articles, config.k)
+                   for c, t in zip(cases, topks)]
+        assert [t is None for t in targets] == [False, True, False]
+    y = np.stack([cm.charge_target(c.gold_charges, model.charge_vocab) for c in cases], axis=1)
+    return cases, topks, y
+
+
+@pytest.mark.parametrize("variant", list(cm.Variant))
+def test_batch_loss_matches_per_case_losses(data, bank, variant):
+    """The batch loss, its logged terms and every parameter gradient equal
+    the mean (the terms: the sum) of the per-case oracle losses."""
+    model = untrained_model(data, variant)
+    cases, topks, y = mixed_batch(data, bank, model)
+    params = model.params.tensors()
+    with Tape() as tape:
+        loss, charge_v, attn_v = cm._batch_loss(cm.forward_batch(cases, model, topks), cases,
+                                                y, model)
+        tape.backward(loss, params)
+    got = [p.grad for p in params]
+    for p in params:
+        p.grad = None
+    with Tape() as tape:
+        per_case = [model_oracles.case_loss(case, model, y[:, j], topk)
+                    for j, (case, topk) in enumerate(zip(cases, topks))]
+        mean = per_case[0][0]
+        for total, _, _ in per_case[1:]:
+            mean = mean + total
+        mean = mean * (1.0 / len(cases))
+        tape.backward(mean, params)
+    assert abs(loss.item() - mean.item()) < 1e-10
+    assert abs(charge_v - sum(c for _, c, _ in per_case)) < 1e-10
+    assert abs(attn_v - sum(a for _, _, a in per_case)) < 1e-10
+    if variant == cm.Variant.FACT_SUPV_ART:
+        assert attn_v > 0
+    for (name, p), g in zip(model.params.named(), got):
+        npt.assert_allclose(g, p.grad, rtol=0, atol=1e-10, err_msg=name)
+
+
+@pytest.mark.parametrize("variant", list(cm.Variant))
+def test_batch_loss_gradients(data, bank, variant):
+    model = untrained_model(data, variant)
+    cases, topks, y = mixed_batch(data, bank, model)
+    report = nd.grad_check(
+        lambda: cm._batch_loss(cm.forward_batch(cases, model, topks), cases, y, model)[0],
+        model.params.named())
+    assert report.ok, (report.failures(), report.max_rel_err)
+
+
+@pytest.fixture(scope="module")
+def variant_models(data):
+    return {variant: untrained_model(data, variant, seed=5) for variant in cm.Variant}
+
+
+@pytest.mark.parametrize("variant", list(cm.Variant))
+@settings(deadline=None, derandomize=True, max_examples=12)
+@given(draw=st.data())
+def test_batch_columns_match_forward(data, bank, variant_models, variant, draw):
+    """Any subset of cases, in any order, batched: each column gives its
+    case's ``forward`` outputs, bit for bit when the batch is one case."""
+    model = variant_models[variant]
+    pool = data.train + data.valid + data.test
+    picks = draw.draw(st.lists(st.integers(0, len(pool) - 1), min_size=1, max_size=8,
+                               unique=True))
+    cases = [pool[i] for i in picks]
+    topks = cm._precompute_topk(cases, model.config, bank)
+    batch = cm.forward_batch(cases, model, topks)
+    for j, (case, topk) in enumerate(zip(cases, topks)):
+        want = cm.forward(case, model, topk=topk)
+        pairs = [(batch.o.data[:, j], want.o), (batch.sent_attn[j], want.sent_attn),
+                 *zip(batch.word_attn[j], want.word_attn, strict=True)]
+        if want.alpha is not None:
+            n = len(topk)
+            npt.assert_array_equal(batch.alpha.data[n:, j], 0.0)
+            pairs.append((batch.alpha.data[:n, j], want.alpha))
+        for g, w in pairs:
+            if len(cases) == 1:
+                npt.assert_array_equal(g, w)
+            else:
+                npt.assert_allclose(g, w, rtol=0, atol=1e-12)
+
+
+def test_forward_batch_needs_one_slot_list_per_case(data, bank):
+    model = untrained_model(data, cm.Variant.FACT_ART)
+    topks = cm._precompute_topk(data.test, model.config, bank)
+    with pytest.raises(DomainError, match="3 cases and 4 slot lists"):
+        cm.forward_batch(data.test[:3], model, topks)
+    with pytest.raises(DomainError, match="0 cases"):
+        cm.forward_batch([], model, [])
 
 
 def test_joint_loss_without_attention_is_the_charge_node():
@@ -378,7 +483,7 @@ def sgd_on_one_case(data, bank, model):
     case, topk = supervised_case(data, bank, model.config)
     params = model.params.tensors()
     with Tape() as tape:
-        loss, _, _ = cm._case_loss(case, model,
+        loss, _, _ = model_oracles.case_loss(case, model,
                                    cm.charge_target(case.gold_charges, model.charge_vocab), topk)
         tape.backward(loss, params)
     nd.sgd_step(params, nd.SgdConfig(learning_rate=0.5))
@@ -408,53 +513,70 @@ def test_words_missing_a_slot_raise(data, bank):
     words = cm.encode_article_words(model, topk[:-1])
     with pytest.raises(DomainError, match="not among the 2 encoded articles"):
         cm.forward(case, model, topk=topk, words=words)
+    with pytest.raises(DomainError, match="not among the 2 encoded articles"):
+        cm.forward_batch([case, case], model, [topk[:-1], topk], words=words)
     with pytest.raises(DomainError, match="missing from the article database"):
         cm.encode_article_words(model, topk + ["no such article"])
 
 
 def test_training_history_matches_per_case_article_encoding(data, bank, monkeypatch):
-    config = cm.ModelConfig(variant=cm.Variant.FACT_SUPV_ART, max_epochs=2, patience=5,
-                            **TINY_DIMS)
+    """Batched training against the per-case loop it replaced: every case
+    through ``forward`` with its own article scan, each minibatch's loss the
+    mean of the per-case joint losses, validation one case at a time."""
+    for variant in cm.Variant:
+        config = cm.ModelConfig(variant=variant, max_epochs=2, patience=5, **TINY_DIMS)
 
-    def run():
-        _, history = cm.train(data.train, data.valid, config, seed=4, bank=bank,
-                              article_db=data.article_db)
-        return history
+        def run():
+            return cm.train(data.train, data.valid, config, seed=4, bank=bank,
+                            article_db=data.article_db)
 
-    shared = run()
-    monkeypatch.setattr(cm, "encode_articles", encode_articles_per_case)
-    per_case = run()
-    assert len(shared) == len(per_case) == 2
-    for s, c in zip(shared, per_case):
-        for key in ("train_loss", "charge_loss", "attention_loss", "valid_micro_f1"):
-            assert abs(s[key] - c[key]) < 1e-9, (key, s, c)
+        batched_model, batched = run()
+        with monkeypatch.context() as m:
+            m.setattr(cm, "forward_batch", model_oracles.forward_batch)
+            m.setattr(cm, "_batch_loss", model_oracles.batch_loss)
+            per_case_model, per_case = run()
+        assert len(batched) == len(per_case) == 2
+        for b, c in zip(batched, per_case):
+            for key in ("train_loss", "charge_loss", "attention_loss", "valid_micro_f1"):
+                assert abs(b[key] - c[key]) < 1e-9, (variant, key, b, c)
+        for (name, b), (_, c) in zip(batched_model.params.named(),
+                                     per_case_model.params.named()):
+            npt.assert_allclose(b.data, c.data, rtol=0, atol=1e-9, err_msg=name)
+        assert batched_model.tau == per_case_model.tau
 
 
 def test_minibatch_records_one_article_word_scan(data, bank, monkeypatch):
+    """A minibatch is one graph: one article word-level scan under the tape,
+    and a tape whose only per-case nodes are each case's word pool."""
     config = cm.ModelConfig(variant=cm.Variant.FACT_ART, max_epochs=1, patience=1,
                             **dict(TINY_DIMS, batch=4))
     lengths = []
+    taped_scans = []
 
     class CountingTape(Tape):
         def backward(self, loss, params=()):
             lengths.append(len(self))
             super().backward(loss, params)
 
+    def counting_scan(*args):
+        taped_scans.append(nd.recording())
+        return enc.scan_words(*args)
+
     with monkeypatch.context() as m:
         m.setattr(cm, "Tape", CountingTape)
-        model, _ = cm.train(data.train[:8], data.valid, config, seed=1, bank=bank,
-                            article_db=data.article_db)
-    case, topk = supervised_case(data, bank, config)
-    with Tape() as tape:
-        cm.forward(case, model, topk=topk)
-    per_case_own_scan = len(tape)
-    with Tape() as tape:
-        cm.encode_article_words(model, topk)
-    scan = len(tape)
+        m.setattr(cm, "scan_words", counting_scan)
+        _, history = cm.train(data.train[:8], data.valid, config, seed=1, bank=bank,
+                              article_db=data.article_db)
     n = config.batch
-    # One shared scan, n forwards without their own, n cross entropies,
-    # n - 1 sums and the 1/n scaling.
-    assert lengths == [scan + n * (per_case_own_scan - scan) + n + (n - 1) + 1] * 2
+    # Once per minibatch: fact encoder 8 (two embeddings and their concat,
+    # word scan and pool, sentence gather, scan and pool), article word scan
+    # 4, three dynamic contexts 6, the concat of the word pools 1, the
+    # sentence contexts' gather 1, sentence level 3, aggregator 3 (gather,
+    # scan, pool), classifier 10, cross entropy and the 1/n scaling 2: 38.
+    # Per case: its word pool's context column, gather and pool: 3.
+    assert lengths == [38 + 3 * n] * 2
+    assert taped_scans.count(True) == 2
+    assert history[0]["tape_nodes_per_case"] == sum(lengths) / 8
 
 
 def test_article_ids_round_trip_through_every_file(data, tmp_path):

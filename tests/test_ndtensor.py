@@ -130,6 +130,29 @@ class TestElementwise:
         assert_matches_fd(lambda: nd.tsum(nd.tanh(nd.embed(table, [1, 1, 4, 0]))), [table])
         assert_matches_fd(lambda: nd.tsum(nd.tanh(nd.reshape(a, (6, 4)))), [a])
 
+    @pytest.mark.parametrize("op", ["take_cols", "embed"])
+    def test_scatter_matches_add_at(self, op):
+        """Repeated indices sum in order: into a fresh buffer the gradient is
+        bit-identical to ``np.add.at``; into a held one it adds the block."""
+        rng = np.random.default_rng(10)
+        a = Tensor(rng.uniform(-2, 2, (6, 40)))
+        idx = rng.integers(0, 40 if op == "take_cols" else 6, 300)
+        gather = nd.take_cols if op == "take_cols" else nd.embed
+        g = rng.uniform(-1, 1, gather(a, idx).shape)
+        want = np.zeros_like(a.data)
+        np.add.at(want.T if op == "take_cols" else want, idx, g.T)
+
+        def backward():
+            with Tape() as tape:
+                tape.backward(nd.tsum(gather(a, idx) * Tensor(g)))
+
+        backward()
+        npt.assert_array_equal(a.grad, want)
+        held = rng.uniform(-1, 1, a.shape)
+        a.grad = held.copy()
+        backward()
+        npt.assert_allclose(a.grad, held + want, rtol=0, atol=1e-13)
+
 
 class TestSoftmax:
     def test_equal_logits_uniform(self):
@@ -223,6 +246,24 @@ class TestCrossEntropy:
         else:
             with pytest.raises(DomainError, match="sum to 1"):
                 nd.cross_entropy(t, Tensor(p))
+
+    def test_columns_are_distributions_along_an_axis(self):
+        """With axis=0 each column is one distribution and the result is the
+        sum of the columns' cross entropies; without an axis the whole array
+        must sum to 1."""
+        rng = np.random.default_rng(14)
+        t = rng.uniform(0.01, 1, (5, 3))
+        t /= t.sum(axis=0)
+        p = rng.uniform(0.01, 1, (5, 3))
+        p /= p.sum(axis=0)
+        got = nd.cross_entropy(t, Tensor(p), axis=0).item()
+        want = sum(nd.cross_entropy(t[:, j], Tensor(p[:, j])).item() for j in range(3))
+        assert abs(got - want) < 1e-12
+        with pytest.raises(DomainError, match="sum to 1"):
+            nd.cross_entropy(t, Tensor(p))
+        p[:, 1] *= 0.5
+        with pytest.raises(DomainError, match="sum to 1"):
+            nd.cross_entropy(t, Tensor(p), axis=0)
 
     def test_gradient_through_softmax(self):
         rng = np.random.default_rng(13)
