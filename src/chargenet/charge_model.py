@@ -38,9 +38,9 @@ one-case forms:
 The word-level Bi-GRU states of an article do not depend on the fact, so
 they are scanned once and shared:
 
-* under a tape, a forward given no shared states scans the union of its
-  cases' slots once, so a training minibatch's one scan collects the
-  gradients of all its cases in one backward closure;
+* under a tape, a forward scans the union of its cases' slots once, so a
+  training minibatch's one scan collects the gradients of all its cases in
+  one backward closure;
 * with no tape, a forward reads ``ChargeModel.article_words``, the states of
   every article in the database. They are rebuilt whenever the word or POS
   embeddings or the article word-level Bi-GRU differ, by content, from the
@@ -389,43 +389,43 @@ def _encode_facts(model: ChargeModel, facts: list) -> tuple[Tensor, list, list]:
                             u_sent=enc.sent_pool.u)
 
 
-def _encode_slots(model: ChargeModel, topks: list[list], d_f: Tensor,
-                  words: ArticleWords | None) -> Tensor:
+def _encode_slots(model: ChargeModel, topks: list[list], d_f: Tensor) -> Tensor:
     """Embeddings of every case's article slots, pooled with contexts generated
     from that case's column of d_f: (state_dim, total slots), the slots of
     case j after those of case j - 1.
 
     Each case pools its sentences' word states in its own ``pool_words``
     call, which gathers only that case's columns; all cases' slots then run
-    the sentence level as one batch. The word states come from ``words`` when
-    given; otherwise, with no tape recording, from ``model.article_words()``,
-    and under a tape from one scan of the cases' slots.
+    the sentence level as one batch. With no tape recording the word states
+    are ``model.article_words()``; under a tape they come from one scan of
+    the union of the cases' slots.
     """
     p = model.params
-    if words is None:
-        words = (encode_article_words(model, sorted({aid for ids in topks for aid in ids},
-                                                    key=article_sort_key))
-                 if nd.recording() else model.article_words())
-    for ids in topks:
-        for aid in ids:
-            if aid not in words.cols:
-                raise DomainError(f"article {aid!r} is not among the {len(words.cols)} "
-                                  "encoded articles")
+    if nd.recording():
+        words = encode_article_words(model, sorted({aid for ids in topks for aid in ids},
+                                                   key=article_sort_key))
+    else:
+        words = model.article_words()
+        for ids in topks:
+            for aid in ids:
+                if aid not in words.cols:
+                    raise DomainError(f"article {aid!r} missing from the article database")
     u_aw = dynamic_context(d_f, p.w_w, p.b_w)
     u_as = dynamic_context(d_f, p.w_s, p.b_s)
-    # One case keeps its (s, 1) contexts shared by all its sequences, the
-    # pooling path a one-case forward has always taken, bit for bit.
     batch = len(topks)
     pooled, sent_lens = [], []
     for j, ids in enumerate(topks):
         sel = np.concatenate([words.cols[aid] for aid in ids])
-        u = u_aw if batch == 1 else nd.narrow(u_aw, 1, j, 1)
-        pooled.append(pool_words(words.states, words.lens, sel, p.art_enc.word_pool, u))
+        pooled.append(pool_words(words.states, words.lens, sel, p.art_enc.word_pool,
+                                 nd.narrow(u_aw, 1, j, 1)))
         sent_lens += [len(words.cols[aid]) for aid in ids]
+    # One case keeps its (s, 1) sentence context shared by all its slots: the
+    # scores then come from one matrix product, the rounding serving has
+    # always had, where per-slot columns would take the einsum path.
     if batch > 1:
         u_as = nd.take_cols(u_as, np.repeat(np.arange(batch), [len(ids) for ids in topks]))
-    a_mat, _ = encode_groups(pooled[0] if batch == 1 else nd.concat(pooled, axis=1),
-                             sent_lens, p.art_enc.sent_gru, p.art_enc.sent_pool, u_as)
+    a_mat, _ = encode_groups(nd.concat(pooled, axis=1), sent_lens, p.art_enc.sent_gru,
+                             p.art_enc.sent_pool, u_as)
     return a_mat
 
 
@@ -457,16 +457,14 @@ def _charge_distribution(model: ChargeModel, d_f: Tensor, d_a: Tensor | None) ->
     return nd.softmax(p.out_w @ h2 + p.out_b, axis=0)
 
 
-def encode_articles(article_ids: list, model: ChargeModel, d_f: Tensor,
-                    words: ArticleWords | None = None) -> Tensor:
+def encode_articles(article_ids: list, model: ChargeModel, d_f: Tensor) -> Tensor:
     """Embed each candidate article of one case with word/sentence contexts
     generated from d_f: (state_dim, len(article_ids)).
 
-    The word-level states come from ``words`` when given; otherwise, with no
-    tape recording, from ``model.article_words()``, and under a tape from a
-    scan of these articles alone.
+    With no tape recording the word-level states are
+    ``model.article_words()``; under a tape, a scan of these articles alone.
     """
-    return _encode_slots(model, [article_ids], d_f, words)
+    return _encode_slots(model, [article_ids], d_f)
 
 
 def aggregate_articles(a_mat: Tensor, model: ChargeModel,
@@ -480,12 +478,10 @@ def aggregate_articles(a_mat: Tensor, model: ChargeModel,
 
 
 def forward(case: CaseRecord, model: ChargeModel, bank: ExtractorBank | None = None,
-            topk: list | None = None, words: ArticleWords | None = None) -> ForwardTrace:
+            topk: list | None = None) -> ForwardTrace:
     """Run one case through the variant's graph; record on any ambient tape.
 
     The article slots are ``topk`` when given, else ``_slots`` of the case.
-    ``words`` holds the word-level states of (at least) those slots; see
-    ``encode_articles`` for where they come from otherwise.
     """
     cfg = model.config
     fact_ids = case_to_ids(case.fact, model.word_vocab, model.pos_vocab)
@@ -497,7 +493,7 @@ def forward(case: CaseRecord, model: ChargeModel, bank: ExtractorBank | None = N
     alpha = None
     if cfg.uses_articles():
         slots, scores = _slots(case, cfg, bank) if topk is None else (list(topk), None)
-        a_mat = encode_articles(slots, model, d_f, words)
+        a_mat = encode_articles(slots, model, d_f)
         d_a, alpha = aggregate_articles(a_mat, model, d_f)
     probs = _charge_distribution(model, d_f, d_a)
     o = nd.reshape(probs, (probs.shape[0],))
@@ -514,15 +510,13 @@ def forward(case: CaseRecord, model: ChargeModel, bank: ExtractorBank | None = N
     )
 
 
-def forward_batch(cases: list[CaseRecord], model: ChargeModel, topks: list,
-                  words: ArticleWords | None = None) -> BatchTrace:
+def forward_batch(cases: list[CaseRecord], model: ChargeModel, topks: list) -> BatchTrace:
     """Run several cases as the columns of one graph; record on any ambient tape.
 
     ``topks[j]`` are the article slots of ``cases[j]`` (ignored by
     fact_only); cases may hold different numbers of slots. Column j of every
     output equals ``forward(cases[j], model, topk=topks[j])`` up to rounding.
-    ``words`` is as in ``encode_articles``; under a tape without it, the
-    union of the slots is scanned once.
+    Under a tape the union of the slots is scanned once.
     """
     if not cases or len(topks) != len(cases):
         raise DomainError(f"forward_batch got {len(cases)} cases and {len(topks)} slot lists")
@@ -531,7 +525,7 @@ def forward_batch(cases: list[CaseRecord], model: ChargeModel, topks: list,
     d_a = alpha = None
     if model.config.uses_articles():
         topks = [list(ids) for ids in topks]
-        a_mat = _encode_slots(model, topks, d_f, words)
+        a_mat = _encode_slots(model, topks, d_f)
         d_a, alpha = _aggregate(model, a_mat, [len(ids) for ids in topks], d_f)
     return BatchTrace(_charge_distribution(model, d_f, d_a), word_attn, sent_attn,
                       topks, alpha)
@@ -546,10 +540,10 @@ def joint_loss(o: Tensor, y: np.ndarray, alpha: Tensor | None,
     no attention target. With 2-D arguments each column is one case and each
     term is the sum over the cases.
     """
-    charge_term = nd.cross_entropy(y, o, axis=0)
+    charge_term = nd.cross_entropy(y, o)
     if beta == 0.0 or t is None or alpha is None:
         return charge_term, charge_term, None
-    attn_term = nd.cross_entropy(t, alpha, axis=0)
+    attn_term = nd.cross_entropy(t, alpha)
     return charge_term + beta * attn_term, charge_term, attn_term
 
 

@@ -430,23 +430,23 @@ def softmax(logits: Tensor, axis: int = 0, mask: np.ndarray | None = None) -> Te
     return out
 
 
-def cross_entropy(target, predicted: Tensor, axis: int | None = None) -> Tensor:
+def cross_entropy(target, predicted: Tensor) -> Tensor:
     """-sum(target * log(predicted)) with probabilities clamped to [1e-12, 1].
 
     ``target`` is a constant distribution (Tensor or array); no gradient
-    flows to it. With ``axis`` None each argument is one distribution; with
-    an axis every slice along it is one, and the result is the sum of the
-    slices' cross entropies. Every distribution must sum to 1 within 1e-6.
-    The tolerance is fixed, not scaled with size: a float64 sum of n
-    probabilities drifts from 1 by about n * eps (2.2e-16), under 1e-12 even
-    for n in the thousands, while an input that is not a distribution misses
-    by far more.
+    flows to it. Every slice along axis 0 is one distribution (a 1-D
+    argument is one; a 2-D one holds one per column), and the result is the
+    sum of the slices' cross entropies. Every distribution must sum to 1
+    within 1e-6. The tolerance is fixed, not scaled with size: a float64 sum
+    of n probabilities drifts from 1 by about n * eps (2.2e-16), under 1e-12
+    even for n in the thousands, while an input that is not a distribution
+    misses by far more.
     """
     t = target.data if isinstance(target, Tensor) else np.asarray(target, dtype=np.float64)
     if t.shape != predicted.shape:
         raise ShapeError(f"cross_entropy shapes differ: {t.shape} vs {predicted.shape}")
-    if (np.abs(t.sum(axis=axis) - 1.0) > 1e-6).any() \
-            or (np.abs(predicted.data.sum(axis=axis) - 1.0) > 1e-6).any():
+    if (np.abs(t.sum(axis=0) - 1.0) > 1e-6).any() \
+            or (np.abs(predicted.data.sum(axis=0) - 1.0) > 1e-6).any():
         raise DomainError("cross_entropy arguments must each sum to 1")
     clamped = np.clip(predicted.data, LOG_EPS, 1.0)
     out = Tensor(-(t * np.log(clamped)).sum())

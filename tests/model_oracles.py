@@ -27,9 +27,9 @@ def trace_loss(trace, case, y, model):
     return total, charge_term.item(), 0.0 if attn_term is None else attn_term.item()
 
 
-def case_loss(case, model, y, topk, words=None):
+def case_loss(case, model, y, topk):
     """``trace_loss`` of ``cm.forward(case)``."""
-    return trace_loss(cm.forward(case, model, topk=topk, words=words), case, y, model)
+    return trace_loss(cm.forward(case, model, topk=topk), case, y, model)
 
 
 @dataclass
@@ -43,8 +43,8 @@ class PerCaseBatch:
         return nd.Tensor(np.stack([t.o for t in self.traces], axis=1))
 
 
-def forward_batch(cases, model, topks, words=None):
-    return PerCaseBatch([cm.forward(case, model, topk=topk, words=words)
+def forward_batch(cases, model, topks):
+    return PerCaseBatch([cm.forward(case, model, topk=topk)
                          for case, topk in zip(cases, topks)])
 
 

@@ -1,3 +1,4 @@
+import contextlib
 import dataclasses
 import json
 import math
@@ -445,9 +446,9 @@ def test_sidecar_with_other_variant_is_rejected(data, tmp_path):
         assert repr(name) in str(err.value)
 
 
-def encode_articles_per_case(article_ids, model, d_f, words=None):
+def encode_articles_per_case(article_ids, model, d_f):
     """The article encoder before sharing: one two-level encode_documents call
-    over the case's own slots, ignoring any shared word-level states."""
+    over the case's own slots."""
     p = model.params
     docs = [model.article_docs[aid] for aid in article_ids]
     a_mat, _, _ = enc.encode_documents(docs, p.art_enc, model.embed_tokens,
@@ -508,20 +509,24 @@ def test_article_cache_follows_parameter_changes(data, bank, change, monkeypatch
 
 
 def test_words_missing_a_slot_raise(data, bank):
+    """A slot outside the article database has no word states, with or
+    without a tape, served alone or in a batch."""
     model = untrained_model(data, cm.Variant.FACT_ART)
     case, topk = supervised_case(data, bank, model.config)
-    words = cm.encode_article_words(model, topk[:-1])
-    with pytest.raises(DomainError, match="not among the 2 encoded articles"):
-        cm.forward(case, model, topk=topk, words=words)
-    with pytest.raises(DomainError, match="not among the 2 encoded articles"):
-        cm.forward_batch([case, case], model, [topk[:-1], topk], words=words)
-    with pytest.raises(DomainError, match="missing from the article database"):
-        cm.encode_article_words(model, topk + ["no such article"])
+    missing = max(cp.article_sort_key(aid)[0] for aid in model.article_docs) + 1
+    bad = topk[:-1] + [missing]
+    for taped in (False, True):
+        with Tape() if taped else contextlib.nullcontext():
+            with pytest.raises(DomainError, match=f"article {missing} missing from the article"):
+                cm.forward(case, model, topk=bad)
+            with pytest.raises(DomainError, match=f"article {missing} missing from the article"):
+                cm.forward_batch([case, case], model, [topk, bad])
 
 
 def test_training_history_matches_per_case_article_encoding(data, bank, monkeypatch):
     """Batched training against the per-case loop it replaced: every case
-    through ``forward`` with its own article scan, each minibatch's loss the
+    through ``forward`` with the article encoder before sharing (one
+    ``encode_documents`` call over its own slots), each minibatch's loss the
     mean of the per-case joint losses, validation one case at a time."""
     for variant in cm.Variant:
         config = cm.ModelConfig(variant=variant, max_epochs=2, patience=5, **TINY_DIMS)
@@ -534,6 +539,7 @@ def test_training_history_matches_per_case_article_encoding(data, bank, monkeypa
         with monkeypatch.context() as m:
             m.setattr(cm, "forward_batch", model_oracles.forward_batch)
             m.setattr(cm, "_batch_loss", model_oracles.batch_loss)
+            m.setattr(cm, "encode_articles", encode_articles_per_case)
             per_case_model, per_case = run()
         assert len(batched) == len(per_case) == 2
         for b, c in zip(batched, per_case):

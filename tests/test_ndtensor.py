@@ -247,23 +247,23 @@ class TestCrossEntropy:
             with pytest.raises(DomainError, match="sum to 1"):
                 nd.cross_entropy(t, Tensor(p))
 
-    def test_columns_are_distributions_along_an_axis(self):
-        """With axis=0 each column is one distribution and the result is the
-        sum of the columns' cross entropies; without an axis the whole array
-        must sum to 1."""
+    def test_columns_are_distributions(self):
+        """A 2-D argument holds one distribution per column, and the result
+        is the sum of the columns' cross entropies; a column that does not
+        sum to 1 is rejected even when the whole array does."""
         rng = np.random.default_rng(14)
         t = rng.uniform(0.01, 1, (5, 3))
         t /= t.sum(axis=0)
         p = rng.uniform(0.01, 1, (5, 3))
         p /= p.sum(axis=0)
-        got = nd.cross_entropy(t, Tensor(p), axis=0).item()
+        got = nd.cross_entropy(t, Tensor(p)).item()
         want = sum(nd.cross_entropy(t[:, j], Tensor(p[:, j])).item() for j in range(3))
         assert abs(got - want) < 1e-12
         with pytest.raises(DomainError, match="sum to 1"):
-            nd.cross_entropy(t, Tensor(p))
+            nd.cross_entropy(t, Tensor(p / 3))
         p[:, 1] *= 0.5
         with pytest.raises(DomainError, match="sum to 1"):
-            nd.cross_entropy(t, Tensor(p), axis=0)
+            nd.cross_entropy(t, Tensor(p))
 
     def test_gradient_through_softmax(self):
         rng = np.random.default_rng(13)
@@ -432,7 +432,7 @@ class TestFiniteness:
             with Tape() as tape:
                 h = nd.tanh(nd.matmul(w, x))
                 p = nd.softmax(h, axis=0)
-                loss = nd.cross_entropy(np.full((4, 3), 1 / 12), nd.mul(p, 1 / 3.0))
+                loss = nd.cross_entropy(np.full((4, 3), 1 / 4), p)
                 tape.backward(loss, [x, w])
             assert np.isfinite(loss.data).all()
             assert np.isfinite(x.grad).all() and np.isfinite(w.grad).all()
