@@ -11,11 +11,13 @@ t*B .. t*B+B-1). Two fused ops work on that layout, each recording a single
 backward closure per call:
 
 * ``bigru_scan`` hoists the input projections of all three gates of a
-  direction into one W (3H, D) x (D, T*B) product, runs the recurrence in
-  plain numpy (per step, the top 2H rows of U times h for z and r, and the
-  candidate rows of U times r * h), and back-propagates through time by hand,
-  the weight and input gradients again as single products over the T*B
-  columns.
+  direction into one W (3H, D) x (D, T*B) product, then runs both
+  directions' recurrences in one plain numpy loop: iteration i advances the
+  forward direction at step i and the backward one at step T-1-i. The two
+  states are one (2, H, B) array, so each recurrent product (the z and r rows
+  of U, then the candidate rows) is one stacked matmul over both directions.
+  It back-propagates through time by hand, one direction at a time, the
+  weight and input gradients again as single products over the T*B columns.
 * ``attentive_pool_steps`` scores every state, takes the masked softmax over
   the steps of each column and the weighted sum in one pass. Its context is
   either one (s,) vector shared by all B sequences (a trained global context,
@@ -179,39 +181,54 @@ def _step_batch(x: Tensor, steps: int, mask: np.ndarray | None) -> int:
     return batch
 
 
-def _gru_forward(xd: np.ndarray, steps: int, g: GruParams, mask: np.ndarray | None,
-                 reverse: bool, out: np.ndarray, keep: bool) -> np.ndarray | None:
-    """One direction's recurrence, writing the states into ``out`` (H, T*B).
+def _bigru_forward(x: np.ndarray, steps: int, p: BiGruParams, mask: np.ndarray | None,
+                   out: np.ndarray, keep: bool) -> list[np.ndarray] | None:
+    """Both directions' recurrences in one loop, writing the states into
+    ``out`` (2H, T*B), forward half on top.
 
-    Returns the gate activations [z; r; candidate] as (3H, T*B) when ``keep``
-    is set (backward needs them), else None.
+    Iteration i advances the forward direction at step i and the backward one
+    at step T-1-i; the two states are one (2, H, B) array, so each recurrent
+    product is one stacked matmul. A masked step gets z = 0 and so keeps its
+    state exactly. Returns each direction's unmasked gate activations
+    [z; r; candidate] as (3H, T*B) when ``keep`` is set (backward needs them),
+    else None.
     """
-    hid = g.hidden_dim
-    batch = xd.shape[1] // steps
-    acts = g.w.data @ xd
-    acts += g.b.data
-    u_zr, u_h = g.u.data[:2 * hid], g.u.data[2 * hid:]
-    h = np.zeros((hid, batch))
-    for t in (range(steps - 1, -1, -1) if reverse else range(steps)):
-        cols = slice(t * batch, (t + 1) * batch)
-        a = acts[:, cols]
-        zr = u_zr @ h
-        zr += a[:2 * hid]
+    hid = p.forward.hidden_dim
+    batch = x.shape[1] // steps
+    gs = (p.forward, p.backward)
+    acts = [g.w.data @ x for g in gs]
+    for a, g in zip(acts, gs):
+        a += g.b.data
+    u = np.stack([g.u.data for g in gs])
+    u_zr, u_h = u[:, :2 * hid], u[:, 2 * hid:]
+    if mask is not None:
+        masks = np.stack([mask, mask[::-1]], axis=1)[:, :, None, :]
+    # (rows, T, B) views of the gate rows and of the states: [:, t] is step t.
+    (zr_f, c_f), (zr_b, c_b) = [(a[:2 * hid].reshape(2 * hid, steps, batch),
+                                 a[2 * hid:].reshape(hid, steps, batch)) for a in acts]
+    h_f, h_b = out[:hid].reshape(hid, steps, batch), out[hid:].reshape(hid, steps, batch)
+    h = np.zeros((2, hid, batch))
+    for i in range(steps):
+        j = steps - 1 - i
+        zr = np.matmul(u_zr, h)
+        zr[0] += zr_f[:, i]
+        zr[1] += zr_b[:, j]
         nd.logistic(zr, out=zr)
-        z, r = zr[:hid], zr[hid:]
-        cand = u_h @ (r * h)
-        cand += a[2 * hid:]
+        z = zr[:, :hid]
+        cand = np.matmul(u_h, zr[:, hid:] * h)
+        cand[0] += c_f[:, i]
+        cand[1] += c_b[:, j]
         np.tanh(cand, out=cand)
-        h_new = (1.0 - z) * h
-        h_new += z * cand
-        if mask is not None:
-            m = mask[t]
-            h_new = h_new * m + h * (1.0 - m)
-        out[:, cols] = h_new
         if keep:
-            a[:2 * hid] = zr
-            a[2 * hid:] = cand
-        h = h_new
+            zr_f[:, i], zr_b[:, j] = zr
+            c_f[:, i], c_b[:, j] = cand
+        if mask is not None:
+            z *= masks[i]
+        cand -= h
+        cand *= z
+        cand += h
+        h = cand
+        h_f[:, i], h_b[:, j] = h
     return acts if keep else None
 
 
@@ -265,8 +282,10 @@ def bigru_scan(x: Tensor, steps: int, p: BiGruParams,
     the columns of ``x`` (D, steps*B).
 
     Returns the (2H, steps*B) states, forward half on top, in the same column
-    layout. ``mask`` is a (steps, B) 0/1 array; masked steps keep the prior
-    state. One tape step covers both directions.
+    layout. Both directions run in one loop of ``steps`` iterations, the
+    forward one from the first step and the backward one from the last.
+    ``mask`` is a (steps, B) 0/1 array; masked steps keep the prior state
+    exactly. One tape step covers both directions.
     """
     batch = _step_batch(x, steps, mask)
     if x.shape[0] != p.forward.input_dim:
@@ -276,7 +295,7 @@ def bigru_scan(x: Tensor, steps: int, p: BiGruParams,
     keep = nd.recording()
     data = np.empty((2 * hid, steps * batch))
     halves = [(p.forward, False, data[:hid]), (p.backward, True, data[hid:])]
-    acts = [_gru_forward(x.data, steps, g, mask, rev, out, keep) for g, rev, out in halves]
+    acts = _bigru_forward(x.data, steps, p, mask, data, keep)
     out = Tensor(data)
 
     def back():

@@ -256,18 +256,13 @@ def tanh(a: Tensor) -> Tensor:
 
 
 def logistic(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Overflow-free 1 / (1 + exp(-x)) of a plain array; ``out`` may be ``x``.
-
-    Both branches use e = exp(-|x|): 1 / (1 + e) for x >= 0, e / (1 + e) below.
-    """
-    pos = x >= 0
-    e = np.abs(x, out=out)
-    np.negative(e, out=e)
-    np.exp(e, out=e)
-    den = e + 1.0
-    np.copyto(e, 1.0, where=pos)
-    e /= den
-    return e
+    """1 / (1 + exp(-x)) of a plain array as 0.5 + 0.5 * tanh(x / 2), which
+    cannot overflow; ``out`` may be ``x``."""
+    y = np.multiply(x, 0.5, out=out)
+    np.tanh(y, out=y)
+    y *= 0.5
+    y += 0.5
+    return y
 
 
 def sigmoid(a: Tensor) -> Tensor:

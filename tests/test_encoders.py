@@ -1,6 +1,8 @@
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from chargenet import encoders as enc
 from chargenet import ndtensor as nd
@@ -316,6 +318,26 @@ class TestBatchedEncoding:
                 for s in range(len(doc)):
                     npt.assert_allclose(word_attn[j][s], wa[s], atol=1e-12)
 
+    @settings(deadline=None, derandomize=True, max_examples=25)
+    @given(n_docs=st.integers(1, 4), hidden=st.integers(1, 3), seed=st.integers(0, 2**16))
+    def test_padded_documents_property(self, n_docs, hidden, seed):
+        """Documents of random sentence counts and lengths, batched, each
+        equal their run alone."""
+        rng = np.random.default_rng(seed)
+        word_table = Tensor(rng.uniform(-1, 1, (9, 3)))
+        pos_table = Tensor(rng.uniform(-1, 1, (4, 2)))
+        p = enc.DocEncoderParams.create(5, hidden, np.random.default_rng(seed + 1))
+        docs = [[(rng.integers(0, 9, n), rng.integers(0, 4, n))
+                 for n in rng.integers(1, 8, rng.integers(1, 6))] for _ in range(n_docs)]
+        embed_tokens = embed_with(word_table, pos_table)
+        d_all, word_attn, sent_attn = enc.encode_documents(docs, p, embed_tokens)
+        for j, doc in enumerate(docs):
+            d_one, [wa_one], [sa_one] = enc.encode_documents([doc], p, embed_tokens)
+            npt.assert_allclose(d_all.data[:, j], d_one.data[:, 0], rtol=0, atol=1e-12)
+            npt.assert_allclose(sent_attn[j], sa_one, rtol=0, atol=1e-12)
+            for got, want in zip(word_attn[j], wa_one, strict=True):
+                npt.assert_allclose(got, want, rtol=0, atol=1e-12)
+
     def test_batched_gradients(self):
         rng = np.random.default_rng(32)
         word_table = Tensor(rng.uniform(-1, 1, (6, 2)))
@@ -416,6 +438,49 @@ class TestFusedScan:
             taped = enc.bigru_scan(x, 5, p, mask).data
             assert len(tape) == 1
         npt.assert_array_equal(free, taped)
+
+    @pytest.mark.parametrize("steps,batch", [(10, 3), (3, 1), (3, 20), (20, 1)])
+    @pytest.mark.parametrize("masked", [True, False])
+    def test_paper_dims_match_oracle(self, steps, batch, masked):
+        """H=75 over 150-dim inputs on the serving scan shapes, where the
+        stacked products may take other BLAS paths than at H=3."""
+        p, x, _, _ = self.setup(50 + steps + batch, steps, batch, in_dim=150, hidden=75)
+        rng = np.random.default_rng(steps * batch)
+        lengths = rng.integers(1, steps, batch)  # every column padded
+        mask = (np.arange(steps)[:, None] < lengths).astype(float) if masked else None
+        tensors = [x] + [t for _, t in p.named()]
+        got, got_g = taped_grads(lambda: [enc.bigru_scan(x, steps, p, mask)], tensors)
+        want, want_g = taped_grads(lambda: [oracle.bigru_scan(x, steps, p, mask)], tensors)
+        npt.assert_allclose(got[0], want[0], rtol=0, atol=1e-10)
+        for (name, _), g, w in zip([("x", x)] + list(p.named()), got_g, want_g):
+            npt.assert_allclose(g, w, rtol=0, atol=1e-10, err_msg=name)
+
+    @settings(deadline=None, derandomize=True, max_examples=40)
+    @given(steps=st.integers(1, 7), batch=st.integers(1, 4), hidden=st.integers(1, 4),
+           in_dim=st.integers(1, 4), seed=st.integers(0, 2**16))
+    @example(steps=1, batch=3, hidden=2, in_dim=3, seed=0)
+    @example(steps=5, batch=2, hidden=3, in_dim=2, seed=1)
+    def test_padded_scan_property(self, steps, batch, hidden, in_dim, seed):
+        """For any T (T=1 and odd T included, where both directions meet on
+        the middle step), B, H and lengths: each padded column equals its
+        unpadded run; past its end the forward state stays put and the
+        backward state stays 0; taped gradients match the composite oracle."""
+        p, x, _, _ = self.setup(seed, steps, batch, in_dim=in_dim, hidden=hidden)
+        lengths = np.random.default_rng(seed).integers(1, steps + 1, batch)
+        mask = (np.arange(steps)[:, None] < lengths).astype(float)
+        states = enc.bigru_scan(x, steps, p, mask).data
+        for j, n in enumerate(lengths):
+            col = states[:, j::batch]
+            alone = enc.bigru_scan(Tensor(x.data[:, j::batch][:, :n]), int(n), p).data
+            npt.assert_allclose(col[:, :n], alone, rtol=0, atol=1e-12)
+            npt.assert_array_equal(col[:hidden, n:], np.repeat(col[:hidden, n - 1:n],
+                                                               steps - n, axis=1))
+            npt.assert_array_equal(col[hidden:, n:], 0.0)
+        tensors = [x] + [t for _, t in p.named()]
+        _, got_g = taped_grads(lambda: [enc.bigru_scan(x, steps, p, mask)], tensors)
+        _, want_g = taped_grads(lambda: [oracle.bigru_scan(x, steps, p, mask)], tensors)
+        for (name, _), g, w in zip([("x", x)] + list(p.named()), got_g, want_g):
+            npt.assert_allclose(g, w, rtol=0, atol=1e-10, err_msg=name)
 
     def test_shape_errors(self):
         p, x, _, mask = self.setup(45, 4, 3)

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import numpy.testing as npt
@@ -66,6 +67,41 @@ class TestMatmul:
         a = Tensor(rng.uniform(-2, 2, (3, 4)))
         b = Tensor(rng.uniform(-2, 2, (4, 2)))
         assert_matches_fd(lambda: nd.tsum(nd.matmul(a, b)), [a, b], tol=1e-6)
+
+
+def exp_logistic(x):
+    """The exp-based form ``nd.logistic`` replaced, kept as its oracle:
+    e = exp(-|x|), then 1 / (1 + e) for x >= 0 and e / (1 + e) below."""
+    pos = x >= 0
+    e = np.abs(x)
+    np.negative(e, out=e)
+    np.exp(e, out=e)
+    den = e + 1.0
+    np.copyto(e, 1.0, where=pos)
+    e /= den
+    return e
+
+
+class TestLogistic:
+    """nd.logistic, 0.5 + 0.5 * tanh(x / 2), against the exp-based oracle."""
+
+    grid = np.concatenate([np.linspace(-800.0, 800.0, 320_001),
+                           [-0.0, 5e-324, -5e-324, 1e-300, -36.8, 36.8, -745.2, 709.8,
+                            -1e308, 1e308, -np.inf, np.inf]])
+
+    def test_matches_exp_oracle_without_warnings(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = nd.logistic(self.grid)
+        npt.assert_allclose(got, exp_logistic(self.grid), rtol=0, atol=1e-15)
+        assert ((got >= 0.0) & (got <= 1.0)).all()
+        assert got[0] == 0.0 and got[-1] == 1.0
+
+    def test_writes_in_place_when_out_is_x(self):
+        x = self.grid.copy()
+        y = nd.logistic(x, out=x)
+        assert y is x
+        npt.assert_array_equal(x, nd.logistic(self.grid))
 
 
 class TestElementwise:
