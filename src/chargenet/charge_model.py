@@ -70,7 +70,7 @@ from .encoders import (
     pool_words,
     scan_words,
 )
-from .ndtensor import DomainError, SgdConfig, StateError, Tape, Tensor
+from .ndtensor import DomainError, StateError, Tape, Tensor
 
 log = logging.getLogger(__name__)
 
@@ -338,9 +338,9 @@ def apply_pretrained_embeddings(params: ModelParams, word_vocab: dict[str, int],
 
 
 def dynamic_context(d_f: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    """Per-case attention context: an affine map of the fact embedding."""
-    col = d_f if d_f.data.ndim == 2 else nd.reshape(d_f, (d_f.shape[0], 1))
-    return w @ col + b
+    """Per-case attention contexts: an affine map of each column of the
+    (state_dim, B) fact embeddings."""
+    return w @ d_f + b
 
 
 def charge_target(positive: set[str], charge_vocab: list[str]) -> np.ndarray:
@@ -673,7 +673,6 @@ def train(train_set: list[CaseRecord], valid_set: list[CaseRecord],
     targets = [charge_target(c.gold_charges, model.charge_vocab) for c in train_set]
 
     params = model.params.tensors()
-    sgd = SgdConfig(learning_rate=config.lr, batch_size=config.batch)
     best_f1 = -1.0
     best_state: list[np.ndarray] = []
     best_probs: list[np.ndarray] = []
@@ -697,7 +696,7 @@ def train(train_set: list[CaseRecord], valid_set: list[CaseRecord],
             epoch_loss += batch_loss.item() * len(idx)
             epoch_charge += charge_v
             epoch_attn += attn_v
-            nd.sgd_step(params, sgd)
+            nd.sgd_step(params, config.lr)
 
         valid_f1, probs = _evaluate(model, valid_set, valid_topk, config.tau)
         n = len(train_set)

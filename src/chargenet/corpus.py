@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .ndtensor import DomainError
+from .ndtensor import DomainError, atomic_write
 
 log = logging.getLogger(__name__)
 
@@ -457,8 +457,9 @@ def assemble_dataset(records: list[CaseRecord], min_charge_count: int = 80,
 
 
 def save_dataset(path, cases: list[CaseRecord]) -> None:
-    """One JSON record per line: fact sentences of [token, pos] pairs, charges, articles."""
-    with open(path, "w", encoding="utf-8") as fh:
+    """One JSON record per line: fact sentences of [token, pos] pairs, charges,
+    articles. Written atomically, as are the other ``save_*`` files."""
+    with atomic_write(path, "w", encoding="utf-8") as fh:
         for case in cases:
             record = {
                 "fact": [[[tok, pos] for tok, pos in sent] for sent in case.fact],
@@ -490,7 +491,7 @@ def load_dataset(path) -> list[CaseRecord]:
 
 
 def save_article_db(path, article_db: dict) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path, "w", encoding="utf-8") as fh:
         for aid in sorted(article_db, key=article_sort_key):
             fh.write(json.dumps({"id": article_id_to_json(aid), "text": article_db[aid]},
                                 ensure_ascii=False) + "\n")
@@ -511,7 +512,7 @@ def load_article_db(path) -> dict:
 
 
 def save_charge_list(path, charges: list[str]) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(charges) + "\n")
 
 
@@ -528,11 +529,13 @@ def save_ruleset(path, rules: RuleSet) -> None:
         "charge_list": rules.charge_list,
         "article_pattern": rules.article_pattern,
     }
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, ensure_ascii=False, indent=2)
 
 
 def load_ruleset(path) -> RuleSet:
     with open(path, encoding="utf-8") as fh:
-        payload = json.load(fh)
-    return RuleSet(**payload)
+        try:
+            return RuleSet(**json.load(fh))
+        except (json.JSONDecodeError, TypeError) as exc:
+            raise ParseError(f"{path}: not a rule set: {exc}") from exc

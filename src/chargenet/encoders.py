@@ -1,18 +1,19 @@
 """Recurrent sequence encoders: GRU cell, bidirectional GRU, attentive pooling,
 and the two-level (word -> sentence) document encoder.
 
-Each GRU direction (``GruParams``) holds its three gates stacked by rows in
-the order update (z), reset (r), candidate (h): W (3H, D), U (3H, H) and
-b (3H, 1).
+A Bi-GRU (``BiGruParams``) holds both directions in three tensors with a
+leading direction axis, forward first: W (2, 3H, D), U (2, 3H, H) and
+b (2, 3H, 1). Within a direction the three gates are stacked by rows in the
+order update (z), reset (r), candidate (h).
 
 A sequence of T steps over a batch of B columns is held stacked too: one
 (dim, T*B) tensor whose columns are step-major (step t owns columns
 t*B .. t*B+B-1). Two fused ops work on that layout, each recording a single
 backward closure per call:
 
-* ``bigru_scan`` hoists the input projections of all three gates of a
-  direction into one W (3H, D) x (D, T*B) product, then runs both
-  directions' recurrences in one plain numpy loop: iteration i advances the
+* ``bigru_scan`` hoists the input projections of every gate of both
+  directions into one stacked W (2, 3H, D) x (D, T*B) product, then runs
+  both recurrences in one plain numpy loop: iteration i advances the
   forward direction at step i and the backward one at step T-1-i. The two
   states are one (2, H, B) array, so each recurrent product (the z and r rows
   of U, then the candidate rows) is one stacked matmul over both directions.
@@ -31,9 +32,10 @@ get no attention. ``encode_documents`` runs the two-level document encoder;
 ``scan_words`` and ``pool_words`` split its word level so that documents
 pooled under different contexts can share one scan, and ``encode_groups``
 runs a level over variable-length sequences laid out one after another.
-``gru_step`` is the composite single-step reference, reading each gate as a
-row slice; ``bigru_encode`` and ``attentive_pool`` take per-position lists of
-1-D vectors or (dim, B) columns and run the fused ops underneath.
+``gru_step`` is the composite single-step reference of one direction, reading
+its rows and then each gate as slices of the stacked tensors; ``bigru_encode``
+and ``attentive_pool`` take per-position lists of 1-D vectors or (dim, B)
+columns and run the fused ops underneath.
 """
 
 from __future__ import annotations
@@ -48,10 +50,12 @@ from .ndtensor import DomainError, ShapeError, Tensor
 
 
 @dataclass
-class GruParams(nd.ParamGroup):
-    """Weights of one GRU direction with the three gates stacked by rows, in
-    the order update (z), reset (r), candidate (h): ``w`` (3H, D) acts on the
-    input, ``u`` (3H, H) on the previous state, ``b`` is (3H, 1)."""
+class BiGruParams(nd.ParamGroup):
+    """Weights of a forward and a backward GRU, stacked on a leading
+    direction axis (0 forward, 1 backward). Each direction's three gates are
+    stacked by rows in the order update (z), reset (r), candidate (h):
+    ``w`` (2, 3H, D) acts on the input, ``u`` (2, 3H, H) on the previous
+    state, ``b`` is (2, 3H, 1)."""
 
     w: Tensor
     u: Tensor
@@ -59,45 +63,29 @@ class GruParams(nd.ParamGroup):
 
     @property
     def input_dim(self) -> int:
-        return self.w.shape[1]
+        return self.w.shape[2]
 
     @property
     def hidden_dim(self) -> int:
-        return self.u.shape[1]
-
-    @classmethod
-    def create(cls, input_dim: int, hidden_dim: int, rng: np.random.Generator,
-               prefix: str = "gru") -> "GruParams":
-        # Each gate block takes the Glorot limit of its own (H, D) or (H, H)
-        # shape, drawn in the order w_z, u_z, w_r, u_r, w_h, u_h.
-        blocks = [(nd.parameter((hidden_dim, input_dim), rng).data,
-                   nd.parameter((hidden_dim, hidden_dim), rng).data) for _ in range(3)]
-        w, u = zip(*blocks)
-        return cls(Tensor(np.vstack(w), name=f"{prefix}.w"),
-                   Tensor(np.vstack(u), name=f"{prefix}.u"),
-                   nd.zeros((3 * hidden_dim, 1), name=f"{prefix}.b"))
-
-
-@dataclass
-class BiGruParams(nd.ParamGroup):
-    """Independent forward and backward GRUs of equal hidden size."""
-
-    forward: GruParams
-    backward: GruParams
-
-    def __post_init__(self):
-        if self.forward.hidden_dim != self.backward.hidden_dim:
-            raise ShapeError("forward/backward hidden sizes differ")
+        return self.u.shape[2]
 
     @property
     def state_dim(self) -> int:
-        return 2 * self.forward.hidden_dim
+        return 2 * self.hidden_dim
 
     @classmethod
     def create(cls, input_dim: int, hidden_dim: int, rng: np.random.Generator,
                prefix: str = "bigru") -> "BiGruParams":
-        return cls(GruParams.create(input_dim, hidden_dim, rng, f"{prefix}.fwd"),
-                   GruParams.create(input_dim, hidden_dim, rng, f"{prefix}.bwd"))
+        # Each gate block takes the Glorot limit of its own (H, D) or (H, H)
+        # shape, drawn direction by direction in the order w_z, u_z, w_r, u_r,
+        # w_h, u_h.
+        blocks = [nd.parameter(shape, rng).data for _ in range(6)
+                  for shape in [(hidden_dim, input_dim), (hidden_dim, hidden_dim)]]
+        return cls(Tensor(np.reshape(blocks[0::2], (2, 3 * hidden_dim, input_dim)),
+                          name=f"{prefix}.w"),
+                   Tensor(np.reshape(blocks[1::2], (2, 3 * hidden_dim, hidden_dim)),
+                          name=f"{prefix}.u"),
+                   nd.zeros((2, 3 * hidden_dim, 1), name=f"{prefix}.b"))
 
 
 @dataclass
@@ -125,7 +113,7 @@ class DocEncoderParams(nd.ParamGroup):
     sent_pool: AttentivePoolParams
 
     def __post_init__(self):
-        if self.sent_gru.forward.input_dim != self.word_gru.state_dim:
+        if self.sent_gru.input_dim != self.word_gru.state_dim:
             raise ShapeError("sentence-level input dim must equal word-level state dim")
 
     @classmethod
@@ -146,8 +134,9 @@ def _as_column(x: Tensor) -> tuple[Tensor, bool]:
     return x, False
 
 
-def gru_step(x: Tensor, h_prev: Tensor, p: GruParams) -> Tensor:
-    """One gated update: z and r gates, candidate state, convex mix with h_prev."""
+def gru_step(x: Tensor, h_prev: Tensor, p: BiGruParams, direction: int) -> Tensor:
+    """One gated update of direction ``direction`` (0 forward, 1 backward):
+    z and r gates, candidate state, convex mix with h_prev."""
     x, squeeze = _as_column(x)
     h_prev, _ = _as_column(h_prev)
     if x.shape[0] != p.input_dim or h_prev.shape[0] != p.hidden_dim:
@@ -159,14 +148,15 @@ def gru_step(x: Tensor, h_prev: Tensor, p: GruParams) -> Tensor:
     hid = p.hidden_dim
 
     def gates(t):
-        return [nd.narrow(t, 0, k * hid, hid) for k in range(3)]
+        rows = nd.reshape(nd.narrow(t, 0, direction, 1), t.shape[1:])
+        return [nd.narrow(rows, 0, k * hid, hid) for k in range(3)]
 
     (w_z, w_r, w_h), (u_z, u_r, u_h), (b_z, b_r, b_h) = gates(p.w), gates(p.u), gates(p.b)
     z = nd.sigmoid(w_z @ x + u_z @ h_prev + b_z)
     r = nd.sigmoid(w_r @ x + u_r @ h_prev + b_r)
     cand = nd.tanh(w_h @ x + u_h @ (r * h_prev) + b_h)
     h = (1.0 - z) * h_prev + z * cand
-    return nd.reshape(h, (p.hidden_dim,)) if squeeze else h
+    return nd.reshape(h, (hid,)) if squeeze else h
 
 
 def _step_batch(x: Tensor, steps: int, mask: np.ndarray | None) -> int:
@@ -182,25 +172,22 @@ def _step_batch(x: Tensor, steps: int, mask: np.ndarray | None) -> int:
 
 
 def _bigru_forward(x: np.ndarray, steps: int, p: BiGruParams, mask: np.ndarray | None,
-                   out: np.ndarray, keep: bool) -> list[np.ndarray] | None:
+                   out: np.ndarray, keep: bool) -> np.ndarray | None:
     """Both directions' recurrences in one loop, writing the states into
     ``out`` (2H, T*B), forward half on top.
 
     Iteration i advances the forward direction at step i and the backward one
     at step T-1-i; the two states are one (2, H, B) array, so each recurrent
     product is one stacked matmul. A masked step gets z = 0 and so keeps its
-    state exactly. Returns each direction's unmasked gate activations
-    [z; r; candidate] as (3H, T*B) when ``keep`` is set (backward needs them),
-    else None.
+    state exactly. Returns the unmasked gate activations [z; r; candidate]
+    of both directions as (2, 3H, T*B) when ``keep`` is set (backward needs
+    them), else None.
     """
-    hid = p.forward.hidden_dim
+    hid = p.hidden_dim
     batch = x.shape[1] // steps
-    gs = (p.forward, p.backward)
-    acts = [g.w.data @ x for g in gs]
-    for a, g in zip(acts, gs):
-        a += g.b.data
-    u = np.stack([g.u.data for g in gs])
-    u_zr, u_h = u[:, :2 * hid], u[:, 2 * hid:]
+    acts = np.matmul(p.w.data, x)
+    acts += p.b.data
+    u_zr, u_h = p.u.data[:, :2 * hid], p.u.data[:, 2 * hid:]
     if mask is not None:
         masks = np.stack([mask, mask[::-1]], axis=1)[:, :, None, :]
     # (rows, T, B) views of the gate rows and of the states: [:, t] is step t.
@@ -232,23 +219,25 @@ def _bigru_forward(x: np.ndarray, steps: int, p: BiGruParams, mask: np.ndarray |
     return acts if keep else None
 
 
-def _gru_backward(xd: np.ndarray, steps: int, g: GruParams, mask: np.ndarray | None,
-                  reverse: bool, states: np.ndarray, acts: np.ndarray,
-                  d_states: np.ndarray) -> np.ndarray:
-    """Hand-written BPTT for one direction; accumulates the weight gradients
-    and returns the gradient of the stacked input (D, T*B)."""
-    hid = g.hidden_dim
+def _gru_backward(xd: np.ndarray, steps: int, p: BiGruParams, d: int,
+                  mask: np.ndarray | None, states: np.ndarray, acts: np.ndarray,
+                  d_states: np.ndarray, dw: np.ndarray, du: np.ndarray,
+                  db: np.ndarray) -> np.ndarray:
+    """Hand-written BPTT for direction ``d`` (1 runs from the last step).
+    Writes that direction's gradients of w, u and b into ``dw``, ``du`` and
+    ``db`` and returns the gradient of the stacked input (D, T*B)."""
+    hid = p.hidden_dim
     batch = xd.shape[1] // steps
     # The state each step started from: the neighbouring step's output, zeros at the edge.
     h_prev = np.zeros_like(states)
-    if reverse:
+    if d:
         h_prev[:, :-batch] = states[:, batch:]
     else:
         h_prev[:, batch:] = states[:, :-batch]
-    u_zr, u_h = g.u.data[:2 * hid], g.u.data[2 * hid:]
+    u_zr, u_h = p.u.data[d, :2 * hid], p.u.data[d, 2 * hid:]
     d_pre = np.empty_like(acts)
     dh = np.zeros((hid, batch))
-    for t in (range(steps) if reverse else range(steps - 1, -1, -1)):
+    for t in (range(steps) if d else range(steps - 1, -1, -1)):
         cols = slice(t * batch, (t + 1) * batch)
         a = acts[:, cols]
         z, r, cand = a[:hid], a[hid:2 * hid], a[2 * hid:]
@@ -264,16 +253,16 @@ def _gru_backward(xd: np.ndarray, steps: int, g: GruParams, mask: np.ndarray | N
         d_cand = d_new * z * (1.0 - cand * cand)
         d_rh = u_h.T @ d_cand
         dh += d_rh * r
-        d = d_pre[:, cols]
-        d[:hid] = d_new * (cand - hp) * z * (1.0 - z)
-        d[hid:2 * hid] = d_rh * hp * r * (1.0 - r)
-        d[2 * hid:] = d_cand
-        dh += u_zr.T @ d[:2 * hid]
-    nd.accumulate(g.w, d_pre @ xd.T)
-    nd.accumulate(g.u, np.vstack([d_pre[:2 * hid] @ h_prev.T,
-                                  d_pre[2 * hid:] @ (acts[hid:2 * hid] * h_prev).T]))
-    nd.accumulate(g.b, d_pre.sum(axis=1, keepdims=True))
-    return g.w.data.T @ d_pre
+        dp = d_pre[:, cols]
+        dp[:hid] = d_new * (cand - hp) * z * (1.0 - z)
+        dp[hid:2 * hid] = d_rh * hp * r * (1.0 - r)
+        dp[2 * hid:] = d_cand
+        dh += u_zr.T @ dp[:2 * hid]
+    np.matmul(d_pre, xd.T, out=dw)
+    np.matmul(d_pre[:2 * hid], h_prev.T, out=du[:2 * hid])
+    np.matmul(d_pre[2 * hid:], (acts[hid:2 * hid] * h_prev).T, out=du[2 * hid:])
+    d_pre.sum(axis=1, keepdims=True, out=db)
+    return p.w.data[d].T @ d_pre
 
 
 def bigru_scan(x: Tensor, steps: int, p: BiGruParams,
@@ -282,28 +271,35 @@ def bigru_scan(x: Tensor, steps: int, p: BiGruParams,
     the columns of ``x`` (D, steps*B).
 
     Returns the (2H, steps*B) states, forward half on top, in the same column
-    layout. Both directions run in one loop of ``steps`` iterations, the
-    forward one from the first step and the backward one from the last.
-    ``mask`` is a (steps, B) 0/1 array; masked steps keep the prior state
-    exactly. One tape step covers both directions.
+    layout. One stacked product projects the inputs of both directions; both
+    recurrences then run in one loop of ``steps`` iterations, the forward one
+    from the first step and the backward one from the last. ``mask`` is a
+    (steps, B) 0/1 array; masked steps keep the prior state exactly. One tape
+    step covers both directions.
     """
     batch = _step_batch(x, steps, mask)
-    if x.shape[0] != p.forward.input_dim:
-        raise ShapeError(f"bigru_scan got {x.shape[0]}-dim inputs, "
-                         f"expected {p.forward.input_dim}")
-    hid = p.forward.hidden_dim
+    if x.shape[0] != p.input_dim:
+        raise ShapeError(f"bigru_scan got {x.shape[0]}-dim inputs, expected {p.input_dim}")
+    hid = p.hidden_dim
     keep = nd.recording()
     data = np.empty((2 * hid, steps * batch))
-    halves = [(p.forward, False, data[:hid]), (p.backward, True, data[hid:])]
     acts = _bigru_forward(x.data, steps, p, mask, data, keep)
     out = Tensor(data)
 
     def back():
         if out.grad is None:
             return
-        for (g, rev, states), a, d_states in zip(halves, acts,
-                                                 (out.grad[:hid], out.grad[hid:])):
-            nd.accumulate(x, _gru_backward(x.data, steps, g, mask, rev, states, a, d_states))
+        states, d_states = data.reshape(2, hid, -1), out.grad.reshape(2, hid, -1)
+        # Each direction writes its rows of the stacked weight gradients and
+        # hands its input gradient over at once, so that only one direction's
+        # temporaries are alive at a time: holding both, then stacking,
+        # measured slower.
+        grads = [np.empty_like(t.data) for t in (p.w, p.u, p.b)]
+        for d in range(2):
+            nd.accumulate(x, _gru_backward(x.data, steps, p, d, mask, states[d], acts[d],
+                                           d_states[d], *(g[d] for g in grads)))
+        for t, g in zip((p.w, p.u, p.b), grads):
+            nd.accumulate(t, g)
 
     if keep:
         nd.record(back)

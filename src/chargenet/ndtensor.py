@@ -27,7 +27,7 @@ import numpy as np
 LOG_EPS = 1e-12  # probability clamp inside cross_entropy
 
 __all__ = [
-    "Tensor", "Tape", "SgdConfig", "ShapeError", "DomainError", "StateError",
+    "Tensor", "Tape", "ShapeError", "DomainError", "StateError",
     "matmul", "add", "sub", "mul", "tanh", "sigmoid", "concat", "narrow",
     "take_cols", "embed", "reshape", "tsum", "softmax", "cross_entropy",
     "sgd_step", "grad_check", "GradCheckReport", "parameter", "zeros",
@@ -456,25 +456,12 @@ def cross_entropy(target, predicted: Tensor) -> Tensor:
     return out
 
 
-@dataclass
-class SgdConfig:
-    """Plain stochastic gradient descent settings."""
-    learning_rate: float = 0.1
-    batch_size: int = 8
-
-    def __post_init__(self):
-        if self.learning_rate <= 0:
-            raise DomainError(f"learning_rate must be positive, got {self.learning_rate}")
-        if self.batch_size < 1:
-            raise DomainError(f"batch_size must be >= 1, got {self.batch_size}")
-
-
-def sgd_step(params: Iterable[Tensor], config: SgdConfig) -> None:
+def sgd_step(params: Iterable[Tensor], lr: float) -> None:
     """p <- p - lr * grad for every parameter, then clear the gradients."""
     for p in params:
         if p.grad is None:
             raise StateError(f"parameter {p.name or p.shape} has no gradient; run backward first")
-        p.data -= config.learning_rate * p.grad
+        p.data -= lr * p.grad
         p.grad = None
 
 

@@ -13,13 +13,14 @@ from chargenet import ndtensor as nd
 from chargenet.ndtensor import Tensor
 
 
-def gru_scan(xs, p, masks, reverse):
-    """Per-step GRU over a list of (D, B) columns; masked steps keep the prior state."""
+def gru_scan(xs, p, masks, direction):
+    """Per-step GRU of one direction (1 runs from the last step) over a list
+    of (D, B) columns; masked steps keep the prior state."""
     h = Tensor(np.zeros((p.hidden_dim, xs[0].shape[1])))
     states = [None] * len(xs)
-    order = range(len(xs) - 1, -1, -1) if reverse else range(len(xs))
+    order = range(len(xs) - 1, -1, -1) if direction else range(len(xs))
     for t in order:
-        h_new = enc.gru_step(xs[t], h, p)
+        h_new = enc.gru_step(xs[t], h, p, direction)
         if masks is not None:
             m = masks[t]
             h_new = h_new * m + h * (1.0 - m)
@@ -37,8 +38,7 @@ def bigru_scan(x, steps, p, mask=None):
     """Same contract as ``enc.bigru_scan``, built from ``gru_step``."""
     xs = split_steps(x, steps)
     masks = None if mask is None else [mask[t][None, :] for t in range(steps)]
-    fwd = gru_scan(xs, p.forward, masks, reverse=False)
-    bwd = gru_scan(xs, p.backward, masks, reverse=True)
+    fwd, bwd = (gru_scan(xs, p, masks, d) for d in range(2))
     return nd.concat([nd.concat([f, b], axis=0) for f, b in zip(fwd, bwd)], axis=1)
 
 

@@ -1,5 +1,9 @@
+import os
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from chargenet import corpus as cp
 from chargenet.corpus import (
@@ -77,6 +81,17 @@ class TestNumerals:
             written = cp.int_to_chinese_numeral(n)
             assert cp.chinese_numeral_to_int(written) == n, (n, written)
 
+    def test_agrees_with_independent_writer_1000_to_9999(self):
+        for n in range(1000, 10000):
+            written = cp.int_to_chinese_numeral(n)
+            assert cp.chinese_numeral_to_int(written) == n, (n, written)
+
+
+# Article ids whose references the default pattern reads: 之N takes one numeral
+# character, so sub-clauses run 1..10.
+ARTICLE_IDS = st.one_of(st.integers(1, 9999),
+                        st.tuples(st.integers(1, 9999), st.integers(1, 10)))
+
 
 class TestExtractArticles:
     def test_simple_reference(self):
@@ -100,6 +115,22 @@ class TestExtractArticles:
 
     def test_arabic_digits(self):
         assert cp.extract_articles("依照第264条之规定", RuleSet()) == [264]
+
+    @given(nums=st.lists(st.integers(1, 9999), min_size=1, max_size=6),
+           sub=st.none() | st.integers(1, 10))
+    def test_rendered_enumeration_property(self, nums, sub):
+        """第A、B、C条 yields A, B, C; a 之N suffix goes to the last numeral."""
+        text = ("依照第" + "、".join(cp.int_to_chinese_numeral(n) for n in nums) + "条"
+                + ("" if sub is None else "之" + cp.int_to_chinese_numeral(sub)) + "的规定")
+        want = nums[:-1] + [nums[-1] if sub is None else (nums[-1], sub)]
+        assert cp.extract_articles(text, RuleSet()) == list(dict.fromkeys(want))
+
+    @given(st.lists(ARTICLE_IDS, min_size=1, max_size=6))
+    def test_rendered_references_property(self, ids):
+        """References as judgements cite them, 之N ones included, come back
+        as ids in first-seen order."""
+        text = "依照" + "、".join(cp.format_article_ref(a) for a in ids) + "之规定"
+        assert cp.extract_articles(text, RuleSet()) == list(dict.fromkeys(ids))
 
 
 class TestExtractCharges:
@@ -236,6 +267,22 @@ class TestRenderRoundTrip:
         for name in rules.charge_list:
             assert all(name not in t for t in toks)
 
+    CHARGES = ["盗窃", "抢劫", "诈骗", "故意伤害", "故意杀人"]
+
+    @given(fact=st.lists(st.lists(st.text("abcdefgxyz", min_size=1, max_size=5),
+                                  min_size=1, max_size=5), min_size=1, max_size=4),
+           charges=st.sets(st.sampled_from(CHARGES), min_size=1),
+           articles=st.sets(ARTICLE_IDS, min_size=1, max_size=5))
+    def test_round_trip_property(self, fact, charges, articles):
+        """render_judgement then assemble_case recovers the fact tokens, the
+        charges and the articles."""
+        case = CaseRecord([[(t, "x") for t in sent] for sent in fact], charges, articles)
+        rules = RuleSet(charge_list=self.CHARGES)
+        rebuilt = cp.assemble_case(cp.render_judgement(case, rules), rules)
+        assert rebuilt.fact == case.fact
+        assert rebuilt.gold_charges == charges
+        assert rebuilt.gold_articles == articles
+
     def test_sub_article_round_trip(self):
         case = CaseRecord([[("tok1", "n"), ("tok2", "n")]], {"盗窃"}, {(133, 1), 264})
         rules = RuleSet(charge_list=["盗窃"])
@@ -285,6 +332,33 @@ class TestDatasetIO:
         cp.save_ruleset(path, rules)
         loaded = cp.load_ruleset(path)
         assert loaded == rules
+
+    @pytest.mark.parametrize("text", ['{"charge_list": ["盗窃"', '{"charge_lists": []}',
+                                      '["盗窃"]'],
+                             ids=["truncated", "unknown_key", "not_an_object"])
+    def test_bad_ruleset_names_the_path(self, tmp_path, text):
+        path = tmp_path / "rules.json"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(ParseError, match="rules.json"):
+            cp.load_ruleset(path)
+
+    @pytest.mark.parametrize("save,good,bad", [
+        (cp.save_dataset, [CaseRecord([[("old", "n")]], {"x"}, {1})],
+         [CaseRecord([[("a", "n")]], {"x"}, {1}), CaseRecord([[(b"b", "n")]], {"x"}, {1})]),
+        (cp.save_article_db, {1: "old"}, {1: "a", 2: b"b"}),
+        (cp.save_charge_list, ["old"], ["a", b"b"]),
+        (cp.save_ruleset, RuleSet(charge_list=["old"]), RuleSet(charge_list=["a", b"b"])),
+    ], ids=["dataset", "article_db", "charge_list", "ruleset"])
+    def test_failed_save_keeps_the_old_file(self, tmp_path, save, good, bad):
+        """A save that raises part-way (a token JSON cannot encode) leaves
+        the previous file byte for byte and no temporary file."""
+        path = tmp_path / "out"
+        save(path, good)
+        before = path.read_bytes()
+        with pytest.raises(TypeError):
+            save(path, bad)
+        assert path.read_bytes() == before
+        assert os.listdir(tmp_path) == ["out"]
 
 
 class TestAssembleDataset:

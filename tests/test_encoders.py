@@ -16,12 +16,13 @@ def sig(x):
     return 1.0 / (1.0 + np.exp(-x))
 
 
-def gru_oracle(x, h, p):
-    """Plain numpy recomputation of one GRU update from the z, r, h row blocks."""
-    w_z, w_r, w_h = np.split(p.w.data, 3)
-    u_z, u_r, u_h = np.split(p.u.data, 3)
+def gru_oracle(x, h, p, direction=0):
+    """Plain numpy recomputation of one GRU update of a direction from its
+    z, r, h row blocks."""
+    w_z, w_r, w_h = np.split(p.w.data[direction], 3)
+    u_z, u_r, u_h = np.split(p.u.data[direction], 3)
     b_z, b_r, b_h = (b.reshape(-1, 1) if x.ndim == 2 else b.reshape(-1)
-                     for b in np.split(p.b.data, 3))
+                     for b in np.split(p.b.data[direction], 3))
     z = sig(w_z @ x + u_z @ h + b_z)
     r = sig(w_r @ x + u_r @ h + b_r)
     cand = np.tanh(w_h @ x + u_h @ (r * h) + b_h)
@@ -29,7 +30,7 @@ def gru_oracle(x, h, p):
 
 
 def make_gru(input_dim, hidden_dim, seed=0):
-    return enc.GruParams.create(input_dim, hidden_dim, np.random.default_rng(seed))
+    return enc.BiGruParams.create(input_dim, hidden_dim, np.random.default_rng(seed))
 
 
 class TestGruStep:
@@ -37,27 +38,32 @@ class TestGruStep:
         p = make_gru(3, 2)
         for t in p.tensors():
             t.data[:] = 0.0
-        h = enc.gru_step(Tensor(np.zeros(3)), Tensor(np.zeros(2)), p)
-        npt.assert_array_equal(h.data, np.zeros(2))
+        for d in range(2):
+            h = enc.gru_step(Tensor(np.zeros(3)), Tensor(np.zeros(2)), p, d)
+            npt.assert_array_equal(h.data, np.zeros(2))
 
     def test_shut_update_gate_keeps_state(self):
         p = make_gru(3, 2, seed=1)
-        p.b.data[:p.hidden_dim] = -1e6  # the z rows
+        p.b.data[:, :p.hidden_dim] = -1e6  # the z rows of both directions
         h_prev = np.array([0.3, -0.7])
-        h = enc.gru_step(Tensor(np.ones(3)), Tensor(h_prev.copy()), p)
-        npt.assert_allclose(h.data, h_prev, atol=1e-12)
+        for d in range(2):
+            h = enc.gru_step(Tensor(np.ones(3)), Tensor(h_prev.copy()), p, d)
+            npt.assert_allclose(h.data, h_prev, atol=1e-12)
 
     def test_create_stacks_the_per_gate_draws(self):
         """Gate blocks keep their own Glorot limits and the draw order
-        w_z, u_z, w_r, u_r, w_h, u_h, so seeded initialisations do not move."""
+        w_z, u_z, w_r, u_r, w_h, u_h, forward direction first, so seeded
+        initialisations do not move: stacking the per-direction tensors of
+        the two-object layout gives the stacked tensors exactly."""
         rng = np.random.default_rng(7)
-        blocks = [nd.parameter(shape, rng).data for _ in range(3) for shape in [(4, 3), (4, 4)]]
+        directions = [[nd.parameter(shape, rng).data for _ in range(3)
+                       for shape in [(4, 3), (4, 4)]] for _ in range(2)]
         p = make_gru(3, 4, seed=7)
-        npt.assert_array_equal(p.w.data, np.vstack(blocks[0::2]))
-        npt.assert_array_equal(p.u.data, np.vstack(blocks[1::2]))
-        npt.assert_array_equal(p.b.data, np.zeros((12, 1)))
-        assert (p.input_dim, p.hidden_dim) == (3, 4)
-        assert [n for n, _ in p.named()] == ["gru.w", "gru.u", "gru.b"]
+        npt.assert_array_equal(p.w.data, np.stack([np.vstack(b[0::2]) for b in directions]))
+        npt.assert_array_equal(p.u.data, np.stack([np.vstack(b[1::2]) for b in directions]))
+        npt.assert_array_equal(p.b.data, np.zeros((2, 12, 1)))
+        assert (p.input_dim, p.hidden_dim, p.state_dim) == (3, 4, 8)
+        assert [n for n, _ in p.named()] == ["bigru.w", "bigru.u", "bigru.b"]
 
     def test_matches_step_by_step_oracle(self):
         rng = np.random.default_rng(2)
@@ -65,23 +71,25 @@ class TestGruStep:
         for _ in range(20):
             x = rng.uniform(-2, 2, 4)
             h = rng.uniform(-2, 2, 3)
-            got = enc.gru_step(Tensor(x), Tensor(h), p).data
-            npt.assert_allclose(got, gru_oracle(x, h, p), atol=1e-12)
+            for d in range(2):
+                got = enc.gru_step(Tensor(x), Tensor(h), p, d).data
+                npt.assert_allclose(got, gru_oracle(x, h, p, d), atol=1e-12)
 
     def test_batched_matches_loop(self):
         rng = np.random.default_rng(3)
         p = make_gru(4, 3, seed=3)
         xb = rng.uniform(-2, 2, (4, 5))
         hb = rng.uniform(-2, 2, (3, 5))
-        got = enc.gru_step(Tensor(xb), Tensor(hb), p).data
-        for j in range(5):
-            one = enc.gru_step(Tensor(xb[:, j]), Tensor(hb[:, j]), p).data
-            npt.assert_allclose(got[:, j], one, atol=1e-14)
+        for d in range(2):
+            got = enc.gru_step(Tensor(xb), Tensor(hb), p, d).data
+            for j in range(5):
+                one = enc.gru_step(Tensor(xb[:, j]), Tensor(hb[:, j]), p, d).data
+                npt.assert_allclose(got[:, j], one, atol=1e-14)
 
     def test_dimension_mismatch(self):
         p = make_gru(3, 2)
         with pytest.raises(ShapeError):
-            enc.gru_step(Tensor(np.zeros(5)), Tensor(np.zeros(2)), p)
+            enc.gru_step(Tensor(np.zeros(5)), Tensor(np.zeros(2)), p, 0)
 
     def test_gradients(self):
         rng = np.random.default_rng(4)
@@ -89,7 +97,13 @@ class TestGruStep:
         x = Tensor(rng.uniform(-1, 1, 3))
         h = Tensor(rng.uniform(-1, 1, 2))
         tensors = [x, h] + [t for _, t in p.named()]
-        assert_matches_fd(lambda: nd.tsum(enc.gru_step(x, h, p)), tensors)
+        weights = [Tensor(rng.uniform(-1, 1, 2)) for _ in range(2)]
+
+        def loss():
+            return nd.tsum(enc.gru_step(x, h, p, 0) * weights[0]
+                           + enc.gru_step(x, h, p, 1) * weights[1])
+
+        assert_matches_fd(loss, tensors)
 
 
 class TestBigru:
@@ -103,8 +117,7 @@ class TestBigru:
         x = np.random.default_rng(6).uniform(-1, 1, 3)
         [out] = enc.bigru_encode([Tensor(x)], p)
         zero = np.zeros(2)
-        expected = np.concatenate([gru_oracle(x, zero, p.forward),
-                                   gru_oracle(x, zero, p.backward)])
+        expected = np.concatenate([gru_oracle(x, zero, p, 0), gru_oracle(x, zero, p, 1)])
         npt.assert_allclose(out.data, expected, atol=1e-12)
 
     def test_hidden_75_gives_150(self):
@@ -115,8 +128,9 @@ class TestBigru:
 
     def test_palindrome_with_tied_weights(self):
         rng = np.random.default_rng(9)
-        fwd = enc.GruParams.create(3, 4, np.random.default_rng(10))
-        p = enc.BiGruParams(fwd, fwd)
+        p = enc.BiGruParams.create(3, 4, np.random.default_rng(10))
+        for t in p.tensors():
+            t.data[1] = t.data[0]
         a, b, c = (rng.uniform(-1, 1, 3) for _ in range(3))
         seq = [Tensor(v) for v in (a, b, c, b, a)]
         out = enc.bigru_encode(seq, p)
@@ -318,7 +332,7 @@ class TestBatchedEncoding:
                 for s in range(len(doc)):
                     npt.assert_allclose(word_attn[j][s], wa[s], atol=1e-12)
 
-    @settings(deadline=None, derandomize=True, max_examples=25)
+    @settings(max_examples=25)
     @given(n_docs=st.integers(1, 4), hidden=st.integers(1, 3), seed=st.integers(0, 2**16))
     def test_padded_documents_property(self, n_docs, hidden, seed):
         """Documents of random sentence counts and lengths, batched, each
@@ -406,12 +420,11 @@ class TestFusedScan:
 
     def test_each_direction_matches_its_oracle_scan(self):
         p, x, _, mask = self.setup(40, 5, 3)
-        hid = p.forward.hidden_dim
+        hid = p.hidden_dim
         states = enc.bigru_scan(x, 5, p, mask).data
         xs = oracle.split_steps(x, 5)
         masks = [mask[t][None, :] for t in range(5)]
-        fwd = oracle.gru_scan(xs, p.forward, masks, reverse=False)
-        bwd = oracle.gru_scan(xs, p.backward, masks, reverse=True)
+        fwd, bwd = (oracle.gru_scan(xs, p, masks, d) for d in range(2))
         for t in range(5):
             npt.assert_allclose(states[:hid, 3 * t:3 * t + 3], fwd[t].data, atol=1e-12)
             npt.assert_allclose(states[hid:, 3 * t:3 * t + 3], bwd[t].data, atol=1e-12)

@@ -141,7 +141,7 @@ class TestChiSquare:
                 expected = hand_chi_square([col in f for f in features], labels)
                 assert scores[col] == pytest.approx(expected, abs=1e-9)
 
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=60)
     @given(st.data())
     def test_every_row_matches_the_hand_oracle(self, data):
         n = data.draw(st.integers(2, 12), label="cases")

@@ -8,7 +8,6 @@ import pytest
 from chargenet import ndtensor as nd
 from chargenet.ndtensor import (
     DomainError,
-    SgdConfig,
     ShapeError,
     StateError,
     Tape,
@@ -377,23 +376,22 @@ class TestSgd:
     def test_basic_step(self):
         p = Tensor(np.array([1.0]))
         p.grad = np.array([2.0])
-        nd.sgd_step([p], SgdConfig(learning_rate=0.1))
+        nd.sgd_step([p], 0.1)
         npt.assert_allclose(p.data, [0.8], atol=1e-15)
         assert p.grad is None
 
     def test_zero_grad_keeps_param(self):
         p = Tensor(np.array([1.0, -1.0]))
         p.grad = np.zeros(2)
-        nd.sgd_step([p], SgdConfig())
+        nd.sgd_step([p], 0.1)
         npt.assert_array_equal(p.data, [1.0, -1.0])
 
     def test_missing_grad_raises(self):
         with pytest.raises(StateError):
-            nd.sgd_step([Tensor(np.ones(2), name="w")], SgdConfig())
+            nd.sgd_step([Tensor(np.ones(2), name="w")], 0.1)
 
     def test_descent_on_quadratic(self):
         p = Tensor(np.array([5.0]))
-        cfg = SgdConfig(learning_rate=0.1, batch_size=1)
         prev = math.inf
         for _ in range(10):
             with Tape() as tape:
@@ -401,16 +399,10 @@ class TestSgd:
                 tape.backward(loss, [p])
             assert loss.item() < prev
             prev = loss.item()
-            nd.sgd_step([p], cfg)
+            nd.sgd_step([p], 0.1)
         with Tape() as tape:
             final = nd.tsum(nd.mul(p, p))
         assert final.item() < prev
-
-    def test_config_validation(self):
-        with pytest.raises(DomainError):
-            SgdConfig(learning_rate=0.0)
-        with pytest.raises(DomainError):
-            SgdConfig(batch_size=0)
 
 
 class TestGradCheck:
@@ -449,7 +441,7 @@ class TestDeterminism:
         with Tape() as tape:
             loss = nd.tsum(nd.tanh(nd.matmul(w, x)))
             tape.backward(loss, [w])
-        nd.sgd_step([w], SgdConfig(learning_rate=0.1))
+        nd.sgd_step([w], 0.1)
         return loss.item(), w.data.copy()
 
     def test_forward_backward_step_bit_identical(self):
