@@ -16,13 +16,13 @@ fact_supv_art      fact + articles            extractor top-k, attention
 fact_gold_art      fact + articles            gold articles (upper bound)
 =================  =========================  ==========================
 
-Two entry points run the same layers. ``forward(case)`` serves one case,
-through ``ChargeModel.encode_fact``, ``encode_articles`` and
-``aggregate_articles``. ``forward_batch(cases)`` runs B cases as the columns
-of one graph; ``train()`` records one per minibatch, under one loss and one
-backward, and validation runs in chunks of ``config.batch`` cases. Both go
-through the same private layers, and the three public names are their
-one-case forms:
+``forward_batch(cases)`` runs B cases as the columns of one graph; it is the
+one graph builder for losses and gradients. ``train()`` records one per
+minibatch, under one loss and one backward, and validation runs in chunks of
+``config.batch`` cases. ``forward(case)`` is the serving view of the same
+layers for one case, through ``ChargeModel.encode_fact``, ``encode_articles``
+and ``aggregate_articles`` (their one-case forms): it returns plain arrays and
+no tensor. The layers:
 
 * all facts go through one two-level ``encode_documents`` call;
 * the dynamic contexts (``dynamic_context`` of d_f) are (state_dim, B), one
@@ -51,6 +51,7 @@ from __future__ import annotations
 
 import json
 import logging
+import numbers
 from dataclasses import dataclass, field, fields
 from enum import Enum
 
@@ -112,6 +113,11 @@ class ModelConfig:
 
     def __post_init__(self):
         self.variant = Variant(self.variant)
+        for f in fields(self):
+            kind = {"int": numbers.Integral, "float": numbers.Real}.get(f.type)
+            value = getattr(self, f.name)
+            if kind is not None and (isinstance(value, bool) or not isinstance(value, kind)):
+                raise TypeError(f"{f.name} must be {f.type}, not {value!r}")
         for name in ("word_emb_dim", "pos_emb_dim", "gru_hidden", "fc1_dim",
                      "fc2_dim", "k", "batch", "max_epochs", "patience"):
             if getattr(self, name) < 1:
@@ -203,17 +209,18 @@ class ModelParams(nd.ParamGroup):
 
 @dataclass
 class ForwardTrace:
-    """Per-case intermediates kept for losses, reports, and the user-facing
-    article ranking."""
+    """One served case as plain arrays, for reports and the user-facing
+    article ranking: the charge distribution, the fact's word and sentence
+    attention and, for the article variants, the slots, their extractor
+    scores and the aggregation attention. Losses and gradients come from
+    ``forward_batch``."""
 
     o: np.ndarray
-    o_tensor: Tensor
     word_attn: list[np.ndarray]
     sent_attn: np.ndarray
     topk: list | None = None
     extractor_scores: list[float] | None = None
     alpha: np.ndarray | None = None
-    alpha_tensor: Tensor | None = None
 
 
 @dataclass
@@ -368,12 +375,11 @@ def attention_target(topk_ids: list, gold_ids: set, k: int) -> np.ndarray | None
 
 def encode_article_words(model: ChargeModel, article_ids: list) -> ArticleWords:
     """One embedding lookup and one word-level Bi-GRU scan over every sentence
-    of the given articles; they do not depend on the fact."""
+    of the given articles, which must be in ``model.article_docs``; they do
+    not depend on the fact."""
     sents: list = []
     cols = {}
     for aid in article_ids:
-        if aid not in model.article_docs:
-            raise DomainError(f"article {aid!r} missing from the article database")
         doc = model.article_docs[aid]
         cols[aid] = np.arange(len(sents), len(sents) + len(doc))
         sents.extend(doc)
@@ -401,15 +407,17 @@ def _encode_slots(model: ChargeModel, topks: list[list], d_f: Tensor) -> Tensor:
     the union of the cases' slots.
     """
     p = model.params
+    if not all(topks):
+        raise DomainError("every case needs at least one article slot")
+    used = {aid for ids in topks for aid in ids}
+    missing = used - model.article_docs.keys()
+    if missing:
+        raise DomainError(f"article {min(missing, key=article_sort_key)!r} missing from the "
+                          "article database")
     if nd.recording():
-        words = encode_article_words(model, sorted({aid for ids in topks for aid in ids},
-                                                   key=article_sort_key))
+        words = encode_article_words(model, sorted(used, key=article_sort_key))
     else:
         words = model.article_words()
-        for ids in topks:
-            for aid in ids:
-                if aid not in words.cols:
-                    raise DomainError(f"article {aid!r} missing from the article database")
     u_aw = dynamic_context(d_f, p.w_w, p.b_w)
     u_as = dynamic_context(d_f, p.w_s, p.b_s)
     batch = len(topks)
@@ -435,8 +443,6 @@ def _aggregate(model: ChargeModel, a_mat: Tensor, n_slots: list[int],
     columns of ``a_mat`` for case j), pooled with the context generated from
     column j of d_f: the (state_dim, B) embeddings and the (max slots, B)
     attention."""
-    if min(n_slots) < 1:
-        raise DomainError("aggregate_articles needs at least one article")
     p = model.params
     return encode_groups(a_mat, n_slots, p.agg_gru, p.agg_pool,
                          dynamic_context(d_f, p.w_d, p.b_d))
@@ -479,7 +485,8 @@ def aggregate_articles(a_mat: Tensor, model: ChargeModel,
 
 def forward(case: CaseRecord, model: ChargeModel, bank: ExtractorBank | None = None,
             topk: list | None = None) -> ForwardTrace:
-    """Run one case through the variant's graph; record on any ambient tape.
+    """Serve one case: its outputs as arrays, equal bit for bit to column 0 of
+    ``forward_batch([case], ...)``.
 
     The article slots are ``topk`` when given, else ``_slots`` of the case.
     """
@@ -495,18 +502,13 @@ def forward(case: CaseRecord, model: ChargeModel, bank: ExtractorBank | None = N
         slots, scores = _slots(case, cfg, bank) if topk is None else (list(topk), None)
         a_mat = encode_articles(slots, model, d_f)
         d_a, alpha = aggregate_articles(a_mat, model, d_f)
-    probs = _charge_distribution(model, d_f, d_a)
-    o = nd.reshape(probs, (probs.shape[0],))
-
     return ForwardTrace(
-        o=o.data.copy(),
-        o_tensor=o,
+        o=_charge_distribution(model, d_f, d_a).data[:, 0].copy(),
         word_attn=word_attn,
         sent_attn=sent_attn,
         topk=slots,
         extractor_scores=scores,
-        alpha=None if alpha is None else alpha.data.reshape(-1).copy(),
-        alpha_tensor=None if alpha is None else nd.reshape(alpha, (alpha.shape[0],)),
+        alpha=None if alpha is None else alpha.data[:, 0].copy(),
     )
 
 
@@ -730,6 +732,10 @@ def train(train_set: list[CaseRecord], valid_set: list[CaseRecord],
 
 
 META_SUFFIX = ".meta.json"
+# The sidecar fields load_model reads and the JSON type save_model writes each as.
+SIDECAR_FIELDS = {"config": dict, "charge_vocab": list, "article_ids": list,
+                  "word_vocab": list, "pos_vocab": list, "tau": float,
+                  "epochs_completed": int, "checkpoint_sha256": str}
 
 
 def _sha256(path) -> str:
@@ -767,22 +773,40 @@ def save_model(path, model: ChargeModel) -> None:
         json.dump(meta, fh, ensure_ascii=False)
 
 
-def load_model(path, article_db: dict | None = None) -> ChargeModel:
-    """Inverse of ``save_model``; a checkpoint that is not the one its sidecar
-    was written with, or that does not fit the configured model, raises
-    ``StateError``."""
-    meta_path = str(path) + META_SUFFIX
-    with open(meta_path, encoding="utf-8") as fh:
-        meta = json.load(fh)
-    digest = _sha256(path)
-    if digest != meta.get("checkpoint_sha256"):
-        raise StateError(f"checkpoint {path} (SHA-256 {digest}) is not the one its sidecar "
-                         f"{meta_path} records ({meta.get('checkpoint_sha256')})")
+def _read_sidecar(meta_path) -> tuple[dict, ModelConfig]:
+    """The sidecar's fields and config; a sidecar that is not JSON, lacks a
+    field, holds one of another type or a config ``ModelConfig`` rejects
+    raises ``StateError`` naming it."""
+    try:
+        with open(meta_path, encoding="utf-8") as fh:
+            meta = json.load(fh)
+    except ValueError as exc:
+        raise StateError(f"sidecar {meta_path} is not JSON: {exc}") from exc
+    if not isinstance(meta, dict):
+        raise StateError(f"sidecar {meta_path} is not a JSON object")
+    for key, kind in SIDECAR_FIELDS.items():
+        if not isinstance(meta.get(key), kind):
+            raise StateError(f"sidecar {meta_path} has no {kind.__name__} field {key!r}")
     unknown = sorted(set(meta["config"]) - {f.name for f in fields(ModelConfig)})
     if unknown:
         raise StateError(f"sidecar {meta_path} has config fields this version does not "
                          f"know: {unknown}")
-    config = ModelConfig(**meta["config"])
+    try:
+        return meta, ModelConfig(**meta["config"])
+    except (TypeError, ValueError) as exc:
+        raise StateError(f"sidecar {meta_path} holds a bad config: {exc}") from exc
+
+
+def load_model(path, article_db: dict | None = None) -> ChargeModel:
+    """Inverse of ``save_model``; a corrupt sidecar, a checkpoint that is not
+    the one its sidecar was written with, or one that does not fit the
+    configured model raises ``StateError``."""
+    meta_path = str(path) + META_SUFFIX
+    meta, config = _read_sidecar(meta_path)
+    digest = _sha256(path)
+    if digest != meta["checkpoint_sha256"]:
+        raise StateError(f"checkpoint {path} (SHA-256 {digest}) is not the one its sidecar "
+                         f"{meta_path} records ({meta['checkpoint_sha256']})")
     word_vocab = {tok: i for i, tok in enumerate(meta["word_vocab"])}
     pos_vocab = {tok: i for i, tok in enumerate(meta["pos_vocab"])}
     params = ModelParams.create(config, len(word_vocab), len(pos_vocab),
@@ -807,8 +831,7 @@ def load_model(path, article_db: dict | None = None) -> ChargeModel:
         if not want <= have:
             raise StateError(f"article database is missing ids {sorted(want - have)}")
     return ChargeModel(config, params, word_vocab, pos_vocab, meta["charge_vocab"],
-                       article_docs, tau=meta["tau"],
-                       epochs_completed=meta.get("epochs_completed", 0))
+                       article_docs, tau=meta["tau"], epochs_completed=meta["epochs_completed"])
 
 
 def prediction_record(trace: ForwardTrace, model: ChargeModel) -> dict:

@@ -69,6 +69,12 @@ class RuleSet:
     article_pattern: str = DEFAULT_ARTICLE_PATTERN
 
     def __post_init__(self):
+        for name, kind in [("fact_indicators", list), ("view_indicators", list),
+                           ("decision_indicators", list), ("charge_list", list),
+                           ("article_pattern", str)]:
+            if not isinstance(getattr(self, name), kind):
+                raise TypeError(f"{name} must be a {kind.__name__}, "
+                                f"not {type(getattr(self, name)).__name__}")
         for name, clauses in [("fact", self.fact_indicators),
                               ("court view", self.view_indicators),
                               ("decision", self.decision_indicators)]:
@@ -188,6 +194,12 @@ def article_id_to_json(article_id):
 
 def article_id_from_json(value):
     return tuple(value) if isinstance(value, list) else value
+
+
+def _is_article_id(value) -> bool:
+    """An int, or the list form of a (number, sub_number) pair."""
+    return type(value) is int or (isinstance(value, list) and len(value) == 2
+                                  and all(type(v) is int for v in value))
 
 
 def format_article_ref(article_id) -> str:
@@ -470,7 +482,23 @@ def save_dataset(path, cases: list[CaseRecord]) -> None:
             fh.write(json.dumps(record, ensure_ascii=False) + "\n")
 
 
+def _list_field(rec: dict, key: str, entry_ok, entries: str) -> list:
+    """``rec[key]``, which must be a list of ``entries``, each passing ``entry_ok``."""
+    value = rec[key]
+    if not isinstance(value, list) or not all(entry_ok(v) for v in value):
+        raise TypeError(f"{key!r} must be a list of {entries}")
+    return value
+
+
+def _is_sentence(value) -> bool:
+    return isinstance(value, list) and all(
+        isinstance(pair, list) and len(pair) == 2 and all(isinstance(v, str) for v in pair)
+        for pair in value)
+
+
 def load_dataset(path) -> list[CaseRecord]:
+    """Inverse of ``save_dataset``; a record that is not JSON, lacks a field
+    or holds a value of the wrong type raises ParseError naming its line."""
     cases = []
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -478,11 +506,13 @@ def load_dataset(path) -> list[CaseRecord]:
                 continue
             try:
                 rec = json.loads(line)
-                cases.append(CaseRecord(
-                    [[(tok, pos) for tok, pos in sent] for sent in rec["fact"]],
-                    set(rec["charges"]),
-                    {article_id_from_json(a) for a in rec["articles"]},
-                ))
+                fact = _list_field(rec, "fact", _is_sentence,
+                                   "sentences of [token, pos] string pairs")
+                charges = _list_field(rec, "charges", lambda c: isinstance(c, str), "strings")
+                articles = _list_field(rec, "articles", _is_article_id, "article ids")
+                cases.append(CaseRecord([[(tok, pos) for tok, pos in sent] for sent in fact],
+                                        set(charges),
+                                        {article_id_from_json(a) for a in articles}))
             except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
                 raise ParseError(f"{path}: bad record on line {lineno}: {exc}") from exc
     if not cases:
@@ -498,6 +528,7 @@ def save_article_db(path, article_db: dict) -> None:
 
 
 def load_article_db(path) -> dict:
+    """Inverse of ``save_article_db``; a bad record raises ParseError naming its line."""
     db = {}
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -505,6 +536,8 @@ def load_article_db(path) -> dict:
                 continue
             try:
                 rec = json.loads(line)
+                if not _is_article_id(rec["id"]) or not isinstance(rec["text"], str):
+                    raise TypeError("a record holds an article id and a string 'text'")
                 db[article_id_from_json(rec["id"])] = rec["text"]
             except (json.JSONDecodeError, KeyError, TypeError) as exc:
                 raise ParseError(f"{path}: bad record on line {lineno}: {exc}") from exc
@@ -537,5 +570,5 @@ def load_ruleset(path) -> RuleSet:
     with open(path, encoding="utf-8") as fh:
         try:
             return RuleSet(**json.load(fh))
-        except (json.JSONDecodeError, TypeError) as exc:
+        except (json.JSONDecodeError, TypeError, DomainError) as exc:
             raise ParseError(f"{path}: not a rule set: {exc}") from exc

@@ -32,6 +32,8 @@ get no attention. ``encode_documents`` runs the two-level document encoder;
 ``scan_words`` and ``pool_words`` split its word level so that documents
 pooled under different contexts can share one scan, and ``encode_groups``
 runs a level over variable-length sequences laid out one after another.
+Every pooling level takes its context from the caller, explicitly: a pool's
+trained global ``u`` or a context generated per case; there is no default.
 ``gru_step`` is the composite single-step reference of one direction, reading
 its rows and then each gate as slices of the stacked tensors; ``bigru_encode``
 and ``attentive_pool`` take per-position lists of 1-D vectors or (dim, B)
@@ -412,19 +414,11 @@ def _step_mask(lengths: list[int], steps: int) -> np.ndarray | None:
     return (np.arange(steps)[:, None] < np.asarray(lengths)[None, :]).astype(np.float64)
 
 
-def _context(pool: AttentivePoolParams, u: Tensor | None) -> Tensor:
-    context = u if u is not None else pool.u
-    if context is None:
-        raise DomainError("no context vector: pool has no global u and none was supplied")
-    return context
-
-
 def _encode_level(x: Tensor, steps: int, lengths: list[int], gru: BiGruParams,
-                  pool: AttentivePoolParams, u: Tensor | None) -> tuple[Tensor, Tensor]:
+                  pool: AttentivePoolParams, u: Tensor) -> tuple[Tensor, Tensor]:
     """One Bi-GRU + attentive pool over a padded, step-major stacked batch."""
-    context = _context(pool, u)
     mask = _step_mask(lengths, steps)
-    return attentive_pool_steps(bigru_scan(x, steps, gru, mask), steps, pool.w, context, mask)
+    return attentive_pool_steps(bigru_scan(x, steps, gru, mask), steps, pool.w, u, mask)
 
 
 def embed_words(sents: Sequence[tuple[np.ndarray, np.ndarray]],
@@ -463,23 +457,22 @@ def scan_words(sents: Sequence[tuple[np.ndarray, np.ndarray]], gru: BiGruParams,
 
 
 def pool_words(states: Tensor, lens: np.ndarray, sel: np.ndarray,
-               pool: AttentivePoolParams, u: Tensor | None) -> Tensor:
+               pool: AttentivePoolParams, u: Tensor) -> Tensor:
     """Attentive pool of the sentences ``sel`` (indices, in order) out of
-    ``scan_words`` states into one (2H,) column each.
+    ``scan_words`` states into one (2H,) column each, under context ``u``.
 
     The steps are cut to the longest picked sentence.
     """
-    context = _context(pool, u)
     picked = lens[sel]
     steps = int(picked.max())
     cols = np.arange(steps)[:, None] * len(lens) + sel
     pooled, _ = attentive_pool_steps(nd.take_cols(states, cols.reshape(-1)), steps, pool.w,
-                                     context, _step_mask(picked, steps))
+                                     u, _step_mask(picked, steps))
     return pooled
 
 
 def encode_groups(x: Tensor, lens: Sequence[int], gru: BiGruParams,
-                  pool: AttentivePoolParams, u: Tensor | None) -> tuple[Tensor, Tensor]:
+                  pool: AttentivePoolParams, u: Tensor) -> tuple[Tensor, Tensor]:
     """Bi-GRU and attentive pool of sequences whose steps own consecutive
     columns of ``x``, ``lens[d]`` for sequence d.
 
@@ -501,10 +494,10 @@ def encode_groups(x: Tensor, lens: Sequence[int], gru: BiGruParams,
 def encode_documents(docs: Sequence[Sequence[tuple[np.ndarray, np.ndarray]]],
                      p: DocEncoderParams,
                      embed_tokens: Callable[[np.ndarray, np.ndarray], Tensor],
-                     u_word: Tensor | None = None,
-                     u_sent: Tensor | None = None,
+                     u_word: Tensor, u_sent: Tensor,
                      ) -> tuple[Tensor, list[list[np.ndarray]], list[np.ndarray]]:
-    """Encode several documents in one padded batch.
+    """Encode several documents in one padded batch, pooling words under
+    context ``u_word`` and sentences under ``u_sent``.
 
     Each document is a list of sentences; each sentence a pair of id arrays
     (word ids, pos ids), embedded as ``embed_words`` describes. Returns the

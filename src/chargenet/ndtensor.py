@@ -2,8 +2,9 @@
 
 Everything the encoders and losses are built from: a small op set
 (matmul, elementwise, concat/slice/gather, softmax, cross entropy),
-an explicit single-use gradient tape, plain SGD, finite-difference
-gradient checking, and a binary checkpoint format.
+an explicit single-use gradient tape, plain SGD and a binary checkpoint
+format. It holds what the model runs; test-only tools (a sum reduction,
+the finite-difference gradient check) live with the tests.
 
 Ops record their backward closures on the innermost active ``Tape``;
 with no tape active they run forward-only, which is the inference path.
@@ -19,7 +20,7 @@ import struct
 import threading
 import uuid
 from contextlib import contextmanager
-from dataclasses import dataclass, field, fields
+from dataclasses import fields
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -29,8 +30,8 @@ LOG_EPS = 1e-12  # probability clamp inside cross_entropy
 __all__ = [
     "Tensor", "Tape", "ShapeError", "DomainError", "StateError",
     "matmul", "add", "sub", "mul", "tanh", "sigmoid", "concat", "narrow",
-    "take_cols", "embed", "reshape", "tsum", "softmax", "cross_entropy",
-    "sgd_step", "grad_check", "GradCheckReport", "parameter", "zeros",
+    "take_cols", "embed", "reshape", "softmax", "cross_entropy",
+    "sgd_step", "parameter", "zeros",
     "save_checkpoint", "load_checkpoint", "CHECKPOINT_VERSION",
     "record", "accumulate", "recording", "logistic", "atomic_write", "ParamGroup",
 ]
@@ -378,39 +379,17 @@ def reshape(a: Tensor, shape) -> Tensor:
     return out
 
 
-def tsum(a: Tensor, axis: int | None = None, keepdims: bool = False) -> Tensor:
-    out = Tensor(a.data.sum(axis=axis, keepdims=keepdims))
-
-    def back():
-        g = out.grad
-        if g is None:
-            return
-        if axis is not None and not keepdims:
-            g = np.expand_dims(g, axis)
-        accumulate(a, np.broadcast_to(g, a.shape))
-
-    record(back)
-    return out
-
-
-def softmax(logits: Tensor, axis: int = 0, mask: np.ndarray | None = None) -> Tensor:
+def softmax(logits: Tensor, axis: int = 0) -> Tensor:
     """Stable softmax along ``axis``; outputs sum to 1 over the axis.
 
-    ``mask`` (a constant 0/1 array broadcastable to the logits) excludes
-    entries: masked slots get exactly 0 and take no gradient. Every slice
-    must keep at least one unmasked entry.
+    It has no mask: the masked softmax over sequence steps lives inside
+    ``encoders.attentive_pool_steps``. A logit of -inf gets exactly 0 and no
+    gradient, as long as its slice holds a finite one.
     """
     x = logits.data
     if x.size == 0:
         raise DomainError("softmax of empty input")
-    if mask is None:
-        e = np.exp(x - x.max(axis=axis, keepdims=True))
-    else:
-        mask = np.broadcast_to(np.asarray(mask, dtype=np.float64), x.shape)
-        if (mask.sum(axis=axis) == 0).any():
-            raise DomainError("softmax slice fully masked")
-        valid = np.where(mask > 0, x, -np.inf).max(axis=axis, keepdims=True)
-        e = np.exp(np.where(mask > 0, x - valid, 0.0)) * mask
+    e = np.exp(x - x.max(axis=axis, keepdims=True))
     out = Tensor(e / e.sum(axis=axis, keepdims=True))
 
     def back():
@@ -505,69 +484,6 @@ class ParamGroup:
 
     def tensors(self) -> list[Tensor]:
         return [t for _, t in self.named()]
-
-
-@dataclass
-class ParamCheck:
-    name: str
-    max_rel_err: float
-    ok: bool
-
-
-@dataclass
-class GradCheckReport:
-    """Per-parameter agreement between analytic and finite-difference gradients."""
-    checks: list[ParamCheck] = field(default_factory=list)
-    tolerance: float = 1e-4
-
-    @property
-    def ok(self) -> bool:
-        return all(c.ok for c in self.checks)
-
-    @property
-    def max_rel_err(self) -> float:
-        return max((c.max_rel_err for c in self.checks), default=0.0)
-
-    def failures(self) -> list[str]:
-        return [c.name for c in self.checks if not c.ok]
-
-
-def grad_check(model_fn: Callable[[], Tensor], params, tolerance: float = 1e-4,
-               step: float = 1e-5) -> GradCheckReport:
-    """Compare tape gradients of a deterministic scalar loss to central differences.
-
-    ``model_fn`` runs a pure forward pass over the current parameter values.
-    Relative error uses a 1e-4 denominator floor so finite-difference noise on
-    near-zero gradients does not trip the check.
-    """
-    named = list(params.items()) if isinstance(params, dict) else list(params)
-    tensors = [p for _, p in named]
-    for p in tensors:
-        p.grad = None
-    with Tape() as tape:
-        loss = model_fn()
-        tape.backward(loss, tensors)
-    analytic = {name: p.grad.copy() for name, p in named}
-
-    report = GradCheckReport(tolerance=tolerance)
-    for name, p in named:
-        worst = 0.0
-        flat = p.data.reshape(-1)
-        ana = analytic[name].reshape(-1)
-        for i in range(flat.size):
-            keep = flat[i]
-            flat[i] = keep + step
-            up = model_fn().item()
-            flat[i] = keep - step
-            down = model_fn().item()
-            flat[i] = keep
-            fd = (up - down) / (2.0 * step)
-            err = abs(ana[i] - fd) / max(abs(ana[i]), abs(fd), 1e-4)
-            worst = max(worst, err)
-        report.checks.append(ParamCheck(name, worst, worst < tolerance))
-    for p in tensors:
-        p.grad = None
-    return report
 
 
 CHECKPOINT_VERSION = 1

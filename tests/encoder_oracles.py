@@ -12,6 +12,8 @@ from chargenet import encoders as enc
 from chargenet import ndtensor as nd
 from chargenet.ndtensor import Tensor
 
+from gradient_checks import tsum
+
 
 def gru_scan(xs, p, masks, direction):
     """Per-step GRU of one direction (1 runs from the last step) over a list
@@ -43,14 +45,18 @@ def bigru_scan(x, steps, p, mask=None):
 
 
 def attentive_pool(states, w, u, mask=None):
-    """Per-position scores, a masked softmax over positions, a running weighted sum.
+    """Per-position scores, a softmax over positions (a masked position's
+    score set to -inf), a running weighted sum.
 
     ``u`` is one context shared by every column of the (s, B) states, or an
     (s, B) matrix holding each column's own context.
     """
     u_col = u if u.data.ndim == 2 else nd.reshape(u, (u.size, 1))
-    rows = [nd.tsum(nd.tanh(w @ h) * u_col, axis=0, keepdims=True) for h in states]
-    alpha = nd.softmax(nd.concat(rows, axis=0), axis=0, mask=mask)
+    logits = nd.concat([tsum(nd.tanh(w @ h) * u_col, axis=0, keepdims=True)
+                        for h in states], axis=0)
+    if mask is not None:
+        logits = logits + np.where(mask > 0, 0.0, -np.inf)
+    alpha = nd.softmax(logits, axis=0)
     pooled = None
     for t, h in enumerate(states):
         term = h * nd.narrow(alpha, 0, t, 1)
@@ -63,21 +69,20 @@ def attentive_pool_steps(states, steps, w, u, mask=None):
     return attentive_pool(split_steps(states, steps), w, u, mask)
 
 
-def encode_document(tokens, p, u_word=None, u_sent=None):
+def encode_document(tokens, p):
     """Two-level encoding of one document given per-token (D, 1) input
-    columns, one unpadded sentence at a time through the composite ops.
+    columns, one unpadded sentence at a time through the composite ops,
+    under the pools' trained global contexts.
 
     Returns the (state_dim, 1) document embedding, the word attention of
     each sentence and the sentence attention.
     """
-    u_word = p.word_pool.u if u_word is None else u_word
-    u_sent = p.sent_pool.u if u_sent is None else u_sent
     sents, word_attn = [], []
     for sent in tokens:
         states = bigru_scan(nd.concat(sent, axis=1), len(sent), p.word_gru)
-        pooled, alpha = attentive_pool_steps(states, len(sent), p.word_pool.w, u_word)
+        pooled, alpha = attentive_pool_steps(states, len(sent), p.word_pool.w, p.word_pool.u)
         sents.append(pooled)
         word_attn.append(alpha.data.reshape(-1))
     states = bigru_scan(nd.concat(sents, axis=1), len(sents), p.sent_gru)
-    d, alpha = attentive_pool_steps(states, len(sents), p.sent_pool.w, u_sent)
+    d, alpha = attentive_pool_steps(states, len(sents), p.sent_pool.w, p.sent_pool.u)
     return d, word_attn, alpha.data.reshape(-1)

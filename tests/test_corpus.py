@@ -1,4 +1,6 @@
+import json
 import os
+import re
 
 import numpy as np
 import pytest
@@ -317,6 +319,35 @@ class TestDatasetIO:
         with pytest.raises(ParseError, match="line 2"):
             cp.load_dataset(path)
 
+    @pytest.mark.parametrize("field,value,problem", [
+        ("charges", "theft", "'charges' must be a list"),
+        ("articles", "133", "'articles' must be a list"),
+        ("articles", [[133, 1, 2]], "'articles' must be a list of article ids"),
+        ("fact", "a n", "'fact' must be a list"),
+        ("fact", [["a", "n"]], "'fact' must be a list of sentences"),
+        ("fact", [[["a", 1]]], "'fact' must be a list of sentences"),
+    ], ids=["charges_string", "articles_string", "article_triple", "fact_string",
+            "sentence_of_strings", "pos_not_string"])
+    def test_wrong_field_type_names_line(self, tmp_path, field, value, problem):
+        """A value of the wrong type is a bad record, not one read as
+        something else (a string's characters, say)."""
+        good = {"fact": [[["a", "n"]]], "charges": ["x"], "articles": [1]}
+        path = tmp_path / "bad.jsonl"
+        path.write_text(json.dumps(good) + "\n" + json.dumps({**good, field: value}) + "\n",
+                        encoding="utf-8")
+        with pytest.raises(ParseError, match=f"line 2: {re.escape(problem)}"):
+            cp.load_dataset(path)
+
+    @pytest.mark.parametrize("record", [{"id": 1, "text": 5}, {"id": "133", "text": "a"},
+                                        {"id": [133], "text": "a"}],
+                             ids=["text_not_string", "id_string", "id_one_number"])
+    def test_bad_article_record_names_line(self, tmp_path, record):
+        path = tmp_path / "articles.jsonl"
+        path.write_text(json.dumps({"id": 2, "text": "b"}) + "\n" + json.dumps(record) + "\n",
+                        encoding="utf-8")
+        with pytest.raises(ParseError, match="line 2"):
+            cp.load_article_db(path)
+
     def test_article_db_and_charge_list_round_trip(self, tmp_path):
         corpus = cp.generate_synthetic(small_spec())
         db_path = tmp_path / "articles.jsonl"
@@ -326,6 +357,13 @@ class TestDatasetIO:
         cp.save_charge_list(cl_path, corpus.charge_list)
         assert cp.load_charge_list(cl_path) == corpus.charge_list
 
+    def test_ruleset_fields_are_type_checked(self):
+        """A string where a list belongs would be read as one-character clauses."""
+        with pytest.raises(TypeError, match="fact_indicators must be a list, not str"):
+            RuleSet(fact_indicators="经审理查明")
+        with pytest.raises(TypeError, match="article_pattern must be a str, not list"):
+            RuleSet(article_pattern=["第"])
+
     def test_ruleset_round_trip(self, tmp_path):
         rules = RuleSet(charge_list=["盗窃", "抢劫"])
         path = tmp_path / "rules.json"
@@ -334,8 +372,11 @@ class TestDatasetIO:
         assert loaded == rules
 
     @pytest.mark.parametrize("text", ['{"charge_list": ["盗窃"', '{"charge_lists": []}',
-                                      '["盗窃"]'],
-                             ids=["truncated", "unknown_key", "not_an_object"])
+                                      '["盗窃"]', '{"fact_indicators": "经审理查明"}',
+                                      '{"article_pattern": 5}', '{"view_indicators": []}'],
+                             ids=["truncated", "unknown_key", "not_an_object",
+                                  "indicators_string", "pattern_not_string",
+                                  "empty_indicators"])
     def test_bad_ruleset_names_the_path(self, tmp_path, text):
         path = tmp_path / "rules.json"
         path.write_text(text, encoding="utf-8")

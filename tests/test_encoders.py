@@ -9,7 +9,7 @@ from chargenet import ndtensor as nd
 from chargenet.ndtensor import DomainError, ShapeError, Tape, Tensor
 
 import encoder_oracles as oracle
-from test_ndtensor import assert_matches_fd
+from gradient_checks import assert_matches_fd, grad_check, tsum
 
 
 def sig(x):
@@ -100,8 +100,8 @@ class TestGruStep:
         weights = [Tensor(rng.uniform(-1, 1, 2)) for _ in range(2)]
 
         def loss():
-            return nd.tsum(enc.gru_step(x, h, p, 0) * weights[0]
-                           + enc.gru_step(x, h, p, 1) * weights[1])
+            return tsum(enc.gru_step(x, h, p, 0) * weights[0]
+                        + enc.gru_step(x, h, p, 1) * weights[1])
 
         assert_matches_fd(loss, tensors)
 
@@ -145,7 +145,7 @@ class TestBigru:
         tensors = list(seq) + [t for _, t in p.named()]
 
         def loss():
-            return nd.tsum(nd.concat(enc.bigru_encode(seq, p)))
+            return tsum(nd.concat(enc.bigru_encode(seq, p)))
 
         assert_matches_fd(loss, tensors)
 
@@ -206,7 +206,7 @@ class TestAttentivePool:
 
         def loss():
             g, _ = enc.attentive_pool(states, w, u)
-            return nd.tsum(g)
+            return tsum(g)
 
         assert_matches_fd(loss, states + [w, u])
 
@@ -218,6 +218,11 @@ def embed_with(word_table, pos_table):
     return embed_tokens
 
 
+def encode_documents(docs, p, embed_tokens):
+    """``enc.encode_documents`` under the pools' trained global contexts."""
+    return enc.encode_documents(docs, p, embed_tokens, p.word_pool.u, p.sent_pool.u)
+
+
 def one_document(doc):
     """A document given as lists of token ids, in ``encode_documents`` form
     (every token's POS id is 0)."""
@@ -227,19 +232,18 @@ def one_document(doc):
 class TestEncodeDocument:
     """``encode_documents`` on one document, its tokens looked up in a table."""
 
-    def make_params(self, in_dim=5, hidden=3, seed=18, global_context=True):
-        return enc.DocEncoderParams.create(in_dim, hidden, np.random.default_rng(seed),
-                                           global_context=global_context)
+    def make_params(self, in_dim=5, hidden=3, seed=18):
+        return enc.DocEncoderParams.create(in_dim, hidden, np.random.default_rng(seed))
 
-    def encode(self, table, doc, p, u_word=None, u_sent=None):
-        d, word_attn, sent_attn = enc.encode_documents(
-            [one_document(doc)], p, lambda wids, pids: nd.embed(table, wids), u_word, u_sent)
+    def encode(self, table, doc, p):
+        d, word_attn, sent_attn = encode_documents(
+            [one_document(doc)], p, lambda wids, pids: nd.embed(table, wids))
         return d, word_attn[0], sent_attn[0]
 
     def test_one_sentence_one_token(self):
         p = self.make_params()
         table = Tensor(np.random.default_rng(19).uniform(-1, 1, (2, 5)))
-        d, word_attn, sent_attn = self.encode(table, [[1]], p, p.word_pool.u, p.sent_pool.u)
+        d, word_attn, sent_attn = self.encode(table, [[1]], p)
         [g_w] = enc.bigru_encode([Tensor(table.data[1])], p.word_gru)
         [state] = enc.bigru_encode([Tensor(g_w.data)], p.sent_gru)
         npt.assert_allclose(d.data[:, 0], state.data, atol=1e-12)
@@ -297,7 +301,7 @@ class TestEncodeDocument:
 
         def loss():
             d, _, _ = self.encode(table, [[1, 2], [3]], p)
-            return nd.tsum(d)
+            return tsum(d)
 
         assert_matches_fd(loss, tensors)
 
@@ -319,10 +323,10 @@ class TestBatchedEncoding:
             docs.append(doc)
 
         embed_tokens = embed_with(word_table, pos_table)
-        d_all, word_attn, sent_attn = enc.encode_documents(docs, p, embed_tokens)
+        d_all, word_attn, sent_attn = encode_documents(docs, p, embed_tokens)
 
         for j, doc in enumerate(docs):
-            d_one, [wa_one], [sa_one] = enc.encode_documents([doc], p, embed_tokens)
+            d_one, [wa_one], [sa_one] = encode_documents([doc], p, embed_tokens)
             tokens = [[Tensor(np.concatenate([word_table.data[w], pos_table.data[g]])[:, None])
                        for w, g in zip(wids, pids)] for wids, pids in doc]
             d_ref, wa_ref, sa_ref = oracle.encode_document(tokens, p)
@@ -344,9 +348,9 @@ class TestBatchedEncoding:
         docs = [[(rng.integers(0, 9, n), rng.integers(0, 4, n))
                  for n in rng.integers(1, 8, rng.integers(1, 6))] for _ in range(n_docs)]
         embed_tokens = embed_with(word_table, pos_table)
-        d_all, word_attn, sent_attn = enc.encode_documents(docs, p, embed_tokens)
+        d_all, word_attn, sent_attn = encode_documents(docs, p, embed_tokens)
         for j, doc in enumerate(docs):
-            d_one, [wa_one], [sa_one] = enc.encode_documents([doc], p, embed_tokens)
+            d_one, [wa_one], [sa_one] = encode_documents([doc], p, embed_tokens)
             npt.assert_allclose(d_all.data[:, j], d_one.data[:, 0], rtol=0, atol=1e-12)
             npt.assert_allclose(sent_attn[j], sa_one, rtol=0, atol=1e-12)
             for got, want in zip(word_attn[j], wa_one, strict=True):
@@ -362,8 +366,8 @@ class TestBatchedEncoding:
         tensors = [word_table, pos_table] + [t for _, t in p.named()]
 
         def loss():
-            d, _, _ = enc.encode_documents(docs, p, embed_with(word_table, pos_table))
-            return nd.tsum(nd.tanh(d))
+            d, _, _ = encode_documents(docs, p, embed_with(word_table, pos_table))
+            return tsum(nd.tanh(d))
 
         assert_matches_fd(loss, tensors)
 
@@ -384,7 +388,7 @@ def taped_grads(fn, tensors):
         rng = np.random.default_rng(99)
         loss = None
         for o in outs:
-            term = nd.tsum(o * rng.uniform(-1, 1, o.shape))
+            term = tsum(o * rng.uniform(-1, 1, o.shape))
             loss = term if loss is None else loss + term
         tape.backward(loss, tensors)
     grads = [t.grad.copy() for t in tensors]
@@ -440,8 +444,8 @@ class TestFusedScan:
         p, x, _, mask = self.setup(42, 4, 3, in_dim=3, hidden=2)
         weights = Tensor(np.random.default_rng(43).uniform(-1, 1, (4, 12)))
         named = [("x", x)] + list(p.named())
-        report = nd.grad_check(
-            lambda: nd.tsum(nd.tanh(enc.bigru_scan(x, 4, p, mask)) * weights), named)
+        report = grad_check(
+            lambda: tsum(nd.tanh(enc.bigru_scan(x, 4, p, mask)) * weights), named)
         assert report.ok, report.failures()
 
     def test_no_tape_records_nothing_and_matches_taped_values(self):
@@ -541,9 +545,9 @@ class TestFusedPool:
 
         def loss():
             pooled, alpha = enc.attentive_pool_steps(states, 4, w, u, mask)
-            return nd.tsum(pooled * weights) + nd.tsum(alpha * alpha)
+            return tsum(pooled * weights) + tsum(alpha * alpha)
 
-        report = nd.grad_check(loss, [("states", states), ("w", w), ("u", u)])
+        report = grad_check(loss, [("states", states), ("w", w), ("u", u)])
         assert report.ok, report.failures()
 
     @pytest.mark.parametrize("seed", range(4))
@@ -578,9 +582,9 @@ class TestFusedPool:
 
         def loss():
             pooled, alpha = enc.attentive_pool_steps(states, 4, w, u, mask)
-            return nd.tsum(pooled * weights) + nd.tsum(alpha * alpha)
+            return tsum(pooled * weights) + tsum(alpha * alpha)
 
-        report = nd.grad_check(loss, [("states", states), ("w", w), ("u", u)])
+        report = grad_check(loss, [("states", states), ("w", w), ("u", u)])
         assert report.ok, report.failures()
 
     def test_fully_masked_column_rejected(self):

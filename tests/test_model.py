@@ -21,6 +21,7 @@ from chargenet.ndtensor import DomainError, StateError, Tape
 
 import encoder_oracles as oracle
 import model_oracles
+from gradient_checks import grad_check
 
 TINY_DIMS = dict(word_emb_dim=2, pos_emb_dim=1, gru_hidden=2, fc1_dim=3, fc2_dim=3,
                  k=3, batch=4)
@@ -79,16 +80,6 @@ def test_model_config_validation(field, value):
 
 
 @pytest.mark.parametrize("variant", list(cm.Variant))
-def test_case_loss_gradients(data, bank, variant):
-    model = untrained_model(data, variant)
-    case, topk = supervised_case(data, bank, model.config)
-    y = cm.charge_target(case.gold_charges, model.charge_vocab)
-    report = nd.grad_check(lambda: model_oracles.case_loss(case, model, y, topk)[0],
-                           model.params.named())
-    assert report.ok, (report.failures(), report.max_rel_err)
-
-
-@pytest.mark.parametrize("variant", list(cm.Variant))
 def test_training_history_matches_composite_encoders(data, bank, variant, monkeypatch):
     """A seeded 2-epoch run through the fused encoders against the same run
     through per-step ``gru_step``, which reads each gate as a row slice of
@@ -120,10 +111,10 @@ def test_case_loss_terms_come_from_joint_loss(data, bank):
     case, topk = supervised_case(data, bank, model.config)
     y = cm.charge_target(case.gold_charges, model.charge_vocab)
     total, charge_v, attn_v = model_oracles.case_loss(case, model, y, topk)
-    trace = cm.forward(case, model, topk=topk)
+    served = cm.forward(case, model, topk=topk)
     t = cm.attention_target(topk, case.gold_articles, model.config.k)
-    assert charge_v == nd.cross_entropy(y, trace.o_tensor).item()
-    assert attn_v == nd.cross_entropy(t, trace.alpha_tensor).item()
+    assert charge_v == nd.cross_entropy(y, nd.Tensor(served.o)).item()
+    assert attn_v == nd.cross_entropy(t, nd.Tensor(served.alpha)).item()
     assert total.item() == pytest.approx(charge_v + model.config.beta * attn_v, abs=1e-15)
 
 
@@ -177,11 +168,20 @@ def test_batch_loss_matches_per_case_losses(data, bank, variant):
         npt.assert_allclose(g, p.grad, rtol=0, atol=1e-10, err_msg=name)
 
 
-@pytest.mark.parametrize("variant", list(cm.Variant))
-def test_batch_loss_gradients(data, bank, variant):
+@pytest.mark.parametrize("variant,one_case", [
+    *[pytest.param(v, False, id=v.value) for v in cm.Variant],
+    *[pytest.param(v, True, id=f"{v.value}-one_case") for v in cm.Variant]])
+def test_batch_loss_gradients(data, bank, variant, one_case):
+    """The mixed batch, or one case alone: the graph of a served case and of
+    the per-case reference."""
     model = untrained_model(data, variant)
-    cases, topks, y = mixed_batch(data, bank, model)
-    report = nd.grad_check(
+    if one_case:
+        case, topk = supervised_case(data, bank, model.config)
+        cases, topks = [case], [topk]
+        y = cm.charge_target(case.gold_charges, model.charge_vocab)[:, None]
+    else:
+        cases, topks, y = mixed_batch(data, bank, model)
+    report = grad_check(
         lambda: cm._batch_loss(cm.forward_batch(cases, model, topks), cases, y, model)[0],
         model.params.named())
     assert report.ok, (report.failures(), report.max_rel_err)
@@ -303,14 +303,17 @@ def test_forward_with_bank_equals_forward_with_its_topk(data, bank):
 
 
 def test_no_tape_forward_matches_taped_forward(data, bank):
+    """Serving, on the cached article states, against the taped one-case
+    graph, which scans its own slots."""
     model = untrained_model(data, cm.Variant.FACT_SUPV_ART)
     case = data.test[1]
     free = cm.forward(case, model, bank=bank)
     with Tape():
-        taped = cm.forward(case, model, bank=bank)
-    npt.assert_array_equal(free.o, taped.o)
-    npt.assert_array_equal(free.alpha, taped.alpha)
-    for a, b in zip(free.word_attn, taped.word_attn):
+        taped = cm.forward_batch([case], model, [free.topk])
+    npt.assert_array_equal(free.o, taped.o.data[:, 0])
+    npt.assert_array_equal(free.alpha, taped.alpha.data[:, 0])
+    npt.assert_array_equal(free.sent_attn, taped.sent_attn[0])
+    for a, b in zip(free.word_attn, taped.word_attn[0], strict=True):
         npt.assert_array_equal(a, b)
 
 
@@ -487,9 +490,10 @@ def test_sidecar_with_other_variant_is_rejected(data, tmp_path):
         assert repr(name) in str(err.value)
 
 
-def encode_articles_per_case(article_ids, model, d_f):
-    """The article encoder before sharing: one two-level encode_documents call
-    over the case's own slots."""
+def encode_slots_per_case(model, topks, d_f):
+    """The article encoder before sharing, in place of ``cm._encode_slots``
+    for one case: one two-level encode_documents call over its own slots."""
+    [article_ids] = topks
     p = model.params
     docs = [model.article_docs[aid] for aid in article_ids]
     a_mat, _, _ = enc.encode_documents(docs, p.art_enc, model.embed_tokens,
@@ -500,7 +504,7 @@ def encode_articles_per_case(article_ids, model, d_f):
 
 def per_case_forwards(data, model, topks, monkeypatch):
     with monkeypatch.context() as m:
-        m.setattr(cm, "encode_articles", encode_articles_per_case)
+        m.setattr(cm, "_encode_slots", encode_slots_per_case)
         return [cm.forward(case, model, topk=topk) for case, topk in zip(data.test, topks)]
 
 
@@ -564,11 +568,22 @@ def test_words_missing_a_slot_raise(data, bank):
                 cm.forward_batch([case, case], model, [topk, bad])
 
 
+def test_empty_slot_list_raises(data, bank):
+    """A case with no article slot fails before any encoder runs, served
+    alone or in a batch."""
+    model = untrained_model(data, cm.Variant.FACT_ART)
+    case, topk = supervised_case(data, bank, model.config)
+    with pytest.raises(DomainError, match="at least one article slot"):
+        cm.forward(case, model, topk=[])
+    with pytest.raises(DomainError, match="at least one article slot"):
+        cm.forward_batch([case, case], model, [topk, []])
+
+
 def test_training_history_matches_per_case_article_encoding(data, bank, monkeypatch):
     """Batched training against the per-case loop it replaced: every case
-    through ``forward`` with the article encoder before sharing (one
-    ``encode_documents`` call over its own slots), each minibatch's loss the
-    mean of the per-case joint losses, validation one case at a time."""
+    through its own one-case graph with the article encoder before sharing
+    (one ``encode_documents`` call over its own slots), each minibatch's loss
+    the mean of the per-case joint losses, validation one case at a time."""
     for variant in cm.Variant:
         config = cm.ModelConfig(variant=variant, max_epochs=2, patience=5, **TINY_DIMS)
 
@@ -580,7 +595,7 @@ def test_training_history_matches_per_case_article_encoding(data, bank, monkeypa
         with monkeypatch.context() as m:
             m.setattr(cm, "forward_batch", model_oracles.forward_batch)
             m.setattr(cm, "_batch_loss", model_oracles.batch_loss)
-            m.setattr(cm, "encode_articles", encode_articles_per_case)
+            m.setattr(cm, "_encode_slots", encode_slots_per_case)
             per_case_model, per_case = run()
         assert len(batched) == len(per_case) == 2
         for b, c in zip(batched, per_case):
@@ -759,6 +774,31 @@ def test_sidecar_with_an_unknown_config_field_is_rejected(data, tmp_path):
     rewrite_sidecar_config(path, tie_article_encoder=False, dropout=0.5)
     with pytest.raises(StateError, match=r"\['dropout', 'tie_article_encoder'\]"):
         cm.load_model(path)
+
+
+@pytest.mark.parametrize("corrupt,problem", [
+    (lambda text: text[:len(text) // 2], "is not JSON"),
+    (lambda text: "[]", "is not a JSON object"),
+    (lambda text: json.dumps({k: v for k, v in json.loads(text).items() if k != "config"}),
+     "has no dict field 'config'"),
+    (lambda text: json.dumps({**json.loads(text), "tau": "0.4"}), "has no float field 'tau'"),
+    (lambda text: text.replace('"k": 3,', '"k": "3",'), "bad config: k must be int, not '3'"),
+    (lambda text: text.replace('"k": 3,', '"k": 0,'), "bad config: k must be positive"),
+], ids=["not_json", "not_an_object", "missing_field", "field_of_wrong_type", "config_field_of_wrong_type",
+        "config_out_of_range"])
+def test_corrupt_sidecar_is_rejected(data, tmp_path, corrupt, problem):
+    """A corrupt sidecar raises StateError naming it and the problem."""
+    model = untrained_model(data, cm.Variant.FACT_ONLY)
+    path = tmp_path / "m.ckpt"
+    cm.save_model(path, model)
+    meta_path = tmp_path / ("m.ckpt" + cm.META_SUFFIX)
+    text = meta_path.read_text(encoding="utf-8")
+    assert '"k": 3,' in text
+    meta_path.write_text(corrupt(text), encoding="utf-8")
+    with pytest.raises(StateError) as err:
+        cm.load_model(path)
+    assert str(err.value).startswith(f"sidecar {meta_path} ")
+    assert problem in str(err.value)
 
 
 def write_embeddings(path, lines):
