@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import article_id_from_json, article_id_to_json, article_sort_key
+from .corpus import _is_article_id, article_id_from_json, article_id_to_json, article_sort_key
 from .ndtensor import DomainError, ShapeError, StateError, atomic_write
 
 log = logging.getLogger(__name__)
@@ -328,7 +328,11 @@ def load_bank(path) -> ExtractorBank:
     article_ids = []
     for i, rec in enumerate(records):
         where = f"scorer {i}"
-        article_ids.append(article_id_from_json(_field(rec, "article_id", (int, list), where)))
+        aid = _field(rec, "article_id", (int, list), where)
+        if not _is_article_id(aid):
+            raise StateError(f"bank {path} {where} has the article id {aid!r}, "
+                             "not an int or an [int, int] pair")
+        article_ids.append(article_id_from_json(aid))
         row = _field(rec, "weights", (list, type(None)), where)
         if row is None:
             bias[i] = -math.inf

