@@ -289,48 +289,51 @@ def save_bank(path, bank: ExtractorBank) -> None:
 
 
 def _field(record, key: str, kind, where: str):
-    """``record[key]``, which must exist and be of type ``kind``."""
+    """``record[key]``, which must exist and be of type ``kind``; ``where``
+    names the record in the messages."""
     if not isinstance(record, dict) or key not in record:
-        raise StateError(f"bank {where} has no {key!r}")
+        raise StateError(f"{where} has no {key!r}")
     value = record[key]
     if not isinstance(value, kind):
-        raise StateError(f"bank {where} field {key!r} has type {type(value).__name__}")
+        raise StateError(f"{where} field {key!r} has type {type(value).__name__}")
     return value
 
 
 def _numbers(values: list, where: str) -> list:
     if not all(isinstance(v, (int, float)) for v in values):
-        raise StateError(f"bank {where} holds a non-numeric value")
+        raise StateError(f"{where} holds a non-numeric value")
     return values
 
 
 def load_bank(path) -> ExtractorBank:
     """Read a ``save_bank`` file. A malformed file raises StateError naming
-    the problem."""
+    the file and the problem."""
+    source = f"bank {path}"
     with open(path, encoding="utf-8") as fh:
         try:
             payload = json.load(fh)
         except json.JSONDecodeError as exc:
-            raise StateError(f"bank {path} is not JSON: {exc}") from exc
+            raise StateError(f"{source} is not JSON: {exc}") from exc
     version = payload.get("version") if isinstance(payload, dict) else None
     if version != BANK_FORMAT_VERSION:
-        raise StateError(f"unsupported bank version {version!r}")
-    tf = _field(payload, "tfidf", dict, "file")
-    vocabulary = _field(tf, "vocabulary", list, "tfidf")
-    idf = _numbers(_field(tf, "idf", list, "tfidf"), "tfidf idf")
+        raise StateError(f"{source} has the unsupported version {version!r}")
+    tf_where = f"{source} tfidf"
+    tf = _field(payload, "tfidf", dict, source)
+    vocabulary = _field(tf, "vocabulary", list, tf_where)
+    idf = _numbers(_field(tf, "idf", list, tf_where), f"{tf_where} idf")
     if len(idf) != len(vocabulary):
-        raise StateError(f"bank tfidf has {len(vocabulary)} words but {len(idf)} idf values")
+        raise StateError(f"{tf_where} has {len(vocabulary)} words but {len(idf)} idf values")
     tfidf = TfidfModel({tok: i for i, tok in enumerate(vocabulary)},
-                       np.array(idf, dtype=np.float64), _field(tf, "doc_count", int, "tfidf"))
-    records = _field(payload, "scorers", list, "file")
+                       np.array(idf, dtype=np.float64), _field(tf, "doc_count", int, tf_where))
+    records = _field(payload, "scorers", list, source)
     weights = np.zeros((len(records), tfidf.n_features))
     bias = np.zeros(len(records))
     article_ids = []
     for i, rec in enumerate(records):
-        where = f"scorer {i}"
+        where = f"{source} scorer {i}"
         aid = _field(rec, "article_id", (int, list), where)
         if not _is_article_id(aid):
-            raise StateError(f"bank {path} {where} has the article id {aid!r}, "
+            raise StateError(f"{where} has the article id {aid!r}, "
                              "not an int or an [int, int] pair")
         article_ids.append(article_id_from_json(aid))
         row = _field(rec, "weights", (list, type(None)), where)
@@ -339,11 +342,14 @@ def load_bank(path) -> ExtractorBank:
             continue
         selected = _field(rec, "selected", list, where)
         if len(row) != len(selected):
-            raise StateError(f"bank {where} has {len(selected)} selected columns "
+            raise StateError(f"{where} has {len(selected)} selected columns "
                              f"but {len(row)} weights")
         if not all(isinstance(c, int) and 0 <= c < tfidf.n_features for c in selected):
-            raise StateError(f"bank {where} selects a column outside "
-                             f"[0, {tfidf.n_features})")
+            raise StateError(f"{where} selects a column outside [0, {tfidf.n_features})")
         weights[i, selected] = _numbers(row, f"{where} weights")
         bias[i] = _field(rec, "bias", (int, float), where)
-    return ExtractorBank(tfidf, article_ids, weights, bias, _field(payload, "k", int, "file"))
+    k = _field(payload, "k", int, source)
+    try:
+        return ExtractorBank(tfidf, article_ids, weights, bias, k)
+    except DomainError as exc:
+        raise StateError(f"{source}: {exc}") from exc

@@ -36,14 +36,16 @@ no tensor, and records nothing even inside a ``Tape``. The layers:
   case's gold articles, at most k);
 * the classifier and the softmax run once on (·, B).
 
-The word-level Bi-GRU states of an article do not depend on the fact, and
-neither do their word-attention keys tanh(W_aw h) (only the context u_aw
-does), so both are computed once and shared:
+Every pool keys its states in one ``attention_keys`` step and scores them
+in one ``pool_steps`` step. The word-level Bi-GRU states of an article do
+not depend on the fact, and neither do their word-attention keys
+tanh(W_aw h) (only the context u_aw does), so both are computed once and
+shared by the word pools of every case:
 
 * under a tape, a forward scans the union of its cases' slots once and
-  computes the keys of every scanned column in one product, so a training
-  minibatch's scan and key nodes collect the gradients of all its cases,
-  each in one backward closure;
+  keys every scanned column in one step; each case's ``pool_words`` adds
+  its gradients into those columns, so the scan and key nodes each turn the
+  gradients of the whole minibatch into parameter gradients once;
 * with no tape, a forward reads ``ChargeModel.article_words``, the states
   and keys of every article in the database. They are rebuilt whenever the
   word or POS embeddings, the article word-level Bi-GRU or its
@@ -788,8 +790,8 @@ def save_model(path, model: ChargeModel) -> None:
 
 def _read_sidecar(meta_path) -> tuple[dict, ModelConfig]:
     """The sidecar's fields and config; a sidecar that is not JSON, lacks a
-    field, holds one of another type or a config ``ModelConfig`` rejects
-    raises ``StateError`` naming it."""
+    field, holds one of another type, a tau outside (0, 1) or a config
+    ``ModelConfig`` rejects raises ``StateError`` naming it."""
     try:
         with open(meta_path, encoding="utf-8") as fh:
             meta = json.load(fh)
@@ -800,6 +802,8 @@ def _read_sidecar(meta_path) -> tuple[dict, ModelConfig]:
     for key, kind in SIDECAR_FIELDS.items():
         if not isinstance(meta.get(key), kind):
             raise StateError(f"sidecar {meta_path} has no {kind.__name__} field {key!r}")
+    if not 0.0 < meta["tau"] < 1.0:
+        raise StateError(f"sidecar {meta_path} has tau {meta['tau']!r}, outside (0, 1)")
     unknown = sorted(set(meta["config"]) - {f.name for f in fields(ModelConfig)})
     if unknown:
         raise StateError(f"sidecar {meta_path} has config fields this version does not "

@@ -134,7 +134,8 @@ _CN_MULTIPLIERS = {"十": 10, "百": 100, "千": 1000}
 def chinese_numeral_to_int(text: str) -> int:
     """Positional reading with 十/百/千 multipliers and 零/〇 placeholders.
 
-    Pure Arabic-digit strings pass straight through.
+    Pure Arabic-digit strings pass straight through. Multipliers must fall
+    from left to right (百 after 十, or 十 after 十, is malformed).
     """
     if not text:
         raise ParseError("empty numeral")
@@ -142,10 +143,16 @@ def chinese_numeral_to_int(text: str) -> int:
         return int(text)
     total = 0
     current = 0
+    last = None
     for ch in text:
         if ch in _CN_MULTIPLIERS:
-            total += max(current, 1) * _CN_MULTIPLIERS[ch]
+            multiplier = _CN_MULTIPLIERS[ch]
+            if last is not None and multiplier >= last:
+                raise ParseError(f"malformed numeral {text!r}: {ch!r} after a multiplier "
+                                 "no larger than it")
+            total += max(current, 1) * multiplier
             current = 0
+            last = multiplier
         elif ch in _CN_DIGITS:
             if current != 0:
                 raise ParseError(f"malformed numeral {text!r}: consecutive digits")
@@ -528,7 +535,8 @@ def save_article_db(path, article_db: dict) -> None:
 
 
 def load_article_db(path) -> dict:
-    """Inverse of ``save_article_db``; a bad record raises ParseError naming its line."""
+    """Inverse of ``save_article_db``; a bad record, or one whose id an
+    earlier record holds, raises ParseError naming its line."""
     db = {}
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -538,9 +546,12 @@ def load_article_db(path) -> dict:
                 rec = json.loads(line)
                 if not _is_article_id(rec["id"]) or not isinstance(rec["text"], str):
                     raise TypeError("a record holds an article id and a string 'text'")
-                db[article_id_from_json(rec["id"])] = rec["text"]
             except (json.JSONDecodeError, KeyError, TypeError) as exc:
                 raise ParseError(f"{path}: bad record on line {lineno}: {exc}") from exc
+            aid = article_id_from_json(rec["id"])
+            if aid in db:
+                raise ParseError(f"{path}: line {lineno} repeats the article id {aid!r}")
+            db[aid] = rec["text"]
     return db
 
 

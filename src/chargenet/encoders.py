@@ -8,7 +8,7 @@ order update (z), reset (r), candidate (h).
 
 A sequence of T steps over a batch of B columns is held stacked too: one
 (dim, T*B) tensor whose columns are step-major (step t owns columns
-t*B .. t*B+B-1). Two fused ops work on that layout, each recording a single
+t*B .. t*B+B-1). Three ops work on that layout, each recording a single
 backward closure per call:
 
 * ``bigru_scan`` hoists the input projections of every gate of both
@@ -19,29 +19,32 @@ backward closure per call:
   of U, then the candidate rows) is one stacked matmul over both directions.
   It back-propagates through time by hand, one direction at a time, the
   weight and input gradients again as single products over the T*B columns.
-* ``attentive_pool_steps`` scores every state, takes the masked softmax over
-  the steps of each column and the weighted sum in one pass. Its context is
-  either one (s,) vector shared by all B sequences (a trained global context,
-  or one case's fact-driven context) or an (s, B) matrix whose column j is
-  the context of sequence j, so that sequences of different cases pool in
-  one call.
+* ``attention_keys`` computes the keys tanh(W h) of every state in one
+  product. The keys do not depend on the context, so one key step can serve
+  several pools.
+* ``pool_steps`` is the one attentive pool: it scores the keys under a
+  context, takes the masked softmax over the steps of each column and the
+  weighted sum. Its context is either one (s,) vector shared by all B
+  sequences (a trained global context, or one case's fact-driven context)
+  or an (s, B) matrix whose column j is the context of sequence j, so that
+  sequences of different cases pool in one call. Given ``cols``, it pools
+  those columns of shared states and keys, and its backward adds into their
+  gradients at those columns.
 
-An optional (T, B) 0/1 mask makes right-padded sequences encode exactly like
-their unpadded counterparts: masked steps pass the previous state through and
-get no attention. ``encode_documents`` runs the two-level document encoder;
-``encode_groups`` runs a level over variable-length sequences laid out one
-after another.
+``attentive_pool_steps`` is the two calls in a row, keys then pool, over one
+batch of sequences; the fact encoder, the article sentence level and the
+aggregator pool through it. An optional (T, B) 0/1 mask makes right-padded
+sequences encode exactly like their unpadded counterparts: masked steps pass
+the previous state through and get no attention. ``encode_documents`` runs
+the two-level document encoder; ``encode_groups`` runs a level over
+variable-length sequences laid out one after another.
 
-The word level also comes in parts, so that documents pooled under different
-contexts share the work that needs no context: ``scan_words`` runs the
-Bi-GRU over all of their sentences and ``attention_keys`` computes the keys
-tanh(W h) of all of those states in one product (one tape step). Each
-``pool_words`` call then only scores the columns of one set of sentences
-under its context, takes the softmax and the weighted sum; its backward adds
-into the gradients of the shared states and keys at those columns, and the
-key step turns the summed key gradient into W's and the states' gradients
-once. ``attentive_pool_steps`` keeps keys and pooling in one tape step; it
-shares the scoring, softmax and weighted-sum code with ``pool_words``.
+The article word level pools one scan under many contexts: ``scan_words``
+runs the Bi-GRU over all of the sentences and ``attention_keys`` keys every
+state once; each ``pool_words`` call then pools one set of sentences under
+its context through ``pool_steps`` with those sentences' columns. The key
+step turns the summed key gradient of every pool into W's and the states'
+gradients once.
 
 Every pooling level takes its context from the caller, explicitly: a pool's
 trained global ``u`` or a context generated per case; there is no default.
@@ -172,11 +175,11 @@ def gru_step(x: Tensor, h_prev: Tensor, p: BiGruParams, direction: int) -> Tenso
     return nd.reshape(h, (hid,)) if squeeze else h
 
 
-def _step_batch(x: Tensor, steps: int, mask: np.ndarray | None) -> int:
-    """Columns per step of a step-major stacked tensor; checks the mask shape."""
+def _step_batch(x: np.ndarray, steps: int, mask: np.ndarray | None) -> int:
+    """Columns per step of a step-major stacked array; checks the mask shape."""
     if steps < 1:
         raise DomainError("a sequence needs at least one step")
-    if x.data.ndim != 2 or x.shape[1] % steps:
+    if x.ndim != 2 or x.shape[1] % steps:
         raise ShapeError(f"{x.shape} is not {steps} steps of stacked columns")
     batch = x.shape[1] // steps
     if mask is not None and mask.shape != (steps, batch):
@@ -290,7 +293,7 @@ def bigru_scan(x: Tensor, steps: int, p: BiGruParams,
     (steps, B) 0/1 array; masked steps keep the prior state exactly. One tape
     step covers both directions.
     """
-    batch = _step_batch(x, steps, mask)
+    batch = _step_batch(x.data, steps, mask)
     if x.shape[0] != p.input_dim:
         raise ShapeError(f"bigru_scan got {x.shape[0]}-dim inputs, expected {p.input_dim}")
     hid = p.hidden_dim
@@ -319,96 +322,101 @@ def bigru_scan(x: Tensor, steps: int, p: BiGruParams,
     return out
 
 
-def _keys(w: np.ndarray, states: np.ndarray) -> np.ndarray:
-    """The attention keys tanh(W h) of every column of ``states``, in one product."""
-    keys = w @ states
-    np.tanh(keys, out=keys)
+def attention_keys(states: Tensor, w: Tensor) -> Tensor:
+    """The attention keys tanh(W h) of every column of the (s, n) ``states``,
+    which ``pool_steps`` scores under any context. One product, one tape
+    step."""
+    dim = states.shape[0]
+    if w.shape != (dim, dim):
+        raise ShapeError(f"attention weights {w.shape} do not fit {dim}-dim states")
+    data = w.data @ states.data
+    np.tanh(data, out=data)
+    keys = Tensor(data)
+
+    def back():
+        if keys.grad is None:
+            return
+        d_pre = keys.grad * (1.0 - data * data)
+        # Every pool over these keys comes later on the tape, so all their
+        # backwards have run: free the buffer now, not when the graph dies.
+        keys.grad = None
+        nd.accumulate(w, d_pre @ states.data.T)
+        nd.accumulate(states, w.data.T @ d_pre)
+
+    nd.record(back)
     return keys
 
 
-def _keys_back(w: Tensor, states: np.ndarray, keys: np.ndarray,
-               d_keys: np.ndarray) -> np.ndarray:
-    """Backward of the keys tanh(W h) (dim, n): adds dW into ``w``'s gradient
-    and returns the gradient of the states."""
-    d_pre = d_keys * (1.0 - keys * keys)
-    nd.accumulate(w, d_pre @ states.T)
-    return w.data.T @ d_pre
+def pool_steps(states: Tensor, keys: Tensor, steps: int, u: Tensor,
+               mask: np.ndarray | None = None,
+               cols: np.ndarray | None = None) -> tuple[Tensor, Tensor]:
+    """Attentive pool of step-major stacked states (s, steps*B) under their
+    ``attention_keys``: scores k^T u, takes the softmax over the steps of each
+    column (masked steps get exactly 0) and returns the (s, B) weighted sums
+    with the (steps, B) attention.
 
-
-def _attend(keys: np.ndarray, cube: np.ndarray, u: np.ndarray,
-            mask: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
-    """Scores of the keys (dim, steps * B) under the context ``u`` (shared
-    (dim,) or (dim, 1), or (dim, B)), the softmax over the steps of each
-    column (masked steps get exactly 0) and the weighted sum of the states
-    ``cube`` (dim, steps, B): the (steps, B) attention and the (dim, B) sums."""
-    dim, steps, batch = cube.shape
+    The context ``u`` holds s values shared by all B sequences, or is (s, B):
+    column j is the context of sequence j. With ``cols`` the pooled columns
+    are ``states[:, cols]`` and ``keys[:, cols]`` (cols in step-major order,
+    repeats allowed), and the backward adds into the gradients of the shared
+    states and keys at those columns. One tape step.
+    """
+    if keys.shape != states.shape:
+        raise ShapeError(f"keys {keys.shape} do not match states {states.shape}")
+    picked, picked_keys = ((states.data, keys.data) if cols is None
+                           else (states.data[:, cols], keys.data[:, cols]))
+    batch = _step_batch(picked, steps, mask)
+    dim = states.shape[0]
+    if not (u.size == dim or u.shape == (dim, batch)):
+        raise ShapeError(f"context {u.shape} does not fit {batch} sequences of "
+                         f"{dim}-dim states")
+    cube = picked.reshape(dim, steps, batch)
     if u.size == dim:
-        scores = (u.reshape(dim, 1).T @ keys).reshape(steps, batch)
+        scores = (u.data.reshape(dim, 1).T @ picked_keys).reshape(steps, batch)
     else:
-        scores = np.einsum("dtb,db->tb", keys.reshape(cube.shape), u)
+        scores = np.einsum("dtb,db->tb", picked_keys.reshape(cube.shape), u.data)
     if mask is None:
         e = np.exp(scores - scores.max(axis=0))
     else:
         if (mask.sum(axis=0) == 0).any():
-            raise DomainError("attentive_pool over a fully masked sequence")
+            raise DomainError("attentive pool over a fully masked sequence")
         top = np.where(mask > 0, scores, -np.inf).max(axis=0)
         e = np.exp(np.where(mask > 0, scores - top, 0.0)) * mask
-    alpha = e / e.sum(axis=0)
-    return alpha, (cube * alpha).sum(axis=1)
-
-
-def _attend_back(keys: np.ndarray, cube: np.ndarray, u: Tensor, alpha: np.ndarray,
-                 d_pooled: np.ndarray | None, d_alpha: np.ndarray | None,
-                 ) -> tuple[np.ndarray, np.ndarray]:
-    """Backward of ``_attend``: adds the context's gradient into ``u`` and
-    returns the gradients of the keys (dim, steps * B) and of the states
-    (dim, steps, B)."""
-    dim = cube.shape[0]
-    d_alpha = np.zeros_like(alpha) if d_alpha is None else d_alpha.copy()
-    d_states = np.zeros_like(cube)
-    if d_pooled is not None:
-        g = d_pooled[:, None, :]
-        d_alpha += (cube * g).sum(axis=0)
-        d_states += g * alpha
-    d_scores = alpha * (d_alpha - (alpha * d_alpha).sum(axis=0))
-    if u.size == dim:
-        nd.accumulate(u, (keys @ d_scores.reshape(-1, 1)).reshape(u.shape))
-    else:
-        nd.accumulate(u, np.einsum("dtb,tb->db", keys.reshape(cube.shape), d_scores))
-    d_keys = (u.data.reshape(dim, 1, -1) * d_scores).reshape(dim, -1)
-    return d_keys, d_states
-
-
-def attentive_pool_steps(states: Tensor, steps: int, w: Tensor, u: Tensor,
-                         mask: np.ndarray | None = None) -> tuple[Tensor, Tensor]:
-    """Vectorised attentive pooling of step-major stacked states (s, steps*B).
-
-    Scores tanh(W h)^T u, takes the softmax over the steps of each column
-    (masked steps get exactly 0) and returns the (s, B) weighted sums with
-    the (steps, B) attention. The context ``u`` holds s values shared by all
-    B sequences, or is (s, B): column j is the context of sequence j. One
-    tape step.
-    """
-    batch = _step_batch(states, steps, mask)
-    dim = states.shape[0]
-    if w.shape != (dim, dim) or not (u.size == dim or u.shape == (dim, batch)):
-        raise ShapeError(f"attention weights {w.shape}, context {u.shape} do not fit "
-                         f"{batch} sequences of {dim}-dim states")
-    keys = _keys(w.data, states.data)
-    cube = states.data.reshape(dim, steps, batch)
-    a, s = _attend(keys, cube, u.data, mask)
-    alpha, pooled = Tensor(a), Tensor(s)
+    a = e / e.sum(axis=0)
+    alpha, pooled = Tensor(a), Tensor((cube * a).sum(axis=1))
 
     def back():
         if pooled.grad is None and alpha.grad is None:
             return
-        d_keys, d_states = _attend_back(keys, cube, u, a, pooled.grad, alpha.grad)
-        d_flat = d_states.reshape(dim, -1)
-        d_flat += _keys_back(w, states.data, keys, d_keys)
-        nd.accumulate(states, d_flat)
+        g = (np.zeros((dim, 1, batch)) if pooled.grad is None
+             else pooled.grad[:, None, :])
+        d_alpha = (cube * g).sum(axis=0)
+        if alpha.grad is not None:
+            d_alpha += alpha.grad
+        d_scores = a * (d_alpha - (a * d_alpha).sum(axis=0))
+        if u.size == dim:
+            nd.accumulate(u, (picked_keys @ d_scores.reshape(-1, 1)).reshape(u.shape))
+        else:
+            nd.accumulate(u, np.einsum("dtb,tb->db", picked_keys.reshape(cube.shape),
+                                       d_scores))
+        d_states = (g * a).reshape(dim, -1)
+        d_keys = (u.data.reshape(dim, 1, -1) * d_scores).reshape(dim, -1)
+        if cols is None:
+            nd.accumulate(states, d_states)
+            nd.accumulate(keys, d_keys)
+        else:
+            nd.accumulate_cols(states, cols, d_states)
+            nd.accumulate_cols(keys, cols, d_keys)
 
     nd.record(back)
     return pooled, alpha
+
+
+def attentive_pool_steps(states: Tensor, steps: int, w: Tensor, u: Tensor,
+                         mask: np.ndarray | None = None) -> tuple[Tensor, Tensor]:
+    """Attentive pooling of step-major stacked states (s, steps*B):
+    ``attention_keys`` under ``w``, then ``pool_steps`` under ``u``."""
+    return pool_steps(states, attention_keys(states, w), steps, u, mask)
 
 
 def _stack(seq: Sequence[Tensor]) -> tuple[Tensor, bool]:
@@ -499,53 +507,16 @@ def scan_words(sents: Sequence[tuple[np.ndarray, np.ndarray]], gru: BiGruParams,
     return bigru_scan(x, steps, gru, _step_mask(lens, steps)), np.asarray(lens)
 
 
-def attention_keys(states: Tensor, w: Tensor) -> Tensor:
-    """The keys tanh(W h) of every column of the (s, n) ``states``, which
-    ``pool_words`` scores under any context. One product, one tape step."""
-    dim = states.shape[0]
-    if w.shape != (dim, dim):
-        raise ShapeError(f"attention weights {w.shape} do not fit {dim}-dim states")
-    data = _keys(w.data, states.data)
-    keys = Tensor(data)
-
-    def back():
-        if keys.grad is not None:
-            nd.accumulate(states, _keys_back(w, states.data, data, keys.grad))
-
-    nd.record(back)
-    return keys
-
-
 def pool_words(states: Tensor, keys: Tensor, lens: np.ndarray, sel: np.ndarray,
                u: Tensor) -> Tensor:
     """Attentive pool of the sentences ``sel`` (indices, in order) out of
-    ``scan_words`` states into one (2H,) column each, under the context ``u``
-    of s values: it scores the sentences' columns of ``keys`` (the states'
-    ``attention_keys``), takes the softmax and the weighted sum.
-
-    The steps are cut to the longest picked sentence. One tape step; its
-    backward adds into the gradients of ``states`` and ``keys`` at the
-    picked columns.
-    """
-    dim = states.shape[0]
-    if u.size != dim:
-        raise ShapeError(f"context {u.shape} does not fit {dim}-dim states")
+    ``scan_words`` states into one (2H,) column each, under the context ``u``:
+    ``pool_steps`` over those sentences' columns of the states and of their
+    ``attention_keys``, cut to the longest picked sentence."""
     picked = lens[sel]
     steps = int(picked.max())
     cols = (np.arange(steps)[:, None] * len(lens) + sel).reshape(-1)
-    cube = states.data[:, cols].reshape(dim, steps, len(sel))
-    picked_keys = keys.data[:, cols]
-    a, s = _attend(picked_keys, cube, u.data, _step_mask(picked, steps))
-    pooled = Tensor(s)
-
-    def back():
-        if pooled.grad is not None:
-            d_keys, d_states = _attend_back(picked_keys, cube, u, a, pooled.grad, None)
-            nd.accumulate_cols(states, cols, d_states.reshape(dim, -1))
-            nd.accumulate_cols(keys, cols, d_keys)
-
-    nd.record(back)
-    return pooled
+    return pool_steps(states, keys, steps, u, _step_mask(picked, steps), cols)[0]
 
 
 def encode_groups(x: Tensor, lens: Sequence[int], gru: BiGruParams,

@@ -416,7 +416,7 @@ def softmax(logits: Tensor, axis: int = 0) -> Tensor:
     """Stable softmax along ``axis``; outputs sum to 1 over the axis.
 
     It has no mask: the masked softmax over sequence steps lives inside
-    ``encoders.attentive_pool_steps``. A logit of -inf gets exactly 0 and no
+    ``encoders.pool_steps``, the one attentive pool. A logit of -inf gets exactly 0 and no
     gradient, as long as its slice holds a finite one.
     """
     x = logits.data

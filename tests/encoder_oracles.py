@@ -2,8 +2,9 @@
 
 Each recurrence step is one ``enc.gru_step`` and each pooled position a
 handful of elementwise tape ops, so every gradient comes from the generic
-per-op backward rules. The fused ``bigru_scan`` and ``attentive_pool_steps``
-must agree with these on values and gradients.
+per-op backward rules. ``bigru_scan`` and ``attentive_pool_steps``
+(``attention_keys`` then ``pool_steps``) must agree with these on values and
+gradients.
 """
 
 import numpy as np

@@ -74,7 +74,7 @@ class TestNumerals:
         assert cp.chinese_numeral_to_int("两百") == 200
 
     def test_malformed(self):
-        for bad in ("", "一二", "条", "2三"):
+        for bad in ("", "一二", "条", "2三", "十百", "百百", "十十", "三百二十百"):
             with pytest.raises(ParseError):
                 cp.chinese_numeral_to_int(bad)
 
@@ -339,8 +339,9 @@ class TestDatasetIO:
             cp.load_dataset(path)
 
     @pytest.mark.parametrize("record", [{"id": 1, "text": 5}, {"id": "133", "text": "a"},
-                                        {"id": [133], "text": "a"}],
-                             ids=["text_not_string", "id_string", "id_one_number"])
+                                        {"id": [133], "text": "a"}, {"id": 2, "text": "c"}],
+                             ids=["text_not_string", "id_string", "id_one_number",
+                                  "id_repeated"])
     def test_bad_article_record_names_line(self, tmp_path, record):
         path = tmp_path / "articles.jsonl"
         path.write_text(json.dumps({"id": 2, "text": "b"}) + "\n" + json.dumps(record) + "\n",

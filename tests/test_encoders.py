@@ -512,7 +512,8 @@ class TestFusedScan:
 
 
 class TestFusedPool:
-    """attentive_pool_steps against the per-position composite pool."""
+    """attentive_pool_steps, and pool_steps over gathered columns, against the
+    per-position composite pool."""
 
     def setup(self, seed, steps, batch, dim=4):
         rng = np.random.default_rng(seed)
@@ -582,6 +583,49 @@ class TestFusedPool:
 
         def loss():
             pooled, alpha = enc.attentive_pool_steps(states, 4, w, u, mask)
+            return tsum(pooled * weights) + tsum(alpha * alpha)
+
+        report = grad_check(loss, [("states", states), ("w", w), ("u", u)])
+        assert report.ok, report.failures()
+
+    def gathered(self, seed, steps, batch, dim=4):
+        """Shared states wider than the pooled sequences, step-major ``cols``
+        into them with a repeated column, an (s, B) context and a mask."""
+        rng = np.random.default_rng(seed)
+        states = Tensor(rng.uniform(-2, 2, (dim, steps * batch + 3)))
+        cols = rng.permutation(states.shape[1])[:steps * batch]
+        cols[-1] = cols[0]
+        w = Tensor(rng.uniform(-1, 1, (dim, dim)))
+        u = Tensor(rng.uniform(-1, 1, (dim, batch)))
+        _, mask = padded_batch(rng, steps, batch)
+        return states, cols, w, u, mask
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("masked", [True, False])
+    def test_gathered_columns_match_oracle(self, seed, masked):
+        """``pool_steps`` over ``cols`` of shared states and keys equals the
+        oracle pool of those columns, gradients summed over the repeat."""
+        rng = np.random.default_rng(120 + seed)
+        steps, batch = int(rng.integers(1, 7)), int(rng.integers(2, 5))
+        states, cols, w, u, mask = self.gathered(seed, steps, batch)
+        mask = mask if masked else None
+        tensors = [states, w, u]
+        got, got_g = taped_grads(lambda: list(enc.pool_steps(
+            states, enc.attention_keys(states, w), steps, u, mask, cols)), tensors)
+        want, want_g = taped_grads(lambda: list(oracle.attentive_pool_steps(
+            nd.take_cols(states, cols), steps, w, u, mask)), tensors)
+        for g, wv in zip(got + got_g, want + want_g):
+            npt.assert_allclose(g, wv, rtol=0, atol=1e-10)
+
+    @pytest.mark.parametrize("masked", [True, False])
+    def test_gathered_columns_grad_check(self, masked):
+        states, cols, w, u, mask = self.gathered(58, 4, 3, dim=3)
+        weights = Tensor(np.random.default_rng(59).uniform(-1, 1, (3, 3)))
+        mask = mask if masked else None
+
+        def loss():
+            keys = enc.attention_keys(states, w)
+            pooled, alpha = enc.pool_steps(states, keys, 4, u, mask, cols)
             return tsum(pooled * weights) + tsum(alpha * alpha)
 
         report = grad_check(loss, [("states", states), ("w", w), ("u", u)])

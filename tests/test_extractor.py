@@ -520,6 +520,10 @@ class TestBankSerialization:
         (lambda p: p["scorers"][0].__setitem__("selected", 3), "'selected' has type int"),
         (lambda p: p.__setitem__("scorers", {}), "'scorers' has type dict"),
         (lambda p: p["scorers"][0]["weights"].__setitem__(0, "x"), "non-numeric"),
+        (lambda p: p["scorers"][1].__setitem__("article_id", p["scorers"][0]["article_id"]),
+         "duplicate article ids"),
+        (lambda p: p.__setitem__("k", 0), "k=0 outside"),
+        (lambda p: p.__setitem__("k", 3), "k=3 outside"),
     ])
     def test_malformed_bank_raises_state_error(self, tmp_path, damage, message):
         docs, golds = two_article_corpus()
@@ -528,8 +532,9 @@ class TestBankSerialization:
         payload = json.loads(path.read_text())
         damage(payload)
         path.write_text(json.dumps(payload))
-        with pytest.raises(StateError, match=message):
+        with pytest.raises(StateError, match=message) as err:
             ax.load_bank(path)
+        assert str(err.value).startswith(f"bank {path}")
 
     @pytest.mark.parametrize("article_id", [[101, 1, 7], ["x"]], ids=["triple", "string"])
     def test_bad_article_id_names_file_and_scorer(self, tmp_path, article_id):

@@ -655,14 +655,15 @@ def test_minibatch_records_one_article_word_scan(data, bank, monkeypatch):
         _, history = cm.train(data.train[:8], data.valid, config, seed=1, bank=bank,
                               article_db=data.article_db)
     n = config.batch
-    # Once per minibatch: fact encoder 8 (two embeddings and their concat,
-    # word scan and pool, sentence gather, scan and pool), article word scan
-    # 4 and its attention keys 1, three dynamic contexts 6, the concat of the
-    # word pools 1, the sentence contexts' gather 1, sentence level 3,
-    # aggregator 3 (gather, scan, pool), classifier 10, cross entropy and the
-    # 1/n scaling 2: 39. Per case: its word pool's context column and the
-    # pool: 2.
-    assert lengths == [39 + 2 * n] * 2
+    # Every attentive pool is two nodes, its attention keys and the pool.
+    # Once per minibatch: fact encoder 10 (two embeddings and their concat,
+    # word scan, keys and pool, sentence gather, scan, keys and pool),
+    # article word scan 4 and its attention keys 1, three dynamic contexts 6,
+    # the concat of the word pools 1, the sentence contexts' gather 1,
+    # sentence level 4 (gather, scan, keys, pool), aggregator 4 (the same),
+    # classifier 10, cross entropy and the 1/n scaling 2: 43. Per case: its
+    # word pool's context column and the pool: 2.
+    assert lengths == [43 + 2 * n] * 2
     assert taped_scans.count(True) == 2
     assert history[0]["tape_nodes_per_case"] == sum(lengths) / 8
 
@@ -810,8 +811,10 @@ def test_sidecar_with_an_unknown_config_field_is_rejected(data, tmp_path):
     (lambda text: json.dumps({**json.loads(text), "tau": "0.4"}), "has no float field 'tau'"),
     (lambda text: text.replace('"k": 3,', '"k": "3",'), "bad config: k must be int, not '3'"),
     (lambda text: text.replace('"k": 3,', '"k": 0,'), "bad config: k must be positive"),
+    (lambda text: json.dumps({**json.loads(text), "tau": -1.0}), "has tau -1.0, outside (0, 1)"),
+    (lambda text: json.dumps({**json.loads(text), "tau": math.nan}), "has tau nan, outside"),
 ], ids=["not_json", "not_an_object", "missing_field", "field_of_wrong_type", "config_field_of_wrong_type",
-        "config_out_of_range"])
+        "config_out_of_range", "tau_out_of_range", "tau_nan"])
 def test_corrupt_sidecar_is_rejected(data, tmp_path, corrupt, problem):
     """A corrupt sidecar raises StateError naming it and the problem."""
     model = untrained_model(data, cm.Variant.FACT_ONLY)
