@@ -18,7 +18,6 @@ A bank is trained once, over every article, on the fixed schedule of the
 
 from __future__ import annotations
 
-import json
 import logging
 import math
 from dataclasses import dataclass
@@ -26,11 +25,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .corpus import _is_article_id, article_id_from_json, article_id_to_json, article_sort_key
-from .ndtensor import DomainError, ShapeError, StateError, atomic_write
+from .ndtensor import DomainError, ShapeError, StateError, load_arrays, save_arrays
 
 log = logging.getLogger(__name__)
-
-BANK_FORMAT_VERSION = 1
 
 # The scorers' full-batch subgradient schedule: the step at epoch t is
 # SCORER_LR0 / sqrt(t), and SCORER_L2 weights the L2 penalty.
@@ -259,97 +256,76 @@ def recall_at_k(extractions: list[list], gold_sets: list[set],
     return out
 
 
+# The meta fields load_bank reads, and the dtype of every array of a bank file.
+BANK_FIELDS = {"k": int, "doc_count": int, "vocabulary": list, "article_ids": list}
+BANK_ARRAYS = {"idf": np.float64, "bias": np.float64, "scorers": np.int64,
+               "selected": np.int64, "weights": np.float64}
+
+
 def save_bank(path, bank: ExtractorBank) -> None:
-    """Versioned JSON layout, replaced atomically; floats survive the round
-    trip exactly. Each article's row is written as its nonzero columns
-    (``selected``) and their ``weights``; a disabled article as weights null."""
-    vocab_in_order = [None] * bank.tfidf.n_features
-    for tok, i in bank.tfidf.vocabulary.items():
-        vocab_in_order[i] = tok
-    payload = {
-        "version": BANK_FORMAT_VERSION,
+    """One bank file (``save_arrays``), replaced atomically. The ``idf`` and
+    ``bias`` arrays are stored as they are, a disabled scorer's -inf
+    included. The weight matrix is stored as its nonzero entries, so the
+    file grows with the selected features: ``weights[i]`` sits in row
+    ``scorers[i]`` and column ``selected[i]``. The meta holds k, doc_count,
+    the vocabulary in column order and the article ids in row order."""
+    scorers, selected = np.nonzero(bank.weights)
+    vocab = bank.tfidf.vocabulary
+    save_arrays(path, "bank", {
+        "idf": bank.tfidf.idf, "bias": bank.bias, "scorers": scorers,
+        "selected": selected, "weights": bank.weights[scorers, selected],
+    }, {
         "k": bank.k,
-        "tfidf": {
-            "vocabulary": vocab_in_order,
-            "idf": bank.tfidf.idf.tolist(),
-            "doc_count": bank.tfidf.doc_count,
-        },
-        "scorers": [
-            {
-                "article_id": article_id_to_json(aid),
-                "selected": np.flatnonzero(row).tolist(),
-                "weights": None if bias == -math.inf else row[row != 0].tolist(),
-                "bias": 0.0 if bias == -math.inf else bias,
-            }
-            for aid, row, bias in zip(bank.article_ids, bank.weights, bank.bias)
-        ],
-    }
-    with atomic_write(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, ensure_ascii=False)
-
-
-def _field(record, key: str, kind, where: str):
-    """``record[key]``, which must exist and be of type ``kind``; ``where``
-    names the record in the messages."""
-    if not isinstance(record, dict) or key not in record:
-        raise StateError(f"{where} has no {key!r}")
-    value = record[key]
-    if not isinstance(value, kind):
-        raise StateError(f"{where} field {key!r} has type {type(value).__name__}")
-    return value
-
-
-def _numbers(values: list, where: str) -> list:
-    if not all(isinstance(v, (int, float)) for v in values):
-        raise StateError(f"{where} holds a non-numeric value")
-    return values
+        "doc_count": bank.tfidf.doc_count,
+        "vocabulary": sorted(vocab, key=vocab.__getitem__),
+        "article_ids": [article_id_to_json(aid) for aid in bank.article_ids],
+    })
 
 
 def load_bank(path) -> ExtractorBank:
-    """Read a ``save_bank`` file. A malformed file raises StateError naming
-    the file and the problem."""
-    source = f"bank {path}"
-    with open(path, encoding="utf-8") as fh:
-        try:
-            payload = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise StateError(f"{source} is not JSON: {exc}") from exc
-    version = payload.get("version") if isinstance(payload, dict) else None
-    if version != BANK_FORMAT_VERSION:
-        raise StateError(f"{source} has the unsupported version {version!r}")
-    tf_where = f"{source} tfidf"
-    tf = _field(payload, "tfidf", dict, source)
-    vocabulary = _field(tf, "vocabulary", list, tf_where)
-    idf = _numbers(_field(tf, "idf", list, tf_where), f"{tf_where} idf")
-    if len(idf) != len(vocabulary):
-        raise StateError(f"{tf_where} has {len(vocabulary)} words but {len(idf)} idf values")
-    tfidf = TfidfModel({tok: i for i, tok in enumerate(vocabulary)},
-                       np.array(idf, dtype=np.float64), _field(tf, "doc_count", int, tf_where))
-    records = _field(payload, "scorers", list, source)
-    weights = np.zeros((len(records), tfidf.n_features))
-    bias = np.zeros(len(records))
+    """Read a ``save_bank`` file. Besides the faults ``load_arrays`` rejects,
+    a missing array or one of another dtype or rank, a vocabulary entry
+    that is not a string, an article id that is not one, an index outside
+    the matrix, a NaN, or an infinity other than a disabled scorer's bias
+    -inf raises StateError naming the file and the problem."""
+    source = f"bank file {path}"
+    arrays, meta = load_arrays(path, "bank", BANK_FIELDS)
+    for name, dtype in BANK_ARRAYS.items():
+        if name not in arrays:
+            raise StateError(f"{source} has no {name!r} array")
+        arr = arrays[name]
+        if arr.dtype != dtype or arr.ndim != 1:
+            raise StateError(f"{source} array {name!r} has type {arr.dtype} and shape "
+                             f"{arr.shape}, not {np.dtype(dtype)} and one axis")
+    idf, bias, scorers, selected, values = (arrays[name] for name in BANK_ARRAYS)
+    if not all(isinstance(tok, str) for tok in meta["vocabulary"]):
+        raise StateError(f"{source} has a vocabulary entry that is not a string")
+    tfidf = TfidfModel({tok: i for i, tok in enumerate(meta["vocabulary"])}, idf,
+                       meta["doc_count"])
+    if idf.size != tfidf.n_features:
+        raise StateError(f"{source} has {tfidf.n_features} words but {idf.size} idf values")
     article_ids = []
-    for i, rec in enumerate(records):
-        where = f"{source} scorer {i}"
-        aid = _field(rec, "article_id", (int, list), where)
+    for i, aid in enumerate(meta["article_ids"]):
         if not _is_article_id(aid):
-            raise StateError(f"{where} has the article id {aid!r}, "
-                             "not an int or an [int, int] pair")
+            raise StateError(f"{source} scorer {i} has the article id {aid!r}, "
+                             "not a positive int or a pair of them")
         article_ids.append(article_id_from_json(aid))
-        row = _field(rec, "weights", (list, type(None)), where)
-        if row is None:
-            bias[i] = -math.inf
-            continue
-        selected = _field(rec, "selected", list, where)
-        if len(row) != len(selected):
-            raise StateError(f"{where} has {len(selected)} selected columns "
-                             f"but {len(row)} weights")
-        if not all(isinstance(c, int) and 0 <= c < tfidf.n_features for c in selected):
-            raise StateError(f"{where} selects a column outside [0, {tfidf.n_features})")
-        weights[i, selected] = _numbers(row, f"{where} weights")
-        bias[i] = _field(rec, "bias", (int, float), where)
-    k = _field(payload, "k", int, source)
+    if bias.size != len(article_ids):
+        raise StateError(f"{source} has {len(article_ids)} article ids but "
+                         f"{bias.size} bias values")
+    if not scorers.size == selected.size == values.size:
+        raise StateError(f"{source} has {scorers.size} scorer rows and {selected.size} "
+                         f"selected columns but {values.size} weights")
+    if ((scorers < 0) | (scorers >= len(article_ids))).any():
+        raise StateError(f"{source} selects a row outside [0, {len(article_ids)})")
+    if ((selected < 0) | (selected >= tfidf.n_features)).any():
+        raise StateError(f"{source} selects a column outside [0, {tfidf.n_features})")
+    if not np.isfinite(np.concatenate([idf, values, bias[bias != -math.inf]])).all():
+        raise StateError(f"{source} holds a non-numeric value (NaN), or an infinity other "
+                         "than a disabled scorer's bias -inf")
+    weights = np.zeros((len(article_ids), tfidf.n_features))
+    weights[scorers, selected] = values
     try:
-        return ExtractorBank(tfidf, article_ids, weights, bias, k)
+        return ExtractorBank(tfidf, article_ids, weights, bias, meta["k"])
     except DomainError as exc:
         raise StateError(f"{source}: {exc}") from exc

@@ -55,7 +55,6 @@ shared by the word pools of every case:
 
 from __future__ import annotations
 
-import json
 import logging
 import numbers
 from dataclasses import dataclass, field, fields
@@ -66,8 +65,8 @@ import numpy as np
 from . import metrics as mx
 from . import ndtensor as nd
 from .article_extractor import ExtractorBank, extract_top_k
-from .corpus import (CaseRecord, ParseError, article_id_from_json, article_id_to_json,
-                     article_sort_key, simple_tokenize)
+from .corpus import (CaseRecord, ParseError, _is_article_id, article_id_from_json,
+                     article_id_to_json, article_sort_key, simple_tokenize)
 from .encoders import (
     AttentivePoolParams,
     BiGruParams,
@@ -746,98 +745,68 @@ def train(train_set: list[CaseRecord], valid_set: list[CaseRecord],
     return model, history
 
 
-META_SUFFIX = ".meta.json"
-# The sidecar fields load_model reads and the JSON type save_model writes each as.
-SIDECAR_FIELDS = {"config": dict, "charge_vocab": list, "article_ids": list,
-                  "word_vocab": list, "pos_vocab": list, "tau": float,
-                  "epochs_completed": int, "checkpoint_sha256": str}
-
-
-def _sha256(path) -> str:
-    # Imported here: hashlib loads OpenSSL, about 3.6 MB of resident memory
-    # that only saving and loading need.
-    import hashlib
-
-    with open(path, "rb") as fh:
-        return hashlib.sha256(fh.read()).hexdigest()
+# The meta fields load_model reads and the JSON type save_model writes each as.
+MODEL_FIELDS = {"config": dict, "charge_vocab": list, "article_ids": list,
+                "word_vocab": list, "pos_vocab": list, "tau": float,
+                "epochs_completed": int}
 
 
 def save_model(path, model: ChargeModel) -> None:
-    """Binary checkpoint plus a JSON sidecar with config, vocabularies, tau
-    and the SHA-256 of the checkpoint bytes; each file is replaced
-    atomically."""
-    nd.save_checkpoint(path, model.params.named())
-    word_in_order = [None] * len(model.word_vocab)
-    for tok, i in model.word_vocab.items():
-        word_in_order[i] = tok
-    pos_in_order = [None] * len(model.pos_vocab)
-    for tok, i in model.pos_vocab.items():
-        pos_in_order[i] = tok
-    meta = {
+    """One model file (``nd.save_arrays``), replaced atomically: every tensor
+    under its ``named()`` name, and a meta with the config, the
+    vocabularies, the article ids, tau and the epochs completed."""
+    nd.save_arrays(path, "model", {name: t.data for name, t in model.params.named()}, {
         "config": model.config.to_dict(),
         "charge_vocab": model.charge_vocab,
         "article_ids": [article_id_to_json(a)
                         for a in sorted(model.article_docs, key=article_sort_key)],
-        "word_vocab": word_in_order,
-        "pos_vocab": pos_in_order,
+        "word_vocab": sorted(model.word_vocab, key=model.word_vocab.__getitem__),
+        "pos_vocab": sorted(model.pos_vocab, key=model.pos_vocab.__getitem__),
         "tau": model.tau,
         "epochs_completed": model.epochs_completed,
-        "checkpoint_sha256": _sha256(path),
-    }
-    with nd.atomic_write(str(path) + META_SUFFIX, "w", encoding="utf-8") as fh:
-        json.dump(meta, fh, ensure_ascii=False)
-
-
-def _read_sidecar(meta_path) -> tuple[dict, ModelConfig]:
-    """The sidecar's fields and config; a sidecar that is not JSON, lacks a
-    field, holds one of another type, a tau outside (0, 1) or a config
-    ``ModelConfig`` rejects raises ``StateError`` naming it."""
-    try:
-        with open(meta_path, encoding="utf-8") as fh:
-            meta = json.load(fh)
-    except ValueError as exc:
-        raise StateError(f"sidecar {meta_path} is not JSON: {exc}") from exc
-    if not isinstance(meta, dict):
-        raise StateError(f"sidecar {meta_path} is not a JSON object")
-    for key, kind in SIDECAR_FIELDS.items():
-        if not isinstance(meta.get(key), kind):
-            raise StateError(f"sidecar {meta_path} has no {kind.__name__} field {key!r}")
-    if not 0.0 < meta["tau"] < 1.0:
-        raise StateError(f"sidecar {meta_path} has tau {meta['tau']!r}, outside (0, 1)")
-    unknown = sorted(set(meta["config"]) - {f.name for f in fields(ModelConfig)})
-    if unknown:
-        raise StateError(f"sidecar {meta_path} has config fields this version does not "
-                         f"know: {unknown}")
-    try:
-        return meta, ModelConfig(**meta["config"])
-    except (TypeError, ValueError) as exc:
-        raise StateError(f"sidecar {meta_path} holds a bad config: {exc}") from exc
+    })
 
 
 def load_model(path, article_db: dict | None = None) -> ChargeModel:
-    """Inverse of ``save_model``; a corrupt sidecar, a checkpoint that is not
-    the one its sidecar was written with, or one that does not fit the
-    configured model raises ``StateError``."""
-    meta_path = str(path) + META_SUFFIX
-    meta, config = _read_sidecar(meta_path)
-    digest = _sha256(path)
-    if digest != meta["checkpoint_sha256"]:
-        raise StateError(f"checkpoint {path} (SHA-256 {digest}) is not the one its sidecar "
-                         f"{meta_path} records ({meta['checkpoint_sha256']})")
+    """Inverse of ``save_model``. Besides the faults ``nd.load_arrays``
+    rejects, a vocabulary entry that is not a string, a tau outside (0, 1),
+    a config ``ModelConfig`` rejects, an article id that is not one, or a
+    tensor whose name, shape or dtype does not fit the configured model
+    raises ``StateError`` naming the file."""
+    source = f"model file {path}"
+    arrays, meta = nd.load_arrays(path, "model", MODEL_FIELDS)
+    for key in ("charge_vocab", "word_vocab", "pos_vocab"):
+        if not all(isinstance(tok, str) for tok in meta[key]):
+            raise StateError(f"{source} has a {key} entry that is not a string")
+    if not 0.0 < meta["tau"] < 1.0:
+        raise StateError(f"{source} has tau {meta['tau']!r}, outside (0, 1)")
+    unknown = sorted(set(meta["config"]) - {f.name for f in fields(ModelConfig)})
+    if unknown:
+        raise StateError(f"{source} has config fields this version does not know: {unknown}")
+    try:
+        config = ModelConfig(**meta["config"])
+    except (TypeError, ValueError) as exc:
+        raise StateError(f"{source} holds a bad config: {exc}") from exc
+    for a in meta["article_ids"]:
+        if not _is_article_id(a):
+            raise StateError(f"{source} has the article id {a!r}, "
+                             "not a positive int or a pair of them")
     word_vocab = {tok: i for i, tok in enumerate(meta["word_vocab"])}
     pos_vocab = {tok: i for i, tok in enumerate(meta["pos_vocab"])}
     params = ModelParams.create(config, len(word_vocab), len(pos_vocab),
                                 len(meta["charge_vocab"]), np.random.default_rng(0))
-    arrays = nd.load_checkpoint(path)
     named = dict(params.named())
     if set(arrays) != set(named):
         missing = set(named) ^ set(arrays)
-        raise StateError(f"checkpoint does not match the configured model: {sorted(missing)}")
+        raise StateError(f"{source} does not match the configured model: {sorted(missing)}")
     for name, arr in arrays.items():
         if named[name].shape != arr.shape:
-            raise StateError(f"parameter {name} has shape {arr.shape}, "
+            raise StateError(f"{source} parameter {name} has shape {arr.shape}, "
                              f"expected {named[name].shape}")
-        named[name].data = arr.copy()
+        if arr.dtype != np.float64:
+            raise StateError(f"{source} parameter {name} has dtype {arr.dtype}, "
+                             "expected float64")
+        named[name].data = np.ascontiguousarray(arr)
     article_docs = {}
     if config.uses_articles():
         if article_db is None:
@@ -846,7 +815,8 @@ def load_model(path, article_db: dict | None = None) -> ChargeModel:
         want = {article_id_from_json(a) for a in meta["article_ids"]}
         have = set(article_docs)
         if not want <= have:
-            raise StateError(f"article database is missing ids {sorted(want - have)}")
+            raise StateError(f"article database is missing ids "
+                             f"{sorted(want - have, key=article_sort_key)} that {source} uses")
     return ChargeModel(config, params, word_vocab, pos_vocab, meta["charge_vocab"],
                        article_docs, tau=meta["tau"], epochs_completed=meta["epochs_completed"])
 

@@ -135,7 +135,10 @@ def chinese_numeral_to_int(text: str) -> int:
     """Positional reading with 十/百/千 multipliers and 零/〇 placeholders.
 
     Pure Arabic-digit strings pass straight through. Multipliers must fall
-    from left to right (百 after 十, or 十 after 十, is malformed).
+    from left to right (百 after 十, or 十 after 十, is malformed). A 零
+    follows a multiplier and skips at least one place before the next digit
+    (一百零五, 一千零五十); a leading, trailing or doubled 零, or one that
+    skips no place (一百零十), is malformed.
     """
     if not text:
         raise ParseError("empty numeral")
@@ -144,12 +147,21 @@ def chinese_numeral_to_int(text: str) -> int:
     total = 0
     current = 0
     last = None
+    zero = None  # the multiplier a 零 followed, until the place after the 零 is known
+
+    def check_zero(place: int) -> None:
+        if current == 0 or 10 * place >= zero:
+            raise ParseError(f"malformed numeral {text!r}: a 零 that skips no place")
+
     for ch in text:
         if ch in _CN_MULTIPLIERS:
             multiplier = _CN_MULTIPLIERS[ch]
             if last is not None and multiplier >= last:
                 raise ParseError(f"malformed numeral {text!r}: {ch!r} after a multiplier "
                                  "no larger than it")
+            if zero is not None:
+                check_zero(multiplier)
+                zero = None
             total += max(current, 1) * multiplier
             current = 0
             last = multiplier
@@ -157,8 +169,14 @@ def chinese_numeral_to_int(text: str) -> int:
             if current != 0:
                 raise ParseError(f"malformed numeral {text!r}: consecutive digits")
             current = _CN_DIGITS[ch]
+            if current == 0:
+                if last is None or zero is not None:
+                    raise ParseError(f"malformed numeral {text!r}: a 零 that skips no place")
+                zero = last
         else:
             raise ParseError(f"malformed numeral {text!r}: unexpected {ch!r}")
+    if zero is not None:
+        check_zero(1)
     return total + current
 
 
@@ -204,9 +222,10 @@ def article_id_from_json(value):
 
 
 def _is_article_id(value) -> bool:
-    """An int, or the list form of a (number, sub_number) pair."""
-    return type(value) is int or (isinstance(value, list) and len(value) == 2
-                                  and all(type(v) is int for v in value))
+    """An int, or the list form of a (number, sub_number) pair; numbers and
+    sub-numbers start at 1."""
+    parts = value if isinstance(value, list) and len(value) == 2 else [value]
+    return all(type(v) is int and v >= 1 for v in parts)
 
 
 def format_article_ref(article_id) -> str:

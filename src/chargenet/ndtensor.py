@@ -2,9 +2,11 @@
 
 Everything the encoders and losses are built from: a small op set
 (matmul, elementwise, concat/slice/gather, softmax, cross entropy),
-an explicit single-use gradient tape, plain SGD and a binary checkpoint
-format. It holds what the model runs; test-only tools (a sum reduction,
-the finite-difference gradient check) live with the tests.
+an explicit single-use gradient tape, plain SGD, and the one file format
+of saved models and extractor banks (``save_arrays``/``load_arrays``: an
+``.npz`` archive of named arrays plus a JSON meta member). It holds what the
+model runs; test-only tools (a sum reduction, the finite-difference
+gradient check) live with the tests.
 
 Ops record their backward closures on the innermost active ``Tape``;
 with no tape active they run forward-only, which is the inference path.
@@ -16,10 +18,11 @@ input's gradient. ``no_recording`` runs a block forward-only inside a tape.
 
 from __future__ import annotations
 
+import json
 import os
-import struct
 import threading
 import uuid
+import zipfile
 from contextlib import contextmanager
 from dataclasses import fields
 from typing import Callable, Iterable, Sequence
@@ -33,7 +36,7 @@ __all__ = [
     "matmul", "add", "sub", "mul", "tanh", "sigmoid", "concat", "narrow",
     "take_cols", "embed", "reshape", "softmax", "cross_entropy",
     "sgd_step", "parameter", "zeros",
-    "save_checkpoint", "load_checkpoint", "CHECKPOINT_VERSION",
+    "save_arrays", "load_arrays", "FORMAT_VERSION",
     "record", "accumulate", "accumulate_cols", "recording", "no_recording", "logistic",
     "atomic_write", "ParamGroup",
 ]
@@ -519,7 +522,8 @@ class ParamGroup:
         return [t for _, t in self.named()]
 
 
-CHECKPOINT_VERSION = 1
+# The version of the files save_arrays writes; load_arrays reads no other.
+FORMAT_VERSION = 2
 
 
 @contextmanager
@@ -546,66 +550,62 @@ def atomic_write(path, mode: str = "wb", **open_kwargs):
         raise
 
 
-def save_checkpoint(path, named_params: Iterable[tuple[str, Tensor]]) -> None:
-    """Write parameters to ``path`` in the versioned binary layout.
+def save_arrays(path, kind: str, arrays: dict[str, np.ndarray], meta: dict) -> None:
+    """Write ``arrays`` and ``meta`` to ``path`` as one uncompressed ``.npz``
+    archive, replaced atomically (``atomic_write``).
 
-    Layout (all integers little-endian): uint32 format version, uint32
-    parameter count, then per parameter: uint16 name length, UTF-8 name,
-    uint8 rank, rank * uint32 dims, raw little-endian float64 data in
-    row-major order. ``load_checkpoint(save_checkpoint(p)) == p`` bit-exact.
-    The file is replaced atomically (``atomic_write``).
+    Each array is the member of its name. ``meta``, plus the file's
+    ``format`` (``kind``) and ``version``, is one more member, ``meta``,
+    holding it as JSON text; so no array may be named ``meta``. The zip
+    format stores a CRC-32 of every member, which ``load_arrays`` checks.
     """
-    items = list(named_params)
+    text = json.dumps({**meta, "format": kind, "version": FORMAT_VERSION}, ensure_ascii=False)
     with atomic_write(path) as fh:
-        fh.write(struct.pack("<II", CHECKPOINT_VERSION, len(items)))
-        for name, tensor in items:
-            raw = name.encode("utf-8")
-            fh.write(struct.pack("<H", len(raw)))
-            fh.write(raw)
-            dims = tensor.shape
-            fh.write(struct.pack("<B", len(dims)))
-            fh.write(struct.pack(f"<{len(dims)}I", *dims))
-            fh.write(tensor.data.astype("<f8", copy=False).tobytes())
+        np.savez(fh, **arrays, meta=np.array(text))
 
 
-def load_checkpoint(path) -> dict[str, np.ndarray]:
-    """Read a checkpoint back into a name -> array mapping (see save_checkpoint).
+def load_arrays(path, kind: str, fields: dict[str, type]) -> tuple[dict[str, np.ndarray], dict]:
+    """Read a ``save_arrays`` file of ``kind``: its arrays by name, and its meta.
 
-    A truncated file, trailing bytes, an undecodable name or an unknown
-    version raise ``StateError`` naming the byte offset where reading stopped.
+    Raises ``StateError`` naming ``path`` when the file is not a readable
+    archive (empty, truncated, not a zip, an array that needs pickle), a
+    member fails its CRC-32, the meta is missing or not a JSON object, the
+    file is of another kind or version, or the meta lacks one of ``fields``
+    or holds it with another JSON type (an ``int`` field takes no bool). The
+    caller checks the arrays' names, dtypes and shapes.
     """
+    source = f"{kind} file {path}"
     with open(path, "rb") as fh:
-        blob = fh.read()
-    off = 0
-
-    def take(nbytes: int, what: str) -> bytes:
-        nonlocal off
-        if off + nbytes > len(blob):
-            raise StateError(f"checkpoint {path} truncated at byte {off}: needed {nbytes} "
-                             f"bytes of {what}, {len(blob) - off} left")
-        chunk = blob[off:off + nbytes]
-        off += nbytes
-        return chunk
-
-    def unpack(fmt: str, what: str) -> tuple:
-        return struct.unpack(fmt, take(struct.calcsize(fmt), what))
-
-    version, count = unpack("<II", "header")
-    if version != CHECKPOINT_VERSION:
-        raise StateError(f"unsupported checkpoint version {version}")
-    out: dict[str, np.ndarray] = {}
-    for _ in range(count):
-        (nlen,) = unpack("<H", "name length")
-        at = off
         try:
-            name = take(nlen, "name").decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise StateError(f"checkpoint {path} has an undecodable name at byte {at}") from exc
-        (rank,) = unpack("<B", f"rank of {name!r}")
-        dims = unpack(f"<{rank}I", f"dims of {name!r}") if rank else ()
-        n = int(np.prod(dims)) if rank else 1
-        raw = take(8 * n, f"data of {name!r}")
-        out[name] = np.frombuffer(raw, dtype="<f8").reshape(dims).astype(np.float64)
-    if off != len(blob):
-        raise StateError(f"checkpoint {path} has {len(blob) - off} trailing bytes at byte {off}")
-    return out
+            archive = np.load(fh, allow_pickle=False)
+            if not isinstance(archive, np.lib.npyio.NpzFile):
+                raise ValueError("it holds one .npy array")
+            with archive:
+                bad = archive.zip.testzip()
+                if bad is not None:
+                    raise zipfile.BadZipFile(f"member {bad!r} fails its CRC-32 check")
+                arrays = {name: archive[name] for name in archive.files}
+        # A corrupt header byte can also make zipfile seek before the start
+        # (OSError) or see an unsupported compression (NotImplementedError)
+        # or encryption (RuntimeError). The file itself opened above.
+        except (zipfile.BadZipFile, EOFError, ValueError, OSError, NotImplementedError,
+                RuntimeError) as exc:
+            raise StateError(f"{source} is not a readable archive: {exc}") from exc
+    text = arrays.pop("meta", None)
+    if text is None or text.dtype.kind != "U" or text.ndim != 0:
+        raise StateError(f"{source} has no meta text member")
+    try:
+        meta = json.loads(text.item())
+    except ValueError as exc:
+        raise StateError(f"{source} meta is not JSON: {exc}") from exc
+    if not isinstance(meta, dict):
+        raise StateError(f"{source} meta is not a JSON object")
+    found = (meta.get("format"), meta.get("version"))
+    if found != (kind, FORMAT_VERSION):
+        raise StateError(f"{source} holds format {found[0]!r} version {found[1]!r}, "
+                         f"not {kind!r} version {FORMAT_VERSION}")
+    for key, typ in fields.items():
+        value = meta.get(key)
+        if not isinstance(value, typ) or (typ is int and isinstance(value, bool)):
+            raise StateError(f"{source} meta has no {key!r} of type {typ.__name__}")
+    return arrays, meta

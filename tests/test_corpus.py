@@ -66,6 +66,9 @@ class TestNumerals:
 
     def test_zero_placeholder(self):
         assert cp.chinese_numeral_to_int("三百零二") == 302
+        assert cp.chinese_numeral_to_int("一百零五") == 105
+        assert cp.chinese_numeral_to_int("一千零五") == 1005
+        assert cp.chinese_numeral_to_int("一千零五十") == 1050
 
     def test_arabic_passthrough(self):
         assert cp.chinese_numeral_to_int("133") == 133
@@ -74,7 +77,10 @@ class TestNumerals:
         assert cp.chinese_numeral_to_int("两百") == 200
 
     def test_malformed(self):
-        for bad in ("", "一二", "条", "2三", "十百", "百百", "十十", "三百二十百"):
+        # The last row: a 零 that skips no place (leading, trailing, alone,
+        # doubled, or followed by the next place down).
+        for bad in ("", "一二", "条", "2三", "十百", "百百", "十十", "三百二十百",
+                    "零一", "一百零", "零", "〇", "一千零零五", "一百零十", "十零五", "一千零五百"):
             with pytest.raises(ParseError):
                 cp.chinese_numeral_to_int(bad)
 
@@ -323,10 +329,13 @@ class TestDatasetIO:
         ("charges", "theft", "'charges' must be a list"),
         ("articles", "133", "'articles' must be a list"),
         ("articles", [[133, 1, 2]], "'articles' must be a list of article ids"),
+        ("articles", [0], "'articles' must be a list of article ids"),
+        ("articles", [[133, 0]], "'articles' must be a list of article ids"),
         ("fact", "a n", "'fact' must be a list"),
         ("fact", [["a", "n"]], "'fact' must be a list of sentences"),
         ("fact", [[["a", 1]]], "'fact' must be a list of sentences"),
-    ], ids=["charges_string", "articles_string", "article_triple", "fact_string",
+    ], ids=["charges_string", "articles_string", "article_triple", "article_zero",
+            "article_sub_zero", "fact_string",
             "sentence_of_strings", "pos_not_string"])
     def test_wrong_field_type_names_line(self, tmp_path, field, value, problem):
         """A value of the wrong type is a bad record, not one read as
@@ -339,9 +348,11 @@ class TestDatasetIO:
             cp.load_dataset(path)
 
     @pytest.mark.parametrize("record", [{"id": 1, "text": 5}, {"id": "133", "text": "a"},
-                                        {"id": [133], "text": "a"}, {"id": 2, "text": "c"}],
+                                        {"id": [133], "text": "a"}, {"id": 2, "text": "c"},
+                                        {"id": 0, "text": "a"}, {"id": -5, "text": "a"},
+                                        {"id": [133, 0], "text": "a"}],
                              ids=["text_not_string", "id_string", "id_one_number",
-                                  "id_repeated"])
+                                  "id_repeated", "id_zero", "id_negative", "id_sub_zero"])
     def test_bad_article_record_names_line(self, tmp_path, record):
         path = tmp_path / "articles.jsonl"
         path.write_text(json.dumps({"id": 2, "text": "b"}) + "\n" + json.dumps(record) + "\n",

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import numpy.testing as npt
@@ -10,9 +11,11 @@ from hypothesis.extra import numpy as hnp
 
 from chargenet import article_extractor as ax
 from chargenet import corpus as cp
+from chargenet import ndtensor as nd
 from chargenet.ndtensor import DomainError, ShapeError, StateError
 
 import extractor_oracles as oracle
+from file_faults import Unwritable, write_members
 
 
 def toy_corpus():
@@ -460,15 +463,41 @@ class TestRecallAtK:
         assert all(a <= b for a, b in zip(vals, vals[1:]))
 
 
+def set_array(name, value):
+    """A ``damage`` that replaces the array ``name``."""
+    return lambda arrays, meta: arrays.__setitem__(name, value)
+
+
+def set_meta(key, value):
+    """A ``damage`` that sets the meta field ``key``."""
+    return lambda arrays, meta: meta.__setitem__(key, value)
+
+
+def set_entry(name, index, value):
+    """A ``damage`` that sets one entry of the array ``name``."""
+    return lambda arrays, meta: arrays[name].__setitem__(index, value)
+
+
 class TestBankSerialization:
+    def save_and_edit(self, path, damage):
+        """Save a two-article bank to ``path``, then rewrite it with
+        ``damage(arrays, meta)`` applied."""
+        docs, golds = two_article_corpus()
+        ax.save_bank(path, ax.build_bank(docs, golds, k=2))
+        arrays, meta = nd.load_arrays(path, "bank", {})
+        damage(arrays, meta)
+        write_members(path, **arrays, meta=np.array(json.dumps(meta)))
+
     def test_round_trip_exact(self, tmp_path):
         docs, golds = two_article_corpus()
         bank = ax.build_bank(docs, golds, k=2, article_ids=[10, 20, (133, 1)])
-        path = tmp_path / "bank.json"
+        assert bank.bias[-1] == -math.inf  # (133, 1) has no positive case
+        path = tmp_path / "bank.npz"
         ax.save_bank(path, bank)
         loaded = ax.load_bank(path)
         assert loaded.k == bank.k
         assert loaded.tfidf.vocabulary == bank.tfidf.vocabulary
+        assert loaded.tfidf.doc_count == bank.tfidf.doc_count
         npt.assert_array_equal(loaded.tfidf.idf, bank.tfidf.idf)
         assert loaded.article_ids == bank.article_ids
         npt.assert_array_equal(loaded.weights, bank.weights)
@@ -476,82 +505,98 @@ class TestBankSerialization:
         for doc in docs:
             assert ax.extract_top_k(doc, loaded, k=3) == ax.extract_top_k(doc, bank, k=3)
 
+    def test_stores_the_nonzero_weights_only(self, tmp_path):
+        docs, golds = two_article_corpus()
+        bank = ax.build_bank(docs, golds, k=2, top_m=2)
+        ax.save_bank(tmp_path / "bank.npz", bank)
+        arrays, _ = nd.load_arrays(tmp_path / "bank.npz", "bank", {})
+        assert arrays["weights"].size == np.count_nonzero(bank.weights) == 4
+
     def test_failed_write_keeps_the_previous_file(self, tmp_path):
         docs, golds = two_article_corpus()
         bank = ax.build_bank(docs, golds, k=2, article_ids=[10, 20, (133, 1)])
-        path = tmp_path / "bank.json"
+        path = tmp_path / "bank.npz"
         ax.save_bank(path, bank)
         before = path.read_bytes()
-        bank.bias = bank.bias.astype(object)
-        bank.bias[-1] = object()  # not JSON: the dump stops partway
-        with pytest.raises(TypeError):
+        bank.bias = Unwritable()  # the idf array before it is written
+        with pytest.raises(OSError, match="no space left"):
             ax.save_bank(path, bank)
         assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == [path.name]
 
-    def test_loads_a_v1_file_written_scorer_by_scorer(self, tmp_path):
-        # Selected columns in chi-square order, and a disabled scorer with bias 0.
-        path = tmp_path / "bank.json"
+    def test_version_guard(self, tmp_path):
+        path = tmp_path / "bad.npz"
+        for version in (1, 99):
+            self.save_and_edit(path, set_meta("version", version))
+            with pytest.raises(StateError, match=f"version {version}, not 'bank' version 2"):
+                ax.load_bank(path)
+        # A version-1 bank was JSON.
         path.write_text(json.dumps({
             "version": 1, "k": 2,
             "tfidf": {"vocabulary": ["a", "b", "c"], "idf": [0.5, 1.0, 2.0], "doc_count": 4},
-            "scorers": [
-                {"article_id": [133, 1], "selected": [], "weights": None, "bias": 0.0},
-                {"article_id": 7, "selected": [2, 0], "weights": [0.25, -1.5], "bias": 0.125},
-            ]}))
-        bank = ax.load_bank(path)
-        assert bank.article_ids == [7, (133, 1)]
-        npt.assert_array_equal(bank.weights, [[-1.5, 0.0, 0.25], [0.0, 0.0, 0.0]])
-        npt.assert_array_equal(bank.bias, [0.125, -math.inf])
-
-    def test_version_guard(self, tmp_path):
-        path = tmp_path / "bad.json"
-        path.write_text(json.dumps({"version": 99}))
-        with pytest.raises(StateError):
+            "scorers": [{"article_id": 7, "selected": [2, 0], "weights": [0.25, -1.5],
+                         "bias": 0.125}]}))
+        with pytest.raises(StateError,
+                           match=re.escape(f"bank file {path} is not a readable archive")):
             ax.load_bank(path)
 
     @pytest.mark.parametrize("damage, message", [
-        (lambda p: p.pop("k"), "no 'k'"),
-        (lambda p: p["tfidf"].pop("idf"), "no 'idf'"),
-        (lambda p: p["scorers"][0].pop("bias"), "no 'bias'"),
-        (lambda p: p["scorers"][0]["weights"].pop(), "selected columns but"),
-        (lambda p: p["scorers"][0]["selected"].__setitem__(0, 10 ** 6), "outside"),
-        (lambda p: p["scorers"][0]["selected"].__setitem__(0, -1), "outside"),
-        (lambda p: p["scorers"][0].__setitem__("selected", 3), "'selected' has type int"),
-        (lambda p: p.__setitem__("scorers", {}), "'scorers' has type dict"),
-        (lambda p: p["scorers"][0]["weights"].__setitem__(0, "x"), "non-numeric"),
-        (lambda p: p["scorers"][1].__setitem__("article_id", p["scorers"][0]["article_id"]),
+        (lambda a, m: m.pop("k"), "no 'k'"),
+        (lambda a, m: a.pop("idf"), "no 'idf'"),
+        (lambda a, m: a.pop("bias"), "no 'bias'"),
+        (lambda a, m: a.__setitem__("weights", a["weights"][:-1]), "selected columns but"),
+        (set_entry("selected", 0, 10 ** 6), "outside"),
+        (set_entry("selected", 0, -1), "outside"),
+        (set_array("selected", np.array(3)), "'selected' has type int"),
+        pytest.param(set_meta("article_ids", {}), "no 'article_ids' of type list",
+                     id="ids_not_list"),
+        (set_entry("weights", 0, math.nan), "non-numeric"),
+        (lambda a, m: m["article_ids"].__setitem__(1, m["article_ids"][0]),
          "duplicate article ids"),
-        (lambda p: p.__setitem__("k", 0), "k=0 outside"),
-        (lambda p: p.__setitem__("k", 3), "k=3 outside"),
+        (set_meta("k", 0), "k=0 outside"),
+        (set_meta("k", 3), "k=3 outside"),
+        pytest.param(set_entry("scorers", 0, 2), "selects a row outside [0, 2)",
+                     id="scorer_outside"),
+        pytest.param(set_entry("weights", 0, math.inf), "or an infinity", id="weight_inf"),
+        pytest.param(set_entry("bias", 0, math.nan), "non-numeric", id="bias_nan"),
+        pytest.param(set_entry("bias", 0, math.inf), "or an infinity", id="bias_inf"),
+        pytest.param(set_entry("idf", 0, math.nan), "non-numeric", id="idf_nan"),
+        pytest.param(lambda a, m: a.__setitem__("weights", a["weights"] > 0),
+                     "'weights' has type bool", id="weights_bool"),
+        pytest.param(lambda a, m: a.__setitem__("bias", a["bias"] > 0),
+                     "'bias' has type bool", id="bias_bool"),
+        pytest.param(lambda a, m: a.__setitem__("weights", a["weights"].astype(str)),
+                     "'weights' has type <U", id="weights_strings"),
+        pytest.param(lambda a, m: a.__setitem__("idf", a["idf"][:-1]), "idf values",
+                     id="idf_short"),
+        pytest.param(lambda a, m: a.__setitem__("bias", a["bias"][:-1]), "bias values",
+                     id="bias_short"),
+        pytest.param(set_meta("k", True), "no 'k' of type int", id="k_bool"),
+        pytest.param(lambda a, m: m["vocabulary"].__setitem__(0, 5),
+                     "vocabulary entry that is not a string", id="vocabulary_int"),
     ])
     def test_malformed_bank_raises_state_error(self, tmp_path, damage, message):
-        docs, golds = two_article_corpus()
-        path = tmp_path / "bank.json"
-        ax.save_bank(path, ax.build_bank(docs, golds, k=2))
-        payload = json.loads(path.read_text())
-        damage(payload)
-        path.write_text(json.dumps(payload))
-        with pytest.raises(StateError, match=message) as err:
+        path = tmp_path / "bank.npz"
+        self.save_and_edit(path, damage)
+        with pytest.raises(StateError, match=re.escape(message)) as err:
             ax.load_bank(path)
-        assert str(err.value).startswith(f"bank {path}")
+        assert str(err.value).startswith(f"bank file {path}")
 
-    @pytest.mark.parametrize("article_id", [[101, 1, 7], ["x"]], ids=["triple", "string"])
+    @pytest.mark.parametrize("article_id", [[101, 1, 7], ["x"], 0, -5, [133, 0], {}],
+                             ids=["triple", "string", "zero", "negative", "sub_zero", "dict"])
     def test_bad_article_id_names_file_and_scorer(self, tmp_path, article_id):
-        docs, golds = two_article_corpus()
-        path = tmp_path / "bank.json"
-        ax.save_bank(path, ax.build_bank(docs, golds, k=2))
-        payload = json.loads(path.read_text())
-        payload["scorers"][1]["article_id"] = article_id
-        path.write_text(json.dumps(payload))
+        path = tmp_path / "bank.npz"
+        self.save_and_edit(path, lambda a, m: m["article_ids"].__setitem__(1, article_id))
         with pytest.raises(StateError) as err:
             ax.load_bank(path)
-        assert f"bank {path} scorer 1 has the article id {article_id!r}" in str(err.value)
+        assert f"bank file {path} scorer 1 has the article id {article_id!r}" in str(err.value)
 
     def test_truncated_bank_raises_state_error(self, tmp_path):
         docs, golds = two_article_corpus()
-        path = tmp_path / "bank.json"
+        path = tmp_path / "bank.npz"
         ax.save_bank(path, ax.build_bank(docs, golds, k=2))
-        path.write_text(path.read_text()[:100])
-        with pytest.raises(StateError, match="not JSON"):
-            ax.load_bank(path)
+        blob = path.read_bytes()
+        for cut in (0, 100, len(blob) // 2, len(blob) - 1):
+            path.write_bytes(blob[:cut])
+            with pytest.raises(StateError, match="not a readable archive"):
+                ax.load_bank(path)

@@ -3,7 +3,10 @@ import contextlib
 import dataclasses
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 
 import numpy as np
 import numpy.testing as npt
@@ -22,6 +25,7 @@ from chargenet.ndtensor import DomainError, StateError, Tape
 import encoder_oracles as oracle
 import model_oracles
 from gradient_checks import grad_check
+from file_faults import Unwritable, write_members
 
 TINY_DIMS = dict(word_emb_dim=2, pos_emb_dim=1, gru_hidden=2, fc1_dim=3, fc2_dim=3,
                  k=3, batch=4)
@@ -320,7 +324,7 @@ def test_no_tape_forward_matches_taped_forward(data, bank):
 def test_checkpoint_round_trip_keeps_predictions(data, bank, tmp_path):
     for variant in cm.Variant:
         model = untrained_model(data, variant, seed=3)
-        path = tmp_path / f"{variant.value}.ckpt"
+        path = tmp_path / f"{variant.value}.npz"
         before = [cm.forward(case, model, bank=bank) for case in data.test]
         cm.save_model(path, model)
         loaded = cm.load_model(path, article_db=data.article_db)
@@ -337,16 +341,17 @@ def test_checkpoint_round_trip_keeps_predictions(data, bank, tmp_path):
 
 
 def test_failed_meta_write_keeps_the_previous_sidecar(data, tmp_path):
+    """A model file whose write fails part way keeps its previous content,
+    and no temporary file is left."""
     model = untrained_model(data, cm.Variant.FACT_ONLY)
-    path = tmp_path / "m.ckpt"
+    path = tmp_path / "m.npz"
     cm.save_model(path, model)
-    meta = tmp_path / ("m.ckpt" + cm.META_SUFFIX)
-    before = meta.read_bytes()
-    model.tau = object()  # not JSON: the dump stops after the vocabularies
-    with pytest.raises(TypeError):
+    before = path.read_bytes()
+    model.params.out_w.data = Unwritable()  # the tensors before it are written
+    with pytest.raises(OSError, match="no space left"):
         cm.save_model(path, model)
-    assert meta.read_bytes() == before
-    assert sorted(p.name for p in tmp_path.iterdir()) == sorted([path.name, meta.name])
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == [path.name]
 
 
 @pytest.mark.parametrize("variant", list(cm.Variant))
@@ -358,8 +363,8 @@ def test_named_parameters_are_unique_and_round_trip(data, variant, tmp_path):
     assert len({id(t) for _, t in named}) == len(named)
     has_art = any(n.startswith("art.") for n in names)
     assert has_art == model.config.uses_articles()
-    nd.save_checkpoint(tmp_path / "p.ckpt", named)
-    arrays = nd.load_checkpoint(tmp_path / "p.ckpt")
+    nd.save_arrays(tmp_path / "p.npz", "model", {n: t.data for n, t in named}, {})
+    arrays, _ = nd.load_arrays(tmp_path / "p.npz", "model", {})
     assert list(arrays) == names
     for name, t in named:
         npt.assert_array_equal(arrays[name], t.data)
@@ -378,16 +383,17 @@ def test_paper_dims_tensor_counts(fact_only, count):
                                                        (2, 225, 1))
 
 
-def test_swapped_checkpoint_is_rejected(data, tmp_path):
-    for seed, name in [(1, "a"), (2, "b")]:
-        cm.save_model(tmp_path / f"{name}.ckpt", untrained_model(data, cm.Variant.FACT_ONLY,
-                                                               seed=seed))
-    (tmp_path / "a.ckpt").write_bytes((tmp_path / "b.ckpt").read_bytes())
-    cm.load_model(tmp_path / "b.ckpt")
-    with pytest.raises(StateError) as err:
-        cm.load_model(tmp_path / "a.ckpt")
-    assert str(tmp_path / "a.ckpt") in str(err.value)
-    assert str(tmp_path / "a.ckpt") + cm.META_SUFFIX in str(err.value)
+def test_swapped_checkpoint_is_rejected(data, bank, tmp_path):
+    """A bank file given to ``load_model``, or a model file given to
+    ``load_bank``, raises StateError naming it."""
+    model_path, bank_path = tmp_path / "m.npz", tmp_path / "bank.npz"
+    cm.save_model(model_path, untrained_model(data, cm.Variant.FACT_ONLY))
+    ax.save_bank(bank_path, bank)
+    with pytest.raises(StateError, match=re.escape(f"model file {bank_path} holds format 'bank'")):
+        cm.load_model(bank_path)
+    with pytest.raises(StateError,
+                       match=re.escape(f"bank file {model_path} holds format 'model'")):
+        ax.load_bank(model_path)
 
 
 def split_directions(named, gates=False):
@@ -411,62 +417,54 @@ def split_directions(named, gates=False):
 
 
 def assert_old_layout_rejected(data, tmp_path, old):
-    """A checkpoint of the ``old`` tensors in place of a saved model's fails
-    the digest check, and then, with a sidecar that records its digest, the
-    name check."""
-    path = tmp_path / "m.ckpt"
-    nd.save_checkpoint(path, old)
-    with pytest.raises(StateError, match="is not the one its sidecar"):
-        cm.load_model(path, article_db=data.article_db)
-    meta_path = tmp_path / ("m.ckpt" + cm.META_SUFFIX)
-    meta = json.loads(meta_path.read_text(encoding="utf-8"))
-    meta["checkpoint_sha256"] = cm._sha256(path)
-    meta_path.write_text(json.dumps(meta), encoding="utf-8")
-    with pytest.raises(StateError, match="does not match the configured model"):
+    """A model file holding the ``old`` tensors, with the saved model's
+    meta, fails the name check."""
+    path = tmp_path / "m.npz"
+    _, meta = nd.load_arrays(path, "model", {})
+    nd.save_arrays(path, "model", {name: t.data for name, t in old}, meta)
+    with pytest.raises(StateError,
+                       match=re.escape(f"model file {path} does not match the configured")):
         cm.load_model(path, article_db=data.article_db)
 
 
 def test_nine_gate_checkpoint_is_rejected(data, tmp_path):
-    """A checkpoint in the nine-gate layout, one tensor per gate and
-    direction (``.fwd.w_z``, ...), fails the name check even with a sidecar
-    that records its digest."""
+    """A model file in the nine-gate layout, one tensor per gate and
+    direction (``.fwd.w_z``, ...), fails the name check."""
     model = untrained_model(data, cm.Variant.FACT_ART)
-    cm.save_model(tmp_path / "m.ckpt", model)
+    cm.save_model(tmp_path / "m.npz", model)
     old = split_directions(model.params.named(), gates=True)
     assert len(old) == 111  # ten GRU directions of nine tensors each
     assert_old_layout_rejected(data, tmp_path, old)
 
 
 def test_per_direction_checkpoint_is_rejected(data, tmp_path):
-    """A checkpoint with one tensor set per GRU direction (``.fwd.w``, ...)
-    fails the name check even with a sidecar that records its digest."""
+    """A model file with one tensor set per GRU direction (``.fwd.w``, ...)
+    fails the name check."""
     model = untrained_model(data, cm.Variant.FACT_ART)
-    cm.save_model(tmp_path / "m.ckpt", model)
+    cm.save_model(tmp_path / "m.npz", model)
     old = split_directions(model.params.named())
     assert len(old) == 51  # ten GRU directions of three tensors each
     assert len(model.params.named()) == 36
     assert_old_layout_rejected(data, tmp_path, old)
 
 
-def rewrite_sidecar_config(path, **changes):
-    """Edit the config in a model's sidecar; the checkpoint, and so the
-    SHA-256 the sidecar records, stay as saved."""
-    meta_path = path.with_name(path.name + cm.META_SUFFIX)
-    meta = json.loads(meta_path.read_text(encoding="utf-8"))
+def rewrite_meta_config(path, **changes):
+    """Edit the config in a model file's meta; the tensors stay as saved."""
+    arrays, meta = nd.load_arrays(path, "model", {})
     meta["config"].update(changes)
-    meta_path.write_text(json.dumps(meta), encoding="utf-8")
+    nd.save_arrays(path, "model", arrays, meta)
 
 
 def test_sidecar_with_other_dims_is_rejected(data, tmp_path):
     model = untrained_model(data, cm.Variant.FACT_SUPV_ART)
-    path = tmp_path / "m.ckpt"
+    path = tmp_path / "m.npz"
     cm.save_model(path, model)
     wider = dataclasses.replace(model.config, gru_hidden=model.config.gru_hidden + 1)
-    rewrite_sidecar_config(path, gru_hidden=wider.gru_hidden)
+    rewrite_meta_config(path, gru_hidden=wider.gru_hidden)
     with pytest.raises(StateError) as err:
         cm.load_model(path, article_db=data.article_db)
-    match = re.fullmatch(r"parameter (\S+) has shape (\(.*\)), expected (\(.*\))",
-                         str(err.value))
+    match = re.fullmatch(rf"model file {re.escape(str(path))} parameter (\S+) has shape "
+                         r"(\(.*\)), expected (\(.*\))", str(err.value))
     assert match, str(err.value)
     saved = dict(model.params.named())
     expected = dict(cm.ModelParams.create(wider, len(model.word_vocab), len(model.pos_vocab),
@@ -479,9 +477,9 @@ def test_sidecar_with_other_dims_is_rejected(data, tmp_path):
 
 def test_sidecar_with_other_variant_is_rejected(data, tmp_path):
     model = untrained_model(data, cm.Variant.FACT_SUPV_ART)
-    path = tmp_path / "m.ckpt"
+    path = tmp_path / "m.npz"
     cm.save_model(path, model)
-    rewrite_sidecar_config(path, variant="fact_only")
+    rewrite_meta_config(path, variant="fact_only")
     with pytest.raises(StateError, match="does not match the configured model") as err:
         cm.load_model(path)
     article_side = [n for n, _ in model.params.named() if n.startswith(("art.", "agg"))]
@@ -670,7 +668,7 @@ def test_minibatch_records_one_article_word_scan(data, bank, monkeypatch):
 
 def test_article_ids_round_trip_through_every_file(data, tmp_path):
     """Int and (number, sub_number) ids survive the dataset, the article DB,
-    the extractor bank and the model meta sidecar."""
+    the extractor bank and the model file."""
     relabel = {a: (a, 1) for a in sorted(data.article_db)[::2]}
     cases = [cp.CaseRecord(c.fact, c.gold_charges, {relabel.get(a, a) for a in c.gold_articles})
              for c in data.train]
@@ -687,8 +685,8 @@ def test_article_ids_round_trip_through_every_file(data, tmp_path):
 
     bank = ax.build_bank([c.tokens() for c in cases], [c.gold_articles for c in cases],
                          k=TINY_DIMS["k"], article_ids=ids)
-    ax.save_bank(tmp_path / "bank.json", bank)
-    assert ax.load_bank(tmp_path / "bank.json").article_ids == bank.article_ids == ids
+    ax.save_bank(tmp_path / "bank.npz", bank)
+    assert ax.load_bank(tmp_path / "bank.npz").article_ids == bank.article_ids == ids
 
     config = cm.ModelConfig(variant=cm.Variant.FACT_SUPV_ART, **TINY_DIMS)
     word_vocab, pos_vocab = cm.build_vocab(cases)
@@ -697,12 +695,12 @@ def test_article_ids_round_trip_through_every_file(data, tmp_path):
                                    np.random.default_rng(0))
     model = cm.ChargeModel(config, params, word_vocab, pos_vocab, charges,
                            cm.tokenize_article_db(article_db, word_vocab, pos_vocab), tau=0.4)
-    cm.save_model(tmp_path / "m.ckpt", model)
-    loaded = cm.load_model(tmp_path / "m.ckpt", article_db=article_db)
+    cm.save_model(tmp_path / "m.npz", model)
+    loaded = cm.load_model(tmp_path / "m.npz", article_db=article_db)
     assert sorted(loaded.article_docs, key=cp.article_sort_key) == ids
     with pytest.raises(nd.StateError, match="missing ids"):
-        cm.load_model(tmp_path / "m.ckpt", article_db={a: t for a, t in article_db.items()
-                                                       if a != ids[1]})
+        cm.load_model(tmp_path / "m.npz", article_db={a: t for a, t in article_db.items()
+                                                      if a not in ids[:2]})
 
     trace = cm.forward(cases[0], loaded, bank=bank)
     record = json.loads(json.dumps(cm.prediction_record(trace, loaded)))
@@ -796,38 +794,115 @@ def test_fact_only_beats_the_majority_class(seed):
 
 def test_sidecar_with_an_unknown_config_field_is_rejected(data, tmp_path):
     model = untrained_model(data, cm.Variant.FACT_ONLY)
-    path = tmp_path / "m.ckpt"
+    path = tmp_path / "m.npz"
     cm.save_model(path, model)
-    rewrite_sidecar_config(path, tie_article_encoder=False, dropout=0.5)
+    rewrite_meta_config(path, tie_article_encoder=False, dropout=0.5)
     with pytest.raises(StateError, match=r"\['dropout', 'tie_article_encoder'\]"):
         cm.load_model(path)
 
 
+def edit_meta(**changes):
+    """A ``corrupt`` that sets fields of the meta."""
+    return lambda text: json.dumps({**json.loads(text), **changes})
+
+
 @pytest.mark.parametrize("corrupt,problem", [
-    (lambda text: text[:len(text) // 2], "is not JSON"),
-    (lambda text: "[]", "is not a JSON object"),
+    (lambda text: text[:len(text) // 2], "meta is not JSON"),
+    (lambda text: "[]", "meta is not a JSON object"),
     (lambda text: json.dumps({k: v for k, v in json.loads(text).items() if k != "config"}),
-     "has no dict field 'config'"),
-    (lambda text: json.dumps({**json.loads(text), "tau": "0.4"}), "has no float field 'tau'"),
+     "meta has no 'config' of type dict"),
+    (edit_meta(tau="0.4"), "meta has no 'tau' of type float"),
     (lambda text: text.replace('"k": 3,', '"k": "3",'), "bad config: k must be int, not '3'"),
     (lambda text: text.replace('"k": 3,', '"k": 0,'), "bad config: k must be positive"),
-    (lambda text: json.dumps({**json.loads(text), "tau": -1.0}), "has tau -1.0, outside (0, 1)"),
-    (lambda text: json.dumps({**json.loads(text), "tau": math.nan}), "has tau nan, outside"),
+    (edit_meta(tau=-1.0), "has tau -1.0, outside (0, 1)"),
+    (edit_meta(tau=math.nan), "has tau nan, outside"),
+    (edit_meta(word_vocab=[["<pad>"]]), "has a word_vocab entry that is not a string"),
+    (edit_meta(article_ids=[{}]), "has the article id {}, not"),
+    (edit_meta(article_ids=[[101, 1, 7]]), "has the article id [101, 1, 7], not"),
+    (edit_meta(article_ids=[[133, 0]]), "has the article id [133, 0], not"),
+    (edit_meta(article_ids=[0]), "has the article id 0, not"),
+    (edit_meta(version=1), "holds format 'model' version 1, not 'model' version 2"),
+    (edit_meta(version=99), "holds format 'model' version 99"),
+    (edit_meta(format="bank"), "holds format 'bank' version 2"),
 ], ids=["not_json", "not_an_object", "missing_field", "field_of_wrong_type", "config_field_of_wrong_type",
-        "config_out_of_range", "tau_out_of_range", "tau_nan"])
+        "config_out_of_range", "tau_out_of_range", "tau_nan", "vocab_entry_not_string",
+        "article_id_dict", "article_id_triple", "article_id_sub_zero", "article_id_zero",
+        "version_1", "version_99", "other_kind"])
 def test_corrupt_sidecar_is_rejected(data, tmp_path, corrupt, problem):
-    """A corrupt sidecar raises StateError naming it and the problem."""
+    """A model file whose meta is corrupt raises StateError naming it and
+    the problem."""
     model = untrained_model(data, cm.Variant.FACT_ONLY)
-    path = tmp_path / "m.ckpt"
+    path = tmp_path / "m.npz"
     cm.save_model(path, model)
-    meta_path = tmp_path / ("m.ckpt" + cm.META_SUFFIX)
-    text = meta_path.read_text(encoding="utf-8")
+    with np.load(path) as archive:
+        members = dict(archive)
+    text = members["meta"].item()
     assert '"k": 3,' in text
-    meta_path.write_text(corrupt(text), encoding="utf-8")
+    write_members(path, **{**members, "meta": np.array(corrupt(text))})
     with pytest.raises(StateError) as err:
         cm.load_model(path)
-    assert str(err.value).startswith(f"sidecar {meta_path} ")
+    assert str(err.value).startswith(f"model file {path} ")
     assert problem in str(err.value)
+
+
+@pytest.mark.parametrize("damage,problem", [
+    (lambda arrays: arrays.pop("out.b"), "does not match the configured model: ['out.b']"),
+    (lambda arrays: arrays.__setitem__("extra", np.zeros(1)),
+     "does not match the configured model: ['extra']"),
+    (lambda arrays: arrays.__setitem__("out.b", arrays["out.b"].T), "parameter out.b has shape"),
+    (lambda arrays: arrays.__setitem__("out.b", arrays["out.b"] > 0),
+     "parameter out.b has dtype bool, expected float64"),
+    (lambda arrays: arrays.__setitem__("out.b", arrays["out.b"].astype(np.float32)),
+     "parameter out.b has dtype float32, expected float64"),
+], ids=["missing", "extra", "shape", "bool", "float32"])
+def test_tensor_that_does_not_fit_is_rejected(data, tmp_path, damage, problem):
+    model = untrained_model(data, cm.Variant.FACT_ONLY)
+    path = tmp_path / "m.npz"
+    cm.save_model(path, model)
+    arrays, meta = nd.load_arrays(path, "model", {})
+    damage(arrays)
+    nd.save_arrays(path, "model", arrays, meta)
+    with pytest.raises(StateError) as err:
+        cm.load_model(path)
+    assert str(err.value).startswith(f"model file {path} ")
+    assert problem in str(err.value)
+
+
+HASHLIB_PROBE = """
+import importlib, pkgutil, sys
+import chargenet
+for info in pkgutil.iter_modules(chargenet.__path__):
+    importlib.import_module("chargenet." + info.name)
+from chargenet import article_extractor as ax, charge_model as cm, corpus as cp
+from chargenet import ndtensor as nd
+root = sys.argv[1]
+ax.save_bank(root + "/bank2.npz", ax.load_bank(root + "/bank.npz"))
+ax.load_bank(root + "/bank2.npz")
+arrays, meta = nd.load_arrays(root + "/m.npz", "model", cm.MODEL_FIELDS)
+nd.save_arrays(root + "/m2.npz", "model", arrays, meta)
+print(sorted(name for name in sys.modules if "hashlib" in name))
+cm.load_model(root + "/m2.npz", article_db=cp.load_article_db(root + "/articles.jsonl"))
+"""
+
+
+def test_saving_and_loading_import_no_hashlib(data, bank, tmp_path):
+    """A fresh process that imports every chargenet module, then saves and
+    loads a bank and a model file, does not import hashlib: it loads
+    OpenSSL, about 3.6 MB of resident memory.
+
+    The probe stops short of ``load_model``'s ``ModelParams.create``: that
+    draws from ``numpy.random``, whose import brings in hashlib (through
+    ``secrets``) in any process that builds a model. Its last step only
+    checks that the model file it wrote loads."""
+    cm.save_model(tmp_path / "m.npz", untrained_model(data, cm.Variant.FACT_SUPV_ART))
+    ax.save_bank(tmp_path / "bank.npz", bank)
+    cp.save_article_db(tmp_path / "articles.jsonl", data.article_db)
+    src = os.path.dirname(os.path.dirname(cm.__file__))
+    run = subprocess.run([sys.executable, "-c", HASHLIB_PROBE, str(tmp_path)],
+                         env={**os.environ, "PYTHONPATH": src}, capture_output=True,
+                         text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.splitlines() == ["[]"]
 
 
 def write_embeddings(path, lines):

@@ -1,4 +1,7 @@
+import json
 import math
+import re
+import struct
 import warnings
 
 import numpy as np
@@ -15,6 +18,7 @@ from chargenet.ndtensor import (
 )
 
 from gradient_checks import assert_matches_fd, grad_check, tsum
+from file_faults import Unwritable, write_members
 
 
 class TestMatmul:
@@ -464,25 +468,28 @@ class TestFiniteness:
 class TestCheckpoint:
     def test_round_trip_bit_exact(self, tmp_path):
         rng = np.random.default_rng(6)
-        params = [
-            ("emb.word", Tensor(rng.uniform(-1, 1, (7, 4)))),
-            ("enc.w_z", Tensor(rng.uniform(-1, 1, (3, 5)))),
-            ("bias", Tensor(rng.uniform(-1, 1, 3))),
-            ("scalar", Tensor(np.float64(0.123456789))),
-        ]
-        path = tmp_path / "model.ckpt"
-        nd.save_checkpoint(path, params)
-        loaded = nd.load_checkpoint(path)
-        assert set(loaded) == {n for n, _ in params}
-        for name, t in params:
-            assert loaded[name].shape == t.shape
-            npt.assert_array_equal(loaded[name], t.data)
+        arrays = {
+            "emb.word": rng.uniform(-1, 1, (7, 4)),
+            "enc.w_z": rng.uniform(-1, 1, (3, 5)),
+            "bias": np.array([-math.inf, 0.5, 1e-300]),
+            "scalar": np.float64(0.123456789),
+            "rows": np.arange(5),
+        }
+        meta = {"vocabulary": ["盗窃", "a"], "tau": 0.1 + 0.2, "ids": [133, [133, 1]]}
+        path = tmp_path / "model.npz"
+        nd.save_arrays(path, "model", arrays, meta)
+        loaded, loaded_meta = nd.load_arrays(path, "model", {"vocabulary": list, "tau": float})
+        assert list(loaded) == list(arrays)
+        for name, want in arrays.items():
+            assert loaded[name].dtype == np.asarray(want).dtype
+            npt.assert_array_equal(loaded[name], want)
+        assert loaded_meta == {**meta, "format": "model", "version": nd.FORMAT_VERSION}
 
     def write_sample(self, tmp_path):
         rng = np.random.default_rng(7)
-        path = tmp_path / "model.ckpt"
-        nd.save_checkpoint(path, [("a.w", Tensor(rng.uniform(-1, 1, (2, 3)))),
-                                  ("b", Tensor(rng.uniform(-1, 1, 4)))])
+        path = tmp_path / "model.npz"
+        nd.save_arrays(path, "model", {"a.w": rng.uniform(-1, 1, (2, 3)),
+                                       "b": rng.uniform(-1, 1, 4)}, {"note": "sample"})
         return path
 
     @pytest.mark.parametrize("cut", [0, 3, 6, 8, 10, 12, 13, 20, 30, 60, -1])
@@ -490,43 +497,83 @@ class TestCheckpoint:
         path = self.write_sample(tmp_path)
         blob = path.read_bytes()
         path.write_bytes(blob[:cut])
-        with pytest.raises(StateError, match="truncated at byte"):
-            nd.load_checkpoint(path)
+        with pytest.raises(StateError,
+                           match=re.escape(f"model file {path} is not a readable archive")):
+            nd.load_arrays(path, "model", {})
 
-    def test_trailing_bytes_raise_state_error(self, tmp_path):
-        path = self.write_sample(tmp_path)
-        size = path.stat().st_size
-        with open(path, "ab") as fh:
-            fh.write(b"\x00\x01")
-        with pytest.raises(StateError, match=f"2 trailing bytes at byte {size}"):
-            nd.load_checkpoint(path)
-
-    def test_undecodable_name_raises_state_error(self, tmp_path):
+    def test_flipped_data_byte_fails_the_crc(self, tmp_path):
         path = self.write_sample(tmp_path)
         blob = bytearray(path.read_bytes())
-        blob[10] = 0xFF  # first byte of the first name, right after its length
+        at = blob.index(np.float64(nd.load_arrays(path, "model", {})[0]["a.w"][0, 1]).tobytes())
+        blob[at + 3] ^= 0x10
         path.write_bytes(bytes(blob))
-        with pytest.raises(StateError, match="byte 10"):
-            nd.load_checkpoint(path)
+        with pytest.raises(StateError, match=r"member 'a\.w\.npy' fails"):
+            nd.load_arrays(path, "model", {})
+
+    def test_every_flipped_byte_raises_or_loads_the_saved_values(self, tmp_path):
+        """No corrupt byte, in a member or in the zip headers, gives back a
+        value that was not saved: the load raises StateError, or (when the
+        byte is one zipfile does not read) returns saved arrays and meta."""
+        path = self.write_sample(tmp_path)
+        saved, saved_meta = nd.load_arrays(path, "model", {})
+        blob = path.read_bytes()
+        for at in range(len(blob)):
+            for bit in (0x01, 0x80):
+                corrupt = bytearray(blob)
+                corrupt[at] ^= bit
+                path.write_bytes(bytes(corrupt))
+                try:
+                    arrays, meta = nd.load_arrays(path, "model", {})
+                except StateError:
+                    continue
+                assert meta == saved_meta, (at, bit)
+                assert set(arrays) <= set(saved), (at, bit)
+                for name, arr in arrays.items():
+                    assert arr.dtype == saved[name].dtype, (at, bit)
+                    npt.assert_array_equal(arr, saved[name], err_msg=f"{at} {bit}")
+
+    @pytest.mark.parametrize("write, problem", [
+        (lambda p: p.write_bytes(b""), "is not a readable archive"),
+        (lambda p: p.write_bytes(struct.pack("<II", 1, 0)), "is not a readable archive"),
+        (lambda p: p.write_text('{"version": 1, "k": 2}'), "is not a readable archive"),
+        (lambda p: np.save(p.open("wb"), np.zeros(2)), "holds one .npy array"),
+        (lambda p: write_members(p, meta=np.array("{}"), w=np.array([None])),
+         "is not a readable archive: Object arrays"),
+        (lambda p: write_members(p, w=np.zeros(2)), "has no meta text member"),
+        (lambda p: write_members(p, meta=np.array([1.0])), "has no meta text member"),
+        (lambda p: write_members(p, meta=np.array("{")), "meta is not JSON"),
+        (lambda p: write_members(p, meta=np.array("[]")), "meta is not a JSON object"),
+        (lambda p: write_members(p, meta=np.array('{"format": "bank", "version": 2}')),
+         "holds format 'bank' version 2, not 'model' version 2"),
+        (lambda p: write_members(p, meta=np.array('{"format": "model", "version": 2}')),
+         "meta has no 'n' of type int"),
+        (lambda p: write_members(p, meta=np.array('{"format": "model", "version": 2, '
+                                                  '"n": true}')),
+         "meta has no 'n' of type int"),
+    ], ids=["empty", "binary_checkpoint", "json_bank", "npy_file", "object_member",
+            "no_meta", "meta_not_text", "meta_not_json", "meta_not_object", "other_kind",
+            "missing_field", "bool_for_int"])
+    def test_unreadable_file_raises_state_error(self, tmp_path, write, problem):
+        path = tmp_path / "model.npz"
+        write(path)
+        with pytest.raises(StateError) as err:
+            nd.load_arrays(path, "model", {"n": int})
+        assert str(err.value).startswith(f"model file {path} ")
+        assert problem in str(err.value)
 
     def test_failed_write_keeps_the_previous_file(self, tmp_path):
         path = self.write_sample(tmp_path)
         before = path.read_bytes()
-        t = Tensor(np.ones(3))
-        # The second name cannot be encoded, so the write stops after the first parameter.
-        with pytest.raises(UnicodeEncodeError):
-            nd.save_checkpoint(path, [("a.w", t), ("\ud800", t)])
+        # The second array cannot be converted, so the write stops after the first.
+        with pytest.raises(OSError, match="no space left"):
+            nd.save_arrays(path, "model", {"a.w": np.ones(3), "b": Unwritable()}, {})
         assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == [path.name]
 
     def test_version_guard(self, tmp_path):
-        path = tmp_path / "bad.ckpt"
-        path.write_bytes(struct_pack_bad())
-        with pytest.raises(StateError):
-            nd.load_checkpoint(path)
-
-
-def struct_pack_bad():
-    import struct
-
-    return struct.pack("<II", 999, 0)
+        path = tmp_path / "bad.npz"
+        for version in (1, 99, "2"):
+            write_members(path, meta=np.array(json.dumps({"format": "model",
+                                                          "version": version})))
+            with pytest.raises(StateError, match=f"version {version!r}, not 'model' version 2"):
+                nd.load_arrays(path, "model", {})
