@@ -86,7 +86,12 @@ class RuleSet:
 
 @dataclass
 class CaseRecord:
-    """Tokenized fact description with gold charge and article sets."""
+    """Tokenized fact description with gold charge and article sets.
+
+    ``fact`` holds sentences of immutable (token, pos) tuples. The corpus
+    builders (``generate_synthetic``, ``load_dataset``) build one tuple per
+    distinct pair and share it across every sentence and case.
+    """
 
     fact: list[list[tuple[str, str]]]  # sentences of (token, pos Tag)
     gold_charges: set[str]
@@ -389,20 +394,29 @@ def _sample_case(rng, spec, charges, cores, noise, charge_articles) -> CaseRecor
     for i, charge in enumerate(case_charges):
         if not flat & set(cores[charge]):
             sentences[i % n_sent][0] = cores[charge][rng.integers(len(cores[charge]))]
-    fact = [[(t, ("n", "v", "a")[len(t) % 3]) for t in s] for s in sentences]
     gold_articles = {a for c in case_charges for a in charge_articles[c]}
-    return CaseRecord(fact, set(case_charges), gold_articles)
+    return CaseRecord(sentences, set(case_charges), gold_articles)
+
+
+def _tagged(tokens: list[str]) -> list[tuple[str, str]]:
+    """One (token, pos) tuple per token; the tag is a function of the token."""
+    return [(t, ("n", "v", "a")[len(t) % 3]) for t in tokens]
 
 
 def generate_synthetic(spec: SyntheticSpec) -> SyntheticCorpus:
     """Deterministic corpus: disjoint core keyword pools per charge, shared noise,
-    article texts built from their charge's core pool."""
+    article texts built from their charge's core pool.
+
+    The pools hold (token, pos) tuples, and the cases' sentences hold the
+    pools' own tuples: one shared tuple per vocabulary word, not one per
+    token.
+    """
     spec.validate()
     rng = np.random.default_rng(spec.seed)
     charges = [f"charge{i:02d}" for i in range(spec.n_charges)]
-    cores = {c: [f"c{i:02d}k{j}" for j in range(spec.core_keywords_per_charge)]
+    cores = {c: _tagged([f"c{i:02d}k{j}" for j in range(spec.core_keywords_per_charge)])
              for i, c in enumerate(charges)}
-    noise = [f"noise{j:03d}" for j in range(spec.n_noise_tokens)]
+    noise = _tagged([f"noise{j:03d}" for j in range(spec.n_noise_tokens)])
 
     article_ids = [101 + i for i in range(spec.n_articles)]
     charge_articles: dict[str, list] = {c: [article_ids[i]] for i, c in enumerate(charges)}
@@ -424,7 +438,7 @@ def generate_synthetic(spec: SyntheticSpec) -> SyntheticCorpus:
                         if rng.random() < spec.article_core_prob
                         else noise[rng.integers(len(noise))]
                         for _ in range(n_tok)]
-                sents.append(" ".join(toks))
+                sents.append(" ".join(tok for tok, _ in toks))
             article_db[aid] = "。".join(sents) + "。"
 
     def draw(n):
@@ -524,8 +538,13 @@ def _is_sentence(value) -> bool:
 
 def load_dataset(path) -> list[CaseRecord]:
     """Inverse of ``save_dataset``; a record that is not JSON, lacks a field
-    or holds a value of the wrong type raises ParseError naming its line."""
+    or holds a value of the wrong type raises ParseError naming its line.
+
+    Each distinct (token, pos) pair becomes one tuple, shared by every case
+    the call loads.
+    """
     cases = []
+    share = {}.setdefault  # (token, pos) -> its one tuple
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
@@ -536,7 +555,8 @@ def load_dataset(path) -> list[CaseRecord]:
                                    "sentences of [token, pos] string pairs")
                 charges = _list_field(rec, "charges", lambda c: isinstance(c, str), "strings")
                 articles = _list_field(rec, "articles", _is_article_id, "article ids")
-                cases.append(CaseRecord([[(tok, pos) for tok, pos in sent] for sent in fact],
+                cases.append(CaseRecord([[share(p, p) for p in map(tuple, sent)]
+                                         for sent in fact],
                                         set(charges),
                                         {article_id_from_json(a) for a in articles}))
             except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:

@@ -111,10 +111,12 @@ def average_precision(ranked: list, gold: set) -> float:
     """Mean over gold items of precision at the item's rank.
 
     Gold items missing from a truncated ranking contribute zero but stay in
-    the denominator.
+    the denominator. A ranking that repeats an id raises ValidationError.
     """
     if not gold:
         raise DomainError("average precision of an empty gold set")
+    if len(set(ranked)) != len(ranked):
+        raise ValidationError(f"ranking {ranked!r} repeats an id")
     score = 0.0
     hits = 0
     for rank, item in enumerate(ranked, start=1):

@@ -16,3 +16,10 @@ def write_members(path, **members):
     its meta member may be anything)."""
     with open(path, "wb") as fh:
         np.savez(fh, **members)
+
+
+def write_npy(path, array):
+    """A bare ``.npy`` file at ``path`` (``np.save`` given a path would add
+    the ``.npy`` suffix)."""
+    with open(path, "wb") as fh:
+        np.save(fh, array)

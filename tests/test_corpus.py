@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import re
@@ -30,6 +31,28 @@ def small_spec(**overrides):
 
 def rules_for(corpus):
     return RuleSet(charge_list=list(corpus.charge_list))
+
+
+def pair_counts(cases):
+    """(distinct pair objects, distinct (token, pos) values) over the cases."""
+    pairs = [pair for case in cases for sent in case.fact for pair in sent]
+    return len({id(pair) for pair in pairs}), len(set(pairs))
+
+
+def corpus_digest(corpus) -> str:
+    """SHA-256 over the JSON of every case (fact, sorted charges, sorted
+    articles), split by split, then over the article database in id order."""
+    h = hashlib.sha256()
+    for split in (corpus.train, corpus.valid, corpus.test):
+        for case in split:
+            record = [case.fact, sorted(case.gold_charges),
+                      [cp.article_id_to_json(a)
+                       for a in sorted(case.gold_articles, key=cp.article_sort_key)]]
+            h.update(json.dumps(record, ensure_ascii=False).encode("utf-8") + b"\n")
+    db = [[cp.article_id_to_json(a), corpus.article_db[a]]
+          for a in sorted(corpus.article_db, key=cp.article_sort_key)]
+    h.update(json.dumps(db, ensure_ascii=False).encode("utf-8"))
+    return h.hexdigest()
 
 
 class TestSegment:
@@ -245,6 +268,23 @@ class TestSyntheticGenerator:
         sigma = (2000 * 0.2 * 0.8) ** 0.5
         assert abs(n_multi - mean) <= 3 * sigma
 
+    def test_cases_share_one_tuple_per_pair(self):
+        corpus = cp.generate_synthetic(small_spec())
+        cases = corpus.train + corpus.valid + corpus.test
+        n_objects, n_values = pair_counts(cases)
+        assert n_objects == n_values
+        assert n_values < sum(len(sent) for case in cases for sent in case.fact)
+
+    # The benchmark's corpus: the default spec at two seeds. The digests pin
+    # the generator's draws, their order and its output, so a change to any
+    # of them shows here as a change to the benchmark's data.
+    @pytest.mark.parametrize("seed, digest", [
+        (1, "94221f441ad29c16300f77aa37c49d0105cf5efcc8f1517a194a53532ff71e6a"),
+        (3, "6e2ce41721d6870d0de6bef63ea8f0231d4dec45f1c99e748b7b4fb4f21ee17d"),
+    ])
+    def test_default_spec_corpus_is_pinned(self, seed, digest):
+        assert corpus_digest(cp.generate_synthetic(SyntheticSpec(seed=seed))) == digest
+
     def test_invalid_spec_rejected(self):
         with pytest.raises(DomainError):
             cp.generate_synthetic(small_spec(train_size=-1))
@@ -305,11 +345,9 @@ class TestDatasetIO:
         path = tmp_path / "train.jsonl"
         cp.save_dataset(path, corpus.train)
         loaded = cp.load_dataset(path)
-        assert len(loaded) == len(corpus.train)
-        for a, b in zip(corpus.train, loaded):
-            assert a.fact == b.fact
-            assert a.gold_charges == b.gold_charges
-            assert a.gold_articles == b.gold_articles
+        assert loaded == corpus.train
+        n_objects, n_values = pair_counts(loaded)  # one shared tuple per pair
+        assert n_objects == n_values
 
     def test_empty_file_warns(self, tmp_path, caplog):
         path = tmp_path / "empty.jsonl"

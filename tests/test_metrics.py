@@ -144,6 +144,15 @@ class TestRanking:
     def test_missing_gold_counts_in_denominator(self):
         assert mx.average_precision([1], {1, 2}) == 0.5
 
+    @pytest.mark.parametrize("ranked", [[101, 101], [101, 102, 101], [(133, 1), (133, 1)]])
+    def test_ap_rejects_a_repeated_id(self, ranked):
+        with pytest.raises(ValidationError, match="repeats an id"):
+            mx.average_precision(ranked, {101})
+
+    def test_map_rejects_a_repeated_id(self):
+        with pytest.raises(ValidationError, match="repeats an id"):
+            mx.mean_average_precision([[101, 101, 102]], [{101, 102}])
+
     def test_map_is_mean_of_ap(self):
         rankings = [[1, 9, 2], [4, 5]]
         gold = [{1, 2}, {5}]

@@ -18,7 +18,7 @@ from chargenet.ndtensor import (
 )
 
 from gradient_checks import assert_matches_fd, grad_check, tsum
-from file_faults import Unwritable, write_members
+from file_faults import Unwritable, write_members, write_npy
 
 
 class TestMatmul:
@@ -536,7 +536,7 @@ class TestCheckpoint:
         (lambda p: p.write_bytes(b""), "is not a readable archive"),
         (lambda p: p.write_bytes(struct.pack("<II", 1, 0)), "is not a readable archive"),
         (lambda p: p.write_text('{"version": 1, "k": 2}'), "is not a readable archive"),
-        (lambda p: np.save(p.open("wb"), np.zeros(2)), "holds one .npy array"),
+        (lambda p: write_npy(p, np.zeros(2)), "holds one .npy array"),
         (lambda p: write_members(p, meta=np.array("{}"), w=np.array([None])),
          "is not a readable archive: Object arrays"),
         (lambda p: write_members(p, w=np.zeros(2)), "has no meta text member"),
