@@ -8,17 +8,15 @@ They are also trained as one matrix: ``chi_square_scores`` takes the
 (cases, articles) labels matrix and scores every article's features from one
 product, and ``train_scorer`` runs a single hinge-loss loop that updates all
 rows together. Rows are kept in ``article_sort_key`` order, which makes a
-stable sort of the scores break ties toward the smaller article id. An
-article with no positive training case has a zero row and bias -inf, so it
-ranks last.
+stable sort of the scores break ties toward the smaller article id.
 
-A bank is trained once, over every article, on the fixed schedule of the
+A bank scores exactly the articles its training cases cite, so every scorer
+has a positive case. It is trained once, on the fixed schedule of the
 ``SCORER_*`` constants; no article is added to it afterwards.
 """
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass
 
@@ -27,10 +25,10 @@ import numpy as np
 from .corpus import _is_article_id, article_id_from_json, article_id_to_json, article_sort_key
 from .ndtensor import DomainError, ShapeError, StateError, load_arrays, save_arrays
 
-log = logging.getLogger(__name__)
-
-# The scorers' full-batch subgradient schedule: the step at epoch t is
-# SCORER_LR0 / sqrt(t), and SCORER_L2 weights the L2 penalty.
+# Each scorer reads its SCORER_FEATURES features of highest chi-square. The
+# full-batch subgradient schedule: the step at epoch t is SCORER_LR0 / sqrt(t),
+# and SCORER_L2 weights the L2 penalty.
+SCORER_FEATURES = 2000
 SCORER_EPOCHS = 100
 SCORER_LR0 = 0.1
 SCORER_L2 = 1e-4
@@ -149,27 +147,22 @@ class ExtractorBank:
         self.bias = self.bias[order]
 
 
-def train_scorer(x: np.ndarray, labels: np.ndarray,
-                 top_m: int = 2000) -> tuple[np.ndarray, np.ndarray]:
+def train_scorer(x: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Every article's scorer on the (cases, features) matrix ``x`` and the
     (cases, articles) bool ``labels``, trained together: the (articles,
     features) weights and the (articles,) bias.
 
-    Each article keeps the top_m features by chi-square. One full-batch
-    subgradient loop of ``SCORER_EPOCHS`` epochs on the L2-regularized mean
-    hinge loss then updates all rows at once, the weight gradient masked to
-    each row's selected columns, so the other weights stay exactly zero. An
-    article without a positive case gets a zero row and bias -inf.
+    Each article keeps its ``SCORER_FEATURES`` features of highest
+    chi-square; ``chi_square_scores`` rejects an article without both a
+    positive and a negative case. One full-batch subgradient loop of
+    ``SCORER_EPOCHS`` epochs on the L2-regularized mean hinge loss then
+    updates all rows at once, the weight gradient masked to each row's
+    selected columns, so the other weights stay exactly zero.
     """
     labels = _label_matrix(x, labels)
-    weights = np.zeros((labels.shape[1], x.shape[1]))
-    bias = np.full(labels.shape[1], -math.inf)
-    active = labels.any(axis=0)
-    if not active.any():
-        return weights, bias
-    y = np.where(labels[:, active], 1.0, -1.0)
+    y = np.where(labels, 1.0, -1.0)
     mask = np.zeros((y.shape[1], x.shape[1]))
-    np.put_along_axis(mask, chi_square_select(x, labels[:, active], top_m), 1.0, axis=1)
+    np.put_along_axis(mask, chi_square_select(x, labels, SCORER_FEATURES), 1.0, axis=1)
     w = np.zeros(mask.shape)
     b = np.zeros(y.shape[1])
     n = y.shape[0]
@@ -189,46 +182,36 @@ def train_scorer(x: np.ndarray, labels: np.ndarray,
         lr = SCORER_LR0 / math.sqrt(t)
         w -= lr * grad_w
         b -= lr * grad_b
-    weights[active] = w
-    bias[active] = b
-    return weights, bias
+    return w, b
 
 
-def _gold_labels(article_ids: list, gold_sets: list[set]) -> np.ndarray:
-    """The (cases, articles) bool matrix of gold membership; warns about each
-    article without a positive case, whose scorer will be disabled."""
-    labels = np.array([[aid in gold for aid in article_ids] for gold in gold_sets],
-                      dtype=bool).reshape(len(gold_sets), len(article_ids))
-    for aid, col in zip(article_ids, labels.T):
-        if not col.any():
-            log.warning("article %r has no positive examples; scorer disabled", aid)
-    return labels
-
-
-def build_bank(docs_tokens: list[list[str]], gold_sets: list[set], k: int = 20,
-               article_ids: list | None = None, top_m: int = 2000) -> ExtractorBank:
-    """Fit TF-IDF on the corpus and train one binary scorer per article
-    (one-vs-rest; by default every gold article), all in one
-    ``train_scorer`` call over the full labels matrix."""
+def build_bank(docs_tokens: list[list[str]], gold_sets: list[set], k: int = 20) -> ExtractorBank:
+    """Fit TF-IDF on the corpus and train one binary scorer (one-vs-rest) for
+    every article a gold set cites, all in one ``train_scorer`` call over
+    the full labels matrix."""
     if len(docs_tokens) != len(gold_sets):
         raise ShapeError(f"{len(docs_tokens)} documents vs {len(gold_sets)} gold sets")
     tfidf = fit_tfidf(docs_tokens)
     x = np.stack([transform(doc, tfidf) for doc in docs_tokens])
-    if article_ids is None:
-        article_ids = sorted({a for gold in gold_sets for a in gold}, key=article_sort_key)
-    weights, bias = train_scorer(x, _gold_labels(article_ids, gold_sets), top_m)
+    article_ids = sorted({a for gold in gold_sets for a in gold}, key=article_sort_key)
+    labels = np.array([[aid in gold for aid in article_ids] for gold in gold_sets], dtype=bool)
+    weights, bias = train_scorer(x, labels)
     return ExtractorBank(tfidf, article_ids, weights, bias, k)
 
 
 def extract_top_k(fact_tokens: list[str], bank: ExtractorBank,
                   k: int | None = None) -> list[tuple[object, float]]:
-    """Every article scored, ranked by decision score, top k returned.
+    """Every article scored, ranked by decision score, top k returned; k
+    defaults to ``bank.k`` and must lie in [1, number of articles].
 
     Equal scores resolve to the smaller article id, so the ranking is
     deterministic.
     """
     if k is None:
         k = bank.k
+    if not 1 <= k <= len(bank.article_ids):
+        raise DomainError(f"k={k} is below 1 or exceeds the bank's "
+                          f"{len(bank.article_ids)} articles")
     # One dot product per row, through matmul over the stacked (1, F) rows:
     # a (A, F) @ (F,) gemv rounds a row differently depending on where it
     # sits and on the BLAS thread count, so two articles with equal rows
@@ -264,11 +247,11 @@ BANK_ARRAYS = {"idf": np.float64, "bias": np.float64, "scorers": np.int64,
 
 def save_bank(path, bank: ExtractorBank) -> None:
     """One bank file (``save_arrays``), replaced atomically. The ``idf`` and
-    ``bias`` arrays are stored as they are, a disabled scorer's -inf
-    included. The weight matrix is stored as its nonzero entries, so the
-    file grows with the selected features: ``weights[i]`` sits in row
-    ``scorers[i]`` and column ``selected[i]``. The meta holds k, doc_count,
-    the vocabulary in column order and the article ids in row order."""
+    ``bias`` arrays are stored as they are. The weight matrix is stored as
+    its nonzero entries, so the file grows with the selected features:
+    ``weights[i]`` sits in row ``scorers[i]`` and column ``selected[i]``.
+    The meta holds k, doc_count, the vocabulary in column order and the
+    article ids in row order."""
     scorers, selected = np.nonzero(bank.weights)
     vocab = bank.tfidf.vocabulary
     save_arrays(path, "bank", {
@@ -286,8 +269,8 @@ def load_bank(path) -> ExtractorBank:
     """Read a ``save_bank`` file. Besides the faults ``load_arrays`` rejects,
     a missing array or one of another dtype or rank, a vocabulary entry
     that is not a string, an article id that is not one, an index outside
-    the matrix, a NaN, or an infinity other than a disabled scorer's bias
-    -inf raises StateError naming the file and the problem."""
+    the matrix, or an idf, weight or bias that is NaN or infinite raises
+    StateError naming the file and the problem."""
     source = f"bank file {path}"
     arrays, meta = load_arrays(path, "bank", BANK_FIELDS)
     for name, dtype in BANK_ARRAYS.items():
@@ -320,9 +303,8 @@ def load_bank(path) -> ExtractorBank:
         raise StateError(f"{source} selects a row outside [0, {len(article_ids)})")
     if ((selected < 0) | (selected >= tfidf.n_features)).any():
         raise StateError(f"{source} selects a column outside [0, {tfidf.n_features})")
-    if not np.isfinite(np.concatenate([idf, values, bias[bias != -math.inf]])).all():
-        raise StateError(f"{source} holds a non-numeric value (NaN), or an infinity other "
-                         "than a disabled scorer's bias -inf")
+    if not np.isfinite(np.concatenate([idf, values, bias])).all():
+        raise StateError(f"{source} holds a non-numeric value (NaN) or an infinity")
     weights = np.zeros((len(article_ids), tfidf.n_features))
     weights[scorers, selected] = values
     try:

@@ -128,12 +128,12 @@ class ModelConfig:
                      "fc2_dim", "k", "batch", "max_epochs", "patience"):
             if getattr(self, name) < 1:
                 raise DomainError(f"{name} must be positive")
-        if self.beta < 0:
-            raise DomainError("beta must be >= 0")
+        if not 0 <= self.beta < np.inf:
+            raise DomainError("beta must be finite and >= 0")
         if not 0.0 < self.tau < 1.0:
             raise DomainError("tau must lie in (0, 1)")
-        if self.lr <= 0:
-            raise DomainError("lr must be positive")
+        if not 0 < self.lr < np.inf:
+            raise DomainError("lr must be finite and positive")
 
     @property
     def input_dim(self) -> int:
@@ -630,13 +630,11 @@ def _slots(case: CaseRecord, cfg: ModelConfig,
            bank: ExtractorBank | None) -> tuple[list, list[float] | None]:
     """A case's article slots: for fact_gold_art its gold articles and no
     scores, otherwise the extractor's top k and their scores. The bank must
-    exist and fill all k slots."""
+    exist; ``extract_top_k`` rejects a k beyond its articles."""
     if cfg.variant == Variant.FACT_GOLD_ART:
         return sorted(case.gold_articles, key=article_sort_key)[:cfg.k], None
     if bank is None:
         raise StateError(f"variant {cfg.variant.value} needs a trained extractor bank")
-    if cfg.k > len(bank.article_ids):
-        raise DomainError(f"k={cfg.k} exceeds the bank's {len(bank.article_ids)} articles")
     ranked = extract_top_k(case.tokens(), bank, k=cfg.k)
     return [aid for aid, _ in ranked], [score for _, score in ranked]
 
@@ -824,8 +822,7 @@ def load_model(path, article_db: dict | None = None) -> ChargeModel:
 def prediction_record(trace: ForwardTrace, model: ChargeModel) -> dict:
     """Machine-readable prediction: charges with probabilities and the
     attention-ranked articles shown as legal basis, each with the
-    shortlister's score when the extractor chose the slots (a disabled
-    article's -inf is written as null, so the record is strict JSON)."""
+    shortlister's score when the extractor chose the slots."""
     chosen = sorted(predict(trace.o, model.tau))
     record = {
         "charges": [model.charge_vocab[i] for i in chosen],
@@ -838,7 +835,6 @@ def prediction_record(trace: ForwardTrace, model: ChargeModel) -> dict:
         for i in sorted(range(len(trace.topk)), key=lambda i: -trace.alpha[i]):
             entry = {"id": article_id_to_json(trace.topk[i]), "attention": float(trace.alpha[i])}
             if trace.extractor_scores is not None:
-                score = trace.extractor_scores[i]
-                entry["extractor_score"] = None if score == -np.inf else float(score)
+                entry["extractor_score"] = float(trace.extractor_scores[i])
             record["articles"].append(entry)
     return record

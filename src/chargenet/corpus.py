@@ -350,6 +350,8 @@ class SyntheticSpec:
             raise DomainError("multi_charge_prob outside [0, 1]")
         if not 0.0 <= self.core_token_prob <= 1.0:
             raise DomainError("core_token_prob outside [0, 1]")
+        if not 0.0 <= self.article_core_prob <= 1.0:
+            raise DomainError("article_core_prob outside [0, 1]")
         if min(self.train_size, self.valid_size, self.test_size) < 1:
             raise DomainError("corpus sizes must be positive")
         for lo, hi in (self.sentences_per_fact, self.tokens_per_sentence,
@@ -592,33 +594,3 @@ def load_article_db(path) -> dict:
                 raise ParseError(f"{path}: line {lineno} repeats the article id {aid!r}")
             db[aid] = rec["text"]
     return db
-
-
-def save_charge_list(path, charges: list[str]) -> None:
-    with atomic_write(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(charges) + "\n")
-
-
-def load_charge_list(path) -> list[str]:
-    with open(path, encoding="utf-8") as fh:
-        return [line.strip() for line in fh if line.strip()]
-
-
-def save_ruleset(path, rules: RuleSet) -> None:
-    payload = {
-        "fact_indicators": rules.fact_indicators,
-        "view_indicators": rules.view_indicators,
-        "decision_indicators": rules.decision_indicators,
-        "charge_list": rules.charge_list,
-        "article_pattern": rules.article_pattern,
-    }
-    with atomic_write(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, ensure_ascii=False, indent=2)
-
-
-def load_ruleset(path) -> RuleSet:
-    with open(path, encoding="utf-8") as fh:
-        try:
-            return RuleSet(**json.load(fh))
-        except (json.JSONDecodeError, TypeError, DomainError) as exc:
-            raise ParseError(f"{path}: not a rule set: {exc}") from exc

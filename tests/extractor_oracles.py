@@ -64,10 +64,8 @@ def train_scorer(x: np.ndarray, labels: list[bool], top_m: int = 2000,
                  l2: float = 1e-4) -> tuple[np.ndarray, float]:
     """Chi-square selection then hinge-loss training for one article on the
     (cases, features) matrix ``x``: its weight row (zero off the selected
-    features) and bias; a zero row and bias -inf without a positive case."""
+    features) and bias."""
     row = np.zeros(x.shape[1])
-    if not any(labels):
-        return row, -math.inf
     selected = chi_square_select(x, labels, top_m)
     y = np.where(np.asarray(labels), 1.0, -1.0)
     row[selected], bias = _train_linear(x.take(selected, axis=1), y, epochs, lr0, l2)

@@ -290,6 +290,9 @@ class TestSyntheticGenerator:
             cp.generate_synthetic(small_spec(train_size=-1))
         with pytest.raises(DomainError):
             cp.generate_synthetic(small_spec(n_articles=2))
+        for prob in (-0.1, 1.7):
+            with pytest.raises(DomainError, match="article_core_prob outside"):
+                cp.generate_synthetic(small_spec(article_core_prob=prob))
 
 
 class TestRenderRoundTrip:
@@ -398,48 +401,28 @@ class TestDatasetIO:
         with pytest.raises(ParseError, match="line 2"):
             cp.load_article_db(path)
 
-    def test_article_db_and_charge_list_round_trip(self, tmp_path):
+    def test_article_db_round_trip(self, tmp_path):
         corpus = cp.generate_synthetic(small_spec())
         db_path = tmp_path / "articles.jsonl"
         cp.save_article_db(db_path, corpus.article_db)
         assert cp.load_article_db(db_path) == corpus.article_db
-        cl_path = tmp_path / "charges.txt"
-        cp.save_charge_list(cl_path, corpus.charge_list)
-        assert cp.load_charge_list(cl_path) == corpus.charge_list
 
     def test_ruleset_fields_are_type_checked(self):
         """A string where a list belongs would be read as one-character clauses."""
         with pytest.raises(TypeError, match="fact_indicators must be a list, not str"):
             RuleSet(fact_indicators="经审理查明")
-        with pytest.raises(TypeError, match="article_pattern must be a str, not list"):
-            RuleSet(article_pattern=["第"])
-
-    def test_ruleset_round_trip(self, tmp_path):
-        rules = RuleSet(charge_list=["盗窃", "抢劫"])
-        path = tmp_path / "rules.json"
-        cp.save_ruleset(path, rules)
-        loaded = cp.load_ruleset(path)
-        assert loaded == rules
-
-    @pytest.mark.parametrize("text", ['{"charge_list": ["盗窃"', '{"charge_lists": []}',
-                                      '["盗窃"]', '{"fact_indicators": "经审理查明"}',
-                                      '{"article_pattern": 5}', '{"view_indicators": []}'],
-                             ids=["truncated", "unknown_key", "not_an_object",
-                                  "indicators_string", "pattern_not_string",
-                                  "empty_indicators"])
-    def test_bad_ruleset_names_the_path(self, tmp_path, text):
-        path = tmp_path / "rules.json"
-        path.write_text(text, encoding="utf-8")
-        with pytest.raises(ParseError, match="rules.json"):
-            cp.load_ruleset(path)
+        with pytest.raises(TypeError, match="article_pattern must be a str, not int"):
+            RuleSet(article_pattern=5)
+        with pytest.raises(DomainError, match="empty indicator list for the court view"):
+            RuleSet(view_indicators=[])
+        with pytest.raises(DomainError, match="charge names must be unique"):
+            RuleSet(charge_list=["盗窃", "盗窃"])
 
     @pytest.mark.parametrize("save,good,bad", [
         (cp.save_dataset, [CaseRecord([[("old", "n")]], {"x"}, {1})],
          [CaseRecord([[("a", "n")]], {"x"}, {1}), CaseRecord([[(b"b", "n")]], {"x"}, {1})]),
         (cp.save_article_db, {1: "old"}, {1: "a", 2: b"b"}),
-        (cp.save_charge_list, ["old"], ["a", b"b"]),
-        (cp.save_ruleset, RuleSet(charge_list=["old"]), RuleSet(charge_list=["a", b"b"])),
-    ], ids=["dataset", "article_db", "charge_list", "ruleset"])
+    ], ids=["dataset", "article_db"])
     def test_failed_save_keeps_the_old_file(self, tmp_path, save, good, bad):
         """A save that raises part-way (a token JSON cannot encode) leaves
         the previous file byte for byte and no temporary file."""

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import re
@@ -212,6 +213,12 @@ def two_article_corpus():
     return docs, golds
 
 
+def cited_sub_clauses(golds):
+    """``golds`` with every third case also citing (133, 1), so a bank built
+    on it holds a sub-clause id."""
+    return [g | {(133, 1)} if i % 3 == 0 else g for i, g in enumerate(golds)]
+
+
 def scores_of(bank, doc):
     """Decision score of every article (in row order) for one document, as
     ``extract_top_k`` computes it."""
@@ -240,21 +247,24 @@ class TestScorers:
         row = bank.article_ids.index(1)
         assert scores_of(bank, ["stab", "knife"])[row] > scores_of(bank, ["steal", "purse"])[row]
 
-    def test_article_without_positives_warns_and_scores_minus_inf(self, caplog):
+    def test_bank_scores_exactly_the_cited_articles(self):
+        """Every scorer has a positive case: a finite bias and a nonzero row."""
         docs, golds = two_article_corpus()
-        with caplog.at_level("WARNING"):
-            bank = ax.build_bank(docs, golds, k=2, article_ids=[10, 20, 99])
-        assert any("99" in r.message for r in caplog.records)
-        row = bank.article_ids.index(99)
-        assert not bank.weights[row].any() and bank.bias[row] == -math.inf
-        ranked = ax.extract_top_k(docs[0], bank, k=3)
-        assert ranked[-1] == (99, -math.inf)
+        bank = ax.build_bank(docs, cited_sub_clauses(golds), k=3)
+        assert bank.article_ids == [10, 20, (133, 1)]
+        assert np.isfinite(bank.bias).all() and bank.weights.any(axis=1).all()
+        assert all(math.isfinite(score) for _, score in ax.extract_top_k(docs[0], bank))
 
     def test_rows_follow_article_sort_key(self):
         docs, golds = two_article_corpus()
-        bank = ax.build_bank(docs, golds, k=2, article_ids=[(133, 1), 20, 134, 10, 133])
+        extra = [(133, 1), 134, 133]
+        golds = [g | {extra[i % 3]} for i, g in enumerate(golds)]
+        bank = ax.build_bank(docs, golds, k=2)
         assert bank.article_ids == [10, 20, 133, (133, 1), 134]
-        again = ax.build_bank(docs, golds, k=2, article_ids=[10, 20, 133, (133, 1), 134])
+        perm = [4, 2, 0, 3, 1]
+        again = ax.ExtractorBank(bank.tfidf, [bank.article_ids[i] for i in perm],
+                                 bank.weights[perm], bank.bias[perm], bank.k)
+        assert again.article_ids == bank.article_ids
         npt.assert_array_equal(bank.weights, again.weights)
         npt.assert_array_equal(bank.bias, again.bias)
 
@@ -282,6 +292,13 @@ class TestExtractTopK:
         ids = [int(a) for a in np.random.default_rng(6).permutation(100)]
         bank = ax.ExtractorBank(tfidf, ids, np.zeros((100, 2)), np.full(100, 0.5), k=100)
         assert [a for a, _ in ax.extract_top_k(["x"], bank)] == list(range(100))
+
+    @pytest.mark.parametrize("k", [0, -1, 3])
+    def test_k_outside_the_bank_is_rejected(self, k):
+        docs, golds = two_article_corpus()
+        bank = ax.build_bank(docs, golds, k=2)
+        with pytest.raises(DomainError, match=f"k={k} is below 1 or exceeds the bank's 2"):
+            ax.extract_top_k(docs[0], bank, k=k)
 
     def test_equal_rows_tie_wherever_they_sit(self):
         """Articles with equal rows (the same training positives) score the
@@ -318,14 +335,11 @@ def sparse_transform(doc, m):
 
 def brute_force_top_k(doc, bank, k):
     """One scorer at a time: the bias plus a loop over the document's features
-    that the article selected (its nonzero weight columns), -inf for an
-    article without positives; sorted by score, then by article id."""
+    that the article selected (its nonzero weight columns); sorted by score,
+    then by article id."""
     vec = sparse_transform(doc, bank.tfidf)
     scored = []
     for aid, row, bias in zip(bank.article_ids, bank.weights, bank.bias):
-        if bias == -math.inf:
-            scored.append((aid, -math.inf))
-            continue
         weights = {col: row[col] for col in np.flatnonzero(row)}
         total = bias
         for col, val in vec.items():
@@ -342,9 +356,9 @@ def test_extract_top_k_matches_brute_force_scorers():
     data = cp.generate_synthetic(spec)
     relabel = {102: (101, 1)}  # a sub-clause id among the trained articles
     golds = [{relabel.get(a, a) for a in c.gold_articles} for c in data.train]
-    ids = sorted({a for g in golds for a in g}, key=cp.article_sort_key) + [999]
-    bank = ax.build_bank([c.tokens() for c in data.train], golds, k=5, article_ids=ids)
-    assert bank.article_ids[:2] == [101, (101, 1)] and bank.bias[-1] == -math.inf
+    bank = ax.build_bank([c.tokens() for c in data.train], golds, k=5)
+    ids = bank.article_ids
+    assert ids[:2] == [101, (101, 1)]
     for case in data.train[:10] + data.valid + data.test:
         for doc in (case.tokens(), case.tokens()[:3]):
             got = ax.extract_top_k(doc, bank, k=len(ids))
@@ -357,35 +371,38 @@ def test_extract_top_k_matches_brute_force_scorers():
 
 
 def tiny_training_set(seed):
-    """A seeded small synthetic corpus: train documents, gold sets, the trained
-    article ids plus one without positives, and every case's tokens."""
+    """A seeded small synthetic corpus: train documents, gold sets, the
+    article ids they cite, and every case's tokens."""
     spec = cp.SyntheticSpec(n_charges=4, n_articles=8, train_size=60, valid_size=10,
                             test_size=10, n_noise_tokens=12, core_keywords_per_charge=3,
                             seed=seed)
     data = cp.generate_synthetic(spec)
     golds = [c.gold_articles for c in data.train]
-    ids = sorted({a for g in golds for a in g}, key=cp.article_sort_key) + [999]
+    ids = sorted({a for g in golds for a in g}, key=cp.article_sort_key)
     docs = [c.tokens() for c in data.train + data.valid + data.test]
     return [c.tokens() for c in data.train], golds, ids, docs
 
 
 class TestBatchedTraining:
     """``build_bank`` trains every scorer at once; the per-article trainer in
-    ``extractor_oracles`` is what it must reproduce."""
+    ``extractor_oracles`` is what it must reproduce. A ``top_m`` below the
+    vocabulary size (``SCORER_FEATURES`` patched down) truncates the
+    selection."""
 
     @pytest.mark.parametrize("seed, top_m", [(13, 2000), (13, 5), (29, 2000), (29, 9)])
-    def test_matches_the_per_article_trainer(self, seed, top_m):
+    def test_matches_the_per_article_trainer(self, seed, top_m, monkeypatch):
+        monkeypatch.setattr(ax, "SCORER_FEATURES", top_m)
         train_docs, golds, ids, docs = tiny_training_set(seed)
-        bank = ax.build_bank(train_docs, golds, k=len(ids), article_ids=ids, top_m=top_m)
+        bank = ax.build_bank(train_docs, golds, k=len(ids))
+        assert bank.article_ids == ids
         x = np.stack([ax.transform(d, bank.tfidf) for d in train_docs])
         labels = np.array([[a in g for a in bank.article_ids] for g in golds])
         weights, bias = oracle.train_scorers(x, labels, top_m=top_m)
         npt.assert_allclose(bank.weights, weights, rtol=0, atol=1e-12)
         npt.assert_array_equal(bank.bias, bias)
-        assert bank.bias[-1] == -math.inf and not bank.weights[-1].any()
         if top_m < bank.tfidf.n_features:
             # The mask keeps each row to exactly its chi-square selection.
-            for row, col in zip(bank.weights[:-1], labels.T[:-1]):
+            for row, col in zip(bank.weights, labels.T):
                 selected = oracle.chi_square_select(x, list(col), top_m)
                 assert set(np.flatnonzero(row)) == set(selected.tolist())
         old = ax.ExtractorBank(bank.tfidf, list(bank.article_ids), weights, bias, bank.k)
@@ -397,7 +414,7 @@ class TestBatchedTraining:
         train_docs, golds, ids, _ = tiny_training_set(13)
         tfidf = ax.fit_tfidf(train_docs)
         x = np.stack([ax.transform(d, tfidf) for d in train_docs])
-        labels = np.array([[a in g for a in ids[:-1]] for g in golds])
+        labels = np.array([[a in g for a in ids] for g in golds])
         scores = ax.chi_square_scores(x, labels)
         for row, col in zip(scores, labels.T):
             npt.assert_array_equal(row, oracle.chi_square_scores(x, list(col)))
@@ -410,21 +427,42 @@ class TestBatchedTraining:
                 return _fn(*args, **kwargs)
             monkeypatch.setattr(ax, name, counted)
         train_docs, golds, ids, _ = tiny_training_set(13)
-        ax.build_bank(train_docs, golds, k=2, article_ids=ids)
+        ax.build_bank(train_docs, golds, k=2)
         assert calls == {"train_scorer": 1, "chi_square_select": 1}
 
     def test_no_positive_case_anywhere_trains_nothing(self):
+        """A scorer needs a positive case: labels without one are rejected."""
         docs, _ = two_article_corpus()
         tfidf = ax.fit_tfidf(docs)
         x = np.stack([ax.transform(d, tfidf) for d in docs])
-        weights, bias = ax.train_scorer(x, np.zeros((len(docs), 2), dtype=bool))
-        assert weights.shape == (2, tfidf.n_features)
-        assert not weights.any() and (bias == -math.inf).all()
+        with pytest.raises(DomainError, match="positive and a negative"):
+            ax.train_scorer(x, np.zeros((len(docs), 2), dtype=bool))
 
     def test_all_positive_article_is_rejected(self):
         docs, golds = two_article_corpus()
         with pytest.raises(DomainError):
             ax.build_bank(docs, [g | {7} for g in golds], k=2)
+
+
+def bank_digest(bank):
+    """SHA-256 of a bank's article ids (as JSON), weights and bias (as
+    little-endian float64 bytes)."""
+    h = hashlib.sha256(json.dumps([cp.article_id_to_json(a) for a in bank.article_ids])
+                       .encode())
+    for arr in (bank.weights, bank.bias):
+        h.update(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+    return h.hexdigest()
+
+
+def test_default_spec_bank_is_pinned():
+    """The benchmark's bank: the default spec at seed 3, k=20. The digest pins
+    every scorer bit for bit (tests run on one BLAS thread), so a change to
+    selection or training shows here as a change to the benchmark's bank."""
+    data = cp.generate_synthetic(cp.SyntheticSpec(seed=3))
+    bank = ax.build_bank([c.tokens() for c in data.train],
+                         [c.gold_articles for c in data.train], k=20)
+    assert len(bank.article_ids) == len(data.article_db) == 40
+    assert bank_digest(bank) == "8770238d1513e19e89349aaf87df3478611ab60407b562163b8ee24d310a1a8a"
 
 
 class TestRecallAtK:
@@ -490,8 +528,8 @@ class TestBankSerialization:
 
     def test_round_trip_exact(self, tmp_path):
         docs, golds = two_article_corpus()
-        bank = ax.build_bank(docs, golds, k=2, article_ids=[10, 20, (133, 1)])
-        assert bank.bias[-1] == -math.inf  # (133, 1) has no positive case
+        bank = ax.build_bank(docs, cited_sub_clauses(golds), k=2)
+        assert bank.article_ids[-1] == (133, 1)
         path = tmp_path / "bank.npz"
         ax.save_bank(path, bank)
         loaded = ax.load_bank(path)
@@ -505,16 +543,17 @@ class TestBankSerialization:
         for doc in docs:
             assert ax.extract_top_k(doc, loaded, k=3) == ax.extract_top_k(doc, bank, k=3)
 
-    def test_stores_the_nonzero_weights_only(self, tmp_path):
+    def test_stores_the_nonzero_weights_only(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(ax, "SCORER_FEATURES", 2)
         docs, golds = two_article_corpus()
-        bank = ax.build_bank(docs, golds, k=2, top_m=2)
+        bank = ax.build_bank(docs, golds, k=2)
         ax.save_bank(tmp_path / "bank.npz", bank)
         arrays, _ = nd.load_arrays(tmp_path / "bank.npz", "bank", {})
         assert arrays["weights"].size == np.count_nonzero(bank.weights) == 4
 
     def test_failed_write_keeps_the_previous_file(self, tmp_path):
         docs, golds = two_article_corpus()
-        bank = ax.build_bank(docs, golds, k=2, article_ids=[10, 20, (133, 1)])
+        bank = ax.build_bank(docs, cited_sub_clauses(golds), k=2)
         path = tmp_path / "bank.npz"
         ax.save_bank(path, bank)
         before = path.read_bytes()
@@ -560,6 +599,8 @@ class TestBankSerialization:
         pytest.param(set_entry("weights", 0, math.inf), "or an infinity", id="weight_inf"),
         pytest.param(set_entry("bias", 0, math.nan), "non-numeric", id="bias_nan"),
         pytest.param(set_entry("bias", 0, math.inf), "or an infinity", id="bias_inf"),
+        pytest.param(set_entry("bias", 1, -math.inf), "or an infinity", id="bias_minus_inf"),
+        pytest.param(set_entry("idf", 0, -math.inf), "or an infinity", id="idf_minus_inf"),
         pytest.param(set_entry("idf", 0, math.nan), "non-numeric", id="idf_nan"),
         pytest.param(lambda a, m: a.__setitem__("weights", a["weights"] > 0),
                      "'weights' has type bool", id="weights_bool"),

@@ -77,7 +77,9 @@ def use_oracle_encoders(monkeypatch):
 
 
 @pytest.mark.parametrize("field,value", [("lr", 0.0), ("batch", 0), ("k", 0), ("tau", 0.0),
-                                         ("tau", 1.0), ("beta", -0.1)])
+                                         ("tau", 1.0), ("beta", -0.1), ("lr", math.nan),
+                                         ("lr", math.inf), ("beta", math.nan),
+                                         ("beta", math.inf)])
 def test_model_config_validation(field, value):
     with pytest.raises(DomainError, match=field):
         cm.ModelConfig(**{field: value})
@@ -285,9 +287,9 @@ def test_tune_threshold_without_predictions_raises():
 
 def test_forward_rejects_a_bank_shorter_than_k(data):
     model = untrained_model(data, cm.Variant.FACT_ART)
+    cited = set(sorted(data.article_db, key=ax.article_sort_key)[:2])
     short = ax.build_bank([c.tokens() for c in data.train],
-                          [c.gold_articles for c in data.train], k=1,
-                          article_ids=sorted(data.article_db, key=ax.article_sort_key)[:2])
+                          [c.gold_articles & cited for c in data.train], k=1)
     assert len(short.article_ids) < model.config.k
     with pytest.raises(DomainError, match="exceeds"):
         cm.forward(data.test[0], model, bank=short)
@@ -684,7 +686,7 @@ def test_article_ids_round_trip_through_every_file(data, tmp_path):
     assert cp.load_article_db(tmp_path / "articles.jsonl") == article_db
 
     bank = ax.build_bank([c.tokens() for c in cases], [c.gold_articles for c in cases],
-                         k=TINY_DIMS["k"], article_ids=ids)
+                         k=TINY_DIMS["k"])
     ax.save_bank(tmp_path / "bank.npz", bank)
     assert ax.load_bank(tmp_path / "bank.npz").article_ids == bank.article_ids == ids
 
@@ -708,22 +710,18 @@ def test_article_ids_round_trip_through_every_file(data, tmp_path):
 
 
 def test_prediction_record_shows_extractor_scores(data):
-    """Each article in the record carries the shortlister's score, a disabled
-    article's -inf as null; slots given by the caller carry none."""
+    """Each article in the record carries the shortlister's score; slots given
+    by the caller carry none."""
     ids = sorted(data.article_db, key=cp.article_sort_key)
-    disabled = ids[0]
-    golds = [c.gold_articles - {disabled} for c in data.train]
-    bank = ax.build_bank([c.tokens() for c in data.train], golds, k=len(ids), article_ids=ids)
-    assert bank.bias[0] == -math.inf
+    bank = ax.build_bank([c.tokens() for c in data.train],
+                         [c.gold_articles for c in data.train], k=len(ids))
     model = untrained_model(data, cm.Variant.FACT_SUPV_ART)
     model.config = dataclasses.replace(model.config, k=len(ids))
     case = data.test[0]
     trace = cm.forward(case, model, bank=bank)
     record = json.loads(json.dumps(cm.prediction_record(trace, model), allow_nan=False))
     by_id = {cp.article_id_from_json(a["id"]): a["extractor_score"] for a in record["articles"]}
-    assert by_id == {aid: (None if score == -math.inf else score)
-                     for aid, score in ax.extract_top_k(case.tokens(), bank)}
-    assert by_id[disabled] is None
+    assert by_id == dict(ax.extract_top_k(case.tokens(), bank))
     attention = [a["attention"] for a in record["articles"]]
     assert attention == sorted(attention, reverse=True)
 
@@ -806,6 +804,14 @@ def edit_meta(**changes):
     return lambda text: json.dumps({**json.loads(text), **changes})
 
 
+def edit_config(**changes):
+    """A ``corrupt`` that sets fields of the meta's config."""
+    def corrupt(text):
+        meta = json.loads(text)
+        return json.dumps({**meta, "config": {**meta["config"], **changes}})
+    return corrupt
+
+
 @pytest.mark.parametrize("corrupt,problem", [
     (lambda text: text[:len(text) // 2], "meta is not JSON"),
     (lambda text: "[]", "meta is not a JSON object"),
@@ -824,10 +830,12 @@ def edit_meta(**changes):
     (edit_meta(version=1), "holds format 'model' version 1, not 'model' version 2"),
     (edit_meta(version=99), "holds format 'model' version 99"),
     (edit_meta(format="bank"), "holds format 'bank' version 2"),
+    (edit_config(lr=math.nan), "bad config: lr must be finite and positive"),
+    (edit_config(beta=math.inf), "bad config: beta must be finite and >= 0"),
 ], ids=["not_json", "not_an_object", "missing_field", "field_of_wrong_type", "config_field_of_wrong_type",
         "config_out_of_range", "tau_out_of_range", "tau_nan", "vocab_entry_not_string",
         "article_id_dict", "article_id_triple", "article_id_sub_zero", "article_id_zero",
-        "version_1", "version_99", "other_kind"])
+        "version_1", "version_99", "other_kind", "config_lr_nan", "config_beta_inf"])
 def test_corrupt_sidecar_is_rejected(data, tmp_path, corrupt, problem):
     """A model file whose meta is corrupt raises StateError naming it and
     the problem."""
