@@ -40,7 +40,6 @@ class TfidfModel:
 
     vocabulary: dict[str, int]
     idf: np.ndarray
-    doc_count: int
 
     @property
     def n_features(self) -> int:
@@ -60,7 +59,7 @@ def fit_tfidf(corpus: list[list[str]]) -> TfidfModel:
     idf = np.zeros(len(vocab))
     for tok, i in vocab.items():
         idf[i] = math.log(n / df[tok])
-    return TfidfModel(vocab, idf, n)
+    return TfidfModel(vocab, idf)
 
 
 def transform(doc: list[str], m: TfidfModel) -> np.ndarray:
@@ -240,7 +239,7 @@ def recall_at_k(extractions: list[list], gold_sets: list[set],
 
 
 # The meta fields load_bank reads, and the dtype of every array of a bank file.
-BANK_FIELDS = {"k": int, "doc_count": int, "vocabulary": list, "article_ids": list}
+BANK_FIELDS = {"k": int, "vocabulary": list, "article_ids": list}
 BANK_ARRAYS = {"idf": np.float64, "bias": np.float64, "scorers": np.int64,
                "selected": np.int64, "weights": np.float64}
 
@@ -250,8 +249,8 @@ def save_bank(path, bank: ExtractorBank) -> None:
     ``bias`` arrays are stored as they are. The weight matrix is stored as
     its nonzero entries, so the file grows with the selected features:
     ``weights[i]`` sits in row ``scorers[i]`` and column ``selected[i]``.
-    The meta holds k, doc_count, the vocabulary in column order and the
-    article ids in row order."""
+    The meta holds k, the vocabulary in column order and the article ids in
+    row order."""
     scorers, selected = np.nonzero(bank.weights)
     vocab = bank.tfidf.vocabulary
     save_arrays(path, "bank", {
@@ -259,7 +258,6 @@ def save_bank(path, bank: ExtractorBank) -> None:
         "selected": selected, "weights": bank.weights[scorers, selected],
     }, {
         "k": bank.k,
-        "doc_count": bank.tfidf.doc_count,
         "vocabulary": sorted(vocab, key=vocab.__getitem__),
         "article_ids": [article_id_to_json(aid) for aid in bank.article_ids],
     })
@@ -270,7 +268,9 @@ def load_bank(path) -> ExtractorBank:
     a missing array or one of another dtype or rank, a vocabulary entry
     that is not a string, an article id that is not one, an index outside
     the matrix, or an idf, weight or bias that is NaN or infinite raises
-    StateError naming the file and the problem."""
+    StateError naming the file and the problem. Meta fields outside
+    ``BANK_FIELDS``, such as the ``doc_count`` older files hold, are
+    ignored."""
     source = f"bank file {path}"
     arrays, meta = load_arrays(path, "bank", BANK_FIELDS)
     for name, dtype in BANK_ARRAYS.items():
@@ -283,8 +283,7 @@ def load_bank(path) -> ExtractorBank:
     idf, bias, scorers, selected, values = (arrays[name] for name in BANK_ARRAYS)
     if not all(isinstance(tok, str) for tok in meta["vocabulary"]):
         raise StateError(f"{source} has a vocabulary entry that is not a string")
-    tfidf = TfidfModel({tok: i for i, tok in enumerate(meta["vocabulary"])}, idf,
-                       meta["doc_count"])
+    tfidf = TfidfModel({tok: i for i, tok in enumerate(meta["vocabulary"])}, idf)
     if idf.size != tfidf.n_features:
         raise StateError(f"{source} has {tfidf.n_features} words but {idf.size} idf values")
     article_ids = []

@@ -65,7 +65,7 @@ import numpy as np
 from . import metrics as mx
 from . import ndtensor as nd
 from .article_extractor import ExtractorBank, extract_top_k
-from .corpus import (CaseRecord, ParseError, _is_article_id, article_id_from_json,
+from .corpus import (CaseRecord, _is_article_id, article_id_from_json,
                      article_id_to_json, article_sort_key, simple_tokenize)
 from .encoders import (
     AttentivePoolParams,
@@ -323,35 +323,6 @@ def tokenize_article_db(article_db: dict, word_vocab, pos_vocab) -> dict:
             raise DomainError(f"article {aid!r} has empty text")
         out[aid] = case_to_ids(sents, word_vocab, pos_vocab)
     return out
-
-
-def apply_pretrained_embeddings(params: ModelParams, word_vocab: dict[str, int],
-                                path) -> int:
-    """Overwrite embedding rows from a text file of ``token v1 .. vd`` lines,
-    skipping blank lines and unknown tokens; returns the rows written. A line
-    without d finite numbers raises ParseError before any row is written."""
-    dim = params.word_emb.shape[1]
-    rows = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            parts = line.split()
-            if not parts:
-                continue
-            if len(parts) != dim + 1:
-                raise ParseError(
-                    f"{path}: line {lineno} has {len(parts) - 1} values, expected {dim}")
-            try:
-                row = np.array([float(v) for v in parts[1:]])
-            except ValueError as exc:
-                raise ParseError(f"{path}: line {lineno}: {exc}") from None
-            if not np.isfinite(row).all():
-                raise ParseError(f"{path}: line {lineno} holds a value that is not finite")
-            idx = word_vocab.get(parts[0])
-            if idx is not None:
-                rows[idx] = row
-    for idx, row in rows.items():
-        params.word_emb.data[idx] = row
-    return len(rows)
 
 
 def dynamic_context(d_f: Tensor, w: Tensor, b: Tensor) -> Tensor:
@@ -650,8 +621,7 @@ def _precompute_topk(cases: list[CaseRecord], cfg: ModelConfig,
 
 def train(train_set: list[CaseRecord], valid_set: list[CaseRecord],
           config: ModelConfig, seed: int, bank: ExtractorBank | None = None,
-          article_db: dict | None = None,
-          word_emb_path=None) -> tuple[ChargeModel, list[dict]]:
+          article_db: dict | None = None) -> tuple[ChargeModel, list[dict]]:
     """A new model trained from scratch: mini-batch SGD with per-epoch
     shuffles seeded by (seed, epoch) and early stopping on validation
     micro-F1. Returns the best-validation model, its tau tuned on that
@@ -671,9 +641,6 @@ def train(train_set: list[CaseRecord], valid_set: list[CaseRecord],
     rng = np.random.default_rng(seed)
     params = ModelParams.create(config, len(word_vocab), len(pos_vocab),
                                 len(charge_vocab), rng)
-    if word_emb_path is not None:
-        n = apply_pretrained_embeddings(params, word_vocab, word_emb_path)
-        log.info("loaded %d pretrained embedding rows", n)
     article_docs = {}
     if config.uses_articles():
         if article_db is None:
@@ -767,15 +734,20 @@ def save_model(path, model: ChargeModel) -> None:
 
 def load_model(path, article_db: dict | None = None) -> ChargeModel:
     """Inverse of ``save_model``. Besides the faults ``nd.load_arrays``
-    rejects, a vocabulary entry that is not a string, a tau outside (0, 1),
-    a config ``ModelConfig`` rejects, an article id that is not one, or a
-    tensor whose name, shape or dtype does not fit the configured model
-    raises ``StateError`` naming the file."""
+    rejects, a vocabulary entry that is not a string or that repeats an
+    earlier one, a tau outside (0, 1), a config ``ModelConfig`` rejects, an
+    article id that is not one, or a tensor whose name, shape or dtype does
+    not fit the configured model raises ``StateError`` naming the file."""
     source = f"model file {path}"
     arrays, meta = nd.load_arrays(path, "model", MODEL_FIELDS)
     for key in ("charge_vocab", "word_vocab", "pos_vocab"):
         if not all(isinstance(tok, str) for tok in meta[key]):
             raise StateError(f"{source} has a {key} entry that is not a string")
+        seen = set()
+        for tok in meta[key]:
+            if tok in seen:
+                raise StateError(f"{source} repeats the {key} entry {tok!r}")
+            seen.add(tok)
     if not 0.0 < meta["tau"] < 1.0:
         raise StateError(f"{source} has tau {meta['tau']!r}, outside (0, 1)")
     unknown = sorted(set(meta["config"]) - {f.name for f in fields(ModelConfig)})

@@ -1,10 +1,12 @@
 """Judgement-document processing and the synthetic verification corpus.
 
-The real-data path: indicator-clause segmentation into fact / court view /
-decision, statute-article extraction by regex (with Chinese numeral
-conversion), charge-list matching, and charge masking. The synthetic path
-generates seeded corpora with known gold charges and articles, plus rendered
-judgement documents that exercise the whole extraction pipeline end to end.
+The real-data path: segmentation into fact / court view / decision at fixed
+indicator clauses (``FACT_INDICATORS``, ``VIEW_INDICATORS``,
+``DECISION_INDICATORS``), statute-article extraction by one regex
+(``ARTICLE_PATTERN``, with Chinese numeral conversion), charge-list matching,
+and charge masking. The synthetic path generates seeded corpora with known
+gold charges and articles, plus rendered judgement documents that exercise
+the whole extraction pipeline end to end.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from __future__ import annotations
 import json
 import logging
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,11 +26,13 @@ CHARGE_MASK = "[MASK]"
 
 # Matches statute references such as 第二百三十四条 or 第一百三十三条之一;
 # the 、 inside the numeral class admits enumerations like 第二百三十二、二百三十四条.
-DEFAULT_ARTICLE_PATTERN = "第[、零〇一二两三四五六七八九十百千0-9]+条(之[一二两三四五六七八九十])?"
+ARTICLE_PATTERN = re.compile("第[、零〇一二两三四五六七八九十百千0-9]+条(之[一二两三四五六七八九十])?")
 
-DEFAULT_FACT_INDICATORS = ["经审理查明", "公诉机关指控"]
-DEFAULT_VIEW_INDICATORS = ["本院认为"]
-DEFAULT_DECISION_INDICATORS = ["判决如下"]
+# The clauses that open each part of a judgement; a part starts at the first
+# occurrence of any of its clauses.
+FACT_INDICATORS = ("经审理查明", "公诉机关指控")
+VIEW_INDICATORS = ("本院认为",)
+DECISION_INDICATORS = ("判决如下",)
 
 
 class SegmentationError(ValueError):
@@ -50,38 +54,10 @@ class ParseError(ValueError):
 @dataclass
 class JudgementDoc:
     text: str
-    source_id: str = ""
 
     def __post_init__(self):
         if not self.text:
             raise DomainError("judgement document with empty text")
-
-
-@dataclass
-class RuleSet:
-    """Extraction rules are data: indicator clauses, charge names, article regex."""
-
-    fact_indicators: list[str] = field(default_factory=lambda: list(DEFAULT_FACT_INDICATORS))
-    view_indicators: list[str] = field(default_factory=lambda: list(DEFAULT_VIEW_INDICATORS))
-    decision_indicators: list[str] = field(
-        default_factory=lambda: list(DEFAULT_DECISION_INDICATORS))
-    charge_list: list[str] = field(default_factory=list)
-    article_pattern: str = DEFAULT_ARTICLE_PATTERN
-
-    def __post_init__(self):
-        for name, kind in [("fact_indicators", list), ("view_indicators", list),
-                           ("decision_indicators", list), ("charge_list", list),
-                           ("article_pattern", str)]:
-            if not isinstance(getattr(self, name), kind):
-                raise TypeError(f"{name} must be a {kind.__name__}, "
-                                f"not {type(getattr(self, name)).__name__}")
-        for name, clauses in [("fact", self.fact_indicators),
-                              ("court view", self.view_indicators),
-                              ("decision", self.decision_indicators)]:
-            if not clauses:
-                raise DomainError(f"empty indicator list for the {name} part")
-        if len(set(self.charge_list)) != len(self.charge_list):
-            raise DomainError("charge names must be unique")
 
 
 @dataclass
@@ -109,16 +85,15 @@ class CaseRecord:
         return [tok for sent in self.fact for tok, _ in sent]
 
 
-def segment(doc: JudgementDoc, rules: RuleSet) -> tuple[str, str, str]:
+def segment(doc: JudgementDoc) -> tuple[str, str, str]:
     """Split at the first occurrence of each indicator class.
 
     Returns (fact, court view, decision) segments, each beginning with its
     indicator clause; header text before the fact indicator is dropped.
     """
     positions = {}
-    for name, clauses in [("fact", rules.fact_indicators),
-                          ("court view", rules.view_indicators),
-                          ("decision", rules.decision_indicators)]:
+    for name, clauses in [("fact", FACT_INDICATORS), ("court view", VIEW_INDICATORS),
+                          ("decision", DECISION_INDICATORS)]:
         found = [p for p in (doc.text.find(c) for c in clauses) if p >= 0]
         if not found:
             raise SegmentationError(f"no {name} indicator clause found")
@@ -241,22 +216,26 @@ def format_article_ref(article_id) -> str:
     return f"第{int_to_chinese_numeral(article_id)}条"
 
 
-def extract_articles(court_view_text: str, rules: RuleSet) -> list:
+def extract_articles(court_view_text: str) -> list:
     """All article references, converted to ids, deduplicated in first-seen order.
 
     Sub-clause suffixes 之N become (number, N) pairs. Enumerated references
     (numerals joined by 、 inside one 第...条) yield one id per numeral; a 之N
-    suffix applies to the last numeral of the enumeration.
+    suffix applies to the last numeral of the enumeration. Article numbers
+    start at 1, as every loader requires, so 第0条 raises ParseError; the
+    pattern's 之N reads 一 to 十 only, so no sub-number is below 1.
     """
     out = []
     seen = set()
-    for m in re.finditer(rules.article_pattern, court_view_text):
+    for m in ARTICLE_PATTERN.finditer(court_view_text):
         body = m.group(0)
         stem, _, sub_part = body.partition("条")
         numerals = [p for p in stem.removeprefix("第").split("、") if p]
         sub = chinese_numeral_to_int(sub_part.removeprefix("之")) if sub_part else None
         for i, numeral in enumerate(numerals):
             num = chinese_numeral_to_int(numeral)
+            if num < 1:
+                raise ParseError(f"article reference {body!r} has a number below 1")
             aid = (num, sub) if sub is not None and i == len(numerals) - 1 else num
             if aid not in seen:
                 seen.add(aid)
@@ -265,7 +244,14 @@ def extract_articles(court_view_text: str, rules: RuleSet) -> list:
 
 
 def _longest_match_scan(text: str, charge_list: list[str]):
-    """Yield (start, name) for greedy left-to-right longest matches."""
+    """Yield (start, name) for greedy left-to-right longest matches.
+
+    An empty name would match at every position without advancing, and a
+    repeated one means the list is not a set of charges: either raises
+    DomainError.
+    """
+    if "" in charge_list or len(set(charge_list)) != len(charge_list):
+        raise DomainError("charge names must be non-empty and unique")
     by_len = sorted(charge_list, key=len, reverse=True)
     i = 0
     while i < len(text):
@@ -451,39 +437,33 @@ def generate_synthetic(spec: SyntheticSpec) -> SyntheticCorpus:
                            draw(spec.test_size), article_db, charges, charge_articles)
 
 
-def render_judgement(case: CaseRecord, rules: RuleSet, source_id: str = "",
-                     inject_charges: bool = False) -> JudgementDoc:
-    """Produce a judgement document whose extraction recovers the case exactly.
-
-    ``inject_charges`` plants the case's charge names inside the fact text to
-    give mask_charges something to do.
-    """
+def render_judgement(case: CaseRecord) -> JudgementDoc:
+    """Produce a judgement document whose extraction recovers the case exactly."""
     fact_sents = [" ".join(tok for tok, _ in sent) for sent in case.fact]
-    if inject_charges:
-        fact_sents = [f"{sorted(case.gold_charges)[0]} " + fact_sents[0]] + fact_sents[1:]
     refs = "、".join(format_article_ref(a)
                     for a in sorted(case.gold_articles, key=article_sort_key))
     verdicts = "、".join(f"犯{name}罪" for name in sorted(case.gold_charges))
     text = (
         "某某人民法院刑事判决书。被告人AA,男。"
-        + rules.fact_indicators[0] + ":" + "。".join(fact_sents) + "。"
-        + rules.view_indicators[0] + ",被告人AA的行为已构成犯罪,依照《中华人民共和国刑法》"
+        + FACT_INDICATORS[0] + ":" + "。".join(fact_sents) + "。"
+        + VIEW_INDICATORS[0] + ",被告人AA的行为已构成犯罪,依照《中华人民共和国刑法》"
         + refs + "之规定,应予惩处。"
-        + rules.decision_indicators[0] + ":被告人AA" + verdicts + ",判处有期徒刑。"
+        + DECISION_INDICATORS[0] + ":被告人AA" + verdicts + ",判处有期徒刑。"
     )
-    return JudgementDoc(text, source_id)
+    return JudgementDoc(text)
 
 
-def assemble_case(doc: JudgementDoc, rules: RuleSet) -> CaseRecord:
-    """Run the full extraction pipeline on one document."""
-    fact_seg, view_seg, decision_seg = segment(doc, rules)
-    for clause in rules.fact_indicators:
+def assemble_case(doc: JudgementDoc, charge_list: list[str]) -> CaseRecord:
+    """Run the full extraction pipeline on one document, matching and masking
+    the charges of ``charge_list``."""
+    fact_seg, view_seg, decision_seg = segment(doc)
+    for clause in FACT_INDICATORS:
         if fact_seg.startswith(clause):
             fact_seg = fact_seg[len(clause):].lstrip(":::,,")
             break
-    charges = extract_charges(decision_seg, rules.charge_list)
-    articles = extract_articles(view_seg, rules)
-    masked = mask_charges(fact_seg, rules.charge_list)
+    charges = extract_charges(decision_seg, charge_list)
+    articles = extract_articles(view_seg)
+    masked = mask_charges(fact_seg, charge_list)
     return CaseRecord(simple_tokenize(masked), charges, set(articles))
 
 

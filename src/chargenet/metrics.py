@@ -56,32 +56,18 @@ def micro_prf(batch: PredictionBatch) -> tuple[float, float, float]:
     return precision, recall, _f1(precision, recall)
 
 
-def macro_prf(batch: PredictionBatch, charge_vocab: list | None = None,
-              f1_mode: str = "harmonic") -> tuple[float, float, float]:
-    """Charge-averaged precision and recall.
+def macro_prf(batch: PredictionBatch) -> tuple[float, float, float]:
+    """Charge-averaged precision and recall, and the harmonic mean of the two.
 
     Only charges present in the gold sets enter the average; a charge that is
-    never predicted contributes precision 0. ``f1_mode`` selects between the
-    harmonic mean of macro-P and macro-R (default) and the mean of per-charge
-    F1 scores.
+    never predicted contributes precision 0.
     """
     if not len(batch):
         raise DomainError("empty prediction batch")
-    if f1_mode not in ("harmonic", "mean_f1"):
-        raise DomainError(f"unknown f1_mode {f1_mode!r}")
     per_charge = per_charge_prf(batch)
-    if charge_vocab is not None:
-        vocab = set(charge_vocab)
-        per_charge = {c: prf for c, prf in per_charge.items() if c in vocab}
-    if not per_charge:
-        return 0.0, 0.0, 0.0
     macro_p = sum(p for p, _, _ in per_charge.values()) / len(per_charge)
     macro_r = sum(r for _, r, _ in per_charge.values()) / len(per_charge)
-    if f1_mode == "harmonic":
-        f1 = _f1(macro_p, macro_r)
-    else:
-        f1 = sum(f for _, _, f in per_charge.values()) / len(per_charge)
-    return macro_p, macro_r, f1
+    return macro_p, macro_r, _f1(macro_p, macro_r)
 
 
 def per_charge_prf(batch: PredictionBatch) -> dict:
@@ -185,8 +171,7 @@ class VariantReport:
         return "\n".join(lines) + "\n"
 
 
-def compare_variants(results: dict[str, PredictionBatch],
-                     f1_mode: str = "harmonic") -> VariantReport:
+def compare_variants(results: dict[str, PredictionBatch]) -> VariantReport:
     """Side-by-side metric table over variants sharing one test set."""
     if not results:
         raise DomainError("no variant results to compare")
@@ -195,7 +180,7 @@ def compare_variants(results: dict[str, PredictionBatch],
         raise ValidationError("variants evaluated on different test sets")
     rows = []
     for variant, batch in results.items():
-        row = VariantRow(variant, micro_prf(batch), macro_prf(batch, f1_mode=f1_mode))
+        row = VariantRow(variant, micro_prf(batch), macro_prf(batch))
         if batch.ranked_articles is not None and batch.gold_articles is not None:
             row.prec_at_1 = prec_at_1(batch.ranked_articles, batch.gold_articles)
             row.mean_ap = mean_average_precision(batch.ranked_articles, batch.gold_articles)

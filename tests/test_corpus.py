@@ -15,7 +15,6 @@ from chargenet.corpus import (
     JudgementDoc,
     OrderingError,
     ParseError,
-    RuleSet,
     SegmentationError,
     SyntheticSpec,
 )
@@ -27,10 +26,6 @@ def small_spec(**overrides):
                 n_noise_tokens=10, train_size=40, valid_size=10, test_size=10, seed=11)
     base.update(overrides)
     return SyntheticSpec(**base)
-
-
-def rules_for(corpus):
-    return RuleSet(charge_list=list(corpus.charge_list))
 
 
 def pair_counts(cases):
@@ -66,18 +61,18 @@ class TestSegment:
         return JudgementDoc(body)
 
     def test_three_segments(self):
-        fact, view, dec = cp.segment(self.doc(), RuleSet())
+        fact, view, dec = cp.segment(self.doc())
         assert fact.startswith("经审理查明") and "盗窃" in fact
         assert view.startswith("本院认为")
         assert dec.startswith("判决如下")
 
     def test_missing_view_indicator(self):
         with pytest.raises(SegmentationError, match="court view"):
-            cp.segment(self.doc(ok=False), RuleSet())
+            cp.segment(self.doc(ok=False))
 
     def test_out_of_order(self):
         with pytest.raises(OrderingError):
-            cp.segment(self.doc(swap=True), RuleSet())
+            cp.segment(self.doc(swap=True))
 
 
 class TestNumerals:
@@ -126,26 +121,35 @@ ARTICLE_IDS = st.one_of(st.integers(1, 9999),
 
 class TestExtractArticles:
     def test_simple_reference(self):
-        out = cp.extract_articles("依照第二百三十四条之规定", RuleSet())
+        out = cp.extract_articles("依照第二百三十四条之规定")
         assert out == [234]
 
     def test_sub_clause(self):
-        out = cp.extract_articles("第一百三十三条之一", RuleSet())
+        out = cp.extract_articles("第一百三十三条之一")
         assert out == [(133, 1)]
 
     def test_no_mention(self):
-        assert cp.extract_articles("没有提到任何条文", RuleSet()) == []
+        assert cp.extract_articles("没有提到任何条文") == []
 
     def test_enumeration_splits(self):
-        out = cp.extract_articles("依照第二百三十二、二百三十四条的规定", RuleSet())
+        out = cp.extract_articles("依照第二百三十二、二百三十四条的规定")
         assert out == [232, 234]
 
     def test_duplicates_removed_order_stable(self):
         text = "第五条和第三条还有第五条"
-        assert cp.extract_articles(text, RuleSet()) == [5, 3]
+        assert cp.extract_articles(text) == [5, 3]
 
     def test_arabic_digits(self):
-        assert cp.extract_articles("依照第264条之规定", RuleSet()) == [264]
+        assert cp.extract_articles("依照第264条之规定") == [264]
+
+    @pytest.mark.parametrize("text", ["依照第0条的规定", "依照第00条的规定",
+                                      "依照第五、0条的规定"],
+                             ids=["zero", "double_zero", "zero_in_enumeration"])
+    def test_article_zero_is_rejected(self, text):
+        """Article numbers start at 1, as every loader requires: a 0 would
+        be saved into a dataset file that ``load_dataset`` refuses."""
+        with pytest.raises(ParseError, match="number below 1"):
+            cp.extract_articles(text)
 
     @given(nums=st.lists(st.integers(1, 9999), min_size=1, max_size=6),
            sub=st.none() | st.integers(1, 10))
@@ -154,14 +158,14 @@ class TestExtractArticles:
         text = ("依照第" + "、".join(cp.int_to_chinese_numeral(n) for n in nums) + "条"
                 + ("" if sub is None else "之" + cp.int_to_chinese_numeral(sub)) + "的规定")
         want = nums[:-1] + [nums[-1] if sub is None else (nums[-1], sub)]
-        assert cp.extract_articles(text, RuleSet()) == list(dict.fromkeys(want))
+        assert cp.extract_articles(text) == list(dict.fromkeys(want))
 
     @given(st.lists(ARTICLE_IDS, min_size=1, max_size=6))
     def test_rendered_references_property(self, ids):
         """References as judgements cite them, 之N ones included, come back
         as ids in first-seen order."""
         text = "依照" + "、".join(cp.format_article_ref(a) for a in ids) + "之规定"
-        assert cp.extract_articles(text, RuleSet()) == list(dict.fromkeys(ids))
+        assert cp.extract_articles(text) == list(dict.fromkeys(ids))
 
 
 class TestExtractCharges:
@@ -180,6 +184,14 @@ class TestExtractCharges:
     def test_empty_result_is_error(self):
         with pytest.raises(ExtractionError):
             cp.extract_charges("无罪释放", ["盗窃"])
+
+    @pytest.mark.parametrize("names", [["盗窃", ""], [""], ["盗窃", "抢劫", "盗窃"]],
+                             ids=["empty_name", "only_empty", "repeated_name"])
+    def test_empty_or_repeated_name_is_rejected(self, names):
+        """An empty name matches at every position without advancing the
+        scan, which would never end."""
+        with pytest.raises(DomainError, match="non-empty and unique"):
+            cp.extract_charges("被告人犯盗窃罪", names)
 
 
 class TestMaskCharges:
@@ -204,6 +216,14 @@ class TestMaskCharges:
     def test_nested_names(self):
         out = cp.mask_charges("盗窃罪行严重", ["盗窃", "盗窃罪"])
         assert out == f"{cp.CHARGE_MASK}行严重"
+
+    @pytest.mark.parametrize("names", [["盗窃", ""], ["盗窃", "盗窃"]],
+                             ids=["empty_name", "repeated_name"])
+    def test_empty_or_repeated_name_is_rejected(self, names):
+        """The scan ``extract_charges`` uses: an empty name would add a mask
+        at one position forever."""
+        with pytest.raises(DomainError, match="non-empty and unique"):
+            cp.mask_charges("涉嫌盗窃被拘留", names)
 
 
 class TestTokenizer:
@@ -298,24 +318,27 @@ class TestSyntheticGenerator:
 class TestRenderRoundTrip:
     def test_segments_recover_case(self):
         corpus = cp.generate_synthetic(small_spec())
-        rules = rules_for(corpus)
         for case in corpus.train[:50]:
-            doc = cp.render_judgement(case, rules)
-            rebuilt = cp.assemble_case(doc, rules)
+            doc = cp.render_judgement(case)
+            rebuilt = cp.assemble_case(doc, corpus.charge_list)
             assert [[t for t, _ in s] for s in rebuilt.fact] == \
                    [[t for t, _ in s] for s in case.fact]
             assert rebuilt.gold_charges == case.gold_charges
             assert rebuilt.gold_articles == case.gold_articles
 
     def test_injected_charge_names_get_masked(self):
+        """A charge name planted at the start of the fact text comes back
+        as the mask token."""
         corpus = cp.generate_synthetic(small_spec())
-        rules = rules_for(corpus)
         case = corpus.train[0]
-        doc = cp.render_judgement(case, rules, inject_charges=True)
-        rebuilt = cp.assemble_case(doc, rules)
+        opening = cp.FACT_INDICATORS[0] + ":"
+        text = cp.render_judgement(case).text
+        assert text.count(opening) == 1
+        planted = text.replace(opening, f"{opening}{sorted(case.gold_charges)[0]} ")
+        rebuilt = cp.assemble_case(JudgementDoc(planted), corpus.charge_list)
         toks = rebuilt.tokens()
         assert cp.CHARGE_MASK in toks
-        for name in rules.charge_list:
+        for name in corpus.charge_list:
             assert all(name not in t for t in toks)
 
     CHARGES = ["盗窃", "抢劫", "诈骗", "故意伤害", "故意杀人"]
@@ -328,17 +351,14 @@ class TestRenderRoundTrip:
         """render_judgement then assemble_case recovers the fact tokens, the
         charges and the articles."""
         case = CaseRecord([[(t, "x") for t in sent] for sent in fact], charges, articles)
-        rules = RuleSet(charge_list=self.CHARGES)
-        rebuilt = cp.assemble_case(cp.render_judgement(case, rules), rules)
+        rebuilt = cp.assemble_case(cp.render_judgement(case), self.CHARGES)
         assert rebuilt.fact == case.fact
         assert rebuilt.gold_charges == charges
         assert rebuilt.gold_articles == articles
 
     def test_sub_article_round_trip(self):
         case = CaseRecord([[("tok1", "n"), ("tok2", "n")]], {"盗窃"}, {(133, 1), 264})
-        rules = RuleSet(charge_list=["盗窃"])
-        doc = cp.render_judgement(case, rules)
-        rebuilt = cp.assemble_case(doc, rules)
+        rebuilt = cp.assemble_case(cp.render_judgement(case), ["盗窃"])
         assert rebuilt.gold_articles == {(133, 1), 264}
 
 
@@ -406,17 +426,6 @@ class TestDatasetIO:
         db_path = tmp_path / "articles.jsonl"
         cp.save_article_db(db_path, corpus.article_db)
         assert cp.load_article_db(db_path) == corpus.article_db
-
-    def test_ruleset_fields_are_type_checked(self):
-        """A string where a list belongs would be read as one-character clauses."""
-        with pytest.raises(TypeError, match="fact_indicators must be a list, not str"):
-            RuleSet(fact_indicators="经审理查明")
-        with pytest.raises(TypeError, match="article_pattern must be a str, not int"):
-            RuleSet(article_pattern=5)
-        with pytest.raises(DomainError, match="empty indicator list for the court view"):
-            RuleSet(view_indicators=[])
-        with pytest.raises(DomainError, match="charge names must be unique"):
-            RuleSet(charge_list=["盗窃", "盗窃"])
 
     @pytest.mark.parametrize("save,good,bad", [
         (cp.save_dataset, [CaseRecord([[("old", "n")]], {"x"}, {1})],

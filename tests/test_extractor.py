@@ -307,8 +307,7 @@ class TestExtractTopK:
         one BLAS thread or more."""
         rng = np.random.default_rng(2)
         n_features = 20000
-        tfidf = ax.TfidfModel({f"t{i}": i for i in range(n_features)}, np.ones(n_features),
-                              n_features)
+        tfidf = ax.TfidfModel({f"t{i}": i for i in range(n_features)}, np.ones(n_features))
         weights = rng.normal(size=(30, n_features))
         equal = [1, 6, 15, 28]
         weights[equal] = weights[1]
@@ -535,13 +534,26 @@ class TestBankSerialization:
         loaded = ax.load_bank(path)
         assert loaded.k == bank.k
         assert loaded.tfidf.vocabulary == bank.tfidf.vocabulary
-        assert loaded.tfidf.doc_count == bank.tfidf.doc_count
         npt.assert_array_equal(loaded.tfidf.idf, bank.tfidf.idf)
         assert loaded.article_ids == bank.article_ids
         npt.assert_array_equal(loaded.weights, bank.weights)
         npt.assert_array_equal(loaded.bias, bank.bias)
         for doc in docs:
             assert ax.extract_top_k(doc, loaded, k=3) == ax.extract_top_k(doc, bank, k=3)
+
+    def test_older_file_with_a_doc_count_loads(self, tmp_path):
+        """Banks saved before ``doc_count`` was dropped hold it in their meta;
+        they load as before, to the same bank."""
+        docs, golds = two_article_corpus()
+        bank = ax.build_bank(docs, golds, k=2)
+        path = tmp_path / "bank.npz"
+        self.save_and_edit(path, set_meta("doc_count", len(docs)))
+        assert nd.load_arrays(path, "bank", {})[1]["doc_count"] == len(docs)
+        loaded = ax.load_bank(path)
+        assert loaded.tfidf.vocabulary == bank.tfidf.vocabulary
+        npt.assert_array_equal(loaded.tfidf.idf, bank.tfidf.idf)
+        npt.assert_array_equal(loaded.weights, bank.weights)
+        npt.assert_array_equal(loaded.bias, bank.bias)
 
     def test_stores_the_nonzero_weights_only(self, tmp_path, monkeypatch):
         monkeypatch.setattr(ax, "SCORER_FEATURES", 2)

@@ -559,6 +559,24 @@ def test_article_cache_follows_parameter_changes(data, bank, change, monkeypatch
     assert_forwards_close(new, per_case_forwards(data, model, topks, monkeypatch))
 
 
+def test_article_cache_follows_the_write(data, bank, monkeypatch):
+    """Writing the embedding rows of the words articles use, in place and
+    only those rows (as loading a vectors file would), rebuilds the cached
+    article states."""
+    model = untrained_model(data, cm.Variant.FACT_ART, seed=6)
+    topks = cm._precompute_topk(data.test, model.config, bank)
+    old = [cm.forward(case, model, topk=topk) for case, topk in zip(data.test, topks)]
+    states = model._article_cache[1].states.data.copy()
+    rows = sorted({int(i) for doc in model.article_docs.values() for ids, _ in doc
+                   for i in ids} - {cm.PAD_ID, cm.UNK_ID})
+    assert rows
+    model.params.word_emb.data[rows] = [0.75, -0.5]
+    new = [cm.forward(case, model, topk=topk) for case, topk in zip(data.test, topks)]
+    assert not np.array_equal(model._article_cache[1].states.data, states)
+    assert not np.array_equal(new[0].o, old[0].o)
+    assert_forwards_close(new, per_case_forwards(data, model, topks, monkeypatch))
+
+
 @pytest.mark.parametrize("variant", [cm.Variant.FACT_ONLY, cm.Variant.FACT_SUPV_ART])
 def test_forward_inside_a_tape_records_nothing(data, bank, variant):
     """A served case adds no node to an ambient tape, and its outputs equal
@@ -804,6 +822,14 @@ def edit_meta(**changes):
     return lambda text: json.dumps({**json.loads(text), **changes})
 
 
+def repeat_first(key):
+    """A ``corrupt`` that makes every entry of the meta list ``key`` its first."""
+    def corrupt(text):
+        meta = json.loads(text)
+        return json.dumps({**meta, key: meta[key][:1] * len(meta[key])})
+    return corrupt
+
+
 def edit_config(**changes):
     """A ``corrupt`` that sets fields of the meta's config."""
     def corrupt(text):
@@ -823,6 +849,9 @@ def edit_config(**changes):
     (edit_meta(tau=-1.0), "has tau -1.0, outside (0, 1)"),
     (edit_meta(tau=math.nan), "has tau nan, outside"),
     (edit_meta(word_vocab=[["<pad>"]]), "has a word_vocab entry that is not a string"),
+    (repeat_first("charge_vocab"), "repeats the charge_vocab entry 'charge00'"),
+    (repeat_first("word_vocab"), "repeats the word_vocab entry '<pad>'"),
+    (repeat_first("pos_vocab"), "repeats the pos_vocab entry '<pad>'"),
     (edit_meta(article_ids=[{}]), "has the article id {}, not"),
     (edit_meta(article_ids=[[101, 1, 7]]), "has the article id [101, 1, 7], not"),
     (edit_meta(article_ids=[[133, 0]]), "has the article id [133, 0], not"),
@@ -834,6 +863,7 @@ def edit_config(**changes):
     (edit_config(beta=math.inf), "bad config: beta must be finite and >= 0"),
 ], ids=["not_json", "not_an_object", "missing_field", "field_of_wrong_type", "config_field_of_wrong_type",
         "config_out_of_range", "tau_out_of_range", "tau_nan", "vocab_entry_not_string",
+        "charge_vocab_repeated", "word_vocab_repeated", "pos_vocab_repeated",
         "article_id_dict", "article_id_triple", "article_id_sub_zero", "article_id_zero",
         "version_1", "version_99", "other_kind", "config_lr_nan", "config_beta_inf"])
 def test_corrupt_sidecar_is_rejected(data, tmp_path, corrupt, problem):
@@ -911,76 +941,3 @@ def test_saving_and_loading_import_no_hashlib(data, bank, tmp_path):
                          text=True, timeout=120)
     assert run.returncode == 0, run.stderr
     assert run.stdout.splitlines() == ["[]"]
-
-
-def write_embeddings(path, lines):
-    path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
-    return path
-
-
-class TestPretrainedEmbeddings:
-    def test_known_rows_are_overwritten_and_counted(self, data, tmp_path):
-        model = untrained_model(data, cm.Variant.FACT_ONLY)
-        before = model.params.word_emb.data.copy()
-        known = sorted(model.word_vocab)[2:4]
-        path = write_embeddings(tmp_path / "emb.txt", [
-            f"{known[0]} 0.5 -1.25", "", "no-such-token 9 9", "   ", f"{known[1]} 3 4e-3"])
-        assert cm.apply_pretrained_embeddings(model.params, model.word_vocab, path) == 2
-        after = model.params.word_emb.data
-        rows = [model.word_vocab[t] for t in known]
-        npt.assert_array_equal(after[rows], [[0.5, -1.25], [3.0, 4e-3]])
-        others = np.setdiff1d(np.arange(len(after)), rows)
-        npt.assert_array_equal(after[others], before[others])
-
-    @pytest.mark.parametrize("line,problem", [
-        ("{tok} 0.5", "line 2 has 1 values, expected 2"),
-        ("{tok} 0.5 1 2", "line 2 has 3 values, expected 2"),
-        ("{tok} 0.5 x1", "line 2: could not convert"),
-        ("{tok} nan 1", "line 2 holds a value that is not finite"),
-        ("{tok} 1 -inf", "line 2 holds a value that is not finite"),
-    ], ids=["too-few", "too-many", "not-a-number", "nan", "inf"])
-    def test_bad_line_raises_before_any_write(self, data, tmp_path, line, problem):
-        model = untrained_model(data, cm.Variant.FACT_ONLY)
-        before = model.params.word_emb.data.copy()
-        tok = sorted(model.word_vocab)[2]
-        path = write_embeddings(tmp_path / "emb.txt", [f"{tok} 1 2", line.format(tok=tok)])
-        with pytest.raises(cp.ParseError) as err:
-            cm.apply_pretrained_embeddings(model.params, model.word_vocab, path)
-        assert str(err.value).startswith(f"{path}: ")
-        assert problem in str(err.value)
-        npt.assert_array_equal(model.params.word_emb.data, before)
-
-    def test_article_cache_follows_the_write(self, data, bank, tmp_path, monkeypatch):
-        model = untrained_model(data, cm.Variant.FACT_ART, seed=6)
-        topks = cm._precompute_topk(data.test, model.config, bank)
-        old = [cm.forward(case, model, topk=topk) for case, topk in zip(data.test, topks)]
-        states = model._article_cache[1].states.data.copy()
-        in_articles = {int(i) for doc in model.article_docs.values() for ids, _ in doc
-                       for i in ids} - {cm.PAD_ID, cm.UNK_ID}
-        tokens = [t for t, i in model.word_vocab.items() if i in in_articles]
-        path = write_embeddings(tmp_path / "emb.txt", [f"{t} 0.75 -0.5" for t in tokens])
-        assert cm.apply_pretrained_embeddings(model.params, model.word_vocab,
-                                              path) == len(tokens) > 0
-        new = [cm.forward(case, model, topk=topk) for case, topk in zip(data.test, topks)]
-        assert not np.array_equal(model._article_cache[1].states.data, states)
-        assert not np.array_equal(new[0].o, old[0].o)
-        assert_forwards_close(new, per_case_forwards(data, model, topks, monkeypatch))
-
-    def test_train_reads_the_vectors_file(self, data, tmp_path):
-        """``train(word_emb_path=)`` writes the file's rows before the first
-        step: at a learning rate of 1e-12 they end as the file holds them, and
-        every other row as in the same run without the file."""
-        config = cm.ModelConfig(variant=cm.Variant.FACT_ONLY, max_epochs=1, patience=1,
-                                **dict(TINY_DIMS, lr=1e-12))
-        word_vocab, _ = cm.build_vocab(data.train)
-        known = sorted(word_vocab)[2:4]
-        path = write_embeddings(tmp_path / "emb.txt", [f"{known[0]} 0.5 -1.25",
-                                                       f"{known[1]} 3 4e-3"])
-        plain, _ = cm.train(data.train, data.valid, config, seed=2)
-        loaded, _ = cm.train(data.train, data.valid, config, seed=2, word_emb_path=path)
-        rows = [word_vocab[t] for t in known]
-        got = loaded.params.word_emb.data
-        npt.assert_allclose(got[rows], [[0.5, -1.25], [3.0, 4e-3]], rtol=0, atol=1e-9)
-        assert not np.allclose(plain.params.word_emb.data[rows], got[rows], rtol=0, atol=1e-3)
-        others = np.setdiff1d(np.arange(len(got)), rows)
-        npt.assert_allclose(got[others], plain.params.word_emb.data[others], rtol=0, atol=1e-9)
