@@ -177,7 +177,9 @@ class ModelParams(nd.ParamGroup):
 
     @classmethod
     def create(cls, config: ModelConfig, n_words: int, n_pos: int, n_charges: int,
-               rng: np.random.Generator) -> "ModelParams":
+               rng: np.random.Generator | None) -> "ModelParams":
+        """Every tensor of the configured model, drawn from ``rng``; with
+        ``rng`` None, zeros and no draw: the layout ``load_model`` fills."""
         s = config.state_dim
         word_emb = nd.parameter((n_words, config.word_emb_dim), rng,
                                 scale=EMB_INIT_SCALE, name="emb.word")
@@ -704,6 +706,7 @@ def train(train_set: list[CaseRecord], valid_set: list[CaseRecord],
 
     for t, data in zip(params, best_state):
         t.data = data
+        t.parked_grad = None
     model.epochs_completed = history[-1]["epoch"] + 1
     model.tau = tune_threshold(best_probs, [case.gold_charges for case in valid_set],
                                model.charge_vocab)
@@ -735,9 +738,12 @@ def save_model(path, model: ChargeModel) -> None:
 def load_model(path, article_db: dict | None = None) -> ChargeModel:
     """Inverse of ``save_model``. Besides the faults ``nd.load_arrays``
     rejects, a vocabulary entry that is not a string or that repeats an
-    earlier one, a tau outside (0, 1), a config ``ModelConfig`` rejects, an
-    article id that is not one, or a tensor whose name, shape or dtype does
-    not fit the configured model raises ``StateError`` naming the file."""
+    earlier one, a word or POS vocabulary without ``<pad>`` at ``PAD_ID``
+    and ``<unk>`` at ``UNK_ID``, a tau outside (0, 1), a config
+    ``ModelConfig`` rejects, an article id that is not one, or a tensor
+    whose name, shape or dtype does not fit the configured model raises
+    ``StateError`` naming the file. The file's arrays replace the zeros of
+    an undrawn ``ModelParams.create`` layout."""
     source = f"model file {path}"
     arrays, meta = nd.load_arrays(path, "model", MODEL_FIELDS)
     for key in ("charge_vocab", "word_vocab", "pos_vocab"):
@@ -748,6 +754,10 @@ def load_model(path, article_db: dict | None = None) -> ChargeModel:
             if tok in seen:
                 raise StateError(f"{source} repeats the {key} entry {tok!r}")
             seen.add(tok)
+    for key in ("word_vocab", "pos_vocab"):
+        if meta[key][:2] != ["<pad>", "<unk>"]:
+            raise StateError(f"{source} {key} does not begin with '<pad>' at {PAD_ID} "
+                             f"and '<unk>' at {UNK_ID}")
     if not 0.0 < meta["tau"] < 1.0:
         raise StateError(f"{source} has tau {meta['tau']!r}, outside (0, 1)")
     unknown = sorted(set(meta["config"]) - {f.name for f in fields(ModelConfig)})
@@ -764,7 +774,7 @@ def load_model(path, article_db: dict | None = None) -> ChargeModel:
     word_vocab = {tok: i for i, tok in enumerate(meta["word_vocab"])}
     pos_vocab = {tok: i for i, tok in enumerate(meta["pos_vocab"])}
     params = ModelParams.create(config, len(word_vocab), len(pos_vocab),
-                                len(meta["charge_vocab"]), np.random.default_rng(0))
+                                len(meta["charge_vocab"]), None)
     named = dict(params.named())
     if set(arrays) != set(named):
         missing = set(named) ^ set(arrays)

@@ -90,7 +90,7 @@ class BiGruParams(nd.ParamGroup):
         return 2 * self.hidden_dim
 
     @classmethod
-    def create(cls, input_dim: int, hidden_dim: int, rng: np.random.Generator,
+    def create(cls, input_dim: int, hidden_dim: int, rng: np.random.Generator | None,
                prefix: str = "bigru") -> "BiGruParams":
         # Each gate block takes the Glorot limit of its own (H, D) or (H, H)
         # shape, drawn direction by direction in the order w_z, u_z, w_r, u_r,
@@ -112,7 +112,7 @@ class AttentivePoolParams(nd.ParamGroup):
     u: Tensor | None = None
 
     @classmethod
-    def create(cls, state_dim: int, rng: np.random.Generator, prefix: str = "pool",
+    def create(cls, state_dim: int, rng: np.random.Generator | None, prefix: str = "pool",
                global_context: bool = True) -> "AttentivePoolParams":
         w = nd.parameter((state_dim, state_dim), rng, name=f"{prefix}.w")
         u = nd.parameter((state_dim, 1), rng, name=f"{prefix}.u") if global_context else None
@@ -133,7 +133,7 @@ class DocEncoderParams(nd.ParamGroup):
             raise ShapeError("sentence-level input dim must equal word-level state dim")
 
     @classmethod
-    def create(cls, input_dim: int, hidden_dim: int, rng: np.random.Generator,
+    def create(cls, input_dim: int, hidden_dim: int, rng: np.random.Generator | None,
                prefix: str = "doc", global_context: bool = True) -> "DocEncoderParams":
         word_gru = BiGruParams.create(input_dim, hidden_dim, rng, f"{prefix}.word")
         word_pool = AttentivePoolParams.create(2 * hidden_dim, rng, f"{prefix}.word_pool",
@@ -276,7 +276,8 @@ def _gru_backward(xd: np.ndarray, steps: int, p: BiGruParams, d: int,
         dh += u_zr.T @ dp[:2 * hid]
     np.matmul(d_pre, xd.T, out=dw)
     np.matmul(d_pre[:2 * hid], h_prev.T, out=du[:2 * hid])
-    np.matmul(d_pre[2 * hid:], (acts[hid:2 * hid] * h_prev).T, out=du[2 * hid:])
+    h_prev *= acts[hid:2 * hid]  # r * h_prev, the candidate rows' operand
+    np.matmul(d_pre[2 * hid:], h_prev.T, out=du[2 * hid:])
     d_pre.sum(axis=1, keepdims=True, out=db)
     return p.w.data[d].T @ d_pre
 
@@ -334,11 +335,13 @@ def attention_keys(states: Tensor, w: Tensor) -> Tensor:
     keys = Tensor(data)
 
     def back():
-        if keys.grad is None:
+        d_pre = keys.grad
+        if d_pre is None:
             return
-        d_pre = keys.grad * (1.0 - data * data)
         # Every pool over these keys comes later on the tape, so all their
-        # backwards have run: free the buffer now, not when the graph dies.
+        # backwards have run: the buffer is scaled in place and released now,
+        # not when the graph dies.
+        d_pre *= 1.0 - data * data
         keys.grad = None
         nd.accumulate(w, d_pre @ states.data.T)
         nd.accumulate(states, w.data.T @ d_pre)

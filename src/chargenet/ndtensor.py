@@ -14,6 +14,15 @@ Fused ops defined elsewhere use the same hooks: ``recording`` says whether
 to keep what backward needs, ``record`` appends the closure, and
 ``accumulate`` (or ``accumulate_cols``, for some columns) adds into an
 input's gradient. ``no_recording`` runs a block forward-only inside a tape.
+
+``Tape.backward`` runs each closure once and drops it, so the activations a
+closure holds are freed during the sweep, not when the graph dies. A
+parameter's gradient buffer belongs to the parameter: ``sgd_step`` applies
+it, zeroes it and parks it on the tensor (``parked_grad``), and the next
+``Tape.backward`` that lists the parameter sweeps into it instead of a new
+buffer. Adding into zeros gives the same bits as a fresh buffer; reusing it
+spares the allocator a buffer per parameter per minibatch, which it would
+otherwise return to the kernel and fault back in.
 """
 
 from __future__ import annotations
@@ -55,13 +64,18 @@ class StateError(RuntimeError):
 
 
 class Tensor:
-    """A dense float64 array plus an optional gradient buffer of the same shape."""
+    """A dense float64 array plus an optional gradient buffer of the same shape.
 
-    __slots__ = ("data", "grad", "name")
+    ``parked_grad`` is a zeroed buffer that ``sgd_step`` left for the next
+    backward to reuse as ``grad``; it is None on every other tensor.
+    """
+
+    __slots__ = ("data", "grad", "parked_grad", "name")
 
     def __init__(self, data, name: str | None = None):
         self.data = np.ascontiguousarray(data, dtype=np.float64)
         self.grad: np.ndarray | None = None
+        self.parked_grad: np.ndarray | None = None
         self.name = name
 
     @property
@@ -115,13 +129,16 @@ class Tape:
     """Ordered record of backward closures for one forward pass.
 
     Ops append in execution order, so the list is topologically sorted by
-    construction; ``backward`` replays it in exact reverse. A tape may be
+    construction; ``backward`` replays it in exact reverse, dropping each
+    closure once it has run, so a swept tape holds no closure and no
+    activation. ``len`` stays the number of steps recorded. A tape may be
     swept once only: re-running backward without a fresh forward raises
     ``StateError``.
     """
 
     def __init__(self):
         self._steps: list[Callable[[], None]] = []
+        self._recorded = 0
         self._spent = False
 
     def __enter__(self) -> "Tape":
@@ -136,25 +153,34 @@ class Tape:
 
     def record(self, step: Callable[[], None]) -> None:
         self._steps.append(step)
+        self._recorded += 1
 
     def __len__(self) -> int:
-        return len(self._steps)
+        return self._recorded
 
     def backward(self, loss: Tensor, params: Iterable[Tensor] = ()) -> None:
         """Seed d(loss)/d(loss)=1 and sweep the tape in reverse.
 
         Every tensor on a path from a recorded op to ``loss`` receives its
         gradient; tensors in ``params`` that the loss does not reach get an
-        explicit zero buffer.
+        explicit zero buffer. A tensor in ``params`` with no ``grad`` and a
+        ``parked_grad`` takes that zeroed buffer as its gradient before the
+        sweep. Each closure is dropped as it runs, so what it held is freed
+        before the sweep ends if nothing else holds it.
         """
         if self._spent:
             raise StateError("tape already swept; re-run the forward pass first")
         if loss.size != 1:
             raise DomainError(f"backward needs a scalar loss, got shape {loss.shape}")
         self._spent = True
+        params = list(params)
+        for p in params:
+            if p.grad is None and p.parked_grad is not None:
+                p.grad, p.parked_grad = p.parked_grad, None
         loss.grad = np.ones_like(loss.data)
-        for step in reversed(self._steps):
-            step()
+        steps = self._steps
+        while steps:
+            steps.pop()()
         for p in params:
             if p.grad is None:
                 p.grad = np.zeros_like(p.data)
@@ -366,7 +392,8 @@ def _scatter_add(t: Tensor, flat: np.ndarray, values: np.ndarray) -> None:
     One ``bincount`` over the flattened buffer replaces ``np.add.at``: it
     sums the same values in the same order from 0, so into a fresh buffer
     the result is bit-identical, and into an existing one the scattered
-    block is added whole.
+    block is added whole. The block holds no -0.0, so adding it into a
+    parked zero buffer gives the block's own bits.
     """
     block = np.bincount(flat.reshape(-1), weights=values.reshape(-1),
                         minlength=t.size).reshape(t.shape)
@@ -472,22 +499,34 @@ def cross_entropy(target, predicted: Tensor) -> Tensor:
 
 
 def sgd_step(params: Iterable[Tensor], lr: float) -> None:
-    """p <- p - lr * grad for every parameter, then clear the gradients."""
+    """p <- p - lr * grad for every parameter, then clear the gradients.
+
+    The step takes each gradient buffer over: it scales the buffer in place,
+    subtracts it, zeroes it and parks it as ``p.parked_grad`` for the next
+    ``Tape.backward``, leaving ``p.grad`` None. A caller that still reads a
+    gradient after the step must copy it first.
+    """
     for p in params:
-        if p.grad is None:
+        g = p.grad
+        if g is None:
             raise StateError(f"parameter {p.name or p.shape} has no gradient; run backward first")
-        p.data -= lr * p.grad
-        p.grad = None
+        g *= lr
+        p.data -= g
+        g.fill(0.0)
+        p.grad, p.parked_grad = None, g
 
 
-def parameter(shape, rng: np.random.Generator, scale: float | None = None,
+def parameter(shape, rng: np.random.Generator | None, scale: float | None = None,
               name: str | None = None) -> Tensor:
-    """Trainable weight drawn uniformly from [-scale, scale].
+    """Trainable weight drawn uniformly from [-scale, scale]; with ``rng``
+    None, zeros and no draw, for a caller that sets the values itself.
 
     Without an explicit scale, the limit is sqrt(6 / (fan_in + fan_out)),
     which keeps activation variance roughly constant through tanh stacks at
     any layer width; a fixed small constant starves narrow desk-scale models.
     """
+    if rng is None:
+        return zeros(shape, name=name)
     if scale is None:
         fan_out = shape[0] if len(shape) > 0 else 1
         fan_in = shape[1] if len(shape) > 1 else 1

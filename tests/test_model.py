@@ -1,6 +1,7 @@
 import collections
 import contextlib
 import dataclasses
+import hashlib
 import json
 import math
 import os
@@ -110,6 +111,59 @@ def test_training_history_matches_composite_encoders(data, bank, variant, monkey
         npt.assert_allclose(f.data, c.data, rtol=0, atol=1e-10, err_msg=name)
     assert fused_model.tau == composite_model.tau
     assert_forwards_close(fused_traces, composite_traces)
+
+
+def training_digest(data, bank, variant) -> str:
+    """SHA-256 of a seeded 2-epoch ``train()``: the history as JSON (floats
+    as ``repr``, so every bit counts), every parameter's name and float64
+    bytes, tau, and the served ``o`` and ``alpha`` of every test case."""
+    config = cm.ModelConfig(variant=variant, max_epochs=2, patience=5, **TINY_DIMS)
+    model, history = cm.train(data.train, data.valid, config, seed=4, bank=bank,
+                              article_db=data.article_db)
+    h = hashlib.sha256(json.dumps(history).encode())
+    for name, t in model.params.named():
+        h.update(name.encode())
+        h.update(np.ascontiguousarray(t.data, dtype="<f8").tobytes())
+    h.update(repr(model.tau).encode())
+    for case in data.test:
+        trace = cm.forward(case, model, bank=bank)
+        for arr in (trace.o, trace.alpha):
+            if arr is not None:
+                h.update(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+    return h.hexdigest()
+
+
+TRAINING_DIGESTS = {
+    cm.Variant.FACT_ONLY:
+        "b7ecb34cb32c152f0cf7d357cfe0142a47b7eaafe675130dc264ab32d3324bd7",
+    cm.Variant.ART_ONLY:
+        "6040d01bdd42e4a6419c2feeb58f618f0d56f6664bb6ac629fd4548adac6b5dc",
+    cm.Variant.FACT_ART:
+        "c3aaeff4ed738402d3bcc78bd7eb67bab4cea5954636717401b57c6643f8a0fe",
+    cm.Variant.FACT_SUPV_ART:
+        "1c411b44768296d5b78c16b2d34be6ca01fdbde32081d8127c79c3e7e3b5b3b6",
+    cm.Variant.FACT_GOLD_ART:
+        "6d6cae0f0968a99303d734f74166965905e122a00ee4e3c8066c9cf2cda9c0e1",
+}
+
+
+@pytest.mark.parametrize("variant", list(cm.Variant))
+def test_seeded_training_is_pinned(data, bank, variant):
+    """Training and serving repeat bit for bit (tests run on one BLAS
+    thread): a change to how gradients are stored or swept that moves any
+    bit of a loss, a parameter, tau or a served output shows here."""
+    assert training_digest(data, bank, variant) == TRAINING_DIGESTS[variant]
+
+
+def test_trained_model_holds_no_gradient_memory(data, bank):
+    """SGD parks each gradient buffer for the next minibatch; the model
+    ``train()`` returns keeps neither a gradient nor a parked buffer."""
+    config = cm.ModelConfig(variant=cm.Variant.FACT_ART, max_epochs=2, patience=5,
+                            **TINY_DIMS)
+    model, _ = cm.train(data.train, data.valid, config, seed=2, bank=bank,
+                        article_db=data.article_db)
+    for name, t in model.params.named():
+        assert t.grad is None and t.parked_grad is None, name
 
 
 def test_case_loss_terms_come_from_joint_loss(data, bank):
@@ -830,6 +884,16 @@ def repeat_first(key):
     return corrupt
 
 
+def swap_entries(key, i, j):
+    """A ``corrupt`` that swaps entries ``i`` and ``j`` of the meta list ``key``."""
+    def corrupt(text):
+        meta = json.loads(text)
+        entries = list(meta[key])
+        entries[i], entries[j] = entries[j], entries[i]
+        return json.dumps({**meta, key: entries})
+    return corrupt
+
+
 def edit_config(**changes):
     """A ``corrupt`` that sets fields of the meta's config."""
     def corrupt(text):
@@ -861,11 +925,18 @@ def edit_config(**changes):
     (edit_meta(format="bank"), "holds format 'bank' version 2"),
     (edit_config(lr=math.nan), "bad config: lr must be finite and positive"),
     (edit_config(beta=math.inf), "bad config: beta must be finite and >= 0"),
+    (swap_entries("word_vocab", 1, 2),
+     "word_vocab does not begin with '<pad>' at 0 and '<unk>' at 1"),
+    (swap_entries("pos_vocab", 0, 1),
+     "pos_vocab does not begin with '<pad>' at 0 and '<unk>' at 1"),
+    (edit_meta(word_vocab=["<pad>"]),
+     "word_vocab does not begin with '<pad>' at 0 and '<unk>' at 1"),
 ], ids=["not_json", "not_an_object", "missing_field", "field_of_wrong_type", "config_field_of_wrong_type",
         "config_out_of_range", "tau_out_of_range", "tau_nan", "vocab_entry_not_string",
         "charge_vocab_repeated", "word_vocab_repeated", "pos_vocab_repeated",
         "article_id_dict", "article_id_triple", "article_id_sub_zero", "article_id_zero",
-        "version_1", "version_99", "other_kind", "config_lr_nan", "config_beta_inf"])
+        "version_1", "version_99", "other_kind", "config_lr_nan", "config_beta_inf",
+        "word_vocab_unk_swapped", "pos_vocab_pad_swapped", "word_vocab_without_unk"])
 def test_corrupt_sidecar_is_rejected(data, tmp_path, corrupt, problem):
     """A model file whose meta is corrupt raises StateError naming it and
     the problem."""
@@ -918,8 +989,8 @@ ax.save_bank(root + "/bank2.npz", ax.load_bank(root + "/bank.npz"))
 ax.load_bank(root + "/bank2.npz")
 arrays, meta = nd.load_arrays(root + "/m.npz", "model", cm.MODEL_FIELDS)
 nd.save_arrays(root + "/m2.npz", "model", arrays, meta)
-print(sorted(name for name in sys.modules if "hashlib" in name))
 cm.load_model(root + "/m2.npz", article_db=cp.load_article_db(root + "/articles.jsonl"))
+print(sorted(name for name in sys.modules if "hashlib" in name))
 """
 
 
@@ -928,10 +999,9 @@ def test_saving_and_loading_import_no_hashlib(data, bank, tmp_path):
     loads a bank and a model file, does not import hashlib: it loads
     OpenSSL, about 3.6 MB of resident memory.
 
-    The probe stops short of ``load_model``'s ``ModelParams.create``: that
-    draws from ``numpy.random``, whose import brings in hashlib (through
-    ``secrets``) in any process that builds a model. Its last step only
-    checks that the model file it wrote loads."""
+    ``load_model`` draws nothing, so it does not import ``numpy.random``,
+    whose import brings in hashlib (through ``secrets``) in any process that
+    draws a model."""
     cm.save_model(tmp_path / "m.npz", untrained_model(data, cm.Variant.FACT_SUPV_ART))
     ax.save_bank(tmp_path / "bank.npz", bank)
     cp.save_article_db(tmp_path / "articles.jsonl", data.article_db)

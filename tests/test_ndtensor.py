@@ -3,6 +3,7 @@ import math
 import re
 import struct
 import warnings
+import weakref
 
 import numpy as np
 import numpy.testing as npt
@@ -370,6 +371,39 @@ class TestBackward:
             tape.backward(loss, [x])
         npt.assert_allclose(x.grad, [5.0], atol=1e-15)
 
+    def test_swept_tape_holds_no_closure(self):
+        """Each closure is dropped as it runs; ``len`` still counts it."""
+        x = Tensor(np.array([1.0, -2.0]))
+        with Tape() as tape:
+            out = Tensor(3.0 * x.data)
+
+            def back():
+                nd.accumulate(x, 3.0 * out.grad)
+
+            nd.record(back)
+            closure = weakref.ref(back)
+            del back
+            loss = tsum(out)
+            assert len(tape) == 2
+            tape.backward(loss, [x])
+        assert closure() is None
+        assert len(tape) == 2
+
+    def test_activations_die_with_their_outputs_after_the_sweep(self):
+        """Once backward returns, the tape keeps no activation alive: one
+        the caller drops is freed while the tape itself lives on."""
+        rng = np.random.default_rng(3)
+        w = Tensor(rng.uniform(-1, 1, (4, 3)))
+        x = Tensor(rng.uniform(-1, 1, (3, 5)))
+        with Tape() as tape:
+            h = nd.tanh(nd.matmul(w, x))
+            activation = weakref.ref(h.data)
+            loss = tsum(h)
+            tape.backward(loss, [w])
+        del h, loss
+        assert activation() is None
+        assert len(tape) == 3
+
 
 class TestSgd:
     def test_basic_step(self):
@@ -388,6 +422,47 @@ class TestSgd:
     def test_missing_grad_raises(self):
         with pytest.raises(StateError):
             nd.sgd_step([Tensor(np.ones(2), name="w")], 0.1)
+
+    def test_step_parks_the_zeroed_buffer(self):
+        p = Tensor(np.array([1.0, -1.0]))
+        grad = p.grad = np.array([2.0, -4.0])
+        nd.sgd_step([p], 0.5)
+        npt.assert_array_equal(p.data, [0.0, 1.0])
+        assert p.grad is None and p.parked_grad is grad
+        assert not grad.any() and not np.signbit(grad).any()
+
+    def test_backward_sweeps_into_the_parked_buffer(self):
+        """After a step, a fresh backward reuses each parameter's buffer and
+        gives the bits a fresh buffer would: through a product, an embedding
+        lookup and a column gather (scatters) and ``accumulate_cols``, whose
+        buffers are column-major."""
+        rng = np.random.default_rng(8)
+        ids, cols = np.array([2, 0, 2, 3]), np.array([1, 1, 0])
+        x = rng.uniform(-1, 1, (3, 3))
+
+        def loss_of(table, w, gathered, added):
+            h = nd.tanh(nd.matmul(w, nd.embed(table, ids)))
+            g = nd.take_cols(gathered, cols)
+            a = Tensor(added.data[:, cols])
+            nd.record(lambda: nd.accumulate_cols(added, cols, a.grad))
+            return (tsum(nd.mul(nd.mul(h, h), 0.5)) + tsum(nd.matmul(g, Tensor(x)))
+                    + tsum(nd.mul(a, a)))
+
+        def sweep(params):
+            with Tape() as tape:
+                tape.backward(loss_of(*params), params)
+
+        reused = [Tensor(rng.uniform(-1, 1, shape))
+                  for shape in [(4, 3), (2, 3), (3, 3), (2, 3)]]
+        sweep(reused)
+        nd.sgd_step(reused, 0.1)
+        parked = [p.parked_grad for p in reused]
+        fresh = [Tensor(p.data.copy()) for p in reused]
+        sweep(reused)
+        sweep(fresh)
+        for p, q, buffer in zip(reused, fresh, parked):
+            assert p.grad is buffer and p.parked_grad is None
+            assert p.grad.tobytes() == q.grad.tobytes()
 
     def test_descent_on_quadratic(self):
         p = Tensor(np.array([5.0]))
