@@ -36,18 +36,18 @@ no tensor, and records nothing even inside a ``Tape``. The layers:
   case's gold articles, at most k);
 * the classifier and the softmax run once on (·, B).
 
-Every pool keys its states in one ``attention_keys`` step and scores them
-in one ``pool_steps`` step. The word-level Bi-GRU states of an article do
-not depend on the fact, and neither do their word-attention keys
-tanh(W_aw h) (only the context u_aw does), so both are computed once and
-shared by the word pools of every case:
+Every pool keys its states in one step and scores them in one step. The
+word-level Bi-GRU states of an article do not depend on the fact, and
+neither do their word-attention keys tanh(W_aw h) (only the context u_aw
+does), so both are computed once, held as (steps * sentences, state_dim)
+rows by ``keyed_rows``, and shared by the word pools of every case:
 
 * under a tape, a forward scans the union of its cases' slots once and
-  keys every scanned column in one step; each case's ``pool_words`` adds
-  its gradients into those columns, so the scan and key nodes each turn the
+  keys every scanned row in one step; each case's ``pool_words`` adds its
+  gradients into the rows it read, so the scan and key nodes each turn the
   gradients of the whole minibatch into parameter gradients once;
-* with no tape, a forward reads ``ChargeModel.article_words``, the states
-  and keys of every article in the database. They are rebuilt whenever the
+* with no tape, a forward reads ``ChargeModel.article_words``, the state
+  and key rows of every article in the database. They are rebuilt whenever the
   word or POS embeddings, the article word-level Bi-GRU or its
   word-attention weights differ, by content, from the copies taken at the
   last build; a batch checks that once.
@@ -71,9 +71,9 @@ from .encoders import (
     AttentivePoolParams,
     BiGruParams,
     DocEncoderParams,
-    attention_keys,
     encode_documents,
     encode_groups,
+    keyed_rows,
     pool_words,
     scan_words,
 )
@@ -248,8 +248,8 @@ class ArticleWords:
     """Word-level Bi-GRU states of a set of articles, scanned as one batch,
     and their word-attention keys tanh(W_aw h), which need no fact."""
 
-    states: Tensor     # (state_dim, steps * n_sentences), step-major
-    keys: Tensor       # attention keys of the states' columns, same layout
+    states: Tensor     # (steps * n_sentences, state_dim): row t * n + j is step t of sentence j
+    keys: Tensor       # the attention key of each state row, same layout
     lens: np.ndarray   # words per sentence
     cols: dict         # article id -> indices of its sentences, in order
 
@@ -368,7 +368,7 @@ def encode_article_words(model: ChargeModel, article_ids: list) -> ArticleWords:
         sents.extend(doc)
     enc = model.params.art_enc
     states, lens = scan_words(sents, enc.word_gru, model.embed_tokens)
-    return ArticleWords(states, attention_keys(states, enc.word_pool.w), lens, cols)
+    return ArticleWords(*keyed_rows(states, enc.word_pool.w), lens, cols)
 
 
 def _encode_facts(model: ChargeModel, facts: list) -> tuple[Tensor, list, list]:
@@ -385,7 +385,7 @@ def _encode_slots(model: ChargeModel, topks: list[list], d_f: Tensor) -> Tensor:
     case j after those of case j - 1.
 
     Each case pools its sentences' word states in its own ``pool_words``
-    call, which scores only that case's columns of the shared keys; all
+    call, which gathers only that case's rows of the shared states; all
     cases' slots then run the sentence level as one batch. With no tape
     recording the word states and keys are ``model.article_words()``; under a
     tape they come from one scan of the union of the cases' slots.

@@ -11,14 +11,20 @@ A sequence of T steps over a batch of B columns is held stacked too: one
 t*B .. t*B+B-1). Three ops work on that layout, each recording a single
 backward closure per call:
 
-* ``bigru_scan`` hoists the input projections of every gate of both
-  directions into one stacked W (2, 3H, D) x (D, T*B) product, then runs
-  both recurrences in one plain numpy loop: iteration i advances the
-  forward direction at step i and the backward one at step T-1-i. The two
-  states are one (2, H, B) array, so each recurrent product (the z and r rows
-  of U, then the candidate rows) is one stacked matmul over both directions.
-  It back-propagates through time by hand, one direction at a time, the
-  weight and input gradients again as single products over the T*B columns.
+* ``bigru_scan`` hoists the input projections of every gate into one
+  W (3H, D) x (D, T*B) product per direction, then runs both recurrences in
+  one plain numpy loop: iteration i advances the forward direction at step
+  i and the backward one at step T-1-i. Inside, the pre-activations are
+  laid out by iteration, not by step, so that each iteration's z and r rows
+  and its candidate rows of both directions are contiguous blocks: a
+  step-major column block is a strided view, and numpy runs an elementwise
+  op on one about three times slower. The two states are one (2, H, B)
+  array, so each recurrent product (the z and r rows of U, then the
+  candidate rows) is one stacked matmul over both directions. It
+  back-propagates through time by hand, one direction at a time, over the
+  same blocks; the weight and input gradients are single products over the
+  step-major T*B columns. Layouts change only at the op's boundary, and the
+  step-major loop it replaced is kept with the tests as its reference.
 * ``attention_keys`` computes the keys tanh(W h) of every state in one
   product. The keys do not depend on the context, so one key step can serve
   several pools.
@@ -27,9 +33,7 @@ backward closure per call:
   weighted sum. Its context is either one (s,) vector shared by all B
   sequences (a trained global context, or one case's fact-driven context)
   or an (s, B) matrix whose column j is the context of sequence j, so that
-  sequences of different cases pool in one call. Given ``cols``, it pools
-  those columns of shared states and keys, and its backward adds into their
-  gradients at those columns.
+  sequences of different cases pool in one call.
 
 ``attentive_pool_steps`` is the two calls in a row, keys then pool, over one
 batch of sequences; the fact encoder, the article sentence level and the
@@ -39,12 +43,15 @@ the previous state through and get no attention. ``encode_documents`` runs
 the two-level document encoder; ``encode_groups`` runs a level over
 variable-length sequences laid out one after another.
 
-The article word level pools one scan under many contexts: ``scan_words``
-runs the Bi-GRU over all of the sentences and ``attention_keys`` keys every
-state once; each ``pool_words`` call then pools one set of sentences under
-its context through ``pool_steps`` with those sentences' columns. The key
-step turns the summed key gradient of every pool into W's and the states'
-gradients once.
+The article word level pools one scan under many contexts, each over a few
+of its sentences, so it holds the scan as rows: ``scan_words`` runs the
+Bi-GRU over all of the sentences, and ``keyed_rows`` copies the states into
+(T*B, s) rows and keys every row once, so that a sentence's state at one
+step is one contiguous row. Each ``pool_words`` call then scores every key
+under its context in one product, picks its sentences' scores and gathers
+only their state rows; its backward adds into the gradients of those rows.
+The key step turns the summed key and row gradients of every pool into W's
+and the states' gradients once.
 
 Every pooling level takes its context from the caller, explicitly: a pool's
 trained global ``u`` or a context generated per case; there is no default.
@@ -187,61 +194,84 @@ def _step_batch(x: np.ndarray, steps: int, mask: np.ndarray | None) -> int:
     return batch
 
 
-def _bigru_forward(x: np.ndarray, steps: int, p: BiGruParams, mask: np.ndarray | None,
-                   out: np.ndarray, keep: bool) -> np.ndarray | None:
-    """Both directions' recurrences in one loop, writing the states into
-    ``out`` (2H, T*B), forward half on top.
+def _by_iteration(a: np.ndarray, steps: int, d: int) -> np.ndarray:
+    """(steps, rows, B) view of the step-major (rows, steps*B) ``a``, indexed
+    by the loop iteration that handles each step in direction ``d``: step i
+    for the forward direction, step steps-1-i for the backward one."""
+    v = a.reshape(a.shape[0], steps, -1).transpose(1, 0, 2)
+    return v[::-1] if d else v
 
-    Iteration i advances the forward direction at step i and the backward one
-    at step T-1-i; the two states are one (2, H, B) array, so each recurrent
-    product is one stacked matmul. A masked step gets z = 0 and so keeps its
-    state exactly. Returns the unmasked gate activations [z; r; candidate]
-    of both directions as (2, 3H, T*B) when ``keep`` is set (backward needs
-    them), else None.
+
+def _bigru_forward(x: np.ndarray, steps: int, p: BiGruParams, mask: np.ndarray | None,
+                   keep: bool) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray] | None]:
+    """Both directions' recurrences in one loop. Returns the (2H, T*B)
+    states, forward half on top, and, when ``keep`` is set, the gate
+    activations backward needs.
+
+    The gate pre-activations live in two buffers indexed by iteration, the
+    z and r rows in one (T, 2, 2H, B) and the candidate rows in one
+    (T, 2, H, B): iteration i advances the forward direction at step i and
+    the backward one at step T-1-i, so every operand of an iteration is one
+    contiguous block. The two states are one (2, H, B) array, so each
+    recurrent product is one stacked matmul. z, r and the candidate
+    overwrite their pre-activations in place, and the two buffers, then
+    holding the unmasked activations, are what ``keep`` returns. A masked
+    step gets z = 0 and so keeps its state exactly; the mask is applied only
+    on iterations that hold a padded step. With no ``keep`` each step's
+    state is stored in its spent candidate rows, and the z and r buffer is
+    freed before the output is allocated.
     """
     hid = p.hidden_dim
     batch = x.shape[1] // steps
-    acts = np.matmul(p.w.data, x)
-    acts += p.b.data
+    gates = np.empty((steps, 2, 2 * hid, batch))
+    cands = np.empty((steps, 2, hid, batch))
+    # One direction's projection at a time, so only half a buffer is extra.
+    for d in range(2):
+        proj = _by_iteration(p.w.data[d] @ x, steps, d)
+        np.add(proj[:, :2 * hid], p.b.data[d, :2 * hid], out=gates[:, d])
+        np.add(proj[:, 2 * hid:], p.b.data[d, 2 * hid:], out=cands[:, d])
+        del proj  # before the next direction's product is allocated
     u_zr, u_h = p.u.data[:, :2 * hid], p.u.data[:, 2 * hid:]
+    padded = np.zeros(steps, dtype=bool)
     if mask is not None:
         masks = np.stack([mask, mask[::-1]], axis=1)[:, :, None, :]
-    # (rows, T, B) views of the gate rows and of the states: [:, t] is step t.
-    (zr_f, c_f), (zr_b, c_b) = [(a[:2 * hid].reshape(2 * hid, steps, batch),
-                                 a[2 * hid:].reshape(hid, steps, batch)) for a in acts]
-    h_f, h_b = out[:hid].reshape(hid, steps, batch), out[hid:].reshape(hid, steps, batch)
+        padded = (masks == 0).any(axis=(1, 2, 3))
+    states = np.empty_like(cands) if keep else cands
     h = np.zeros((2, hid, batch))
-    for i in range(steps):
-        j = steps - 1 - i
-        zr = np.matmul(u_zr, h)
-        zr[0] += zr_f[:, i]
-        zr[1] += zr_b[:, j]
+    for i, pad in enumerate(padded.tolist()):
+        zr, cand = gates[i], cands[i]
+        zr += np.matmul(u_zr, h)
         nd.logistic(zr, out=zr)
-        z = zr[:, :hid]
-        cand = np.matmul(u_h, zr[:, hid:] * h)
-        cand[0] += c_f[:, i]
-        cand[1] += c_b[:, j]
+        cand += np.matmul(u_h, zr[:, hid:] * h)
         np.tanh(cand, out=cand)
-        if keep:
-            zr_f[:, i], zr_b[:, j] = zr
-            c_f[:, i], c_b[:, j] = cand
-        if mask is not None:
-            z *= masks[i]
-        cand -= h
-        cand *= z
-        cand += h
-        h = cand
-        h_f[:, i], h_b[:, j] = h
-    return acts if keep else None
+        z = zr[:, :hid] * masks[i] if pad else zr[:, :hid]
+        h_new = np.subtract(cand, h, out=states[i])
+        h_new *= z
+        h_new += h
+        h = h_new
+    kept = (gates, cands) if keep else None
+    del gates
+    out = np.empty((2 * hid, x.shape[1]))
+    for d in range(2):
+        _by_iteration(out[d * hid:(d + 1) * hid], steps, d)[...] = states[:, d]
+    return out, kept
 
 
 def _gru_backward(xd: np.ndarray, steps: int, p: BiGruParams, d: int,
-                  mask: np.ndarray | None, states: np.ndarray, acts: np.ndarray,
-                  d_states: np.ndarray, dw: np.ndarray, du: np.ndarray,
+                  mask: np.ndarray | None, states: np.ndarray, gates: np.ndarray,
+                  cands: np.ndarray, d_states: np.ndarray, dw: np.ndarray, du: np.ndarray,
                   db: np.ndarray) -> np.ndarray:
-    """Hand-written BPTT for direction ``d`` (1 runs from the last step).
+    """Hand-written BPTT for direction ``d`` (1 runs from the last step) over
+    its iteration-major gate activations, ``gates`` (T, 2H, B) and ``cands``
+    (T, H, B); ``states`` and ``d_states`` are its step-major (H, T*B) rows.
     Writes that direction's gradients of w, u and b into ``dw``, ``du`` and
-    ``db`` and returns the gradient of the stacked input (D, T*B)."""
+    ``db`` and returns the gradient of the stacked input (D, T*B).
+
+    Both directions run their iterations from the last, over contiguous
+    per-step blocks. Each iteration's gate gradients overwrite its spent
+    activations. The weight and input gradients are products over the
+    step-major matrices, as the forward's input projection was.
+    """
     hid = p.hidden_dim
     batch = xd.shape[1] // steps
     # The state each step started from: the neighbouring step's output, zeros at the edge.
@@ -250,17 +280,19 @@ def _gru_backward(xd: np.ndarray, steps: int, p: BiGruParams, d: int,
         h_prev[:, :-batch] = states[:, batch:]
     else:
         h_prev[:, batch:] = states[:, :-batch]
+    hp_steps = _by_iteration(h_prev, steps, d).copy()
+    ds_steps = _by_iteration(d_states, steps, d)
+    if mask is not None:
+        mask = mask[::-1] if d else mask
     u_zr, u_h = p.u.data[d, :2 * hid], p.u.data[d, 2 * hid:]
-    d_pre = np.empty_like(acts)
     dh = np.zeros((hid, batch))
-    for t in (range(steps) if d else range(steps - 1, -1, -1)):
-        cols = slice(t * batch, (t + 1) * batch)
-        a = acts[:, cols]
-        z, r, cand = a[:hid], a[hid:2 * hid], a[2 * hid:]
-        hp = h_prev[:, cols]
-        d_out = d_states[:, cols] + dh
+    for i in range(steps - 1, -1, -1):
+        zr, cand = gates[i], cands[i]
+        z, r = zr[:hid], zr[hid:]
+        hp = hp_steps[i]
+        d_out = ds_steps[i] + dh
         if mask is not None:
-            m = mask[t]
+            m = mask[i]
             d_new = d_out * m
             dh = d_out * (1.0 - m) + d_new * (1.0 - z)
         else:
@@ -269,14 +301,17 @@ def _gru_backward(xd: np.ndarray, steps: int, p: BiGruParams, d: int,
         d_cand = d_new * z * (1.0 - cand * cand)
         d_rh = u_h.T @ d_cand
         dh += d_rh * r
-        dp = d_pre[:, cols]
-        dp[:hid] = d_new * (cand - hp) * z * (1.0 - z)
-        dp[hid:2 * hid] = d_rh * hp * r * (1.0 - r)
-        dp[2 * hid:] = d_cand
-        dh += u_zr.T @ dp[:2 * hid]
+        d_z = d_new * (cand - hp) * z * (1.0 - z)
+        d_r = d_rh * hp * r * (1.0 - r)
+        hp *= r  # the candidate rows' operand
+        z[...], r[...], cand[...] = d_z, d_r, d_cand
+        dh += u_zr.T @ zr
+    d_pre = np.empty((3 * hid, xd.shape[1]))
+    _by_iteration(d_pre[:2 * hid], steps, d)[...] = gates
+    _by_iteration(d_pre[2 * hid:], steps, d)[...] = cands
     np.matmul(d_pre, xd.T, out=dw)
     np.matmul(d_pre[:2 * hid], h_prev.T, out=du[:2 * hid])
-    h_prev *= acts[hid:2 * hid]  # r * h_prev, the candidate rows' operand
+    _by_iteration(h_prev, steps, d)[...] = hp_steps
     np.matmul(d_pre[2 * hid:], h_prev.T, out=du[2 * hid:])
     d_pre.sum(axis=1, keepdims=True, out=db)
     return p.w.data[d].T @ d_pre
@@ -288,20 +323,22 @@ def bigru_scan(x: Tensor, steps: int, p: BiGruParams,
     the columns of ``x`` (D, steps*B).
 
     Returns the (2H, steps*B) states, forward half on top, in the same column
-    layout. One stacked product projects the inputs of both directions; both
-    recurrences then run in one loop of ``steps`` iterations, the forward one
-    from the first step and the backward one from the last. ``mask`` is a
+    layout. One product per direction projects its inputs; both recurrences
+    then run in one loop of ``steps`` iterations, the forward one from the
+    first step and the backward one from the last. ``mask`` is a
     (steps, B) 0/1 array; masked steps keep the prior state exactly. One tape
     step covers both directions.
     """
-    batch = _step_batch(x.data, steps, mask)
+    _step_batch(x.data, steps, mask)
     if x.shape[0] != p.input_dim:
         raise ShapeError(f"bigru_scan got {x.shape[0]}-dim inputs, expected {p.input_dim}")
     hid = p.hidden_dim
     keep = nd.recording()
-    data = np.empty((2 * hid, steps * batch))
-    acts = _bigru_forward(x.data, steps, p, mask, data, keep)
+    data, kept = _bigru_forward(x.data, steps, p, mask, keep)
     out = Tensor(data)
+    if not keep:
+        return out
+    gates, cands = kept
 
     def back():
         if out.grad is None:
@@ -313,13 +350,12 @@ def bigru_scan(x: Tensor, steps: int, p: BiGruParams,
         # measured slower.
         grads = [np.empty_like(t.data) for t in (p.w, p.u, p.b)]
         for d in range(2):
-            nd.accumulate(x, _gru_backward(x.data, steps, p, d, mask, states[d], acts[d],
-                                           d_states[d], *(g[d] for g in grads)))
+            nd.accumulate(x, _gru_backward(x.data, steps, p, d, mask, states[d], gates[:, d],
+                                           cands[:, d], d_states[d], *(g[d] for g in grads)))
         for t, g in zip((p.w, p.u, p.b), grads):
             nd.accumulate(t, g)
 
-    if keep:
-        nd.record(back)
+    nd.record(back)
     return out
 
 
@@ -350,34 +386,9 @@ def attention_keys(states: Tensor, w: Tensor) -> Tensor:
     return keys
 
 
-def pool_steps(states: Tensor, keys: Tensor, steps: int, u: Tensor,
-               mask: np.ndarray | None = None,
-               cols: np.ndarray | None = None) -> tuple[Tensor, Tensor]:
-    """Attentive pool of step-major stacked states (s, steps*B) under their
-    ``attention_keys``: scores k^T u, takes the softmax over the steps of each
-    column (masked steps get exactly 0) and returns the (s, B) weighted sums
-    with the (steps, B) attention.
-
-    The context ``u`` holds s values shared by all B sequences, or is (s, B):
-    column j is the context of sequence j. With ``cols`` the pooled columns
-    are ``states[:, cols]`` and ``keys[:, cols]`` (cols in step-major order,
-    repeats allowed), and the backward adds into the gradients of the shared
-    states and keys at those columns. One tape step.
-    """
-    if keys.shape != states.shape:
-        raise ShapeError(f"keys {keys.shape} do not match states {states.shape}")
-    picked, picked_keys = ((states.data, keys.data) if cols is None
-                           else (states.data[:, cols], keys.data[:, cols]))
-    batch = _step_batch(picked, steps, mask)
-    dim = states.shape[0]
-    if not (u.size == dim or u.shape == (dim, batch)):
-        raise ShapeError(f"context {u.shape} does not fit {batch} sequences of "
-                         f"{dim}-dim states")
-    cube = picked.reshape(dim, steps, batch)
-    if u.size == dim:
-        scores = (u.data.reshape(dim, 1).T @ picked_keys).reshape(steps, batch)
-    else:
-        scores = np.einsum("dtb,db->tb", picked_keys.reshape(cube.shape), u.data)
+def _attention(scores: np.ndarray, mask: np.ndarray | None) -> np.ndarray:
+    """Softmax over the steps (axis 0) of (steps, B) scores; masked steps
+    get exactly 0."""
     if mask is None:
         e = np.exp(scores - scores.max(axis=0))
     else:
@@ -385,7 +396,32 @@ def pool_steps(states: Tensor, keys: Tensor, steps: int, u: Tensor,
             raise DomainError("attentive pool over a fully masked sequence")
         top = np.where(mask > 0, scores, -np.inf).max(axis=0)
         e = np.exp(np.where(mask > 0, scores - top, 0.0)) * mask
-    a = e / e.sum(axis=0)
+    return e / e.sum(axis=0)
+
+
+def pool_steps(states: Tensor, keys: Tensor, steps: int, u: Tensor,
+               mask: np.ndarray | None = None) -> tuple[Tensor, Tensor]:
+    """Attentive pool of step-major stacked states (s, steps*B) under their
+    ``attention_keys``: scores k^T u, takes the softmax over the steps of each
+    column (masked steps get exactly 0) and returns the (s, B) weighted sums
+    with the (steps, B) attention.
+
+    The context ``u`` holds s values shared by all B sequences, or is (s, B):
+    column j is the context of sequence j. One tape step.
+    """
+    if keys.shape != states.shape:
+        raise ShapeError(f"keys {keys.shape} do not match states {states.shape}")
+    batch = _step_batch(states.data, steps, mask)
+    dim = states.shape[0]
+    if not (u.size == dim or u.shape == (dim, batch)):
+        raise ShapeError(f"context {u.shape} does not fit {batch} sequences of "
+                         f"{dim}-dim states")
+    cube = states.data.reshape(dim, steps, batch)
+    if u.size == dim:
+        scores = (u.data.reshape(dim, 1).T @ keys.data).reshape(steps, batch)
+    else:
+        scores = np.einsum("dtb,db->tb", keys.data.reshape(cube.shape), u.data)
+    a = _attention(scores, mask)
     alpha, pooled = Tensor(a), Tensor((cube * a).sum(axis=1))
 
     def back():
@@ -398,18 +434,12 @@ def pool_steps(states: Tensor, keys: Tensor, steps: int, u: Tensor,
             d_alpha += alpha.grad
         d_scores = a * (d_alpha - (a * d_alpha).sum(axis=0))
         if u.size == dim:
-            nd.accumulate(u, (picked_keys @ d_scores.reshape(-1, 1)).reshape(u.shape))
+            nd.accumulate(u, (keys.data @ d_scores.reshape(-1, 1)).reshape(u.shape))
         else:
-            nd.accumulate(u, np.einsum("dtb,tb->db", picked_keys.reshape(cube.shape),
+            nd.accumulate(u, np.einsum("dtb,tb->db", keys.data.reshape(cube.shape),
                                        d_scores))
-        d_states = (g * a).reshape(dim, -1)
-        d_keys = (u.data.reshape(dim, 1, -1) * d_scores).reshape(dim, -1)
-        if cols is None:
-            nd.accumulate(states, d_states)
-            nd.accumulate(keys, d_keys)
-        else:
-            nd.accumulate_cols(states, cols, d_states)
-            nd.accumulate_cols(keys, cols, d_keys)
+        nd.accumulate(states, (g * a).reshape(dim, -1))
+        nd.accumulate(keys, (u.data.reshape(dim, 1, -1) * d_scores).reshape(dim, -1))
 
     nd.record(back)
     return pooled, alpha
@@ -510,16 +540,75 @@ def scan_words(sents: Sequence[tuple[np.ndarray, np.ndarray]], gru: BiGruParams,
     return bigru_scan(x, steps, gru, _step_mask(lens, steps)), np.asarray(lens)
 
 
+def keyed_rows(states: Tensor, w: Tensor) -> tuple[Tensor, Tensor]:
+    """The (n, s) rows of the step-major (s, n) ``states`` and their
+    attention keys tanh(W h), also as rows, for ``pool_words`` to gather
+    from: a sentence's state at one step is then one contiguous row. One
+    copy, one product, one tape step."""
+    dim = states.shape[0]
+    if w.shape != (dim, dim):
+        raise ShapeError(f"attention weights {w.shape} do not fit {dim}-dim states")
+    rows = Tensor(states.data.T.copy())
+    data = rows.data @ w.data.T
+    np.tanh(data, out=data)
+    keys = Tensor(data)
+
+    def back():
+        d_pre = keys.grad
+        if d_pre is not None:
+            # Every pool over these rows comes later on the tape, so all
+            # their backwards have run: the buffer is scaled in place and
+            # released now, not when the graph dies.
+            d_pre *= 1.0 - data * data
+            keys.grad = None
+            nd.accumulate(w, d_pre.T @ rows.data)
+            nd.accumulate(rows, d_pre @ w.data)
+        if rows.grad is not None:
+            nd.accumulate(states, rows.grad.T)
+            rows.grad = None
+
+    nd.record(back)
+    return rows, keys
+
+
 def pool_words(states: Tensor, keys: Tensor, lens: np.ndarray, sel: np.ndarray,
                u: Tensor) -> Tensor:
-    """Attentive pool of the sentences ``sel`` (indices, in order) out of
-    ``scan_words`` states into one (2H,) column each, under the context ``u``:
-    ``pool_steps`` over those sentences' columns of the states and of their
-    ``attention_keys``, cut to the longest picked sentence."""
+    """Attentive pool of the sentences ``sel`` (indices, in order, repeats
+    allowed) into one (2H,) column each, under the context ``u`` (s values).
+
+    ``states`` and ``keys`` are the ``keyed_rows`` of ``scan_words`` states,
+    row t * n + j for step t of sentence j. Every key is scored under ``u``
+    in one product; the picked sentences' scores, cut to the longest of
+    them, go through the masked softmax over steps, and only their state
+    rows are gathered and summed. The backward adds into the gradients of
+    the rows it read. One tape step.
+    """
+    dim = states.shape[1]
+    if keys.shape != states.shape:
+        raise ShapeError(f"keys {keys.shape} do not match states {states.shape}")
+    if u.size != dim:
+        raise ShapeError(f"context {u.shape} does not fit {dim}-dim states")
     picked = lens[sel]
-    steps = int(picked.max())
-    cols = (np.arange(steps)[:, None] * len(lens) + sel).reshape(-1)
-    return pool_steps(states, keys, steps, u, _step_mask(picked, steps), cols)[0]
+    steps, batch = int(picked.max()), len(sel)
+    at = (np.arange(steps)[:, None] * len(lens) + sel).reshape(-1)
+    scores = (keys.data @ u.data.reshape(dim))[at].reshape(steps, batch)
+    a = _attention(scores, _step_mask(picked, steps))
+    pooled = Tensor(np.einsum("tbd,tb->db", states.data[at].reshape(steps, batch, dim), a))
+
+    def back():
+        if pooled.grad is None:
+            return
+        g = pooled.grad.T
+        # The rows are gathered again rather than kept: each case's closure
+        # would otherwise hold a copy of its rows until the sweep reaches it.
+        d_alpha = np.einsum("tbd,bd->tb", states.data[at].reshape(steps, batch, dim), g)
+        d_scores = (a * (d_alpha - (a * d_alpha).sum(axis=0))).reshape(-1)
+        nd.accumulate(u, (d_scores @ keys.data[at]).reshape(u.shape))
+        nd.accumulate_rows(states, at, (a[:, :, None] * g).reshape(-1, dim))
+        nd.accumulate_rows(keys, at, np.multiply.outer(d_scores, u.data.reshape(dim)))
+
+    nd.record(back)
+    return pooled
 
 
 def encode_groups(x: Tensor, lens: Sequence[int], gru: BiGruParams,

@@ -12,7 +12,7 @@ Ops record their backward closures on the innermost active ``Tape``;
 with no tape active they run forward-only, which is the inference path.
 Fused ops defined elsewhere use the same hooks: ``recording`` says whether
 to keep what backward needs, ``record`` appends the closure, and
-``accumulate`` (or ``accumulate_cols``, for some columns) adds into an
+``accumulate`` (or ``accumulate_rows``, for some rows) adds into an
 input's gradient. ``no_recording`` runs a block forward-only inside a tape.
 
 ``Tape.backward`` runs each closure once and drops it, so the activations a
@@ -46,7 +46,7 @@ __all__ = [
     "take_cols", "embed", "reshape", "softmax", "cross_entropy",
     "sgd_step", "parameter", "zeros",
     "save_arrays", "load_arrays", "FORMAT_VERSION",
-    "record", "accumulate", "accumulate_cols", "recording", "no_recording", "logistic",
+    "record", "accumulate", "accumulate_rows", "recording", "no_recording", "logistic",
     "atomic_write", "ParamGroup",
 ]
 
@@ -223,21 +223,15 @@ def accumulate(t: Tensor, delta: np.ndarray) -> None:
     t.grad += delta
 
 
-def accumulate_cols(t: Tensor, cols: np.ndarray, delta: np.ndarray) -> None:
-    """Add column i of ``delta`` into column ``cols[i]`` of the 2-D ``t.grad``;
-    repeated columns sum.
-
-    A buffer allocated here is column-major, so that each column added is
-    contiguous: a few hundred columns out of a wide buffer add about three
-    times faster than into a row-major one. Elementwise use of the gradient
-    does not depend on its layout.
-    """
+def accumulate_rows(t: Tensor, rows: np.ndarray, delta: np.ndarray) -> None:
+    """Add row i of ``delta`` into row ``rows[i]`` of ``t.grad``; repeated
+    rows sum."""
     if t.grad is None:
-        t.grad = np.zeros(t.shape, order="F")
-    if len(np.unique(cols)) < len(cols):
-        np.add.at(t.grad, (slice(None), cols), delta)
+        t.grad = np.zeros_like(t.data)
+    if len(np.unique(rows)) < len(rows):
+        np.add.at(t.grad, rows, delta)
     else:
-        t.grad.T[cols] += delta.T
+        t.grad[rows] += delta
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -620,10 +614,14 @@ def load_arrays(path, kind: str, fields: dict[str, type]) -> tuple[dict[str, np.
             if not isinstance(archive, np.lib.npyio.NpzFile):
                 raise ValueError("it holds one .npy array")
             with archive:
-                bad = archive.zip.testzip()
-                if bad is not None:
-                    raise zipfile.BadZipFile(f"member {bad!r} fails its CRC-32 check")
-                arrays = {name: archive[name] for name in archive.files}
+                arrays = {}
+                # Reading a member to its end checks its CRC-32.
+                for member in archive.zip.namelist():
+                    try:
+                        arrays[member.removesuffix(".npy")] = archive[member]
+                    except zipfile.BadZipFile as exc:
+                        raise zipfile.BadZipFile(
+                            f"member {member!r} fails its CRC-32 check") from exc
         # A corrupt header byte can also make zipfile seek before the start
         # (OSError) or see an unsupported compression (NotImplementedError)
         # or encryption (RuntimeError). The file itself opened above.

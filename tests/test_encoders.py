@@ -499,6 +499,42 @@ class TestFusedScan:
         for (name, _), g, w in zip([("x", x)] + list(p.named()), got_g, want_g):
             npt.assert_allclose(g, w, rtol=0, atol=1e-10, err_msg=name)
 
+    @pytest.mark.parametrize("batch", [1, 4, 20, 96])
+    @pytest.mark.parametrize("steps", [1, 3, 7, 20])
+    @pytest.mark.parametrize("masked", [True, False])
+    def test_matches_the_step_major_scan_bit_for_bit(self, steps, batch, masked):
+        """At paper width (D=150, H=75) the iteration-major buffers give the
+        states and the gradients of x, w, u and b of the step-major scan
+        exactly. Masked batches hold a length-1 column beside a full one, the
+        backward direction's reversal edge.
+
+        One product is the exception: with one column and several steps, the
+        step-major BPTT handed each step's (2H, 1) gate gradient to the
+        recurrent gemv as a vector strided by T, which OpenBLAS rounds
+        differently from the contiguous vector it gets now (and got at T=1),
+        so those gradients agree to the last bits only."""
+        p, x, _, _ = self.setup(1000 * steps + batch, steps, batch, in_dim=150, hidden=75)
+        rng = np.random.default_rng(steps * batch)
+        mask = None
+        if masked:
+            lengths = rng.integers(1, steps + 1, batch)
+            lengths[0], lengths[-1] = 1, steps
+            mask = (np.arange(steps)[:, None] < lengths).astype(float)
+        d_states = rng.uniform(-1, 1, (150, steps * batch))
+        want = oracle.step_major_scan(x.data, steps, p, mask, d_states)
+        tensors = [x, p.w, p.u, p.b]
+        with Tape() as tape:
+            states = enc.bigru_scan(x, steps, p, mask)
+            tape.backward(tsum(states * d_states), tensors)
+        got = [states.data] + [t.grad for t in tensors]
+        npt.assert_array_equal(got[0], want[0])
+        for name, g, w in zip(["x", "w", "u", "b"], got[1:], want[1:]):
+            if batch == 1 and steps > 1:
+                npt.assert_allclose(g, w, rtol=0, atol=1e-14, err_msg=name)
+            else:
+                npt.assert_array_equal(g, w, err_msg=name)
+        npt.assert_array_equal(enc.bigru_scan(x, steps, p, mask).data, want[0])
+
     def test_shape_errors(self):
         p, x, _, mask = self.setup(45, 4, 3)
         with pytest.raises(ShapeError):
@@ -512,8 +548,8 @@ class TestFusedScan:
 
 
 class TestFusedPool:
-    """attentive_pool_steps, and pool_steps over gathered columns, against the
-    per-position composite pool."""
+    """attentive_pool_steps, and pool_words over gathered steps of shared
+    states, against the per-position composite pool."""
 
     def setup(self, seed, steps, batch, dim=4):
         rng = np.random.default_rng(seed)
@@ -588,45 +624,47 @@ class TestFusedPool:
         report = grad_check(loss, [("states", states), ("w", w), ("u", u)])
         assert report.ok, report.failures()
 
-    def gathered(self, seed, steps, batch, dim=4):
-        """Shared states wider than the pooled sequences, step-major ``cols``
-        into them with a repeated column, an (s, B) context and a mask."""
+    def gathered(self, seed, steps, n_sents, masked, dim=4):
+        """Step-major states of ``n_sents`` sentences, more than are pooled;
+        picks into them, out of order and with a repeated sentence; one
+        context. Unmasked, every sentence is ``steps`` long."""
         rng = np.random.default_rng(seed)
-        states = Tensor(rng.uniform(-2, 2, (dim, steps * batch + 3)))
-        cols = rng.permutation(states.shape[1])[:steps * batch]
-        cols[-1] = cols[0]
+        lens = rng.integers(1, steps + 1, n_sents) if masked else np.full(n_sents, steps)
+        states = Tensor(rng.uniform(-2, 2, (dim, steps * n_sents)))
+        sel = rng.permutation(n_sents)[:n_sents - 1]
+        sel[-1] = sel[0]
         w = Tensor(rng.uniform(-1, 1, (dim, dim)))
-        u = Tensor(rng.uniform(-1, 1, (dim, batch)))
-        _, mask = padded_batch(rng, steps, batch)
-        return states, cols, w, u, mask
+        u = Tensor(rng.uniform(-1, 1, (dim, 1)))
+        return states, lens, sel, w, u
 
     @pytest.mark.parametrize("seed", range(4))
     @pytest.mark.parametrize("masked", [True, False])
     def test_gathered_columns_match_oracle(self, seed, masked):
-        """``pool_steps`` over ``cols`` of shared states and keys equals the
-        oracle pool of those columns, gradients summed over the repeat."""
+        """``pool_words`` over the ``keyed_rows`` of shared states equals the
+        oracle pool of the picked sentences' columns, gradients summed over
+        the repeat."""
         rng = np.random.default_rng(120 + seed)
-        steps, batch = int(rng.integers(1, 7)), int(rng.integers(2, 5))
-        states, cols, w, u, mask = self.gathered(seed, steps, batch)
-        mask = mask if masked else None
+        steps, n_sents = int(rng.integers(1, 7)), int(rng.integers(3, 6))
+        states, lens, sel, w, u = self.gathered(seed, steps, n_sents, masked)
+        picked = lens[sel]
+        top = int(picked.max())
+        cols = (np.arange(top)[:, None] * n_sents + sel).reshape(-1)
+        mask = (np.arange(top)[:, None] < picked).astype(float)
         tensors = [states, w, u]
-        got, got_g = taped_grads(lambda: list(enc.pool_steps(
-            states, enc.attention_keys(states, w), steps, u, mask, cols)), tensors)
-        want, want_g = taped_grads(lambda: list(oracle.attentive_pool_steps(
-            nd.take_cols(states, cols), steps, w, u, mask)), tensors)
+        got, got_g = taped_grads(
+            lambda: [enc.pool_words(*enc.keyed_rows(states, w), lens, sel, u)], tensors)
+        want, want_g = taped_grads(lambda: [oracle.attentive_pool_steps(
+            nd.take_cols(states, cols), top, w, u, mask if masked else None)[0]], tensors)
         for g, wv in zip(got + got_g, want + want_g):
             npt.assert_allclose(g, wv, rtol=0, atol=1e-10)
 
     @pytest.mark.parametrize("masked", [True, False])
     def test_gathered_columns_grad_check(self, masked):
-        states, cols, w, u, mask = self.gathered(58, 4, 3, dim=3)
+        states, lens, sel, w, u = self.gathered(58, 4, 4, masked, dim=3)
         weights = Tensor(np.random.default_rng(59).uniform(-1, 1, (3, 3)))
-        mask = mask if masked else None
 
         def loss():
-            keys = enc.attention_keys(states, w)
-            pooled, alpha = enc.pool_steps(states, keys, 4, u, mask, cols)
-            return tsum(pooled * weights) + tsum(alpha * alpha)
+            return tsum(enc.pool_words(*enc.keyed_rows(states, w), lens, sel, u) * weights)
 
         report = grad_check(loss, [("states", states), ("w", w), ("u", u)])
         assert report.ok, report.failures()
@@ -651,8 +689,8 @@ class TestFusedPool:
 
 
 class TestWordPool:
-    """``attention_keys`` once over shared states, then ``pool_words`` per set
-    of sentences, against ``attentive_pool_steps`` over each set's own columns."""
+    """``keyed_rows`` once over shared states, then ``pool_words`` per set of
+    sentences, against ``attentive_pool_steps`` over each set's own columns."""
 
     def setup(self, seed, dim=4):
         rng = np.random.default_rng(seed)
@@ -665,8 +703,8 @@ class TestWordPool:
 
     def pooled(self, lens, states, w, contexts, picks, split):
         if split:
-            keys = enc.attention_keys(states, w)
-            return [enc.pool_words(states, keys, lens, sel, u)
+            rows, keys = enc.keyed_rows(states, w)
+            return [enc.pool_words(rows, keys, lens, sel, u)
                     for sel, u in zip(picks, contexts)]
         out = []
         for sel, u in zip(picks, contexts):
@@ -713,6 +751,10 @@ class TestWordPool:
         lens, states, w, contexts = self.setup(9)
         with pytest.raises(ShapeError):
             enc.attention_keys(states, Tensor(np.zeros((3, 4))))
-        keys = enc.attention_keys(states, w)
         with pytest.raises(ShapeError):
-            enc.pool_words(states, keys, lens, np.array([0]), Tensor(np.zeros((4, 2))))
+            enc.keyed_rows(states, Tensor(np.zeros((3, 4))))
+        rows, keys = enc.keyed_rows(states, w)
+        with pytest.raises(ShapeError):
+            enc.pool_words(rows, keys, lens, np.array([0]), Tensor(np.zeros((4, 2))))
+        with pytest.raises(ShapeError):
+            enc.pool_words(rows, states, lens, np.array([0]), contexts[0])

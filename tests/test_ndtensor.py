@@ -341,19 +341,19 @@ class TestBackward:
         assert not nd.recording()
 
     @pytest.mark.parametrize("repeats", [False, True])
-    def test_accumulate_cols_matches_add_at(self, repeats):
-        """Columns add into a fresh or a held buffer as ``np.add.at`` adds them."""
+    def test_accumulate_rows_matches_add_at(self, repeats):
+        """Rows add into a fresh or a held buffer as ``np.add.at`` adds them."""
         rng = np.random.default_rng(12)
-        a = Tensor(rng.uniform(-2, 2, (5, 30)))
-        cols = rng.integers(0, 30, 40) if repeats else rng.permutation(30)[:12]
-        delta = rng.uniform(-1, 1, (5, len(cols)))
+        a = Tensor(rng.uniform(-2, 2, (30, 5)))
+        rows = rng.integers(0, 30, 40) if repeats else rng.permutation(30)[:12]
+        delta = rng.uniform(-1, 1, (len(rows), 5))
         want = np.zeros_like(a.data)
-        np.add.at(want.T, cols, delta.T)
-        nd.accumulate_cols(a, cols, delta)
+        np.add.at(want, rows, delta)
+        nd.accumulate_rows(a, rows, delta)
         npt.assert_array_equal(a.grad, want)
         held = rng.uniform(-1, 1, a.shape)
         a.grad = held.copy()
-        nd.accumulate_cols(a, cols, delta)
+        nd.accumulate_rows(a, rows, delta)
         npt.assert_allclose(a.grad, held + want, rtol=0, atol=1e-15)
 
     def test_custom_op_through_public_hooks(self):
@@ -434,8 +434,8 @@ class TestSgd:
     def test_backward_sweeps_into_the_parked_buffer(self):
         """After a step, a fresh backward reuses each parameter's buffer and
         gives the bits a fresh buffer would: through a product, an embedding
-        lookup and a column gather (scatters) and ``accumulate_cols``, whose
-        buffers are column-major."""
+        lookup and a column gather (scatters) and ``accumulate_rows``, with
+        repeated indices."""
         rng = np.random.default_rng(8)
         ids, cols = np.array([2, 0, 2, 3]), np.array([1, 1, 0])
         x = rng.uniform(-1, 1, (3, 3))
@@ -443,8 +443,8 @@ class TestSgd:
         def loss_of(table, w, gathered, added):
             h = nd.tanh(nd.matmul(w, nd.embed(table, ids)))
             g = nd.take_cols(gathered, cols)
-            a = Tensor(added.data[:, cols])
-            nd.record(lambda: nd.accumulate_cols(added, cols, a.grad))
+            a = Tensor(added.data[cols])
+            nd.record(lambda: nd.accumulate_rows(added, cols, a.grad))
             return (tsum(nd.mul(nd.mul(h, h), 0.5)) + tsum(nd.matmul(g, Tensor(x)))
                     + tsum(nd.mul(a, a)))
 
