@@ -36,8 +36,9 @@ no tensor, and records nothing even inside a ``Tape``. The layers:
   case's gold articles, at most k);
 * the classifier and the softmax run once on (·, B).
 
-Every pool keys its states in one step and scores them in one step. The
-word-level Bi-GRU states of an article do not depend on the fact, and
+Every column pool computes its keys tanh(W h), scores them and sums in one
+step (``attentive_pool_steps``). The article word level is the exception:
+the word-level Bi-GRU states of an article do not depend on the fact, and
 neither do their word-attention keys tanh(W_aw h) (only the context u_aw
 does), so both are computed once, held as (steps * sentences, state_dim)
 rows by ``keyed_rows``, and shared by the word pools of every case:
@@ -739,11 +740,12 @@ def load_model(path, article_db: dict | None = None) -> ChargeModel:
     """Inverse of ``save_model``. Besides the faults ``nd.load_arrays``
     rejects, a vocabulary entry that is not a string or that repeats an
     earlier one, a word or POS vocabulary without ``<pad>`` at ``PAD_ID``
-    and ``<unk>`` at ``UNK_ID``, a tau outside (0, 1), a config
-    ``ModelConfig`` rejects, an article id that is not one, or a tensor
-    whose name, shape or dtype does not fit the configured model raises
-    ``StateError`` naming the file. The file's arrays replace the zeros of
-    an undrawn ``ModelParams.create`` layout."""
+    and ``<unk>`` at ``UNK_ID``, a tau outside (0, 1), a config that lacks
+    a ``ModelConfig`` field, holds one it does not know or holds values it
+    rejects, an article id that is not one, or a tensor whose name, shape
+    or dtype does not fit the configured model raises ``StateError`` naming
+    the file. The file's arrays replace the zeros of an undrawn
+    ``ModelParams.create`` layout."""
     source = f"model file {path}"
     arrays, meta = nd.load_arrays(path, "model", MODEL_FIELDS)
     for key in ("charge_vocab", "word_vocab", "pos_vocab"):
@@ -760,9 +762,13 @@ def load_model(path, article_db: dict | None = None) -> ChargeModel:
                              f"and '<unk>' at {UNK_ID}")
     if not 0.0 < meta["tau"] < 1.0:
         raise StateError(f"{source} has tau {meta['tau']!r}, outside (0, 1)")
-    unknown = sorted(set(meta["config"]) - {f.name for f in fields(ModelConfig)})
+    known = {f.name for f in fields(ModelConfig)}
+    unknown = sorted(set(meta["config"]) - known)
     if unknown:
         raise StateError(f"{source} has config fields this version does not know: {unknown}")
+    missing = sorted(known - set(meta["config"]))
+    if missing:
+        raise StateError(f"{source} has no config fields {missing}")
     try:
         config = ModelConfig(**meta["config"])
     except (TypeError, ValueError) as exc:

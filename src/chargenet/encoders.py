@@ -8,7 +8,7 @@ order update (z), reset (r), candidate (h).
 
 A sequence of T steps over a batch of B columns is held stacked too: one
 (dim, T*B) tensor whose columns are step-major (step t owns columns
-t*B .. t*B+B-1). Three ops work on that layout, each recording a single
+t*B .. t*B+B-1). Two ops work on that layout, each recording a single
 backward closure per call:
 
 * ``bigru_scan`` hoists the input projections of every gate into one
@@ -25,33 +25,29 @@ backward closure per call:
   same blocks; the weight and input gradients are single products over the
   step-major T*B columns. Layouts change only at the op's boundary, and the
   step-major loop it replaced is kept with the tests as its reference.
-* ``attention_keys`` computes the keys tanh(W h) of every state in one
-  product. The keys do not depend on the context, so one key step can serve
-  several pools.
-* ``pool_steps`` is the one attentive pool: it scores the keys under a
-  context, takes the masked softmax over the steps of each column and the
-  weighted sum. Its context is either one (s,) vector shared by all B
-  sequences (a trained global context, or one case's fact-driven context)
-  or an (s, B) matrix whose column j is the context of sequence j, so that
-  sequences of different cases pool in one call.
+* ``attentive_pool_steps`` is the attentive pool: it computes the keys
+  tanh(W h) of every state in one product, scores them under a context,
+  takes the masked softmax over the steps of each column and the weighted
+  sum. Its context is either one (s,) vector shared by all B sequences (a
+  trained global context, or one case's fact-driven context) or an (s, B)
+  matrix whose column j is the context of sequence j, so that sequences of
+  different cases pool in one call.
 
-``attentive_pool_steps`` is the two calls in a row, keys then pool, over one
-batch of sequences; the fact encoder, the article sentence level and the
-aggregator pool through it. An optional (T, B) 0/1 mask makes right-padded
-sequences encode exactly like their unpadded counterparts: masked steps pass
-the previous state through and get no attention. ``encode_documents`` runs
-the two-level document encoder; ``encode_groups`` runs a level over
-variable-length sequences laid out one after another.
+An optional (T, B) 0/1 mask makes right-padded sequences encode exactly
+like their unpadded counterparts: masked steps pass the previous state
+through and get no attention. ``scan_words`` embeds and scans sentences as
+one padded batch; ``encode_documents`` runs the two-level document encoder
+on top of it; ``encode_groups`` runs a level over variable-length sequences
+laid out one after another.
 
 The article word level pools one scan under many contexts, each over a few
-of its sentences, so it holds the scan as rows: ``scan_words`` runs the
-Bi-GRU over all of the sentences, and ``keyed_rows`` copies the states into
-(T*B, s) rows and keys every row once, so that a sentence's state at one
-step is one contiguous row. Each ``pool_words`` call then scores every key
-under its context in one product, picks its sentences' scores and gathers
-only their state rows; its backward adds into the gradients of those rows.
-The key step turns the summed key and row gradients of every pool into W's
-and the states' gradients once.
+of its sentences, so it holds the scan as rows: ``keyed_rows`` copies the
+``scan_words`` states into (T*B, s) rows and keys every row once, so that a
+sentence's state at one step is one contiguous row. Each ``pool_words``
+call then scores every key under its context in one product, picks its
+sentences' scores and gathers only their state rows; its backward adds into
+the gradients of those rows. The key step turns the summed key and row
+gradients of every pool into W's and the states' gradients once.
 
 Every pooling level takes its context from the caller, explicitly: a pool's
 trained global ``u`` or a context generated per case; there is no default.
@@ -359,33 +355,6 @@ def bigru_scan(x: Tensor, steps: int, p: BiGruParams,
     return out
 
 
-def attention_keys(states: Tensor, w: Tensor) -> Tensor:
-    """The attention keys tanh(W h) of every column of the (s, n) ``states``,
-    which ``pool_steps`` scores under any context. One product, one tape
-    step."""
-    dim = states.shape[0]
-    if w.shape != (dim, dim):
-        raise ShapeError(f"attention weights {w.shape} do not fit {dim}-dim states")
-    data = w.data @ states.data
-    np.tanh(data, out=data)
-    keys = Tensor(data)
-
-    def back():
-        d_pre = keys.grad
-        if d_pre is None:
-            return
-        # Every pool over these keys comes later on the tape, so all their
-        # backwards have run: the buffer is scaled in place and released now,
-        # not when the graph dies.
-        d_pre *= 1.0 - data * data
-        keys.grad = None
-        nd.accumulate(w, d_pre @ states.data.T)
-        nd.accumulate(states, w.data.T @ d_pre)
-
-    nd.record(back)
-    return keys
-
-
 def _attention(scores: np.ndarray, mask: np.ndarray | None) -> np.ndarray:
     """Softmax over the steps (axis 0) of (steps, B) scores; masked steps
     get exactly 0."""
@@ -399,28 +368,30 @@ def _attention(scores: np.ndarray, mask: np.ndarray | None) -> np.ndarray:
     return e / e.sum(axis=0)
 
 
-def pool_steps(states: Tensor, keys: Tensor, steps: int, u: Tensor,
-               mask: np.ndarray | None = None) -> tuple[Tensor, Tensor]:
-    """Attentive pool of step-major stacked states (s, steps*B) under their
-    ``attention_keys``: scores k^T u, takes the softmax over the steps of each
-    column (masked steps get exactly 0) and returns the (s, B) weighted sums
+def attentive_pool_steps(states: Tensor, steps: int, w: Tensor, u: Tensor,
+                         mask: np.ndarray | None = None) -> tuple[Tensor, Tensor]:
+    """Attentive pool of step-major stacked states (s, steps*B): keys
+    tanh(W h) in one product, scores k^T u, the softmax over the steps of
+    each column (masked steps get exactly 0), and the (s, B) weighted sums
     with the (steps, B) attention.
 
     The context ``u`` holds s values shared by all B sequences, or is (s, B):
     column j is the context of sequence j. One tape step.
     """
-    if keys.shape != states.shape:
-        raise ShapeError(f"keys {keys.shape} do not match states {states.shape}")
     batch = _step_batch(states.data, steps, mask)
     dim = states.shape[0]
+    if w.shape != (dim, dim):
+        raise ShapeError(f"attention weights {w.shape} do not fit {dim}-dim states")
     if not (u.size == dim or u.shape == (dim, batch)):
         raise ShapeError(f"context {u.shape} does not fit {batch} sequences of "
                          f"{dim}-dim states")
+    keys = w.data @ states.data
+    np.tanh(keys, out=keys)
     cube = states.data.reshape(dim, steps, batch)
     if u.size == dim:
-        scores = (u.data.reshape(dim, 1).T @ keys.data).reshape(steps, batch)
+        scores = (u.data.reshape(dim, 1).T @ keys).reshape(steps, batch)
     else:
-        scores = np.einsum("dtb,db->tb", keys.data.reshape(cube.shape), u.data)
+        scores = np.einsum("dtb,db->tb", keys.reshape(cube.shape), u.data)
     a = _attention(scores, mask)
     alpha, pooled = Tensor(a), Tensor((cube * a).sum(axis=1))
 
@@ -434,22 +405,17 @@ def pool_steps(states: Tensor, keys: Tensor, steps: int, u: Tensor,
             d_alpha += alpha.grad
         d_scores = a * (d_alpha - (a * d_alpha).sum(axis=0))
         if u.size == dim:
-            nd.accumulate(u, (keys.data @ d_scores.reshape(-1, 1)).reshape(u.shape))
+            nd.accumulate(u, (keys @ d_scores.reshape(-1, 1)).reshape(u.shape))
         else:
-            nd.accumulate(u, np.einsum("dtb,tb->db", keys.data.reshape(cube.shape),
-                                       d_scores))
+            nd.accumulate(u, np.einsum("dtb,tb->db", keys.reshape(cube.shape), d_scores))
         nd.accumulate(states, (g * a).reshape(dim, -1))
-        nd.accumulate(keys, (u.data.reshape(dim, 1, -1) * d_scores).reshape(dim, -1))
+        d_pre = (u.data.reshape(dim, 1, -1) * d_scores).reshape(dim, -1)
+        d_pre *= 1.0 - keys * keys
+        nd.accumulate(w, d_pre @ states.data.T)
+        nd.accumulate(states, w.data.T @ d_pre)
 
     nd.record(back)
     return pooled, alpha
-
-
-def attentive_pool_steps(states: Tensor, steps: int, w: Tensor, u: Tensor,
-                         mask: np.ndarray | None = None) -> tuple[Tensor, Tensor]:
-    """Attentive pooling of step-major stacked states (s, steps*B):
-    ``attention_keys`` under ``w``, then ``pool_steps`` under ``u``."""
-    return pool_steps(states, attention_keys(states, w), steps, u, mask)
 
 
 def _stack(seq: Sequence[Tensor]) -> tuple[Tensor, bool]:
@@ -491,53 +457,36 @@ def attentive_pool(states: Sequence[Tensor], w: Tensor, u: Tensor,
     return pooled, alpha
 
 
-def _step_mask(lengths: list[int], steps: int) -> np.ndarray | None:
+def _step_mask(lengths: Sequence[int], steps: int) -> np.ndarray | None:
     """(steps, B) 0/1 mask of right-padded sequences; None when nothing is padded."""
     if min(lengths) == steps:
         return None
     return (np.arange(steps)[:, None] < np.asarray(lengths)[None, :]).astype(np.float64)
 
 
-def _encode_level(x: Tensor, steps: int, lengths: list[int], gru: BiGruParams,
-                  pool: AttentivePoolParams, u: Tensor) -> tuple[Tensor, Tensor]:
-    """One Bi-GRU + attentive pool over a padded, step-major stacked batch."""
-    mask = _step_mask(lengths, steps)
-    return attentive_pool_steps(bigru_scan(x, steps, gru, mask), steps, pool.w, u, mask)
-
-
-def embed_words(sents: Sequence[tuple[np.ndarray, np.ndarray]],
-                embed_tokens: Callable[[np.ndarray, np.ndarray], Tensor],
-                ) -> tuple[Tensor, list[int]]:
-    """Input columns of sentences as one right-padded, step-major batch.
+def scan_words(sents: Sequence[tuple[np.ndarray, np.ndarray]], gru: BiGruParams,
+               embed_tokens: Callable[[np.ndarray, np.ndarray], Tensor],
+               ) -> tuple[Tensor, np.ndarray]:
+    """Word-level Bi-GRU states of sentences as one right-padded, step-major
+    batch: the (2H, max_len * n_sentences) states and the sentence lengths.
 
     Each sentence is a pair of id arrays (word ids, pos ids). ``embed_tokens``
     turns id arrays into input columns; it is called once, with the ids of
-    every word position laid out step-major and padded with id 0. Returns the
-    (input_dim, max_len * n_sentences) columns and the sentence lengths.
+    every word position laid out step-major and padded with id 0.
     """
     if not sents:
         raise DomainError("no sentences to encode")
-    lens = [len(wids) for wids, _ in sents]
-    if min(lens) == 0:
+    lens = np.array([len(wids) for wids, _ in sents])
+    if lens.min() == 0:
         raise DomainError("sentence with no tokens")
-    steps = max(lens)
+    steps = int(lens.max())
     wid = np.zeros((steps, len(sents)), dtype=np.intp)
     pid = np.zeros((steps, len(sents)), dtype=np.intp)
     for j, (wids, pids) in enumerate(sents):
         wid[:len(wids), j] = wids
         pid[:len(pids), j] = pids
-    return embed_tokens(wid.reshape(-1), pid.reshape(-1)), lens
-
-
-def scan_words(sents: Sequence[tuple[np.ndarray, np.ndarray]], gru: BiGruParams,
-               embed_tokens: Callable[[np.ndarray, np.ndarray], Tensor],
-               ) -> tuple[Tensor, np.ndarray]:
-    """Word-level Bi-GRU states of sentences (embedded by ``embed_words``),
-    to be pooled later by ``pool_words``: the step-major
-    (2H, max_len * n_sentences) states and the sentence lengths."""
-    x, lens = embed_words(sents, embed_tokens)
-    steps = max(lens)
-    return bigru_scan(x, steps, gru, _step_mask(lens, steps)), np.asarray(lens)
+    x = embed_tokens(wid.reshape(-1), pid.reshape(-1))
+    return bigru_scan(x, steps, gru, _step_mask(lens, steps)), lens
 
 
 def keyed_rows(states: Tensor, w: Tensor) -> tuple[Tensor, Tensor]:
@@ -628,7 +577,8 @@ def encode_groups(x: Tensor, lens: Sequence[int], gru: BiGruParams,
         idx = first[None, :] + np.minimum(np.arange(steps)[:, None],
                                           np.asarray(lens)[None, :] - 1)
         x = nd.take_cols(x, idx.reshape(-1))
-    return _encode_level(x, steps, list(lens), gru, pool, u)
+    mask = _step_mask(lens, steps)
+    return attentive_pool_steps(bigru_scan(x, steps, gru, mask), steps, pool.w, u, mask)
 
 
 def encode_documents(docs: Sequence[Sequence[tuple[np.ndarray, np.ndarray]]],
@@ -640,7 +590,7 @@ def encode_documents(docs: Sequence[Sequence[tuple[np.ndarray, np.ndarray]]],
     context ``u_word`` and sentences under ``u_sent``.
 
     Each document is a list of sentences; each sentence a pair of id arrays
-    (word ids, pos ids), embedded as ``embed_words`` describes. Returns the
+    (word ids, pos ids), scanned as ``scan_words`` describes. Returns the
     document embeddings as columns of a single (state_dim, n_docs) tensor
     plus per-sentence word attention and per-document sentence attention as
     plain arrays.
@@ -650,9 +600,11 @@ def encode_documents(docs: Sequence[Sequence[tuple[np.ndarray, np.ndarray]]],
     if any(not doc for doc in docs):
         raise DomainError("document with no sentences")
 
-    x, word_lens = embed_words([sent for doc in docs for sent in doc], embed_tokens)
-    sent_emb, word_alpha = _encode_level(x, max(word_lens), word_lens, p.word_gru,
-                                         p.word_pool, u_word)
+    states, word_lens = scan_words([sent for doc in docs for sent in doc], p.word_gru,
+                                   embed_tokens)
+    steps = int(word_lens.max())
+    sent_emb, word_alpha = attentive_pool_steps(states, steps, p.word_pool.w, u_word,
+                                                _step_mask(word_lens, steps))
     sent_lens = [len(doc) for doc in docs]
     d_emb, sent_alpha = encode_groups(sent_emb, sent_lens, p.sent_gru, p.sent_pool, u_sent)
 

@@ -439,8 +439,8 @@ def reshape(a: Tensor, shape) -> Tensor:
 def softmax(logits: Tensor, axis: int = 0) -> Tensor:
     """Stable softmax along ``axis``; outputs sum to 1 over the axis.
 
-    It has no mask: the masked softmax over sequence steps lives inside
-    ``encoders.pool_steps``, the one attentive pool. A logit of -inf gets exactly 0 and no
+    It has no mask: the masked softmax over sequence steps lives inside the
+    encoders' attentive pools. A logit of -inf gets exactly 0 and no
     gradient, as long as its slice holds a finite one.
     """
     x = logits.data

@@ -2,9 +2,9 @@
 
 Each recurrence step is one ``enc.gru_step`` and each pooled position a
 handful of elementwise tape ops, so every gradient comes from the generic
-per-op backward rules. ``bigru_scan`` and ``attentive_pool_steps``
-(``attention_keys`` then ``pool_steps``) must agree with these on values and
-gradients.
+per-op backward rules. ``bigru_scan`` and ``attentive_pool_steps`` (keys,
+scores, masked softmax and weighted sum in one op) must agree with these on
+values and gradients.
 
 ``step_major_scan`` is the fused scan as it ran on step-major buffers, with
 strided per-step slices; ``enc.bigru_scan``, which lays its buffers out by

@@ -749,8 +749,9 @@ class TestWordPool:
 
     def test_shapes_checked(self):
         lens, states, w, contexts = self.setup(9)
-        with pytest.raises(ShapeError):
-            enc.attention_keys(states, Tensor(np.zeros((3, 4))))
+        with pytest.raises(ShapeError, match="attention weights"):
+            enc.attentive_pool_steps(states, int(lens.max()), Tensor(np.zeros((3, 4))),
+                                     contexts[0])
         with pytest.raises(ShapeError):
             enc.keyed_rows(states, Tensor(np.zeros((3, 4))))
         rows, keys = enc.keyed_rows(states, w)

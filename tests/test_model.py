@@ -113,14 +113,23 @@ def test_training_history_matches_composite_encoders(data, bank, variant, monkey
     assert_forwards_close(fused_traces, composite_traces)
 
 
+def seeded_training(data, bank, variant):
+    """A seeded 2-epoch ``train()`` at tiny dims: the model and its history."""
+    config = cm.ModelConfig(variant=variant, max_epochs=2, patience=5, **TINY_DIMS)
+    return cm.train(data.train, data.valid, config, seed=4, bank=bank,
+                    article_db=data.article_db)
+
+
 def training_digest(data, bank, variant) -> str:
     """SHA-256 of a seeded 2-epoch ``train()``: the history as JSON (floats
-    as ``repr``, so every bit counts), every parameter's name and float64
-    bytes, tau, and the served ``o`` and ``alpha`` of every test case."""
-    config = cm.ModelConfig(variant=variant, max_epochs=2, patience=5, **TINY_DIMS)
-    model, history = cm.train(data.train, data.valid, config, seed=4, bank=bank,
-                              article_db=data.article_db)
-    h = hashlib.sha256(json.dumps(history).encode())
+    as ``repr``, so every bit counts) without ``tape_nodes_per_case``, which
+    measures the graph, not the numbers, and is pinned on its own; every
+    parameter's name and float64 bytes, tau, and the served ``o`` and
+    ``alpha`` of every test case."""
+    model, history = seeded_training(data, bank, variant)
+    h = hashlib.sha256(json.dumps([{k: v for k, v in epoch.items()
+                                    if k != "tape_nodes_per_case"}
+                                   for epoch in history]).encode())
     for name, t in model.params.named():
         h.update(name.encode())
         h.update(np.ascontiguousarray(t.data, dtype="<f8").tobytes())
@@ -135,15 +144,25 @@ def training_digest(data, bank, variant) -> str:
 
 TRAINING_DIGESTS = {
     cm.Variant.FACT_ONLY:
-        "b7ecb34cb32c152f0cf7d357cfe0142a47b7eaafe675130dc264ab32d3324bd7",
+        "efc4ec9aad1cd41f89a8067c5d6583b9b0feb66ee2a12d06a57b5b870c2373e1",
     cm.Variant.ART_ONLY:
-        "6040d01bdd42e4a6419c2feeb58f618f0d56f6664bb6ac629fd4548adac6b5dc",
+        "278038a273af02cdadb9c6f605a3a53bb02632dc8e2ef992c577c2e035000fe7",
     cm.Variant.FACT_ART:
-        "c3aaeff4ed738402d3bcc78bd7eb67bab4cea5954636717401b57c6643f8a0fe",
+        "c860f9d7f3bc8ef6937b68dd3c8019fbd665929ea8651150a9c10e5b2596e5a0",
     cm.Variant.FACT_SUPV_ART:
-        "1c411b44768296d5b78c16b2d34be6ca01fdbde32081d8127c79c3e7e3b5b3b6",
+        "50045e906cbb8f48db9e03b1d1c9fd67009f14e2edea29bf2902d9e69f623532",
     cm.Variant.FACT_GOLD_ART:
-        "6d6cae0f0968a99303d734f74166965905e122a00ee4e3c8066c9cf2cda9c0e1",
+        "82d0e9e4ef2cfedd04691fee0768651d70a79ca51e8fd891ec5f6c7d14aa6142",
+}
+
+# Tape nodes per training case of the same runs, in both epochs: 24 cases in
+# minibatches of 4.
+TAPE_NODES_PER_CASE = {
+    cm.Variant.FACT_ONLY: 4.75,
+    cm.Variant.ART_ONLY: 11.5,
+    cm.Variant.FACT_ART: 11.75,
+    cm.Variant.FACT_SUPV_ART: 12.75,
+    cm.Variant.FACT_GOLD_ART: 11.75,
 }
 
 
@@ -153,6 +172,15 @@ def test_seeded_training_is_pinned(data, bank, variant):
     thread): a change to how gradients are stored or swept that moves any
     bit of a loss, a parameter, tau or a served output shows here."""
     assert training_digest(data, bank, variant) == TRAINING_DIGESTS[variant]
+
+
+@pytest.mark.parametrize("variant", list(cm.Variant))
+def test_seeded_training_graph_size_is_pinned(data, bank, variant):
+    """The graph a minibatch records: a change that adds or folds a tape
+    node shows here, apart from the numbers the digest pins."""
+    _, history = seeded_training(data, bank, variant)
+    assert [epoch["tape_nodes_per_case"] for epoch in history] == \
+        [TAPE_NODES_PER_CASE[variant]] * 2
 
 
 def test_trained_model_holds_no_gradient_memory(data, bank):
@@ -727,15 +755,15 @@ def test_minibatch_records_one_article_word_scan(data, bank, monkeypatch):
         _, history = cm.train(data.train[:8], data.valid, config, seed=1, bank=bank,
                               article_db=data.article_db)
     n = config.batch
-    # Every attentive pool is two nodes, its attention keys and the pool.
-    # Once per minibatch: fact encoder 10 (two embeddings and their concat,
-    # word scan, keys and pool, sentence gather, scan, keys and pool),
-    # article word scan 4 and its attention keys 1, three dynamic contexts 6,
-    # the concat of the word pools 1, the sentence contexts' gather 1,
-    # sentence level 4 (gather, scan, keys, pool), aggregator 4 (the same),
-    # classifier 10, cross entropy and the 1/n scaling 2: 43. Per case: its
-    # word pool's context column and the pool: 2.
-    assert lengths == [43 + 2 * n] * 2
+    # Every column attentive pool is one node: keys, scores, softmax and sum.
+    # Once per minibatch: fact encoder 8 (two embeddings and their concat,
+    # word scan and pool, sentence gather, scan and pool), article word
+    # scan 4 and its keyed rows 1, three dynamic contexts 6, the concat of
+    # the word pools 1, the sentence contexts' gather 1, sentence level 3
+    # (gather, scan, pool), aggregator 3 (the same), classifier 10, cross
+    # entropy and the 1/n scaling 2: 39. Per case: its word pool's context
+    # column and the pool: 2.
+    assert lengths == [39 + 2 * n] * 2
     assert taped_scans.count(True) == 2
     assert history[0]["tape_nodes_per_case"] == sum(lengths) / 8
 
@@ -869,6 +897,23 @@ def test_sidecar_with_an_unknown_config_field_is_rejected(data, tmp_path):
     rewrite_meta_config(path, tie_article_encoder=False, dropout=0.5)
     with pytest.raises(StateError, match=r"\['dropout', 'tie_article_encoder'\]"):
         cm.load_model(path)
+
+
+@pytest.mark.parametrize("names", [(f.name,) for f in dataclasses.fields(cm.ModelConfig)]
+                         + [("variant", "k")], ids="-".join)
+def test_sidecar_without_config_fields_is_rejected(data, tmp_path, names):
+    """A missing field is not filled with its default: a fact_gold_art, k=3
+    file without ``variant`` and ``k`` would load as fact_supv_art, k=20."""
+    model = untrained_model(data, cm.Variant.FACT_GOLD_ART)
+    path = tmp_path / "m.npz"
+    cm.save_model(path, model)
+    arrays, meta = nd.load_arrays(path, "model", {})
+    for name in names:
+        del meta["config"][name]
+    nd.save_arrays(path, "model", arrays, meta)
+    with pytest.raises(StateError, match=re.escape(
+            f"model file {path} has no config fields {sorted(names)}")):
+        cm.load_model(path, article_db=data.article_db)
 
 
 def edit_meta(**changes):

@@ -1,0 +1,76 @@
+"""Every top-level function, class and method of ``chargenet`` has a caller in
+the package or the benchmark.
+
+Both trees are parsed with ``ast``. A definition counts as referenced when
+its name appears as a name, an attribute or a whole string constant (the
+benchmark's tracer names the functions it wraps by string) anywhere in
+``src/chargenet`` or ``perfbench``. An import alone does not count, nor does
+a reference from the tests. Dunder methods are called by Python itself and
+are exempt.
+
+``TEST_ONLY`` lists the definitions that only the tests call today; they
+wait for a command-line entry point. The list can only shrink: a listed name
+that gains a caller, or that no longer exists, fails too.
+"""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "chargenet"
+TREES = (PACKAGE, ROOT / "perfbench")
+
+TEST_ONLY = {
+    "recall_at_k", "save_bank", "load_bank", "save_model", "load_model",
+    "prediction_record", "render_judgement", "assemble_case", "assemble_dataset",
+    "save_dataset", "load_dataset", "save_article_db", "load_article_db",
+    "VariantReport.to_jsonl", "VariantReport.to_text", "compare_variants",
+}
+
+
+def parsed(tree: Path) -> list[tuple[Path, ast.Module]]:
+    return [(path, ast.parse(path.read_text(), filename=str(path)))
+            for path in sorted(tree.rglob("*.py"))]
+
+
+def definitions() -> dict[str, str]:
+    """Qualified name (``f``, ``C`` or ``C.m``) -> the name a caller uses."""
+    found = {}
+    for path, module in parsed(PACKAGE):
+        for node in module.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                found[node.name] = node.name
+            if isinstance(node, ast.ClassDef):
+                for item in node.body:
+                    if (isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+                            and not (item.name.startswith("__") and item.name.endswith("__"))):
+                        found[f"{node.name}.{item.name}"] = item.name
+    return found
+
+
+def references() -> set[str]:
+    names = set()
+    for tree in TREES:
+        for _, module in parsed(tree):
+            for node in ast.walk(module):
+                if isinstance(node, ast.Name):
+                    names.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    names.add(node.attr)
+                elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                    names.add(node.value)
+    return names
+
+
+def test_every_definition_has_a_caller():
+    defs, refs = definitions(), references()
+    unreferenced = sorted(q for q, name in defs.items()
+                          if name not in refs and q not in TEST_ONLY)
+    assert not unreferenced, f"nothing in src/chargenet or perfbench uses {unreferenced}"
+
+
+def test_test_only_list_is_exact():
+    defs, refs = definitions(), references()
+    assert not sorted(TEST_ONLY - set(defs)), "listed but no longer defined"
+    called = sorted(q for q in TEST_ONLY if defs[q] in refs)
+    assert not called, f"listed as test-only but called: {called}; take them off the list"
