@@ -3,7 +3,10 @@
 Tests run on one BLAS thread, as the benchmark does: a product's rounding can
 depend on how many threads split it, and the equivalence tests compare
 results down to that rounding. The variables are set before anything imports
-numpy; a value already in the environment is kept.
+numpy; a value already in the environment is kept. The tests that pin
+digests of BLAS results take the ``one_blas_thread`` fixture, which fails
+them with a message naming a kept value other than 1, where a bare digest
+mismatch would not say why.
 
 A test that runs longer than ``HANG_S`` seconds ends the whole run: a
 ``faulthandler`` watchdog thread prints every thread's traceback to the
@@ -17,7 +20,9 @@ import os
 
 import pytest
 
-for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+for _var in BLAS_THREAD_VARS:
     os.environ.setdefault(_var, "1")
 
 HANG_S = 300
@@ -34,6 +39,15 @@ def pytest_configure(config):
 
 def pytest_unconfigure(config):
     os.close(config.stash[_TERMINAL])
+
+
+@pytest.fixture
+def one_blas_thread():
+    """Precondition of a test that pins a digest computed on one BLAS thread."""
+    kept = [f"{var}={os.environ[var]}" for var in BLAS_THREAD_VARS if os.environ[var] != "1"]
+    if kept:
+        pytest.fail(f"the pinned digests hold on one BLAS thread, but the environment "
+                    f"sets {', '.join(kept)}; unset it or set it to 1", pytrace=False)
 
 
 @pytest.fixture(autouse=True)

@@ -23,7 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .corpus import _is_article_id, article_id_from_json, article_id_to_json, article_sort_key
-from .ndtensor import DomainError, ShapeError, StateError, load_arrays, save_arrays
+from .ndtensor import (DomainError, ShapeError, StateError, load_arrays, save_arrays,
+                       vocab_index)
 
 # Each scorer reads its SCORER_FEATURES features of highest chi-square. The
 # full-batch subgradient schedule: the step at epoch t is SCORER_LR0 / sqrt(t),
@@ -266,11 +267,11 @@ def save_bank(path, bank: ExtractorBank) -> None:
 def load_bank(path) -> ExtractorBank:
     """Read a ``save_bank`` file. Besides the faults ``load_arrays`` rejects,
     a missing array or one of another dtype or rank, a vocabulary entry
-    that is not a string, an article id that is not one, an index outside
-    the matrix, or an idf, weight or bias that is NaN or infinite raises
-    StateError naming the file and the problem. Meta fields outside
-    ``BANK_FIELDS``, such as the ``doc_count`` older files hold, are
-    ignored."""
+    that is not a string or that repeats an earlier one, an article id that
+    is not one, an index outside the matrix, or an idf, weight or bias that
+    is NaN or infinite raises StateError naming the file and the problem.
+    Meta fields outside ``BANK_FIELDS``, such as the ``doc_count`` older
+    files hold, are ignored."""
     source = f"bank file {path}"
     arrays, meta = load_arrays(path, "bank", BANK_FIELDS)
     for name, dtype in BANK_ARRAYS.items():
@@ -281,9 +282,7 @@ def load_bank(path) -> ExtractorBank:
             raise StateError(f"{source} array {name!r} has type {arr.dtype} and shape "
                              f"{arr.shape}, not {np.dtype(dtype)} and one axis")
     idf, bias, scorers, selected, values = (arrays[name] for name in BANK_ARRAYS)
-    if not all(isinstance(tok, str) for tok in meta["vocabulary"]):
-        raise StateError(f"{source} has a vocabulary entry that is not a string")
-    tfidf = TfidfModel({tok: i for i, tok in enumerate(meta["vocabulary"])}, idf)
+    tfidf = TfidfModel(vocab_index(meta["vocabulary"], source, "vocabulary"), idf)
     if idf.size != tfidf.n_features:
         raise StateError(f"{source} has {tfidf.n_features} words but {idf.size} idf values")
     article_ids = []

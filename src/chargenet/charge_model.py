@@ -19,10 +19,12 @@ fact_gold_art      fact + articles            gold articles (upper bound)
 ``forward_batch(cases)`` runs B cases as the columns of one graph; it is the
 one graph builder for losses and gradients. ``train()`` records one per
 minibatch, under one loss and one backward, and validation runs in chunks of
-``config.batch`` cases. ``forward(case)`` is the serving view of the same
-layers for one case, through ``ChargeModel.encode_fact``, ``encode_articles``
-and ``aggregate_articles`` (their one-case forms): it returns plain arrays and
-no tensor, and records nothing even inside a ``Tape``. The layers:
+``config.batch`` cases. ``forward(case)`` is the serving view of one case. It
+runs the same fact encoder (``ChargeModel.encode_fact``) and aggregator
+(``aggregate_articles``) on a batch of one and differs from ``forward_batch``
+in three ways only: it picks the slots itself (``_slots``), it encodes them
+through the one-case ``encode_articles``, and it copies its outputs into
+plain arrays. It records nothing, even inside a ``Tape``. The layers:
 
 * all facts go through one two-level ``encode_documents`` call;
 * the dynamic contexts (``dynamic_context`` of d_f) are (state_dim, B), one
@@ -123,8 +125,12 @@ class ModelConfig:
         for f in fields(self):
             kind = {"int": numbers.Integral, "float": numbers.Real}.get(f.type)
             value = getattr(self, f.name)
-            if kind is not None and (isinstance(value, bool) or not isinstance(value, kind)):
+            if kind is None:
+                continue
+            if isinstance(value, bool) or not isinstance(value, kind):
                 raise TypeError(f"{f.name} must be {f.type}, not {value!r}")
+            # numpy scalars pass the check but would not save as JSON.
+            setattr(self, f.name, int(value) if f.type == "int" else float(value))
         for name in ("word_emb_dim", "pos_emb_dim", "gru_hidden", "fc1_dim",
                      "fc2_dim", "k", "batch", "max_epochs", "patience"):
             if getattr(self, name) < 1:
@@ -266,7 +272,6 @@ class ChargeModel:
     charge_vocab: list[str]
     article_docs: dict  # article id -> list of (word_ids, pos_ids) per sentence
     tau: float
-    epochs_completed: int = 0
     # Copies of the inputs of the cached article states, and the states.
     _article_cache: tuple[list[np.ndarray], ArticleWords] | None = field(
         default=None, init=False, repr=False, compare=False)
@@ -275,9 +280,12 @@ class ChargeModel:
         return nd.concat([nd.embed(self.params.word_emb, word_ids),
                           nd.embed(self.params.pos_emb, pos_ids)], axis=0)
 
-    def encode_fact(self, fact_ids) -> tuple[Tensor, list[np.ndarray], np.ndarray]:
-        d, word_attn, sent_attn = _encode_facts(self, [fact_ids])
-        return d, word_attn[0], sent_attn[0]
+    def encode_fact(self, facts: list) -> tuple[Tensor, list, list]:
+        """Fact embeddings (state_dim, B) of id-encoded facts, with their word
+        and sentence attention, in one two-level encoder call."""
+        enc = self.params.fact_enc
+        return encode_documents(facts, enc, self.embed_tokens, u_word=enc.word_pool.u,
+                                u_sent=enc.sent_pool.u)
 
     def article_words(self) -> ArticleWords:
         """Word-level states of every article in the database, for forwards
@@ -372,14 +380,6 @@ def encode_article_words(model: ChargeModel, article_ids: list) -> ArticleWords:
     return ArticleWords(*keyed_rows(states, enc.word_pool.w), lens, cols)
 
 
-def _encode_facts(model: ChargeModel, facts: list) -> tuple[Tensor, list, list]:
-    """Fact embeddings (state_dim, B) of id-encoded facts, with their word and
-    sentence attention, in one two-level encoder call."""
-    enc = model.params.fact_enc
-    return encode_documents(facts, enc, model.embed_tokens, u_word=enc.word_pool.u,
-                            u_sent=enc.sent_pool.u)
-
-
 def _encode_slots(model: ChargeModel, topks: list[list], d_f: Tensor) -> Tensor:
     """Embeddings of every case's article slots, pooled with contexts generated
     from that case's column of d_f: (state_dim, total slots), the slots of
@@ -422,17 +422,6 @@ def _encode_slots(model: ChargeModel, topks: list[list], d_f: Tensor) -> Tensor:
     return a_mat
 
 
-def _aggregate(model: ChargeModel, a_mat: Tensor, n_slots: list[int],
-               d_f: Tensor) -> tuple[Tensor, Tensor]:
-    """Bi-GRU over each case's article sequence (``n_slots[j]`` consecutive
-    columns of ``a_mat`` for case j), pooled with the context generated from
-    column j of d_f: the (state_dim, B) embeddings and the (max slots, B)
-    attention."""
-    p = model.params
-    return encode_groups(a_mat, n_slots, p.agg_gru, p.agg_pool,
-                         dynamic_context(d_f, p.w_d, p.b_d))
-
-
 def _charge_distribution(model: ChargeModel, d_f: Tensor, d_a: Tensor | None) -> Tensor:
     """The variant's classifier input through two tanh layers and the softmax
     over charges: (n_charges, B)."""
@@ -452,20 +441,22 @@ def encode_articles(article_ids: list, model: ChargeModel, d_f: Tensor) -> Tenso
     """Embed each candidate article of one case with word/sentence contexts
     generated from d_f: (state_dim, len(article_ids)).
 
-    With no tape recording the word-level states are
-    ``model.article_words()``; under a tape, a scan of these articles alone.
+    The one-case form of ``_encode_slots``, which ``forward`` calls. It stays
+    only because the benchmark's per-layer trace counts article slots
+    through its calls; ROADMAP item 1 moves that count and deletes it.
     """
     return _encode_slots(model, [article_ids], d_f)
 
 
-def aggregate_articles(a_mat: Tensor, model: ChargeModel,
+def aggregate_articles(a_mat: Tensor, n_slots: list[int], model: ChargeModel,
                        d_f: Tensor) -> tuple[Tensor, Tensor]:
-    """Bi-GRU over one case's article sequence, pooled with the fact-driven
-    context.
-
-    The columns of ``a_mat`` are the sequence: one step per article, batch 1.
-    """
-    return _aggregate(model, a_mat, [a_mat.shape[1]], d_f)
+    """Bi-GRU over each case's article sequence (``n_slots[j]`` consecutive
+    columns of ``a_mat`` for case j), pooled with the context generated from
+    column j of d_f: the (state_dim, B) embeddings and the (max slots, B)
+    attention."""
+    p = model.params
+    return encode_groups(a_mat, n_slots, p.agg_gru, p.agg_pool,
+                         dynamic_context(d_f, p.w_d, p.b_d))
 
 
 def forward(case: CaseRecord, model: ChargeModel, bank: ExtractorBank | None = None,
@@ -484,16 +475,16 @@ def forward(case: CaseRecord, model: ChargeModel, bank: ExtractorBank | None = N
     d_a = None
     alpha = None
     with nd.no_recording():
-        d_f, word_attn, sent_attn = model.encode_fact(fact_ids)
+        d_f, word_attn, sent_attn = model.encode_fact([fact_ids])
         if cfg.uses_articles():
             slots, scores = _slots(case, cfg, bank) if topk is None else (list(topk), None)
             a_mat = encode_articles(slots, model, d_f)
-            d_a, alpha = aggregate_articles(a_mat, model, d_f)
+            d_a, alpha = aggregate_articles(a_mat, [len(slots)], model, d_f)
         o = _charge_distribution(model, d_f, d_a)
     return ForwardTrace(
         o=o.data[:, 0].copy(),
-        word_attn=word_attn,
-        sent_attn=sent_attn,
+        word_attn=word_attn[0],
+        sent_attn=sent_attn[0],
         topk=slots,
         extractor_scores=scores,
         alpha=None if alpha is None else alpha.data[:, 0].copy(),
@@ -511,12 +502,12 @@ def forward_batch(cases: list[CaseRecord], model: ChargeModel, topks: list) -> B
     if not cases or len(topks) != len(cases):
         raise DomainError(f"forward_batch got {len(cases)} cases and {len(topks)} slot lists")
     facts = [case_to_ids(case.fact, model.word_vocab, model.pos_vocab) for case in cases]
-    d_f, word_attn, sent_attn = _encode_facts(model, facts)
+    d_f, word_attn, sent_attn = model.encode_fact(facts)
     d_a = alpha = None
     if model.config.uses_articles():
         topks = [list(ids) for ids in topks]
         a_mat = _encode_slots(model, topks, d_f)
-        d_a, alpha = _aggregate(model, a_mat, [len(ids) for ids in topks], d_f)
+        d_a, alpha = aggregate_articles(a_mat, [len(ids) for ids in topks], model, d_f)
     return BatchTrace(_charge_distribution(model, d_f, d_a), word_attn, sent_attn,
                       topks, alpha)
 
@@ -708,7 +699,6 @@ def train(train_set: list[CaseRecord], valid_set: list[CaseRecord],
     for t, data in zip(params, best_state):
         t.data = data
         t.parked_grad = None
-    model.epochs_completed = history[-1]["epoch"] + 1
     model.tau = tune_threshold(best_probs, [case.gold_charges for case in valid_set],
                                model.charge_vocab)
     return model, history
@@ -716,14 +706,13 @@ def train(train_set: list[CaseRecord], valid_set: list[CaseRecord],
 
 # The meta fields load_model reads and the JSON type save_model writes each as.
 MODEL_FIELDS = {"config": dict, "charge_vocab": list, "article_ids": list,
-                "word_vocab": list, "pos_vocab": list, "tau": float,
-                "epochs_completed": int}
+                "word_vocab": list, "pos_vocab": list, "tau": float}
 
 
 def save_model(path, model: ChargeModel) -> None:
     """One model file (``nd.save_arrays``), replaced atomically: every tensor
     under its ``named()`` name, and a meta with the config, the
-    vocabularies, the article ids, tau and the epochs completed."""
+    vocabularies, the article ids and tau."""
     nd.save_arrays(path, "model", {name: t.data for name, t in model.params.named()}, {
         "config": model.config.to_dict(),
         "charge_vocab": model.charge_vocab,
@@ -732,7 +721,6 @@ def save_model(path, model: ChargeModel) -> None:
         "word_vocab": sorted(model.word_vocab, key=model.word_vocab.__getitem__),
         "pos_vocab": sorted(model.pos_vocab, key=model.pos_vocab.__getitem__),
         "tau": model.tau,
-        "epochs_completed": model.epochs_completed,
     })
 
 
@@ -745,17 +733,12 @@ def load_model(path, article_db: dict | None = None) -> ChargeModel:
     rejects, an article id that is not one, or a tensor whose name, shape
     or dtype does not fit the configured model raises ``StateError`` naming
     the file. The file's arrays replace the zeros of an undrawn
-    ``ModelParams.create`` layout."""
+    ``ModelParams.create`` layout. Meta fields outside ``MODEL_FIELDS``,
+    such as the ``epochs_completed`` older files hold, are ignored."""
     source = f"model file {path}"
     arrays, meta = nd.load_arrays(path, "model", MODEL_FIELDS)
-    for key in ("charge_vocab", "word_vocab", "pos_vocab"):
-        if not all(isinstance(tok, str) for tok in meta[key]):
-            raise StateError(f"{source} has a {key} entry that is not a string")
-        seen = set()
-        for tok in meta[key]:
-            if tok in seen:
-                raise StateError(f"{source} repeats the {key} entry {tok!r}")
-            seen.add(tok)
+    _, word_vocab, pos_vocab = (nd.vocab_index(meta[key], source, key)
+                                for key in ("charge_vocab", "word_vocab", "pos_vocab"))
     for key in ("word_vocab", "pos_vocab"):
         if meta[key][:2] != ["<pad>", "<unk>"]:
             raise StateError(f"{source} {key} does not begin with '<pad>' at {PAD_ID} "
@@ -777,8 +760,6 @@ def load_model(path, article_db: dict | None = None) -> ChargeModel:
         if not _is_article_id(a):
             raise StateError(f"{source} has the article id {a!r}, "
                              "not a positive int or a pair of them")
-    word_vocab = {tok: i for i, tok in enumerate(meta["word_vocab"])}
-    pos_vocab = {tok: i for i, tok in enumerate(meta["pos_vocab"])}
     params = ModelParams.create(config, len(word_vocab), len(pos_vocab),
                                 len(meta["charge_vocab"]), None)
     named = dict(params.named())
@@ -804,7 +785,7 @@ def load_model(path, article_db: dict | None = None) -> ChargeModel:
             raise StateError(f"article database is missing ids "
                              f"{sorted(want - have, key=article_sort_key)} that {source} uses")
     return ChargeModel(config, params, word_vocab, pos_vocab, meta["charge_vocab"],
-                       article_docs, tau=meta["tau"], epochs_completed=meta["epochs_completed"])
+                       article_docs, tau=meta["tau"])
 
 
 def prediction_record(trace: ForwardTrace, model: ChargeModel) -> dict:

@@ -243,31 +243,22 @@ def extract_articles(court_view_text: str) -> list:
     return out
 
 
-def _longest_match_scan(text: str, charge_list: list[str]):
-    """Yield (start, name) for greedy left-to-right longest matches.
-
-    An empty name would match at every position without advancing, and a
-    repeated one means the list is not a set of charges: either raises
-    DomainError.
-    """
+def _charge_pattern(charge_list: list[str]) -> re.Pattern:
+    """One alternation of the escaped names, longest first. ``re`` tries the
+    alternatives in order, so its matches are the leftmost, then longest,
+    non-overlapping occurrences. An empty name would match everywhere, and
+    a repeated one means the list is not a set of charges: either raises
+    DomainError."""
     if "" in charge_list or len(set(charge_list)) != len(charge_list):
         raise DomainError("charge names must be non-empty and unique")
-    by_len = sorted(charge_list, key=len, reverse=True)
-    i = 0
-    while i < len(text):
-        hit = next((name for name in by_len if text.startswith(name, i)), None)
-        if hit is not None:
-            yield i, hit
-            i += len(hit)
-        else:
-            i += 1
+    return re.compile("|".join(map(re.escape, sorted(charge_list, key=len, reverse=True))))
 
 
 def extract_charges(decision_text: str, charge_list: list[str]) -> set[str]:
     """Every listed charge named in the decision; overlaps resolve longest-first."""
     if not charge_list:
         raise DomainError("empty charge list")
-    found = {name for _, name in _longest_match_scan(decision_text, charge_list)}
+    found = set(_charge_pattern(charge_list).findall(decision_text))
     if not found:
         raise ExtractionError("decision text names no listed charge")
     return found
@@ -277,14 +268,7 @@ def mask_charges(fact_text: str, charge_list: list[str]) -> str:
     """Replace every charge-name occurrence with the mask token."""
     if not charge_list:
         return fact_text
-    out = []
-    cursor = 0
-    for start, name in _longest_match_scan(fact_text, charge_list):
-        out.append(fact_text[cursor:start])
-        out.append(CHARGE_MASK)
-        cursor = start + len(name)
-    out.append(fact_text[cursor:])
-    return "".join(out)
+    return _charge_pattern(charge_list).sub(CHARGE_MASK, fact_text)
 
 
 _SENT_SPLIT = re.compile(r"[。!?;!?;]")

@@ -457,6 +457,16 @@ def attentive_pool(states: Sequence[Tensor], w: Tensor, u: Tensor,
     return pooled, alpha
 
 
+def _padded_index(lengths: Sequence[int], steps: int) -> np.ndarray:
+    """Step-major indices that lay sequences stored one after another
+    (``lengths[d]`` items for sequence d) out as ``steps`` steps of one
+    column each. A padded step repeats its sequence's last item; the
+    ``_step_mask`` of the lengths hides it."""
+    last = np.cumsum(lengths) - 1
+    return np.minimum(np.arange(steps)[:, None] + (last + 1 - np.asarray(lengths)),
+                      last).reshape(-1)
+
+
 def _step_mask(lengths: Sequence[int], steps: int) -> np.ndarray | None:
     """(steps, B) 0/1 mask of right-padded sequences; None when nothing is padded."""
     if min(lengths) == steps:
@@ -472,7 +482,10 @@ def scan_words(sents: Sequence[tuple[np.ndarray, np.ndarray]], gru: BiGruParams,
 
     Each sentence is a pair of id arrays (word ids, pos ids). ``embed_tokens``
     turns id arrays into input columns; it is called once, with the ids of
-    every word position laid out step-major and padded with id 0.
+    every word position laid out step-major. A sentence shorter than the
+    longest is padded as ``encode_groups`` pads: its last word is repeated,
+    and the mask keeps the scan's state and gradients from seeing the
+    repeats, so no id is reserved for padding.
     """
     if not sents:
         raise DomainError("no sentences to encode")
@@ -480,12 +493,9 @@ def scan_words(sents: Sequence[tuple[np.ndarray, np.ndarray]], gru: BiGruParams,
     if lens.min() == 0:
         raise DomainError("sentence with no tokens")
     steps = int(lens.max())
-    wid = np.zeros((steps, len(sents)), dtype=np.intp)
-    pid = np.zeros((steps, len(sents)), dtype=np.intp)
-    for j, (wids, pids) in enumerate(sents):
-        wid[:len(wids), j] = wids
-        pid[:len(pids), j] = pids
-    x = embed_tokens(wid.reshape(-1), pid.reshape(-1))
+    at = _padded_index(lens, steps)
+    x = embed_tokens(np.concatenate([wids for wids, _ in sents])[at],
+                     np.concatenate([pids for _, pids in sents])[at])
     return bigru_scan(x, steps, gru, _step_mask(lens, steps)), lens
 
 
@@ -572,11 +582,7 @@ def encode_groups(x: Tensor, lens: Sequence[int], gru: BiGruParams,
     """
     steps = max(lens)
     if len(lens) > 1:
-        # Padded steps repeat a sequence's last column; the mask hides them.
-        first = np.cumsum([0, *lens[:-1]])
-        idx = first[None, :] + np.minimum(np.arange(steps)[:, None],
-                                          np.asarray(lens)[None, :] - 1)
-        x = nd.take_cols(x, idx.reshape(-1))
+        x = nd.take_cols(x, _padded_index(lens, steps))
     mask = _step_mask(lens, steps)
     return attentive_pool_steps(bigru_scan(x, steps, gru, mask), steps, pool.w, u, mask)
 

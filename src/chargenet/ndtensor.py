@@ -646,3 +646,17 @@ def load_arrays(path, kind: str, fields: dict[str, type]) -> tuple[dict[str, np.
         if not isinstance(value, typ) or (typ is int and isinstance(value, bool)):
             raise StateError(f"{source} meta has no {key!r} of type {typ.__name__}")
     return arrays, meta
+
+
+def vocab_index(entries: list, source: str, key: str) -> dict[str, int]:
+    """The position of each entry of the meta list ``key``, a vocabulary.
+    Raises ``StateError`` naming ``source`` when an entry is not a string or
+    repeats an earlier one."""
+    index: dict[str, int] = {}
+    for i, tok in enumerate(entries):
+        if not isinstance(tok, str):
+            raise StateError(f"{source} has a {key} entry that is not a string")
+        if tok in index:
+            raise StateError(f"{source} repeats the {key} entry {tok!r}")
+        index[tok] = i
+    return index

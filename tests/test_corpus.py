@@ -188,8 +188,7 @@ class TestExtractCharges:
     @pytest.mark.parametrize("names", [["盗窃", ""], [""], ["盗窃", "抢劫", "盗窃"]],
                              ids=["empty_name", "only_empty", "repeated_name"])
     def test_empty_or_repeated_name_is_rejected(self, names):
-        """An empty name matches at every position without advancing the
-        scan, which would never end."""
+        """An empty name would match the empty string at every position."""
         with pytest.raises(DomainError, match="non-empty and unique"):
             cp.extract_charges("被告人犯盗窃罪", names)
 
@@ -220,10 +219,78 @@ class TestMaskCharges:
     @pytest.mark.parametrize("names", [["盗窃", ""], ["盗窃", "盗窃"]],
                              ids=["empty_name", "repeated_name"])
     def test_empty_or_repeated_name_is_rejected(self, names):
-        """The scan ``extract_charges`` uses: an empty name would add a mask
-        at one position forever."""
+        """The pattern ``extract_charges`` uses: an empty name would put a
+        mask between every two characters."""
         with pytest.raises(DomainError, match="non-empty and unique"):
             cp.mask_charges("涉嫌盗窃被拘留", names)
+
+
+def longest_match_scan(text, charge_list):
+    """Yield (start, name) for greedy left-to-right longest matches: the
+    hand-written scan that ``extract_charges`` and ``mask_charges`` ran
+    before their one compiled pattern, kept as its reference."""
+    by_len = sorted(charge_list, key=len, reverse=True)
+    i = 0
+    while i < len(text):
+        hit = next((name for name in by_len if text.startswith(name, i)), None)
+        if hit is not None:
+            yield i, hit
+            i += len(hit)
+        else:
+            i += 1
+
+
+def scan_mask(text, charge_list):
+    """``mask_charges`` through the reference scan."""
+    out, cursor = [], 0
+    for start, name in longest_match_scan(text, charge_list):
+        out += [text[cursor:start], cp.CHARGE_MASK]
+        cursor = start + len(name)
+    return "".join(out) + text[cursor:]
+
+
+def assert_matches_scan(text, names):
+    assert cp.mask_charges(text, names) == scan_mask(text, names)
+    found = {name for _, name in longest_match_scan(text, names)}
+    if found:
+        assert cp.extract_charges(text, names) == found
+    else:
+        with pytest.raises(ExtractionError):
+            cp.extract_charges(text, names)
+
+
+class TestChargePatternMatchesScan:
+    """The one regex of ``extract_charges`` and ``mask_charges`` against
+    the reference scan: the same leftmost, then longest, matches."""
+
+    @pytest.mark.parametrize("text, names", [
+        ("", ["盗窃"]),
+        ("abcabcab", ["ab", "abc", "abca"]),          # each a prefix of the next
+        ("xbcdbcx", ["bcd", "c", "bc", "d"]),          # contained in each other
+        ("aaaaa", ["aa", "a", "aaa"]),
+        ("a.b*c(d)a.bb", ["a.b", ".", "*c(", "(", "b*", "a.bb"]),
+        ("a.bxab", ["a.b"]),                           # "." is no wildcard
+        ("[MASK]盗窃[MASK]", ["盗窃", "MASK", "[", "K]"]),
+    ])
+    def test_named_cases(self, text, names):
+        assert_matches_scan(text, names)
+
+    @given(st.lists(st.text("ab.*(盗", min_size=1, max_size=4), min_size=1, max_size=6,
+                    unique=True),
+           st.text("ab.*(盗x", max_size=40))
+    def test_generated_texts(self, names, text):
+        assert_matches_scan(text, names)
+
+    def test_texts_built_from_the_names(self):
+        """Texts made mostly of the names themselves, so that matches
+        touch and overlap."""
+        rng = np.random.default_rng(5)
+        for _ in range(300):
+            names = list({"".join(rng.choice(list("ab.*("), rng.integers(1, 5)))
+                          for _ in range(rng.integers(1, 7))})
+            pieces = names + ["x", "a", "."]
+            text = "".join(rng.choice(pieces, rng.integers(0, 15)))
+            assert_matches_scan(text, names)
 
 
 class TestTokenizer:

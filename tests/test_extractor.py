@@ -453,6 +453,7 @@ def bank_digest(bank):
     return h.hexdigest()
 
 
+@pytest.mark.usefixtures("one_blas_thread")
 def test_default_spec_bank_is_pinned():
     """The benchmark's bank: the default spec at seed 3, k=20. The digest pins
     every scorer bit for bit (tests run on one BLAS thread), so a change to
@@ -627,6 +628,8 @@ class TestBankSerialization:
         pytest.param(set_meta("k", True), "no 'k' of type int", id="k_bool"),
         pytest.param(lambda a, m: m["vocabulary"].__setitem__(0, 5),
                      "vocabulary entry that is not a string", id="vocabulary_int"),
+        pytest.param(lambda a, m: m["vocabulary"].__setitem__(1, m["vocabulary"][0]),
+                     "repeats the vocabulary entry '", id="vocabulary_repeated"),
     ])
     def test_malformed_bank_raises_state_error(self, tmp_path, damage, message):
         path = tmp_path / "bank.npz"

@@ -86,6 +86,24 @@ def test_model_config_validation(field, value):
         cm.ModelConfig(**{field: value})
 
 
+def test_config_of_numpy_scalars_saves_and_loads_back_equal(data, tmp_path):
+    """numpy integers and floats pass the type checks and are stored as
+    Python numbers, which the model file's JSON meta can hold; a bool is
+    still no int."""
+    dims = {name: np.int32(value) for name, value in TINY_DIMS.items()}
+    config = cm.ModelConfig(variant=cm.Variant.FACT_ONLY, lr=np.float32(0.5),
+                            beta=np.float64(0.25), max_epochs=np.int64(3), **dims)
+    for f in dataclasses.fields(config):
+        if f.type in ("int", "float"):
+            assert type(getattr(config, f.name)).__name__ == f.type, f.name
+    model = untrained_model(data, cm.Variant.FACT_ONLY)
+    model.config = config
+    cm.save_model(tmp_path / "m.npz", model)
+    assert cm.load_model(tmp_path / "m.npz").config == config
+    with pytest.raises(TypeError, match="k must be int"):
+        cm.ModelConfig(k=True)
+
+
 @pytest.mark.parametrize("variant", list(cm.Variant))
 def test_training_history_matches_composite_encoders(data, bank, variant, monkeypatch):
     """A seeded 2-epoch run through the fused encoders against the same run
@@ -166,6 +184,7 @@ TAPE_NODES_PER_CASE = {
 }
 
 
+@pytest.mark.usefixtures("one_blas_thread")
 @pytest.mark.parametrize("variant", list(cm.Variant))
 def test_seeded_training_is_pinned(data, bank, variant):
     """Training and serving repeat bit for bit (tests run on one BLAS
@@ -766,6 +785,55 @@ def test_minibatch_records_one_article_word_scan(data, bank, monkeypatch):
     assert lengths == [39 + 2 * n] * 2
     assert taped_scans.count(True) == 2
     assert history[0]["tape_nodes_per_case"] == sum(lengths) / 8
+
+
+@pytest.mark.parametrize("variant", [cm.Variant.FACT_ONLY, cm.Variant.FACT_SUPV_ART])
+def test_every_forward_runs_the_one_fact_encoder_and_aggregator(data, bank, variant,
+                                                                 monkeypatch):
+    """One training minibatch, one validation chunk and one served case each
+    call ``ChargeModel.encode_fact`` once and, for the article variants,
+    ``aggregate_articles`` once: no second fact encoder or aggregator runs
+    beside them."""
+    calls = []
+
+    def counting(name, fn):
+        def wrapped(*args, **kwargs):
+            calls.append((name, nd.recording()))
+            return fn(*args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(cm.ChargeModel, "encode_fact",
+                        counting("encode_fact", cm.ChargeModel.encode_fact))
+    monkeypatch.setattr(cm, "aggregate_articles",
+                        counting("aggregate", cm.aggregate_articles))
+    config = cm.ModelConfig(variant=variant, max_epochs=1, patience=1, **TINY_DIMS)
+    n = config.batch
+    model, _ = cm.train(data.train[:n], data.valid[:n], config, seed=1, bank=bank,
+                        article_db=data.article_db)
+    one = [("encode_fact", False)]
+    if config.uses_articles():
+        one.append(("aggregate", False))
+    # The minibatch runs under the tape, the validation chunk without.
+    assert calls == [(name, True) for name, _ in one] + one
+    calls.clear()
+    cm.forward(data.test[0], model, bank=bank)
+    assert calls == one
+
+
+def test_model_file_with_epochs_completed_loads(data, tmp_path):
+    """Files saved before ``epochs_completed`` was dropped still hold it in
+    their meta; ``load_model`` ignores meta fields it does not read."""
+    model = untrained_model(data, cm.Variant.FACT_ONLY)
+    path = tmp_path / "m.npz"
+    cm.save_model(path, model)
+    arrays, meta = nd.load_arrays(path, "model", {})
+    assert "epochs_completed" not in meta
+    nd.save_arrays(path, "model", arrays, {**meta, "epochs_completed": 7})
+    loaded = cm.load_model(path)
+    for (name, want), (_, got) in zip(model.params.named(), loaded.params.named(),
+                                      strict=True):
+        npt.assert_array_equal(got.data, want.data, err_msg=name)
+    assert (loaded.tau, loaded.config) == (model.tau, model.config)
 
 
 def test_article_ids_round_trip_through_every_file(data, tmp_path):
