@@ -11,22 +11,20 @@ the whole extraction pipeline end to end.
 
 from __future__ import annotations
 
-import json
-import logging
 import re
 from dataclasses import dataclass
 
 import numpy as np
 
-from .ndtensor import DomainError, atomic_write
-
-log = logging.getLogger(__name__)
+from .ndtensor import DomainError
 
 CHARGE_MASK = "[MASK]"
 
 # Matches statute references such as 第二百三十四条 or 第一百三十三条之一;
-# the 、 inside the numeral class admits enumerations like 第二百三十二、二百三十四条.
-ARTICLE_PATTERN = re.compile("第[、零〇一二两三四五六七八九十百千0-9]+条(之[一二两三四五六七八九十])?")
+# group 1 holds the article numerals, group 2 the 之 numeral. The 、 inside
+# group 1's class admits enumerations like 第二百三十二、二百三十四条.
+_NUMERAL_CLASS = "零〇一二两三四五六七八九十百千0-9"
+ARTICLE_PATTERN = re.compile(f"第([、{_NUMERAL_CLASS}]+)条(?:之([{_NUMERAL_CLASS}]+))?")
 
 # The clauses that open each part of a judgement; a part starts at the first
 # occurrence of any of its clauses.
@@ -48,7 +46,7 @@ class ExtractionError(ValueError):
 
 
 class ParseError(ValueError):
-    """Malformed numeral or dataset record; message carries the location."""
+    """Malformed numeral or article reference; the message quotes it."""
 
 
 @dataclass
@@ -64,9 +62,9 @@ class JudgementDoc:
 class CaseRecord:
     """Tokenized fact description with gold charge and article sets.
 
-    ``fact`` holds sentences of immutable (token, pos) tuples. The corpus
-    builders (``generate_synthetic``, ``load_dataset``) build one tuple per
-    distinct pair and share it across every sentence and case.
+    ``fact`` holds sentences of immutable (token, pos) tuples.
+    ``generate_synthetic`` builds one tuple per distinct pair and shares it
+    across every sentence and case.
     """
 
     fact: list[list[tuple[str, str]]]  # sentences of (token, pos Tag)
@@ -118,7 +116,9 @@ def chinese_numeral_to_int(text: str) -> int:
     from left to right (百 after 十, or 十 after 十, is malformed). A 零
     follows a multiplier and skips at least one place before the next digit
     (一百零五, 一千零五十); a leading, trailing or doubled 零, or one that
-    skips no place (一百零十), is malformed.
+    skips no place (一百零十), is malformed. A skipped place needs its 零:
+    a multiplier or a last digit that skips one without a 零 (一千二十,
+    一百一) is malformed, since 101 is written 一百零一.
     """
     if not text:
         raise ParseError("empty numeral")
@@ -142,6 +142,9 @@ def chinese_numeral_to_int(text: str) -> int:
             if zero is not None:
                 check_zero(multiplier)
                 zero = None
+            elif last is not None and 10 * multiplier != last:
+                raise ParseError(f"malformed numeral {text!r}: {ch!r} skips a place "
+                                 "without a 零")
             total += max(current, 1) * multiplier
             current = 0
             last = multiplier
@@ -157,6 +160,9 @@ def chinese_numeral_to_int(text: str) -> int:
             raise ParseError(f"malformed numeral {text!r}: unexpected {ch!r}")
     if zero is not None:
         check_zero(1)
+    elif current != 0 and last in (100, 1000):
+        raise ParseError(f"malformed numeral {text!r}: a last digit that skips a place "
+                         "without a 零")
     return total + current
 
 
@@ -219,19 +225,21 @@ def format_article_ref(article_id) -> str:
 def extract_articles(court_view_text: str) -> list:
     """All article references, converted to ids, deduplicated in first-seen order.
 
-    Sub-clause suffixes 之N become (number, N) pairs. Enumerated references
+    Sub-clause suffixes 之N become (number, N) pairs; N is read with the
+    article numeral reader, so 之十一 is 11. Enumerated references
     (numerals joined by 、 inside one 第...条) yield one id per numeral; a 之N
     suffix applies to the last numeral of the enumeration. Article numbers
-    start at 1, as every loader requires, so 第0条 raises ParseError; the
-    pattern's 之N reads 一 to 十 only, so no sub-number is below 1.
+    and sub-numbers start at 1, as the bank and model files require, so
+    第0条 and 第五条之0 raise ParseError, as does a malformed numeral.
     """
     out = []
     seen = set()
     for m in ARTICLE_PATTERN.finditer(court_view_text):
-        body = m.group(0)
-        stem, _, sub_part = body.partition("条")
-        numerals = [p for p in stem.removeprefix("第").split("、") if p]
-        sub = chinese_numeral_to_int(sub_part.removeprefix("之")) if sub_part else None
+        body, stem, sub_part = m.group(0), m.group(1), m.group(2)
+        numerals = [p for p in stem.split("、") if p]
+        sub = chinese_numeral_to_int(sub_part) if sub_part else None
+        if sub is not None and sub < 1:
+            raise ParseError(f"article reference {body!r} has a sub-number below 1")
         for i, numeral in enumerate(numerals):
             num = chinese_numeral_to_int(numeral)
             if num < 1:
@@ -271,15 +279,18 @@ def mask_charges(fact_text: str, charge_list: list[str]) -> str:
     return _charge_pattern(charge_list).sub(CHARGE_MASK, fact_text)
 
 
-_SENT_SPLIT = re.compile(r"[。!?;!?;]")
-_TOKEN_STRIP = ",,、::""''()()《》【】."
+# Judgement text uses the full-width marks; the ASCII ones stay for mixed text.
+_SENT_SPLIT = re.compile("[。！？；!?;]")
+_TOKEN_STRIP = "，,、：:“”‘’\"'（）()《》【】."
 
 
 def simple_tokenize(text: str) -> list[list[tuple[str, str]]]:
     """Whitespace/punctuation tokenizer with a single synthetic POS tag.
 
-    Pre-segmented data with real tags enters through dataset files instead;
-    this fallback keeps the pipeline free of external tokenizer dependencies.
+    Sentences end at 。！？； (or their ASCII forms), tokens are the
+    whitespace-separated words, and each token loses the quotes, brackets
+    and commas around it, full-width or ASCII. This keeps the pipeline free
+    of external tokenizer dependencies.
     """
     sentences = []
     for chunk in _SENT_SPLIT.split(text):
@@ -443,7 +454,7 @@ def assemble_case(doc: JudgementDoc, charge_list: list[str]) -> CaseRecord:
     fact_seg, view_seg, decision_seg = segment(doc)
     for clause in FACT_INDICATORS:
         if fact_seg.startswith(clause):
-            fact_seg = fact_seg[len(clause):].lstrip(":::,,")
+            fact_seg = fact_seg[len(clause):].lstrip("：:，,")
             break
     charges = extract_charges(decision_seg, charge_list)
     articles = extract_articles(view_seg)
@@ -473,88 +484,3 @@ def assemble_dataset(records: list[CaseRecord], min_charge_count: int = 80,
             negatives.append(rec)
     return labeled, negatives, sorted(kept)
 
-
-def save_dataset(path, cases: list[CaseRecord]) -> None:
-    """One JSON record per line: fact sentences of [token, pos] pairs, charges,
-    articles. Written atomically, as are the other ``save_*`` files."""
-    with atomic_write(path, "w", encoding="utf-8") as fh:
-        for case in cases:
-            record = {
-                "fact": [[[tok, pos] for tok, pos in sent] for sent in case.fact],
-                "charges": sorted(case.gold_charges),
-                "articles": [article_id_to_json(a)
-                             for a in sorted(case.gold_articles, key=article_sort_key)],
-            }
-            fh.write(json.dumps(record, ensure_ascii=False) + "\n")
-
-
-def _list_field(rec: dict, key: str, entry_ok, entries: str) -> list:
-    """``rec[key]``, which must be a list of ``entries``, each passing ``entry_ok``."""
-    value = rec[key]
-    if not isinstance(value, list) or not all(entry_ok(v) for v in value):
-        raise TypeError(f"{key!r} must be a list of {entries}")
-    return value
-
-
-def _is_sentence(value) -> bool:
-    return isinstance(value, list) and all(
-        isinstance(pair, list) and len(pair) == 2 and all(isinstance(v, str) for v in pair)
-        for pair in value)
-
-
-def load_dataset(path) -> list[CaseRecord]:
-    """Inverse of ``save_dataset``; a record that is not JSON, lacks a field
-    or holds a value of the wrong type raises ParseError naming its line.
-
-    Each distinct (token, pos) pair becomes one tuple, shared by every case
-    the call loads.
-    """
-    cases = []
-    share = {}.setdefault  # (token, pos) -> its one tuple
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                rec = json.loads(line)
-                fact = _list_field(rec, "fact", _is_sentence,
-                                   "sentences of [token, pos] string pairs")
-                charges = _list_field(rec, "charges", lambda c: isinstance(c, str), "strings")
-                articles = _list_field(rec, "articles", _is_article_id, "article ids")
-                cases.append(CaseRecord([[share(p, p) for p in map(tuple, sent)]
-                                         for sent in fact],
-                                        set(charges),
-                                        {article_id_from_json(a) for a in articles}))
-            except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-                raise ParseError(f"{path}: bad record on line {lineno}: {exc}") from exc
-    if not cases:
-        log.warning("dataset %s is empty", path)
-    return cases
-
-
-def save_article_db(path, article_db: dict) -> None:
-    with atomic_write(path, "w", encoding="utf-8") as fh:
-        for aid in sorted(article_db, key=article_sort_key):
-            fh.write(json.dumps({"id": article_id_to_json(aid), "text": article_db[aid]},
-                                ensure_ascii=False) + "\n")
-
-
-def load_article_db(path) -> dict:
-    """Inverse of ``save_article_db``; a bad record, or one whose id an
-    earlier record holds, raises ParseError naming its line."""
-    db = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                rec = json.loads(line)
-                if not _is_article_id(rec["id"]) or not isinstance(rec["text"], str):
-                    raise TypeError("a record holds an article id and a string 'text'")
-            except (json.JSONDecodeError, KeyError, TypeError) as exc:
-                raise ParseError(f"{path}: bad record on line {lineno}: {exc}") from exc
-            aid = article_id_from_json(rec["id"])
-            if aid in db:
-                raise ParseError(f"{path}: line {lineno} repeats the article id {aid!r}")
-            db[aid] = rec["text"]
-    return db

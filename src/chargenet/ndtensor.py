@@ -560,10 +560,9 @@ FORMAT_VERSION = 2
 
 
 @contextmanager
-def atomic_write(path, mode: str = "wb", **open_kwargs):
-    """Write ``path`` all at once: the block writes a new file beside it,
-    which replaces ``path`` only when the block finishes. ``mode`` is "wb"
-    or "w".
+def atomic_write(path):
+    """Write ``path`` all at once: the block writes a new binary file beside
+    it, which replaces ``path`` only when the block finishes.
 
     If the block raises, the new file is removed and ``path`` keeps its old
     content (or stays absent).
@@ -572,7 +571,7 @@ def atomic_write(path, mode: str = "wb", **open_kwargs):
     head, tail = os.path.split(path)
     tmp = os.path.join(head, f".{tail}.{uuid.uuid4().hex}.tmp")
     try:
-        with open(tmp, mode.replace("w", "x"), **open_kwargs) as fh:
+        with open(tmp, "xb") as fh:
             yield fh
             fh.flush()
             os.fsync(fh.fileno())

@@ -1,7 +1,5 @@
 import hashlib
 import json
-import os
-import re
 
 import numpy as np
 import pytest
@@ -95,10 +93,12 @@ class TestNumerals:
         assert cp.chinese_numeral_to_int("两百") == 200
 
     def test_malformed(self):
-        # The last row: a 零 that skips no place (leading, trailing, alone,
-        # doubled, or followed by the next place down).
+        # The second row: a 零 that skips no place (leading, trailing, alone,
+        # doubled, or followed by the next place down). The third: a place
+        # skipped without a 零 (101 is written 一百零一).
         for bad in ("", "一二", "条", "2三", "十百", "百百", "十十", "三百二十百",
-                    "零一", "一百零", "零", "〇", "一千零零五", "一百零十", "十零五", "一千零五百"):
+                    "零一", "一百零", "零", "〇", "一千零零五", "一百零十", "十零五", "一千零五百",
+                    "一百一", "二百三", "一千二", "三千五", "一千二十", "千十", "百5"):
             with pytest.raises(ParseError):
                 cp.chinese_numeral_to_int(bad)
 
@@ -113,10 +113,9 @@ class TestNumerals:
             assert cp.chinese_numeral_to_int(written) == n, (n, written)
 
 
-# Article ids whose references the default pattern reads: 之N takes one numeral
-# character, so sub-clauses run 1..10.
+# Article ids as judgements cite them, sub-clauses 之N included.
 ARTICLE_IDS = st.one_of(st.integers(1, 9999),
-                        st.tuples(st.integers(1, 9999), st.integers(1, 10)))
+                        st.tuples(st.integers(1, 9999), st.integers(1, 99)))
 
 
 class TestExtractArticles:
@@ -127,6 +126,17 @@ class TestExtractArticles:
     def test_sub_clause(self):
         out = cp.extract_articles("第一百三十三条之一")
         assert out == [(133, 1)]
+        out = cp.extract_articles("第一百二十条之十一、第五条之二十")
+        assert out == [(120, 11), (5, 20)]
+
+    @pytest.mark.parametrize("text, problem", [
+        ("依照第一百一条、第二百三条之规定", "skips a place"),
+        ("依照第五条之0的规定", "sub-number below 1"),
+        ("依照第五条之零的规定", "skips no place"),
+    ], ids=["skipped_place", "sub_zero", "sub_zero_numeral"])
+    def test_malformed_reference_is_rejected(self, text, problem):
+        with pytest.raises(ParseError, match=problem):
+            cp.extract_articles(text)
 
     def test_no_mention(self):
         assert cp.extract_articles("没有提到任何条文") == []
@@ -146,13 +156,14 @@ class TestExtractArticles:
                                       "依照第五、0条的规定"],
                              ids=["zero", "double_zero", "zero_in_enumeration"])
     def test_article_zero_is_rejected(self, text):
-        """Article numbers start at 1, as every loader requires: a 0 would
-        be saved into a dataset file that ``load_dataset`` refuses."""
+        """Article numbers start at 1, as the bank and model files require:
+        a 0 would give a case an id that ``load_bank`` and ``load_model``
+        refuse."""
         with pytest.raises(ParseError, match="number below 1"):
             cp.extract_articles(text)
 
     @given(nums=st.lists(st.integers(1, 9999), min_size=1, max_size=6),
-           sub=st.none() | st.integers(1, 10))
+           sub=st.none() | st.integers(1, 99))
     def test_rendered_enumeration_property(self, nums, sub):
         """第A、B、C条 yields A, B, C; a 之N suffix goes to the last numeral."""
         text = ("依照第" + "、".join(cp.int_to_chinese_numeral(n) for n in nums) + "条"
@@ -298,6 +309,15 @@ class TestTokenizer:
         sents = cp.simple_tokenize("a b c。d e!f g")
         assert [[t for t, _ in s] for s in sents] == [["a", "b", "c"], ["d", "e"], ["f", "g"]]
 
+    def test_full_width_punctuation(self):
+        """Judgement text ends sentences with ！？； and wraps words in
+        full-width quotes, brackets and commas; ASCII quotes go as well."""
+        sents = cp.simple_tokenize(
+            "被告人 “张三” （男） ，于 某日！ 窃取 ‘财物’ ；经查 属实？ \"完毕\" 'a'")
+        assert [[t for t, _ in s] for s in sents] == [
+            ["被告人", "张三", "男", "于", "某日"], ["窃取", "财物"], ["经查", "属实"],
+            ["完毕", "a"]]
+
     def test_pos_tag_constant(self):
         sents = cp.simple_tokenize("x y")
         assert all(pos == "x" for s in sents for _, pos in s)
@@ -427,88 +447,6 @@ class TestRenderRoundTrip:
         case = CaseRecord([[("tok1", "n"), ("tok2", "n")]], {"盗窃"}, {(133, 1), 264})
         rebuilt = cp.assemble_case(cp.render_judgement(case), ["盗窃"])
         assert rebuilt.gold_articles == {(133, 1), 264}
-
-
-class TestDatasetIO:
-    def test_round_trip(self, tmp_path):
-        corpus = cp.generate_synthetic(small_spec())
-        path = tmp_path / "train.jsonl"
-        cp.save_dataset(path, corpus.train)
-        loaded = cp.load_dataset(path)
-        assert loaded == corpus.train
-        n_objects, n_values = pair_counts(loaded)  # one shared tuple per pair
-        assert n_objects == n_values
-
-    def test_empty_file_warns(self, tmp_path, caplog):
-        path = tmp_path / "empty.jsonl"
-        path.write_text("")
-        with caplog.at_level("WARNING"):
-            assert cp.load_dataset(path) == []
-        assert any("empty" in r.message for r in caplog.records)
-
-    def test_truncated_record_names_line(self, tmp_path):
-        path = tmp_path / "bad.jsonl"
-        good = ('{"fact": [[["a", "n"]]], "charges": ["x"], "articles": [1]}')
-        path.write_text(good + "\n" + good[: len(good) // 2] + "\n")
-        with pytest.raises(ParseError, match="line 2"):
-            cp.load_dataset(path)
-
-    @pytest.mark.parametrize("field,value,problem", [
-        ("charges", "theft", "'charges' must be a list"),
-        ("articles", "133", "'articles' must be a list"),
-        ("articles", [[133, 1, 2]], "'articles' must be a list of article ids"),
-        ("articles", [0], "'articles' must be a list of article ids"),
-        ("articles", [[133, 0]], "'articles' must be a list of article ids"),
-        ("fact", "a n", "'fact' must be a list"),
-        ("fact", [["a", "n"]], "'fact' must be a list of sentences"),
-        ("fact", [[["a", 1]]], "'fact' must be a list of sentences"),
-    ], ids=["charges_string", "articles_string", "article_triple", "article_zero",
-            "article_sub_zero", "fact_string",
-            "sentence_of_strings", "pos_not_string"])
-    def test_wrong_field_type_names_line(self, tmp_path, field, value, problem):
-        """A value of the wrong type is a bad record, not one read as
-        something else (a string's characters, say)."""
-        good = {"fact": [[["a", "n"]]], "charges": ["x"], "articles": [1]}
-        path = tmp_path / "bad.jsonl"
-        path.write_text(json.dumps(good) + "\n" + json.dumps({**good, field: value}) + "\n",
-                        encoding="utf-8")
-        with pytest.raises(ParseError, match=f"line 2: {re.escape(problem)}"):
-            cp.load_dataset(path)
-
-    @pytest.mark.parametrize("record", [{"id": 1, "text": 5}, {"id": "133", "text": "a"},
-                                        {"id": [133], "text": "a"}, {"id": 2, "text": "c"},
-                                        {"id": 0, "text": "a"}, {"id": -5, "text": "a"},
-                                        {"id": [133, 0], "text": "a"}],
-                             ids=["text_not_string", "id_string", "id_one_number",
-                                  "id_repeated", "id_zero", "id_negative", "id_sub_zero"])
-    def test_bad_article_record_names_line(self, tmp_path, record):
-        path = tmp_path / "articles.jsonl"
-        path.write_text(json.dumps({"id": 2, "text": "b"}) + "\n" + json.dumps(record) + "\n",
-                        encoding="utf-8")
-        with pytest.raises(ParseError, match="line 2"):
-            cp.load_article_db(path)
-
-    def test_article_db_round_trip(self, tmp_path):
-        corpus = cp.generate_synthetic(small_spec())
-        db_path = tmp_path / "articles.jsonl"
-        cp.save_article_db(db_path, corpus.article_db)
-        assert cp.load_article_db(db_path) == corpus.article_db
-
-    @pytest.mark.parametrize("save,good,bad", [
-        (cp.save_dataset, [CaseRecord([[("old", "n")]], {"x"}, {1})],
-         [CaseRecord([[("a", "n")]], {"x"}, {1}), CaseRecord([[(b"b", "n")]], {"x"}, {1})]),
-        (cp.save_article_db, {1: "old"}, {1: "a", 2: b"b"}),
-    ], ids=["dataset", "article_db"])
-    def test_failed_save_keeps_the_old_file(self, tmp_path, save, good, bad):
-        """A save that raises part-way (a token JSON cannot encode) leaves
-        the previous file byte for byte and no temporary file."""
-        path = tmp_path / "out"
-        save(path, good)
-        before = path.read_bytes()
-        with pytest.raises(TypeError):
-            save(path, bad)
-        assert path.read_bytes() == before
-        assert os.listdir(tmp_path) == ["out"]
 
 
 class TestAssembleDataset:

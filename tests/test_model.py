@@ -837,21 +837,14 @@ def test_model_file_with_epochs_completed_loads(data, tmp_path):
 
 
 def test_article_ids_round_trip_through_every_file(data, tmp_path):
-    """Int and (number, sub_number) ids survive the dataset, the article DB,
-    the extractor bank and the model file."""
+    """Int and (number, sub_number) ids survive the extractor bank and the
+    model file."""
     relabel = {a: (a, 1) for a in sorted(data.article_db)[::2]}
     cases = [cp.CaseRecord(c.fact, c.gold_charges, {relabel.get(a, a) for a in c.gold_articles})
              for c in data.train]
     article_db = {relabel.get(a, a): text for a, text in data.article_db.items()}
     ids = sorted(article_db, key=cp.article_sort_key)
     assert any(isinstance(a, int) for a in ids) and any(isinstance(a, tuple) for a in ids)
-
-    cp.save_dataset(tmp_path / "train.jsonl", cases)
-    cases = cp.load_dataset(tmp_path / "train.jsonl")
-    assert [c.gold_articles for c in cases] == [{relabel.get(a, a) for a in c.gold_articles}
-                                                for c in data.train]
-    cp.save_article_db(tmp_path / "articles.jsonl", article_db)
-    assert cp.load_article_db(tmp_path / "articles.jsonl") == article_db
 
     bank = ax.build_bank([c.tokens() for c in cases], [c.gold_articles for c in cases],
                          k=TINY_DIMS["k"])
@@ -1091,7 +1084,7 @@ def test_tensor_that_does_not_fit_is_rejected(data, tmp_path, damage, problem):
 
 
 HASHLIB_PROBE = """
-import importlib, pkgutil, sys
+import importlib, json, pkgutil, sys
 import chargenet
 for info in pkgutil.iter_modules(chargenet.__path__):
     importlib.import_module("chargenet." + info.name)
@@ -1102,7 +1095,9 @@ ax.save_bank(root + "/bank2.npz", ax.load_bank(root + "/bank.npz"))
 ax.load_bank(root + "/bank2.npz")
 arrays, meta = nd.load_arrays(root + "/m.npz", "model", cm.MODEL_FIELDS)
 nd.save_arrays(root + "/m2.npz", "model", arrays, meta)
-cm.load_model(root + "/m2.npz", article_db=cp.load_article_db(root + "/articles.jsonl"))
+with open(root + "/articles.json", encoding="utf-8") as fh:
+    article_db = {cp.article_id_from_json(a): text for a, text in json.load(fh)}
+cm.load_model(root + "/m2.npz", article_db=article_db)
 print(sorted(name for name in sys.modules if "hashlib" in name))
 """
 
@@ -1114,10 +1109,14 @@ def test_saving_and_loading_import_no_hashlib(data, bank, tmp_path):
 
     ``load_model`` draws nothing, so it does not import ``numpy.random``,
     whose import brings in hashlib (through ``secrets``) in any process that
-    draws a model."""
+    draws a model. For the same reason the process reads the article
+    database from plain JSON that the test writes, and does not generate
+    it."""
     cm.save_model(tmp_path / "m.npz", untrained_model(data, cm.Variant.FACT_SUPV_ART))
     ax.save_bank(tmp_path / "bank.npz", bank)
-    cp.save_article_db(tmp_path / "articles.jsonl", data.article_db)
+    (tmp_path / "articles.json").write_text(
+        json.dumps([[cp.article_id_to_json(a), text] for a, text in data.article_db.items()],
+                   ensure_ascii=False), encoding="utf-8")
     src = os.path.dirname(os.path.dirname(cm.__file__))
     run = subprocess.run([sys.executable, "-c", HASHLIB_PROBE, str(tmp_path)],
                          env={**os.environ, "PYTHONPATH": src}, capture_output=True,

@@ -9,8 +9,11 @@ a reference from the tests. Dunder methods are called by Python itself and
 are exempt.
 
 ``TEST_ONLY`` lists the definitions that only the tests call today; they
-wait for a command-line entry point. The list can only shrink: a listed name
-that gains a caller, or that no longer exists, fails too.
+wait for a command-line entry point. ``TRACE_ONLY`` lists the definitions
+that only the benchmark's tracer names, by string: the model no longer runs
+them, so their spans measure nothing. Both lists can only shrink: a listed
+name that gains a caller, or that no longer exists, fails too, and so does a
+definition that newly has no caller but the tracer.
 """
 
 import ast
@@ -23,9 +26,10 @@ TREES = (PACKAGE, ROOT / "perfbench")
 TEST_ONLY = {
     "recall_at_k", "save_bank", "load_bank", "save_model", "load_model",
     "prediction_record", "render_judgement", "assemble_case", "assemble_dataset",
-    "save_dataset", "load_dataset", "save_article_db", "load_article_db",
     "VariantReport.to_jsonl", "VariantReport.to_text", "compare_variants",
 }
+
+TRACE_ONLY = {"gru_step", "bigru_encode", "attentive_pool"}
 
 
 def parsed(tree: Path) -> list[tuple[Path, ast.Module]]:
@@ -48,8 +52,9 @@ def definitions() -> dict[str, str]:
     return found
 
 
-def references() -> set[str]:
-    names = set()
+def references() -> tuple[set[str], set[str]]:
+    """(names used as a name or an attribute, whole string constants)."""
+    names, strings = set(), set()
     for tree in TREES:
         for _, module in parsed(tree):
             for node in ast.walk(module):
@@ -58,19 +63,29 @@ def references() -> set[str]:
                 elif isinstance(node, ast.Attribute):
                     names.add(node.attr)
                 elif isinstance(node, ast.Constant) and isinstance(node.value, str):
-                    names.add(node.value)
-    return names
+                    strings.add(node.value)
+    return names, strings
 
 
 def test_every_definition_has_a_caller():
-    defs, refs = definitions(), references()
+    defs, refs = definitions(), set().union(*references())
     unreferenced = sorted(q for q, name in defs.items()
                           if name not in refs and q not in TEST_ONLY)
     assert not unreferenced, f"nothing in src/chargenet or perfbench uses {unreferenced}"
 
 
 def test_test_only_list_is_exact():
-    defs, refs = definitions(), references()
+    defs, refs = definitions(), set().union(*references())
     assert not sorted(TEST_ONLY - set(defs)), "listed but no longer defined"
     called = sorted(q for q in TEST_ONLY if defs[q] in refs)
     assert not called, f"listed as test-only but called: {called}; take them off the list"
+
+
+def test_trace_only_list_is_exact():
+    defs = definitions()
+    names, strings = references()
+    named_by_string_only = {q for q, name in defs.items()
+                            if name in strings and name not in names}
+    assert named_by_string_only == TRACE_ONLY, (
+        f"named only by the tracer's strings: {sorted(named_by_string_only)}; "
+        f"TRACE_ONLY lists {sorted(TRACE_ONLY)}")
