@@ -192,7 +192,9 @@ def build_bank(docs_tokens: list[list[str]], gold_sets: list[set], k: int = 20) 
     if len(docs_tokens) != len(gold_sets):
         raise ShapeError(f"{len(docs_tokens)} documents vs {len(gold_sets)} gold sets")
     tfidf = fit_tfidf(docs_tokens)
-    x = np.stack([transform(doc, tfidf) for doc in docs_tokens])
+    x = np.empty((len(docs_tokens), tfidf.n_features))
+    for i, doc in enumerate(docs_tokens):
+        x[i] = transform(doc, tfidf)
     article_ids = sorted({a for gold in gold_sets for a in gold}, key=article_sort_key)
     labels = np.array([[aid in gold for aid in article_ids] for gold in gold_sets], dtype=bool)
     weights, bias = train_scorer(x, labels)

@@ -50,10 +50,10 @@ rows by ``keyed_rows``, and shared by the word pools of every case:
   gradients into the rows it read, so the scan and key nodes each turn the
   gradients of the whole minibatch into parameter gradients once;
 * with no tape, a forward reads ``ChargeModel.article_words``, the state
-  and key rows of every article in the database. They are rebuilt whenever the
-  word or POS embeddings, the article word-level Bi-GRU or its
-  word-attention weights differ, by content, from the copies taken at the
-  last build; a batch checks that once.
+  and key rows of every article in the database. They are rebuilt when an
+  array they are computed from is not the object the last build read, or
+  when ``nd.sgd_step``, the one in-place writer of a model's read-only
+  parameters, has run since; a batch checks that once.
 """
 
 from __future__ import annotations
@@ -263,7 +263,10 @@ class ArticleWords:
 
 @dataclass
 class ChargeModel:
-    """Trained parameters plus the vocabularies needed to run them."""
+    """Trained parameters plus the vocabularies needed to run them.
+
+    The parameter arrays are read-only from construction; ``nd.sgd_step`` is
+    their one writer, which ``article_words`` relies on."""
 
     config: ModelConfig
     params: ModelParams
@@ -272,9 +275,14 @@ class ChargeModel:
     charge_vocab: list[str]
     article_docs: dict  # article id -> list of (word_ids, pos_ids) per sentence
     tau: float
-    # Copies of the inputs of the cached article states, and the states.
-    _article_cache: tuple[list[np.ndarray], ArticleWords] | None = field(
+    # The arrays the cached article states were computed from, the
+    # nd.write_count() of that build, and the states.
+    _article_cache: tuple[tuple[np.ndarray, ...], int, ArticleWords] | None = field(
         default=None, init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        for t in self.params.tensors():
+            t.data.flags.writeable = False
 
     def embed_tokens(self, word_ids: np.ndarray, pos_ids: np.ndarray) -> Tensor:
         return nd.concat([nd.embed(self.params.word_emb, word_ids),
@@ -291,22 +299,26 @@ class ChargeModel:
         """Word-level states of every article in the database, for forwards
         with no tape.
 
-        They are recomputed whenever the word or POS embeddings, the article
-        word-level Bi-GRU or its word-attention weights differ from the
-        copies taken at the last build. Parameters are written in place
-        (SGD, restores, finite differences), so the check compares contents,
-        not identities.
+        The cache keys on the six arrays they are computed from (both
+        embeddings, the article word-level Bi-GRU and its word-attention
+        ``w``), held by reference, and on ``nd.write_count()``; the check
+        reads no array contents. The build marks those arrays read-only, so
+        an in-place write other than ``nd.sgd_step``'s raises. (A write
+        through a writable alias of their memory is not seen.)
         """
         p = self.params
-        inputs = [p.word_emb.data, p.pos_emb.data]
-        inputs += [t.data for group in (p.art_enc.word_gru, p.art_enc.word_pool)
-                   for t in group.tensors()]
+        gru, pool = p.art_enc.word_gru, p.art_enc.word_pool
+        inputs = (p.word_emb.data, p.pos_emb.data, gru.w.data, gru.u.data, gru.b.data,
+                  pool.w.data)
+        writes = nd.write_count()
         cache = self._article_cache
-        if cache is None or not all(np.array_equal(kept, now)
-                                    for kept, now in zip(cache[0], inputs)):
+        if (cache is None or cache[1] != writes
+                or any(kept is not now for kept, now in zip(cache[0], inputs))):
+            for a in inputs:
+                a.flags.writeable = False
             words = encode_article_words(self, sorted(self.article_docs, key=article_sort_key))
-            cache = self._article_cache = ([a.copy() for a in inputs], words)
-        return cache[1]
+            cache = self._article_cache = (inputs, writes, words)
+        return cache[2]
 
 
 def build_vocab(cases: list[CaseRecord]) -> tuple[dict[str, int], dict[str, int]]:
@@ -619,7 +631,8 @@ def train(train_set: list[CaseRecord], valid_set: list[CaseRecord],
     """A new model trained from scratch: mini-batch SGD with per-epoch
     shuffles seeded by (seed, epoch) and early stopping on validation
     micro-F1. Returns the best-validation model, its tau tuned on that
-    epoch's validation outputs.
+    epoch's validation outputs. When the best epoch is the last one run, no
+    copy of the parameters is kept or restored.
 
     Each minibatch is one ``forward_batch`` graph. Each history entry holds
     the epoch's mean losses, the validation micro-F1 and
@@ -656,6 +669,9 @@ def train(train_set: list[CaseRecord], valid_set: list[CaseRecord],
     history: list[dict] = []
 
     for epoch in range(config.max_epochs):
+        if epoch and best_epoch == epoch - 1:
+            # The parameters hold the best epoch until this epoch's steps.
+            best_state = [t.data.copy() for t in params]
         order = np.random.default_rng((seed, epoch)).permutation(len(train_set))
         epoch_loss = epoch_charge = epoch_attn = 0.0
         tape_nodes = 0
@@ -685,7 +701,6 @@ def train(train_set: list[CaseRecord], valid_set: list[CaseRecord],
 
         if valid_f1 > best_f1:
             best_f1 = valid_f1
-            best_state = [t.data.copy() for t in params]
             best_probs = probs
             best_epoch = epoch
             stale = 0
@@ -696,8 +711,11 @@ def train(train_set: list[CaseRecord], valid_set: list[CaseRecord],
                          epoch, best_f1, best_epoch)
                 break
 
-    for t, data in zip(params, best_state):
-        t.data = data
+    if best_epoch != len(history) - 1:
+        for t, data in zip(params, best_state):
+            data.flags.writeable = False
+            t.data = data
+    for t in params:
         t.parked_grad = None
     model.tau = tune_threshold(best_probs, [case.gold_charges for case in valid_set],
                                model.charge_vocab)

@@ -20,11 +20,13 @@ from .ndtensor import DomainError
 
 CHARGE_MASK = "[MASK]"
 
-# Matches statute references such as 第二百三十四条 or 第一百三十三条之一;
-# group 1 holds the article numerals, group 2 the 之 numeral. The 、 inside
-# group 1's class admits enumerations like 第二百三十二、二百三十四条.
+# Matches a law's title in 《》, held in group 1, or a statute reference such
+# as 第二百三十四条 or 第一百三十三条之一: group 2 holds the article numerals,
+# group 3 the 之 numeral. The 、 inside group 2's class admits enumerations
+# like 第二百三十二、二百三十四条.
 _NUMERAL_CLASS = "零〇一二两三四五六七八九十百千0-9"
-ARTICLE_PATTERN = re.compile(f"第([、{_NUMERAL_CLASS}]+)条(?:之([{_NUMERAL_CLASS}]+))?")
+ARTICLE_PATTERN = re.compile(
+    f"《([^《》]*)》|第([、{_NUMERAL_CLASS}]+)条(?:之([{_NUMERAL_CLASS}]+))?")
 
 # The clauses that open each part of a judgement; a part starts at the first
 # occurrence of any of its clauses.
@@ -223,19 +225,28 @@ def format_article_ref(article_id) -> str:
 
 
 def extract_articles(court_view_text: str) -> list:
-    """All article references, converted to ids, deduplicated in first-seen order.
+    """All criminal-law article references, converted to ids, deduplicated
+    in first-seen order.
 
-    Sub-clause suffixes 之N become (number, N) pairs; N is read with the
-    article numeral reader, so 之十一 is 11. Enumerated references
-    (numerals joined by 、 inside one 第...条) yield one id per numeral; a 之N
-    suffix applies to the last numeral of the enumeration. Article numbers
-    and sub-numbers start at 1, as the bank and model files require, so
-    第0条 and 第五条之0 raise ParseError, as does a malformed numeral.
+    A reference belongs to the nearest 《…》 title before it; those under a
+    title that does not end in 刑法 (the criminal procedure law, say) are
+    dropped, and those before any title are kept. Sub-clause suffixes 之N
+    become (number, N) pairs; N is read with the article numeral reader, so
+    之十一 is 11. Enumerated references (numerals joined by 、 inside one
+    第...条) yield one id per numeral; a 之N suffix applies to the last
+    numeral of the enumeration. Article numbers and sub-numbers start at 1,
+    as the bank and model files require, so 第0条 and 第五条之0 raise
+    ParseError, as does a malformed numeral.
     """
     out = []
     seen = set()
+    criminal = True
     for m in ARTICLE_PATTERN.finditer(court_view_text):
-        body, stem, sub_part = m.group(0), m.group(1), m.group(2)
+        body, (title, stem, sub_part) = m.group(0), m.groups()
+        if title is not None:
+            criminal = title.endswith("刑法")
+        if title is not None or not criminal:
+            continue
         numerals = [p for p in stem.split("、") if p]
         sub = chinese_numeral_to_int(sub_part) if sub_part else None
         if sub is not None and sub < 1:

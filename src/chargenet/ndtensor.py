@@ -23,6 +23,10 @@ it, zeroes it and parks it on the tensor (``parked_grad``), and the next
 buffer. Adding into zeros gives the same bits as a fresh buffer; reusing it
 spares the allocator a buffer per parameter per minibatch, which it would
 otherwise return to the kernel and fault back in.
+
+``sgd_step`` is the one function that writes a parameter's array in place,
+and each call advances ``write_count``. So a cache of values computed from
+read-only parameter arrays can key on the arrays, by identity, plus the count.
 """
 
 from __future__ import annotations
@@ -44,7 +48,7 @@ __all__ = [
     "Tensor", "Tape", "ShapeError", "DomainError", "StateError",
     "matmul", "add", "sub", "mul", "tanh", "sigmoid", "concat", "narrow",
     "take_cols", "embed", "reshape", "softmax", "cross_entropy",
-    "sgd_step", "parameter", "zeros",
+    "sgd_step", "write_count", "parameter", "zeros",
     "save_arrays", "load_arrays", "FORMAT_VERSION",
     "record", "accumulate", "accumulate_rows", "recording", "no_recording", "logistic",
     "atomic_write", "ParamGroup",
@@ -492,22 +496,44 @@ def cross_entropy(target, predicted: Tensor) -> Tensor:
     return out
 
 
+_writes = 0
+
+
+def write_count() -> int:
+    """How many ``sgd_step`` calls this process has run, raising ones included."""
+    return _writes
+
+
 def sgd_step(params: Iterable[Tensor], lr: float) -> None:
     """p <- p - lr * grad for every parameter, then clear the gradients.
+
+    It is the one in-place writer of parameters: a read-only array is made
+    writable for the write and read-only again after it, and the call
+    advances ``write_count``, also when it raises.
 
     The step takes each gradient buffer over: it scales the buffer in place,
     subtracts it, zeroes it and parks it as ``p.parked_grad`` for the next
     ``Tape.backward``, leaving ``p.grad`` None. A caller that still reads a
     gradient after the step must copy it first.
     """
-    for p in params:
-        g = p.grad
-        if g is None:
-            raise StateError(f"parameter {p.name or p.shape} has no gradient; run backward first")
-        g *= lr
-        p.data -= g
-        g.fill(0.0)
-        p.grad, p.parked_grad = None, g
+    global _writes
+    try:
+        for p in params:
+            g = p.grad
+            if g is None:
+                raise StateError(
+                    f"parameter {p.name or p.shape} has no gradient; run backward first")
+            g *= lr
+            writeable = p.data.flags.writeable
+            p.data.flags.writeable = True
+            try:
+                p.data -= g
+            finally:
+                p.data.flags.writeable = writeable
+            g.fill(0.0)
+            p.grad, p.parked_grad = None, g
+    finally:
+        _writes += 1
 
 
 def parameter(shape, rng: np.random.Generator | None, scale: float | None = None,

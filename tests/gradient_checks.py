@@ -51,13 +51,24 @@ class GradCheckReport:
         return [c.name for c in self.checks if not c.ok]
 
 
+def _loss_with_entry(p, original, i, value, model_fn) -> float:
+    """The loss with ``p.data`` a copy of ``original`` whose flat entry i is
+    ``value``."""
+    bumped = original.copy()
+    bumped.reshape(-1)[i] = value
+    p.data = bumped
+    return model_fn().item()
+
+
 def grad_check(model_fn, params, tolerance=1e-4, step=1e-5) -> GradCheckReport:
     """Compare tape gradients of a deterministic scalar loss to central differences.
 
     ``model_fn`` runs a pure forward pass over the current values of the
-    ``(name, tensor)`` pairs ``params``. Relative error uses a 1e-4
-    denominator floor so finite-difference noise on near-zero gradients does
-    not trip the check.
+    ``(name, tensor)`` pairs ``params``. Each perturbed value runs on a copy
+    installed in the tensor, and the original array goes back afterwards, so
+    the check writes no parameter in place and works on read-only ones.
+    Relative error uses a 1e-4 denominator floor so finite-difference noise
+    on near-zero gradients does not trip the check.
     """
     named = list(params)
     tensors = [p for _, p in named]
@@ -71,18 +82,18 @@ def grad_check(model_fn, params, tolerance=1e-4, step=1e-5) -> GradCheckReport:
     report = GradCheckReport(tolerance=tolerance)
     for (name, p), ana in zip(named, analytic):
         worst = 0.0
-        flat = p.data.reshape(-1)
+        original = p.data
+        flat = original.reshape(-1)
         ana = ana.reshape(-1)
-        for i in range(flat.size):
-            keep = flat[i]
-            flat[i] = keep + step
-            up = model_fn().item()
-            flat[i] = keep - step
-            down = model_fn().item()
-            flat[i] = keep
-            fd = (up - down) / (2.0 * step)
-            err = abs(ana[i] - fd) / max(abs(ana[i]), abs(fd), 1e-4)
-            worst = max(worst, err)
+        try:
+            for i in range(flat.size):
+                up = _loss_with_entry(p, original, i, flat[i] + step, model_fn)
+                down = _loss_with_entry(p, original, i, flat[i] - step, model_fn)
+                fd = (up - down) / (2.0 * step)
+                err = abs(ana[i] - fd) / max(abs(ana[i]), abs(fd), 1e-4)
+                worst = max(worst, err)
+        finally:
+            p.data = original
         report.checks.append(ParamCheck(name, worst, worst < tolerance))
     for p in tensors:
         p.grad = None

@@ -141,6 +141,18 @@ class TestExtractArticles:
     def test_no_mention(self):
         assert cp.extract_articles("没有提到任何条文") == []
 
+    @pytest.mark.parametrize("text, want", [
+        ("依照《中华人民共和国刑法》第二百六十四条、《中华人民共和国刑事诉讼法》第十五条之规定",
+         [264]),
+        ("依照《中华人民共和国刑事诉讼法》第十五条、《中华人民共和国刑法》第二百六十四条、"
+         "第六十七条之规定", [264, 67]),
+        ("依照第五条、《中华人民共和国刑事诉讼法》第十五条之规定", [5]),
+    ], ids=["criminal_law_first", "procedure_law_first", "before_any_title"])
+    def test_only_criminal_law_references(self, text, want):
+        """A reference belongs to the nearest title before it; only 刑法
+        references, and those before any title, are articles."""
+        assert cp.extract_articles(text) == want
+
     def test_enumeration_splits(self):
         out = cp.extract_articles("依照第二百三十二、二百三十四条的规定")
         assert out == [232, 234]

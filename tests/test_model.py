@@ -213,6 +213,37 @@ def test_trained_model_holds_no_gradient_memory(data, bank):
         assert t.grad is None and t.parked_grad is None, name
 
 
+@pytest.mark.parametrize("variant", list(cm.Variant))
+def test_parameters_are_read_only(data, variant, tmp_path):
+    """Every parameter array of a constructed and of a loaded model is
+    read-only: ``nd.sgd_step`` is its one writer."""
+    model = untrained_model(data, variant)
+    cm.save_model(tmp_path / "m.npz", model)
+    loaded = cm.load_model(tmp_path / "m.npz", article_db=data.article_db)
+    for m in (model, loaded):
+        for name, t in m.params.named():
+            assert not t.data.flags.writeable, name
+
+
+@pytest.mark.parametrize("seed, lr, best_is_last", [(3, 0.5, True), (4, 0.1, False)])
+def test_trained_parameters_are_read_only(data, bank, seed, lr, best_is_last):
+    """``train()`` returns read-only parameters. When the best epoch is the
+    last one run they are the arrays its steps wrote, and the article states
+    its last validation cached serve on; an earlier best is restored into
+    new arrays, which serving reads afresh."""
+    config = cm.ModelConfig(variant=cm.Variant.FACT_SUPV_ART, max_epochs=3, patience=2,
+                            lr=lr, **TINY_DIMS)
+    model, history = cm.train(data.train, data.valid, config, seed=seed, bank=bank,
+                              article_db=data.article_db)
+    f1s = [h["valid_micro_f1"] for h in history]
+    assert (f1s.index(max(f1s)) == len(f1s) - 1) == best_is_last
+    for name, t in model.params.named():
+        assert not t.data.flags.writeable, name
+    cached = model._article_cache[-1]
+    cm.forward(data.test[0], model, bank=bank)
+    assert (model._article_cache[-1] is cached) == best_is_last
+
+
 def test_case_loss_terms_come_from_joint_loss(data, bank):
     model = untrained_model(data, cm.Variant.FACT_SUPV_ART)
     case, topk = supervised_case(data, bank, model.config)
@@ -439,7 +470,7 @@ def test_checkpoint_round_trip_keeps_predictions(data, bank, tmp_path):
             if model.config.uses_articles():
                 npt.assert_array_equal(got.alpha, want.alpha)
         if model.config.uses_articles():
-            assert loaded._article_cache[1] is not model._article_cache[1]
+            assert loaded._article_cache[-1] is not model._article_cache[-1]
         assert dataclasses.asdict(loaded.config) == dataclasses.asdict(model.config)
 
 
@@ -638,42 +669,70 @@ def sgd_on_one_case(data, bank, model):
 
 @pytest.mark.parametrize("change", ["sgd_step", "emb.word", "art.word_gru", "art.word_pool"])
 def test_article_cache_follows_parameter_changes(data, bank, change, monkeypatch):
+    """A step, or a new array in a field the cached states read, rebuilds
+    them; the build marks an installed array read-only."""
     model = untrained_model(data, cm.Variant.FACT_ART, seed=6)
     topks = cm._precompute_topk(data.test, model.config, bank)
     old = [cm.forward(case, model, topk=topk) for case, topk in zip(data.test, topks)]
-    states = model._article_cache[1].states.data.copy()
-    keys = model._article_cache[1].keys.data.copy()
+    states = model.article_words().states.data.copy()
+    keys = model.article_words().keys.data.copy()
+    p, hid = model.params, model.config.gru_hidden
+    installed = None
     if change == "sgd_step":
         sgd_on_one_case(data, bank, model)
     elif change == "emb.word":
-        model.params.word_emb.data[...] *= 1.5
+        installed = p.word_emb.data = p.word_emb.data * 1.5
     elif change == "art.word_gru":
-        model.params.art_enc.word_gru.u.data[1, -model.config.gru_hidden:] += 0.3
+        installed = p.art_enc.word_gru.u.data.copy()
+        installed[1, -hid:] += 0.3
+        p.art_enc.word_gru.u.data = installed
     else:
-        model.params.art_enc.word_pool.w.data[0] += 0.5
+        installed = p.art_enc.word_pool.w.data.copy()
+        installed[0] += 0.5
+        p.art_enc.word_pool.w.data = installed
     new = [cm.forward(case, model, topk=topk) for case, topk in zip(data.test, topks)]
     # Every change moves the keys; all but the pool weights move the states.
-    assert not np.array_equal(model._article_cache[1].keys.data, keys)
+    assert not np.array_equal(model.article_words().keys.data, keys)
     assert (change == "art.word_pool") == np.array_equal(
-        model._article_cache[1].states.data, states)
+        model.article_words().states.data, states)
     assert not np.array_equal(new[0].o, old[0].o)
+    assert installed is None or not installed.flags.writeable
     assert_forwards_close(new, per_case_forwards(data, model, topks, monkeypatch))
 
 
-def test_article_cache_follows_the_write(data, bank, monkeypatch):
-    """Writing the embedding rows of the words articles use, in place and
-    only those rows (as loading a vectors file would), rebuilds the cached
-    article states."""
+@pytest.mark.parametrize("name", ["emb.word", "emb.pos", "art.word.w", "art.word.u",
+                                  "art.word.b", "art.word_pool.w"])
+def test_in_place_write_to_a_cached_input_raises(data, bank, name):
+    """The arrays the cached article states read cannot be written in place
+    after serving: the write raises and the served outputs stay as they were."""
     model = untrained_model(data, cm.Variant.FACT_ART, seed=6)
     topks = cm._precompute_topk(data.test, model.config, bank)
     old = [cm.forward(case, model, topk=topk) for case, topk in zip(data.test, topks)]
-    states = model._article_cache[1].states.data.copy()
+    t = dict(model.params.named())[name]
+    with pytest.raises(ValueError, match="read-only"):
+        t.data[0] += 0.5
+    for case, topk, want in zip(data.test, topks, old):
+        got = cm.forward(case, model, topk=topk)
+        npt.assert_array_equal(got.o, want.o)
+        npt.assert_array_equal(got.alpha, want.alpha)
+
+
+def test_article_cache_follows_the_write(data, bank, monkeypatch):
+    """Writing the embedding rows of the words articles use, and only those
+    rows (as loading a vectors file would), into a new array rebuilds the
+    cached article states."""
+    model = untrained_model(data, cm.Variant.FACT_ART, seed=6)
+    topks = cm._precompute_topk(data.test, model.config, bank)
+    old = [cm.forward(case, model, topk=topk) for case, topk in zip(data.test, topks)]
+    states = model.article_words().states.data.copy()
     rows = sorted({int(i) for doc in model.article_docs.values() for ids, _ in doc
                    for i in ids} - {cm.PAD_ID, cm.UNK_ID})
     assert rows
-    model.params.word_emb.data[rows] = [0.75, -0.5]
+    emb = model.params.word_emb.data.copy()
+    emb[rows] = [0.75, -0.5]
+    model.params.word_emb.data = emb
     new = [cm.forward(case, model, topk=topk) for case, topk in zip(data.test, topks)]
-    assert not np.array_equal(model._article_cache[1].states.data, states)
+    assert not np.array_equal(model.article_words().states.data, states)
     assert not np.array_equal(new[0].o, old[0].o)
     assert_forwards_close(new, per_case_forwards(data, model, topks, monkeypatch))
 

@@ -423,6 +423,25 @@ class TestSgd:
         with pytest.raises(StateError):
             nd.sgd_step([Tensor(np.ones(2), name="w")], 0.1)
 
+    def test_step_keeps_each_arrays_write_flag_and_counts_the_call(self):
+        """A read-only parameter is written and stays read-only, a free tensor
+        stays writable, and every call moves ``write_count``, also one that
+        raises part way."""
+        frozen, free = Tensor(np.array([1.0])), Tensor(np.array([1.0]))
+        frozen.data.flags.writeable = False
+        frozen.grad, free.grad = np.array([2.0]), np.array([2.0])
+        before = nd.write_count()
+        nd.sgd_step([frozen, free], 0.1)
+        npt.assert_allclose(frozen.data, [0.8], atol=1e-15)
+        assert not frozen.data.flags.writeable and free.data.flags.writeable
+        assert nd.write_count() == before + 1
+        frozen.grad = np.array([1.0])
+        with pytest.raises(StateError):
+            nd.sgd_step([frozen, Tensor(np.ones(1))], 0.1)
+        npt.assert_allclose(frozen.data, [0.7], atol=1e-15)
+        assert not frozen.data.flags.writeable
+        assert nd.write_count() == before + 2
+
     def test_step_parks_the_zeroed_buffer(self):
         p = Tensor(np.array([1.0, -1.0]))
         grad = p.grad = np.array([2.0, -4.0])

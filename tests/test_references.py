@@ -14,6 +14,11 @@ that only the benchmark's tracer names, by string: the model no longer runs
 them, so their spans measure nothing. Both lists can only shrink: a listed
 name that gains a caller, or that no longer exists, fails too, and so does a
 definition that newly has no caller but the tracer.
+
+The same parse checks that ``ndtensor.sgd_step`` is the one function in
+``src/chargenet`` that writes into a tensor's ``.data`` array in place, which
+the model's article cache relies on. Rebinding ``x.data`` to a new array is
+not a write into the old one.
 """
 
 import ast
@@ -89,3 +94,47 @@ def test_trace_only_list_is_exact():
     assert named_by_string_only == TRACE_ONLY, (
         f"named only by the tracer's strings: {sorted(named_by_string_only)}; "
         f"TRACE_ONLY lists {sorted(TRACE_ONLY)}")
+
+
+def is_data(node: ast.AST) -> bool:
+    """``x.data``, or a subscript of it."""
+    while isinstance(node, ast.Subscript):
+        node = node.value
+    return isinstance(node, ast.Attribute) and node.attr == "data"
+
+
+def unpacked(targets: list[ast.expr]) -> list[ast.expr]:
+    out = []
+    for t in targets:
+        out += unpacked(t.elts) if isinstance(t, (ast.Tuple, ast.List)) else [t]
+    return out
+
+
+def data_writes(module: ast.Module) -> list[tuple[str, int]]:
+    """(enclosing definition, line) of each in-place write into a ``.data``
+    array: an augmented assignment to ``x.data`` or ``x.data[...]``, or an
+    assignment to ``x.data[...]``."""
+    found = []
+
+    def visit(node: ast.AST, owner: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.AugAssign) and is_data(child.target):
+                found.append((owner, child.lineno))
+            elif isinstance(child, (ast.Assign, ast.AnnAssign)) and any(
+                    isinstance(t, ast.Subscript) and is_data(t) for t in unpacked(
+                        child.targets if isinstance(child, ast.Assign) else [child.target])):
+                found.append((owner, child.lineno))
+            inner = owner
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                inner = f"{owner}.{child.name}" if owner else child.name
+            visit(child, inner)
+
+    visit(module, "")
+    return found
+
+
+def test_only_sgd_step_writes_data_in_place():
+    writes = [f"{path.name}:{line} in {owner or 'module'}"
+              for path, module in parsed(PACKAGE) for owner, line in data_writes(module)
+              if (path.name, owner) != ("ndtensor.py", "sgd_step")]
+    assert not writes, f"in-place writes into .data outside nd.sgd_step: {writes}"
