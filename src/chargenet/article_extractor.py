@@ -13,6 +13,12 @@ stable sort of the scores break ties toward the smaller article id.
 A bank scores exactly the articles its training cases cite, so every scorer
 has a positive case. It is trained once, on the fixed schedule of the
 ``SCORER_*`` constants; no article is added to it afterwards.
+
+A bank has no file of its own. It travels inside the model file of the model
+it serves (``charge_model.save_model``): ``bank_to_arrays`` turns it into
+``bank.``-named arrays and a meta entry, and ``bank_from_arrays`` checks them
+and turns them back. The bank keeps no k; the model's ``config.k`` is the one
+number of slots.
 """
 
 from __future__ import annotations
@@ -22,9 +28,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import _is_article_id, article_id_from_json, article_id_to_json, article_sort_key
-from .ndtensor import (DomainError, ShapeError, StateError, load_arrays, save_arrays,
-                       vocab_index)
+from .corpus import article_id_to_json, article_ids_from_json, article_sort_key
+from .ndtensor import DomainError, ShapeError, StateError, vectors, vocab_index
 
 # Each scorer reads its SCORER_FEATURES features of highest chi-square. The
 # full-batch subgradient schedule: the step at epoch t is SCORER_LR0 / sqrt(t),
@@ -33,6 +38,9 @@ SCORER_FEATURES = 2000
 SCORER_EPOCHS = 100
 SCORER_LR0 = 0.1
 SCORER_L2 = 1e-4
+
+# The prefix of the bank's array names in a model file.
+BANK_PREFIX = "bank."
 
 
 @dataclass
@@ -130,7 +138,6 @@ class ExtractorBank:
     article_ids: list
     weights: np.ndarray
     bias: np.ndarray
-    k: int
 
     def __post_init__(self):
         n = len(self.article_ids)
@@ -139,8 +146,6 @@ class ExtractorBank:
         if self.weights.shape != (n, self.tfidf.n_features) or self.bias.shape != (n,):
             raise ShapeError(f"weights {self.weights.shape} and bias {self.bias.shape} "
                              f"do not fit {n} articles x {self.tfidf.n_features} features")
-        if self.k < 1 or self.k > n:
-            raise DomainError(f"k={self.k} outside [1, {n}]")
         order = sorted(range(n), key=lambda i: article_sort_key(self.article_ids[i]))
         self.article_ids = [self.article_ids[i] for i in order]
         self.weights = self.weights[order]
@@ -188,7 +193,8 @@ def train_scorer(x: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, np.ndar
 def build_bank(docs_tokens: list[list[str]], gold_sets: list[set], k: int = 20) -> ExtractorBank:
     """Fit TF-IDF on the corpus and train one binary scorer (one-vs-rest) for
     every article a gold set cites, all in one ``train_scorer`` call over
-    the full labels matrix."""
+    the full labels matrix. A bank of fewer than ``k`` articles is rejected;
+    ``k`` is kept nowhere."""
     if len(docs_tokens) != len(gold_sets):
         raise ShapeError(f"{len(docs_tokens)} documents vs {len(gold_sets)} gold sets")
     tfidf = fit_tfidf(docs_tokens)
@@ -197,20 +203,20 @@ def build_bank(docs_tokens: list[list[str]], gold_sets: list[set], k: int = 20) 
         x[i] = transform(doc, tfidf)
     article_ids = sorted({a for gold in gold_sets for a in gold}, key=article_sort_key)
     labels = np.array([[aid in gold for aid in article_ids] for gold in gold_sets], dtype=bool)
+    if not 1 <= k <= len(article_ids):
+        raise DomainError(f"k={k} outside [1, {len(article_ids)}]")
     weights, bias = train_scorer(x, labels)
-    return ExtractorBank(tfidf, article_ids, weights, bias, k)
+    return ExtractorBank(tfidf, article_ids, weights, bias)
 
 
 def extract_top_k(fact_tokens: list[str], bank: ExtractorBank,
-                  k: int | None = None) -> list[tuple[object, float]]:
-    """Every article scored, ranked by decision score, top k returned; k
-    defaults to ``bank.k`` and must lie in [1, number of articles].
+                  k: int) -> list[tuple[object, float]]:
+    """Every article scored, ranked by decision score, top k returned; k must
+    lie in [1, number of articles].
 
     Equal scores resolve to the smaller article id, so the ranking is
     deterministic.
     """
-    if k is None:
-        k = bank.k
     if not 1 <= k <= len(bank.article_ids):
         raise DomainError(f"k={k} is below 1 or exceeds the bank's "
                           f"{len(bank.article_ids)} articles")
@@ -241,58 +247,47 @@ def recall_at_k(extractions: list[list], gold_sets: list[set],
     return out
 
 
-# The meta fields load_bank reads, and the dtype of every array of a bank file.
-BANK_FIELDS = {"k": int, "vocabulary": list, "article_ids": list}
-BANK_ARRAYS = {"idf": np.float64, "bias": np.float64, "scorers": np.int64,
-               "selected": np.int64, "weights": np.float64}
-
-
-def save_bank(path, bank: ExtractorBank) -> None:
-    """One bank file (``save_arrays``), replaced atomically. The ``idf`` and
+def bank_to_arrays(bank: ExtractorBank) -> tuple[dict[str, np.ndarray], dict]:
+    """The bank as ``bank.``-named arrays and a meta entry. The ``idf`` and
     ``bias`` arrays are stored as they are. The weight matrix is stored as
     its nonzero entries, so the file grows with the selected features:
     ``weights[i]`` sits in row ``scorers[i]`` and column ``selected[i]``.
-    The meta holds k, the vocabulary in column order and the article ids in
-    row order."""
+    The meta entry holds the vocabulary in column order and the article ids
+    in row order."""
     scorers, selected = np.nonzero(bank.weights)
     vocab = bank.tfidf.vocabulary
-    save_arrays(path, "bank", {
-        "idf": bank.tfidf.idf, "bias": bank.bias, "scorers": scorers,
-        "selected": selected, "weights": bank.weights[scorers, selected],
-    }, {
-        "k": bank.k,
+    arrays = {"idf": bank.tfidf.idf, "bias": bank.bias, "scorers": scorers,
+              "selected": selected, "weights": bank.weights[scorers, selected]}
+    return {BANK_PREFIX + name: arr for name, arr in arrays.items()}, {
         "vocabulary": sorted(vocab, key=vocab.__getitem__),
-        "article_ids": [article_id_to_json(aid) for aid in bank.article_ids],
-    })
+        "article_ids": [article_id_to_json(aid) for aid in bank.article_ids]}
 
 
-def load_bank(path) -> ExtractorBank:
-    """Read a ``save_bank`` file. Besides the faults ``load_arrays`` rejects,
-    a missing array or one of another dtype or rank, a vocabulary entry
-    that is not a string or that repeats an earlier one, an article id that
-    is not one, an index outside the matrix, or an idf, weight or bias that
-    is NaN or infinite raises StateError naming the file and the problem.
-    Meta fields outside ``BANK_FIELDS``, such as the ``doc_count`` older
-    files hold, are ignored."""
-    source = f"bank file {path}"
-    arrays, meta = load_arrays(path, "bank", BANK_FIELDS)
-    for name, dtype in BANK_ARRAYS.items():
-        if name not in arrays:
-            raise StateError(f"{source} has no {name!r} array")
-        arr = arrays[name]
-        if arr.dtype != dtype or arr.ndim != 1:
-            raise StateError(f"{source} array {name!r} has type {arr.dtype} and shape "
-                             f"{arr.shape}, not {np.dtype(dtype)} and one axis")
-    idf, bias, scorers, selected, values = (arrays[name] for name in BANK_ARRAYS)
+def bank_from_arrays(arrays: dict[str, np.ndarray], meta: dict | None,
+                     source: str) -> ExtractorBank | None:
+    """The bank ``bank_to_arrays`` put in ``arrays``, with its meta entry
+    ``meta``; None when there is neither. Raises StateError naming
+    ``source`` for bank arrays without a meta entry, a missing array or one
+    of another dtype or rank, a meta entry without its two lists, a
+    vocabulary entry that is not a string or repeats, an article id that is
+    not one or repeats, an index outside the matrix, or an idf, weight or
+    bias that is NaN or infinite. Other ``bank.`` arrays are ignored."""
+    stored = {name.removeprefix(BANK_PREFIX): arr for name, arr in arrays.items()
+              if name.startswith(BANK_PREFIX)}
+    if meta is None and not stored:
+        return None
+    if not isinstance(meta, dict):
+        raise StateError(f"{source} holds bank arrays but no bank meta")
+    for key in ("vocabulary", "article_ids"):
+        if not isinstance(meta.get(key), list):
+            raise StateError(f"{source} bank meta has no {key!r} of type list")
+    idf, bias, scorers, selected, values = vectors(stored, {
+        "idf": np.float64, "bias": np.float64, "scorers": np.int64, "selected": np.int64,
+        "weights": np.float64}, f"{source} bank")
     tfidf = TfidfModel(vocab_index(meta["vocabulary"], source, "vocabulary"), idf)
     if idf.size != tfidf.n_features:
         raise StateError(f"{source} has {tfidf.n_features} words but {idf.size} idf values")
-    article_ids = []
-    for i, aid in enumerate(meta["article_ids"]):
-        if not _is_article_id(aid):
-            raise StateError(f"{source} scorer {i} has the article id {aid!r}, "
-                             "not a positive int or a pair of them")
-        article_ids.append(article_id_from_json(aid))
+    article_ids = article_ids_from_json(meta["article_ids"], source, "scorer")
     if bias.size != len(article_ids):
         raise StateError(f"{source} has {len(article_ids)} article ids but "
                          f"{bias.size} bias values")
@@ -307,7 +302,4 @@ def load_bank(path) -> ExtractorBank:
         raise StateError(f"{source} holds a non-numeric value (NaN) or an infinity")
     weights = np.zeros((len(article_ids), tfidf.n_features))
     weights[scorers, selected] = values
-    try:
-        return ExtractorBank(tfidf, article_ids, weights, bias, meta["k"])
-    except DomainError as exc:
-        raise StateError(f"{source}: {exc}") from exc
+    return ExtractorBank(tfidf, article_ids, weights, bias)

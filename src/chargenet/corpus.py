@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ndtensor import DomainError
+from .ndtensor import DomainError, StateError
 
 CHARGE_MASK = "[MASK]"
 
@@ -205,15 +205,21 @@ def article_id_to_json(article_id):
     return list(article_id) if isinstance(article_id, tuple) else article_id
 
 
-def article_id_from_json(value):
-    return tuple(value) if isinstance(value, list) else value
-
-
-def _is_article_id(value) -> bool:
-    """An int, or the list form of a (number, sub_number) pair; numbers and
-    sub-numbers start at 1."""
-    parts = value if isinstance(value, list) and len(value) == 2 else [value]
-    return all(type(v) is int and v >= 1 for v in parts)
+def article_ids_from_json(values: list, source: str, what: str) -> list:
+    """The article ids ``article_id_to_json`` wrote: each an int, or the list
+    form of a (number, sub_number) pair, numbers and sub-numbers from 1.
+    Raises StateError naming ``source`` and the ``what`` at fault when a
+    value is none of these, or repeats an earlier one."""
+    ids = []
+    for i, value in enumerate(values):
+        parts = value if isinstance(value, list) and len(value) == 2 else [value]
+        if not all(type(v) is int and v >= 1 for v in parts):
+            raise StateError(f"{source} {what} {i} has the article id {value!r}, "
+                             "not a positive int or a pair of them")
+        ids.append(tuple(value) if isinstance(value, list) else value)
+    if len(set(ids)) != len(ids):
+        raise StateError(f"{source} has duplicate article ids")
+    return ids
 
 
 def format_article_ref(article_id) -> str:
@@ -292,20 +298,21 @@ def mask_charges(fact_text: str, charge_list: list[str]) -> str:
 
 # Judgement text uses the full-width marks; the ASCII ones stay for mixed text.
 _SENT_SPLIT = re.compile("[。！？；!?;]")
+_TOKEN_SPLIT = re.compile(r"[\s，、：]+")
 _TOKEN_STRIP = "，,、：:“”‘’\"'（）()《》【】."
 
 
 def simple_tokenize(text: str) -> list[list[tuple[str, str]]]:
     """Whitespace/punctuation tokenizer with a single synthetic POS tag.
 
-    Sentences end at 。！？； (or their ASCII forms), tokens are the
-    whitespace-separated words, and each token loses the quotes, brackets
-    and commas around it, full-width or ASCII. This keeps the pipeline free
-    of external tokenizer dependencies.
+    Sentences end at 。！？； (or their ASCII forms), tokens are split at
+    whitespace and at the full-width ，、：, and each token loses the quotes,
+    brackets and commas around it, full-width or ASCII. This keeps the
+    pipeline free of external tokenizer dependencies.
     """
     sentences = []
     for chunk in _SENT_SPLIT.split(text):
-        toks = [t.strip(_TOKEN_STRIP) for t in chunk.split()]
+        toks = [t.strip(_TOKEN_STRIP) for t in _TOKEN_SPLIT.split(chunk)]
         toks = [t for t in toks if t]
         if toks:
             sentences.append([(t, "x") for t in toks])

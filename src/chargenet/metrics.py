@@ -19,7 +19,8 @@ class ValidationError(ValueError):
 
 @dataclass
 class PredictionBatch:
-    """Aligned per-case predictions: charge sets, plus optional article rankings."""
+    """Aligned per-case predictions: charge sets, plus optional article
+    rankings, which come with the gold article sets or not at all."""
 
     predicted: list[set]
     gold: list[set]
@@ -32,6 +33,9 @@ class PredictionBatch:
                 f"{len(self.predicted)} predictions vs {len(self.gold)} gold sets")
         if any(not g for g in self.gold):
             raise ValidationError("every case needs a non-empty gold charge set")
+        if (self.ranked_articles is None) != (self.gold_articles is None):
+            raise ValidationError("ranked_articles and gold_articles come together or "
+                                  "not at all")
         for extra in (self.ranked_articles, self.gold_articles):
             if extra is not None and len(extra) != len(self.gold):
                 raise ValidationError("article lists must align with the case list")
@@ -181,7 +185,7 @@ def compare_variants(results: dict[str, PredictionBatch]) -> VariantReport:
     rows = []
     for variant, batch in results.items():
         row = VariantRow(variant, micro_prf(batch), macro_prf(batch))
-        if batch.ranked_articles is not None and batch.gold_articles is not None:
+        if batch.ranked_articles is not None:
             row.prec_at_1 = prec_at_1(batch.ranked_articles, batch.gold_articles)
             row.mean_ap = mean_average_precision(batch.ranked_articles, batch.gold_articles)
         rows.append(row)

@@ -330,6 +330,12 @@ class TestTokenizer:
             ["被告人", "张三", "男", "于", "某日"], ["窃取", "财物"], ["经查", "属实"],
             ["完毕", "a"]]
 
+    def test_full_width_commas_and_colons_split_tokens(self):
+        """Court text has no spaces: ，、： inside a clause end a token too."""
+        sents = cp.simple_tokenize("张三，男，汉族。经审理查明：被告人张三、李四于某日窃取财物")
+        assert [[t for t, _ in s] for s in sents] == [
+            ["张三", "男", "汉族"], ["经审理查明", "被告人张三", "李四于某日窃取财物"]]
+
     def test_pos_tag_constant(self):
         sents = cp.simple_tokenize("x y")
         assert all(pos == "x" for s in sents for _, pos in s)

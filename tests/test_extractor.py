@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from chargenet import article_extractor as ax
+from chargenet import charge_model as cm
 from chargenet import corpus as cp
 from chargenet import ndtensor as nd
 from chargenet.ndtensor import DomainError, ShapeError, StateError
@@ -253,7 +254,13 @@ class TestScorers:
         bank = ax.build_bank(docs, cited_sub_clauses(golds), k=3)
         assert bank.article_ids == [10, 20, (133, 1)]
         assert np.isfinite(bank.bias).all() and bank.weights.any(axis=1).all()
-        assert all(math.isfinite(score) for _, score in ax.extract_top_k(docs[0], bank))
+        assert all(math.isfinite(score) for _, score in ax.extract_top_k(docs[0], bank, k=3))
+
+    @pytest.mark.parametrize("k", [0, 3])
+    def test_bank_of_fewer_than_k_articles_is_rejected(self, k):
+        docs, golds = two_article_corpus()
+        with pytest.raises(DomainError, match=re.escape(f"k={k} outside [1, 2]")):
+            ax.build_bank(docs, golds, k=k)
 
     def test_rows_follow_article_sort_key(self):
         docs, golds = two_article_corpus()
@@ -263,7 +270,7 @@ class TestScorers:
         assert bank.article_ids == [10, 20, 133, (133, 1), 134]
         perm = [4, 2, 0, 3, 1]
         again = ax.ExtractorBank(bank.tfidf, [bank.article_ids[i] for i in perm],
-                                 bank.weights[perm], bank.bias[perm], bank.k)
+                                 bank.weights[perm], bank.bias[perm])
         assert again.article_ids == bank.article_ids
         npt.assert_array_equal(bank.weights, again.weights)
         npt.assert_array_equal(bank.bias, again.bias)
@@ -273,25 +280,24 @@ class TestExtractTopK:
     def test_k_equals_article_count_returns_full_ranking(self):
         docs, golds = two_article_corpus()
         bank = ax.build_bank(docs, golds, k=2)
-        ranked = ax.extract_top_k(docs[0], bank)
+        ranked = ax.extract_top_k(docs[0], bank, k=2)
         assert {a for a, _ in ranked} == {10, 20}
         assert ranked[0][1] >= ranked[1][1]
 
     def test_single_article_tokens_rank_it_first(self):
         docs, golds = two_article_corpus()
         bank = ax.build_bank(docs, golds, k=2)
-        ranked = ax.extract_top_k(["bolt", "bark", "bridge"], bank)
+        ranked = ax.extract_top_k(["bolt", "bark", "bridge"], bank, k=2)
         assert ranked[0][0] == 20
 
     def test_ties_break_by_smaller_article_id(self):
         tfidf = ax.fit_tfidf([["x"], ["y"]])
-        bank = ax.ExtractorBank(tfidf, [7, 3, (133, 1)], np.zeros((3, 2)), np.full(3, 0.5),
-                                k=3)
-        ranked = ax.extract_top_k(["x"], bank)
+        bank = ax.ExtractorBank(tfidf, [7, 3, (133, 1)], np.zeros((3, 2)), np.full(3, 0.5))
+        ranked = ax.extract_top_k(["x"], bank, k=3)
         assert [a for a, _ in ranked] == [3, 7, (133, 1)]
         ids = [int(a) for a in np.random.default_rng(6).permutation(100)]
-        bank = ax.ExtractorBank(tfidf, ids, np.zeros((100, 2)), np.full(100, 0.5), k=100)
-        assert [a for a, _ in ax.extract_top_k(["x"], bank)] == list(range(100))
+        bank = ax.ExtractorBank(tfidf, ids, np.zeros((100, 2)), np.full(100, 0.5))
+        assert [a for a, _ in ax.extract_top_k(["x"], bank, k=100)] == list(range(100))
 
     @pytest.mark.parametrize("k", [0, -1, 3])
     def test_k_outside_the_bank_is_rejected(self, k):
@@ -311,12 +317,12 @@ class TestExtractTopK:
         weights = rng.normal(size=(30, n_features))
         equal = [1, 6, 15, 28]
         weights[equal] = weights[1]
-        bank = ax.ExtractorBank(tfidf, list(range(30, 0, -1)), weights, np.zeros(30), k=30)
+        bank = ax.ExtractorBank(tfidf, list(range(30, 0, -1)), weights, np.zeros(30))
         doc = [f"t{i}" for i in rng.integers(0, n_features, size=8000)]
         scores = scores_of(bank, doc)
         rows = [i for i, row in enumerate(bank.weights) if np.array_equal(row, weights[1])]
         assert len(rows) == len(equal) and len({scores[i] for i in rows}) == 1
-        ranked = [aid for aid, _ in ax.extract_top_k(doc, bank)]
+        ranked = [aid for aid, _ in ax.extract_top_k(doc, bank, k=30)]
         tied = [bank.article_ids[i] for i in rows]
         assert [aid for aid in ranked if aid in tied] == sorted(tied)
 
@@ -404,10 +410,10 @@ class TestBatchedTraining:
             for row, col in zip(bank.weights, labels.T):
                 selected = oracle.chi_square_select(x, list(col), top_m)
                 assert set(np.flatnonzero(row)) == set(selected.tolist())
-        old = ax.ExtractorBank(bank.tfidf, list(bank.article_ids), weights, bias, bank.k)
+        old = ax.ExtractorBank(bank.tfidf, list(bank.article_ids), weights, bias)
         for doc in docs:
-            assert ([a for a, _ in ax.extract_top_k(doc, bank)]
-                    == [a for a, _ in ax.extract_top_k(doc, old)])
+            assert ([a for a, _ in ax.extract_top_k(doc, bank, k=len(ids))]
+                    == [a for a, _ in ax.extract_top_k(doc, old, k=len(ids))])
 
     def test_chi_square_rows_equal_the_per_column_scores(self):
         train_docs, golds, ids, _ = tiny_training_set(13)
@@ -516,72 +522,95 @@ def set_entry(name, index, value):
     return lambda arrays, meta: arrays[name].__setitem__(index, value)
 
 
+def drop_last_article():
+    """A ``damage`` that takes the last article out of the bank."""
+    def damage(arrays, meta):
+        keep = arrays["scorers"] < len(meta["article_ids"]) - 1
+        for name in ("scorers", "selected", "weights"):
+            arrays[name] = arrays[name][keep]
+        arrays["bias"] = arrays["bias"][:-1]
+        meta["article_ids"].pop()
+    return lambda arrays, meta: damage(arrays, meta)
+
+
+def serving_model(bank):
+    """An untrained fact_art model, k=3, with a one-word text for every
+    article of ``bank``: the smallest model file a bank can travel in."""
+    config = cm.ModelConfig(variant=cm.Variant.FACT_ART, word_emb_dim=2, pos_emb_dim=1,
+                            gru_hidden=2, fc1_dim=3, fc2_dim=3, k=3)
+    vocab = {"<pad>": cm.PAD_ID, "<unk>": cm.UNK_ID, "w": 2}
+    params = cm.ModelParams.create(config, len(vocab), len(vocab), 1,
+                                   np.random.default_rng(0))
+    docs = {aid: [(np.array([2]), np.array([2]))] for aid in bank.article_ids}
+    return cm.ChargeModel(config, params, vocab, dict(vocab), ["c"], docs, tau=0.4)
+
+
+def saved_bank():
+    """A three-article bank, one of them a sub-clause, and its model."""
+    docs, golds = two_article_corpus()
+    bank = ax.build_bank(docs, cited_sub_clauses(golds), k=3)
+    return bank, serving_model(bank)
+
+
 class TestBankSerialization:
+    """The bank travels in the model file of the model it serves; each
+    fault of its arrays or meta entry raises StateError naming that file."""
+
     def save_and_edit(self, path, damage):
-        """Save a two-article bank to ``path``, then rewrite it with
-        ``damage(arrays, meta)`` applied."""
-        docs, golds = two_article_corpus()
-        ax.save_bank(path, ax.build_bank(docs, golds, k=2))
-        arrays, meta = nd.load_arrays(path, "bank", {})
-        damage(arrays, meta)
+        """Save a three-article bank in a model file at ``path``, then rewrite
+        it with ``damage(arrays, meta)`` applied to the bank's arrays (named
+        without the prefix) and its meta entry."""
+        bank, model = saved_bank()
+        cm.save_model(path, model, bank)
+        arrays, meta = nd.load_arrays(path, {})
+        stored = {name.removeprefix(ax.BANK_PREFIX): arrays.pop(name) for name in list(arrays)
+                  if name.startswith(ax.BANK_PREFIX)}
+        damage(stored, meta["bank"])
+        arrays.update((ax.BANK_PREFIX + name, arr) for name, arr in stored.items())
         write_members(path, **arrays, meta=np.array(json.dumps(meta)))
 
     def test_round_trip_exact(self, tmp_path):
-        docs, golds = two_article_corpus()
-        bank = ax.build_bank(docs, cited_sub_clauses(golds), k=2)
+        bank, model = saved_bank()
         assert bank.article_ids[-1] == (133, 1)
-        path = tmp_path / "bank.npz"
-        ax.save_bank(path, bank)
-        loaded = ax.load_bank(path)
-        assert loaded.k == bank.k
+        path = tmp_path / "m.npz"
+        cm.save_model(path, model, bank)
+        _, loaded = cm.load_model(path)
         assert loaded.tfidf.vocabulary == bank.tfidf.vocabulary
         npt.assert_array_equal(loaded.tfidf.idf, bank.tfidf.idf)
         assert loaded.article_ids == bank.article_ids
         npt.assert_array_equal(loaded.weights, bank.weights)
         npt.assert_array_equal(loaded.bias, bank.bias)
-        for doc in docs:
+        for doc in two_article_corpus()[0]:
             assert ax.extract_top_k(doc, loaded, k=3) == ax.extract_top_k(doc, bank, k=3)
 
-    def test_older_file_with_a_doc_count_loads(self, tmp_path):
-        """Banks saved before ``doc_count`` was dropped hold it in their meta;
-        they load as before, to the same bank."""
-        docs, golds = two_article_corpus()
-        bank = ax.build_bank(docs, golds, k=2)
-        path = tmp_path / "bank.npz"
-        self.save_and_edit(path, set_meta("doc_count", len(docs)))
-        assert nd.load_arrays(path, "bank", {})[1]["doc_count"] == len(docs)
-        loaded = ax.load_bank(path)
-        assert loaded.tfidf.vocabulary == bank.tfidf.vocabulary
-        npt.assert_array_equal(loaded.tfidf.idf, bank.tfidf.idf)
-        npt.assert_array_equal(loaded.weights, bank.weights)
-        npt.assert_array_equal(loaded.bias, bank.bias)
-
-    def test_stores_the_nonzero_weights_only(self, tmp_path, monkeypatch):
+    def test_stores_the_nonzero_weights_only(self, monkeypatch):
         monkeypatch.setattr(ax, "SCORER_FEATURES", 2)
         docs, golds = two_article_corpus()
         bank = ax.build_bank(docs, golds, k=2)
-        ax.save_bank(tmp_path / "bank.npz", bank)
-        arrays, _ = nd.load_arrays(tmp_path / "bank.npz", "bank", {})
-        assert arrays["weights"].size == np.count_nonzero(bank.weights) == 4
+        arrays, _ = ax.bank_to_arrays(bank)
+        assert arrays["bank.weights"].size == np.count_nonzero(bank.weights) == 4
 
     def test_failed_write_keeps_the_previous_file(self, tmp_path):
-        docs, golds = two_article_corpus()
-        bank = ax.build_bank(docs, cited_sub_clauses(golds), k=2)
-        path = tmp_path / "bank.npz"
-        ax.save_bank(path, bank)
+        bank, model = saved_bank()
+        path = tmp_path / "m.npz"
+        cm.save_model(path, model, bank)
         before = path.read_bytes()
-        bank.bias = Unwritable()  # the idf array before it is written
+        bank.bias = Unwritable()
         with pytest.raises(OSError, match="no space left"):
-            ax.save_bank(path, bank)
+            cm.save_model(path, model, bank)
         assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == [path.name]
 
     def test_version_guard(self, tmp_path):
         path = tmp_path / "bad.npz"
-        for version in (1, 99):
-            self.save_and_edit(path, set_meta("version", version))
-            with pytest.raises(StateError, match=f"version {version}, not 'bank' version 2"):
-                ax.load_bank(path)
+        bank, model = saved_bank()
+        cm.save_model(path, model, bank)
+        arrays, meta = nd.load_arrays(path, {})
+        for version in (1, 2, 99):
+            write_members(path, **arrays, meta=np.array(json.dumps({**meta,
+                                                                    "version": version})))
+            with pytest.raises(StateError, match=f"version {version}, not 'model' version 3"):
+                cm.load_model(path)
         # A version-1 bank was JSON.
         path.write_text(json.dumps({
             "version": 1, "k": 2,
@@ -589,11 +618,10 @@ class TestBankSerialization:
             "scorers": [{"article_id": 7, "selected": [2, 0], "weights": [0.25, -1.5],
                          "bias": 0.125}]}))
         with pytest.raises(StateError,
-                           match=re.escape(f"bank file {path} is not a readable archive")):
-            ax.load_bank(path)
+                           match=re.escape(f"model file {path} is not a readable archive")):
+            cm.load_model(path)
 
     @pytest.mark.parametrize("damage, message", [
-        (lambda a, m: m.pop("k"), "no 'k'"),
         (lambda a, m: a.pop("idf"), "no 'idf'"),
         (lambda a, m: a.pop("bias"), "no 'bias'"),
         (lambda a, m: a.__setitem__("weights", a["weights"][:-1]), "selected columns but"),
@@ -605,9 +633,8 @@ class TestBankSerialization:
         (set_entry("weights", 0, math.nan), "non-numeric"),
         (lambda a, m: m["article_ids"].__setitem__(1, m["article_ids"][0]),
          "duplicate article ids"),
-        (set_meta("k", 0), "k=0 outside"),
-        (set_meta("k", 3), "k=3 outside"),
-        pytest.param(set_entry("scorers", 0, 2), "selects a row outside [0, 2)",
+        (drop_last_article(), "k=3 outside"),
+        pytest.param(set_entry("scorers", 0, 3), "selects a row outside [0, 3)",
                      id="scorer_outside"),
         pytest.param(set_entry("weights", 0, math.inf), "or an infinity", id="weight_inf"),
         pytest.param(set_entry("bias", 0, math.nan), "non-numeric", id="bias_nan"),
@@ -625,34 +652,35 @@ class TestBankSerialization:
                      id="idf_short"),
         pytest.param(lambda a, m: a.__setitem__("bias", a["bias"][:-1]), "bias values",
                      id="bias_short"),
-        pytest.param(set_meta("k", True), "no 'k' of type int", id="k_bool"),
         pytest.param(lambda a, m: m["vocabulary"].__setitem__(0, 5),
                      "vocabulary entry that is not a string", id="vocabulary_int"),
         pytest.param(lambda a, m: m["vocabulary"].__setitem__(1, m["vocabulary"][0]),
                      "repeats the vocabulary entry '", id="vocabulary_repeated"),
+        pytest.param(lambda a, m: m.clear(), "bank meta has no 'vocabulary'",
+                     id="meta_empty"),
     ])
     def test_malformed_bank_raises_state_error(self, tmp_path, damage, message):
-        path = tmp_path / "bank.npz"
+        path = tmp_path / "m.npz"
         self.save_and_edit(path, damage)
         with pytest.raises(StateError, match=re.escape(message)) as err:
-            ax.load_bank(path)
-        assert str(err.value).startswith(f"bank file {path}")
+            cm.load_model(path)
+        assert str(err.value).startswith(f"model file {path}")
 
     @pytest.mark.parametrize("article_id", [[101, 1, 7], ["x"], 0, -5, [133, 0], {}],
                              ids=["triple", "string", "zero", "negative", "sub_zero", "dict"])
     def test_bad_article_id_names_file_and_scorer(self, tmp_path, article_id):
-        path = tmp_path / "bank.npz"
+        path = tmp_path / "m.npz"
         self.save_and_edit(path, lambda a, m: m["article_ids"].__setitem__(1, article_id))
         with pytest.raises(StateError) as err:
-            ax.load_bank(path)
-        assert f"bank file {path} scorer 1 has the article id {article_id!r}" in str(err.value)
+            cm.load_model(path)
+        assert f"model file {path} scorer 1 has the article id {article_id!r}" in str(err.value)
 
     def test_truncated_bank_raises_state_error(self, tmp_path):
-        docs, golds = two_article_corpus()
-        path = tmp_path / "bank.npz"
-        ax.save_bank(path, ax.build_bank(docs, golds, k=2))
+        bank, model = saved_bank()
+        path = tmp_path / "m.npz"
+        cm.save_model(path, model, bank)
         blob = path.read_bytes()
         for cut in (0, 100, len(blob) // 2, len(blob) - 1):
             path.write_bytes(blob[:cut])
             with pytest.raises(StateError, match="not a readable archive"):
-                ax.load_bank(path)
+                cm.load_model(path)

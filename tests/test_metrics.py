@@ -189,6 +189,14 @@ class TestCompareVariants:
         assert parsed[0]["variant"] == "fact_supv_art"
         assert "prec_at_1" in parsed[0] and "map" in parsed[0]
 
+    @pytest.mark.parametrize("given", ["ranked_articles", "gold_articles"])
+    def test_article_rankings_without_their_gold_sets_are_rejected(self, given):
+        """One of the two alone would drop Prec@1 and MAP from the report
+        without a word."""
+        articles = {"ranked_articles": [[1, 2]], "gold_articles": [{1}]}
+        with pytest.raises(ValidationError, match="come together"):
+            batch([["a"]], [["a"]], **{given: articles[given]})
+
     def test_text_report_contains_reference_row(self):
         b = batch([["a"]], [["a"]])
         text = mx.compare_variants({"fact_only": b}).to_text()

@@ -58,6 +58,11 @@ def untrained_model(data, variant, seed=0):
     return cm.ChargeModel(config, params, word_vocab, pos_vocab, charges, docs, tau=0.4)
 
 
+def bank_of(variant, bank):
+    """``bank`` for the variants whose slots it picks, else None."""
+    return bank if variant in cm.EXTRACTOR_VARIANTS else None
+
+
 def supervised_case(data, bank, config):
     """A training case and its slots; for fact_supv_art, one with a gold article
     among the slots, so the attention term is live."""
@@ -99,7 +104,7 @@ def test_config_of_numpy_scalars_saves_and_loads_back_equal(data, tmp_path):
     model = untrained_model(data, cm.Variant.FACT_ONLY)
     model.config = config
     cm.save_model(tmp_path / "m.npz", model)
-    assert cm.load_model(tmp_path / "m.npz").config == config
+    assert cm.load_model(tmp_path / "m.npz")[0].config == config
     with pytest.raises(TypeError, match="k must be int"):
         cm.ModelConfig(k=True)
 
@@ -214,12 +219,12 @@ def test_trained_model_holds_no_gradient_memory(data, bank):
 
 
 @pytest.mark.parametrize("variant", list(cm.Variant))
-def test_parameters_are_read_only(data, variant, tmp_path):
+def test_parameters_are_read_only(data, bank, variant, tmp_path):
     """Every parameter array of a constructed and of a loaded model is
     read-only: ``nd.sgd_step`` is its one writer."""
     model = untrained_model(data, variant)
-    cm.save_model(tmp_path / "m.npz", model)
-    loaded = cm.load_model(tmp_path / "m.npz", article_db=data.article_db)
+    cm.save_model(tmp_path / "m.npz", model, bank_of(variant, bank))
+    loaded, _ = cm.load_model(tmp_path / "m.npz")
     for m in (model, loaded):
         for name, t in m.params.named():
             assert not t.data.flags.writeable, name
@@ -456,17 +461,27 @@ def test_no_tape_forward_matches_taped_forward(data, bank):
 
 
 def test_checkpoint_round_trip_keeps_predictions(data, bank, tmp_path):
+    """A model and its bank, saved as one file and loaded back, serve the
+    test split bit for bit as the ones in memory: charge distribution,
+    attention, slots and extractor scores."""
     for variant in cm.Variant:
         model = untrained_model(data, variant, seed=3)
         path = tmp_path / f"{variant.value}.npz"
-        before = [cm.forward(case, model, bank=bank) for case in data.test]
-        cm.save_model(path, model)
-        loaded = cm.load_model(path, article_db=data.article_db)
+        saved_bank = bank_of(variant, bank)
+        before = [cm.forward(case, model, bank=saved_bank) for case in data.test]
+        cm.save_model(path, model, saved_bank)
+        loaded, loaded_bank = cm.load_model(path)
+        assert (loaded_bank is None) == (saved_bank is None)
         assert loaded._article_cache is None
         assert [n for n, _ in loaded.params.named()] == [n for n, _ in model.params.named()]
+        assert loaded.article_docs.keys() == model.article_docs.keys()
         for case, want in zip(data.test, before):
-            got = cm.forward(case, loaded, bank=bank)
+            got = cm.forward(case, loaded, bank=loaded_bank)
             npt.assert_array_equal(got.o, want.o, err_msg=str(variant))
+            npt.assert_array_equal(got.sent_attn, want.sent_attn)
+            for a, b in zip(got.word_attn, want.word_attn, strict=True):
+                npt.assert_array_equal(a, b)
+            assert (got.topk, got.extractor_scores) == (want.topk, want.extractor_scores)
             if model.config.uses_articles():
                 npt.assert_array_equal(got.alpha, want.alpha)
         if model.config.uses_articles():
@@ -497,8 +512,8 @@ def test_named_parameters_are_unique_and_round_trip(data, variant, tmp_path):
     assert len({id(t) for _, t in named}) == len(named)
     has_art = any(n.startswith("art.") for n in names)
     assert has_art == model.config.uses_articles()
-    nd.save_arrays(tmp_path / "p.npz", "model", {n: t.data for n, t in named}, {})
-    arrays, _ = nd.load_arrays(tmp_path / "p.npz", "model", {})
+    nd.save_arrays(tmp_path / "p.npz", {n: t.data for n, t in named}, {})
+    arrays, _ = nd.load_arrays(tmp_path / "p.npz", {})
     assert list(arrays) == names
     for name, t in named:
         npt.assert_array_equal(arrays[name], t.data)
@@ -517,17 +532,15 @@ def test_paper_dims_tensor_counts(fact_only, count):
                                                        (2, 225, 1))
 
 
-def test_swapped_checkpoint_is_rejected(data, bank, tmp_path):
-    """A bank file given to ``load_model``, or a model file given to
-    ``load_bank``, raises StateError naming it."""
-    model_path, bank_path = tmp_path / "m.npz", tmp_path / "bank.npz"
-    cm.save_model(model_path, untrained_model(data, cm.Variant.FACT_ONLY))
-    ax.save_bank(bank_path, bank)
+def test_swapped_checkpoint_is_rejected(tmp_path):
+    """A bank file of the format that kept banks apart, given to
+    ``load_model``, raises StateError naming it."""
+    bank_path = tmp_path / "bank.npz"
+    write_members(bank_path, idf=np.ones(2), meta=np.array(json.dumps({
+        "format": "bank", "version": 2, "k": 1, "vocabulary": ["a", "b"],
+        "article_ids": [7]})))
     with pytest.raises(StateError, match=re.escape(f"model file {bank_path} holds format 'bank'")):
         cm.load_model(bank_path)
-    with pytest.raises(StateError,
-                       match=re.escape(f"bank file {model_path} holds format 'model'")):
-        ax.load_bank(model_path)
 
 
 def split_directions(named, gates=False):
@@ -554,28 +567,28 @@ def assert_old_layout_rejected(data, tmp_path, old):
     """A model file holding the ``old`` tensors, with the saved model's
     meta, fails the name check."""
     path = tmp_path / "m.npz"
-    _, meta = nd.load_arrays(path, "model", {})
-    nd.save_arrays(path, "model", {name: t.data for name, t in old}, meta)
+    _, meta = nd.load_arrays(path, {})
+    nd.save_arrays(path, {name: t.data for name, t in old}, meta)
     with pytest.raises(StateError,
                        match=re.escape(f"model file {path} does not match the configured")):
-        cm.load_model(path, article_db=data.article_db)
+        cm.load_model(path)
 
 
-def test_nine_gate_checkpoint_is_rejected(data, tmp_path):
+def test_nine_gate_checkpoint_is_rejected(data, bank, tmp_path):
     """A model file in the nine-gate layout, one tensor per gate and
     direction (``.fwd.w_z``, ...), fails the name check."""
     model = untrained_model(data, cm.Variant.FACT_ART)
-    cm.save_model(tmp_path / "m.npz", model)
+    cm.save_model(tmp_path / "m.npz", model, bank)
     old = split_directions(model.params.named(), gates=True)
     assert len(old) == 111  # ten GRU directions of nine tensors each
     assert_old_layout_rejected(data, tmp_path, old)
 
 
-def test_per_direction_checkpoint_is_rejected(data, tmp_path):
+def test_per_direction_checkpoint_is_rejected(data, bank, tmp_path):
     """A model file with one tensor set per GRU direction (``.fwd.w``, ...)
     fails the name check."""
     model = untrained_model(data, cm.Variant.FACT_ART)
-    cm.save_model(tmp_path / "m.npz", model)
+    cm.save_model(tmp_path / "m.npz", model, bank)
     old = split_directions(model.params.named())
     assert len(old) == 51  # ten GRU directions of three tensors each
     assert len(model.params.named()) == 36
@@ -584,19 +597,19 @@ def test_per_direction_checkpoint_is_rejected(data, tmp_path):
 
 def rewrite_meta_config(path, **changes):
     """Edit the config in a model file's meta; the tensors stay as saved."""
-    arrays, meta = nd.load_arrays(path, "model", {})
+    arrays, meta = nd.load_arrays(path, {})
     meta["config"].update(changes)
-    nd.save_arrays(path, "model", arrays, meta)
+    nd.save_arrays(path, arrays, meta)
 
 
-def test_sidecar_with_other_dims_is_rejected(data, tmp_path):
+def test_sidecar_with_other_dims_is_rejected(data, bank, tmp_path):
     model = untrained_model(data, cm.Variant.FACT_SUPV_ART)
     path = tmp_path / "m.npz"
-    cm.save_model(path, model)
+    cm.save_model(path, model, bank)
     wider = dataclasses.replace(model.config, gru_hidden=model.config.gru_hidden + 1)
     rewrite_meta_config(path, gru_hidden=wider.gru_hidden)
     with pytest.raises(StateError) as err:
-        cm.load_model(path, article_db=data.article_db)
+        cm.load_model(path)
     match = re.fullmatch(rf"model file {re.escape(str(path))} parameter (\S+) has shape "
                          r"(\(.*\)), expected (\(.*\))", str(err.value))
     assert match, str(err.value)
@@ -609,10 +622,10 @@ def test_sidecar_with_other_dims_is_rejected(data, tmp_path):
     assert match.group(3) == str(expected[name].shape) != match.group(2)
 
 
-def test_sidecar_with_other_variant_is_rejected(data, tmp_path):
+def test_sidecar_with_other_variant_is_rejected(data, bank, tmp_path):
     model = untrained_model(data, cm.Variant.FACT_SUPV_ART)
     path = tmp_path / "m.npz"
-    cm.save_model(path, model)
+    cm.save_model(path, model, bank)
     rewrite_meta_config(path, variant="fact_only")
     with pytest.raises(StateError, match="does not match the configured model") as err:
         cm.load_model(path)
@@ -885,10 +898,10 @@ def test_model_file_with_epochs_completed_loads(data, tmp_path):
     model = untrained_model(data, cm.Variant.FACT_ONLY)
     path = tmp_path / "m.npz"
     cm.save_model(path, model)
-    arrays, meta = nd.load_arrays(path, "model", {})
+    arrays, meta = nd.load_arrays(path, {})
     assert "epochs_completed" not in meta
-    nd.save_arrays(path, "model", arrays, {**meta, "epochs_completed": 7})
-    loaded = cm.load_model(path)
+    nd.save_arrays(path, arrays, {**meta, "epochs_completed": 7})
+    loaded, _ = cm.load_model(path)
     for (name, want), (_, got) in zip(model.params.named(), loaded.params.named(),
                                       strict=True):
         npt.assert_array_equal(got.data, want.data, err_msg=name)
@@ -896,8 +909,8 @@ def test_model_file_with_epochs_completed_loads(data, tmp_path):
 
 
 def test_article_ids_round_trip_through_every_file(data, tmp_path):
-    """Int and (number, sub_number) ids survive the extractor bank and the
-    model file."""
+    """Int and (number, sub_number) ids survive the model file, in its
+    article token ids and in its bank."""
     relabel = {a: (a, 1) for a in sorted(data.article_db)[::2]}
     cases = [cp.CaseRecord(c.fact, c.gold_charges, {relabel.get(a, a) for a in c.gold_articles})
              for c in data.train]
@@ -907,9 +920,7 @@ def test_article_ids_round_trip_through_every_file(data, tmp_path):
 
     bank = ax.build_bank([c.tokens() for c in cases], [c.gold_articles for c in cases],
                          k=TINY_DIMS["k"])
-    ax.save_bank(tmp_path / "bank.npz", bank)
-    assert ax.load_bank(tmp_path / "bank.npz").article_ids == bank.article_ids == ids
-
+    assert bank.article_ids == ids
     config = cm.ModelConfig(variant=cm.Variant.FACT_SUPV_ART, **TINY_DIMS)
     word_vocab, pos_vocab = cm.build_vocab(cases)
     charges = sorted({c for case in cases for c in case.gold_charges})
@@ -917,16 +928,184 @@ def test_article_ids_round_trip_through_every_file(data, tmp_path):
                                    np.random.default_rng(0))
     model = cm.ChargeModel(config, params, word_vocab, pos_vocab, charges,
                            cm.tokenize_article_db(article_db, word_vocab, pos_vocab), tau=0.4)
-    cm.save_model(tmp_path / "m.npz", model)
-    loaded = cm.load_model(tmp_path / "m.npz", article_db=article_db)
-    assert sorted(loaded.article_docs, key=cp.article_sort_key) == ids
-    with pytest.raises(nd.StateError, match="missing ids"):
-        cm.load_model(tmp_path / "m.npz", article_db={a: t for a, t in article_db.items()
-                                                      if a not in ids[:2]})
+    cm.save_model(tmp_path / "m.npz", model, bank)
+    loaded, loaded_bank = cm.load_model(tmp_path / "m.npz")
+    assert list(loaded.article_docs) == ids
+    assert loaded_bank.article_ids == ids
 
-    trace = cm.forward(cases[0], loaded, bank=bank)
+    trace = cm.forward(cases[0], loaded, bank=loaded_bank)
     record = json.loads(json.dumps(cm.prediction_record(trace, loaded)))
-    assert {cp.article_id_from_json(a["id"]) for a in record["articles"]} == set(trace.topk)
+    ids = [a["id"] for a in record["articles"]]
+    assert set(cp.article_ids_from_json(ids, "record", "entry")) == set(trace.topk)
+
+
+def rewrite(path, edit):
+    """Apply ``edit(arrays, meta)`` to the model file at ``path``."""
+    arrays, meta = nd.load_arrays(path, {})
+    edit(arrays, meta)
+    nd.save_arrays(path, arrays, meta)
+
+
+def put_bank(bank):
+    """An ``edit`` that makes ``bank`` (None for none) the file's bank."""
+    def edit(arrays, meta):
+        for name in [n for n in arrays if n.startswith(ax.BANK_PREFIX)]:
+            del arrays[name]
+        bank_arrays, meta["bank"] = ({}, None) if bank is None else ax.bank_to_arrays(bank)
+        arrays.update(bank_arrays)
+    return edit
+
+
+def assert_refused(path, problem, save=None):
+    """``save()`` raises StateError naming ``path`` and ``problem`` and
+    leaves ``path`` as it was; so does ``load_model(path)``."""
+    before = path.read_bytes()
+    if save is not None:
+        with pytest.raises(StateError, match=re.escape(f"model file {path}: {problem}")):
+            save()
+        assert path.read_bytes() == before
+    with pytest.raises(StateError, match=re.escape(f"model file {path}: {problem}")):
+        cm.load_model(path)
+
+
+@pytest.mark.parametrize("variant", [cm.Variant.FACT_ONLY, cm.Variant.FACT_GOLD_ART])
+def test_bank_the_variant_does_not_take_is_refused(data, bank, variant, tmp_path):
+    model = untrained_model(data, variant)
+    path = tmp_path / "m.npz"
+    cm.save_model(path, model)
+    rewrite(path, put_bank(bank))
+    assert_refused(path, f"variant {variant.value} takes no extractor bank",
+                   lambda: cm.save_model(path, model, bank))
+
+
+@pytest.mark.parametrize("variant", sorted(cm.EXTRACTOR_VARIANTS))
+def test_extractor_variant_without_its_bank_is_refused(data, bank, variant, tmp_path):
+    model = untrained_model(data, variant)
+    path = tmp_path / "m.npz"
+    cm.save_model(path, model, bank)
+    rewrite(path, put_bank(None))
+    assert_refused(path, f"variant {variant.value} needs an extractor bank",
+                   lambda: cm.save_model(path, model))
+
+
+def test_config_k_beyond_the_bank_is_refused(data, bank, tmp_path):
+    """The bank has no k of its own; the model's k may not exceed its
+    articles."""
+    model = untrained_model(data, cm.Variant.FACT_SUPV_ART)
+    path = tmp_path / "m.npz"
+    cm.save_model(path, model, bank)
+    n = len(bank.article_ids)
+    rewrite(path, lambda arrays, meta: meta["config"].update(k=n + 1))
+    model.config = dataclasses.replace(model.config, k=n + 1)
+    assert_refused(path, f"k={n + 1} outside [1, {n}]", lambda: cm.save_model(path, model, bank))
+
+
+def test_bank_of_articles_the_model_has_no_text_for_is_refused(data, bank, tmp_path):
+    """A bank trained on other articles than the model attends over: the
+    first served case would miss one. The file is a fact_gold_art model
+    without one article, turned fact_art (the same tensors) and given the
+    bank."""
+    dropped = bank.article_ids[0]
+    model = untrained_model(data, cm.Variant.FACT_GOLD_ART)
+    model.article_docs.pop(dropped)
+    path = tmp_path / "m.npz"
+    cm.save_model(path, model)
+    rewrite(path, put_bank(bank))
+    rewrite(path, lambda arrays, meta: meta["config"].update(variant="fact_art"))
+    model.config = dataclasses.replace(model.config, variant=cm.Variant.FACT_ART)
+    assert_refused(path, f"the bank ranks articles [{dropped!r}] the model has no text for",
+                   lambda: cm.save_model(path, model, bank))
+
+
+def test_load_model_reads_no_article_database(data, bank, tmp_path):
+    """The texts the model attends over are its own token ids: there is no
+    database to pass in, so none can differ from the one it trained on."""
+    path = tmp_path / "m.npz"
+    cm.save_model(path, untrained_model(data, cm.Variant.FACT_ART), bank)
+    with pytest.raises(TypeError):
+        cm.load_model(path, article_db=data.article_db)
+
+
+def set_doc_entry(name, index, value):
+    """A docs ``edit`` that sets one entry of the array ``docs.<name>``."""
+    def edit(arrays, meta):
+        arrays["docs." + name] = arrays["docs." + name].copy()
+        arrays["docs." + name][index] = value
+    return edit
+
+
+def replace_doc(name, change):
+    """A docs ``edit`` that replaces ``docs.<name>`` by ``change`` of it."""
+    return lambda arrays, meta: arrays.__setitem__("docs." + name, change(arrays["docs." + name]))
+
+
+@pytest.mark.parametrize("edit, problem", [
+    (lambda arrays, meta: arrays.pop("docs.pos"), "has no 'docs.pos' array"),
+    (replace_doc("words", lambda a: a.astype(np.float64)),
+     "array 'docs.words' has type float64"),
+    (replace_doc("article_lens", lambda a: a.astype(np.int32)),
+     "array 'docs.article_lens' has type int32"),
+    (replace_doc("words", lambda a: a[None]), "array 'docs.words' has type int64 and shape (1, "),
+    (replace_doc("words", lambda a: a[:-1]), "docs lengths do not add up"),
+    (replace_doc("sentence_lens", lambda a: a[:-1]), "docs lengths do not add up"),
+    (set_doc_entry("sentence_lens", 0, 0), "a sentence of length below 1"),
+    (set_doc_entry("article_lens", -1, 0), "a sentence of length below 1"),
+    (set_doc_entry("words", 0, 10 ** 6), "holds a word id outside [0, "),
+    (set_doc_entry("pos", -1, -1), "holds a POS id outside [0, "),
+    (lambda arrays, meta: meta["article_ids"].pop(), "docs lengths do not add up"),
+    (lambda arrays, meta: meta["article_ids"].__setitem__(1, meta["article_ids"][0]),
+     "has duplicate article ids"),
+    (lambda arrays, meta: arrays.__setitem__("docs.extra", np.zeros(1, dtype=np.int64)),
+     "does not match the configured model: ['docs.extra']"),
+], ids=["missing", "float", "int32", "two_axes", "words_short", "sentences_short",
+        "empty_sentence", "empty_article", "word_id", "pos_id", "ids_short", "ids_repeated",
+        "unknown_array"])
+def test_corrupt_article_token_ids_are_rejected(data, tmp_path, edit, problem):
+    path = tmp_path / "m.npz"
+    cm.save_model(path, untrained_model(data, cm.Variant.FACT_GOLD_ART))
+    rewrite(path, edit)
+    with pytest.raises(StateError) as err:
+        cm.load_model(path)
+    assert str(err.value).startswith(f"model file {path} ")
+    assert problem in str(err.value)
+
+
+def test_fact_only_file_holds_empty_article_arrays(data, tmp_path):
+    """Every file has one shape: a model without articles stores its
+    article token ids as empty arrays, and loads with none."""
+    path = tmp_path / "m.npz"
+    cm.save_model(path, untrained_model(data, cm.Variant.FACT_ONLY))
+    arrays, meta = nd.load_arrays(path, {})
+    docs = {name: arr for name, arr in arrays.items() if name.startswith("docs.")}
+    assert sorted(docs) == sorted(cm.DOCS_ARRAYS)
+    assert all(arr.dtype == np.int64 and arr.shape == (0,) for arr in docs.values())
+    assert (meta["article_ids"], meta["bank"]) == ([], None)
+    assert cm.load_model(path)[0].article_docs == {}
+
+
+def test_bank_arrays_without_a_bank_meta_are_rejected(data, bank, tmp_path):
+    path = tmp_path / "m.npz"
+    cm.save_model(path, untrained_model(data, cm.Variant.FACT_ART), bank)
+    rewrite(path, lambda arrays, meta: meta.__setitem__("bank", None))
+    with pytest.raises(StateError, match=re.escape(
+            f"model file {path} holds bank arrays but no bank meta")):
+        cm.load_model(path)
+
+
+def test_fingerprint_survives_the_file_and_moves_with_a_step(data, bank, tmp_path):
+    """The prediction record names the model by a CRC-32 of its parameters:
+    the same after save and load, another after one ``sgd_step``."""
+    model = untrained_model(data, cm.Variant.FACT_SUPV_ART)
+    path = tmp_path / "m.npz"
+    cm.save_model(path, model, bank)
+    loaded, loaded_bank = cm.load_model(path)
+    saved = cm.fingerprint(model)
+    assert re.fullmatch("[0-9a-f]{8}", saved)
+    record = cm.prediction_record(cm.forward(data.test[0], loaded, bank=loaded_bank), loaded)
+    assert record["fingerprint"] == cm.fingerprint(loaded) == saved
+    sgd_on_one_case(data, loaded_bank, loaded)
+    assert cm.fingerprint(loaded) != saved
+    assert cm.fingerprint(model) == saved
 
 
 def test_prediction_record_shows_extractor_scores(data):
@@ -940,8 +1119,9 @@ def test_prediction_record_shows_extractor_scores(data):
     case = data.test[0]
     trace = cm.forward(case, model, bank=bank)
     record = json.loads(json.dumps(cm.prediction_record(trace, model), allow_nan=False))
-    by_id = {cp.article_id_from_json(a["id"]): a["extractor_score"] for a in record["articles"]}
-    assert by_id == dict(ax.extract_top_k(case.tokens(), bank))
+    ids = cp.article_ids_from_json([a["id"] for a in record["articles"]], "record", "entry")
+    by_id = dict(zip(ids, [a["extractor_score"] for a in record["articles"]]))
+    assert by_id == dict(ax.extract_top_k(case.tokens(), bank, k=len(ids)))
     attention = [a["attention"] for a in record["articles"]]
     assert attention == sorted(attention, reverse=True)
 
@@ -1027,13 +1207,13 @@ def test_sidecar_without_config_fields_is_rejected(data, tmp_path, names):
     model = untrained_model(data, cm.Variant.FACT_GOLD_ART)
     path = tmp_path / "m.npz"
     cm.save_model(path, model)
-    arrays, meta = nd.load_arrays(path, "model", {})
+    arrays, meta = nd.load_arrays(path, {})
     for name in names:
         del meta["config"][name]
-    nd.save_arrays(path, "model", arrays, meta)
+    nd.save_arrays(path, arrays, meta)
     with pytest.raises(StateError, match=re.escape(
             f"model file {path} has no config fields {sorted(names)}")):
-        cm.load_model(path, article_db=data.article_db)
+        cm.load_model(path)
 
 
 def edit_meta(**changes):
@@ -1085,9 +1265,9 @@ def edit_config(**changes):
     (edit_meta(article_ids=[[101, 1, 7]]), "has the article id [101, 1, 7], not"),
     (edit_meta(article_ids=[[133, 0]]), "has the article id [133, 0], not"),
     (edit_meta(article_ids=[0]), "has the article id 0, not"),
-    (edit_meta(version=1), "holds format 'model' version 1, not 'model' version 2"),
+    (edit_meta(version=1), "holds format 'model' version 1, not 'model' version 3"),
     (edit_meta(version=99), "holds format 'model' version 99"),
-    (edit_meta(format="bank"), "holds format 'bank' version 2"),
+    (edit_meta(format="bank"), "holds format 'bank' version 3"),
     (edit_config(lr=math.nan), "bad config: lr must be finite and positive"),
     (edit_config(beta=math.inf), "bad config: beta must be finite and >= 0"),
     (swap_entries("word_vocab", 1, 2),
@@ -1133,9 +1313,9 @@ def test_tensor_that_does_not_fit_is_rejected(data, tmp_path, damage, problem):
     model = untrained_model(data, cm.Variant.FACT_ONLY)
     path = tmp_path / "m.npz"
     cm.save_model(path, model)
-    arrays, meta = nd.load_arrays(path, "model", {})
+    arrays, meta = nd.load_arrays(path, {})
     damage(arrays)
-    nd.save_arrays(path, "model", arrays, meta)
+    nd.save_arrays(path, arrays, meta)
     with pytest.raises(StateError) as err:
         cm.load_model(path)
     assert str(err.value).startswith(f"model file {path} ")
@@ -1143,39 +1323,31 @@ def test_tensor_that_does_not_fit_is_rejected(data, tmp_path, damage, problem):
 
 
 HASHLIB_PROBE = """
-import importlib, json, pkgutil, sys
+import importlib, pkgutil, sys
 import chargenet
 for info in pkgutil.iter_modules(chargenet.__path__):
     importlib.import_module("chargenet." + info.name)
-from chargenet import article_extractor as ax, charge_model as cm, corpus as cp
-from chargenet import ndtensor as nd
+from chargenet import charge_model as cm
 root = sys.argv[1]
-ax.save_bank(root + "/bank2.npz", ax.load_bank(root + "/bank.npz"))
-ax.load_bank(root + "/bank2.npz")
-arrays, meta = nd.load_arrays(root + "/m.npz", "model", cm.MODEL_FIELDS)
-nd.save_arrays(root + "/m2.npz", "model", arrays, meta)
-with open(root + "/articles.json", encoding="utf-8") as fh:
-    article_db = {cp.article_id_from_json(a): text for a, text in json.load(fh)}
-cm.load_model(root + "/m2.npz", article_db=article_db)
+model, bank = cm.load_model(root + "/m.npz")
+cm.save_model(root + "/m2.npz", model, bank)
+model, bank = cm.load_model(root + "/m2.npz")
+cm.fingerprint(model)
 print(sorted(name for name in sys.modules if "hashlib" in name))
 """
 
 
 def test_saving_and_loading_import_no_hashlib(data, bank, tmp_path):
-    """A fresh process that imports every chargenet module, then saves and
-    loads a bank and a model file, does not import hashlib: it loads
-    OpenSSL, about 3.6 MB of resident memory.
+    """A fresh process that imports every chargenet module, then loads a
+    model file with its bank, saves it, loads it again and takes its
+    fingerprint, does not import hashlib: it loads OpenSSL, about 3.6 MB of
+    resident memory.
 
     ``load_model`` draws nothing, so it does not import ``numpy.random``,
     whose import brings in hashlib (through ``secrets``) in any process that
-    draws a model. For the same reason the process reads the article
-    database from plain JSON that the test writes, and does not generate
-    it."""
-    cm.save_model(tmp_path / "m.npz", untrained_model(data, cm.Variant.FACT_SUPV_ART))
-    ax.save_bank(tmp_path / "bank.npz", bank)
-    (tmp_path / "articles.json").write_text(
-        json.dumps([[cp.article_id_to_json(a), text] for a, text in data.article_db.items()],
-                   ensure_ascii=False), encoding="utf-8")
+    draws a model; and the file holds everything it serves with, so the
+    process reads nothing else."""
+    cm.save_model(tmp_path / "m.npz", untrained_model(data, cm.Variant.FACT_SUPV_ART), bank)
     src = os.path.dirname(os.path.dirname(cm.__file__))
     run = subprocess.run([sys.executable, "-c", HASHLIB_PROBE, str(tmp_path)],
                          env={**os.environ, "PYTHONPATH": src}, capture_output=True,

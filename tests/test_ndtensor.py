@@ -1,6 +1,8 @@
 import json
 import math
+import os
 import re
+import stat
 import struct
 import warnings
 import weakref
@@ -571,8 +573,8 @@ class TestCheckpoint:
         }
         meta = {"vocabulary": ["盗窃", "a"], "tau": 0.1 + 0.2, "ids": [133, [133, 1]]}
         path = tmp_path / "model.npz"
-        nd.save_arrays(path, "model", arrays, meta)
-        loaded, loaded_meta = nd.load_arrays(path, "model", {"vocabulary": list, "tau": float})
+        nd.save_arrays(path, arrays, meta)
+        loaded, loaded_meta = nd.load_arrays(path, {"vocabulary": list, "tau": float})
         assert list(loaded) == list(arrays)
         for name, want in arrays.items():
             assert loaded[name].dtype == np.asarray(want).dtype
@@ -582,7 +584,7 @@ class TestCheckpoint:
     def write_sample(self, tmp_path):
         rng = np.random.default_rng(7)
         path = tmp_path / "model.npz"
-        nd.save_arrays(path, "model", {"a.w": rng.uniform(-1, 1, (2, 3)),
+        nd.save_arrays(path, {"a.w": rng.uniform(-1, 1, (2, 3)),
                                        "b": rng.uniform(-1, 1, 4)}, {"note": "sample"})
         return path
 
@@ -593,23 +595,23 @@ class TestCheckpoint:
         path.write_bytes(blob[:cut])
         with pytest.raises(StateError,
                            match=re.escape(f"model file {path} is not a readable archive")):
-            nd.load_arrays(path, "model", {})
+            nd.load_arrays(path, {})
 
     def test_flipped_data_byte_fails_the_crc(self, tmp_path):
         path = self.write_sample(tmp_path)
         blob = bytearray(path.read_bytes())
-        at = blob.index(np.float64(nd.load_arrays(path, "model", {})[0]["a.w"][0, 1]).tobytes())
+        at = blob.index(np.float64(nd.load_arrays(path, {})[0]["a.w"][0, 1]).tobytes())
         blob[at + 3] ^= 0x10
         path.write_bytes(bytes(blob))
         with pytest.raises(StateError, match=r"member 'a\.w\.npy' fails"):
-            nd.load_arrays(path, "model", {})
+            nd.load_arrays(path, {})
 
     def test_every_flipped_byte_raises_or_loads_the_saved_values(self, tmp_path):
         """No corrupt byte, in a member or in the zip headers, gives back a
         value that was not saved: the load raises StateError, or (when the
         byte is one zipfile does not read) returns saved arrays and meta."""
         path = self.write_sample(tmp_path)
-        saved, saved_meta = nd.load_arrays(path, "model", {})
+        saved, saved_meta = nd.load_arrays(path, {})
         blob = path.read_bytes()
         for at in range(len(blob)):
             for bit in (0x01, 0x80):
@@ -617,7 +619,7 @@ class TestCheckpoint:
                 corrupt[at] ^= bit
                 path.write_bytes(bytes(corrupt))
                 try:
-                    arrays, meta = nd.load_arrays(path, "model", {})
+                    arrays, meta = nd.load_arrays(path, {})
                 except StateError:
                     continue
                 assert meta == saved_meta, (at, bit)
@@ -638,10 +640,10 @@ class TestCheckpoint:
         (lambda p: write_members(p, meta=np.array("{")), "meta is not JSON"),
         (lambda p: write_members(p, meta=np.array("[]")), "meta is not a JSON object"),
         (lambda p: write_members(p, meta=np.array('{"format": "bank", "version": 2}')),
-         "holds format 'bank' version 2, not 'model' version 2"),
-        (lambda p: write_members(p, meta=np.array('{"format": "model", "version": 2}')),
+         "holds format 'bank' version 2, not 'model' version 3"),
+        (lambda p: write_members(p, meta=np.array('{"format": "model", "version": 3}')),
          "meta has no 'n' of type int"),
-        (lambda p: write_members(p, meta=np.array('{"format": "model", "version": 2, '
+        (lambda p: write_members(p, meta=np.array('{"format": "model", "version": 3, '
                                                   '"n": true}')),
          "meta has no 'n' of type int"),
     ], ids=["empty", "binary_checkpoint", "json_bank", "npy_file", "object_member",
@@ -651,7 +653,7 @@ class TestCheckpoint:
         path = tmp_path / "model.npz"
         write(path)
         with pytest.raises(StateError) as err:
-            nd.load_arrays(path, "model", {"n": int})
+            nd.load_arrays(path, {"n": int})
         assert str(err.value).startswith(f"model file {path} ")
         assert problem in str(err.value)
 
@@ -660,14 +662,46 @@ class TestCheckpoint:
         before = path.read_bytes()
         # The second array cannot be converted, so the write stops after the first.
         with pytest.raises(OSError, match="no space left"):
-            nd.save_arrays(path, "model", {"a.w": np.ones(3), "b": Unwritable()}, {})
+            nd.save_arrays(path, {"a.w": np.ones(3), "b": Unwritable()}, {})
         assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == [path.name]
 
     def test_version_guard(self, tmp_path):
+        """Version 2 is the last format that kept banks in their own files."""
         path = tmp_path / "bad.npz"
-        for version in (1, 99, "2"):
+        for version in (1, 2, 99, "3"):
             write_members(path, meta=np.array(json.dumps({"format": "model",
                                                           "version": version})))
-            with pytest.raises(StateError, match=f"version {version!r}, not 'model' version 2"):
-                nd.load_arrays(path, "model", {})
+            with pytest.raises(StateError, match=f"version {version!r}, not 'model' version 3"):
+                nd.load_arrays(path, {})
+
+    def test_rename_is_synced_through_the_directory(self, tmp_path, monkeypatch):
+        """``atomic_write`` syncs the new file before the rename and the
+        directory after it, then closes the directory."""
+        import os
+        import stat
+        events = []
+        fsync, replace, close = os.fsync, os.replace, os.close
+
+        def logged_fsync(fd):
+            kind = "dir" if stat.S_ISDIR(os.fstat(fd).st_mode) else "file"
+            events.append(("fsync", kind, fd))
+            fsync(fd)
+
+        def logged_replace(src, dst):
+            events.append(("replace",))
+            replace(src, dst)
+
+        def logged_close(fd):
+            events.append(("close", fd))
+            close(fd)
+
+        monkeypatch.setattr(os, "fsync", logged_fsync)
+        monkeypatch.setattr(os, "replace", logged_replace)
+        monkeypatch.setattr(os, "close", logged_close)
+        with nd.atomic_write(tmp_path / "f.bin") as fh:
+            fh.write(b"abc")
+        assert [e[:2] for e in events[:2]] == [("fsync", "file"), ("replace",)]
+        directory = events[2][2]
+        assert events[2:] == [("fsync", "dir", directory), ("close", directory)]
+        assert (tmp_path / "f.bin").read_bytes() == b"abc"

@@ -29,7 +29,7 @@ PACKAGE = ROOT / "src" / "chargenet"
 TREES = (PACKAGE, ROOT / "perfbench")
 
 TEST_ONLY = {
-    "recall_at_k", "save_bank", "load_bank", "save_model", "load_model",
+    "recall_at_k", "save_model", "load_model",
     "prediction_record", "render_judgement", "assemble_case", "assemble_dataset",
     "VariantReport.to_jsonl", "VariantReport.to_text", "compare_variants",
 }
