@@ -13,12 +13,6 @@ stable sort of the scores break ties toward the smaller article id.
 A bank scores exactly the articles its training cases cite, so every scorer
 has a positive case. It is trained once, on the fixed schedule of the
 ``SCORER_*`` constants; no article is added to it afterwards.
-
-A bank has no file of its own. It travels inside the model file of the model
-it serves (``charge_model.save_model``): ``bank_to_arrays`` turns it into
-``bank.``-named arrays and a meta entry, and ``bank_from_arrays`` checks them
-and turns them back. The bank keeps no k; the model's ``config.k`` is the one
-number of slots.
 """
 
 from __future__ import annotations
@@ -28,8 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import article_id_to_json, article_ids_from_json, article_sort_key
-from .ndtensor import DomainError, ShapeError, StateError, vectors, vocab_index
+from .corpus import article_sort_key
+from .ndtensor import DomainError, ShapeError
 
 # Each scorer reads its SCORER_FEATURES features of highest chi-square. The
 # full-batch subgradient schedule: the step at epoch t is SCORER_LR0 / sqrt(t),
@@ -38,9 +32,6 @@ SCORER_FEATURES = 2000
 SCORER_EPOCHS = 100
 SCORER_LR0 = 0.1
 SCORER_L2 = 1e-4
-
-# The prefix of the bank's array names in a model file.
-BANK_PREFIX = "bank."
 
 
 @dataclass
@@ -246,60 +237,3 @@ def recall_at_k(extractions: list[list], gold_sets: list[set],
         out[k] = hits / total if total else 0.0
     return out
 
-
-def bank_to_arrays(bank: ExtractorBank) -> tuple[dict[str, np.ndarray], dict]:
-    """The bank as ``bank.``-named arrays and a meta entry. The ``idf`` and
-    ``bias`` arrays are stored as they are. The weight matrix is stored as
-    its nonzero entries, so the file grows with the selected features:
-    ``weights[i]`` sits in row ``scorers[i]`` and column ``selected[i]``.
-    The meta entry holds the vocabulary in column order and the article ids
-    in row order."""
-    scorers, selected = np.nonzero(bank.weights)
-    vocab = bank.tfidf.vocabulary
-    arrays = {"idf": bank.tfidf.idf, "bias": bank.bias, "scorers": scorers,
-              "selected": selected, "weights": bank.weights[scorers, selected]}
-    return {BANK_PREFIX + name: arr for name, arr in arrays.items()}, {
-        "vocabulary": sorted(vocab, key=vocab.__getitem__),
-        "article_ids": [article_id_to_json(aid) for aid in bank.article_ids]}
-
-
-def bank_from_arrays(arrays: dict[str, np.ndarray], meta: dict | None,
-                     source: str) -> ExtractorBank | None:
-    """The bank ``bank_to_arrays`` put in ``arrays``, with its meta entry
-    ``meta``; None when there is neither. Raises StateError naming
-    ``source`` for bank arrays without a meta entry, a missing array or one
-    of another dtype or rank, a meta entry without its two lists, a
-    vocabulary entry that is not a string or repeats, an article id that is
-    not one or repeats, an index outside the matrix, or an idf, weight or
-    bias that is NaN or infinite. Other ``bank.`` arrays are ignored."""
-    stored = {name.removeprefix(BANK_PREFIX): arr for name, arr in arrays.items()
-              if name.startswith(BANK_PREFIX)}
-    if meta is None and not stored:
-        return None
-    if not isinstance(meta, dict):
-        raise StateError(f"{source} holds bank arrays but no bank meta")
-    for key in ("vocabulary", "article_ids"):
-        if not isinstance(meta.get(key), list):
-            raise StateError(f"{source} bank meta has no {key!r} of type list")
-    idf, bias, scorers, selected, values = vectors(stored, {
-        "idf": np.float64, "bias": np.float64, "scorers": np.int64, "selected": np.int64,
-        "weights": np.float64}, f"{source} bank")
-    tfidf = TfidfModel(vocab_index(meta["vocabulary"], source, "vocabulary"), idf)
-    if idf.size != tfidf.n_features:
-        raise StateError(f"{source} has {tfidf.n_features} words but {idf.size} idf values")
-    article_ids = article_ids_from_json(meta["article_ids"], source, "scorer")
-    if bias.size != len(article_ids):
-        raise StateError(f"{source} has {len(article_ids)} article ids but "
-                         f"{bias.size} bias values")
-    if not scorers.size == selected.size == values.size:
-        raise StateError(f"{source} has {scorers.size} scorer rows and {selected.size} "
-                         f"selected columns but {values.size} weights")
-    if ((scorers < 0) | (scorers >= len(article_ids))).any():
-        raise StateError(f"{source} selects a row outside [0, {len(article_ids)})")
-    if ((selected < 0) | (selected >= tfidf.n_features)).any():
-        raise StateError(f"{source} selects a column outside [0, {tfidf.n_features})")
-    if not np.isfinite(np.concatenate([idf, values, bias])).all():
-        raise StateError(f"{source} holds a non-numeric value (NaN) or an infinity")
-    weights = np.zeros((len(article_ids), tfidf.n_features))
-    weights[scorers, selected] = values
-    return ExtractorBank(tfidf, article_ids, weights, bias)

@@ -54,13 +54,6 @@ rows by ``keyed_rows``, and shared by the word pools of every case:
   array they are computed from is not the object the last build read, or
   when ``nd.sgd_step``, the one in-place writer of a model's read-only
   parameters, has run since; a batch checks that once.
-
-A served model is one file: ``save_model`` stores the parameters, the token
-ids of the article texts they attend over (``article_docs``) and the
-extractor bank that picks the slots, and ``load_model`` gives back that model
-and that bank, so the loaded pair serves bit for bit as the saved one. A bank
-the variant does not take, or that ranks articles the model has no text for,
-is refused at save and at load.
 """
 
 from __future__ import annotations
@@ -75,10 +68,8 @@ import numpy as np
 
 from . import metrics as mx
 from . import ndtensor as nd
-from .article_extractor import (BANK_PREFIX, ExtractorBank, bank_from_arrays, bank_to_arrays,
-                                extract_top_k)
-from .corpus import (CaseRecord, article_id_to_json, article_ids_from_json, article_sort_key,
-                     simple_tokenize)
+from .article_extractor import ExtractorBank, extract_top_k
+from .corpus import CaseRecord, article_id_to_json, article_sort_key, simple_tokenize
 from .encoders import (
     AttentivePoolParams,
     BiGruParams,
@@ -731,150 +722,6 @@ def train(train_set: list[CaseRecord], valid_set: list[CaseRecord],
     model.tau = tune_threshold(best_probs, [case.gold_charges for case in valid_set],
                                model.charge_vocab)
     return model, history
-
-
-# The meta fields load_model reads and the JSON type save_model writes each as.
-MODEL_FIELDS = {"config": dict, "charge_vocab": list, "article_ids": list,
-                "word_vocab": list, "pos_vocab": list, "tau": float}
-# The arrays of ``article_docs`` in a model file: the word and the POS ids of
-# every sentence end to end, the words per sentence and the sentences per
-# article, articles in ``article_sort_key`` order.
-DOCS_ARRAYS = ("docs.words", "docs.pos", "docs.sentence_lens", "docs.article_lens")
-
-
-def _docs_to_arrays(article_docs: dict, article_ids: list) -> dict[str, np.ndarray]:
-    """``article_docs`` as the ``DOCS_ARRAYS``, articles in ``article_ids`` order."""
-    docs = [article_docs[aid] for aid in article_ids]
-    sents = [sent for doc in docs for sent in doc]
-    columns = (np.concatenate([np.zeros(0, np.int64)] + [w for w, _ in sents]),
-               np.concatenate([np.zeros(0, np.int64)] + [t for _, t in sents]),
-               [len(w) for w, _ in sents], [len(doc) for doc in docs])
-    return {name: np.asarray(col, dtype=np.int64) for name, col in zip(DOCS_ARRAYS, columns)}
-
-
-def _docs_from_arrays(arrays: dict[str, np.ndarray], article_ids: list, n_words: int,
-                      n_pos: int, source: str) -> dict:
-    """The ``article_docs`` of ``_docs_to_arrays``. Raises StateError naming
-    ``source`` for a missing array or one of another dtype or rank, lengths
-    below 1 or that do not add up, or an id outside its vocabulary."""
-    words, tags, sent_lens, art_lens = nd.vectors(arrays, dict.fromkeys(DOCS_ARRAYS, np.int64),
-                                                  source)
-    if (sent_lens < 1).any() or (art_lens < 1).any():
-        raise StateError(f"{source} has an article or a sentence of length below 1")
-    if (art_lens.size, art_lens.sum(), sent_lens.sum()) != (
-            len(article_ids), sent_lens.size, words.size) or words.size != tags.size:
-        raise StateError(f"{source} docs lengths do not add up: {len(article_ids)} article "
-                         f"ids, {art_lens.size} articles of {art_lens.sum()} sentences, "
-                         f"{sent_lens.size} sentences of {sent_lens.sum()} words, "
-                         f"{words.size} word ids and {tags.size} POS ids")
-    for key, ids, n in (("word", words, n_words), ("POS", tags, n_pos)):
-        if ((ids < 0) | (ids >= n)).any():
-            raise StateError(f"{source} holds a {key} id outside [0, {n})")
-    ends = np.cumsum(sent_lens)
-    sents = [(words[hi - n:hi], tags[hi - n:hi]) for n, hi in zip(sent_lens, ends)]
-    ends = np.cumsum(art_lens)
-    return {aid: sents[hi - n:hi] for aid, n, hi in zip(article_ids, art_lens, ends)}
-
-
-def _check_bank(config: ModelConfig, bank: ExtractorBank | None, article_ids: list,
-                source: str) -> None:
-    """Raise StateError naming ``source`` unless ``bank`` is one the variant
-    serves with: none for fact_only and fact_gold_art, else a bank of at
-    least ``config.k`` articles, each one the model has text for."""
-    variant = config.variant.value
-    if config.variant not in EXTRACTOR_VARIANTS:
-        if bank is not None:
-            raise StateError(f"{source}: variant {variant} takes no extractor bank")
-        return
-    if bank is None:
-        raise StateError(f"{source}: variant {variant} needs an extractor bank")
-    if config.k > len(bank.article_ids):
-        raise StateError(f"{source}: k={config.k} outside [1, {len(bank.article_ids)}], "
-                         "the bank's articles")
-    missing = set(bank.article_ids) - set(article_ids)
-    if missing:
-        raise StateError(f"{source}: the bank ranks articles "
-                         f"{sorted(missing, key=article_sort_key)} the model has no text for")
-
-
-def save_model(path, model: ChargeModel, bank: ExtractorBank | None = None) -> None:
-    """One model file (``nd.save_arrays``), replaced atomically: every tensor
-    under its ``named()`` name, ``article_docs`` under ``docs.`` names, the
-    bank (``bank_to_arrays``) and a meta with the config, the vocabularies,
-    the article ids, tau and the bank's meta entry. A bank that
-    ``_check_bank`` refuses raises StateError before anything is written."""
-    source = f"model file {path}"
-    article_ids = sorted(model.article_docs, key=article_sort_key)
-    _check_bank(model.config, bank, article_ids, source)
-    bank_arrays, bank_meta = ({}, None) if bank is None else bank_to_arrays(bank)
-    nd.save_arrays(path, {**{name: t.data for name, t in model.params.named()},
-                          **_docs_to_arrays(model.article_docs, article_ids), **bank_arrays}, {
-        "config": model.config.to_dict(),
-        "charge_vocab": model.charge_vocab,
-        "article_ids": [article_id_to_json(a) for a in article_ids],
-        "word_vocab": sorted(model.word_vocab, key=model.word_vocab.__getitem__),
-        "pos_vocab": sorted(model.pos_vocab, key=model.pos_vocab.__getitem__),
-        "tau": model.tau,
-        "bank": bank_meta,
-    })
-
-
-def load_model(path) -> tuple[ChargeModel, ExtractorBank | None]:
-    """The model and the bank of a ``save_model`` file. Besides the faults
-    ``nd.load_arrays``, ``_docs_from_arrays``, ``bank_from_arrays`` and
-    ``_check_bank`` reject, a vocabulary entry that is not a string or that
-    repeats an earlier one, a word or POS vocabulary without ``<pad>`` at
-    ``PAD_ID`` and ``<unk>`` at ``UNK_ID``, a tau outside (0, 1), a config
-    that lacks a ``ModelConfig`` field, holds one it does not know or holds
-    values it rejects, an article id that is not one or repeats, or a tensor
-    whose name, shape or dtype does not fit the configured model raises
-    ``StateError`` naming the file. The file's arrays replace the zeros of
-    an undrawn ``ModelParams.create`` layout. Meta fields it does not read,
-    such as the ``epochs_completed`` older files hold, are ignored."""
-    source = f"model file {path}"
-    arrays, meta = nd.load_arrays(path, MODEL_FIELDS)
-    _, word_vocab, pos_vocab = (nd.vocab_index(meta[key], source, key)
-                                for key in ("charge_vocab", "word_vocab", "pos_vocab"))
-    for key in ("word_vocab", "pos_vocab"):
-        if meta[key][:2] != ["<pad>", "<unk>"]:
-            raise StateError(f"{source} {key} does not begin with '<pad>' at {PAD_ID} "
-                             f"and '<unk>' at {UNK_ID}")
-    if not 0.0 < meta["tau"] < 1.0:
-        raise StateError(f"{source} has tau {meta['tau']!r}, outside (0, 1)")
-    known = {f.name for f in fields(ModelConfig)}
-    unknown = sorted(set(meta["config"]) - known)
-    if unknown:
-        raise StateError(f"{source} has config fields this version does not know: {unknown}")
-    missing = sorted(known - set(meta["config"]))
-    if missing:
-        raise StateError(f"{source} has no config fields {missing}")
-    try:
-        config = ModelConfig(**meta["config"])
-    except (TypeError, ValueError) as exc:
-        raise StateError(f"{source} holds a bad config: {exc}") from exc
-    article_ids = article_ids_from_json(meta["article_ids"], source, "article")
-    params = ModelParams.create(config, len(word_vocab), len(pos_vocab),
-                                len(meta["charge_vocab"]), None)
-    named = dict(params.named())
-    stored = {name: arr for name, arr in arrays.items()
-              if name not in DOCS_ARRAYS and not name.startswith(BANK_PREFIX)}
-    if set(stored) != set(named):
-        missing = set(named) ^ set(stored)
-        raise StateError(f"{source} does not match the configured model: {sorted(missing)}")
-    for name, arr in stored.items():
-        if named[name].shape != arr.shape:
-            raise StateError(f"{source} parameter {name} has shape {arr.shape}, "
-                             f"expected {named[name].shape}")
-        if arr.dtype != np.float64:
-            raise StateError(f"{source} parameter {name} has dtype {arr.dtype}, "
-                             "expected float64")
-        named[name].data = np.ascontiguousarray(arr)
-    article_docs = _docs_from_arrays(arrays, article_ids, len(word_vocab), len(pos_vocab),
-                                     source)
-    bank = bank_from_arrays(arrays, meta.get("bank"), source)
-    _check_bank(config, bank, article_ids, source)
-    return ChargeModel(config, params, word_vocab, pos_vocab, meta["charge_vocab"],
-                       article_docs, tau=meta["tau"]), bank
 
 
 def fingerprint(model: ChargeModel) -> str:

@@ -241,7 +241,7 @@ def extract_articles(court_view_text: str) -> list:
     之十一 is 11. Enumerated references (numerals joined by 、 inside one
     第...条) yield one id per numeral; a 之N suffix applies to the last
     numeral of the enumeration. Article numbers and sub-numbers start at 1,
-    as the bank and model files require, so 第0条 and 第五条之0 raise
+    as the model file requires, so 第0条 and 第五条之0 raise
     ParseError, as does a malformed numeral.
     """
     out = []

@@ -2,11 +2,9 @@
 
 Everything the encoders and losses are built from: a small op set
 (matmul, elementwise, concat/slice/gather, softmax, cross entropy),
-an explicit single-use gradient tape, plain SGD, and the one file format
-of saved models (``save_arrays``/``load_arrays``: an ``.npz`` archive of
-named arrays plus a JSON meta member). It holds what the model runs;
-test-only tools (a sum reduction, the finite-difference gradient check)
-live with the tests.
+an explicit single-use gradient tape and plain SGD. It holds what the
+model runs; test-only tools (a sum reduction, the finite-difference
+gradient check) live with the tests.
 
 Ops record their backward closures on the innermost active ``Tape``;
 with no tape active they run forward-only, which is the inference path.
@@ -31,11 +29,7 @@ read-only parameter arrays can key on the arrays, by identity, plus the count.
 
 from __future__ import annotations
 
-import json
-import os
 import threading
-import uuid
-import zipfile
 from contextlib import contextmanager
 from dataclasses import fields
 from typing import Callable, Iterable, Sequence
@@ -49,9 +43,8 @@ __all__ = [
     "matmul", "add", "sub", "mul", "tanh", "sigmoid", "concat", "narrow",
     "take_cols", "embed", "reshape", "softmax", "cross_entropy",
     "sgd_step", "write_count", "parameter", "zeros",
-    "save_arrays", "load_arrays", "FILE_FORMAT", "FORMAT_VERSION",
     "record", "accumulate", "accumulate_rows", "recording", "no_recording", "logistic",
-    "atomic_write", "ParamGroup", "vectors",
+    "ParamGroup",
 ]
 
 
@@ -580,132 +573,3 @@ class ParamGroup:
     def tensors(self) -> list[Tensor]:
         return [t for _, t in self.named()]
 
-
-# The format and version of the files save_arrays writes; load_arrays reads
-# no other.
-FILE_FORMAT = "model"
-FORMAT_VERSION = 3
-
-
-@contextmanager
-def atomic_write(path):
-    """Write ``path`` all at once: the block writes a new binary file beside
-    it, which replaces ``path`` only when the block finishes.
-
-    If the block raises, the new file is removed and ``path`` keeps its old
-    content (or stays absent). The new file is synced before the rename,
-    and the directory after it, so the rename itself survives a crash.
-    """
-    path = os.fspath(path)
-    head, tail = os.path.split(path)
-    tmp = os.path.join(head, f".{tail}.{uuid.uuid4().hex}.tmp")
-    try:
-        with open(tmp, "xb") as fh:
-            yield fh
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.remove(tmp)
-        raise
-    directory = os.open(head or os.curdir, os.O_RDONLY)
-    try:
-        os.fsync(directory)
-    finally:
-        os.close(directory)
-
-
-def save_arrays(path, arrays: dict[str, np.ndarray], meta: dict) -> None:
-    """Write ``arrays`` and ``meta`` to ``path`` as one uncompressed ``.npz``
-    archive, replaced atomically (``atomic_write``).
-
-    Each array is the member of its name. ``meta``, plus the file's
-    ``format`` and ``version``, is one more member, ``meta``, holding it as
-    JSON text; so no array may be named ``meta``. The zip format stores a
-    CRC-32 of every member, which ``load_arrays`` checks.
-    """
-    text = json.dumps({**meta, "format": FILE_FORMAT, "version": FORMAT_VERSION},
-                      ensure_ascii=False)
-    with atomic_write(path) as fh:
-        np.savez(fh, **arrays, meta=np.array(text))
-
-
-def load_arrays(path, fields: dict[str, type]) -> tuple[dict[str, np.ndarray], dict]:
-    """Read a ``save_arrays`` file: its arrays by name, and its meta.
-
-    Raises ``StateError`` naming ``path`` when the file is not a readable
-    archive (empty, truncated, not a zip, an array that needs pickle), a
-    member fails its CRC-32, the meta is missing or not a JSON object, the
-    file is of another format or version, or the meta lacks one of ``fields``
-    or holds it with another JSON type (an ``int`` field takes no bool). The
-    caller checks the arrays' names, dtypes and shapes.
-    """
-    source = f"model file {path}"
-    with open(path, "rb") as fh:
-        try:
-            archive = np.load(fh, allow_pickle=False)
-            if not isinstance(archive, np.lib.npyio.NpzFile):
-                raise ValueError("it holds one .npy array")
-            with archive:
-                arrays = {}
-                # Reading a member to its end checks its CRC-32.
-                for member in archive.zip.namelist():
-                    try:
-                        arrays[member.removesuffix(".npy")] = archive[member]
-                    except zipfile.BadZipFile as exc:
-                        raise zipfile.BadZipFile(
-                            f"member {member!r} fails its CRC-32 check") from exc
-        # A corrupt header byte can also make zipfile seek before the start
-        # (OSError) or see an unsupported compression (NotImplementedError)
-        # or encryption (RuntimeError). The file itself opened above.
-        except (zipfile.BadZipFile, EOFError, ValueError, OSError, NotImplementedError,
-                RuntimeError) as exc:
-            raise StateError(f"{source} is not a readable archive: {exc}") from exc
-    text = arrays.pop("meta", None)
-    if text is None or text.dtype.kind != "U" or text.ndim != 0:
-        raise StateError(f"{source} has no meta text member")
-    try:
-        meta = json.loads(text.item())
-    except ValueError as exc:
-        raise StateError(f"{source} meta is not JSON: {exc}") from exc
-    if not isinstance(meta, dict):
-        raise StateError(f"{source} meta is not a JSON object")
-    found = (meta.get("format"), meta.get("version"))
-    if found != (FILE_FORMAT, FORMAT_VERSION):
-        raise StateError(f"{source} holds format {found[0]!r} version {found[1]!r}, "
-                         f"not {FILE_FORMAT!r} version {FORMAT_VERSION}")
-    for key, typ in fields.items():
-        value = meta.get(key)
-        if not isinstance(value, typ) or (typ is int and isinstance(value, bool)):
-            raise StateError(f"{source} meta has no {key!r} of type {typ.__name__}")
-    return arrays, meta
-
-
-def vectors(arrays: dict[str, np.ndarray], dtypes: dict[str, type],
-            source: str) -> list[np.ndarray]:
-    """``arrays[name]`` for each name of ``dtypes``, in its order. Raises
-    ``StateError`` naming ``source`` when one is missing, or is not one axis
-    of its dtype."""
-    for name, dtype in dtypes.items():
-        arr = arrays.get(name)
-        if arr is None:
-            raise StateError(f"{source} has no {name!r} array")
-        if arr.dtype != dtype or arr.ndim != 1:
-            raise StateError(f"{source} array {name!r} has type {arr.dtype} and shape "
-                             f"{arr.shape}, not {np.dtype(dtype)} and one axis")
-    return [arrays[name] for name in dtypes]
-
-
-def vocab_index(entries: list, source: str, key: str) -> dict[str, int]:
-    """The position of each entry of the meta list ``key``, a vocabulary.
-    Raises ``StateError`` naming ``source`` when an entry is not a string or
-    repeats an earlier one."""
-    index: dict[str, int] = {}
-    for i, tok in enumerate(entries):
-        if not isinstance(tok, str):
-            raise StateError(f"{source} has a {key} entry that is not a string")
-        if tok in index:
-            raise StateError(f"{source} repeats the {key} entry {tok!r}")
-        index[tok] = i
-    return index

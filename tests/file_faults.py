@@ -1,4 +1,6 @@
-"""Helpers for the tests of damaged and failed model and bank files."""
+"""Helpers for the tests of damaged and failed model files."""
+
+import json
 
 import numpy as np
 
@@ -16,6 +18,17 @@ def write_members(path, **members):
     its meta member may be anything)."""
     with open(path, "wb") as fh:
         np.savez(fh, **members)
+
+
+def rewrite(path, edit):
+    """Apply ``edit(arrays, meta)`` to the model file at ``path``: its arrays
+    by name and its parsed meta, ``format`` and ``version`` included, are
+    edited in place and written back, the meta last."""
+    with np.load(path) as archive:
+        arrays = dict(archive)
+    meta = json.loads(arrays.pop("meta").item())
+    edit(arrays, meta)
+    write_members(path, **arrays, meta=np.array(json.dumps(meta, ensure_ascii=False)))
 
 
 def write_npy(path, array):

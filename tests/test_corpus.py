@@ -168,9 +168,8 @@ class TestExtractArticles:
                                       "依照第五、0条的规定"],
                              ids=["zero", "double_zero", "zero_in_enumeration"])
     def test_article_zero_is_rejected(self, text):
-        """Article numbers start at 1, as the bank and model files require:
-        a 0 would give a case an id that ``load_bank`` and ``load_model``
-        refuse."""
+        """Article numbers start at 1, as the model file requires: a 0 would
+        give a case an id that ``load_model`` refuses."""
         with pytest.raises(ParseError, match="number below 1"):
             cp.extract_articles(text)
 

@@ -13,11 +13,11 @@ from hypothesis.extra import numpy as hnp
 from chargenet import article_extractor as ax
 from chargenet import charge_model as cm
 from chargenet import corpus as cp
-from chargenet import ndtensor as nd
+from chargenet import model_file as mf
 from chargenet.ndtensor import DomainError, ShapeError, StateError
 
 import extractor_oracles as oracle
-from file_faults import Unwritable, write_members
+from file_faults import Unwritable, rewrite
 
 
 def toy_corpus():
@@ -561,20 +561,21 @@ class TestBankSerialization:
         it with ``damage(arrays, meta)`` applied to the bank's arrays (named
         without the prefix) and its meta entry."""
         bank, model = saved_bank()
-        cm.save_model(path, model, bank)
-        arrays, meta = nd.load_arrays(path, {})
-        stored = {name.removeprefix(ax.BANK_PREFIX): arrays.pop(name) for name in list(arrays)
-                  if name.startswith(ax.BANK_PREFIX)}
-        damage(stored, meta["bank"])
-        arrays.update((ax.BANK_PREFIX + name, arr) for name, arr in stored.items())
-        write_members(path, **arrays, meta=np.array(json.dumps(meta)))
+        mf.save_model(path, model, bank)
+
+        def edit(arrays, meta):
+            stored = {name.removeprefix("bank."): arrays.pop(name) for name in list(arrays)
+                      if name.startswith("bank.")}
+            damage(stored, meta["bank"])
+            arrays.update(("bank." + name, arr) for name, arr in stored.items())
+        rewrite(path, edit)
 
     def test_round_trip_exact(self, tmp_path):
         bank, model = saved_bank()
         assert bank.article_ids[-1] == (133, 1)
         path = tmp_path / "m.npz"
-        cm.save_model(path, model, bank)
-        _, loaded = cm.load_model(path)
+        mf.save_model(path, model, bank)
+        _, loaded = mf.load_model(path)
         assert loaded.tfidf.vocabulary == bank.tfidf.vocabulary
         npt.assert_array_equal(loaded.tfidf.idf, bank.tfidf.idf)
         assert loaded.article_ids == bank.article_ids
@@ -587,30 +588,28 @@ class TestBankSerialization:
         monkeypatch.setattr(ax, "SCORER_FEATURES", 2)
         docs, golds = two_article_corpus()
         bank = ax.build_bank(docs, golds, k=2)
-        arrays, _ = ax.bank_to_arrays(bank)
+        arrays, _ = mf._bank_to_arrays(bank)
         assert arrays["bank.weights"].size == np.count_nonzero(bank.weights) == 4
 
     def test_failed_write_keeps_the_previous_file(self, tmp_path):
         bank, model = saved_bank()
         path = tmp_path / "m.npz"
-        cm.save_model(path, model, bank)
+        mf.save_model(path, model, bank)
         before = path.read_bytes()
         bank.bias = Unwritable()
         with pytest.raises(OSError, match="no space left"):
-            cm.save_model(path, model, bank)
+            mf.save_model(path, model, bank)
         assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == [path.name]
 
     def test_version_guard(self, tmp_path):
         path = tmp_path / "bad.npz"
         bank, model = saved_bank()
-        cm.save_model(path, model, bank)
-        arrays, meta = nd.load_arrays(path, {})
+        mf.save_model(path, model, bank)
         for version in (1, 2, 99):
-            write_members(path, **arrays, meta=np.array(json.dumps({**meta,
-                                                                    "version": version})))
+            rewrite(path, lambda arrays, meta: meta.update(version=version))
             with pytest.raises(StateError, match=f"version {version}, not 'model' version 3"):
-                cm.load_model(path)
+                mf.load_model(path)
         # A version-1 bank was JSON.
         path.write_text(json.dumps({
             "version": 1, "k": 2,
@@ -619,7 +618,7 @@ class TestBankSerialization:
                          "bias": 0.125}]}))
         with pytest.raises(StateError,
                            match=re.escape(f"model file {path} is not a readable archive")):
-            cm.load_model(path)
+            mf.load_model(path)
 
     @pytest.mark.parametrize("damage, message", [
         (lambda a, m: a.pop("idf"), "no 'idf'"),
@@ -663,7 +662,7 @@ class TestBankSerialization:
         path = tmp_path / "m.npz"
         self.save_and_edit(path, damage)
         with pytest.raises(StateError, match=re.escape(message)) as err:
-            cm.load_model(path)
+            mf.load_model(path)
         assert str(err.value).startswith(f"model file {path}")
 
     @pytest.mark.parametrize("article_id", [[101, 1, 7], ["x"], 0, -5, [133, 0], {}],
@@ -672,15 +671,15 @@ class TestBankSerialization:
         path = tmp_path / "m.npz"
         self.save_and_edit(path, lambda a, m: m["article_ids"].__setitem__(1, article_id))
         with pytest.raises(StateError) as err:
-            cm.load_model(path)
+            mf.load_model(path)
         assert f"model file {path} scorer 1 has the article id {article_id!r}" in str(err.value)
 
     def test_truncated_bank_raises_state_error(self, tmp_path):
         bank, model = saved_bank()
         path = tmp_path / "m.npz"
-        cm.save_model(path, model, bank)
+        mf.save_model(path, model, bank)
         blob = path.read_bytes()
         for cut in (0, 100, len(blob) // 2, len(blob) - 1):
             path.write_bytes(blob[:cut])
             with pytest.raises(StateError, match="not a readable archive"):
-                cm.load_model(path)
+                mf.load_model(path)

@@ -20,13 +20,14 @@ from chargenet import charge_model as cm
 from chargenet import corpus as cp
 from chargenet import encoders as enc
 from chargenet import metrics as mx
+from chargenet import model_file as mf
 from chargenet import ndtensor as nd
 from chargenet.ndtensor import DomainError, StateError, Tape
 
 import encoder_oracles as oracle
 import model_oracles
 from gradient_checks import grad_check
-from file_faults import Unwritable, write_members
+from file_faults import Unwritable, rewrite, write_members
 
 TINY_DIMS = dict(word_emb_dim=2, pos_emb_dim=1, gru_hidden=2, fc1_dim=3, fc2_dim=3,
                  k=3, batch=4)
@@ -103,8 +104,8 @@ def test_config_of_numpy_scalars_saves_and_loads_back_equal(data, tmp_path):
             assert type(getattr(config, f.name)).__name__ == f.type, f.name
     model = untrained_model(data, cm.Variant.FACT_ONLY)
     model.config = config
-    cm.save_model(tmp_path / "m.npz", model)
-    assert cm.load_model(tmp_path / "m.npz")[0].config == config
+    mf.save_model(tmp_path / "m.npz", model)
+    assert mf.load_model(tmp_path / "m.npz")[0].config == config
     with pytest.raises(TypeError, match="k must be int"):
         cm.ModelConfig(k=True)
 
@@ -223,8 +224,8 @@ def test_parameters_are_read_only(data, bank, variant, tmp_path):
     """Every parameter array of a constructed and of a loaded model is
     read-only: ``nd.sgd_step`` is its one writer."""
     model = untrained_model(data, variant)
-    cm.save_model(tmp_path / "m.npz", model, bank_of(variant, bank))
-    loaded, _ = cm.load_model(tmp_path / "m.npz")
+    mf.save_model(tmp_path / "m.npz", model, bank_of(variant, bank))
+    loaded, _ = mf.load_model(tmp_path / "m.npz")
     for m in (model, loaded):
         for name, t in m.params.named():
             assert not t.data.flags.writeable, name
@@ -469,8 +470,8 @@ def test_checkpoint_round_trip_keeps_predictions(data, bank, tmp_path):
         path = tmp_path / f"{variant.value}.npz"
         saved_bank = bank_of(variant, bank)
         before = [cm.forward(case, model, bank=saved_bank) for case in data.test]
-        cm.save_model(path, model, saved_bank)
-        loaded, loaded_bank = cm.load_model(path)
+        mf.save_model(path, model, saved_bank)
+        loaded, loaded_bank = mf.load_model(path)
         assert (loaded_bank is None) == (saved_bank is None)
         assert loaded._article_cache is None
         assert [n for n, _ in loaded.params.named()] == [n for n, _ in model.params.named()]
@@ -494,11 +495,11 @@ def test_failed_meta_write_keeps_the_previous_sidecar(data, tmp_path):
     and no temporary file is left."""
     model = untrained_model(data, cm.Variant.FACT_ONLY)
     path = tmp_path / "m.npz"
-    cm.save_model(path, model)
+    mf.save_model(path, model)
     before = path.read_bytes()
     model.params.out_w.data = Unwritable()  # the tensors before it are written
     with pytest.raises(OSError, match="no space left"):
-        cm.save_model(path, model)
+        mf.save_model(path, model)
     assert path.read_bytes() == before
     assert [p.name for p in tmp_path.iterdir()] == [path.name]
 
@@ -512,8 +513,8 @@ def test_named_parameters_are_unique_and_round_trip(data, variant, tmp_path):
     assert len({id(t) for _, t in named}) == len(named)
     has_art = any(n.startswith("art.") for n in names)
     assert has_art == model.config.uses_articles()
-    nd.save_arrays(tmp_path / "p.npz", {n: t.data for n, t in named}, {})
-    arrays, _ = nd.load_arrays(tmp_path / "p.npz", {})
+    mf.save_arrays(tmp_path / "p.npz", {n: t.data for n, t in named}, {})
+    arrays, _ = mf.load_arrays(tmp_path / "p.npz")
     assert list(arrays) == names
     for name, t in named:
         npt.assert_array_equal(arrays[name], t.data)
@@ -540,7 +541,7 @@ def test_swapped_checkpoint_is_rejected(tmp_path):
         "format": "bank", "version": 2, "k": 1, "vocabulary": ["a", "b"],
         "article_ids": [7]})))
     with pytest.raises(StateError, match=re.escape(f"model file {bank_path} holds format 'bank'")):
-        cm.load_model(bank_path)
+        mf.load_model(bank_path)
 
 
 def split_directions(named, gates=False):
@@ -567,18 +568,21 @@ def assert_old_layout_rejected(data, tmp_path, old):
     """A model file holding the ``old`` tensors, with the saved model's
     meta, fails the name check."""
     path = tmp_path / "m.npz"
-    _, meta = nd.load_arrays(path, {})
-    nd.save_arrays(path, {name: t.data for name, t in old}, meta)
+
+    def edit(arrays, meta):
+        arrays.clear()
+        arrays.update((name, t.data) for name, t in old)
+    rewrite(path, edit)
     with pytest.raises(StateError,
                        match=re.escape(f"model file {path} does not match the configured")):
-        cm.load_model(path)
+        mf.load_model(path)
 
 
 def test_nine_gate_checkpoint_is_rejected(data, bank, tmp_path):
     """A model file in the nine-gate layout, one tensor per gate and
     direction (``.fwd.w_z``, ...), fails the name check."""
     model = untrained_model(data, cm.Variant.FACT_ART)
-    cm.save_model(tmp_path / "m.npz", model, bank)
+    mf.save_model(tmp_path / "m.npz", model, bank)
     old = split_directions(model.params.named(), gates=True)
     assert len(old) == 111  # ten GRU directions of nine tensors each
     assert_old_layout_rejected(data, tmp_path, old)
@@ -588,7 +592,7 @@ def test_per_direction_checkpoint_is_rejected(data, bank, tmp_path):
     """A model file with one tensor set per GRU direction (``.fwd.w``, ...)
     fails the name check."""
     model = untrained_model(data, cm.Variant.FACT_ART)
-    cm.save_model(tmp_path / "m.npz", model, bank)
+    mf.save_model(tmp_path / "m.npz", model, bank)
     old = split_directions(model.params.named())
     assert len(old) == 51  # ten GRU directions of three tensors each
     assert len(model.params.named()) == 36
@@ -597,19 +601,17 @@ def test_per_direction_checkpoint_is_rejected(data, bank, tmp_path):
 
 def rewrite_meta_config(path, **changes):
     """Edit the config in a model file's meta; the tensors stay as saved."""
-    arrays, meta = nd.load_arrays(path, {})
-    meta["config"].update(changes)
-    nd.save_arrays(path, arrays, meta)
+    rewrite(path, lambda arrays, meta: meta["config"].update(changes))
 
 
 def test_sidecar_with_other_dims_is_rejected(data, bank, tmp_path):
     model = untrained_model(data, cm.Variant.FACT_SUPV_ART)
     path = tmp_path / "m.npz"
-    cm.save_model(path, model, bank)
+    mf.save_model(path, model, bank)
     wider = dataclasses.replace(model.config, gru_hidden=model.config.gru_hidden + 1)
     rewrite_meta_config(path, gru_hidden=wider.gru_hidden)
     with pytest.raises(StateError) as err:
-        cm.load_model(path)
+        mf.load_model(path)
     match = re.fullmatch(rf"model file {re.escape(str(path))} parameter (\S+) has shape "
                          r"(\(.*\)), expected (\(.*\))", str(err.value))
     assert match, str(err.value)
@@ -625,10 +627,10 @@ def test_sidecar_with_other_dims_is_rejected(data, bank, tmp_path):
 def test_sidecar_with_other_variant_is_rejected(data, bank, tmp_path):
     model = untrained_model(data, cm.Variant.FACT_SUPV_ART)
     path = tmp_path / "m.npz"
-    cm.save_model(path, model, bank)
+    mf.save_model(path, model, bank)
     rewrite_meta_config(path, variant="fact_only")
     with pytest.raises(StateError, match="does not match the configured model") as err:
-        cm.load_model(path)
+        mf.load_model(path)
     article_side = [n for n, _ in model.params.named() if n.startswith(("art.", "agg"))]
     assert len(article_side) == 12
     for name in article_side:
@@ -892,16 +894,19 @@ def test_every_forward_runs_the_one_fact_encoder_and_aggregator(data, bank, vari
     assert calls == one
 
 
-def test_model_file_with_epochs_completed_loads(data, tmp_path):
-    """Files saved before ``epochs_completed`` was dropped still hold it in
-    their meta; ``load_model`` ignores meta fields it does not read."""
+def test_meta_fields_load_model_does_not_read_are_ignored(data, tmp_path):
+    """A meta field that ``load_model`` does not read, such as the
+    ``epochs_completed`` that files of older versions held, does not stop a
+    file of this version from loading."""
     model = untrained_model(data, cm.Variant.FACT_ONLY)
     path = tmp_path / "m.npz"
-    cm.save_model(path, model)
-    arrays, meta = nd.load_arrays(path, {})
-    assert "epochs_completed" not in meta
-    nd.save_arrays(path, arrays, {**meta, "epochs_completed": 7})
-    loaded, _ = cm.load_model(path)
+    mf.save_model(path, model)
+
+    def edit(arrays, meta):
+        assert "epochs_completed" not in meta
+        meta["epochs_completed"] = 7
+    rewrite(path, edit)
+    loaded, _ = mf.load_model(path)
     for (name, want), (_, got) in zip(model.params.named(), loaded.params.named(),
                                       strict=True):
         npt.assert_array_equal(got.data, want.data, err_msg=name)
@@ -928,8 +933,8 @@ def test_article_ids_round_trip_through_every_file(data, tmp_path):
                                    np.random.default_rng(0))
     model = cm.ChargeModel(config, params, word_vocab, pos_vocab, charges,
                            cm.tokenize_article_db(article_db, word_vocab, pos_vocab), tau=0.4)
-    cm.save_model(tmp_path / "m.npz", model, bank)
-    loaded, loaded_bank = cm.load_model(tmp_path / "m.npz")
+    mf.save_model(tmp_path / "m.npz", model, bank)
+    loaded, loaded_bank = mf.load_model(tmp_path / "m.npz")
     assert list(loaded.article_docs) == ids
     assert loaded_bank.article_ids == ids
 
@@ -939,19 +944,12 @@ def test_article_ids_round_trip_through_every_file(data, tmp_path):
     assert set(cp.article_ids_from_json(ids, "record", "entry")) == set(trace.topk)
 
 
-def rewrite(path, edit):
-    """Apply ``edit(arrays, meta)`` to the model file at ``path``."""
-    arrays, meta = nd.load_arrays(path, {})
-    edit(arrays, meta)
-    nd.save_arrays(path, arrays, meta)
-
-
 def put_bank(bank):
     """An ``edit`` that makes ``bank`` (None for none) the file's bank."""
     def edit(arrays, meta):
-        for name in [n for n in arrays if n.startswith(ax.BANK_PREFIX)]:
+        for name in [n for n in arrays if n.startswith("bank.")]:
             del arrays[name]
-        bank_arrays, meta["bank"] = ({}, None) if bank is None else ax.bank_to_arrays(bank)
+        bank_arrays, meta["bank"] = ({}, None) if bank is None else mf._bank_to_arrays(bank)
         arrays.update(bank_arrays)
     return edit
 
@@ -965,27 +963,27 @@ def assert_refused(path, problem, save=None):
             save()
         assert path.read_bytes() == before
     with pytest.raises(StateError, match=re.escape(f"model file {path}: {problem}")):
-        cm.load_model(path)
+        mf.load_model(path)
 
 
 @pytest.mark.parametrize("variant", [cm.Variant.FACT_ONLY, cm.Variant.FACT_GOLD_ART])
 def test_bank_the_variant_does_not_take_is_refused(data, bank, variant, tmp_path):
     model = untrained_model(data, variant)
     path = tmp_path / "m.npz"
-    cm.save_model(path, model)
+    mf.save_model(path, model)
     rewrite(path, put_bank(bank))
     assert_refused(path, f"variant {variant.value} takes no extractor bank",
-                   lambda: cm.save_model(path, model, bank))
+                   lambda: mf.save_model(path, model, bank))
 
 
 @pytest.mark.parametrize("variant", sorted(cm.EXTRACTOR_VARIANTS))
 def test_extractor_variant_without_its_bank_is_refused(data, bank, variant, tmp_path):
     model = untrained_model(data, variant)
     path = tmp_path / "m.npz"
-    cm.save_model(path, model, bank)
+    mf.save_model(path, model, bank)
     rewrite(path, put_bank(None))
     assert_refused(path, f"variant {variant.value} needs an extractor bank",
-                   lambda: cm.save_model(path, model))
+                   lambda: mf.save_model(path, model))
 
 
 def test_config_k_beyond_the_bank_is_refused(data, bank, tmp_path):
@@ -993,11 +991,11 @@ def test_config_k_beyond_the_bank_is_refused(data, bank, tmp_path):
     articles."""
     model = untrained_model(data, cm.Variant.FACT_SUPV_ART)
     path = tmp_path / "m.npz"
-    cm.save_model(path, model, bank)
+    mf.save_model(path, model, bank)
     n = len(bank.article_ids)
     rewrite(path, lambda arrays, meta: meta["config"].update(k=n + 1))
     model.config = dataclasses.replace(model.config, k=n + 1)
-    assert_refused(path, f"k={n + 1} outside [1, {n}]", lambda: cm.save_model(path, model, bank))
+    assert_refused(path, f"k={n + 1} outside [1, {n}]", lambda: mf.save_model(path, model, bank))
 
 
 def test_bank_of_articles_the_model_has_no_text_for_is_refused(data, bank, tmp_path):
@@ -1009,21 +1007,21 @@ def test_bank_of_articles_the_model_has_no_text_for_is_refused(data, bank, tmp_p
     model = untrained_model(data, cm.Variant.FACT_GOLD_ART)
     model.article_docs.pop(dropped)
     path = tmp_path / "m.npz"
-    cm.save_model(path, model)
+    mf.save_model(path, model)
     rewrite(path, put_bank(bank))
     rewrite(path, lambda arrays, meta: meta["config"].update(variant="fact_art"))
     model.config = dataclasses.replace(model.config, variant=cm.Variant.FACT_ART)
     assert_refused(path, f"the bank ranks articles [{dropped!r}] the model has no text for",
-                   lambda: cm.save_model(path, model, bank))
+                   lambda: mf.save_model(path, model, bank))
 
 
 def test_load_model_reads_no_article_database(data, bank, tmp_path):
     """The texts the model attends over are its own token ids: there is no
     database to pass in, so none can differ from the one it trained on."""
     path = tmp_path / "m.npz"
-    cm.save_model(path, untrained_model(data, cm.Variant.FACT_ART), bank)
+    mf.save_model(path, untrained_model(data, cm.Variant.FACT_ART), bank)
     with pytest.raises(TypeError):
-        cm.load_model(path, article_db=data.article_db)
+        mf.load_model(path, article_db=data.article_db)
 
 
 def set_doc_entry(name, index, value):
@@ -1062,10 +1060,10 @@ def replace_doc(name, change):
         "unknown_array"])
 def test_corrupt_article_token_ids_are_rejected(data, tmp_path, edit, problem):
     path = tmp_path / "m.npz"
-    cm.save_model(path, untrained_model(data, cm.Variant.FACT_GOLD_ART))
+    mf.save_model(path, untrained_model(data, cm.Variant.FACT_GOLD_ART))
     rewrite(path, edit)
     with pytest.raises(StateError) as err:
-        cm.load_model(path)
+        mf.load_model(path)
     assert str(err.value).startswith(f"model file {path} ")
     assert problem in str(err.value)
 
@@ -1074,22 +1072,22 @@ def test_fact_only_file_holds_empty_article_arrays(data, tmp_path):
     """Every file has one shape: a model without articles stores its
     article token ids as empty arrays, and loads with none."""
     path = tmp_path / "m.npz"
-    cm.save_model(path, untrained_model(data, cm.Variant.FACT_ONLY))
-    arrays, meta = nd.load_arrays(path, {})
+    mf.save_model(path, untrained_model(data, cm.Variant.FACT_ONLY))
+    arrays, meta = mf.load_arrays(path)
     docs = {name: arr for name, arr in arrays.items() if name.startswith("docs.")}
-    assert sorted(docs) == sorted(cm.DOCS_ARRAYS)
+    assert sorted(docs) == sorted(mf.DOCS_ARRAYS)
     assert all(arr.dtype == np.int64 and arr.shape == (0,) for arr in docs.values())
     assert (meta["article_ids"], meta["bank"]) == ([], None)
-    assert cm.load_model(path)[0].article_docs == {}
+    assert mf.load_model(path)[0].article_docs == {}
 
 
 def test_bank_arrays_without_a_bank_meta_are_rejected(data, bank, tmp_path):
     path = tmp_path / "m.npz"
-    cm.save_model(path, untrained_model(data, cm.Variant.FACT_ART), bank)
+    mf.save_model(path, untrained_model(data, cm.Variant.FACT_ART), bank)
     rewrite(path, lambda arrays, meta: meta.__setitem__("bank", None))
     with pytest.raises(StateError, match=re.escape(
             f"model file {path} holds bank arrays but no bank meta")):
-        cm.load_model(path)
+        mf.load_model(path)
 
 
 def test_fingerprint_survives_the_file_and_moves_with_a_step(data, bank, tmp_path):
@@ -1097,8 +1095,8 @@ def test_fingerprint_survives_the_file_and_moves_with_a_step(data, bank, tmp_pat
     the same after save and load, another after one ``sgd_step``."""
     model = untrained_model(data, cm.Variant.FACT_SUPV_ART)
     path = tmp_path / "m.npz"
-    cm.save_model(path, model, bank)
-    loaded, loaded_bank = cm.load_model(path)
+    mf.save_model(path, model, bank)
+    loaded, loaded_bank = mf.load_model(path)
     saved = cm.fingerprint(model)
     assert re.fullmatch("[0-9a-f]{8}", saved)
     record = cm.prediction_record(cm.forward(data.test[0], loaded, bank=loaded_bank), loaded)
@@ -1193,10 +1191,10 @@ def test_fact_only_beats_the_majority_class(seed):
 def test_sidecar_with_an_unknown_config_field_is_rejected(data, tmp_path):
     model = untrained_model(data, cm.Variant.FACT_ONLY)
     path = tmp_path / "m.npz"
-    cm.save_model(path, model)
+    mf.save_model(path, model)
     rewrite_meta_config(path, tie_article_encoder=False, dropout=0.5)
     with pytest.raises(StateError, match=r"\['dropout', 'tie_article_encoder'\]"):
-        cm.load_model(path)
+        mf.load_model(path)
 
 
 @pytest.mark.parametrize("names", [(f.name,) for f in dataclasses.fields(cm.ModelConfig)]
@@ -1206,14 +1204,15 @@ def test_sidecar_without_config_fields_is_rejected(data, tmp_path, names):
     file without ``variant`` and ``k`` would load as fact_supv_art, k=20."""
     model = untrained_model(data, cm.Variant.FACT_GOLD_ART)
     path = tmp_path / "m.npz"
-    cm.save_model(path, model)
-    arrays, meta = nd.load_arrays(path, {})
-    for name in names:
-        del meta["config"][name]
-    nd.save_arrays(path, arrays, meta)
+    mf.save_model(path, model)
+
+    def edit(arrays, meta):
+        for name in names:
+            del meta["config"][name]
+    rewrite(path, edit)
     with pytest.raises(StateError, match=re.escape(
             f"model file {path} has no config fields {sorted(names)}")):
-        cm.load_model(path)
+        mf.load_model(path)
 
 
 def edit_meta(**changes):
@@ -1287,14 +1286,14 @@ def test_corrupt_sidecar_is_rejected(data, tmp_path, corrupt, problem):
     the problem."""
     model = untrained_model(data, cm.Variant.FACT_ONLY)
     path = tmp_path / "m.npz"
-    cm.save_model(path, model)
+    mf.save_model(path, model)
     with np.load(path) as archive:
         members = dict(archive)
     text = members["meta"].item()
     assert '"k": 3,' in text
     write_members(path, **{**members, "meta": np.array(corrupt(text))})
     with pytest.raises(StateError) as err:
-        cm.load_model(path)
+        mf.load_model(path)
     assert str(err.value).startswith(f"model file {path} ")
     assert problem in str(err.value)
 
@@ -1303,21 +1302,21 @@ def test_corrupt_sidecar_is_rejected(data, tmp_path, corrupt, problem):
     (lambda arrays: arrays.pop("out.b"), "does not match the configured model: ['out.b']"),
     (lambda arrays: arrays.__setitem__("extra", np.zeros(1)),
      "does not match the configured model: ['extra']"),
+    (lambda arrays: arrays.__setitem__("bank.extra", np.zeros(1)),
+     "does not match the configured model: ['bank.extra']"),
     (lambda arrays: arrays.__setitem__("out.b", arrays["out.b"].T), "parameter out.b has shape"),
     (lambda arrays: arrays.__setitem__("out.b", arrays["out.b"] > 0),
      "parameter out.b has dtype bool, expected float64"),
     (lambda arrays: arrays.__setitem__("out.b", arrays["out.b"].astype(np.float32)),
      "parameter out.b has dtype float32, expected float64"),
-], ids=["missing", "extra", "shape", "bool", "float32"])
+], ids=["missing", "extra", "bank_extra", "shape", "bool", "float32"])
 def test_tensor_that_does_not_fit_is_rejected(data, tmp_path, damage, problem):
     model = untrained_model(data, cm.Variant.FACT_ONLY)
     path = tmp_path / "m.npz"
-    cm.save_model(path, model)
-    arrays, meta = nd.load_arrays(path, {})
-    damage(arrays)
-    nd.save_arrays(path, arrays, meta)
+    mf.save_model(path, model)
+    rewrite(path, lambda arrays, meta: damage(arrays))
     with pytest.raises(StateError) as err:
-        cm.load_model(path)
+        mf.load_model(path)
     assert str(err.value).startswith(f"model file {path} ")
     assert problem in str(err.value)
 
@@ -1328,10 +1327,11 @@ import chargenet
 for info in pkgutil.iter_modules(chargenet.__path__):
     importlib.import_module("chargenet." + info.name)
 from chargenet import charge_model as cm
+from chargenet import model_file as mf
 root = sys.argv[1]
-model, bank = cm.load_model(root + "/m.npz")
-cm.save_model(root + "/m2.npz", model, bank)
-model, bank = cm.load_model(root + "/m2.npz")
+model, bank = mf.load_model(root + "/m.npz")
+mf.save_model(root + "/m2.npz", model, bank)
+model, bank = mf.load_model(root + "/m2.npz")
 cm.fingerprint(model)
 print(sorted(name for name in sys.modules if "hashlib" in name))
 """
@@ -1347,7 +1347,7 @@ def test_saving_and_loading_import_no_hashlib(data, bank, tmp_path):
     whose import brings in hashlib (through ``secrets``) in any process that
     draws a model; and the file holds everything it serves with, so the
     process reads nothing else."""
-    cm.save_model(tmp_path / "m.npz", untrained_model(data, cm.Variant.FACT_SUPV_ART), bank)
+    mf.save_model(tmp_path / "m.npz", untrained_model(data, cm.Variant.FACT_SUPV_ART), bank)
     src = os.path.dirname(os.path.dirname(cm.__file__))
     run = subprocess.run([sys.executable, "-c", HASHLIB_PROBE, str(tmp_path)],
                          env={**os.environ, "PYTHONPATH": src}, capture_output=True,

@@ -17,8 +17,13 @@ definition that newly has no caller but the tracer.
 
 The same parse checks that ``ndtensor.sgd_step`` is the one function in
 ``src/chargenet`` that writes into a tensor's ``.data`` array in place, which
-the model's article cache relies on. Rebinding ``x.data`` to a new array is
-not a write into the old one.
+the model's caches rely on. Rebinding ``x.data`` to a new array is not a
+write into the old one. It also checks that ``model_file`` is the one module
+that calls a function of ``FILE_CALLS`` or a method of ``FILE_METHODS``, or
+imports a module of ``FILE_MODULES``. Names are resolved through the module's
+imports (``np.load`` is ``numpy.load``, and ``replace`` after ``from os import
+replace`` is ``os.replace``); a function reached any other way, through an
+assignment or ``getattr``, is not seen.
 """
 
 import ast
@@ -138,3 +143,88 @@ def test_only_sgd_step_writes_data_in_place():
               for path, module in parsed(PACKAGE) for owner, line in data_writes(module)
               if (path.name, owner) != ("ndtensor.py", "sgd_step")]
     assert not writes, f"in-place writes into .data outside nd.sgd_step: {writes}"
+
+
+# The functions that open, read, write, sync, rename or remove a file, by the
+# module they come from; the methods that do (``Path.open``,
+# ``Path.write_text``, ``ndarray.tofile``, ...), on any object; and the modules
+# whose import alone is file access.
+FILE_CALLS = {
+    "open", "io.open", "os.open", "os.fdopen", "os.replace", "os.rename", "os.remove",
+    "os.unlink", "os.fsync", "numpy.load", "numpy.save", "numpy.savez",
+    "numpy.savez_compressed", "numpy.fromfile", "numpy.loadtxt", "numpy.savetxt",
+    "numpy.genfromtxt", "numpy.memmap",
+}
+FILE_METHODS = {"open", "read_bytes", "read_text", "write_bytes", "write_text", "unlink",
+                "tofile"}
+FILE_MODULES = {"zipfile", "shutil", "tempfile"}
+
+
+def imported_names(module: ast.Module) -> dict[str, str]:
+    """What each name an import binds stands for: ``np`` for ``numpy`` after
+    ``import numpy as np``, ``r`` for ``os.replace`` after ``from os import
+    replace as r``."""
+    names = {}
+    for node in ast.walk(module):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.asname:
+                    names[alias.asname] = alias.name
+                else:
+                    head = alias.name.partition(".")[0]
+                    names[head] = head
+        elif isinstance(node, ast.ImportFrom) and node.module and not node.level:
+            for alias in node.names:
+                names[alias.asname or alias.name] = f"{node.module}.{alias.name}"
+    return names
+
+
+def dotted(node: ast.AST, names: dict[str, str]) -> str | None:
+    """``a.b.c`` of a name or an attribute chain, its first name resolved
+    through ``names``; else None."""
+    if isinstance(node, ast.Name):
+        return names.get(node.id, node.id)
+    if isinstance(node, ast.Attribute):
+        head = dotted(node.value, names)
+        return head and f"{head}.{node.attr}"
+    return None
+
+
+def file_access(module: ast.Module) -> list[tuple[str, int]]:
+    """(what, line) of each call of a ``FILE_CALLS`` function or a
+    ``FILE_METHODS`` method and each import of a ``FILE_MODULES`` module."""
+    names = imported_names(module)
+    found = []
+    for node in ast.walk(module):
+        if isinstance(node, ast.Call):
+            name = dotted(node.func, names)
+            if name in FILE_CALLS:
+                found.append((name, node.lineno))
+            elif isinstance(node.func, ast.Attribute) and node.func.attr in FILE_METHODS:
+                found.append((name or f".{node.func.attr}", node.lineno))
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            modules = ([a.name for a in node.names] if isinstance(node, ast.Import)
+                       else [node.module or ""])
+            found += [(f"import {m}", node.lineno) for m in modules
+                      if m.partition(".")[0] in FILE_MODULES]
+    return found
+
+
+def test_file_access_resolves_imports():
+    module = ast.parse("import numpy\nimport io as i\nfrom os import replace as r\n"
+                       "from pathlib import Path\nimport shutil.x\n"
+                       "numpy.save(f, a)\ni.open(p)\nr(a, b)\nPath(p).write_text(t)\n"
+                       "a.tofile(f)\nnumpy.asarray(a)\nlen(a)\n")
+    assert sorted(file_access(module), key=lambda item: item[1]) == [
+        ("import shutil.x", 5), ("numpy.save", 6), ("io.open", 7), ("os.replace", 8),
+        (".write_text", 9), ("a.tofile", 10)]
+
+
+def test_only_model_file_touches_files():
+    accesses = {path.name: file_access(module) for path, module in parsed(PACKAGE)}
+    seen = {what for what, _ in accesses.pop("model_file.py")}
+    assert {"open", "numpy.load", "numpy.savez", "os.replace", "os.open",
+            "import zipfile"} <= seen, sorted(seen)
+    outside = [f"{name}:{line} {what}" for name, found in accesses.items()
+               for what, line in found]
+    assert not outside, f"file access outside model_file.py: {outside}"
