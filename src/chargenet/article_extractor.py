@@ -220,20 +220,3 @@ def extract_top_k(fact_tokens: list[str], bank: ExtractorBank,
     scores = (bank.weights[:, None, :] @ vec)[:, 0] + bank.bias
     return [(bank.article_ids[i], float(scores[i]))
             for i in np.argsort(-scores, kind="stable")[:k]]
-
-
-def recall_at_k(extractions: list[list], gold_sets: list[set],
-                k_values: list[int]) -> dict[int, float]:
-    """Fraction of gold article instances found in the top k, micro-averaged.
-
-    ``extractions`` holds ranked article-id lists (ids only, best first).
-    """
-    if len(extractions) != len(gold_sets):
-        raise ShapeError(f"{len(extractions)} rankings vs {len(gold_sets)} gold sets")
-    total = sum(len(g) for g in gold_sets)
-    out = {}
-    for k in k_values:
-        hits = sum(len(set(ranked[:k]) & gold) for ranked, gold in zip(extractions, gold_sets))
-        out[k] = hits / total if total else 0.0
-    return out
-

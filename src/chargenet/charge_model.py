@@ -12,7 +12,8 @@ fact_only          fact embedding             none
 art_only           aggregated articles        extractor top-k
 fact_art           fact + articles            extractor top-k
 fact_supv_art      fact + articles            extractor top-k, attention
-                                              supervised toward gold
+                                              supervised toward gold,
+                                              weight ``BETA``
 fact_gold_art      fact + articles            gold articles (upper bound)
 =================  =========================  ==========================
 
@@ -22,9 +23,10 @@ minibatch, under one loss and one backward, and validation runs in chunks of
 ``config.batch`` cases. ``forward(case)`` is the serving view of one case. It
 runs the same fact encoder (``ChargeModel.encode_fact``) and aggregator
 (``aggregate_articles``) on a batch of one and differs from ``forward_batch``
-in three ways only: it picks the slots itself (``_slots``), it encodes them
-through the one-case ``encode_articles``, and it copies its outputs into
-plain arrays. It records nothing, even inside a ``Tape``. The layers:
+in two ways only: it picks the slots itself (``_slots``), and it copies its
+outputs into plain arrays, recording nothing even inside a ``Tape``. Its
+slots go through ``encode_articles``, the one-case call of the same
+``_encode_slots``. The layers:
 
 * all facts go through one two-level ``encode_documents`` call;
 * the dynamic contexts (``dynamic_context`` of d_f) are (state_dim, B), one
@@ -91,6 +93,9 @@ UNK_ID = 1
 # recurrent and projection weights take nd.parameter's Glorot-uniform limit.
 EMB_INIT_SCALE = 0.5
 
+# The weight of fact_supv_art's attention term in the joint loss.
+BETA = 0.1
+
 
 class Variant(str, Enum):
     FACT_ONLY = "fact_only"
@@ -114,7 +119,6 @@ class ModelConfig:
     fc1_dim: int = 200
     fc2_dim: int = 150
     k: int = 20
-    beta: float = 0.1
     tau: float = 0.4
     lr: float = 0.1
     batch: int = 8
@@ -137,8 +141,6 @@ class ModelConfig:
                      "fc2_dim", "k", "batch", "max_epochs", "patience"):
             if getattr(self, name) < 1:
                 raise DomainError(f"{name} must be positive")
-        if not 0 <= self.beta < np.inf:
-            raise DomainError("beta must be finite and >= 0")
         if not 0.0 < self.tau < 1.0:
             raise DomainError("tau must lie in (0, 1)")
         if not 0 < self.lr < np.inf:
@@ -473,14 +475,14 @@ def aggregate_articles(a_mat: Tensor, n_slots: list[int], model: ChargeModel,
                          dynamic_context(d_f, p.w_d, p.b_d))
 
 
-def forward(case: CaseRecord, model: ChargeModel, bank: ExtractorBank | None = None,
-            topk: list | None = None) -> ForwardTrace:
+def forward(case: CaseRecord, model: ChargeModel,
+            bank: ExtractorBank | None = None) -> ForwardTrace:
     """Serve one case: its outputs as arrays, equal bit for bit to column 0 of
-    ``forward_batch([case], ...)`` run with no tape.
+    ``forward_batch([case], ...)`` run with no tape on the same slots.
 
-    The article slots are ``topk`` when given, else ``_slots`` of the case.
-    Nothing is recorded, even inside a ``Tape``: the outputs are arrays, so
-    no gradient could reach the graph.
+    The article slots are ``_slots`` of the case: the bank's top k, or the
+    gold articles for fact_gold_art. Nothing is recorded, even inside a
+    ``Tape``: the outputs are arrays, so no gradient could reach the graph.
     """
     cfg = model.config
     fact_ids = case_to_ids(case.fact, model.word_vocab, model.pos_vocab)
@@ -491,7 +493,7 @@ def forward(case: CaseRecord, model: ChargeModel, bank: ExtractorBank | None = N
     with nd.no_recording():
         d_f, word_attn, sent_attn = model.encode_fact([fact_ids])
         if cfg.uses_articles():
-            slots, scores = _slots(case, cfg, bank) if topk is None else (list(topk), None)
+            slots, scores = _slots(case, cfg, bank)
             a_mat = encode_articles(slots, model, d_f)
             d_a, alpha = aggregate_articles(a_mat, [len(slots)], model, d_f)
         o = _charge_distribution(model, d_f, d_a)
@@ -509,9 +511,10 @@ def forward_batch(cases: list[CaseRecord], model: ChargeModel, topks: list) -> B
     """Run several cases as the columns of one graph; record on any ambient tape.
 
     ``topks[j]`` are the article slots of ``cases[j]`` (ignored by
-    fact_only); cases may hold different numbers of slots. Column j of every
-    output equals ``forward(cases[j], model, topk=topks[j])`` up to rounding.
-    Under a tape the union of the slots is scanned once.
+    fact_only); cases may hold different numbers of slots. When they are the
+    slots ``forward`` picks, column j of every output equals
+    ``forward(cases[j], model, bank)`` up to rounding. Under a tape the union
+    of the slots is scanned once.
     """
     if not cases or len(topks) != len(cases):
         raise DomainError(f"forward_batch got {len(cases)} cases and {len(topks)} slot lists")
@@ -524,22 +527,6 @@ def forward_batch(cases: list[CaseRecord], model: ChargeModel, topks: list) -> B
         d_a, alpha = aggregate_articles(a_mat, [len(ids) for ids in topks], model, d_f)
     return BatchTrace(_charge_distribution(model, d_f, d_a), word_attn, sent_attn,
                       topks, alpha)
-
-
-def joint_loss(o: Tensor, y: np.ndarray, alpha: Tensor | None,
-               t: np.ndarray | None, beta: float) -> tuple[Tensor, Tensor, Tensor | None]:
-    """Charge cross entropy plus beta-weighted attention cross entropy.
-
-    Returns the total with its two terms; the attention term is None, and
-    the total exactly the charge term (the same tape node), with beta = 0 or
-    no attention target. With 2-D arguments each column is one case and each
-    term is the sum over the cases.
-    """
-    charge_term = nd.cross_entropy(y, o)
-    if beta == 0.0 or t is None or alpha is None:
-        return charge_term, charge_term, None
-    attn_term = nd.cross_entropy(t, alpha)
-    return charge_term + beta * attn_term, charge_term, attn_term
 
 
 def predict(o: np.ndarray, tau: float) -> set[int]:
@@ -575,32 +562,35 @@ def tune_threshold(probs: list[np.ndarray], gold_charges: list[set[str]],
 def _batch_loss(batch: BatchTrace, cases: list[CaseRecord], y: np.ndarray,
                 model: ChargeModel) -> tuple[Tensor, float, float]:
     """The mean joint loss of a batch's cases, whose charge targets are the
-    columns of ``y``, plus the summed charge and attention terms for logging.
-    A case with no gold article among its slots has no attention term."""
+    columns of ``y``, plus the summed charge and attention terms for logging:
+    the charge cross entropy plus, for fact_supv_art only, ``BETA`` times the
+    attention cross entropy toward ``attention_target``. A case with no gold
+    article among its slots has no attention term."""
     cfg = model.config
-    alpha = t = None
-    if cfg.variant == Variant.FACT_SUPV_ART and cfg.beta > 0:
+    charge_term = total = nd.cross_entropy(y, batch.o)
+    attn_v = 0.0
+    if cfg.variant == Variant.FACT_SUPV_ART:
         targets = [attention_target(topk, case.gold_articles, cfg.k)
                    for case, topk in zip(cases, batch.topks)]
         live = [j for j, target in enumerate(targets) if target is not None]
         if live:
-            alpha = nd.take_cols(batch.alpha, live)
-            t = np.stack([targets[j] for j in live], axis=1)
-    total, charge_term, attn_term = joint_loss(batch.o, y, alpha, t, cfg.beta)
-    return (total * (1.0 / len(cases)), charge_term.item(),
-            0.0 if attn_term is None else attn_term.item())
+            attn_term = nd.cross_entropy(np.stack([targets[j] for j in live], axis=1),
+                                         nd.take_cols(batch.alpha, live))
+            total = charge_term + BETA * attn_term
+            attn_v = attn_term.item()
+    return total * (1.0 / len(cases)), charge_term.item(), attn_v
 
 
-def _evaluate(model: ChargeModel, cases: list[CaseRecord], topks: list,
-              tau: float) -> tuple[float, list[np.ndarray]]:
-    """Validation micro-F1 and the charge distributions, run in batches of
-    ``config.batch`` cases."""
+def _evaluate(model: ChargeModel, cases: list[CaseRecord],
+              topks: list) -> tuple[float, list[np.ndarray]]:
+    """Validation micro-F1 at ``config.tau`` and the charge distributions,
+    run in batches of ``config.batch`` cases."""
     probs = []
     step = model.config.batch
     for lo in range(0, len(cases), step):
         o = forward_batch(cases[lo:lo + step], model, topks[lo:lo + step]).o.data
         probs += [o[:, j].copy() for j in range(o.shape[1])]
-    predicted = [predict_names(o, tau, model.charge_vocab) for o in probs]
+    predicted = [predict_names(o, model.config.tau, model.charge_vocab) for o in probs]
     _, _, f1 = mx.micro_prf(mx.PredictionBatch(predicted, [c.gold_charges for c in cases]))
     return f1, probs
 
@@ -691,7 +681,7 @@ def train(train_set: list[CaseRecord], valid_set: list[CaseRecord],
             epoch_attn += attn_v
             nd.sgd_step(params, config.lr)
 
-        valid_f1, probs = _evaluate(model, valid_set, valid_topk, config.tau)
+        valid_f1, probs = _evaluate(model, valid_set, valid_topk)
         n = len(train_set)
         entry = {"epoch": epoch, "train_loss": epoch_loss / n,
                  "charge_loss": epoch_charge / n, "attention_loss": epoch_attn / n,
@@ -738,8 +728,8 @@ def fingerprint(model: ChargeModel) -> str:
 def prediction_record(trace: ForwardTrace, model: ChargeModel) -> dict:
     """Machine-readable prediction: charges with probabilities, tau, the
     model's ``fingerprint`` and the attention-ranked articles shown as legal
-    basis, each with the shortlister's score when the extractor chose the
-    slots."""
+    basis, each with the shortlister's score; fact_gold_art's gold slots
+    carry none."""
     chosen = sorted(predict(trace.o, model.tau))
     record = {
         "charges": [model.charge_vocab[i] for i in chosen],

@@ -319,9 +319,10 @@ def simple_tokenize(text: str) -> list[list[tuple[str, str]]]:
     return sentences
 
 
-@dataclass
+@dataclass(frozen=True)
 class SyntheticSpec:
-    """Knobs for the seeded verification corpus."""
+    """Knobs for the seeded verification corpus, checked when it is built;
+    frozen, so no field changes after the check."""
 
     n_charges: int = 20
     n_articles: int = 40
@@ -340,7 +341,7 @@ class SyntheticSpec:
     test_size: int = 200
     seed: int = 7
 
-    def validate(self) -> None:
+    def __post_init__(self):
         if self.n_charges < 1 or self.n_articles < self.n_charges:
             raise DomainError("need at least one article per charge")
         if self.n_articles > self.n_charges * self.articles_per_charge_max:
@@ -412,7 +413,6 @@ def generate_synthetic(spec: SyntheticSpec) -> SyntheticCorpus:
     pools' own tuples: one shared tuple per vocabulary word, not one per
     token.
     """
-    spec.validate()
     rng = np.random.default_rng(spec.seed)
     charges = [f"charge{i:02d}" for i in range(spec.n_charges)]
     cores = {c: _tagged([f"c{i:02d}k{j}" for j in range(spec.core_keywords_per_charge)])

@@ -1,5 +1,6 @@
 """Multi-label charge metrics (micro/macro precision, recall, F1) and ranking
-quality for the extracted-article lists (Prec@1, mean average precision)."""
+quality for the extracted-article lists (recall@k, Prec@1, mean average
+precision)."""
 
 from __future__ import annotations
 
@@ -84,6 +85,22 @@ def per_charge_prf(batch: PredictionBatch) -> dict:
         p = tp / (tp + fp) if tp + fp else 0.0
         r = tp / (tp + fn) if tp + fn else 0.0
         out[charge] = (p, r, _f1(p, r))
+    return out
+
+
+def recall_at_k(rankings: list[list], gold_sets: list[set],
+                k_values: list[int]) -> dict[int, float]:
+    """Fraction of gold article instances found in the top k, micro-averaged.
+
+    ``rankings`` holds ranked article-id lists (ids only, best first).
+    """
+    if len(rankings) != len(gold_sets):
+        raise ValidationError(f"{len(rankings)} rankings vs {len(gold_sets)} gold sets")
+    total = sum(len(g) for g in gold_sets)
+    out = {}
+    for k in k_values:
+        hits = sum(len(set(ranked[:k]) & gold) for ranked, gold in zip(rankings, gold_sets))
+        out[k] = hits / total if total else 0.0
     return out
 
 

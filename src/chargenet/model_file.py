@@ -34,7 +34,7 @@ from .ndtensor import StateError
 
 # The format and version save_arrays writes; load_arrays reads no other.
 FILE_FORMAT = "model"
-FORMAT_VERSION = 3
+FORMAT_VERSION = 4
 
 # The JSON type of each meta field, and of each field of a bank's meta entry:
 # its vocabulary in column order and its article ids in row order.

@@ -3,9 +3,10 @@
 ``train()`` runs each minibatch as one graph (``cm.forward_batch``) and one
 ``cm._batch_loss``. The reference runs each case alone, as a one-case
 ``cm.forward_batch`` that scans its own article slots under a tape, and
-scores it with the same ``cm.joint_loss``; the batch loss must equal the mean
-of these per-case losses. ``forward_batch`` and ``batch_loss`` below keep the
-contracts of the batched pair, so ``train()`` can run on them in their place.
+scores it with a one-case ``cm._batch_loss``; the batch loss must equal the
+mean of these per-case losses. ``forward_batch`` and ``batch_loss`` below
+keep the contracts of the batched pair, so ``train()`` can run on them in
+their place.
 """
 
 from dataclasses import dataclass
@@ -15,21 +16,17 @@ import numpy as np
 from chargenet import charge_model as cm
 from chargenet import ndtensor as nd
 
-# The library's batched forward, kept here so that it still runs each case
-# while a test has put ``forward_batch`` below in its place.
+# The library's batched forward and loss, kept here so that they still run
+# each case while a test has put ``forward_batch`` and ``batch_loss`` below
+# in their place.
 ONE_CASE_FORWARD = cm.forward_batch
+ONE_CASE_LOSS = cm._batch_loss
 
 
 def trace_loss(trace, case, y, model):
     """Total loss tensor of a one-case ``cm.BatchTrace`` plus the two
     component values; ``y`` is the case's charge target."""
-    cfg = model.config
-    t = None
-    if cfg.variant == cm.Variant.FACT_SUPV_ART and cfg.beta > 0:
-        t = cm.attention_target(trace.topks[0], case.gold_articles, cfg.k)
-    total, charge_term, attn_term = cm.joint_loss(trace.o, y[:, None], trace.alpha,
-                                                  None if t is None else t[:, None], cfg.beta)
-    return total, charge_term.item(), 0.0 if attn_term is None else attn_term.item()
+    return ONE_CASE_LOSS(trace, [case], y[:, None], model)
 
 
 def case_loss(case, model, y, topk):

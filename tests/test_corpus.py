@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 
@@ -410,13 +411,16 @@ class TestSyntheticGenerator:
         assert corpus_digest(cp.generate_synthetic(SyntheticSpec(seed=seed))) == digest
 
     def test_invalid_spec_rejected(self):
+        """A spec checks itself when it is built, and no field changes after."""
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            small_spec().train_size = 0
         with pytest.raises(DomainError):
-            cp.generate_synthetic(small_spec(train_size=-1))
+            small_spec(train_size=-1)
         with pytest.raises(DomainError):
-            cp.generate_synthetic(small_spec(n_articles=2))
+            small_spec(n_articles=2)
         for prob in (-0.1, 1.7):
             with pytest.raises(DomainError, match="article_core_prob outside"):
-                cp.generate_synthetic(small_spec(article_core_prob=prob))
+                small_spec(article_core_prob=prob)
 
 
 class TestRenderRoundTrip:

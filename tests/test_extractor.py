@@ -471,42 +471,6 @@ def test_default_spec_bank_is_pinned():
     assert bank_digest(bank) == "8770238d1513e19e89349aaf87df3478611ab60407b562163b8ee24d310a1a8a"
 
 
-class TestRecallAtK:
-    def test_gold_always_first(self):
-        ext = [[1, 2, 3], [4, 5, 6]]
-        gold = [{1}, {4}]
-        out = ax.recall_at_k(ext, gold, [1, 2, 3])
-        assert out == {1: 1.0, 2: 1.0, 3: 1.0}
-
-    def test_gold_never_present(self):
-        assert ax.recall_at_k([[1, 2]], [{9}], [1, 2]) == {1: 0.0, 2: 0.0}
-
-    def test_length_mismatch(self):
-        with pytest.raises(ShapeError):
-            ax.recall_at_k([[1]], [{1}, {2}], [1])
-
-    def test_matches_brute_force_membership_count(self):
-        rng = np.random.default_rng(4)
-        ext, gold = [], []
-        for _ in range(40):
-            ranked = list(rng.permutation(20))
-            ext.append(ranked)
-            gold.append(set(rng.choice(20, rng.integers(1, 4), replace=False).tolist()))
-        out = ax.recall_at_k(ext, gold, [5, 10, 20])
-        for k in (5, 10, 20):
-            hits = sum(len([a for a in g if a in r[:k]]) for r, g in zip(ext, gold))
-            assert out[k] == hits / sum(len(g) for g in gold)
-        assert out[5] <= out[10] <= out[20]
-
-    def test_monotone_in_k(self):
-        rng = np.random.default_rng(5)
-        ext = [list(rng.permutation(15)) for _ in range(30)]
-        gold = [set(rng.choice(15, 2, replace=False).tolist()) for _ in range(30)]
-        rec = ax.recall_at_k(ext, gold, list(range(1, 16)))
-        vals = [rec[k] for k in range(1, 16)]
-        assert all(a <= b for a, b in zip(vals, vals[1:]))
-
-
 def set_array(name, value):
     """A ``damage`` that replaces the array ``name``."""
     return lambda arrays, meta: arrays.__setitem__(name, value)
@@ -606,9 +570,9 @@ class TestBankSerialization:
         path = tmp_path / "bad.npz"
         bank, model = saved_bank()
         mf.save_model(path, model, bank)
-        for version in (1, 2, 99):
+        for version in (1, 2, 3, 99):
             rewrite(path, lambda arrays, meta: meta.update(version=version))
-            with pytest.raises(StateError, match=f"version {version}, not 'model' version 3"):
+            with pytest.raises(StateError, match=f"version {version}, not 'model' version 4"):
                 mf.load_model(path)
         # A version-1 bank was JSON.
         path.write_text(json.dumps({

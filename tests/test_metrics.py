@@ -111,6 +111,42 @@ class TestMacro:
             assert before[charge] == after[charge]
 
 
+class TestRecallAtK:
+    def test_gold_always_first(self):
+        ext = [[1, 2, 3], [4, 5, 6]]
+        gold = [{1}, {4}]
+        out = mx.recall_at_k(ext, gold, [1, 2, 3])
+        assert out == {1: 1.0, 2: 1.0, 3: 1.0}
+
+    def test_gold_never_present(self):
+        assert mx.recall_at_k([[1, 2]], [{9}], [1, 2]) == {1: 0.0, 2: 0.0}
+
+    def test_length_mismatch(self):
+        with pytest.raises(ValidationError, match="1 rankings vs 2 gold sets"):
+            mx.recall_at_k([[1]], [{1}, {2}], [1])
+
+    def test_matches_brute_force_membership_count(self):
+        rng = np.random.default_rng(4)
+        ext, gold = [], []
+        for _ in range(40):
+            ranked = list(rng.permutation(20))
+            ext.append(ranked)
+            gold.append(set(rng.choice(20, rng.integers(1, 4), replace=False).tolist()))
+        out = mx.recall_at_k(ext, gold, [5, 10, 20])
+        for k in (5, 10, 20):
+            hits = sum(len([a for a in g if a in r[:k]]) for r, g in zip(ext, gold))
+            assert out[k] == hits / sum(len(g) for g in gold)
+        assert out[5] <= out[10] <= out[20]
+
+    def test_monotone_in_k(self):
+        rng = np.random.default_rng(5)
+        ext = [list(rng.permutation(15)) for _ in range(30)]
+        gold = [set(rng.choice(15, 2, replace=False).tolist()) for _ in range(30)]
+        rec = mx.recall_at_k(ext, gold, list(range(1, 16)))
+        vals = [rec[k] for k in range(1, 16)]
+        assert all(a <= b for a, b in zip(vals, vals[1:]))
+
+
 class TestRanking:
     def test_prec_at_1_extremes(self):
         assert mx.prec_at_1([[1, 2], [3, 4]], [{1}, {3}]) == 1.0

@@ -84,9 +84,7 @@ def use_oracle_encoders(monkeypatch):
 
 
 @pytest.mark.parametrize("field,value", [("lr", 0.0), ("batch", 0), ("k", 0), ("tau", 0.0),
-                                         ("tau", 1.0), ("beta", -0.1), ("lr", math.nan),
-                                         ("lr", math.inf), ("beta", math.nan),
-                                         ("beta", math.inf)])
+                                         ("tau", 1.0), ("lr", math.nan), ("lr", math.inf)])
 def test_model_config_validation(field, value):
     with pytest.raises(DomainError, match=field):
         cm.ModelConfig(**{field: value})
@@ -98,7 +96,7 @@ def test_config_of_numpy_scalars_saves_and_loads_back_equal(data, tmp_path):
     still no int."""
     dims = {name: np.int32(value) for name, value in TINY_DIMS.items()}
     config = cm.ModelConfig(variant=cm.Variant.FACT_ONLY, lr=np.float32(0.5),
-                            beta=np.float64(0.25), max_epochs=np.int64(3), **dims)
+                            tau=np.float64(0.25), max_epochs=np.int64(3), **dims)
     for f in dataclasses.fields(config):
         if f.type in ("int", "float"):
             assert type(getattr(config, f.name)).__name__ == f.type, f.name
@@ -251,15 +249,18 @@ def test_trained_parameters_are_read_only(data, bank, seed, lr, best_is_last):
 
 
 def test_case_loss_terms_come_from_joint_loss(data, bank):
+    """A served case's loss terms are the cross entropies of its served
+    outputs, and its joint loss weighs the attention term by ``BETA``."""
     model = untrained_model(data, cm.Variant.FACT_SUPV_ART)
     case, topk = supervised_case(data, bank, model.config)
     y = cm.charge_target(case.gold_charges, model.charge_vocab)
     total, charge_v, attn_v = model_oracles.case_loss(case, model, y, topk)
-    served = cm.forward(case, model, topk=topk)
+    served = cm.forward(case, model, bank=bank)
+    assert served.topk == topk
     t = cm.attention_target(topk, case.gold_articles, model.config.k)
     assert charge_v == nd.cross_entropy(y, nd.Tensor(served.o)).item()
     assert attn_v == nd.cross_entropy(t, nd.Tensor(served.alpha)).item()
-    assert total.item() == pytest.approx(charge_v + model.config.beta * attn_v, abs=1e-15)
+    assert total.item() == pytest.approx(charge_v + cm.BETA * attn_v, abs=1e-15)
 
 
 def mixed_batch(data, bank, model):
@@ -341,7 +342,8 @@ def variant_models(data):
 @given(draw=st.data())
 def test_batch_columns_match_forward(data, bank, variant_models, variant, draw):
     """Any subset of cases, in any order, batched: each column gives its
-    case's ``forward`` outputs, bit for bit when the batch is one case."""
+    case's ``forward`` outputs, bit for bit when the batch is one case, and
+    ``forward`` serves the slots ``_precompute_topk`` gives the batch."""
     model = variant_models[variant]
     pool = data.train + data.valid + data.test
     picks = draw.draw(st.lists(st.integers(0, len(pool) - 1), min_size=1, max_size=8,
@@ -350,7 +352,10 @@ def test_batch_columns_match_forward(data, bank, variant_models, variant, draw):
     topks = cm._precompute_topk(cases, model.config, bank)
     batch = cm.forward_batch(cases, model, topks)
     for j, (case, topk) in enumerate(zip(cases, topks)):
-        want = cm.forward(case, model, topk=topk)
+        want = cm.forward(case, model, bank=bank_of(variant, bank))
+        assert want.topk == topk
+        if variant in cm.EXTRACTOR_VARIANTS:
+            assert len(topk) == model.config.k
         pairs = [(batch.o.data[:, j], want.o), (batch.sent_attn[j], want.sent_attn),
                  *zip(batch.word_attn[j], want.word_attn, strict=True)]
         if want.alpha is not None:
@@ -373,14 +378,18 @@ def test_forward_batch_needs_one_slot_list_per_case(data, bank):
         cm.forward_batch([], model, [])
 
 
-def test_joint_loss_without_attention_is_the_charge_node():
-    o = nd.Tensor(np.array([0.25, 0.75]))
-    total, charge, attn = cm.joint_loss(o, np.array([0.0, 1.0]), None, None, beta=0.1)
-    assert total is charge and attn is None
-    alpha = nd.Tensor(np.array([0.5, 0.5]))
-    total, charge, attn = cm.joint_loss(o, np.array([0.0, 1.0]), alpha,
-                                        np.array([1.0, 0.0]), beta=0.0)
-    assert total is charge and attn is None
+def test_joint_loss_without_attention_is_the_charge_node(data, bank):
+    """Only fact_supv_art's loss has an attention term, and only for cases
+    with a gold article among their slots: fact_art's loss on cases with
+    one, and fact_supv_art's on a case with none, are the mean charge term."""
+    for variant, picks in ((cm.Variant.FACT_ART, [0, 2]), (cm.Variant.FACT_SUPV_ART, [1])):
+        model = untrained_model(data, variant)
+        cases, topks, y = mixed_batch(data, bank, model)
+        cases, topks = [cases[j] for j in picks], [topks[j] for j in picks]
+        loss, charge_v, attn_v = cm._batch_loss(cm.forward_batch(cases, model, topks),
+                                                cases, y[:, picks], model)
+        assert attn_v == 0.0
+        assert loss.item() == charge_v * (1.0 / len(cases))
 
 
 def test_predict_falls_back_to_the_argmax_on_an_empty_cut():
@@ -433,17 +442,6 @@ def test_forward_rejects_a_bank_shorter_than_k(data):
         cm.forward(data.test[0], model, bank=short)
     with pytest.raises(DomainError, match="exceeds"):
         cm._precompute_topk(data.test, model.config, short)
-
-
-def test_forward_with_bank_equals_forward_with_its_topk(data, bank):
-    model = untrained_model(data, cm.Variant.FACT_SUPV_ART)
-    case = data.test[0]
-    via_bank = cm.forward(case, model, bank=bank)
-    [topk] = cm._precompute_topk([case], model.config, bank)
-    via_topk = cm.forward(case, model, topk=topk)
-    assert via_bank.topk == topk and len(topk) == model.config.k
-    npt.assert_array_equal(via_bank.o, via_topk.o)
-    npt.assert_array_equal(via_bank.alpha, via_topk.alpha)
 
 
 def test_no_tape_forward_matches_taped_forward(data, bank):
@@ -649,10 +647,15 @@ def encode_slots_per_case(model, topks, d_f):
     return a_mat
 
 
-def per_case_forwards(data, model, topks, monkeypatch):
+def serve_test_split(data, model, bank):
+    return [cm.forward(case, model, bank=bank_of(model.config.variant, bank))
+            for case in data.test]
+
+
+def per_case_forwards(data, model, bank, monkeypatch):
     with monkeypatch.context() as m:
         m.setattr(cm, "_encode_slots", encode_slots_per_case)
-        return [cm.forward(case, model, topk=topk) for case, topk in zip(data.test, topks)]
+        return serve_test_split(data, model, bank)
 
 
 def assert_forwards_close(got, want):
@@ -666,10 +669,9 @@ def assert_forwards_close(got, want):
 @pytest.mark.parametrize("variant", list(cm.Variant))
 def test_cached_article_states_match_per_case_encoding(data, bank, variant, monkeypatch):
     model = untrained_model(data, variant, seed=5)
-    topks = cm._precompute_topk(data.test, model.config, bank)
-    cached = [cm.forward(case, model, topk=topk) for case, topk in zip(data.test, topks)]
+    cached = serve_test_split(data, model, bank)
     assert (model._article_cache is not None) == model.config.uses_articles()
-    assert_forwards_close(cached, per_case_forwards(data, model, topks, monkeypatch))
+    assert_forwards_close(cached, per_case_forwards(data, model, bank, monkeypatch))
 
 
 def sgd_on_one_case(data, bank, model):
@@ -687,8 +689,7 @@ def test_article_cache_follows_parameter_changes(data, bank, change, monkeypatch
     """A step, or a new array in a field the cached states read, rebuilds
     them; the build marks an installed array read-only."""
     model = untrained_model(data, cm.Variant.FACT_ART, seed=6)
-    topks = cm._precompute_topk(data.test, model.config, bank)
-    old = [cm.forward(case, model, topk=topk) for case, topk in zip(data.test, topks)]
+    old = serve_test_split(data, model, bank)
     states = model.article_words().states.data.copy()
     keys = model.article_words().keys.data.copy()
     p, hid = model.params, model.config.gru_hidden
@@ -705,14 +706,14 @@ def test_article_cache_follows_parameter_changes(data, bank, change, monkeypatch
         installed = p.art_enc.word_pool.w.data.copy()
         installed[0] += 0.5
         p.art_enc.word_pool.w.data = installed
-    new = [cm.forward(case, model, topk=topk) for case, topk in zip(data.test, topks)]
+    new = serve_test_split(data, model, bank)
     # Every change moves the keys; all but the pool weights move the states.
     assert not np.array_equal(model.article_words().keys.data, keys)
     assert (change == "art.word_pool") == np.array_equal(
         model.article_words().states.data, states)
     assert not np.array_equal(new[0].o, old[0].o)
     assert installed is None or not installed.flags.writeable
-    assert_forwards_close(new, per_case_forwards(data, model, topks, monkeypatch))
+    assert_forwards_close(new, per_case_forwards(data, model, bank, monkeypatch))
 
 
 @pytest.mark.parametrize("name", ["emb.word", "emb.pos", "art.word.w", "art.word.u",
@@ -721,13 +722,11 @@ def test_in_place_write_to_a_cached_input_raises(data, bank, name):
     """The arrays the cached article states read cannot be written in place
     after serving: the write raises and the served outputs stay as they were."""
     model = untrained_model(data, cm.Variant.FACT_ART, seed=6)
-    topks = cm._precompute_topk(data.test, model.config, bank)
-    old = [cm.forward(case, model, topk=topk) for case, topk in zip(data.test, topks)]
+    old = serve_test_split(data, model, bank)
     t = dict(model.params.named())[name]
     with pytest.raises(ValueError, match="read-only"):
         t.data[0] += 0.5
-    for case, topk, want in zip(data.test, topks, old):
-        got = cm.forward(case, model, topk=topk)
+    for got, want in zip(serve_test_split(data, model, bank), old, strict=True):
         npt.assert_array_equal(got.o, want.o)
         npt.assert_array_equal(got.alpha, want.alpha)
 
@@ -737,8 +736,7 @@ def test_article_cache_follows_the_write(data, bank, monkeypatch):
     rows (as loading a vectors file would), into a new array rebuilds the
     cached article states."""
     model = untrained_model(data, cm.Variant.FACT_ART, seed=6)
-    topks = cm._precompute_topk(data.test, model.config, bank)
-    old = [cm.forward(case, model, topk=topk) for case, topk in zip(data.test, topks)]
+    old = serve_test_split(data, model, bank)
     states = model.article_words().states.data.copy()
     rows = sorted({int(i) for doc in model.article_docs.values() for ids, _ in doc
                    for i in ids} - {cm.PAD_ID, cm.UNK_ID})
@@ -746,10 +744,10 @@ def test_article_cache_follows_the_write(data, bank, monkeypatch):
     emb = model.params.word_emb.data.copy()
     emb[rows] = [0.75, -0.5]
     model.params.word_emb.data = emb
-    new = [cm.forward(case, model, topk=topk) for case, topk in zip(data.test, topks)]
+    new = serve_test_split(data, model, bank)
     assert not np.array_equal(model.article_words().states.data, states)
     assert not np.array_equal(new[0].o, old[0].o)
-    assert_forwards_close(new, per_case_forwards(data, model, topks, monkeypatch))
+    assert_forwards_close(new, per_case_forwards(data, model, bank, monkeypatch))
 
 
 @pytest.mark.parametrize("variant", [cm.Variant.FACT_ONLY, cm.Variant.FACT_SUPV_ART])
@@ -772,7 +770,7 @@ def test_forward_inside_a_tape_records_nothing(data, bank, variant):
 
 def test_words_missing_a_slot_raise(data, bank):
     """A slot outside the article database has no word states, with or
-    without a tape, served alone or in a batch."""
+    without a tape, in a batch of one case or of two."""
     model = untrained_model(data, cm.Variant.FACT_ART)
     case, topk = supervised_case(data, bank, model.config)
     missing = max(cp.article_sort_key(aid)[0] for aid in model.article_docs) + 1
@@ -780,18 +778,18 @@ def test_words_missing_a_slot_raise(data, bank):
     for taped in (False, True):
         with Tape() if taped else contextlib.nullcontext():
             with pytest.raises(DomainError, match=f"article {missing} missing from the article"):
-                cm.forward(case, model, topk=bad)
+                cm.forward_batch([case], model, [bad])
             with pytest.raises(DomainError, match=f"article {missing} missing from the article"):
                 cm.forward_batch([case, case], model, [topk, bad])
 
 
 def test_empty_slot_list_raises(data, bank):
-    """A case with no article slot fails before any encoder runs, served
-    alone or in a batch."""
+    """A case with no article slot fails before any encoder runs, in a batch
+    of one case or of two."""
     model = untrained_model(data, cm.Variant.FACT_ART)
     case, topk = supervised_case(data, bank, model.config)
     with pytest.raises(DomainError, match="at least one article slot"):
-        cm.forward(case, model, topk=[])
+        cm.forward_batch([case], model, [[]])
     with pytest.raises(DomainError, match="at least one article slot"):
         cm.forward_batch([case, case], model, [topk, []])
 
@@ -1107,8 +1105,8 @@ def test_fingerprint_survives_the_file_and_moves_with_a_step(data, bank, tmp_pat
 
 
 def test_prediction_record_shows_extractor_scores(data):
-    """Each article in the record carries the shortlister's score; slots given
-    by the caller carry none."""
+    """Each article in the record carries the shortlister's score; the gold
+    slots of fact_gold_art carry none."""
     ids = sorted(data.article_db, key=cp.article_sort_key)
     bank = ax.build_bank([c.tokens() for c in data.train],
                          [c.gold_articles for c in data.train], k=len(ids))
@@ -1123,8 +1121,10 @@ def test_prediction_record_shows_extractor_scores(data):
     attention = [a["attention"] for a in record["articles"]]
     assert attention == sorted(attention, reverse=True)
 
-    given = cm.forward(case, model, topk=trace.topk)
-    record = cm.prediction_record(given, model)
+    gold_model = untrained_model(data, cm.Variant.FACT_GOLD_ART)
+    record = cm.prediction_record(cm.forward(case, gold_model), gold_model)
+    assert {cp.article_ids_from_json([a["id"]], "record", "entry")[0]
+            for a in record["articles"]} == case.gold_articles
     assert all(set(a) == {"id", "attention"} for a in record["articles"])
 
 
@@ -1146,8 +1146,7 @@ def test_tau_is_tuned_on_the_kept_epochs_validation_outputs(data, bank, monkeypa
                               article_db=data.article_db)
     f1s = [h["valid_micro_f1"] for h in history]
     assert f1s.index(max(f1s)) != len(f1s) - 1
-    f1, probs = cm._evaluate(model, data.valid, cm._precompute_topk(data.valid, config, bank),
-                             config.tau)
+    f1, probs = cm._evaluate(model, data.valid, cm._precompute_topk(data.valid, config, bank))
     assert f1 == max(f1s)
     [kept] = tuned_on
     for got, want in zip(kept, probs, strict=True):
@@ -1264,11 +1263,10 @@ def edit_config(**changes):
     (edit_meta(article_ids=[[101, 1, 7]]), "has the article id [101, 1, 7], not"),
     (edit_meta(article_ids=[[133, 0]]), "has the article id [133, 0], not"),
     (edit_meta(article_ids=[0]), "has the article id 0, not"),
-    (edit_meta(version=1), "holds format 'model' version 1, not 'model' version 3"),
+    (edit_meta(version=1), "holds format 'model' version 1, not 'model' version 4"),
     (edit_meta(version=99), "holds format 'model' version 99"),
-    (edit_meta(format="bank"), "holds format 'bank' version 3"),
+    (edit_meta(format="bank"), "holds format 'bank' version 4"),
     (edit_config(lr=math.nan), "bad config: lr must be finite and positive"),
-    (edit_config(beta=math.inf), "bad config: beta must be finite and >= 0"),
     (swap_entries("word_vocab", 1, 2),
      "word_vocab does not begin with '<pad>' at 0 and '<unk>' at 1"),
     (swap_entries("pos_vocab", 0, 1),
@@ -1279,8 +1277,7 @@ def edit_config(**changes):
         "config_out_of_range", "tau_out_of_range", "tau_nan", "vocab_entry_not_string",
         "charge_vocab_repeated", "word_vocab_repeated", "pos_vocab_repeated",
         "article_id_dict", "article_id_triple", "article_id_sub_zero", "article_id_zero",
-        "version_1", "version_99", "other_kind", "config_lr_nan", "config_beta_inf",
-        "word_vocab_unk_swapped", "pos_vocab_pad_swapped", "word_vocab_without_unk"])
+        "version_1", "version_99", "other_kind", "config_lr_nan", "word_vocab_unk_swapped", "pos_vocab_pad_swapped", "word_vocab_without_unk"])
 def test_corrupt_sidecar_is_rejected(data, tmp_path, corrupt, problem):
     """A model file whose meta is corrupt raises StateError naming it and
     the problem."""

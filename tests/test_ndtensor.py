@@ -644,11 +644,11 @@ class TestCheckpoint:
         (lambda p: write_members(p, meta=np.array("{")), "meta is not JSON"),
         (lambda p: write_members(p, meta=np.array("[]")), "meta is not a JSON object"),
         (lambda p: write_members(p, meta=np.array('{"format": "bank", "version": 2}')),
-         "holds format 'bank' version 2, not 'model' version 3"),
-        (lambda p: write_members(p, meta=np.array('{"format": "model", "version": 3}')),
+         "holds format 'bank' version 2, not 'model' version 4"),
+        (lambda p: write_members(p, meta=np.array('{"format": "model", "version": 4}')),
          "meta has no 'config' of type dict"),
         (lambda p: write_members(p, meta=np.array(json.dumps({
-            "format": "model", "version": 3, "config": {}, "charge_vocab": [],
+            "format": "model", "version": 4, "config": {}, "charge_vocab": [],
             "article_ids": [], "word_vocab": [], "pos_vocab": [], "tau": True}))),
          "meta has no 'tau' of type float"),
     ], ids=["empty", "binary_checkpoint", "json_bank", "npy_file", "object_member",
@@ -672,12 +672,13 @@ class TestCheckpoint:
         assert [p.name for p in tmp_path.iterdir()] == [path.name]
 
     def test_version_guard(self, tmp_path):
-        """Version 2 is the last format that kept banks in their own files."""
+        """Version 2 is the last format that kept banks in their own files,
+        and version 3 the last whose config held the attention loss weight."""
         path = tmp_path / "bad.npz"
-        for version in (1, 2, 99, "3"):
+        for version in (1, 2, 3, 99, "4"):
             write_members(path, meta=np.array(json.dumps({"format": "model",
                                                           "version": version})))
-            with pytest.raises(StateError, match=f"version {version!r}, not 'model' version 3"):
+            with pytest.raises(StateError, match=f"version {version!r}, not 'model' version 4"):
                 mf.load_arrays(path)
 
     def test_rename_is_synced_through_the_directory(self, tmp_path, monkeypatch):
@@ -717,9 +718,10 @@ class TestCheckpoint:
 # holds. Every value is a binary fraction set by hand, so nothing goes through
 # BLAS or a random stream, and the digest does not depend on the machine or its
 # thread count. A change to the format has to change PINNED_CONTENT on purpose,
-# and FORMAT_VERSION with it. The digest was computed before the file's code
-# moved into model_file, which left the file as it was.
-PINNED_CONTENT = "bb42e126"
+# and FORMAT_VERSION with it. Version 4 dropped the config's attention loss
+# weight: every array member is as it was in version 3, and the meta text
+# differs only by that field and the version.
+PINNED_CONTENT = "87e6ada8"
 
 
 def pinned_model() -> tuple[cm.ChargeModel, ax.ExtractorBank]:
