@@ -111,8 +111,12 @@ ARTICLE_VARIANTS = {Variant.ART_ONLY, Variant.FACT_ART, Variant.FACT_SUPV_ART,
 EXTRACTOR_VARIANTS = ARTICLE_VARIANTS - {Variant.FACT_GOLD_ART}
 
 
-@dataclass
+@dataclass(frozen=True)
 class ModelConfig:
+    """The model's dimensions, variant and training settings, checked when
+    the config is built; frozen, so no field leaves its range after the
+    check. ``dataclasses.replace`` makes a checked copy with other values."""
+
     word_emb_dim: int = 100
     pos_emb_dim: int = 50
     gru_hidden: int = 75
@@ -127,7 +131,7 @@ class ModelConfig:
     patience: int = 5
 
     def __post_init__(self):
-        self.variant = Variant(self.variant)
+        object.__setattr__(self, "variant", Variant(self.variant))
         for f in fields(self):
             kind = {"int": numbers.Integral, "float": numbers.Real}.get(f.type)
             value = getattr(self, f.name)
@@ -136,7 +140,7 @@ class ModelConfig:
             if isinstance(value, bool) or not isinstance(value, kind):
                 raise TypeError(f"{f.name} must be {f.type}, not {value!r}")
             # numpy scalars pass the check but would not save as JSON.
-            setattr(self, f.name, int(value) if f.type == "int" else float(value))
+            object.__setattr__(self, f.name, int(value) if f.type == "int" else float(value))
         for name in ("word_emb_dim", "pos_emb_dim", "gru_hidden", "fc1_dim",
                      "fc2_dim", "k", "batch", "max_epochs", "patience"):
             if getattr(self, name) < 1:

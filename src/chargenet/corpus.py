@@ -6,7 +6,10 @@ indicator clauses (``FACT_INDICATORS``, ``VIEW_INDICATORS``,
 (``ARTICLE_PATTERN``, with Chinese numeral conversion), charge-list matching,
 and charge masking. The synthetic path generates seeded corpora with known
 gold charges and articles, plus rendered judgement documents that exercise
-the whole extraction pipeline end to end.
+the whole extraction pipeline end to end. Its draws are numpy's
+``Generator`` draws for the spec's seed, computed from the PCG64 raw stream
+(``_Draws``); the pinned corpus digests and a draw-for-draw test hold them to
+the ``Generator``.
 """
 
 from __future__ import annotations
@@ -372,30 +375,91 @@ class SyntheticCorpus:
     charge_articles: dict[str, list]
 
 
+_SPAN_MAX = 1 << 32
+_LOW32 = _SPAN_MAX - 1
+_DOUBLE_UNIT = 2.0 ** -53
+
+
+def _raw_blocks(bits):
+    """The bit generator's raw 64-bit outputs as Python ints, drawn 4096 at
+    a time."""
+    while True:
+        yield from bits.random_raw(4096).tolist()
+
+
+class _Draws:
+    """``random()`` and ``integers()`` of ``np.random.default_rng(seed)``,
+    value for value, computed from blocks of its PCG64 bit generator's raw
+    stream instead of one numpy call per draw.
+
+    A double is ``(raw >> 11) * 2**-53``, as numpy's ``next_double``. An
+    integer over a span s of 2 to 2**32 is Lemire's 32-bit multiply-and-reject
+    with threshold ``(2**32 - s) % s``, as numpy's bounded ``integers``; its
+    32-bit words are the halves of one raw value, low half first, and the
+    high half waits for the next integer draw (doubles never use it), as in
+    PCG64's ``next_uint32``. A span of 1 returns ``lo`` without drawing, as
+    numpy does; any other span raises DomainError.
+    """
+
+    def __init__(self, seed: int):
+        self._next64 = _raw_blocks(np.random.default_rng(seed).bit_generator).__next__
+        self._half = None
+
+    def random(self) -> float:
+        return (self._next64() >> 11) * _DOUBLE_UNIT
+
+    def integers(self, lo: int, hi: int | None = None) -> int:
+        """An int in [lo, hi), or in [0, lo) when ``hi`` is None."""
+        if hi is None:
+            lo, hi = 0, lo
+        span = hi - lo
+        if span == 1:
+            return lo
+        if not 1 < span <= _SPAN_MAX:
+            raise DomainError(f"integer span {span} outside 1..2**32")
+        threshold = (_SPAN_MAX - span) % span
+        while True:
+            word = self._half
+            if word is None:
+                raw = self._next64()
+                word, self._half = raw & _LOW32, raw >> 32
+            else:
+                self._half = None
+            m = word * span
+            if m & _LOW32 >= threshold:
+                return lo + (m >> 32)
+
+
 def _sample_case(rng, spec, charges, cores, noise, charge_articles) -> CaseRecord:
-    case_charges = [charges[rng.integers(spec.n_charges)]]
-    if spec.n_charges > 1 and rng.random() < spec.multi_charge_prob:
-        other = charges[rng.integers(spec.n_charges)]
+    integers, random = rng.integers, rng.random
+    n_charges = spec.n_charges
+    case_charges = [charges[integers(n_charges)]]
+    if n_charges > 1 and random() < spec.multi_charge_prob:
+        other = charges[integers(n_charges)]
         while other == case_charges[0]:
-            other = charges[rng.integers(spec.n_charges)]
+            other = charges[integers(n_charges)]
         case_charges.append(other)
-    n_sent = rng.integers(spec.sentences_per_fact[0], spec.sentences_per_fact[1] + 1)
+    sent_lo, sent_hi = spec.sentences_per_fact
+    tok_lo, tok_hi = spec.tokens_per_sentence
+    core_prob = spec.core_token_prob
+    pools = [cores[c] for c in case_charges]
+    n_noise = len(noise)
+    n_sent = integers(sent_lo, sent_hi + 1)
     sentences = []
     for _ in range(n_sent):
-        n_tok = rng.integers(spec.tokens_per_sentence[0], spec.tokens_per_sentence[1] + 1)
         toks = []
-        for _ in range(n_tok):
-            if rng.random() < spec.core_token_prob:
-                pool = cores[case_charges[rng.integers(len(case_charges))]]
-                toks.append(pool[rng.integers(len(pool))])
+        for _ in range(integers(tok_lo, tok_hi + 1)):
+            if random() < core_prob:
+                pool = pools[integers(len(pools))]
+                toks.append(pool[integers(len(pool))])
             else:
-                toks.append(noise[rng.integers(len(noise))])
+                toks.append(noise[integers(n_noise)])
         sentences.append(toks)
     # every charge of the case must leave at least one core keyword in the fact
     flat = {t for s in sentences for t in s}
     for i, charge in enumerate(case_charges):
         if not flat & set(cores[charge]):
-            sentences[i % n_sent][0] = cores[charge][rng.integers(len(cores[charge]))]
+            sentences[i % n_sent][0] = cores[charge][integers(len(cores[charge]))]
     gold_articles = {a for c in case_charges for a in charge_articles[c]}
     return CaseRecord(sentences, set(case_charges), gold_articles)
 
@@ -412,8 +476,15 @@ def generate_synthetic(spec: SyntheticSpec) -> SyntheticCorpus:
     The pools hold (token, pos) tuples, and the cases' sentences hold the
     pools' own tuples: one shared tuple per vocabulary word, not one per
     token.
+
+    Every draw comes from ``_Draws(spec.seed)``, which yields the values
+    ``np.random.default_rng(spec.seed)`` would without a numpy call per
+    draw, so the corpus is the one the numpy ``Generator`` makes. The pinned
+    corpus digests and the draw-for-draw test against the ``Generator`` in
+    ``tests/test_corpus.py`` guard that: a numpy release that changed its
+    draws would fail the test rather than change the corpus silently.
     """
-    rng = np.random.default_rng(spec.seed)
+    rng = _Draws(spec.seed)
     charges = [f"charge{i:02d}" for i in range(spec.n_charges)]
     cores = {c: _tagged([f"c{i:02d}k{j}" for j in range(spec.core_keywords_per_charge)])
              for i, c in enumerate(charges)}
@@ -426,19 +497,18 @@ def generate_synthetic(spec: SyntheticSpec) -> SyntheticCorpus:
                         if len(charge_articles[c]) < spec.articles_per_charge_max]
         charge_articles[open_charges[rng.integers(len(open_charges))]].append(aid)
 
+    sent_lo, sent_hi = spec.sentences_per_article
+    tok_lo, tok_hi = spec.tokens_per_article_sentence
     article_db = {}
     for charge in charges:
+        pool = cores[charge]
         for aid in charge_articles[charge]:
-            n_sent = rng.integers(spec.sentences_per_article[0],
-                                  spec.sentences_per_article[1] + 1)
             sents = []
-            for _ in range(n_sent):
-                n_tok = rng.integers(spec.tokens_per_article_sentence[0],
-                                     spec.tokens_per_article_sentence[1] + 1)
-                toks = [cores[charge][rng.integers(len(cores[charge]))]
+            for _ in range(rng.integers(sent_lo, sent_hi + 1)):
+                toks = [pool[rng.integers(len(pool))]
                         if rng.random() < spec.article_core_prob
                         else noise[rng.integers(len(noise))]
-                        for _ in range(n_tok)]
+                        for _ in range(rng.integers(tok_lo, tok_hi + 1))]
                 sents.append(" ".join(tok for tok, _ in toks))
             article_db[aid] = "。".join(sents) + "。"
 

@@ -94,6 +94,8 @@ def recall_at_k(rankings: list[list], gold_sets: list[set],
 
     ``rankings`` holds ranked article-id lists (ids only, best first).
     """
+    if not rankings:
+        raise DomainError("empty ranking list")
     if len(rankings) != len(gold_sets):
         raise ValidationError(f"{len(rankings)} rankings vs {len(gold_sets)} gold sets")
     total = sum(len(g) for g in gold_sets)

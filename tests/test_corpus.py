@@ -410,6 +410,55 @@ class TestSyntheticGenerator:
     def test_default_spec_corpus_is_pinned(self, seed, digest):
         assert corpus_digest(cp.generate_synthetic(SyntheticSpec(seed=seed))) == digest
 
+    # Every span the default spec draws over lies in 1 to 70 (the widest is
+    # the 60-word noise vocabulary). The large spans are where numpy's
+    # rejection step matters: about a quarter of the draws over
+    # 3 * 2**30 + 1 are rejected.
+    SPANS = [*range(1, 71), 2**31 + 1, 3 * 2**30 + 1, 2**32]
+
+    @pytest.mark.parametrize("seed", [0, 7, 2024, 2**40 + 3])
+    def test_draws_match_the_generator(self, seed):
+        """``_Draws`` gives ``np.random.default_rng(seed)``'s values, draw for
+        draw, for ``random()``, ``integers(n)`` and ``integers(lo, hi)``
+        interleaved in a seeded order."""
+        calls = [call for span in self.SPANS
+                 for call in ((), (span,), (span - 40, 2 * span - 40))]
+        calls += [(), (3 * 2**30 + 1,), (-9, 3 * 2**30 - 8)] * 100
+        calls *= 2
+        np.random.default_rng(seed + 1).shuffle(calls)
+        draws, generator = cp._Draws(seed), np.random.default_rng(seed)
+        for args in calls:
+            if args:
+                assert draws.integers(*args) == generator.integers(*args), args
+            else:
+                assert draws.random() == generator.random()
+
+    @pytest.mark.parametrize("args", [(0,), (-3,), (5, 5), (5, 2),
+                                      (2**32 + 1,), (-1, 2**32 + 1)])
+    def test_draws_reject_spans_outside_1_to_2_32(self, args):
+        with pytest.raises(DomainError, match="span"):
+            cp._Draws(1).integers(*args)
+
+    @pytest.mark.parametrize("spec", [
+        SyntheticSpec(seed=2), SyntheticSpec(seed=17),
+        small_spec(multi_charge_prob=0.5, seed=5),
+    ], ids=["default_seed2", "default_seed17", "small_multi_charge"])
+    def test_corpus_matches_the_generator(self, spec, monkeypatch):
+        """The corpus is, case for case and article for article, the one
+        drawn from the numpy ``Generator`` itself."""
+        def cases(corpus):
+            return [[(c.fact, c.gold_charges, c.gold_articles) for c in split]
+                    for split in (corpus.train, corpus.valid, corpus.test)]
+
+        fast = cp.generate_synthetic(spec)
+        monkeypatch.setattr(cp, "_Draws", np.random.default_rng)
+        reference = cp.generate_synthetic(spec)
+        assert cases(fast) == cases(reference)
+        assert fast.article_db == reference.article_db
+        assert fast.charge_articles == reference.charge_articles
+        assert fast.charge_list == reference.charge_list
+        assert any(len(c.gold_charges) == 2 for c in fast.train)  # a second charge was drawn
+
     def test_invalid_spec_rejected(self):
         """A spec checks itself when it is built, and no field changes after."""
         with pytest.raises(dataclasses.FrozenInstanceError):

@@ -125,6 +125,12 @@ class TestRecallAtK:
         with pytest.raises(ValidationError, match="1 rankings vs 2 gold sets"):
             mx.recall_at_k([[1]], [{1}, {2}], [1])
 
+    def test_empty_ranking_list(self):
+        """An empty evaluation raises, as in ``prec_at_1`` and
+        ``mean_average_precision``, in place of reading as zero recall."""
+        with pytest.raises(DomainError, match="empty ranking list"):
+            mx.recall_at_k([], [], [1, 5])
+
     def test_matches_brute_force_membership_count(self):
         rng = np.random.default_rng(4)
         ext, gold = [], []

@@ -90,6 +90,17 @@ def test_model_config_validation(field, value):
         cm.ModelConfig(**{field: value})
 
 
+def test_model_config_is_frozen():
+    """No field of a built config can be assigned, so none leaves the range
+    its check allowed; ``dataclasses.replace`` builds a checked copy."""
+    config = cm.ModelConfig()
+    for f in dataclasses.fields(config):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(config, f.name, getattr(config, f.name))
+    with pytest.raises(DomainError, match="lr"):
+        dataclasses.replace(config, lr=-0.5)
+
+
 def test_config_of_numpy_scalars_saves_and_loads_back_equal(data, tmp_path):
     """numpy integers and floats pass the type checks and are stored as
     Python numbers, which the model file's JSON meta can hold; a bool is
