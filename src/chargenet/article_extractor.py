@@ -4,20 +4,28 @@ chi-square-selected TF-IDF features, producing the top-k candidates per case.
 The scorers form one matrix. ``ExtractorBank.weights`` holds a row per
 article and a column per TF-IDF feature, zero outside the features selected
 for that article, so ``weights @ x + bias`` scores every article at once.
-They are also trained as one matrix: ``chi_square_scores`` takes the
-(cases, articles) labels matrix and scores every article's features from one
-product, and ``train_scorer`` runs a single hinge-loss loop that updates all
-rows together. Rows are kept in ``article_sort_key`` order, which makes a
-stable sort of the scores break ties toward the smaller article id.
+They are also trained as one matrix. A scorer depends on its article only
+through the article's column of the (cases, articles) labels matrix, so
+``train_scorer`` trains each distinct column once: articles with the same
+training positives (in the synthetic corpus, a charge's articles are always
+cited together) share one trained row. ``chi_square_scores`` scores every
+distinct column's features from one product, and a single hinge-loss loop in
+an (articles, cases) layout updates all distinct rows together. Rows are kept
+in ``article_sort_key`` order, which makes a stable sort of the scores break
+ties toward the smaller article id.
 
 A bank scores exactly the articles its training cases cite, so every scorer
 has a positive case. It is trained once, on the fixed schedule of the
-``SCORER_*`` constants; no article is added to it afterwards.
+``SCORER_*`` constants; no article is added to it afterwards. Its bits depend
+on the BLAS thread count: OpenBLAS splits the hinge loop's products
+differently on one and on two threads, and the last bits of the weights
+follow. The tests and the benchmark pin one thread.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,10 +58,9 @@ def fit_tfidf(corpus: list[list[str]]) -> TfidfModel:
     """idf(w) = ln(N / df(w)) over the given tokenized documents, no smoothing."""
     if not corpus:
         raise DomainError("fit_tfidf needs a non-empty corpus")
-    df: dict[str, int] = {}
+    df: Counter[str] = Counter()
     for doc in corpus:
-        for tok in set(doc):
-            df[tok] = df.get(tok, 0) + 1
+        df.update(set(doc))
     vocab = {tok: i for i, tok in enumerate(sorted(df))}
     n = len(corpus)
     idf = np.zeros(len(vocab))
@@ -70,12 +77,16 @@ def transform(doc: list[str], m: TfidfModel) -> np.ndarray:
         col = m.vocabulary.get(tok)
         if col is not None:
             counts[col] = counts.get(col, 0) + 1
+    cols = list(counts)
+    vals = [c * idf for c, idf in zip(counts.values(), m.idf[cols].tolist())]
+    # A plain running sum: ``sum`` compensates float sums from Python 3.12.
+    total = 0.0
+    for v in vals:
+        total += v * v
     vec = np.zeros(m.n_features)
-    for col, c in counts.items():
-        vec[col] = c * m.idf[col]
-    norm = math.sqrt(sum(vec[col] * vec[col] for col in counts))
-    if norm > 0:
-        vec /= norm
+    if total > 0:
+        norm = math.sqrt(total)
+        vec[cols] = [v / norm for v in vals]
     return vec
 
 
@@ -148,37 +159,45 @@ def train_scorer(x: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, np.ndar
     (cases, articles) bool ``labels``, trained together: the (articles,
     features) weights and the (articles,) bias.
 
-    Each article keeps its ``SCORER_FEATURES`` features of highest
-    chi-square; ``chi_square_scores`` rejects an article without both a
-    positive and a negative case. One full-batch subgradient loop of
-    ``SCORER_EPOCHS`` epochs on the L2-regularized mean hinge loss then
-    updates all rows at once, the weight gradient masked to each row's
-    selected columns, so the other weights stay exactly zero.
+    Articles with the same training positives share one trained row: each
+    distinct column of ``labels``, in first-occurrence order, is selected
+    and trained once, and every article gets its column's row, so equal
+    columns give equal rows. Each distinct column keeps its
+    ``SCORER_FEATURES`` features of highest chi-square;
+    ``chi_square_scores`` rejects a column without both a positive and a
+    negative case. One full-batch subgradient loop of ``SCORER_EPOCHS``
+    epochs on the L2-regularized mean hinge loss then updates all rows at
+    once in an (articles, cases) layout, the weight gradient masked to each
+    row's selected columns, so the other weights stay exactly zero.
     """
     labels = _label_matrix(x, labels)
-    y = np.where(labels, 1.0, -1.0)
-    mask = np.zeros((y.shape[1], x.shape[1]))
-    np.put_along_axis(mask, chi_square_select(x, labels, SCORER_FEATURES), 1.0, axis=1)
+    _, first, inverse = np.unique(labels, axis=1, return_index=True, return_inverse=True)
+    keep = np.sort(first)
+    # ravel: numpy 2.0.0 shapes the inverse for take_along_axis.
+    rows = np.searchsorted(keep, first[inverse.ravel()])
+    distinct = labels[:, keep]
+    y = np.where(distinct.T, 1.0, -1.0)
+    mask = np.zeros((len(keep), x.shape[1]))
+    np.put_along_axis(mask, chi_square_select(x, distinct, SCORER_FEATURES), 1.0, axis=1)
     w = np.zeros(mask.shape)
-    b = np.zeros(y.shape[1])
-    n = y.shape[0]
-    # The (cases, articles) work arrays are reused across epochs: fresh ones
-    # each epoch leave about 0.6 MB more resident memory after a bank build.
+    b = np.zeros(len(keep))
+    n = x.shape[0]
     margins = np.empty(y.shape)
     viol = np.empty(y.shape, dtype=bool)
     y_viol = np.empty(y.shape)
     for t in range(1, SCORER_EPOCHS + 1):
-        np.matmul(x, w.T, out=margins)
-        margins += b
+        np.matmul(w, x.T, out=margins)
+        margins += b[:, None]
         margins *= y
         np.less(margins, 1.0, out=viol)
         np.multiply(y, viol, out=y_viol)
-        grad_w = (SCORER_L2 * w - (y_viol.T @ x) / n) * mask
-        grad_b = -y_viol.sum(axis=0) / n
+        grad_w = (SCORER_L2 * w - (y_viol @ x) / n) * mask
+        # Sums of +-1 and 0 are exact in any order.
+        grad_b = -y_viol.sum(axis=1) / n
         lr = SCORER_LR0 / math.sqrt(t)
         w -= lr * grad_w
         b -= lr * grad_b
-    return w, b
+    return w[rows], b[rows]
 
 
 def build_bank(docs_tokens: list[list[str]], gold_sets: list[set], k: int = 20) -> ExtractorBank:
@@ -193,7 +212,10 @@ def build_bank(docs_tokens: list[list[str]], gold_sets: list[set], k: int = 20) 
     for i, doc in enumerate(docs_tokens):
         x[i] = transform(doc, tfidf)
     article_ids = sorted({a for gold in gold_sets for a in gold}, key=article_sort_key)
-    labels = np.array([[aid in gold for aid in article_ids] for gold in gold_sets], dtype=bool)
+    column = {aid: j for j, aid in enumerate(article_ids)}
+    labels = np.zeros((len(gold_sets), len(article_ids)), dtype=bool)
+    for i, gold in enumerate(gold_sets):
+        labels[i, [column[aid] for aid in gold]] = True
     if not 1 <= k <= len(article_ids):
         raise DomainError(f"k={k} outside [1, {len(article_ids)}]")
     weights, bias = train_scorer(x, labels)

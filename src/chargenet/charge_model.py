@@ -331,8 +331,9 @@ class ChargeModel:
 
 def build_vocab(cases: list[CaseRecord]) -> tuple[dict[str, int], dict[str, int]]:
     """Token and POS vocabularies with reserved padding and unknown ids."""
-    words = sorted({tok for c in cases for s in c.fact for tok, _ in s})
-    tags = sorted({pos for c in cases for s in c.fact for _, pos in s})
+    pairs = {pair for c in cases for s in c.fact for pair in s}
+    words = sorted({tok for tok, _ in pairs})
+    tags = sorted({pos for _, pos in pairs})
     word_vocab = {"<pad>": PAD_ID, "<unk>": UNK_ID}
     word_vocab.update({w: i for i, w in enumerate(words, start=2)})
     pos_vocab = {"<pad>": PAD_ID, "<unk>": UNK_ID}

@@ -443,6 +443,7 @@ def _sample_case(rng, spec, charges, cores, noise, charge_articles) -> CaseRecor
     tok_lo, tok_hi = spec.tokens_per_sentence
     core_prob = spec.core_token_prob
     pools = [cores[c] for c in case_charges]
+    n_pools = len(pools)
     n_noise = len(noise)
     n_sent = integers(sent_lo, sent_hi + 1)
     sentences = []
@@ -450,7 +451,8 @@ def _sample_case(rng, spec, charges, cores, noise, charge_articles) -> CaseRecor
         toks = []
         for _ in range(integers(tok_lo, tok_hi + 1)):
             if random() < core_prob:
-                pool = pools[integers(len(pools))]
+                # A span of 1 draws nothing, so one pool needs no call.
+                pool = pools[integers(n_pools)] if n_pools > 1 else pools[0]
                 toks.append(pool[integers(len(pool))])
             else:
                 toks.append(noise[integers(n_noise)])

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 import math
 import re
@@ -397,11 +398,30 @@ class TestBatchedTraining:
     @pytest.mark.parametrize("seed, top_m", [(13, 2000), (13, 5), (29, 2000), (29, 9)])
     def test_matches_the_per_article_trainer(self, seed, top_m, monkeypatch):
         monkeypatch.setattr(ax, "SCORER_FEATURES", top_m)
+        selected_for = []
+        select = ax.chi_square_select
+
+        def recorded(x, labels, top_m):
+            selected_for.append(labels)
+            return select(x, labels, top_m)
+
+        monkeypatch.setattr(ax, "chi_square_select", recorded)
         train_docs, golds, ids, docs = tiny_training_set(seed)
         bank = ax.build_bank(train_docs, golds, k=len(ids))
         assert bank.article_ids == ids
         x = np.stack([ax.transform(d, bank.tfidf) for d in train_docs])
         labels = np.array([[a in g for a in bank.article_ids] for g in golds])
+        # The spec repeats label columns (a charge's articles are cited
+        # together); chi-square sees each distinct column once, in order of
+        # first occurrence, and equal columns get bit-equal rows.
+        _, first = np.unique(labels, axis=1, return_index=True)
+        assert len(first) < len(ids)
+        [distinct] = selected_for
+        npt.assert_array_equal(distinct, labels[:, np.sort(first)])
+        for i, j in itertools.combinations(range(len(ids)), 2):
+            if (labels[:, i] == labels[:, j]).all():
+                assert bank.weights[i].tobytes() == bank.weights[j].tobytes()
+                assert bank.bias[i].tobytes() == bank.bias[j].tobytes()
         weights, bias = oracle.train_scorers(x, labels, top_m=top_m)
         npt.assert_allclose(bank.weights, weights, rtol=0, atol=1e-12)
         npt.assert_array_equal(bank.bias, bias)
@@ -459,16 +479,30 @@ def bank_digest(bank):
     return h.hexdigest()
 
 
+def default_spec_bank(seed):
+    """The benchmark's bank at ``seed``: the default spec, k=20."""
+    data = cp.generate_synthetic(cp.SyntheticSpec(seed=seed))
+    bank = ax.build_bank([c.tokens() for c in data.train],
+                         [c.gold_articles for c in data.train], k=20)
+    assert len(bank.article_ids) == len(data.article_db) == 40
+    return bank
+
+
 @pytest.mark.usefixtures("one_blas_thread")
 def test_default_spec_bank_is_pinned():
     """The benchmark's bank: the default spec at seed 3, k=20. The digest pins
     every scorer bit for bit (tests run on one BLAS thread), so a change to
     selection or training shows here as a change to the benchmark's bank."""
-    data = cp.generate_synthetic(cp.SyntheticSpec(seed=3))
-    bank = ax.build_bank([c.tokens() for c in data.train],
-                         [c.gold_articles for c in data.train], k=20)
-    assert len(bank.article_ids) == len(data.article_db) == 40
-    assert bank_digest(bank) == "8770238d1513e19e89349aaf87df3478611ab60407b562163b8ee24d310a1a8a"
+    assert (bank_digest(default_spec_bank(3))
+            == "8770238d1513e19e89349aaf87df3478611ab60407b562163b8ee24d310a1a8a")
+
+
+@pytest.mark.usefixtures("one_blas_thread")
+def test_default_spec_bank_at_seed_5_is_pinned():
+    """The same pin at a second seed: its 40 articles have 20 distinct label
+    columns too."""
+    assert (bank_digest(default_spec_bank(5))
+            == "05f8d2cb1d200ebaa83bd901e1cfc57274843ac9ee1704876287939f0919ba63")
 
 
 def set_array(name, value):
