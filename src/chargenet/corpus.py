@@ -457,11 +457,27 @@ def _sample_case(rng, spec, charges, cores, noise, charge_articles) -> CaseRecor
             else:
                 toks.append(noise[integers(n_noise)])
         sentences.append(toks)
-    # every charge of the case must leave at least one core keyword in the fact
+    # Every charge of the case must leave at least one core keyword in the
+    # fact. The i-th charge, if it has none, draws one. It overwrites the first
+    # token, from the start of sentence i mod n_sent on, that is not a case
+    # charge's last keyword, or is appended to that sentence when every token
+    # is one.
     flat = {t for s in sentences for t in s}
     for i, charge in enumerate(case_charges):
-        if not flat & set(cores[charge]):
-            sentences[i % n_sent][0] = cores[charge][integers(len(cores[charge]))]
+        if flat & set(cores[charge]):
+            continue
+        keyword = cores[charge][integers(len(cores[charge]))]
+        held = [t for s in sentences for t in s]
+        last = {t for c in case_charges for t in cores[c]
+                if sum(held.count(k) for k in cores[c]) == 1}
+        first = i % n_sent
+        spot = next(((s, j) for s in [*range(first, n_sent), *range(first)]
+                     for j, t in enumerate(sentences[s]) if t not in last), None)
+        if spot is None:
+            sentences[first].append(keyword)
+        else:
+            s, j = spot
+            sentences[s][j] = keyword
     gold_articles = {a for c in case_charges for a in charge_articles[c]}
     return CaseRecord(sentences, set(case_charges), gold_articles)
 

@@ -92,12 +92,17 @@ def recall_at_k(rankings: list[list], gold_sets: list[set],
                 k_values: list[int]) -> dict[int, float]:
     """Fraction of gold article instances found in the top k, micro-averaged.
 
-    ``rankings`` holds ranked article-id lists (ids only, best first).
+    ``rankings`` holds ranked article-id lists (ids only, best first). Each k
+    must be at least 1: a slice would read k=0 as no article and a negative k
+    as all but the last few.
     """
     if not rankings:
         raise DomainError("empty ranking list")
     if len(rankings) != len(gold_sets):
         raise ValidationError(f"{len(rankings)} rankings vs {len(gold_sets)} gold sets")
+    below = [k for k in k_values if k < 1]
+    if below:
+        raise DomainError(f"k={below[0]} is below 1")
     total = sum(len(g) for g in gold_sets)
     out = {}
     for k in k_values:

@@ -377,13 +377,22 @@ class TestSyntheticGenerator:
             assert sum(v > 0 for v in votes.values()) == 1
 
     def test_every_case_charge_leaves_a_core_keyword(self):
-        corpus = cp.generate_synthetic(small_spec(core_token_prob=0.05))
-        cores = {c: {f"c{i:02d}k{j}" for j in range(4)}
-                 for i, c in enumerate(corpus.charge_list)}
-        for case in corpus.train:
-            toks = set(case.tokens())
-            for charge in case.gold_charges:
-                assert toks & cores[charge]
+        for spec in (
+            small_spec(core_token_prob=0.05),
+            # One sentence per fact and two charges per case: the charges'
+            # keywords compete for few tokens, and a keyword written for one
+            # charge must not overwrite the other's only one.
+            SyntheticSpec(n_charges=4, n_articles=8, train_size=300, valid_size=10,
+                          test_size=10, sentences_per_fact=(1, 1), multi_charge_prob=1.0,
+                          core_token_prob=0.1, seed=3),
+        ):
+            corpus = cp.generate_synthetic(spec)
+            cores = {c: {f"c{i:02d}k{j}" for j in range(spec.core_keywords_per_charge)}
+                     for i, c in enumerate(corpus.charge_list)}
+            for case in corpus.train + corpus.valid + corpus.test:
+                toks = set(case.tokens())
+                for charge in case.gold_charges:
+                    assert toks & cores[charge], (spec.seed, case.fact, charge)
 
     def test_multi_charge_marginal_within_3_sigma(self):
         spec = small_spec(train_size=2000, multi_charge_prob=0.2, seed=3)

@@ -131,6 +131,13 @@ class TestRecallAtK:
         with pytest.raises(DomainError, match="empty ranking list"):
             mx.recall_at_k([], [], [1, 5])
 
+    @pytest.mark.parametrize("k", [0, -1, -3])
+    def test_k_below_1_is_rejected(self, k):
+        """A slice would read k=-1 as all but the last article (recall 1.0
+        here) and k=0 as none."""
+        with pytest.raises(DomainError, match=f"k={k} is below 1"):
+            mx.recall_at_k([[3, 1, 2]], [{3}], [1, k])
+
     def test_matches_brute_force_membership_count(self):
         rng = np.random.default_rng(4)
         ext, gold = [], []

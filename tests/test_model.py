@@ -4,10 +4,6 @@ import dataclasses
 import hashlib
 import json
 import math
-import os
-import re
-import subprocess
-import sys
 
 import numpy as np
 import numpy.testing as npt
@@ -20,48 +16,13 @@ from chargenet import charge_model as cm
 from chargenet import corpus as cp
 from chargenet import encoders as enc
 from chargenet import metrics as mx
-from chargenet import model_file as mf
 from chargenet import ndtensor as nd
-from chargenet.ndtensor import DomainError, StateError, Tape
+from chargenet.ndtensor import DomainError, Tape
 
 import encoder_oracles as oracle
 import model_oracles
 from gradient_checks import grad_check
-from file_faults import Unwritable, rewrite, write_members
-
-TINY_DIMS = dict(word_emb_dim=2, pos_emb_dim=1, gru_hidden=2, fc1_dim=3, fc2_dim=3,
-                 k=3, batch=4)
-
-
-@pytest.fixture(scope="module")
-def data():
-    spec = cp.SyntheticSpec(n_charges=3, n_articles=5, train_size=24, valid_size=6,
-                            test_size=4, n_noise_tokens=4, core_keywords_per_charge=2,
-                            sentences_per_fact=(2, 3), tokens_per_sentence=(2, 4),
-                            tokens_per_article_sentence=(2, 3), seed=11)
-    return cp.generate_synthetic(spec)
-
-
-@pytest.fixture(scope="module")
-def bank(data):
-    return ax.build_bank([c.tokens() for c in data.train],
-                         [c.gold_articles for c in data.train], k=TINY_DIMS["k"])
-
-
-def untrained_model(data, variant, seed=0):
-    config = cm.ModelConfig(variant=variant, **TINY_DIMS)
-    word_vocab, pos_vocab = cm.build_vocab(data.train)
-    charges = sorted({c for case in data.train for c in case.gold_charges})
-    params = cm.ModelParams.create(config, len(word_vocab), len(pos_vocab), len(charges),
-                                   np.random.default_rng(seed))
-    docs = (cm.tokenize_article_db(data.article_db, word_vocab, pos_vocab)
-            if config.uses_articles() else {})
-    return cm.ChargeModel(config, params, word_vocab, pos_vocab, charges, docs, tau=0.4)
-
-
-def bank_of(variant, bank):
-    """``bank`` for the variants whose slots it picks, else None."""
-    return bank if variant in cm.EXTRACTOR_VARIANTS else None
+from model_builders import TINY_DIMS, bank, bank_of, data, untrained_model  # noqa: F401
 
 
 def supervised_case(data, bank, config):
@@ -99,24 +60,6 @@ def test_model_config_is_frozen():
             setattr(config, f.name, getattr(config, f.name))
     with pytest.raises(DomainError, match="lr"):
         dataclasses.replace(config, lr=-0.5)
-
-
-def test_config_of_numpy_scalars_saves_and_loads_back_equal(data, tmp_path):
-    """numpy integers and floats pass the type checks and are stored as
-    Python numbers, which the model file's JSON meta can hold; a bool is
-    still no int."""
-    dims = {name: np.int32(value) for name, value in TINY_DIMS.items()}
-    config = cm.ModelConfig(variant=cm.Variant.FACT_ONLY, lr=np.float32(0.5),
-                            tau=np.float64(0.25), max_epochs=np.int64(3), **dims)
-    for f in dataclasses.fields(config):
-        if f.type in ("int", "float"):
-            assert type(getattr(config, f.name)).__name__ == f.type, f.name
-    model = untrained_model(data, cm.Variant.FACT_ONLY)
-    model.config = config
-    mf.save_model(tmp_path / "m.npz", model)
-    assert mf.load_model(tmp_path / "m.npz")[0].config == config
-    with pytest.raises(TypeError, match="k must be int"):
-        cm.ModelConfig(k=True)
 
 
 @pytest.mark.parametrize("variant", list(cm.Variant))
@@ -226,18 +169,6 @@ def test_trained_model_holds_no_gradient_memory(data, bank):
                         article_db=data.article_db)
     for name, t in model.params.named():
         assert t.grad is None and t.parked_grad is None, name
-
-
-@pytest.mark.parametrize("variant", list(cm.Variant))
-def test_parameters_are_read_only(data, bank, variant, tmp_path):
-    """Every parameter array of a constructed and of a loaded model is
-    read-only: ``nd.sgd_step`` is its one writer."""
-    model = untrained_model(data, variant)
-    mf.save_model(tmp_path / "m.npz", model, bank_of(variant, bank))
-    loaded, _ = mf.load_model(tmp_path / "m.npz")
-    for m in (model, loaded):
-        for name, t in m.params.named():
-            assert not t.data.flags.writeable, name
 
 
 @pytest.mark.parametrize("seed, lr, best_is_last", [(3, 0.5, True), (4, 0.1, False)])
@@ -470,65 +401,6 @@ def test_no_tape_forward_matches_taped_forward(data, bank):
         npt.assert_array_equal(a, b)
 
 
-def test_checkpoint_round_trip_keeps_predictions(data, bank, tmp_path):
-    """A model and its bank, saved as one file and loaded back, serve the
-    test split bit for bit as the ones in memory: charge distribution,
-    attention, slots and extractor scores."""
-    for variant in cm.Variant:
-        model = untrained_model(data, variant, seed=3)
-        path = tmp_path / f"{variant.value}.npz"
-        saved_bank = bank_of(variant, bank)
-        before = [cm.forward(case, model, bank=saved_bank) for case in data.test]
-        mf.save_model(path, model, saved_bank)
-        loaded, loaded_bank = mf.load_model(path)
-        assert (loaded_bank is None) == (saved_bank is None)
-        assert loaded._article_cache is None
-        assert [n for n, _ in loaded.params.named()] == [n for n, _ in model.params.named()]
-        assert loaded.article_docs.keys() == model.article_docs.keys()
-        for case, want in zip(data.test, before):
-            got = cm.forward(case, loaded, bank=loaded_bank)
-            npt.assert_array_equal(got.o, want.o, err_msg=str(variant))
-            npt.assert_array_equal(got.sent_attn, want.sent_attn)
-            for a, b in zip(got.word_attn, want.word_attn, strict=True):
-                npt.assert_array_equal(a, b)
-            assert (got.topk, got.extractor_scores) == (want.topk, want.extractor_scores)
-            if model.config.uses_articles():
-                npt.assert_array_equal(got.alpha, want.alpha)
-        if model.config.uses_articles():
-            assert loaded._article_cache[-1] is not model._article_cache[-1]
-        assert dataclasses.asdict(loaded.config) == dataclasses.asdict(model.config)
-
-
-def test_failed_meta_write_keeps_the_previous_sidecar(data, tmp_path):
-    """A model file whose write fails part way keeps its previous content,
-    and no temporary file is left."""
-    model = untrained_model(data, cm.Variant.FACT_ONLY)
-    path = tmp_path / "m.npz"
-    mf.save_model(path, model)
-    before = path.read_bytes()
-    model.params.out_w.data = Unwritable()  # the tensors before it are written
-    with pytest.raises(OSError, match="no space left"):
-        mf.save_model(path, model)
-    assert path.read_bytes() == before
-    assert [p.name for p in tmp_path.iterdir()] == [path.name]
-
-
-@pytest.mark.parametrize("variant", list(cm.Variant))
-def test_named_parameters_are_unique_and_round_trip(data, variant, tmp_path):
-    model = untrained_model(data, variant)
-    named = model.params.named()
-    names = [n for n, _ in named]
-    assert len(set(names)) == len(names)
-    assert len({id(t) for _, t in named}) == len(named)
-    has_art = any(n.startswith("art.") for n in names)
-    assert has_art == model.config.uses_articles()
-    mf.save_arrays(tmp_path / "p.npz", {n: t.data for n, t in named}, {})
-    arrays, _ = mf.load_arrays(tmp_path / "p.npz")
-    assert list(arrays) == names
-    for name, t in named:
-        npt.assert_array_equal(arrays[name], t.data)
-
-
 @pytest.mark.parametrize("fact_only,count", [(False, 36), (True, 18)])
 def test_paper_dims_tensor_counts(fact_only, count):
     """The joint model holds 36 tensors; the fact-only model drops the 18 of
@@ -540,110 +412,6 @@ def test_paper_dims_tensor_counts(fact_only, count):
     gru = params.fact_enc.sent_gru
     assert (gru.w.shape, gru.u.shape, gru.b.shape) == ((2, 225, 150), (2, 225, 75),
                                                        (2, 225, 1))
-
-
-def test_swapped_checkpoint_is_rejected(tmp_path):
-    """A bank file of the format that kept banks apart, given to
-    ``load_model``, raises StateError naming it."""
-    bank_path = tmp_path / "bank.npz"
-    write_members(bank_path, idf=np.ones(2), meta=np.array(json.dumps({
-        "format": "bank", "version": 2, "k": 1, "vocabulary": ["a", "b"],
-        "article_ids": [7]})))
-    with pytest.raises(StateError, match=re.escape(f"model file {bank_path} holds format 'bank'")):
-        mf.load_model(bank_path)
-
-
-def split_directions(named, gates=False):
-    """The named tensors in an older layout: each Bi-GRU tensor (the only
-    3-D ones) split into its forward and backward GRU (``<head>.fwd.w``,
-    ...), and with ``gates`` each of those into its z, r and h rows
-    (``<head>.fwd.w_z``, ...)."""
-    old = []
-    for name, t in named:
-        if t.data.ndim != 3:
-            old.append((name, t))
-            continue
-        head, kind = name.rsplit(".", 1)
-        for tag, rows in zip(("fwd", "bwd"), t.data):
-            if gates:
-                old += [(f"{head}.{tag}.{kind}_{g}", nd.Tensor(block))
-                        for g, block in zip("zrh", np.split(rows, 3))]
-            else:
-                old.append((f"{head}.{tag}.{kind}", nd.Tensor(rows)))
-    return old
-
-
-def assert_old_layout_rejected(data, tmp_path, old):
-    """A model file holding the ``old`` tensors, with the saved model's
-    meta, fails the name check."""
-    path = tmp_path / "m.npz"
-
-    def edit(arrays, meta):
-        arrays.clear()
-        arrays.update((name, t.data) for name, t in old)
-    rewrite(path, edit)
-    with pytest.raises(StateError,
-                       match=re.escape(f"model file {path} does not match the configured")):
-        mf.load_model(path)
-
-
-def test_nine_gate_checkpoint_is_rejected(data, bank, tmp_path):
-    """A model file in the nine-gate layout, one tensor per gate and
-    direction (``.fwd.w_z``, ...), fails the name check."""
-    model = untrained_model(data, cm.Variant.FACT_ART)
-    mf.save_model(tmp_path / "m.npz", model, bank)
-    old = split_directions(model.params.named(), gates=True)
-    assert len(old) == 111  # ten GRU directions of nine tensors each
-    assert_old_layout_rejected(data, tmp_path, old)
-
-
-def test_per_direction_checkpoint_is_rejected(data, bank, tmp_path):
-    """A model file with one tensor set per GRU direction (``.fwd.w``, ...)
-    fails the name check."""
-    model = untrained_model(data, cm.Variant.FACT_ART)
-    mf.save_model(tmp_path / "m.npz", model, bank)
-    old = split_directions(model.params.named())
-    assert len(old) == 51  # ten GRU directions of three tensors each
-    assert len(model.params.named()) == 36
-    assert_old_layout_rejected(data, tmp_path, old)
-
-
-def rewrite_meta_config(path, **changes):
-    """Edit the config in a model file's meta; the tensors stay as saved."""
-    rewrite(path, lambda arrays, meta: meta["config"].update(changes))
-
-
-def test_sidecar_with_other_dims_is_rejected(data, bank, tmp_path):
-    model = untrained_model(data, cm.Variant.FACT_SUPV_ART)
-    path = tmp_path / "m.npz"
-    mf.save_model(path, model, bank)
-    wider = dataclasses.replace(model.config, gru_hidden=model.config.gru_hidden + 1)
-    rewrite_meta_config(path, gru_hidden=wider.gru_hidden)
-    with pytest.raises(StateError) as err:
-        mf.load_model(path)
-    match = re.fullmatch(rf"model file {re.escape(str(path))} parameter (\S+) has shape "
-                         r"(\(.*\)), expected (\(.*\))", str(err.value))
-    assert match, str(err.value)
-    saved = dict(model.params.named())
-    expected = dict(cm.ModelParams.create(wider, len(model.word_vocab), len(model.pos_vocab),
-                                          len(model.charge_vocab),
-                                          np.random.default_rng(0)).named())
-    name = match.group(1)
-    assert match.group(2) == str(saved[name].shape)
-    assert match.group(3) == str(expected[name].shape) != match.group(2)
-
-
-def test_sidecar_with_other_variant_is_rejected(data, bank, tmp_path):
-    model = untrained_model(data, cm.Variant.FACT_SUPV_ART)
-    path = tmp_path / "m.npz"
-    mf.save_model(path, model, bank)
-    rewrite_meta_config(path, variant="fact_only")
-    with pytest.raises(StateError, match="does not match the configured model") as err:
-        mf.load_model(path)
-    article_side = [n for n, _ in model.params.named() if n.startswith(("art.", "agg"))]
-    assert len(article_side) == 12
-    for name in article_side:
-        assert repr(name) in str(err.value)
 
 
 def encode_slots_per_case(model, topks, d_f):
@@ -903,218 +671,6 @@ def test_every_forward_runs_the_one_fact_encoder_and_aggregator(data, bank, vari
     assert calls == one
 
 
-def test_meta_fields_load_model_does_not_read_are_ignored(data, tmp_path):
-    """A meta field that ``load_model`` does not read, such as the
-    ``epochs_completed`` that files of older versions held, does not stop a
-    file of this version from loading."""
-    model = untrained_model(data, cm.Variant.FACT_ONLY)
-    path = tmp_path / "m.npz"
-    mf.save_model(path, model)
-
-    def edit(arrays, meta):
-        assert "epochs_completed" not in meta
-        meta["epochs_completed"] = 7
-    rewrite(path, edit)
-    loaded, _ = mf.load_model(path)
-    for (name, want), (_, got) in zip(model.params.named(), loaded.params.named(),
-                                      strict=True):
-        npt.assert_array_equal(got.data, want.data, err_msg=name)
-    assert (loaded.tau, loaded.config) == (model.tau, model.config)
-
-
-def test_article_ids_round_trip_through_every_file(data, tmp_path):
-    """Int and (number, sub_number) ids survive the model file, in its
-    article token ids and in its bank."""
-    relabel = {a: (a, 1) for a in sorted(data.article_db)[::2]}
-    cases = [cp.CaseRecord(c.fact, c.gold_charges, {relabel.get(a, a) for a in c.gold_articles})
-             for c in data.train]
-    article_db = {relabel.get(a, a): text for a, text in data.article_db.items()}
-    ids = sorted(article_db, key=cp.article_sort_key)
-    assert any(isinstance(a, int) for a in ids) and any(isinstance(a, tuple) for a in ids)
-
-    bank = ax.build_bank([c.tokens() for c in cases], [c.gold_articles for c in cases],
-                         k=TINY_DIMS["k"])
-    assert bank.article_ids == ids
-    config = cm.ModelConfig(variant=cm.Variant.FACT_SUPV_ART, **TINY_DIMS)
-    word_vocab, pos_vocab = cm.build_vocab(cases)
-    charges = sorted({c for case in cases for c in case.gold_charges})
-    params = cm.ModelParams.create(config, len(word_vocab), len(pos_vocab), len(charges),
-                                   np.random.default_rng(0))
-    model = cm.ChargeModel(config, params, word_vocab, pos_vocab, charges,
-                           cm.tokenize_article_db(article_db, word_vocab, pos_vocab), tau=0.4)
-    mf.save_model(tmp_path / "m.npz", model, bank)
-    loaded, loaded_bank = mf.load_model(tmp_path / "m.npz")
-    assert list(loaded.article_docs) == ids
-    assert loaded_bank.article_ids == ids
-
-    trace = cm.forward(cases[0], loaded, bank=loaded_bank)
-    record = json.loads(json.dumps(cm.prediction_record(trace, loaded)))
-    ids = [a["id"] for a in record["articles"]]
-    assert set(cp.article_ids_from_json(ids, "record", "entry")) == set(trace.topk)
-
-
-def put_bank(bank):
-    """An ``edit`` that makes ``bank`` (None for none) the file's bank."""
-    def edit(arrays, meta):
-        for name in [n for n in arrays if n.startswith("bank.")]:
-            del arrays[name]
-        bank_arrays, meta["bank"] = ({}, None) if bank is None else mf._bank_to_arrays(bank)
-        arrays.update(bank_arrays)
-    return edit
-
-
-def assert_refused(path, problem, save=None):
-    """``save()`` raises StateError naming ``path`` and ``problem`` and
-    leaves ``path`` as it was; so does ``load_model(path)``."""
-    before = path.read_bytes()
-    if save is not None:
-        with pytest.raises(StateError, match=re.escape(f"model file {path}: {problem}")):
-            save()
-        assert path.read_bytes() == before
-    with pytest.raises(StateError, match=re.escape(f"model file {path}: {problem}")):
-        mf.load_model(path)
-
-
-@pytest.mark.parametrize("variant", [cm.Variant.FACT_ONLY, cm.Variant.FACT_GOLD_ART])
-def test_bank_the_variant_does_not_take_is_refused(data, bank, variant, tmp_path):
-    model = untrained_model(data, variant)
-    path = tmp_path / "m.npz"
-    mf.save_model(path, model)
-    rewrite(path, put_bank(bank))
-    assert_refused(path, f"variant {variant.value} takes no extractor bank",
-                   lambda: mf.save_model(path, model, bank))
-
-
-@pytest.mark.parametrize("variant", sorted(cm.EXTRACTOR_VARIANTS))
-def test_extractor_variant_without_its_bank_is_refused(data, bank, variant, tmp_path):
-    model = untrained_model(data, variant)
-    path = tmp_path / "m.npz"
-    mf.save_model(path, model, bank)
-    rewrite(path, put_bank(None))
-    assert_refused(path, f"variant {variant.value} needs an extractor bank",
-                   lambda: mf.save_model(path, model))
-
-
-def test_config_k_beyond_the_bank_is_refused(data, bank, tmp_path):
-    """The bank has no k of its own; the model's k may not exceed its
-    articles."""
-    model = untrained_model(data, cm.Variant.FACT_SUPV_ART)
-    path = tmp_path / "m.npz"
-    mf.save_model(path, model, bank)
-    n = len(bank.article_ids)
-    rewrite(path, lambda arrays, meta: meta["config"].update(k=n + 1))
-    model.config = dataclasses.replace(model.config, k=n + 1)
-    assert_refused(path, f"k={n + 1} outside [1, {n}]", lambda: mf.save_model(path, model, bank))
-
-
-def test_bank_of_articles_the_model_has_no_text_for_is_refused(data, bank, tmp_path):
-    """A bank trained on other articles than the model attends over: the
-    first served case would miss one. The file is a fact_gold_art model
-    without one article, turned fact_art (the same tensors) and given the
-    bank."""
-    dropped = bank.article_ids[0]
-    model = untrained_model(data, cm.Variant.FACT_GOLD_ART)
-    model.article_docs.pop(dropped)
-    path = tmp_path / "m.npz"
-    mf.save_model(path, model)
-    rewrite(path, put_bank(bank))
-    rewrite(path, lambda arrays, meta: meta["config"].update(variant="fact_art"))
-    model.config = dataclasses.replace(model.config, variant=cm.Variant.FACT_ART)
-    assert_refused(path, f"the bank ranks articles [{dropped!r}] the model has no text for",
-                   lambda: mf.save_model(path, model, bank))
-
-
-def test_load_model_reads_no_article_database(data, bank, tmp_path):
-    """The texts the model attends over are its own token ids: there is no
-    database to pass in, so none can differ from the one it trained on."""
-    path = tmp_path / "m.npz"
-    mf.save_model(path, untrained_model(data, cm.Variant.FACT_ART), bank)
-    with pytest.raises(TypeError):
-        mf.load_model(path, article_db=data.article_db)
-
-
-def set_doc_entry(name, index, value):
-    """A docs ``edit`` that sets one entry of the array ``docs.<name>``."""
-    def edit(arrays, meta):
-        arrays["docs." + name] = arrays["docs." + name].copy()
-        arrays["docs." + name][index] = value
-    return edit
-
-
-def replace_doc(name, change):
-    """A docs ``edit`` that replaces ``docs.<name>`` by ``change`` of it."""
-    return lambda arrays, meta: arrays.__setitem__("docs." + name, change(arrays["docs." + name]))
-
-
-@pytest.mark.parametrize("edit, problem", [
-    (lambda arrays, meta: arrays.pop("docs.pos"), "has no 'docs.pos' array"),
-    (replace_doc("words", lambda a: a.astype(np.float64)),
-     "array 'docs.words' has type float64"),
-    (replace_doc("article_lens", lambda a: a.astype(np.int32)),
-     "array 'docs.article_lens' has type int32"),
-    (replace_doc("words", lambda a: a[None]), "array 'docs.words' has type int64 and shape (1, "),
-    (replace_doc("words", lambda a: a[:-1]), "docs lengths do not add up"),
-    (replace_doc("sentence_lens", lambda a: a[:-1]), "docs lengths do not add up"),
-    (set_doc_entry("sentence_lens", 0, 0), "a sentence of length below 1"),
-    (set_doc_entry("article_lens", -1, 0), "a sentence of length below 1"),
-    (set_doc_entry("words", 0, 10 ** 6), "holds a word id outside [0, "),
-    (set_doc_entry("pos", -1, -1), "holds a POS id outside [0, "),
-    (lambda arrays, meta: meta["article_ids"].pop(), "docs lengths do not add up"),
-    (lambda arrays, meta: meta["article_ids"].__setitem__(1, meta["article_ids"][0]),
-     "has duplicate article ids"),
-    (lambda arrays, meta: arrays.__setitem__("docs.extra", np.zeros(1, dtype=np.int64)),
-     "does not match the configured model: ['docs.extra']"),
-], ids=["missing", "float", "int32", "two_axes", "words_short", "sentences_short",
-        "empty_sentence", "empty_article", "word_id", "pos_id", "ids_short", "ids_repeated",
-        "unknown_array"])
-def test_corrupt_article_token_ids_are_rejected(data, tmp_path, edit, problem):
-    path = tmp_path / "m.npz"
-    mf.save_model(path, untrained_model(data, cm.Variant.FACT_GOLD_ART))
-    rewrite(path, edit)
-    with pytest.raises(StateError) as err:
-        mf.load_model(path)
-    assert str(err.value).startswith(f"model file {path} ")
-    assert problem in str(err.value)
-
-
-def test_fact_only_file_holds_empty_article_arrays(data, tmp_path):
-    """Every file has one shape: a model without articles stores its
-    article token ids as empty arrays, and loads with none."""
-    path = tmp_path / "m.npz"
-    mf.save_model(path, untrained_model(data, cm.Variant.FACT_ONLY))
-    arrays, meta = mf.load_arrays(path)
-    docs = {name: arr for name, arr in arrays.items() if name.startswith("docs.")}
-    assert sorted(docs) == sorted(mf.DOCS_ARRAYS)
-    assert all(arr.dtype == np.int64 and arr.shape == (0,) for arr in docs.values())
-    assert (meta["article_ids"], meta["bank"]) == ([], None)
-    assert mf.load_model(path)[0].article_docs == {}
-
-
-def test_bank_arrays_without_a_bank_meta_are_rejected(data, bank, tmp_path):
-    path = tmp_path / "m.npz"
-    mf.save_model(path, untrained_model(data, cm.Variant.FACT_ART), bank)
-    rewrite(path, lambda arrays, meta: meta.__setitem__("bank", None))
-    with pytest.raises(StateError, match=re.escape(
-            f"model file {path} holds bank arrays but no bank meta")):
-        mf.load_model(path)
-
-
-def test_fingerprint_survives_the_file_and_moves_with_a_step(data, bank, tmp_path):
-    """The prediction record names the model by a CRC-32 of its parameters:
-    the same after save and load, another after one ``sgd_step``."""
-    model = untrained_model(data, cm.Variant.FACT_SUPV_ART)
-    path = tmp_path / "m.npz"
-    mf.save_model(path, model, bank)
-    loaded, loaded_bank = mf.load_model(path)
-    saved = cm.fingerprint(model)
-    assert re.fullmatch("[0-9a-f]{8}", saved)
-    record = cm.prediction_record(cm.forward(data.test[0], loaded, bank=loaded_bank), loaded)
-    assert record["fingerprint"] == cm.fingerprint(loaded) == saved
-    sgd_on_one_case(data, loaded_bank, loaded)
-    assert cm.fingerprint(loaded) != saved
-    assert cm.fingerprint(model) == saved
-
-
 def test_prediction_record_shows_extractor_scores(data):
     """Each article in the record carries the shortlister's score; the gold
     slots of fact_gold_art carry none."""
@@ -1198,167 +754,3 @@ def test_fact_only_beats_the_majority_class(seed):
     assert f1 > every_f1 + EVERY_CHARGE_MARGIN, (f1, every_f1)
 
 
-def test_sidecar_with_an_unknown_config_field_is_rejected(data, tmp_path):
-    model = untrained_model(data, cm.Variant.FACT_ONLY)
-    path = tmp_path / "m.npz"
-    mf.save_model(path, model)
-    rewrite_meta_config(path, tie_article_encoder=False, dropout=0.5)
-    with pytest.raises(StateError, match=r"\['dropout', 'tie_article_encoder'\]"):
-        mf.load_model(path)
-
-
-@pytest.mark.parametrize("names", [(f.name,) for f in dataclasses.fields(cm.ModelConfig)]
-                         + [("variant", "k")], ids="-".join)
-def test_sidecar_without_config_fields_is_rejected(data, tmp_path, names):
-    """A missing field is not filled with its default: a fact_gold_art, k=3
-    file without ``variant`` and ``k`` would load as fact_supv_art, k=20."""
-    model = untrained_model(data, cm.Variant.FACT_GOLD_ART)
-    path = tmp_path / "m.npz"
-    mf.save_model(path, model)
-
-    def edit(arrays, meta):
-        for name in names:
-            del meta["config"][name]
-    rewrite(path, edit)
-    with pytest.raises(StateError, match=re.escape(
-            f"model file {path} has no config fields {sorted(names)}")):
-        mf.load_model(path)
-
-
-def edit_meta(**changes):
-    """A ``corrupt`` that sets fields of the meta."""
-    return lambda text: json.dumps({**json.loads(text), **changes})
-
-
-def repeat_first(key):
-    """A ``corrupt`` that makes every entry of the meta list ``key`` its first."""
-    def corrupt(text):
-        meta = json.loads(text)
-        return json.dumps({**meta, key: meta[key][:1] * len(meta[key])})
-    return corrupt
-
-
-def swap_entries(key, i, j):
-    """A ``corrupt`` that swaps entries ``i`` and ``j`` of the meta list ``key``."""
-    def corrupt(text):
-        meta = json.loads(text)
-        entries = list(meta[key])
-        entries[i], entries[j] = entries[j], entries[i]
-        return json.dumps({**meta, key: entries})
-    return corrupt
-
-
-def edit_config(**changes):
-    """A ``corrupt`` that sets fields of the meta's config."""
-    def corrupt(text):
-        meta = json.loads(text)
-        return json.dumps({**meta, "config": {**meta["config"], **changes}})
-    return corrupt
-
-
-@pytest.mark.parametrize("corrupt,problem", [
-    (lambda text: text[:len(text) // 2], "meta is not JSON"),
-    (lambda text: "[]", "meta is not a JSON object"),
-    (lambda text: json.dumps({k: v for k, v in json.loads(text).items() if k != "config"}),
-     "meta has no 'config' of type dict"),
-    (edit_meta(tau="0.4"), "meta has no 'tau' of type float"),
-    (lambda text: text.replace('"k": 3,', '"k": "3",'), "bad config: k must be int, not '3'"),
-    (lambda text: text.replace('"k": 3,', '"k": 0,'), "bad config: k must be positive"),
-    (edit_meta(tau=-1.0), "has tau -1.0, outside (0, 1)"),
-    (edit_meta(tau=math.nan), "has tau nan, outside"),
-    (edit_meta(word_vocab=[["<pad>"]]), "has a word_vocab entry that is not a string"),
-    (repeat_first("charge_vocab"), "repeats the charge_vocab entry 'charge00'"),
-    (repeat_first("word_vocab"), "repeats the word_vocab entry '<pad>'"),
-    (repeat_first("pos_vocab"), "repeats the pos_vocab entry '<pad>'"),
-    (edit_meta(article_ids=[{}]), "has the article id {}, not"),
-    (edit_meta(article_ids=[[101, 1, 7]]), "has the article id [101, 1, 7], not"),
-    (edit_meta(article_ids=[[133, 0]]), "has the article id [133, 0], not"),
-    (edit_meta(article_ids=[0]), "has the article id 0, not"),
-    (edit_meta(version=1), "holds format 'model' version 1, not 'model' version 4"),
-    (edit_meta(version=99), "holds format 'model' version 99"),
-    (edit_meta(format="bank"), "holds format 'bank' version 4"),
-    (edit_config(lr=math.nan), "bad config: lr must be finite and positive"),
-    (swap_entries("word_vocab", 1, 2),
-     "word_vocab does not begin with '<pad>' at 0 and '<unk>' at 1"),
-    (swap_entries("pos_vocab", 0, 1),
-     "pos_vocab does not begin with '<pad>' at 0 and '<unk>' at 1"),
-    (edit_meta(word_vocab=["<pad>"]),
-     "word_vocab does not begin with '<pad>' at 0 and '<unk>' at 1"),
-], ids=["not_json", "not_an_object", "missing_field", "field_of_wrong_type", "config_field_of_wrong_type",
-        "config_out_of_range", "tau_out_of_range", "tau_nan", "vocab_entry_not_string",
-        "charge_vocab_repeated", "word_vocab_repeated", "pos_vocab_repeated",
-        "article_id_dict", "article_id_triple", "article_id_sub_zero", "article_id_zero",
-        "version_1", "version_99", "other_kind", "config_lr_nan", "word_vocab_unk_swapped", "pos_vocab_pad_swapped", "word_vocab_without_unk"])
-def test_corrupt_sidecar_is_rejected(data, tmp_path, corrupt, problem):
-    """A model file whose meta is corrupt raises StateError naming it and
-    the problem."""
-    model = untrained_model(data, cm.Variant.FACT_ONLY)
-    path = tmp_path / "m.npz"
-    mf.save_model(path, model)
-    with np.load(path) as archive:
-        members = dict(archive)
-    text = members["meta"].item()
-    assert '"k": 3,' in text
-    write_members(path, **{**members, "meta": np.array(corrupt(text))})
-    with pytest.raises(StateError) as err:
-        mf.load_model(path)
-    assert str(err.value).startswith(f"model file {path} ")
-    assert problem in str(err.value)
-
-
-@pytest.mark.parametrize("damage,problem", [
-    (lambda arrays: arrays.pop("out.b"), "does not match the configured model: ['out.b']"),
-    (lambda arrays: arrays.__setitem__("extra", np.zeros(1)),
-     "does not match the configured model: ['extra']"),
-    (lambda arrays: arrays.__setitem__("bank.extra", np.zeros(1)),
-     "does not match the configured model: ['bank.extra']"),
-    (lambda arrays: arrays.__setitem__("out.b", arrays["out.b"].T), "parameter out.b has shape"),
-    (lambda arrays: arrays.__setitem__("out.b", arrays["out.b"] > 0),
-     "parameter out.b has dtype bool, expected float64"),
-    (lambda arrays: arrays.__setitem__("out.b", arrays["out.b"].astype(np.float32)),
-     "parameter out.b has dtype float32, expected float64"),
-], ids=["missing", "extra", "bank_extra", "shape", "bool", "float32"])
-def test_tensor_that_does_not_fit_is_rejected(data, tmp_path, damage, problem):
-    model = untrained_model(data, cm.Variant.FACT_ONLY)
-    path = tmp_path / "m.npz"
-    mf.save_model(path, model)
-    rewrite(path, lambda arrays, meta: damage(arrays))
-    with pytest.raises(StateError) as err:
-        mf.load_model(path)
-    assert str(err.value).startswith(f"model file {path} ")
-    assert problem in str(err.value)
-
-
-HASHLIB_PROBE = """
-import importlib, pkgutil, sys
-import chargenet
-for info in pkgutil.iter_modules(chargenet.__path__):
-    importlib.import_module("chargenet." + info.name)
-from chargenet import charge_model as cm
-from chargenet import model_file as mf
-root = sys.argv[1]
-model, bank = mf.load_model(root + "/m.npz")
-mf.save_model(root + "/m2.npz", model, bank)
-model, bank = mf.load_model(root + "/m2.npz")
-cm.fingerprint(model)
-print(sorted(name for name in sys.modules if "hashlib" in name))
-"""
-
-
-def test_saving_and_loading_import_no_hashlib(data, bank, tmp_path):
-    """A fresh process that imports every chargenet module, then loads a
-    model file with its bank, saves it, loads it again and takes its
-    fingerprint, does not import hashlib: it loads OpenSSL, about 3.6 MB of
-    resident memory.
-
-    ``load_model`` draws nothing, so it does not import ``numpy.random``,
-    whose import brings in hashlib (through ``secrets``) in any process that
-    draws a model; and the file holds everything it serves with, so the
-    process reads nothing else."""
-    mf.save_model(tmp_path / "m.npz", untrained_model(data, cm.Variant.FACT_SUPV_ART), bank)
-    src = os.path.dirname(os.path.dirname(cm.__file__))
-    run = subprocess.run([sys.executable, "-c", HASHLIB_PROBE, str(tmp_path)],
-                         env={**os.environ, "PYTHONPATH": src}, capture_output=True,
-                         text=True, timeout=120)
-    assert run.returncode == 0, run.stderr
-    assert run.stdout.splitlines() == ["[]"]

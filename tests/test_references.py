@@ -23,13 +23,16 @@ that calls a function of ``FILE_CALLS`` or a method of ``FILE_METHODS``, or
 imports a module of ``FILE_MODULES``. Names are resolved through the module's
 imports (``np.load`` is ``numpy.load``, and ``replace`` after ``from os import
 replace`` is ``os.replace``); a function reached any other way, through an
-assignment or ``getattr``, is not seen.
+assignment or ``getattr``, is not seen. With the same resolution, it checks
+that ``tests/test_model_file.py`` is the one module under ``tests`` that
+imports ``chargenet.model_file``, so the file's tests stay in one place.
 """
 
 import ast
 from pathlib import Path
 
-ROOT = Path(__file__).resolve().parent.parent
+TESTS = Path(__file__).resolve().parent
+ROOT = TESTS.parent
 PACKAGE = ROOT / "src" / "chargenet"
 TREES = (PACKAGE, ROOT / "perfbench")
 
@@ -228,3 +231,22 @@ def test_only_model_file_touches_files():
     outside = [f"{name}:{line} {what}" for name, found in accesses.items()
                for what, line in found]
     assert not outside, f"file access outside model_file.py: {outside}"
+
+
+def imported_modules(module: ast.Module) -> set[str]:
+    """What each import of ``module`` brings in, resolved as ``imported_names``
+    does: ``chargenet.model_file`` after ``from chargenet import model_file``,
+    and after ``import chargenet.model_file``."""
+    return set(imported_names(module).values()) | {
+        alias.name for node in ast.walk(module) if isinstance(node, ast.Import)
+        for alias in node.names}
+
+
+def test_only_the_model_file_tests_import_model_file():
+    importers = sorted(path.name for path, module in parsed(TESTS)
+                       if any(name == "chargenet.model_file"
+                              or name.startswith("chargenet.model_file.")
+                              for name in imported_modules(module)))
+    assert importers == ["test_model_file.py"], (
+        f"modules under tests that import chargenet.model_file: {importers}; "
+        "the model file's tests belong in tests/test_model_file.py")
