@@ -12,10 +12,13 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from chargenet import article_extractor as ax
+from chargenet import charge_model as cm
 from chargenet import corpus as cp
-from chargenet.ndtensor import DomainError, ShapeError
+from chargenet import model_file as mf
+from chargenet.ndtensor import DomainError, ShapeError, StateError
 
 import extractor_oracles as oracle
+from file_faults import Unwritable, edit, rewrite
 
 
 def toy_corpus():
@@ -502,3 +505,179 @@ def test_default_spec_bank_at_seed_5_is_pinned():
             == "05f8d2cb1d200ebaa83bd901e1cfc57274843ac9ee1704876287939f0919ba63")
 
 
+def set_array(name, value):
+    """A ``damage`` that replaces the array ``name``."""
+    return lambda arrays, meta: arrays.__setitem__(name, value)
+
+
+def set_meta(key, value):
+    """A ``damage`` that sets the meta field ``key``."""
+    return lambda arrays, meta: meta.__setitem__(key, value)
+
+
+def set_entry(name, index, value):
+    """A ``damage`` that sets one entry of the array ``name``."""
+    return lambda arrays, meta: arrays[name].__setitem__(index, value)
+
+
+def drop_last_article():
+    """A ``damage`` that takes the last article out of the bank."""
+    def damage(arrays, meta):
+        keep = arrays["scorers"] < len(meta["article_ids"]) - 1
+        for name in ("scorers", "selected", "weights"):
+            arrays[name] = arrays[name][keep]
+        arrays["bias"] = arrays["bias"][:-1]
+        meta["article_ids"].pop()
+    return lambda arrays, meta: damage(arrays, meta)
+
+
+def serving_model(bank):
+    """An untrained fact_art model, k=3, with a one-word text for every
+    article of ``bank``: the smallest model file a bank can travel in."""
+    config = cm.ModelConfig(variant=cm.Variant.FACT_ART, word_emb_dim=2, pos_emb_dim=1,
+                            gru_hidden=2, fc1_dim=3, fc2_dim=3, k=3)
+    vocab = {"<pad>": cm.PAD_ID, "<unk>": cm.UNK_ID, "w": 2}
+    params = cm.ModelParams.create(config, len(vocab), len(vocab), 1,
+                                   np.random.default_rng(0))
+    docs = {aid: [(np.array([2]), np.array([2]))] for aid in bank.article_ids}
+    return cm.ChargeModel(config, params, vocab, dict(vocab), ["c"], docs, tau=0.4)
+
+
+def saved_bank():
+    """A three-article bank, one of them a sub-clause, and its model."""
+    docs, golds = two_article_corpus()
+    bank = ax.build_bank(docs, cited_sub_clauses(golds), k=3)
+    return bank, serving_model(bank)
+
+
+class TestBankSerialization:
+    """The bank travels in the model file of the model it serves; each
+    fault of its arrays or meta entry raises StateError naming that file."""
+
+    def save_and_edit(self, path, damage):
+        """Save a three-article bank in a model file at ``path``, then rewrite
+        it with ``damage(arrays, meta)`` applied to the bank's arrays (named
+        without the prefix) and its meta entry."""
+        bank, model = saved_bank()
+        mf.save_model(path, model, bank)
+
+        def edit_bank(members):
+            stored = {name.removeprefix("bank."): members.pop(name) for name in list(members)
+                      if name.startswith("bank.")}
+            damage(stored, members["meta"]["bank"])
+            members.update(("bank." + name, arr) for name, arr in stored.items())
+        rewrite(path, edit_bank)
+
+    def test_round_trip_exact(self, tmp_path):
+        bank, model = saved_bank()
+        assert bank.article_ids[-1] == (133, 1)
+        path = tmp_path / "m.npz"
+        mf.save_model(path, model, bank)
+        _, loaded = mf.load_model(path)
+        assert loaded.tfidf.vocabulary == bank.tfidf.vocabulary
+        npt.assert_array_equal(loaded.tfidf.idf, bank.tfidf.idf)
+        assert loaded.article_ids == bank.article_ids
+        npt.assert_array_equal(loaded.weights, bank.weights)
+        npt.assert_array_equal(loaded.bias, bank.bias)
+        for doc in two_article_corpus()[0]:
+            assert ax.extract_top_k(doc, loaded, k=3) == ax.extract_top_k(doc, bank, k=3)
+
+    def test_stores_the_nonzero_weights_only(self, monkeypatch):
+        monkeypatch.setattr(ax, "SCORER_FEATURES", 2)
+        docs, golds = two_article_corpus()
+        bank = ax.build_bank(docs, golds, k=2)
+        arrays, _ = mf._bank_to_arrays(bank)
+        assert arrays["bank.weights"].size == np.count_nonzero(bank.weights) == 4
+
+    def test_failed_write_keeps_the_previous_file(self, tmp_path):
+        bank, model = saved_bank()
+        path = tmp_path / "m.npz"
+        mf.save_model(path, model, bank)
+        before = path.read_bytes()
+        bank.bias = Unwritable()
+        with pytest.raises(OSError, match="no space left"):
+            mf.save_model(path, model, bank)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == [path.name]
+
+    def test_version_guard(self, tmp_path):
+        path = tmp_path / "bad.npz"
+        bank, model = saved_bank()
+        mf.save_model(path, model, bank)
+        for version in (1, 2, 3, 99):
+            rewrite(path, edit("meta", "version", to=version))
+            with pytest.raises(StateError, match=f"version {version}, not 'model' version 4"):
+                mf.load_model(path)
+        # A version-1 bank was JSON.
+        path.write_text(json.dumps({
+            "version": 1, "k": 2,
+            "tfidf": {"vocabulary": ["a", "b", "c"], "idf": [0.5, 1.0, 2.0], "doc_count": 4},
+            "scorers": [{"article_id": 7, "selected": [2, 0], "weights": [0.25, -1.5],
+                         "bias": 0.125}]}))
+        with pytest.raises(StateError,
+                           match=re.escape(f"model file {path} is not a readable archive")):
+            mf.load_model(path)
+
+    @pytest.mark.parametrize("damage, message", [
+        (lambda a, m: a.pop("idf"), "no 'idf'"),
+        (lambda a, m: a.pop("bias"), "no 'bias'"),
+        (lambda a, m: a.__setitem__("weights", a["weights"][:-1]), "selected columns but"),
+        (set_entry("selected", 0, 10 ** 6), "outside"),
+        (set_entry("selected", 0, -1), "outside"),
+        (set_array("selected", np.array(3)), "'selected' has type int"),
+        pytest.param(set_meta("article_ids", {}), "no 'article_ids' of type list",
+                     id="ids_not_list"),
+        (set_entry("weights", 0, math.nan), "non-numeric"),
+        (lambda a, m: m["article_ids"].__setitem__(1, m["article_ids"][0]),
+         "duplicate article ids"),
+        (drop_last_article(), "k=3 outside"),
+        pytest.param(set_entry("scorers", 0, 3), "selects a row outside [0, 3)",
+                     id="scorer_outside"),
+        pytest.param(set_entry("weights", 0, math.inf), "or an infinity", id="weight_inf"),
+        pytest.param(set_entry("bias", 0, math.nan), "non-numeric", id="bias_nan"),
+        pytest.param(set_entry("bias", 0, math.inf), "or an infinity", id="bias_inf"),
+        pytest.param(set_entry("bias", 1, -math.inf), "or an infinity", id="bias_minus_inf"),
+        pytest.param(set_entry("idf", 0, -math.inf), "or an infinity", id="idf_minus_inf"),
+        pytest.param(set_entry("idf", 0, math.nan), "non-numeric", id="idf_nan"),
+        pytest.param(lambda a, m: a.__setitem__("weights", a["weights"] > 0),
+                     "'weights' has type bool", id="weights_bool"),
+        pytest.param(lambda a, m: a.__setitem__("bias", a["bias"] > 0),
+                     "'bias' has type bool", id="bias_bool"),
+        pytest.param(lambda a, m: a.__setitem__("weights", a["weights"].astype(str)),
+                     "'weights' has type <U", id="weights_strings"),
+        pytest.param(lambda a, m: a.__setitem__("idf", a["idf"][:-1]), "idf values",
+                     id="idf_short"),
+        pytest.param(lambda a, m: a.__setitem__("bias", a["bias"][:-1]), "bias values",
+                     id="bias_short"),
+        pytest.param(lambda a, m: m["vocabulary"].__setitem__(0, 5),
+                     "vocabulary entry that is not a string", id="vocabulary_int"),
+        pytest.param(lambda a, m: m["vocabulary"].__setitem__(1, m["vocabulary"][0]),
+                     "repeats the vocabulary entry '", id="vocabulary_repeated"),
+        pytest.param(lambda a, m: m.clear(), "bank meta has no 'vocabulary'",
+                     id="meta_empty"),
+    ])
+    def test_malformed_bank_raises_state_error(self, tmp_path, damage, message):
+        path = tmp_path / "m.npz"
+        self.save_and_edit(path, damage)
+        with pytest.raises(StateError, match=re.escape(message)) as err:
+            mf.load_model(path)
+        assert str(err.value).startswith(f"model file {path}")
+
+    @pytest.mark.parametrize("article_id", [[101, 1, 7], ["x"], 0, -5, [133, 0], {}],
+                             ids=["triple", "string", "zero", "negative", "sub_zero", "dict"])
+    def test_bad_article_id_names_file_and_scorer(self, tmp_path, article_id):
+        path = tmp_path / "m.npz"
+        self.save_and_edit(path, lambda a, m: m["article_ids"].__setitem__(1, article_id))
+        with pytest.raises(StateError) as err:
+            mf.load_model(path)
+        assert f"model file {path} scorer 1 has the article id {article_id!r}" in str(err.value)
+
+    def test_truncated_bank_raises_state_error(self, tmp_path):
+        bank, model = saved_bank()
+        path = tmp_path / "m.npz"
+        mf.save_model(path, model, bank)
+        blob = path.read_bytes()
+        for cut in (0, 100, len(blob) // 2, len(blob) - 1):
+            path.write_bytes(blob[:cut])
+            with pytest.raises(StateError, match="not a readable archive"):
+                mf.load_model(path)

@@ -4,6 +4,10 @@ import dataclasses
 import hashlib
 import json
 import math
+import os
+import re
+import subprocess
+import sys
 
 import numpy as np
 import numpy.testing as npt
@@ -16,11 +20,13 @@ from chargenet import charge_model as cm
 from chargenet import corpus as cp
 from chargenet import encoders as enc
 from chargenet import metrics as mx
+from chargenet import model_file as mf
 from chargenet import ndtensor as nd
 from chargenet.ndtensor import DomainError, Tape
 
 import encoder_oracles as oracle
 import model_oracles
+from file_faults import assert_refused, edit, put_bank, rewrite, saved, write_members
 from gradient_checks import grad_check
 from model_builders import TINY_DIMS, bank, bank_of, data, untrained_model  # noqa: F401
 
@@ -754,3 +760,248 @@ def test_fact_only_beats_the_majority_class(seed):
     assert f1 > every_f1 + EVERY_CHARGE_MARGIN, (f1, every_f1)
 
 
+@pytest.mark.parametrize("variant", list(cm.Variant))
+def test_named_parameters_are_unique_and_round_trip(data, variant, tmp_path):
+    model = untrained_model(data, variant)
+    named = model.params.named()
+    names = [n for n, _ in named]
+    assert len(set(names)) == len(names)
+    assert len({id(t) for _, t in named}) == len(named)
+    has_art = any(n.startswith("art.") for n in names)
+    assert has_art == model.config.uses_articles()
+    mf.save_arrays(tmp_path / "p.npz", {n: t.data for n, t in named}, {})
+    arrays, _ = mf.load_arrays(tmp_path / "p.npz")
+    assert list(arrays) == names
+    for name, t in named:
+        npt.assert_array_equal(arrays[name], t.data)
+
+
+def test_checkpoint_round_trip_keeps_predictions(data, bank, tmp_path):
+    """A model and its bank, saved as one file and loaded back, serve the
+    test split bit for bit as the ones in memory: charge distribution,
+    attention, slots and extractor scores."""
+    for variant in cm.Variant:
+        model = untrained_model(data, variant, seed=3)
+        path = tmp_path / f"{variant.value}.npz"
+        saved_bank = bank_of(variant, bank)
+        before = [cm.forward(case, model, bank=saved_bank) for case in data.test]
+        mf.save_model(path, model, saved_bank)
+        loaded, loaded_bank = mf.load_model(path)
+        assert (loaded_bank is None) == (saved_bank is None)
+        assert loaded._article_cache is None
+        assert [n for n, _ in loaded.params.named()] == [n for n, _ in model.params.named()]
+        assert loaded.article_docs.keys() == model.article_docs.keys()
+        for case, want in zip(data.test, before):
+            got = cm.forward(case, loaded, bank=loaded_bank)
+            npt.assert_array_equal(got.o, want.o, err_msg=str(variant))
+            npt.assert_array_equal(got.sent_attn, want.sent_attn)
+            for a, b in zip(got.word_attn, want.word_attn, strict=True):
+                npt.assert_array_equal(a, b)
+            assert (got.topk, got.extractor_scores) == (want.topk, want.extractor_scores)
+            if model.config.uses_articles():
+                npt.assert_array_equal(got.alpha, want.alpha)
+        if model.config.uses_articles():
+            assert loaded._article_cache[-1] is not model._article_cache[-1]
+        assert dataclasses.asdict(loaded.config) == dataclasses.asdict(model.config)
+
+
+@pytest.mark.parametrize("variant", list(cm.Variant))
+def test_parameters_are_read_only(data, bank, variant, tmp_path):
+    """Every parameter array of a constructed and of a loaded model is
+    read-only: ``nd.sgd_step`` is its one writer."""
+    model = untrained_model(data, variant)
+    loaded, _ = mf.load_model(saved(tmp_path, model, bank_of(variant, bank)))
+    for m in (model, loaded):
+        for name, t in m.params.named():
+            assert not t.data.flags.writeable, name
+
+
+def test_config_of_numpy_scalars_saves_and_loads_back_equal(data, tmp_path):
+    """numpy integers and floats pass the type checks and are stored as
+    Python numbers, which the model file's JSON meta can hold; a bool is
+    still no int."""
+    dims = {name: np.int32(value) for name, value in TINY_DIMS.items()}
+    config = cm.ModelConfig(variant=cm.Variant.FACT_ONLY, lr=np.float32(0.5),
+                            tau=np.float64(0.25), max_epochs=np.int64(3), **dims)
+    for f in dataclasses.fields(config):
+        if f.type in ("int", "float"):
+            assert type(getattr(config, f.name)).__name__ == f.type, f.name
+    model = untrained_model(data, cm.Variant.FACT_ONLY)
+    model.config = config
+    assert mf.load_model(saved(tmp_path, model))[0].config == config
+    with pytest.raises(TypeError, match="k must be int"):
+        cm.ModelConfig(k=True)
+
+
+def test_meta_fields_load_model_does_not_read_are_ignored(data, tmp_path):
+    """A meta field that ``load_model`` does not read, such as the
+    ``epochs_completed`` that files of older versions held, does not stop a
+    file of this version from loading."""
+    model = untrained_model(data, cm.Variant.FACT_ONLY)
+    path = saved(tmp_path, model)
+    assert "epochs_completed" not in mf.load_arrays(path)[1]
+    rewrite(path, edit("meta", "epochs_completed", to=7))
+    loaded, _ = mf.load_model(path)
+    for (name, want), (_, got) in zip(model.params.named(), loaded.params.named(),
+                                      strict=True):
+        npt.assert_array_equal(got.data, want.data, err_msg=name)
+    assert (loaded.tau, loaded.config) == (model.tau, model.config)
+
+
+def test_article_ids_round_trip_through_every_file(data, tmp_path):
+    """Int and (number, sub_number) ids survive the model file, in its
+    article token ids and in its bank."""
+    relabel = {a: (a, 1) for a in sorted(data.article_db)[::2]}
+    cases = [cp.CaseRecord(c.fact, c.gold_charges, {relabel.get(a, a) for a in c.gold_articles})
+             for c in data.train]
+    article_db = {relabel.get(a, a): text for a, text in data.article_db.items()}
+    ids = sorted(article_db, key=cp.article_sort_key)
+    assert any(isinstance(a, int) for a in ids) and any(isinstance(a, tuple) for a in ids)
+
+    bank = ax.build_bank([c.tokens() for c in cases], [c.gold_articles for c in cases],
+                         k=TINY_DIMS["k"])
+    assert bank.article_ids == ids
+    config = cm.ModelConfig(variant=cm.Variant.FACT_SUPV_ART, **TINY_DIMS)
+    word_vocab, pos_vocab = cm.build_vocab(cases)
+    charges = sorted({c for case in cases for c in case.gold_charges})
+    params = cm.ModelParams.create(config, len(word_vocab), len(pos_vocab), len(charges),
+                                   np.random.default_rng(0))
+    model = cm.ChargeModel(config, params, word_vocab, pos_vocab, charges,
+                           cm.tokenize_article_db(article_db, word_vocab, pos_vocab), tau=0.4)
+    loaded, loaded_bank = mf.load_model(saved(tmp_path, model, bank))
+    assert list(loaded.article_docs) == ids
+    assert loaded_bank.article_ids == ids
+
+    trace = cm.forward(cases[0], loaded, bank=loaded_bank)
+    record = json.loads(json.dumps(cm.prediction_record(trace, loaded)))
+    ids = [a["id"] for a in record["articles"]]
+    assert set(cp.article_ids_from_json(ids, "record", "entry")) == set(trace.topk)
+
+
+def test_fact_only_file_holds_empty_article_arrays(data, tmp_path):
+    """Every file has one shape: a model without articles stores its
+    article token ids as empty arrays, and loads with none."""
+    path = saved(tmp_path, untrained_model(data, cm.Variant.FACT_ONLY))
+    arrays, meta = mf.load_arrays(path)
+    docs = {name: arr for name, arr in arrays.items() if name.startswith("docs.")}
+    assert sorted(docs) == sorted(mf.DOCS_ARRAYS)
+    assert all(arr.dtype == np.int64 and arr.shape == (0,) for arr in docs.values())
+    assert (meta["article_ids"], meta["bank"]) == ([], None)
+    assert mf.load_model(path)[0].article_docs == {}
+
+
+def test_fingerprint_survives_the_file_and_moves_with_a_step(data, bank, tmp_path):
+    """The prediction record names the model by a CRC-32 of its parameters:
+    the same after save and load, another after one ``sgd_step``."""
+    model = untrained_model(data, cm.Variant.FACT_SUPV_ART)
+    loaded, loaded_bank = mf.load_model(saved(tmp_path, model, bank))
+    before = cm.fingerprint(model)
+    assert re.fullmatch("[0-9a-f]{8}", before)
+    record = cm.prediction_record(cm.forward(data.test[0], loaded, bank=loaded_bank), loaded)
+    assert record["fingerprint"] == cm.fingerprint(loaded) == before
+    sgd_on_one_case(data, loaded_bank, loaded)
+    assert cm.fingerprint(loaded) != before
+    assert cm.fingerprint(model) == before
+
+
+def test_load_model_reads_no_article_database(data, bank, tmp_path):
+    """The texts the model attends over are its own token ids: there is no
+    database to pass in, so none can differ from the one it trained on."""
+    path = saved(tmp_path, untrained_model(data, cm.Variant.FACT_ART), bank)
+    with pytest.raises(TypeError):
+        mf.load_model(path, article_db=data.article_db)
+
+
+HASHLIB_PROBE = """
+import importlib, pkgutil, sys
+import chargenet
+for info in pkgutil.iter_modules(chargenet.__path__):
+    importlib.import_module("chargenet." + info.name)
+from chargenet import charge_model as cm
+from chargenet import model_file as mf
+root = sys.argv[1]
+model, bank = mf.load_model(root + "/m.npz")
+mf.save_model(root + "/m2.npz", model, bank)
+model, bank = mf.load_model(root + "/m2.npz")
+cm.fingerprint(model)
+print(sorted(name for name in sys.modules if "hashlib" in name))
+"""
+
+
+def test_saving_and_loading_import_no_hashlib(data, bank, tmp_path):
+    """A fresh process that imports every chargenet module, then loads a
+    model file with its bank, saves it, loads it again and takes its
+    fingerprint, does not import hashlib: it loads OpenSSL, about 3.6 MB of
+    resident memory.
+
+    ``load_model`` draws nothing, so it does not import ``numpy.random``,
+    whose import brings in hashlib (through ``secrets``) in any process that
+    draws a model; and the file holds everything it serves with, so the
+    process reads nothing else."""
+    saved(tmp_path, untrained_model(data, cm.Variant.FACT_SUPV_ART), bank)
+    src = os.path.dirname(os.path.dirname(cm.__file__))
+    run = subprocess.run([sys.executable, "-c", HASHLIB_PROBE, str(tmp_path)],
+                         env={**os.environ, "PYTHONPATH": src}, capture_output=True,
+                         text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.splitlines() == ["[]"]
+
+
+def test_swapped_checkpoint_is_rejected(tmp_path):
+    """A bank file of the format that kept banks apart, given to
+    ``load_model``, raises StateError naming it."""
+    bank_path = tmp_path / "bank.npz"
+    write_members(bank_path, idf=np.ones(2), meta=np.array(json.dumps({
+        "format": "bank", "version": 2, "k": 1, "vocabulary": ["a", "b"],
+        "article_ids": [7]})))
+    assert_refused(bank_path, "holds format 'bank'")
+
+
+def test_bank_arrays_without_a_bank_meta_are_rejected(data, bank, tmp_path):
+    path = saved(tmp_path, untrained_model(data, cm.Variant.FACT_ART), bank)
+    rewrite(path, edit("meta", "bank", to=None))
+    assert_refused(path, "holds bank arrays but no bank meta")
+
+
+@pytest.mark.parametrize("variant", [cm.Variant.FACT_ONLY, cm.Variant.FACT_GOLD_ART])
+def test_bank_the_variant_does_not_take_is_refused(data, bank, variant, tmp_path):
+    model = untrained_model(data, variant)
+    path = saved(tmp_path, model)
+    rewrite(path, put_bank(bank))
+    assert_refused(path, f": variant {variant.value} takes no extractor bank",
+                   lambda: mf.save_model(path, model, bank))
+
+
+@pytest.mark.parametrize("variant", sorted(cm.EXTRACTOR_VARIANTS))
+def test_extractor_variant_without_its_bank_is_refused(data, bank, variant, tmp_path):
+    model = untrained_model(data, variant)
+    path = saved(tmp_path, model, bank)
+    rewrite(path, put_bank(None))
+    assert_refused(path, f": variant {variant.value} needs an extractor bank",
+                   lambda: mf.save_model(path, model))
+
+
+def test_config_k_beyond_the_bank_is_refused(data, bank, tmp_path):
+    """The bank has no k of its own; the model's k may not exceed its
+    articles."""
+    model = untrained_model(data, cm.Variant.FACT_SUPV_ART)
+    path = saved(tmp_path, model, bank)
+    n = len(bank.article_ids)
+    rewrite(path, edit("meta", "config", "k", to=n + 1))
+    model.config = dataclasses.replace(model.config, k=n + 1)
+    assert_refused(path, f": k={n + 1} outside [1, {n}]", lambda: mf.save_model(path, model, bank))
+
+
+def test_bank_of_articles_the_model_has_no_text_for_is_refused(data, bank, tmp_path):
+    """A bank trained on other articles than the model attends over: the
+    first served case would miss one. The file is a fact_gold_art model
+    without one article, turned fact_art (the same tensors) and given the
+    bank."""
+    dropped = bank.article_ids[0]
+    model = untrained_model(data, cm.Variant.FACT_GOLD_ART)
+    model.article_docs.pop(dropped)
+    path = saved(tmp_path, model)
+    rewrite(path, put_bank(bank), edit("meta", "config", "variant", to="fact_art"))
+    model.config = dataclasses.replace(model.config, variant=cm.Variant.FACT_ART)
+    assert_refused(path, f": the bank ranks articles [{dropped!r}] the model has no text for",
+                   lambda: mf.save_model(path, model, bank))

@@ -1,11 +1,20 @@
+import json
 import math
+import os
+import re
+import stat
+import struct
 import warnings
 import weakref
+import zlib
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 
+from chargenet import article_extractor as ax
+from chargenet import charge_model as cm
+from chargenet import model_file as mf
 from chargenet import ndtensor as nd
 from chargenet.ndtensor import (
     DomainError,
@@ -16,6 +25,7 @@ from chargenet.ndtensor import (
 )
 
 from gradient_checks import assert_matches_fd, grad_check, tsum
+from file_faults import Unwritable, write_members, write_npy
 
 
 class TestMatmul:
@@ -553,3 +563,209 @@ class TestFiniteness:
                 tape.backward(loss, [x, w])
             assert np.isfinite(loss.data).all()
             assert np.isfinite(x.grad).all() and np.isfinite(w.grad).all()
+
+
+class TestCheckpoint:
+    def test_round_trip_bit_exact(self, tmp_path):
+        rng = np.random.default_rng(6)
+        arrays = {
+            "emb.word": rng.uniform(-1, 1, (7, 4)),
+            "enc.w_z": rng.uniform(-1, 1, (3, 5)),
+            "bias": np.array([-math.inf, 0.5, 1e-300]),
+            "scalar": np.float64(0.123456789),
+            "rows": np.arange(5),
+        }
+        meta = {"vocabulary": ["盗窃", "a"], "tau": 0.1 + 0.2, "ids": [133, [133, 1]]}
+        path = tmp_path / "model.npz"
+        mf.save_arrays(path, arrays, meta)
+        loaded, loaded_meta = mf.load_arrays(path)
+        assert list(loaded) == list(arrays)
+        for name, want in arrays.items():
+            assert loaded[name].dtype == np.asarray(want).dtype
+            npt.assert_array_equal(loaded[name], want)
+        assert loaded_meta == {**meta, "format": "model", "version": mf.FORMAT_VERSION}
+
+    def write_sample(self, tmp_path):
+        rng = np.random.default_rng(7)
+        path = tmp_path / "model.npz"
+        mf.save_arrays(path, {"a.w": rng.uniform(-1, 1, (2, 3)),
+                                       "b": rng.uniform(-1, 1, 4)}, {"note": "sample"})
+        return path
+
+    @pytest.mark.parametrize("cut", [0, 3, 6, 8, 10, 12, 13, 20, 30, 60, -1])
+    def test_truncated_file_raises_state_error(self, tmp_path, cut):
+        path = self.write_sample(tmp_path)
+        blob = path.read_bytes()
+        path.write_bytes(blob[:cut])
+        with pytest.raises(StateError,
+                           match=re.escape(f"model file {path} is not a readable archive")):
+            mf.load_arrays(path)
+
+    def test_flipped_data_byte_fails_the_crc(self, tmp_path):
+        path = self.write_sample(tmp_path)
+        blob = bytearray(path.read_bytes())
+        at = blob.index(np.float64(mf.load_arrays(path)[0]["a.w"][0, 1]).tobytes())
+        blob[at + 3] ^= 0x10
+        path.write_bytes(bytes(blob))
+        with pytest.raises(StateError, match=r"member 'a\.w\.npy' fails"):
+            mf.load_arrays(path)
+
+    def test_every_flipped_byte_raises_or_loads_the_saved_values(self, tmp_path):
+        """No corrupt byte, in a member or in the zip headers, gives back a
+        value that was not saved: the load raises StateError, or (when the
+        byte is one zipfile does not read) returns saved arrays and meta."""
+        path = self.write_sample(tmp_path)
+        saved, saved_meta = mf.load_arrays(path)
+        blob = path.read_bytes()
+        for at in range(len(blob)):
+            for bit in (0x01, 0x80):
+                corrupt = bytearray(blob)
+                corrupt[at] ^= bit
+                path.write_bytes(bytes(corrupt))
+                try:
+                    arrays, meta = mf.load_arrays(path)
+                except StateError:
+                    continue
+                assert meta == saved_meta, (at, bit)
+                assert set(arrays) <= set(saved), (at, bit)
+                for name, arr in arrays.items():
+                    assert arr.dtype == saved[name].dtype, (at, bit)
+                    npt.assert_array_equal(arr, saved[name], err_msg=f"{at} {bit}")
+
+    @pytest.mark.parametrize("write, problem", [
+        (lambda p: p.write_bytes(b""), "is not a readable archive"),
+        (lambda p: p.write_bytes(struct.pack("<II", 1, 0)), "is not a readable archive"),
+        (lambda p: p.write_text('{"version": 1, "k": 2}'), "is not a readable archive"),
+        (lambda p: write_npy(p, np.zeros(2)), "holds one .npy array"),
+        (lambda p: write_members(p, meta=np.array("{}"), w=np.array([None])),
+         "is not a readable archive: Object arrays"),
+        (lambda p: write_members(p, w=np.zeros(2)), "has no meta text member"),
+        (lambda p: write_members(p, meta=np.array([1.0])), "has no meta text member"),
+        (lambda p: write_members(p, meta=np.array("{")), "meta is not JSON"),
+        (lambda p: write_members(p, meta=np.array("[]")), "meta is not a JSON object"),
+        (lambda p: write_members(p, meta=np.array('{"format": "bank", "version": 2}')),
+         "holds format 'bank' version 2, not 'model' version 4"),
+        (lambda p: write_members(p, meta=np.array('{"format": "model", "version": 4}')),
+         "meta has no 'config' of type dict"),
+        (lambda p: write_members(p, meta=np.array(json.dumps({
+            "format": "model", "version": 4, "config": {}, "charge_vocab": [],
+            "article_ids": [], "word_vocab": [], "pos_vocab": [], "tau": True}))),
+         "meta has no 'tau' of type float"),
+    ], ids=["empty", "binary_checkpoint", "json_bank", "npy_file", "object_member",
+            "no_meta", "meta_not_text", "meta_not_json", "meta_not_object", "other_kind",
+            "missing_field", "bool_for_float"])
+    def test_unreadable_file_raises_state_error(self, tmp_path, write, problem):
+        path = tmp_path / "model.npz"
+        write(path)
+        with pytest.raises(StateError) as err:
+            mf.load_model(path)
+        assert str(err.value).startswith(f"model file {path} ")
+        assert problem in str(err.value)
+
+    def test_failed_write_keeps_the_previous_file(self, tmp_path):
+        path = self.write_sample(tmp_path)
+        before = path.read_bytes()
+        # The second array cannot be converted, so the write stops after the first.
+        with pytest.raises(OSError, match="no space left"):
+            mf.save_arrays(path, {"a.w": np.ones(3), "b": Unwritable()}, {})
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == [path.name]
+
+    def test_version_guard(self, tmp_path):
+        """Version 2 is the last format that kept banks in their own files,
+        and version 3 the last whose config held the attention loss weight."""
+        path = tmp_path / "bad.npz"
+        for version in (1, 2, 3, 99, "4"):
+            write_members(path, meta=np.array(json.dumps({"format": "model",
+                                                          "version": version})))
+            with pytest.raises(StateError, match=f"version {version!r}, not 'model' version 4"):
+                mf.load_arrays(path)
+
+    def test_rename_is_synced_through_the_directory(self, tmp_path, monkeypatch):
+        """``atomic_write`` syncs the new file before the rename and the
+        directory after it, then closes the directory."""
+        import os
+        import stat
+        events = []
+        fsync, replace, close = os.fsync, os.replace, os.close
+
+        def logged_fsync(fd):
+            kind = "dir" if stat.S_ISDIR(os.fstat(fd).st_mode) else "file"
+            events.append(("fsync", kind, fd))
+            fsync(fd)
+
+        def logged_replace(src, dst):
+            events.append(("replace",))
+            replace(src, dst)
+
+        def logged_close(fd):
+            events.append(("close", fd))
+            close(fd)
+
+        monkeypatch.setattr(os, "fsync", logged_fsync)
+        monkeypatch.setattr(os, "replace", logged_replace)
+        monkeypatch.setattr(os, "close", logged_close)
+        with mf.atomic_write(tmp_path / "f.bin") as fh:
+            fh.write(b"abc")
+        assert [e[:2] for e in events[:2]] == [("fsync", "file"), ("replace",)]
+        directory = events[2][2]
+        assert events[2:] == [("fsync", "dir", directory), ("close", directory)]
+        assert (tmp_path / "f.bin").read_bytes() == b"abc"
+
+
+# The content of the model file, pinned. A fixed tiny fact_supv_art model with
+# a hand-built bank is saved, and a CRC-32 over every member pins what the file
+# holds. Every value is a binary fraction set by hand, so nothing goes through
+# BLAS or a random stream, and the digest does not depend on the machine or its
+# thread count. A change to the format has to change PINNED_CONTENT on purpose,
+# and FORMAT_VERSION with it. Version 4 dropped the config's attention loss
+# weight: every array member is as it was in version 3, and the meta text
+# differs only by that field and the version.
+PINNED_CONTENT = "87e6ada8"
+
+
+def pinned_model() -> tuple[cm.ChargeModel, ax.ExtractorBank]:
+    """A fact_supv_art model, k=2, over three articles, one of them a
+    sub-clause, and a bank that ranks all three."""
+    config = cm.ModelConfig(variant=cm.Variant.FACT_SUPV_ART, word_emb_dim=2, pos_emb_dim=1,
+                            gru_hidden=2, fc1_dim=3, fc2_dim=3, k=2, tau=0.375)
+    words = {"<pad>": cm.PAD_ID, "<unk>": cm.UNK_ID, "盗窃": 2, "w": 3}
+    tags = {"<pad>": cm.PAD_ID, "<unk>": cm.UNK_ID, "v": 2}
+    params = cm.ModelParams.create(config, len(words), len(tags), 2, None)
+    for i, (_, t) in enumerate(params.named()):
+        t.data = ((np.arange(t.size) % 7 - 3) / 4 + i / 8).reshape(t.shape)
+    docs = {10: [(np.array([2, 3]), np.array([2, 2]))],
+            20: [(np.array([3]), np.array([2])), (np.array([2, 2, 3]), np.array([2, 1, 2]))],
+            (133, 1): [(np.array([1, 3]), np.array([2, 1]))]}
+    model = cm.ChargeModel(config, params, words, tags, ["盗窃罪", "诈骗罪"], docs, tau=0.375)
+    tfidf = ax.TfidfModel({"盗窃": 0, "a": 1, "b": 2}, np.array([0.5, 1.25, 2.0]))
+    weights = np.array([[0.5, 0.0, -1.5], [0.0, 0.25, 0.0], [2.0, 0.0, 0.0]])
+    bank = ax.ExtractorBank(tfidf, [20, (133, 1), 10], weights, np.array([0.125, -0.5, 1.0]))
+    return model, bank
+
+
+def content_digest(path) -> str:
+    """CRC-32 over each member of the archive at ``path``, in member order:
+    an array's name, dtype, shape and values, and the meta's text."""
+    crc = 0
+    with np.load(path) as archive:
+        for name in archive.files:
+            arr = archive[name]
+            if name == "meta":
+                crc = zlib.crc32(arr.item().encode(), crc)
+                continue
+            crc = zlib.crc32(f"{name} {arr.dtype.str} {arr.shape}".encode(), crc)
+            crc = zlib.crc32(np.ascontiguousarray(arr).tobytes(), crc)
+    return f"{crc:08x}"
+
+
+def test_saved_content_is_pinned(tmp_path):
+    model, bank = pinned_model()
+    path = tmp_path / "m.npz"
+    mf.save_model(path, model, bank)
+    assert content_digest(path) == PINNED_CONTENT
+    loaded, loaded_bank = mf.load_model(path)
+    for (name, want), (_, got) in zip(model.params.named(), loaded.params.named(),
+                                      strict=True):
+        npt.assert_array_equal(got.data, want.data, err_msg=name)
+    assert loaded_bank.article_ids == bank.article_ids == [10, 20, (133, 1)]
