@@ -6,7 +6,9 @@ indicator clauses (``FACT_INDICATORS``, ``VIEW_INDICATORS``,
 (``ARTICLE_PATTERN``, with Chinese numeral conversion), charge-list matching,
 and charge masking. The synthetic path generates seeded corpora with known
 gold charges and articles, plus rendered judgement documents that exercise
-the whole extraction pipeline end to end. Its draws are numpy's
+the whole extraction pipeline end to end. A case is an immutable
+``CaseRecord``; the generator shares its (token, pos) pairs and its gold
+label sets across cases. Its draws are numpy's
 ``Generator`` draws for the spec's seed, computed from the PCG64 raw stream
 (``_Draws``); the pinned corpus digests and a draw-for-draw test hold them to
 the ``Generator``.
@@ -63,20 +65,31 @@ class JudgementDoc:
             raise DomainError("judgement document with empty text")
 
 
-@dataclass
+@dataclass(frozen=True, slots=True)
 class CaseRecord:
-    """Tokenized fact description with gold charge and article sets.
+    """Tokenized fact description with gold charge and article sets;
+    immutable once built.
 
     ``fact`` holds sentences of immutable (token, pos) tuples.
     ``generate_synthetic`` builds one tuple per distinct pair and shares it
-    across every sentence and case.
+    across every sentence and case, and it gives every case with the same
+    gold charges (or articles) one shared frozenset.
+
+    A record built from lists and sets stores them as a tuple of sentence
+    tuples and as frozensets, keeping the pairs themselves, and equals the
+    record built from tuples and frozensets. CPython's ``tuple`` of a tuple
+    and ``frozenset`` of a frozenset return their argument, so a record
+    built from another record's values shares its sentences and gold sets.
     """
 
-    fact: list[list[tuple[str, str]]]  # sentences of (token, pos Tag)
-    gold_charges: set[str]
-    gold_articles: set
+    fact: tuple[tuple[tuple[str, str], ...], ...]  # sentences of (token, pos Tag)
+    gold_charges: frozenset[str]
+    gold_articles: frozenset
 
     def __post_init__(self):
+        object.__setattr__(self, "fact", tuple(map(tuple, self.fact)))
+        object.__setattr__(self, "gold_charges", frozenset(self.gold_charges))
+        object.__setattr__(self, "gold_articles", frozenset(self.gold_articles))
         if not self.fact or any(not s for s in self.fact):
             raise DomainError("case needs at least one non-empty sentence")
         if not self.gold_charges:
@@ -430,7 +443,8 @@ class _Draws:
                 return lo + (m >> 32)
 
 
-def _sample_case(rng, spec, charges, cores, noise, charge_articles) -> CaseRecord:
+def _sample_case(rng, spec, charges, cores, noise, charge_articles,
+                 label_sets: dict) -> CaseRecord:
     integers, random = rng.integers, rng.random
     n_charges = spec.n_charges
     case_charges = [charges[integers(n_charges)]]
@@ -478,8 +492,13 @@ def _sample_case(rng, spec, charges, cores, noise, charge_articles) -> CaseRecor
         else:
             s, j = spot
             sentences[s][j] = keyword
-    gold_articles = {a for c in case_charges for a in charge_articles[c]}
-    return CaseRecord(sentences, set(case_charges), gold_articles)
+    # Each article belongs to one charge, so the charge set fixes the
+    # article set, and one entry per charge set shares both.
+    key = frozenset(case_charges)
+    gold = label_sets.get(key)
+    if gold is None:
+        gold = label_sets[key] = (key, frozenset(a for c in key for a in charge_articles[c]))
+    return CaseRecord(sentences, *gold)
 
 
 def _tagged(tokens: list[str]) -> list[tuple[str, str]]:
@@ -493,7 +512,9 @@ def generate_synthetic(spec: SyntheticSpec) -> SyntheticCorpus:
 
     The pools hold (token, pos) tuples, and the cases' sentences hold the
     pools' own tuples: one shared tuple per vocabulary word, not one per
-    token.
+    token. Likewise every case with the same gold charges holds one shared
+    frozenset of them, and every case with the same gold articles another;
+    the sets are shared within one call, through a table local to it.
 
     Every draw comes from ``_Draws(spec.seed)``, which yields the values
     ``np.random.default_rng(spec.seed)`` would without a numpy call per
@@ -530,8 +551,10 @@ def generate_synthetic(spec: SyntheticSpec) -> SyntheticCorpus:
                 sents.append(" ".join(tok for tok, _ in toks))
             article_db[aid] = "。".join(sents) + "。"
 
+    label_sets: dict[frozenset, tuple[frozenset, frozenset]] = {}
+
     def draw(n):
-        return [_sample_case(rng, spec, charges, cores, noise, charge_articles)
+        return [_sample_case(rng, spec, charges, cores, noise, charge_articles, label_sets)
                 for _ in range(n)]
 
     return SyntheticCorpus(draw(spec.train_size), draw(spec.valid_size),

@@ -28,8 +28,10 @@ def bank(data):
                          [c.gold_articles for c in data.train], k=TINY_DIMS["k"])
 
 
-def untrained_model(data, variant, seed=0):
-    config = cm.ModelConfig(variant=variant, **TINY_DIMS)
+def untrained_model(data, variant, seed=0, dims=TINY_DIMS):
+    """Seeded, untrained parameters at ``dims``: the tiny dims by default,
+    the paper's with ``dims={}``."""
+    config = cm.ModelConfig(variant=variant, **dims)
     word_vocab, pos_vocab = cm.build_vocab(data.train)
     charges = sorted({c for case in data.train for c in case.gold_charges})
     params = cm.ModelParams.create(config, len(word_vocab), len(pos_vocab), len(charges),

@@ -1,6 +1,8 @@
 import dataclasses
+import gc
 import hashlib
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -479,6 +481,73 @@ class TestSyntheticGenerator:
         for prob in (-0.1, 1.7):
             with pytest.raises(DomainError, match="article_core_prob outside"):
                 small_spec(article_core_prob=prob)
+
+
+class TestCompactRecords:
+    """Case records are immutable and compact: tuple facts, frozenset gold
+    sets, no instance dict, and one shared frozenset per distinct gold set
+    in a generated corpus."""
+
+    @pytest.fixture(scope="class")
+    def cases(self):
+        corpus = cp.generate_synthetic(small_spec(multi_charge_prob=0.5, seed=5))
+        return corpus.train + corpus.valid + corpus.test
+
+    def test_generated_cases_hold_tuples_and_frozensets(self, cases):
+        for case in cases:
+            assert type(case.fact) is tuple
+            assert all(type(sent) is tuple for sent in case.fact)
+            assert type(case.gold_charges) is frozenset
+            assert type(case.gold_articles) is frozenset
+
+    def test_records_have_no_instance_dict(self, cases):
+        assert not any(hasattr(case, "__dict__") for case in cases)
+
+    def test_records_refuse_assignment(self, cases):
+        case = cases[0]
+        for name in ("fact", "gold_charges", "gold_articles"):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(case, name, getattr(case, name))
+
+    @pytest.mark.parametrize("field", ["gold_charges", "gold_articles"])
+    def test_one_object_per_distinct_gold_set(self, cases, field):
+        sets = [getattr(case, field) for case in cases]
+        assert len({id(s) for s in sets}) == len(set(sets)) < len(sets)
+
+    def test_lists_and_sets_convert_to_an_equal_record(self):
+        fact = [[("tok1", "n"), ("tok2", "v")], [("tok3", "n")]]
+        built = CaseRecord(fact, {"盗窃", "抢劫"}, {(133, 1), 264})
+        frozen = CaseRecord(tuple(map(tuple, fact)), frozenset({"盗窃", "抢劫"}),
+                            frozenset({(133, 1), 264}))
+        assert built == frozen
+        assert hash(built) == hash(frozen)
+        assert all(a is b for sent, want in zip(built.fact, fact) for a, b in zip(sent, want))
+
+    @pytest.mark.parametrize("fact, charges, articles", [
+        ([], {"盗窃"}, {1}), ([[("t", "n")], []], {"盗窃"}, {1}),
+        ([[("t", "n")]], set(), {1}), ([[("t", "n")]], {"盗窃"}, set()),
+    ])
+    def test_empty_parts_are_rejected(self, fact, charges, articles):
+        with pytest.raises(DomainError):
+            CaseRecord(fact, charges, articles)
+
+    def test_default_spec_corpus_retains_at_most_800_bytes_per_case(self):
+        """The benchmark's corpus retains about 590 bytes per case. Per-case
+        gold sets, list facts and an instance dict per record take it to
+        about 1,240."""
+        spec = SyntheticSpec()
+        cp.generate_synthetic(spec)  # leaves import-time and first-call allocations out
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            corpus = cp.generate_synthetic(spec)
+            gc.collect()
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        n_cases = len(corpus.train) + len(corpus.valid) + len(corpus.test)
+        assert retained / n_cases <= 800, f"{retained / n_cases:.0f} bytes per case"
 
 
 class TestRenderRoundTrip:
